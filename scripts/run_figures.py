@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
-"""Regenerate every bundled figure dataset at desk scale.
+"""Regenerate every bundled artifact at desk scale.
 
-Runs each fixtures/figN.cfg through the CLI and drops the CSV/JSON artifacts
-into an output directory (default: figure_data/).
+Runs each fixtures/figN.cfg through the CLI, then `symmetry all --golden`
+(classification.json), and drops the CSV/JSON artifacts into an output
+directory (default: figure_data/).  Usage:
+
+    PYTHONPATH=src python scripts/run_figures.py --out-dir figure_data
 """
 import argparse
 import pathlib
@@ -40,6 +43,11 @@ def main(argv=None):
         print(f"{name}: {COMMANDS[name]} -> {out_path} (exit {rc})")
         if rc != 0:
             return rc
+    if not args.only:
+        out_path = out_dir / "classification.json"
+        rc = cli_main(["symmetry", "all", "--golden", "--out", str(out_path)])
+        print(f"symmetry: symmetry all --golden -> {out_path} (exit {rc})")
+        return rc
     return 0
 
 

@@ -23,7 +23,7 @@ from importlib import resources
 
 import numpy as np
 
-from .config import SCHEMA, SweepConfig, config_from_dict
+from .config import SCHEMA, SweepConfig, config_from_dict, section
 from .errors import (BoundaryStateError, ClassificationError, InvalidInputError,
                      UnknownProtocolError, WalkError)
 from .protocols import PROTOCOL_IDS, build_unitary, registry_lookup, step_independent_unitary
@@ -44,17 +44,10 @@ def _num(text, flag: str) -> float:
         raise InvalidInputError(f"{flag} expects a number, got {text!r}") from None
 
 
-def _momentum_grid(dim: int, n: int) -> np.ndarray:
-    axes = [np.linspace(-np.pi, np.pi, n, endpoint=False)] * dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
-def _bands_value_rows(doc: dict, value) -> list:
-    cfg = config_from_dict(doc)
+def _bands_value_rows(cfg: SweepConfig, value) -> list:
     spec = cfg.spec_at(value)
     dim = spec.dimension
-    k = _momentum_grid(dim, cfg.grid)
+    k = symmetry.bz_grid(dim, cfg.grid)
     if cfg.step_independent:
         U = step_independent_unitary(spec, k)
     else:
@@ -97,8 +90,7 @@ def _bands_value_rows(doc: dict, value) -> list:
     return rows
 
 
-def _invariant_value_rows(doc: dict, value) -> list:
-    cfg = config_from_dict(doc)
+def _invariant_value_rows(cfg: SweepConfig, value) -> list:
     spec = cfg.spec_at(value)
     sval = _f(value) if cfg.sweep_symbol != "T" else str(int(value))
     closings = topology.find_gap_closings(spec, grid_n=max(cfg.grid, 32))
@@ -114,8 +106,7 @@ def _invariant_value_rows(doc: dict, value) -> list:
         return [f"{sval},,,boundary"]
 
 
-def _classify_value_record(doc: dict, value) -> dict:
-    cfg = config_from_dict(doc)
+def _classify_value_record(cfg: SweepConfig, value) -> dict:
     spec = cfg.spec_at(value)
     points = topology.find_gap_closings(spec, grid_n=max(cfg.grid, 32))
     classes = topology.classify_boundary(spec, gap_points=points, grid_n=max(cfg.grid, 32))
@@ -141,11 +132,11 @@ def _jsonable(obj):
     return obj
 
 
-def _map_values(doc: dict, values, fn, workers: int):
+def _map_values(cfg: SweepConfig, values, fn, workers: int):
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, [doc] * len(values), values))
-    return [fn(doc, v) for v in values]
+            return list(pool.map(fn, [cfg] * len(values), values))
+    return [fn(cfg, v) for v in values]
 
 
 def _write_text(path, text: str):
@@ -175,7 +166,7 @@ def _build_config(args) -> SweepConfig:
         doc["phi"] = args.phi
     if getattr(args, "step_independent", False):
         doc["step_independent"] = True
-    angles = dict(doc.get("angles") or {})
+    angles = dict(section(doc, "angles"))
     for item in args.set or []:
         if "=" not in item:
             raise InvalidInputError(f"--set expects symbol=value, got {item!r}")
@@ -189,16 +180,16 @@ def _build_config(args) -> SweepConfig:
             raise InvalidInputError("--sweep expects symbol:start:stop:count")
         doc["sweep"] = {"symbol": parts[0], "start": _num(parts[1], "--sweep"),
                         "stop": _num(parts[2], "--sweep"),
-                        "count": int(_num(parts[3], "--sweep"))}
+                        "count": _num(parts[3], "--sweep")}
     for item in args.link or []:
         try:
             sym, rest = item.split("=", 1)
             on, scale, offset = rest.split(":")
         except ValueError:
             raise InvalidInputError("--link expects symbol=on:scale:offset") from None
-        doc.setdefault("linked", {})[sym.strip()] = {
+        doc["linked"] = {**section(doc, "linked"), sym.strip(): {
             "on": on.strip(), "scale": _num(scale, "--link"),
-            "offset": _num(offset, "--link")}
+            "offset": _num(offset, "--link")}}
     doc.setdefault("schema", SCHEMA)
     return config_from_dict(doc).validate()
 
@@ -212,8 +203,7 @@ def _cmd_bands(args) -> int:
     dim = spec.dimension
     header = (["sweep_param"] + [f"k{i+1}" for i in range(dim)] + ["e_plus"]
               + [f"v_k{i+1}" for i in range(dim)] + ["status"])
-    doc = _cfg_doc(cfg)
-    chunks = _map_values(doc, cfg.sweep_values(), _bands_value_rows, cfg.workers)
+    chunks = _map_values(cfg, cfg.sweep_values(), _bands_value_rows, cfg.workers)
     lines = [",".join(header)]
     for chunk in chunks:
         lines.extend(chunk)
@@ -235,8 +225,7 @@ def _cmd_invariant(args) -> int:
             raise InvalidInputError(
                 f"winding needs a chiral protocol with a momentum-independent axis:"
                 f" {err}") from None
-    doc = _cfg_doc(cfg)
-    chunks = _map_values(doc, cfg.sweep_values(), _invariant_value_rows, cfg.workers)
+    chunks = _map_values(cfg, cfg.sweep_values(), _invariant_value_rows, cfg.workers)
     lines = ["sweep_param,invariant,raw,status"]
     for chunk in chunks:
         lines.extend(chunk)
@@ -249,8 +238,7 @@ def _cmd_classify_gaps(args) -> int:
     spec = registry_lookup(cfg.protocol)
     if spec.bands != 2:
         raise InvalidInputError("gap classification needs a two-band protocol")
-    doc = _cfg_doc(cfg)
-    records = _map_values(doc, cfg.sweep_values(), _classify_value_record, cfg.workers)
+    records = _map_values(cfg, cfg.sweep_values(), _classify_value_record, cfg.workers)
     payload = {"schema": SCHEMA, "command": "classify-gaps",
                "protocol": cfg.protocol, "records": records}
     _write_text(cfg.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -290,27 +278,6 @@ def _cmd_symmetry(args) -> int:
                 print(f"golden mismatch: {line}", file=sys.stderr)
             return 1
     return 0
-
-
-def _cfg_doc(cfg: SweepConfig) -> dict:
-    doc = {
-        "schema": SCHEMA,
-        "protocol": cfg.protocol,
-        "steps": cfg.steps,
-        "angles": dict(cfg.angles),
-        "sweep": {"symbol": cfg.sweep_symbol, "start": cfg.sweep_start,
-                  "stop": cfg.sweep_stop, "count": cfg.sweep_count},
-        "grid": cfg.grid,
-        "workers": cfg.workers,
-    }
-    if cfg.linked:
-        doc["linked"] = {sym: {"on": l.on, "scale": l.scale, "offset": l.offset}
-                         for sym, l in cfg.linked.items()}
-    if cfg.phi is not None:
-        doc["phi"] = cfg.phi
-    if cfg.step_independent:
-        doc["step_independent"] = True
-    return doc
 
 
 def _add_sweep_options(p: argparse.ArgumentParser):

@@ -3,15 +3,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from .errors import InvalidInputError
 from .protocols import ProtocolSpec, registry_lookup
 
 SCHEMA = "topowalk/v1"
-
-OUTPUT_CHOICES = ("bands", "velocity", "d_vector", "gap_points", "boundary_class",
-                  "winding", "chern", "symmetry")
 
 
 @dataclass
@@ -33,7 +30,6 @@ class SweepConfig:
     linked: Dict[str, LinkedAngle] = field(default_factory=dict)
     grid: int = 64
     phi: Optional[float] = None
-    outputs: Tuple[str, ...] = ()
     out: Optional[str] = None
     workers: int = 1
     step_independent: bool = False
@@ -71,9 +67,6 @@ class SweepConfig:
             raise InvalidInputError("step-independent evaluation requires steps == 1")
         if self.workers < 1:
             raise InvalidInputError("workers must be >= 1")
-        for name in self.outputs:
-            if name not in OUTPUT_CHOICES:
-                raise InvalidInputError(f"unknown output {name!r}; choose from {OUTPUT_CHOICES}")
         return self
 
     def sweep_values(self):
@@ -96,34 +89,55 @@ class SweepConfig:
         return registry_lookup(self.protocol, T=T, angles=angles, phi=self.phi)
 
 
+def section(doc: dict, key: str) -> dict:
+    """The JSON object under `key` (empty if absent); anything else is a usage error."""
+    value = doc.get(key) or {}
+    if not isinstance(value, dict):
+        raise InvalidInputError(f"{key} must be a JSON object, got {value!r}")
+    return value
+
+
+def _convert(kind, value, key: str):
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInputError(
+            f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}") from None
+
+
 def config_from_dict(doc: dict) -> SweepConfig:
     if not isinstance(doc, dict):
         raise InvalidInputError("config document must be a JSON object")
     schema = doc.get("schema", SCHEMA)
     if schema != SCHEMA:
         raise InvalidInputError(f"unsupported config schema {schema!r} (expected {SCHEMA!r})")
-    sweep = doc.get("sweep") or {}
+    sweep = section(doc, "sweep")
     for key in ("symbol", "start", "stop", "count"):
         if key not in sweep:
             raise InvalidInputError(f"sweep.{key} missing from config")
     linked = {}
-    for sym, entry in (doc.get("linked") or {}).items():
-        linked[sym] = LinkedAngle(on=entry["on"], scale=float(entry["scale"]),
-                                  offset=float(entry["offset"]))
+    for sym, entry in section(doc, "linked").items():
+        if not isinstance(entry, dict):
+            raise InvalidInputError(f"linked.{sym} must be a JSON object, got {entry!r}")
+        for key in ("on", "scale", "offset"):
+            if key not in entry:
+                raise InvalidInputError(f"linked.{sym}.{key} missing from config")
+        linked[sym] = LinkedAngle(on=entry["on"],
+                                  scale=_convert(float, entry["scale"], f"linked.{sym}.scale"),
+                                  offset=_convert(float, entry["offset"], f"linked.{sym}.offset"))
     cfg = SweepConfig(
         protocol=doc.get("protocol", ""),
         sweep_symbol=str(sweep["symbol"]),
-        sweep_start=float(sweep["start"]),
-        sweep_stop=float(sweep["stop"]),
-        sweep_count=int(sweep["count"]),
-        steps=int(doc.get("steps", 1)),
-        angles={k: float(v) for k, v in (doc.get("angles") or {}).items()},
+        sweep_start=_convert(float, sweep["start"], "sweep.start"),
+        sweep_stop=_convert(float, sweep["stop"], "sweep.stop"),
+        sweep_count=_convert(int, sweep["count"], "sweep.count"),
+        steps=_convert(int, doc.get("steps", 1), "steps"),
+        angles={k: _convert(float, v, f"angles.{k}") for k, v in section(doc, "angles").items()},
         linked=linked,
-        grid=int(doc.get("grid", 64)),
-        phi=float(doc["phi"]) if "phi" in doc else None,
-        outputs=tuple(doc.get("outputs") or ()),
+        grid=_convert(int, doc.get("grid", 64), "grid"),
+        phi=_convert(float, doc["phi"], "phi") if "phi" in doc else None,
         out=doc.get("out"),
-        workers=int(doc.get("workers", 1)),
+        workers=_convert(int, doc.get("workers", 1), "workers"),
         step_independent=bool(doc.get("step_independent", False)),
     )
     return cfg

@@ -172,15 +172,20 @@ REGISTRY = _registry()
 PROTOCOL_IDS = tuple(REGISTRY)
 
 
-def registry_lookup(pid: str, T: int = 1, angles: Optional[Mapping[str, float]] = None,
+def registry_lookup(spec_or_id: Union[str, ProtocolSpec], T: Optional[int] = None,
+                    angles: Optional[Mapping[str, float]] = None,
                     phi: Optional[float] = None) -> ProtocolSpec:
-    """Return the registered protocol with the given step number and angles bound."""
-    try:
-        template = REGISTRY[pid]
-    except KeyError:
-        raise UnknownProtocolError(
-            f"unknown protocol id {pid!r}; valid ids: {', '.join(PROTOCOL_IDS)}") from None
-    return template.with_params(T=T, phi=phi, **dict(angles or {}))
+    """Return a protocol, given by registry id or as a spec, with the given step
+    number, angles and phi bound; what is not given keeps its current value."""
+    if isinstance(spec_or_id, ProtocolSpec):
+        spec = spec_or_id
+    else:
+        try:
+            spec = REGISTRY[spec_or_id]
+        except KeyError:
+            raise UnknownProtocolError(f"unknown protocol id {spec_or_id!r};"
+                                       f" valid ids: {', '.join(PROTOCOL_IDS)}") from None
+    return spec.with_params(T=T, phi=phi, **dict(angles or {}))
 
 
 def step_independent_reduction(spec: ProtocolSpec) -> ProtocolSpec:
@@ -199,14 +204,12 @@ def _as_momenta(spec: ProtocolSpec, k) -> np.ndarray:
     return k
 
 
-def _coin_matrix(el: Coin, spec: ProtocolSpec, k: np.ndarray, angles, T, step_scaled: bool):
+def _coin_matrix(el: Coin, spec: ProtocolSpec, k: np.ndarray, angles, T):
     try:
         theta = angles[el.symbol]
     except KeyError:
         raise InvalidInputError(f"angle {el.symbol!r} missing for protocol {spec.id!r}") from None
-    theta = np.asarray(theta, dtype=float)
-    eff = T * theta if step_scaled else theta
-    eff = np.broadcast_to(np.asarray(eff, dtype=float), k.shape[:-1])
+    eff = np.broadcast_to(T * np.asarray(theta, dtype=float), k.shape[:-1])
     return pauli_exp(el.axis, eff)
 
 
@@ -219,11 +222,11 @@ def _shift_matrix(el: Shift, k: np.ndarray):
     return out
 
 
-def _base_unitary(spec: ProtocolSpec, k: np.ndarray, angles, T, step_scaled: bool):
+def _base_unitary(spec: ProtocolSpec, k: np.ndarray, angles, T):
     U = None
     for el in spec.elements:
         if isinstance(el, Coin):
-            M = _coin_matrix(el, spec, k, angles, T, step_scaled)
+            M = _coin_matrix(el, spec, k, angles, T)
         else:
             M = _shift_matrix(el, k)
         U = M if U is None else M @ U
@@ -237,26 +240,30 @@ def _sandwich_wall(phi: float) -> np.ndarray:
 
 
 def build_unitary(spec: ProtocolSpec, k, *, angles: Optional[Mapping] = None,
-                  T=None, _step_scaled: bool = True) -> np.ndarray:
+                  T=None) -> np.ndarray:
     """Momentum-space one-step unitary U(k); batched over leading axes of k.
 
     `angles` values and `T` may be arrays broadcastable against the momentum
     batch shape (useful for random-sample sweeps).  They default to the values
-    bound in the spec.
+    bound in the spec; an angle the protocol does not use is rejected.
     """
     k = _as_momenta(spec, k)
     ang = dict(spec.angles)
     if angles:
+        unknown = sorted(set(angles) - set(spec.symbols))
+        if unknown:
+            raise InvalidInputError(f"protocol {spec.id!r} has no angle {unknown[0]!r};"
+                                    f" it uses {sorted(spec.symbols)}")
         ang.update(angles)
     T_eff = spec.T if T is None else T
     if np.any(np.asarray(T_eff) < 1):
         raise InvalidInputError("step number T must be >= 1")
 
     if spec.doubled is None:
-        return _base_unitary(spec, k, ang, T_eff, _step_scaled)
+        return _base_unitary(spec, k, ang, T_eff)
 
-    Uk = _base_unitary(spec, k, ang, T_eff, _step_scaled)
-    Um = _base_unitary(spec, -k, ang, T_eff, _step_scaled)
+    Uk = _base_unitary(spec, k, ang, T_eff)
+    Um = _base_unitary(spec, -k, ang, T_eff)
     if spec.doubled == "transpose_block":
         return block_diag2(Uk, np.swapaxes(Um, -1, -2))
     if spec.doubled == "conjugate_block":
@@ -270,8 +277,8 @@ def build_unitary(spec: ProtocolSpec, k, *, angles: Optional[Mapping] = None,
 
 
 def step_independent_unitary(spec: ProtocolSpec, k, *, angles=None) -> np.ndarray:
-    """Dedicated evaluation path for step-independent coins (no T scaling)."""
-    return build_unitary(step_independent_reduction(spec), k, angles=angles, _step_scaled=False)
+    """U(k) of the step-independent-coin walk: the spec reduced to T = 1."""
+    return build_unitary(step_independent_reduction(spec), k, angles=angles)
 
 
 # -- serialization ------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import GaplessError, InvalidInputError, UnsupportedProtocolError
-from .protocols import ProtocolSpec, build_unitary, registry_lookup
+from .protocols import build_unitary, registry_lookup
 
 EPS_GAP = 1e-9  # |d| at or below this counts as a gap closing
 
@@ -74,25 +74,17 @@ def bands_from_unitary(U) -> Bands:
 
 
 def oracle_bands(spec_or_id, k, *, angles=None, T=None) -> Bands:
-    """Build the protocol unitary and decompose it (two-band protocols only)."""
-    spec = _resolve(spec_or_id, angles, T)
+    """Build the protocol unitary and decompose it (two-band protocols only).
+
+    `angles` and `T` override the spec's values for this call and may be
+    arrays broadcastable against the momentum batch shape.
+    """
+    spec = registry_lookup(spec_or_id)
     if spec.bands != 2:
         raise UnsupportedProtocolError(
             f"{spec.id!r} is a four-band protocol; use su2.quasi_energies on build_unitary")
     U = build_unitary(spec, k, angles=angles, T=T)
     return bands_from_unitary(U)
-
-
-def _resolve(spec_or_id, angles=None, T=None) -> ProtocolSpec:
-    if isinstance(spec_or_id, ProtocolSpec):
-        return spec_or_id
-    bind = {} if (angles is None or _has_arrays(angles)) else dict(angles)
-    T_bind = 1 if (T is None or np.ndim(T) > 0) else int(T)
-    return registry_lookup(spec_or_id, T=T_bind, angles=bind)
-
-
-def _has_arrays(angles) -> bool:
-    return any(np.ndim(v) > 0 for v in angles.values())
 
 
 # -- analytic closed forms -----------------------------------------------------
@@ -578,7 +570,7 @@ def group_velocity_closed(pid: str, angles: Mapping, T, k, axis):
 
 def group_velocity_numeric(spec_or_id, k, axis, *, angles=None, T=None, h: float = 1e-5):
     """Central finite difference of the + band along a momentum axis."""
-    spec = _resolve(spec_or_id, angles, T)
+    spec = registry_lookup(spec_or_id)
     ax = AXES.get(axis)
     if ax is None or ax >= spec.dimension:
         raise InvalidInputError(f"axis {axis!r} invalid for a {spec.dimension}d protocol")

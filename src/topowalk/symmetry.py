@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ClassificationError, DegenerateGridError, InvalidInputError
 from .protocols import ProtocolSpec, registry_lookup
 from .spectrum import bands_from_unitary
-from .su2 import PAULI, SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, eig_unitary
+from .su2 import PAULI, SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, block_diag2, eig_unitary, tensor
 from .protocols import build_unitary
 
 RESIDUAL_TOL = 1e-8
@@ -165,17 +165,6 @@ def axis_sigma(A) -> np.ndarray:
     return A[0] * SIGMA_X + A[1] * SIGMA_Y + A[2] * SIGMA_Z
 
 
-def _tensor22(A, B) -> np.ndarray:
-    return np.kron(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex))
-
-
-def _blockdiag(A, B) -> np.ndarray:
-    M = np.zeros((4, 4), dtype=complex)
-    M[:2, :2] = A
-    M[2:, 2:] = B
-    return M
-
-
 def _offdiag(A, B) -> np.ndarray:
     M = np.zeros((4, 4), dtype=complex)
     M[:2, 2:] = A
@@ -195,7 +184,7 @@ def default_candidates(spec: ProtocolSpec) -> List[Tuple[str, np.ndarray]]:
     else:
         for tn, t in _PAULIS.items():
             for sn, s in _PAULIS.items():
-                M = _tensor22(t, s)
+                M = tensor(t, s)
                 cands.append((f"{tn[1]}x{sn}", M))
                 cands.append((f"i*{tn[1]}x{sn}", 1j * M))
         try:
@@ -203,8 +192,8 @@ def default_candidates(spec: ProtocolSpec) -> List[Tuple[str, np.ndarray]]:
         except (ClassificationError, DegenerateGridError, KeyError):
             G = None
         if G is not None:
-            cands.append(("diag(G,G*)", _blockdiag(G, G.conj())))
-            cands.append(("diag(G,-G*)", _blockdiag(G, -G.conj())))
+            cands.append(("diag(G,G*)", block_diag2(G, G.conj())))
+            cands.append(("diag(G,-G*)", block_diag2(G, -G.conj())))
             cands.append(("offdiag(G,G*)", _offdiag(G, G.conj())))
             cands.append(("offdiag(G,-G*)", _offdiag(G, -G.conj())))
     return cands
@@ -334,7 +323,7 @@ def designated_operators(spec: ProtocolSpec) -> Dict[str, SymmetryOperator]:
             ops["trs"] = K(ops["chs"].matrix, "A.sigma K")
     elif spec.doubled == "transpose_block":
         if squares[1]:
-            ops["trs"] = K(_tensor22(SIGMA_Y, I2), "yxs0 K")
+            ops["trs"] = K(tensor(SIGMA_Y, I2), "yxs0 K")
         if squares[0] == 1:
             ops["phs"] = K(np.eye(4, dtype=complex), "K")
         elif squares[0] == -1 and "phs" not in declared:
@@ -342,14 +331,14 @@ def designated_operators(spec: ProtocolSpec) -> Dict[str, SymmetryOperator]:
             ops["phs"] = K(_offdiag(G, -G.conj()), "offdiag(G,-G*) K")
         if squares[2] and "chs" not in declared:
             if squares[0] == 1:
-                ops["chs"] = uni(_tensor22(SIGMA_X, I2), "xxs0")
+                ops["chs"] = uni(tensor(SIGMA_X, I2), "xxs0")
             else:
                 G = axis_sigma(chiral_axis(spec))
-                ops["chs"] = uni(_blockdiag(G, G.conj()), "diag(G,G*)")
+                ops["chs"] = uni(block_diag2(G, G.conj()), "diag(G,G*)")
     elif spec.doubled == "conjugate_block":
-        ops["phs"] = K(_tensor22(SIGMA_Y, I2), "yxs0 K")
+        ops["phs"] = K(tensor(SIGMA_Y, I2), "yxs0 K")
     elif spec.doubled == "trs_sandwich":
-        ops["trs"] = K(_tensor22(SIGMA_Y, I2), "yxs0 K")
+        ops["trs"] = K(tensor(SIGMA_Y, I2), "yxs0 K")
     return ops
 
 
@@ -380,17 +369,13 @@ class SymmetryReport:
         return rec
 
 
-def classify(spec_or_id, *, n_per_axis: Optional[int] = None,
-             search_absent: bool = False) -> SymmetryReport:
+def classify(spec_or_id, *, n_per_axis: Optional[int] = None) -> SymmetryReport:
     """Verify the designated operators and emit the catalog row for a protocol.
 
     Raises ClassificationError if a designated operator fails its residual
-    check.  With search_absent=True, also runs operator_search for relations
-    the row lists as absent and reports any hits (which would likewise be an
-    inconsistency).
+    check.
     """
-    spec = registry_lookup(spec_or_id) if isinstance(spec_or_id, str) else spec_or_id
-    spec = _ensure_generic_angles(spec)
+    spec = _ensure_generic_angles(registry_lookup(spec_or_id))
     pid = spec.id
     squares, invariant = _CATALOG[pid]
     if n_per_axis is None:
@@ -418,15 +403,6 @@ def classify(spec_or_id, *, n_per_axis: Optional[int] = None,
             raise ClassificationError(
                 f"{pid}: designated {rel} operator squares to {got}, catalog says {sq}")
         verified[rel] = True
-
-    if search_absent:
-        for rel, sq in zip(("phs", "trs", "chs"), squares):
-            if sq == 0:
-                hits = operator_search(spec, rel, n_per_axis=min(n_per_axis, 16))
-                if hits:
-                    raise ClassificationError(
-                        f"{pid}: {rel} listed absent but search found {hits[0][0].label!r}"
-                        f" with residual {hits[0][1]:.3e}")
 
     evidence = None
     if declared:

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import BoundaryStateError, InvalidInputError
 from .protocols import ProtocolSpec, Shift, build_unitary, registry_lookup
 from .spectrum import EPS_GAP, bands_from_unitary
-from .symmetry import chiral_axis
+from .symmetry import bz_grid, chiral_axis
 
 EPS_FLAT = 1e-8
 FIT_WINDOW = 0.05
@@ -66,16 +66,6 @@ class WindingResult:
 class ChernResult:
     c: int
     raw: float
-
-
-def _resolve(spec_or_id, angles=None, T=None) -> ProtocolSpec:
-    if isinstance(spec_or_id, ProtocolSpec):
-        spec = spec_or_id
-    else:
-        spec = registry_lookup(spec_or_id)
-    if angles or T is not None:
-        spec = spec.with_params(T=T, **dict(angles or {}))
-    return spec
 
 
 def gap_function(spec: ProtocolSpec):
@@ -125,13 +115,11 @@ def find_gap_closings(spec_or_id, *, angles=None, T=None, grid_n: int = 64,
     unlike min(E, pi - E), it stays fully resolved near a closing: arccos
     loses half the significant digits there.
     """
-    spec = _resolve(spec_or_id, angles, T)
+    spec = registry_lookup(spec_or_id, T=T, angles=angles)
     if grid_n < 32:
         raise InvalidInputError("grid_n must be >= 32 per axis")
     dim = spec.dimension
-    axes = [np.linspace(-np.pi, np.pi, grid_n, endpoint=False)] * dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    k = np.stack([m.ravel() for m in mesh], axis=-1)
+    k = bz_grid(dim, grid_n)
 
     def g(pts):
         return _d_norm(spec, pts)
@@ -176,10 +164,7 @@ def find_gap_closings(spec_or_id, *, angles=None, T=None, grid_n: int = 64,
 
 
 def _band_variation(spec: ProtocolSpec, grid_n: int = 64) -> float:
-    dim = spec.dimension
-    axes = [np.linspace(-np.pi, np.pi, grid_n, endpoint=False)] * dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    k = np.stack([m.ravel() for m in mesh], axis=-1)
+    k = bz_grid(spec.dimension, grid_n)
     e = bands_from_unitary(build_unitary(spec, k)).e_plus
     return float(e.max() - e.min())
 
@@ -221,7 +206,7 @@ def classify_boundary(spec_or_id, *, angles=None, T=None,
     the complete gapless set: {0, +-pi} -> type one, including +-pi/2 ->
     type two.
     """
-    spec = _resolve(spec_or_id, angles, T)
+    spec = registry_lookup(spec_or_id, T=T, angles=angles)
     variation = _band_variation(spec, grid_n=grid_n)
     if variation <= EPS_FLAT:
         e0 = float(bands_from_unitary(build_unitary(
@@ -295,7 +280,7 @@ def _plane_basis(A: np.ndarray):
 def winding_number(spec_or_id, *, angles=None, T=None, grid_n: int = 256,
                    axis_vector=None) -> WindingResult:
     """Winding of the in-plane Bloch vector around the origin (1D chiral walks)."""
-    spec = _resolve(spec_or_id, angles, T)
+    spec = registry_lookup(spec_or_id, T=T, angles=angles)
     if spec.dimension != 1 or spec.bands != 2:
         raise InvalidInputError("winding_number needs a two-band 1D protocol")
     A = np.asarray(axis_vector, dtype=float) if axis_vector is not None else chiral_axis(spec)
@@ -329,7 +314,7 @@ def _solid_angle(a, b, c):
 
 def chern_number(spec_or_id, *, angles=None, T=None, grid_n: int = 64) -> ChernResult:
     """Degree of n_hat over the minimal 2D momentum torus (plaquette solid angles)."""
-    spec = _resolve(spec_or_id, angles, T)
+    spec = registry_lookup(spec_or_id, T=T, angles=angles)
     if spec.dimension != 2 or spec.bands != 2:
         raise InvalidInputError("chern_number needs a two-band 2D protocol")
     px, py = momentum_period(spec, 0), momentum_period(spec, 1)
@@ -373,7 +358,7 @@ def phase_boundary_trace(spec_or_id, symbol: str, values, *, angles=None, T=None
     invariant: None (auto: winding for chiral 1D, chern for 2D, else skip),
     "winding", "chern", or "none".
     """
-    spec = _resolve(spec_or_id, angles, T)
+    spec = registry_lookup(spec_or_id, T=T, angles=angles)
     if invariant is None:
         if spec.dimension == 2 and spec.bands == 2:
             invariant = "chern"

@@ -257,6 +257,19 @@ class TestUsageErrors:
         cfg = small_bands_cfg(tmp_path, grid=4)
         assert run(["bands", "--config", str(cfg), "--out", "-"]) == 2
 
+    def test_malformed_values(self, tmp_path, capsys):
+        sweep = {"symbol": "alpha", "start": -1.0, "stop": 1.0, "count": "x"}
+        docs = [{"sweep": sweep},
+                {"linked": {"beta": {"on": "alpha", "offset": 0.0}}},
+                {"angles": [1, 2]}]
+        for overrides in docs:
+            cfg = small_bands_cfg(tmp_path, **overrides)
+            assert run(["bands", "--config", str(cfg), "--out", "-"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 3
+        for line, key in zip(err, ("sweep.count", "linked.beta.scale", "angles")):
+            assert line.startswith("error: " + key)
+
     def test_missing_config_file(self):
         assert run(["bands", "--config", "/nonexistent/x.json", "--out", "-"]) == 2
 

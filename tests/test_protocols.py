@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import generic_angles
 from topowalk import protocols as pr
 from topowalk.errors import InvalidInputError, UnknownProtocolError
+from topowalk.spectrum import oracle_bands
 from topowalk.su2 import unitarity_defect
 
 
@@ -190,6 +191,12 @@ def test_rejects_bad_step_numbers():
 def test_rejects_unknown_angle():
     with pytest.raises(InvalidInputError):
         pr.registry_lookup("3d-simple", angles={"alpha": 1.0})
+    with pytest.raises(InvalidInputError):
+        pr.build_unitary(pr.registry_lookup("1d-chs"), np.zeros((2, 1)),
+                         angles={"betta": 5.0})
+    with pytest.raises(InvalidInputError):
+        oracle_bands("1d-chs", np.zeros((2, 1)),
+                     angles={"alpha": 0.3, "gamam": np.array([0.1, 0.2])})
 
 
 def test_rejects_wrong_momentum_dimension():
