@@ -152,6 +152,9 @@ def _build_config(args) -> SweepConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise InvalidInputError(f"config {args.config!r} must hold a JSON object,"
+                                    f" got {type(doc).__name__}")
     if args.protocol:
         doc["protocol"] = args.protocol
     if args.steps is not None:

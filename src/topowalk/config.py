@@ -125,6 +125,9 @@ def config_from_dict(doc: dict) -> SweepConfig:
         linked[sym] = LinkedAngle(on=entry["on"],
                                   scale=_convert(float, entry["scale"], f"linked.{sym}.scale"),
                                   offset=_convert(float, entry["offset"], f"linked.{sym}.offset"))
+    out = doc.get("out")
+    if out is not None and not isinstance(out, str):
+        raise InvalidInputError(f"out must be a string or null, got {out!r}")
     cfg = SweepConfig(
         protocol=doc.get("protocol", ""),
         sweep_symbol=str(sweep["symbol"]),
@@ -136,7 +139,7 @@ def config_from_dict(doc: dict) -> SweepConfig:
         linked=linked,
         grid=_convert(int, doc.get("grid", 64), "grid"),
         phi=_convert(float, doc["phi"], "phi") if "phi" in doc else None,
-        out=doc.get("out"),
+        out=out,
         workers=_convert(int, doc.get("workers", 1), "workers"),
         step_independent=bool(doc.get("step_independent", False)),
     )

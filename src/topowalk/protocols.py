@@ -18,18 +18,26 @@ momentum*, the flavor blocks are assembled as
     trs_sandwich:     diag(U(k), 1) exp(-i tau_y sigma_y phi/2) diag(1, U(-k)^T)
 
 which keeps the four-band quasi-energy spectrum symmetric under k -> -k.
+
+`compile_plan` turns a spec into a `Plan` once: per coin its four SU(2)
+entries, per run of adjacent shifts one pair of integer phase vectors.  The
+plan evaluates U(k) as four complex entry arrays updated elementwise (a shift
+scales the two rows, a coin mixes them), with no per-element (..., 2, 2)
+matrices; the product of `su2.pauli_exp` coins and diagonal shift matrices is
+the reference the tests hold it to.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from typing import Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import InvalidInputError, UnknownProtocolError
-from .su2 import SIGMA_Y, TAU_Y, block_diag2, pauli_exp, tensor
+from .su2 import SIGMA_Y, TAU_Y, block_diag2, tensor, unit_axis
 
 AXIS_Y = (0.0, 1.0, 0.0)
 AXIS_NU = (0.0, math.sqrt(0.5), math.sqrt(0.5))
@@ -179,6 +187,8 @@ def registry_lookup(spec_or_id: Union[str, ProtocolSpec], T: Optional[int] = Non
     number, angles and phi bound; what is not given keeps its current value."""
     if isinstance(spec_or_id, ProtocolSpec):
         spec = spec_or_id
+    elif not isinstance(spec_or_id, str):
+        raise UnknownProtocolError(f"protocol id must be a string, got {spec_or_id!r}")
     else:
         try:
             spec = REGISTRY[spec_or_id]
@@ -204,33 +214,100 @@ def _as_momenta(spec: ProtocolSpec, k) -> np.ndarray:
     return k
 
 
-def _coin_matrix(el: Coin, spec: ProtocolSpec, k: np.ndarray, angles, T):
+def _coin_entries(el: Coin, spec: ProtocolSpec, angles, T):
+    """The entries of exp(-i T theta/2 axis.sigma), scalars or arrays like theta and T."""
     try:
         theta = angles[el.symbol]
     except KeyError:
         raise InvalidInputError(f"angle {el.symbol!r} missing for protocol {spec.id!r}") from None
-    eff = np.broadcast_to(T * np.asarray(theta, dtype=float), k.shape[:-1])
-    return pauli_exp(el.axis, eff)
+    nx, ny, nz = unit_axis(el.axis)
+    eff = T * np.asarray(theta, dtype=float)
+    if not np.all(np.isfinite(eff)):
+        raise InvalidInputError("rotation angle must be finite")
+    half = 0.5 * eff
+    cos, msin = np.cos(half), -1j * np.sin(half)
+    return (cos + msin * nz, msin * (nx - 1j * ny), msin * (nx + 1j * ny), cos - msin * nz)
 
 
-def _shift_matrix(el: Shift, k: np.ndarray):
-    up = k @ np.asarray(el.up, dtype=float)
-    down = k @ np.asarray(el.down, dtype=float)
-    out = np.zeros(k.shape[:-1] + (2, 2), dtype=complex)
-    out[..., 0, 0] = np.exp(1j * up)
-    out[..., 1, 1] = np.exp(1j * down)
-    return out
+def _phase_terms(coeffs) -> Tuple[Tuple[int, int], ...]:
+    return tuple((ax, n) for ax, n in enumerate(coeffs) if n != 0)
 
 
-def _base_unitary(spec: ProtocolSpec, k: np.ndarray, angles, T):
-    U = None
-    for el in spec.elements:
-        if isinstance(el, Coin):
-            M = _coin_matrix(el, spec, k, angles, T)
-        else:
-            M = _shift_matrix(el, k)
-        U = M if U is None else M @ U
-    return U
+def _phase(k: np.ndarray, terms):
+    """exp(i sum_j n_j k_j) over the (axis, n_j) terms; None for the empty sum."""
+    arg = None
+    for ax, n in terms:
+        t = k[..., ax] if n == 1 else -k[..., ax] if n == -1 else n * k[..., ax]
+        arg = t if arg is None else arg + t
+    return None if arg is None else np.exp(1j * arg)
+
+
+@dataclass(frozen=True, eq=False)
+class Plan:
+    """A protocol's two-band walk compiled for evaluation at any momenta.
+
+    `steps` holds, in application order, ("coin", (c00, c01, c10, c11)) with
+    a coin's SU(2) entries, and ("shift", up, down, mirrored) for a run of
+    adjacent shifts merged into one: the (axis, coefficient) terms of its two
+    integer phase vectors, `mirrored` when down = -up.
+    """
+
+    spec: ProtocolSpec
+    steps: Tuple[tuple, ...]
+
+    def entries(self, k):
+        """(a, b, c, d) with U(k) = [[a, b], [c, d]], updated elementwise along
+        the steps: a shift scales the two rows by its phases, a coin mixes them."""
+        k = _as_momenta(self.spec, k)
+        a, b, c, d = 1.0, 0.0, 0.0, 1.0
+        for kind, *data in self.steps:
+            if kind == "coin":
+                c00, c01, c10, c11 = data[0]
+                a, b, c, d = (c00 * a + c01 * c, c00 * b + c01 * d,
+                              c10 * a + c11 * c, c10 * b + c11 * d)
+                continue
+            up, down, mirrored = data
+            p = _phase(k, up)
+            q = p.conj() if mirrored else _phase(k, down)
+            if p is not None:
+                a, b = a * p, b * p
+            if q is not None:
+                c, d = c * q, d * q
+        return a, b, c, d
+
+    def unitary(self, k) -> np.ndarray:
+        """U(k) of the two-band walk as a (..., 2, 2) array over the momentum batch."""
+        k = _as_momenta(self.spec, k)
+        out = np.empty(k.shape[:-1] + (2, 2), dtype=complex)
+        out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = self.entries(k)
+        return out
+
+
+def compile_plan(spec: ProtocolSpec, *, angles: Optional[Mapping] = None, T=None) -> Plan:
+    """Compile the spec's two-band walk once; `angles` and `T` override the
+    bound values as in `build_unitary`."""
+    ang = dict(spec.angles)
+    if angles:
+        unknown = sorted(set(angles) - set(spec.symbols))
+        if unknown:
+            raise InvalidInputError(f"protocol {spec.id!r} has no angle {unknown[0]!r};"
+                                    f" it uses {sorted(spec.symbols)}")
+        ang.update(angles)
+    T_eff = spec.T if T is None else T
+    if np.any(np.asarray(T_eff) < 1):
+        raise InvalidInputError("step number T must be >= 1")
+
+    steps = []
+    for is_coin, run in groupby(spec.elements, key=lambda el: isinstance(el, Coin)):
+        run = list(run)
+        if is_coin:
+            steps += [("coin", _coin_entries(el, spec, ang, T_eff)) for el in run]
+            continue
+        up = [sum(n) for n in zip(*(el.up for el in run))]
+        down = [sum(n) for n in zip(*(el.down for el in run))]
+        steps.append(("shift", _phase_terms(up), _phase_terms(down),
+                      any(up) and down == [-n for n in up]))
+    return Plan(spec=spec, steps=tuple(steps))
 
 
 def _sandwich_wall(phi: float) -> np.ndarray:
@@ -245,25 +322,15 @@ def build_unitary(spec: ProtocolSpec, k, *, angles: Optional[Mapping] = None,
 
     `angles` values and `T` may be arrays broadcastable against the momentum
     batch shape (useful for random-sample sweeps).  They default to the values
-    bound in the spec; an angle the protocol does not use is rejected.
+    bound in the spec; an angle the protocol does not use is rejected.  The
+    two-band blocks are packed from the entries of the compiled plan.
     """
+    plan = compile_plan(spec, angles=angles, T=T)
     k = _as_momenta(spec, k)
-    ang = dict(spec.angles)
-    if angles:
-        unknown = sorted(set(angles) - set(spec.symbols))
-        if unknown:
-            raise InvalidInputError(f"protocol {spec.id!r} has no angle {unknown[0]!r};"
-                                    f" it uses {sorted(spec.symbols)}")
-        ang.update(angles)
-    T_eff = spec.T if T is None else T
-    if np.any(np.asarray(T_eff) < 1):
-        raise InvalidInputError("step number T must be >= 1")
-
+    Uk = plan.unitary(k)
     if spec.doubled is None:
-        return _base_unitary(spec, k, ang, T_eff)
-
-    Uk = _base_unitary(spec, k, ang, T_eff)
-    Um = _base_unitary(spec, -k, ang, T_eff)
+        return Uk
+    Um = plan.unitary(-k)
     if spec.doubled == "transpose_block":
         return block_diag2(Uk, np.swapaxes(Um, -1, -2))
     if spec.doubled == "conjugate_block":

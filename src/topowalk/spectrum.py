@@ -24,25 +24,31 @@ EPS_GAP = 1e-9  # |d| at or below this counts as a gap closing
 AXES = {"x": 0, "y": 1, "z": 2, 0: 0, 1: 1, 2: 2}
 
 
-def bloch_split(U):
-    """(d0, d, phase) for batched 2x2 unitaries, U = e^{i phase}(d0 I - i d.sigma).
+def bloch_entries(a, b, c, d):
+    """(d0, (d_x, d_y, d_z), phase) of U = [[a, b], [c, d]] = e^{i phase}(d0 I - i d.sigma),
+    elementwise over the four entries.
 
     The global phase (half the determinant's argument) is zero for the
     registered protocols, which are special-unitary by construction.
     """
+    det = a * d - b * c
+    phase = 0.5 * np.angle(det)
+    w = np.exp(-1j * phase)
+    a, b, c, d = a * w, b * w, c * w, d * w
+    tr = a + d
+    tr_x = b + c
+    tr_y = 1j * (b - c)
+    tr_z = a - d
+    return 0.5 * tr.real, (-0.5 * tr_x.imag, -0.5 * tr_y.imag, -0.5 * tr_z.imag), phase
+
+
+def bloch_split(U):
+    """(d0, d, phase) for batched 2x2 unitaries, U = e^{i phase}(d0 I - i d.sigma)."""
     U = np.asarray(U, dtype=complex)
     if U.shape[-2:] != (2, 2):
         raise InvalidInputError(f"expected 2x2 unitaries, got shape {U.shape}")
-    det = U[..., 0, 0] * U[..., 1, 1] - U[..., 0, 1] * U[..., 1, 0]
-    phase = 0.5 * np.angle(det)
-    V = U * np.exp(-1j * phase)[..., None, None]
-    tr = V[..., 0, 0] + V[..., 1, 1]
-    tr_x = V[..., 0, 1] + V[..., 1, 0]
-    tr_y = 1j * (V[..., 0, 1] - V[..., 1, 0])
-    tr_z = V[..., 0, 0] - V[..., 1, 1]
-    d0 = 0.5 * tr.real
-    d = np.stack([-0.5 * tr_x.imag, -0.5 * tr_y.imag, -0.5 * tr_z.imag], axis=-1)
-    return d0, d, phase
+    d0, d, phase = bloch_entries(U[..., 0, 0], U[..., 0, 1], U[..., 1, 0], U[..., 1, 1])
+    return d0, np.stack(d, axis=-1), phase
 
 
 @dataclass

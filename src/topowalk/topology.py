@@ -29,8 +29,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BoundaryStateError, InvalidInputError
-from .protocols import ProtocolSpec, Shift, build_unitary, registry_lookup
-from .spectrum import EPS_GAP, bands_from_unitary
+from .protocols import Plan, ProtocolSpec, Shift, build_unitary, compile_plan, registry_lookup
+from .spectrum import EPS_GAP, bands_from_unitary, bloch_entries
 from .symmetry import bz_grid, chiral_axis
 
 EPS_FLAT = 1e-8
@@ -68,39 +68,46 @@ class ChernResult:
     raw: float
 
 
+def _two_band_plan(spec: ProtocolSpec) -> Plan:
+    if spec.bands != 2:
+        raise InvalidInputError(f"{spec.id!r} is a four-band protocol; expected two bands")
+    return compile_plan(spec)
+
+
+def _bloch(plan: Plan, k):
+    """(cos E_+, |d|) at momenta k, read from the plan's entries as bloch_split does."""
+    d0, (dx, dy, dz), _ = bloch_entries(*plan.entries(k))
+    return d0, np.sqrt(dx * dx + dy * dy + dz * dz)
+
+
 def gap_function(spec: ProtocolSpec):
     """g(k) = min(E_+, pi - E_+), vectorized over momenta."""
+    plan = _two_band_plan(spec)
 
     def g(k):
-        b = bands_from_unitary(build_unitary(spec, k))
-        return np.minimum(b.e_plus, np.pi - b.e_plus)
+        e_plus = np.arccos(np.clip(_bloch(plan, k)[0], -1.0, 1.0))
+        return np.minimum(e_plus, np.pi - e_plus)
 
     return g
 
 
-def _d_norm(spec: ProtocolSpec, k) -> np.ndarray:
-    b = bands_from_unitary(build_unitary(spec, k))
-    return np.linalg.norm(b.d, axis=-1)
-
-
 def _batched_golden_axis(g, pts: np.ndarray, axis: int, width: float,
                          iters: int = 64) -> np.ndarray:
-    """Golden-section descent along one axis for a whole batch of points."""
+    """Golden-section descent along one axis for a whole batch of points; the
+    two probes of each iteration are evaluated in one call."""
     invphi = (math.sqrt(5) - 1) / 2
+    n = pts.shape[0]
     a = pts[:, axis] - width
     b = pts[:, axis] + width
-
-    def eval_at(x):
-        q = pts.copy()
-        q[:, axis] = x
-        return g(q)
+    probes = np.concatenate([pts, pts])
 
     for _ in range(iters):
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        left = eval_at(c) < eval_at(d)
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
+        probes[:n, axis] = b - invphi * (b - a)
+        probes[n:, axis] = a + invphi * (b - a)
+        val = g(probes)
+        left = val[:n] < val[n:]
+        b = np.where(left, probes[n:, axis], b)
+        a = np.where(left, a, probes[:n, axis])
     out = pts.copy()
     out[:, axis] = 0.5 * (a + b)
     return out
@@ -119,12 +126,12 @@ def find_gap_closings(spec_or_id, *, angles=None, T=None, grid_n: int = 64,
     if grid_n < 32:
         raise InvalidInputError("grid_n must be >= 32 per axis")
     dim = spec.dimension
-    k = bz_grid(dim, grid_n)
+    plan = _two_band_plan(spec)
 
     def g(pts):
-        return _d_norm(spec, pts)
+        return _bloch(plan, pts)[1]
 
-    vals = g(k).reshape([grid_n] * dim)
+    vals = g(bz_grid(dim, grid_n)).reshape([grid_n] * dim)
 
     local_min = np.ones_like(vals, dtype=bool)
     for ax in range(dim):
@@ -141,8 +148,8 @@ def find_gap_closings(spec_or_id, *, angles=None, T=None, grid_n: int = 64,
         for _ in range(8):  # coordinate-descent passes (clean cones need 2)
             for ax in range(dim):
                 pts = _batched_golden_axis(g, pts, ax, cell)
-        resid = _d_norm(spec, pts)
-        e_plus = bands_from_unitary(build_unitary(spec, pts)).e_plus
+        d0, resid = _bloch(plan, pts)
+        e_plus = np.arccos(np.clip(d0, -1.0, 1.0))
         for i in range(pts.shape[0]):
             if resid[i] <= refine_tol:
                 qe = 0.0 if e_plus[i] < np.pi / 2 else np.pi

@@ -265,10 +265,21 @@ class TestUsageErrors:
         for overrides in docs:
             cfg = small_bands_cfg(tmp_path, **overrides)
             assert run(["bands", "--config", str(cfg), "--out", "-"]) == 2
+        # a top level that is not an object, a non-string protocol and a
+        # non-string out (which must not reach open() as a file descriptor)
+        bad = tmp_path / "bad.json"
+        bad.write_text("[1]")
+        assert run(["bands", "--config", str(bad), "--out", "-"]) == 2
+        cfg = small_bands_cfg(tmp_path, protocol=["1d-chs"])
+        assert run(["bands", "--config", str(cfg), "--out", "-"]) == 2
+        cfg = small_bands_cfg(tmp_path, out=7)
+        assert run(["bands", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 3
-        for line, key in zip(err, ("sweep.count", "linked.beta.scale", "angles")):
-            assert line.startswith("error: " + key)
+        assert len(err) == 6
+        keys = ("sweep.count", "linked.beta.scale", "angles", "config", "protocol", "out")
+        for line, key in zip(err, keys):
+            # UnknownProtocolError is a KeyError, whose message prints quoted
+            assert line.replace('"', "").startswith("error: " + key)
 
     def test_missing_config_file(self):
         assert run(["bands", "--config", "/nonexistent/x.json", "--out", "-"]) == 2

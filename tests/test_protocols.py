@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from conftest import generic_angles
 from topowalk import protocols as pr
+from topowalk import topology
 from topowalk.errors import InvalidInputError, UnknownProtocolError
-from topowalk.spectrum import oracle_bands
-from topowalk.su2 import unitarity_defect
+from topowalk.spectrum import bands_from_unitary, oracle_bands
+from topowalk.su2 import SIGMA_Y, TAU_Y, block_diag2, pauli_exp, tensor, unitarity_defect
 
 
 def test_registry_has_all_22_protocols():
@@ -69,6 +70,76 @@ def test_1d_phs_matches_explicit_product():
     s_up = np.diag([1.0, np.exp(-1j * k)])
     expected = s_up @ R(2 * 0.9) @ s_dn @ R(2 * -1.3) @ s_ud
     npt.assert_allclose(pr.build_unitary(spec, k), expected, atol=1e-14)
+
+
+def _reference_base(spec, k, angles, T):
+    """Product of pauli_exp coins and diagonal shift matrices, in application order."""
+    batch = np.broadcast_shapes(k.shape[:-1], np.shape(T),
+                                *(np.shape(v) for v in angles.values()))
+    U = np.broadcast_to(np.eye(2, dtype=complex), batch + (2, 2))
+    for el in spec.elements:
+        if isinstance(el, pr.Coin):
+            M = pauli_exp(el.axis, np.multiply(T, angles[el.symbol]))
+        else:
+            M = np.zeros(k.shape[:-1] + (2, 2), dtype=complex)
+            M[..., 0, 0] = np.exp(1j * (k @ np.array(el.up, dtype=float)))
+            M[..., 1, 1] = np.exp(1j * (k @ np.array(el.down, dtype=float)))
+        U = M @ U
+    return U
+
+
+def _reference_unitary(spec, k, angles, T):
+    Uk = _reference_base(spec, k, angles, T)
+    if spec.doubled is None:
+        return Uk
+    Um = _reference_base(spec, -k, angles, T)
+    if spec.doubled == "transpose_block":
+        return block_diag2(Uk, np.swapaxes(Um, -1, -2))
+    if spec.doubled == "conjugate_block":
+        return block_diag2(Uk, Um.conj())
+    assert spec.doubled == "trs_sandwich"
+    eye = np.broadcast_to(np.eye(2, dtype=complex), Uk.shape)
+    wall = (np.cos(spec.phi / 2) * np.eye(4)
+            - 1j * np.sin(spec.phi / 2) * tensor(TAU_Y, SIGMA_Y))
+    return block_diag2(Uk, eye) @ wall @ block_diag2(eye, np.swapaxes(Um, -1, -2))
+
+
+@pytest.mark.parametrize("pid", pr.PROTOCOL_IDS)
+def test_kernel_matches_matrix_product_reference(pid, rng):
+    spec = pr.registry_lookup(pid, T=3, phi=0.7)
+    spec = spec.with_params(**generic_angles(spec, rng))
+    n = 7
+    k = rng.uniform(-np.pi, np.pi, size=(n, spec.dimension))
+    array_angles = {s: rng.uniform(-np.pi, np.pi, size=n) for s in spec.symbols}
+    array_T = rng.integers(1, 9, size=n)
+    cases = [({}, None), (array_angles, None), ({}, array_T), (array_angles, array_T)]
+    for angles, T in cases:
+        U = pr.build_unitary(spec, k, angles=angles, T=T)
+        ref = _reference_unitary(spec, k, {**spec.angles, **angles},
+                                 spec.T if T is None else T)
+        assert U.shape == (n, spec.bands, spec.bands)
+        npt.assert_allclose(U, ref, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_rejects_non_finite_angle(bad):
+    spec = pr.registry_lookup("2d-nosym")
+    with pytest.raises(InvalidInputError):
+        pr.build_unitary(spec, np.zeros((2, 2)), angles={"alpha": bad})
+    with pytest.raises(InvalidInputError):
+        pr.build_unitary(spec, np.zeros((2, 2)), angles={"gamma": np.array([0.1, bad])})
+
+
+def test_refine_norm_matches_oracle_route(rng):
+    for pid in pr.PROTOCOL_IDS:
+        spec = pr.registry_lookup(pid, T=4)
+        if spec.bands != 2:
+            continue
+        spec = spec.with_params(**generic_angles(spec, rng))
+        k = rng.uniform(-np.pi, np.pi, size=(32, spec.dimension))
+        oracle = np.linalg.norm(bands_from_unitary(pr.build_unitary(spec, k)).d, axis=-1)
+        refine = topology._bloch(pr.compile_plan(spec), k)[1]
+        npt.assert_allclose(refine, oracle, rtol=0, atol=1e-15)
 
 
 def test_unitarity_thousand_random_specs(rng):
