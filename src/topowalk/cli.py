@@ -26,9 +26,9 @@ import numpy as np
 from .config import SCHEMA, SweepConfig, config_from_dict, section
 from .errors import (BoundaryStateError, ClassificationError, InvalidInputError,
                      UnknownProtocolError, WalkError)
-from .protocols import PROTOCOL_IDS, build_unitary, registry_lookup, step_independent_unitary
-from .spectrum import CLOSED_FORM_IDS, EPS_GAP, bands_from_unitary
-from . import spectrum, symmetry, topology
+from .protocols import PROTOCOL_IDS, registry_lookup
+from .spectrum import EPS_GAP, bands_with_velocity
+from . import symmetry, topology
 
 
 
@@ -48,42 +48,15 @@ def _bands_value_rows(cfg: SweepConfig, value) -> list:
     spec = cfg.spec_at(value)
     dim = spec.dimension
     k = symmetry.bz_grid(dim, cfg.grid)
-    if cfg.step_independent:
-        U = step_independent_unitary(spec, k)
-    else:
-        U = build_unitary(spec, k)
-    b = bands_from_unitary(U)
-    gapless = np.linalg.norm(b.d, axis=-1) <= EPS_GAP
-
-    vel = np.full((k.shape[0], dim), np.nan)
-    ill = np.zeros(k.shape[0], dtype=bool)
-    if spec.id in CLOSED_FORM_IDS:
-        rho = spectrum.rho_closed_form(spec.id, spec.angles, spec.T, k)
-        s = np.sqrt(np.maximum(1.0 - rho ** 2, 0.0))
-        for ax in range(dim):
-            drho = spectrum.drho_closed_form(spec.id, spec.angles, spec.T, k, ax)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                vel[:, ax] = np.where(gapless, np.nan, -drho / s)
-    else:
-        h = 1e-5
-        for ax in range(dim):
-            step = np.zeros(dim)
-            step[ax] = h
-            bp = bands_from_unitary(build_unitary(spec, k + step))
-            bm = bands_from_unitary(build_unitary(spec, k - step))
-            bad = ((np.linalg.norm(bp.d, axis=-1) <= EPS_GAP)
-                   | (np.linalg.norm(bm.d, axis=-1) <= EPS_GAP))
-            ill |= bad & ~gapless
-            vel[:, ax] = np.where(bad, np.nan, (bp.e_plus - bm.e_plus) / (2 * h))
+    e_plus, norm, vel = bands_with_velocity(spec, k)
+    gapless = norm <= EPS_GAP
 
     rows = []
     sval = _f(value) if cfg.sweep_symbol != "T" else str(int(value))
     for i in range(k.shape[0]):
-        cells = [sval] + [_f(k[i, a]) for a in range(dim)] + [_f(b.e_plus[i])]
+        cells = [sval] + [_f(k[i, a]) for a in range(dim)] + [_f(e_plus[i])]
         if gapless[i]:
             cells += ["" for _ in range(dim)] + ["gapless"]
-        elif ill[i]:
-            cells += ["" for _ in range(dim)] + ["ill_defined_velocity"]
         else:
             cells += [_f(vel[i, a]) for a in range(dim)] + ["gapped"]
         rows.append(",".join(cells))
@@ -298,7 +271,7 @@ def _add_sweep_options(p: argparse.ArgumentParser):
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--workers", type=int, help="worker processes (default 1)")
     p.add_argument("--step-independent", action="store_true", dest="step_independent",
-                   help="evaluate through the dedicated step-independent coin path (T=1)")
+                   help="evaluate the step-independent-coin walk (T=1); needs an angle sweep")
 
 
 def main(argv=None) -> int:

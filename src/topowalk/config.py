@@ -6,9 +6,13 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from .errors import InvalidInputError
-from .protocols import ProtocolSpec, registry_lookup
+from .protocols import ProtocolSpec, registry_lookup, step_independent_reduction
 
 SCHEMA = "topowalk/v1"
+TOP_KEYS = ("schema", "protocol", "steps", "angles", "linked", "sweep", "grid", "phi",
+            "out", "workers", "step_independent")
+SWEEP_KEYS = ("symbol", "start", "stop", "count")
+LINK_KEYS = ("on", "scale", "offset")
 
 
 @dataclass
@@ -63,8 +67,9 @@ class SweepConfig:
             if link.on != self.sweep_symbol:
                 raise InvalidInputError(
                     f"linked angle {sym!r} must follow the swept symbol {self.sweep_symbol!r}")
-        if self.step_independent and self.steps != 1:
-            raise InvalidInputError("step-independent evaluation requires steps == 1")
+        if self.step_independent and (self.steps != 1 or self.sweep_symbol == "T"):
+            raise InvalidInputError("step-independent evaluation requires steps == 1"
+                                    " and a sweep over an angle, not T")
         if self.workers < 1:
             raise InvalidInputError("workers must be >= 1")
         return self
@@ -86,7 +91,8 @@ class SweepConfig:
             angles[self.sweep_symbol] = float(value)
         for sym, link in self.linked.items():
             angles[sym] = link.scale * float(value) + link.offset
-        return registry_lookup(self.protocol, T=T, angles=angles, phi=self.phi)
+        spec = registry_lookup(self.protocol, T=T, angles=angles, phi=self.phi)
+        return step_independent_reduction(spec) if self.step_independent else spec
 
 
 def section(doc: dict, key: str) -> dict:
@@ -97,8 +103,21 @@ def section(doc: dict, key: str) -> dict:
     return value
 
 
+def _known(obj: dict, keys, where: str = ""):
+    """Reject any key of `obj` outside `keys`, naming it with its path."""
+    for key in obj:
+        if key not in keys:
+            raise InvalidInputError(f"{where}{key} is not a config key;"
+                                    f" expected one of {', '.join(sorted(keys))}")
+
+
 def _convert(kind, value, key: str):
+    """`value` as `kind`; booleans and, for int, non-integral numbers are rejected
+    (an integral float such as the --sweep count 3.0 is accepted)."""
     try:
+        if isinstance(value, bool) or (
+                kind is int and isinstance(value, float) and not value.is_integer()):
+            raise ValueError(value)
         return kind(value)
     except (TypeError, ValueError, OverflowError):
         raise InvalidInputError(
@@ -111,15 +130,18 @@ def config_from_dict(doc: dict) -> SweepConfig:
     schema = doc.get("schema", SCHEMA)
     if schema != SCHEMA:
         raise InvalidInputError(f"unsupported config schema {schema!r} (expected {SCHEMA!r})")
+    _known(doc, TOP_KEYS)
     sweep = section(doc, "sweep")
-    for key in ("symbol", "start", "stop", "count"):
+    _known(sweep, SWEEP_KEYS, "sweep.")
+    for key in SWEEP_KEYS:
         if key not in sweep:
             raise InvalidInputError(f"sweep.{key} missing from config")
     linked = {}
     for sym, entry in section(doc, "linked").items():
         if not isinstance(entry, dict):
             raise InvalidInputError(f"linked.{sym} must be a JSON object, got {entry!r}")
-        for key in ("on", "scale", "offset"):
+        _known(entry, LINK_KEYS, f"linked.{sym}.")
+        for key in LINK_KEYS:
             if key not in entry:
                 raise InvalidInputError(f"linked.{sym}.{key} missing from config")
         linked[sym] = LinkedAngle(on=entry["on"],
@@ -128,6 +150,10 @@ def config_from_dict(doc: dict) -> SweepConfig:
     out = doc.get("out")
     if out is not None and not isinstance(out, str):
         raise InvalidInputError(f"out must be a string or null, got {out!r}")
+    step_independent = doc.get("step_independent", False)
+    if not isinstance(step_independent, bool):
+        raise InvalidInputError(
+            f"step_independent must be true or false, got {step_independent!r}")
     cfg = SweepConfig(
         protocol=doc.get("protocol", ""),
         sweep_symbol=str(sweep["symbol"]),
@@ -141,7 +167,7 @@ def config_from_dict(doc: dict) -> SweepConfig:
         phi=_convert(float, doc["phi"], "phi") if "phi" in doc else None,
         out=out,
         workers=_convert(int, doc.get("workers", 1), "workers"),
-        step_independent=bool(doc.get("step_independent", False)),
+        step_independent=step_independent,
     )
     return cfg
 

@@ -12,6 +12,8 @@ class InvalidInputError(WalkError):
 class UnknownProtocolError(WalkError, KeyError):
     """Registry lookup failed; the message lists the valid ids."""
 
+    __str__ = Exception.__str__  # KeyError's would print the message quoted
+
 
 class UnsupportedProtocolError(WalkError):
     """The requested operation has no analytic form for this protocol."""

@@ -24,11 +24,11 @@ entries, per run of adjacent shifts one pair of integer phase vectors.  The
 plan evaluates U(k) as four complex entry arrays updated elementwise (a shift
 scales the two rows, a coin mixes them), with no per-element (..., 2, 2)
 matrices; the product of `su2.pauli_exp` coins and diagonal shift matrices is
-the reference the tests hold it to.
+the reference the tests hold it to.  On request the same loop also carries
+the exact dU/dk_i, since only the shifts depend on k.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from itertools import groupby
@@ -255,25 +255,52 @@ class Plan:
     spec: ProtocolSpec
     steps: Tuple[tuple, ...]
 
-    def entries(self, k):
-        """(a, b, c, d) with U(k) = [[a, b], [c, d]], updated elementwise along
-        the steps: a shift scales the two rows by its phases, a coin mixes them."""
+    def _walk(self, k, grad: bool):
+        """The step loop: (a, b, c, d) with U(k) = [[a, b], [c, d]] and, with
+        `grad`, per momentum axis i the row d(a, b, c, d)/dk_i.  A coin mixes
+        the derivative rows as it mixes the values.  Only the shifts carry k:
+        a phase p = exp(i n.k) takes a value X to X p and its derivative X' to
+        (X' + i n_i X) p."""
         k = _as_momenta(self.spec, k)
         a, b, c, d = 1.0, 0.0, 0.0, 1.0
+        grads = [(0.0, 0.0, 0.0, 0.0)] * self.spec.dimension if grad else []
         for kind, *data in self.steps:
             if kind == "coin":
                 c00, c01, c10, c11 = data[0]
                 a, b, c, d = (c00 * a + c01 * c, c00 * b + c01 * d,
                               c10 * a + c11 * c, c10 * b + c11 * d)
+                if grads:
+                    grads = [(c00 * da + c01 * dc, c00 * db + c01 * dd,
+                              c10 * da + c11 * dc, c10 * db + c11 * dd)
+                             for da, db, dc, dd in grads]
                 continue
             up, down, mirrored = data
             p = _phase(k, up)
             q = p.conj() if mirrored else _phase(k, down)
+            if grads:
+                for ax, n in up:
+                    da, db, dc, dd = grads[ax]
+                    grads[ax] = (da + 1j * n * a, db + 1j * n * b, dc, dd)
+                for ax, n in down:
+                    da, db, dc, dd = grads[ax]
+                    grads[ax] = (da, db, dc + 1j * n * c, dd + 1j * n * d)
+                p1, q1 = (1.0 if p is None else p), (1.0 if q is None else q)
+                grads = [(da * p1, db * p1, dc * q1, dd * q1) for da, db, dc, dd in grads]
             if p is not None:
                 a, b = a * p, b * p
             if q is not None:
                 c, d = c * q, d * q
-        return a, b, c, d
+        return (a, b, c, d), grads
+
+    def entries(self, k):
+        """(a, b, c, d) with U(k) = [[a, b], [c, d]], updated elementwise along
+        the steps: a shift scales the two rows by its phases, a coin mixes them."""
+        return self._walk(k, grad=False)[0]
+
+    def entries_and_grad(self, k):
+        """(a, b, c, d) and, per momentum axis i, the exact d(a, b, c, d)/dk_i,
+        from the same step loop as `entries`."""
+        return self._walk(k, grad=True)
 
     def unitary(self, k) -> np.ndarray:
         """U(k) of the two-band walk as a (..., 2, 2) array over the momentum batch."""
@@ -346,32 +373,3 @@ def build_unitary(spec: ProtocolSpec, k, *, angles: Optional[Mapping] = None,
 def step_independent_unitary(spec: ProtocolSpec, k, *, angles=None) -> np.ndarray:
     """U(k) of the step-independent-coin walk: the spec reduced to T = 1."""
     return build_unitary(step_independent_reduction(spec), k, angles=angles)
-
-
-# -- serialization ------------------------------------------------------------
-
-def to_document(spec: ProtocolSpec) -> dict:
-    doc = {"id": spec.id, "T": spec.T, "angles": {s: spec.angles[s] for s in spec.symbols}}
-    if spec.doubled:
-        doc["doubled"] = spec.doubled
-    if spec.doubled == "trs_sandwich":
-        doc["phi"] = spec.phi
-    return doc
-
-
-def from_document(doc: Mapping) -> ProtocolSpec:
-    spec = registry_lookup(doc["id"], T=int(doc.get("T", 1)),
-                           angles=doc.get("angles") or {}, phi=doc.get("phi"))
-    declared = doc.get("doubled")
-    if declared is not None and declared != spec.doubled:
-        raise InvalidInputError(
-            f"document says doubled={declared!r} but registry has {spec.doubled!r} for {spec.id!r}")
-    return spec
-
-
-def dumps(spec: ProtocolSpec) -> str:
-    return json.dumps(to_document(spec), sort_keys=True)
-
-
-def loads(text: str) -> ProtocolSpec:
-    return from_document(json.loads(text))

@@ -4,10 +4,12 @@ Two independent routes are provided and cross-validated in the tests:
 
 * the generic *oracle* route: build U(k), factor out a global phase if the
   determinant is not 1, and read off d0 and d from traces
-  (U = d0 I - i d.sigma, E = arccos(d0), n = d/|d|);
+  (U = d0 I - i d.sigma, E = arccos(d0), n = d/|d|), with dE/dk_i from the
+  exact k-derivative of the compiled plan (`bands_with_velocity`, the CLI's
+  one velocity route);
 * protocol-specific *analytic* forms rho(k), d(k), and dE/dk_i, hand-derived
   from the element products (see scripts/verify_closed_forms.py for the exact
-  symbolic verification of every formula).
+  symbolic verification of every formula); they are the checked reference.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import GaplessError, InvalidInputError, UnsupportedProtocolError
-from .protocols import build_unitary, registry_lookup
+from .protocols import build_unitary, compile_plan, registry_lookup
 
 EPS_GAP = 1e-9  # |d| at or below this counts as a gap closing
 
@@ -91,6 +93,25 @@ def oracle_bands(spec_or_id, k, *, angles=None, T=None) -> Bands:
             f"{spec.id!r} is a four-band protocol; use su2.quasi_energies on build_unitary")
     U = build_unitary(spec, k, angles=angles, T=T)
     return bands_from_unitary(U)
+
+
+def bands_with_velocity(spec_or_id, k, *, angles=None, T=None):
+    """(e_plus, |d|, v) of a two-band walk from one pass of its compiled plan.
+
+    v[..., i] = dE_+/dk_i = -(d d0/dk_i)/|d| with d0 = Re(a + d)/2, read from
+    the exact k-derivative of the entries; NaN where the gap is closed.  The
+    registered walks are special-unitary, so no global-phase term enters.
+    `angles` and `T` override the spec's values as in `oracle_bands`.
+    """
+    spec = registry_lookup(spec_or_id)
+    if spec.bands != 2:
+        raise UnsupportedProtocolError(f"{spec.id!r} is a four-band protocol; expected two bands")
+    (a, b, c, d), grads = compile_plan(spec, angles=angles, T=T).entries_and_grad(k)
+    d0, (dx, dy, dz), _ = bloch_entries(a, b, c, d)
+    norm = np.sqrt(dx * dx + dy * dy + dz * dz)
+    safe = np.where(norm > EPS_GAP, norm, np.nan)
+    v = np.stack([-0.5 * (da + dd).real / safe for da, _, _, dd in grads], axis=-1)
+    return np.arccos(np.clip(d0, -1.0, 1.0)), norm, v
 
 
 # -- analytic closed forms -----------------------------------------------------

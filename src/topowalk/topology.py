@@ -346,59 +346,3 @@ def chern_number(spec_or_id, *, angles=None, T=None, grid_n: int = 64) -> ChernR
         raise BoundaryStateError(
             f"Chern number not quantized: raw = {raw:.4f} (gap closing between nodes?)")
     return ChernResult(c=c, raw=raw)
-
-
-@dataclass
-class SweepSample:
-    value: float
-    gapped: bool
-    invariant: Optional[int] = None
-    raw: Optional[float] = None
-    status: str = "ok"  # ok | boundary
-
-
-def phase_boundary_trace(spec_or_id, symbol: str, values, *, angles=None, T=None,
-                         grid_n: int = 64, invariant: Optional[str] = None,
-                         linked=None) -> List[SweepSample]:
-    """Sweep one angle: report gap status and, when defined, the invariant.
-
-    invariant: None (auto: winding for chiral 1D, chern for 2D, else skip),
-    "winding", "chern", or "none".
-    """
-    spec = registry_lookup(spec_or_id, T=T, angles=angles)
-    if invariant is None:
-        if spec.dimension == 2 and spec.bands == 2:
-            invariant = "chern"
-        elif spec.dimension == 1 and spec.bands == 2:
-            try:
-                chiral_axis(spec)
-                invariant = "winding"
-            except Exception:
-                invariant = "none"
-        else:
-            invariant = "none"
-    out = []
-    for v in np.asarray(values, dtype=float):
-        bound = {symbol: float(v)}
-        if linked:
-            for sym, (on, scale, offset) in linked.items():
-                if on == symbol:
-                    bound[sym] = scale * float(v) + offset
-        sample_spec = spec.with_params(**bound)
-        closings = find_gap_closings(sample_spec, grid_n=max(grid_n, 32))
-        if closings:
-            out.append(SweepSample(value=float(v), gapped=False, status="boundary"))
-            continue
-        sample = SweepSample(value=float(v), gapped=True)
-        try:
-            if invariant == "winding":
-                res = winding_number(sample_spec, grid_n=grid_n)
-                sample.invariant, sample.raw = res.w, res.raw
-            elif invariant == "chern":
-                res = chern_number(sample_spec, grid_n=grid_n)
-                sample.invariant, sample.raw = res.c, res.raw
-        except BoundaryStateError:
-            sample.status = "boundary"
-            sample.gapped = False
-        out.append(sample)
-    return out

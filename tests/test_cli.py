@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 
-from topowalk import cli
+from topowalk import cli, spectrum
 from topowalk import symmetry as sym
 
 PI = math.pi
@@ -37,8 +37,7 @@ class TestBands:
         lines = out.read_text().splitlines()
         assert lines[0] == "sweep_param,k1,e_plus,v_k1,status"
         assert len(lines) == 1 + 3 * 16
-        assert all(line.endswith(("gapped", "gapless", "ill_defined_velocity"))
-                   for line in lines[1:])
+        assert all(line.endswith(("gapped", "gapless")) for line in lines[1:])
 
     def test_2d_header(self, tmp_path):
         cfg = small_bands_cfg(tmp_path, protocol="2d-phs", angles={},
@@ -80,6 +79,28 @@ class TestBands:
         assert run(["bands", "--config", str(cfg), "--out", str(b),
                     "--step-independent"]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_every_gapped_row_carries_a_velocity(self, tmp_path):
+        # beta = 0 closes the gap on grid points; the plan's exact derivative
+        # gives a velocity on every other row, with no finite-difference stencil
+        for protocol, angles in (("1d-split", {"alpha": 0.0}), ("2d-simple", {})):
+            cfg = small_bands_cfg(tmp_path, protocol=protocol, steps=2, angles=angles,
+                                  sweep={"symbol": "beta", "start": 0.0, "stop": 0.7,
+                                         "count": 2}, grid=8)
+            out = tmp_path / f"{protocol}.csv"
+            assert run(["bands", "--config", str(cfg), "--out", str(out)]) == 0
+            rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+            dim = len(rows[0]) // 2 - 1
+            assert {r[-1] for r in rows} == {"gapped", "gapless"}
+            for r in rows:
+                assert all(v != "" for v in r[2 + dim:-1]) == (r[-1] == "gapped")
+            gapped = [r for r in rows if r[0] == "0.7"]
+            k = np.array([[float(x) for x in r[1:1 + dim]] for r in gapped])
+            for ax in range(dim):
+                vn = spectrum.group_velocity_numeric(protocol, k, ax, T=2,
+                                                     angles={**angles, "beta": 0.7})
+                v = np.array([float(r[2 + dim + ax]) for r in gapped])
+                assert np.abs(v - vn).max() <= 1e-8
 
     def test_four_band_protocol_is_usage_error(self, tmp_path):
         cfg = small_bands_cfg(tmp_path, protocol="1d-diii")
@@ -259,9 +280,19 @@ class TestUsageErrors:
 
     def test_malformed_values(self, tmp_path, capsys):
         sweep = {"symbol": "alpha", "start": -1.0, "stop": 1.0, "count": "x"}
+        link = {"on": "alpha", "scale": 0.5, "offset": 0.0}
         docs = [{"sweep": sweep},
                 {"linked": {"beta": {"on": "alpha", "offset": 0.0}}},
-                {"angles": [1, 2]}]
+                {"angles": [1, 2]},
+                # a string is not a boolean, and counts must be integral
+                {"steps": 1, "step_independent": "false"},
+                {"grid": 8.9},
+                {"workers": 2.7},
+                # misspelled keys at the top level, in sweep and in a linked entry
+                {"gird": 8},
+                {"angels": {"beta": 0.5}},
+                {"sweep": {**sweep, "count": 3, "cuont": 3}},
+                {"angles": {}, "linked": {"beta": {**link, "sacle": 0.5}}}]
         for overrides in docs:
             cfg = small_bands_cfg(tmp_path, **overrides)
             assert run(["bands", "--config", str(cfg), "--out", "-"]) == 2
@@ -275,11 +306,21 @@ class TestUsageErrors:
         cfg = small_bands_cfg(tmp_path, out=7)
         assert run(["bands", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 6
-        keys = ("sweep.count", "linked.beta.scale", "angles", "config", "protocol", "out")
+        keys = ("sweep.count", "linked.beta.scale", "angles", "step_independent", "grid",
+                "workers", "gird", "angels", "sweep.cuont", "linked.beta.sacle",
+                "config", "protocol", "out")
+        assert len(err) == len(keys)
         for line, key in zip(err, keys):
-            # UnknownProtocolError is a KeyError, whose message prints quoted
-            assert line.replace('"', "").startswith("error: " + key)
+            assert line.startswith("error: " + key)
+
+    def test_step_independent_rejects_step_sweep(self, capsys):
+        # the flag evaluates the T = 1 walk, so a sweep over T contradicts it
+        for command in ("bands", "invariant", "classify-gaps"):
+            assert run([command, "--protocol", "1d-chs", "--set", "alpha=1.0",
+                        "--set", "beta=0.5", "--sweep", "T:1:3:3", "--grid", "8",
+                        "--step-independent", "--out", "-"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 3 and all("step-independent" in line for line in err)
 
     def test_missing_config_file(self):
         assert run(["bands", "--config", "/nonexistent/x.json", "--out", "-"]) == 2

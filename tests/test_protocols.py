@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -119,6 +117,27 @@ def test_kernel_matches_matrix_product_reference(pid, rng):
                                  spec.T if T is None else T)
         assert U.shape == (n, spec.bands, spec.bands)
         npt.assert_allclose(U, ref, rtol=0, atol=1e-14)
+
+
+def test_plan_derivative_matches_central_difference(rng):
+    """The grad rows are dU/dk_i of the same loop's values: these equal
+    `entries` bitwise, and the rows match a central difference of them."""
+    h = 1e-6
+    for pid in pr.PROTOCOL_IDS:
+        spec = pr.registry_lookup(pid, T=3)
+        if spec.bands != 2:
+            continue
+        plan = pr.compile_plan(spec.with_params(**generic_angles(spec, rng)))
+        k = rng.uniform(-np.pi, np.pi, size=(16, spec.dimension))
+        values, grads = plan.entries_and_grad(k)
+        assert len(grads) == spec.dimension
+        for got, want in zip(values, plan.entries(k)):
+            npt.assert_array_equal(got, want)
+        for ax, grad in enumerate(grads):
+            step = np.zeros(spec.dimension)
+            step[ax] = h
+            for g, p, m in zip(grad, plan.entries(k + step), plan.entries(k - step)):
+                npt.assert_allclose(g, (p - m) / (2 * h), rtol=0, atol=1e-8)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -274,20 +293,3 @@ def test_rejects_wrong_momentum_dimension():
     spec = pr.registry_lookup("2d-phs")
     with pytest.raises(InvalidInputError):
         pr.build_unitary(spec, np.zeros((3, 3)))
-
-
-def test_document_round_trip():
-    spec = pr.registry_lookup("3d-aii", T=4, phi=0.7,
-                              angles={"alpha": 0.1, "beta": 0.2, "gamma": 0.3, "zeta": 0.4})
-    doc = pr.to_document(spec)
-    assert doc["doubled"] == "trs_sandwich" and doc["phi"] == 0.7
-    again = pr.from_document(json.loads(json.dumps(doc)))
-    assert again == spec
-    assert pr.loads(pr.dumps(spec)) == spec
-
-
-def test_document_doubling_mismatch_rejected():
-    doc = pr.to_document(pr.registry_lookup("1d-phs"))
-    doc["doubled"] = "transpose_block"
-    with pytest.raises(InvalidInputError):
-        pr.from_document(doc)

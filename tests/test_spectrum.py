@@ -131,6 +131,38 @@ class TestGroupVelocity:
             vn = sp.group_velocity_numeric(spec, k, ax)
             assert np.abs(vc - vn).max() <= 1e-6
 
+    @pytest.mark.parametrize("pid", [p for p in pr.PROTOCOL_IDS if pr.REGISTRY[p].bands == 2])
+    def test_plan_velocity_matches_references(self, pid, rng):
+        """The one-pass velocity against the closed form (to 1e-12) where one
+        exists, else the central finite difference (to 1e-8), at scalar and
+        per-point array angles and step numbers."""
+        spec = pr.registry_lookup(pid)
+        n = 200
+        cases = [(generic_angles(spec, rng), 1), (generic_angles(spec, rng), 5),
+                 ({s: rng.uniform(-np.pi, np.pi, n) for s in spec.symbols},
+                  rng.integers(1, 7, n))]
+        for angles, T in cases:
+            k = rng.uniform(-np.pi, np.pi, size=(n, spec.dimension))
+            e_plus, norm, v = sp.bands_with_velocity(spec, k, angles=angles, T=T)
+            oracle = sp.oracle_bands(spec, k, angles=angles, T=T)
+            npt.assert_array_equal(e_plus, oracle.e_plus)
+            npt.assert_allclose(norm, np.linalg.norm(oracle.d, axis=-1), rtol=0, atol=1e-15)
+            away = norm >= 0.3
+            for ax in range(spec.dimension):
+                if pid in sp.CLOSED_FORM_IDS:
+                    ref, tol = sp.group_velocity_closed(pid, angles, T, k, ax), 1e-12
+                else:
+                    ref, tol = sp.group_velocity_numeric(spec, k, ax, angles=angles, T=T), 1e-8
+                assert np.abs(v[away, ax] - ref[away]).max() <= tol
+
+    def test_plan_velocity_nan_at_closing_and_two_band_only(self):
+        _, norm, v = sp.bands_with_velocity("1d-chs", np.array([[0.0], [0.4]]),
+                                            angles={"alpha": 0.0, "beta": 0.0}, T=1)
+        assert norm[0] == 0.0 and np.isnan(v[0, 0])
+        npt.assert_allclose(v[1, 0], 1.0, atol=1e-14)
+        with pytest.raises(UnsupportedProtocolError):
+            sp.bands_with_velocity("1d-diii", np.zeros((1, 1)))
+
     def test_flat_band_velocity_zero(self):
         v = sp.group_velocity_numeric("3d-simple", np.array([[0.3, -1.0, 0.4]]), 0,
                                       angles={"beta": np.pi}, T=1)

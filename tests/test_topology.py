@@ -1,12 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from topowalk import cli
 from topowalk import protocols as pr
 from topowalk import topology as tp
 from topowalk.errors import BoundaryStateError, InvalidInputError
 
 PI = np.pi
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 class TestGapClosings:
@@ -199,23 +203,29 @@ class TestMomentumPeriod:
 
 
 class TestPhaseBoundaryTrace:
-    def test_invariance_within_phases_chern_sweep(self):
-        samples = tp.phase_boundary_trace(
-            "2d-phs", "beta", np.linspace(PI / 12, 2 * PI / 3, 8),
-            angles={"alpha": PI / 3}, T=2, grid_n=48)
-        pattern = [(s.status, s.invariant) for s in samples]
-        assert pattern == [("ok", 0), ("boundary", None), ("ok", 1), ("boundary", None),
-                           ("ok", 0), ("ok", 0), ("ok", 0), ("boundary", None)]
+    """Sweeps of the invariant across phase boundaries, through the CLI."""
 
-    def test_t_equals_one_matches_step_independent_sweep(self):
-        vals = np.linspace(-2.0, 2.0, 7)
-        a = tp.phase_boundary_trace("1d-chs", "alpha", vals, angles={"beta": 0.9}, T=1,
-                                    grid_n=64)
-        spec1 = pr.step_independent_reduction(pr.registry_lookup("1d-chs", T=1,
-                                                                 angles={"beta": 0.9}))
-        b = tp.phase_boundary_trace(spec1, "alpha", vals, grid_n=64)
-        assert [(s.status, s.invariant, s.raw) for s in a] == \
-               [(s.status, s.invariant, s.raw) for s in b]
+    @staticmethod
+    def _invariant(tmp_path, name, argv):
+        out = tmp_path / name
+        assert cli.main(["invariant"] + argv + ["--out", str(out)]) == 0
+        return out.read_bytes()
+
+    def test_invariance_within_phases_chern_sweep(self, tmp_path):
+        # fig10: 2d-phs at T = 2, alpha = pi/3, beta over [pi/12, 2 pi/3]
+        text = self._invariant(tmp_path, "fig10.csv",
+                               ["--config", str(FIXTURE_DIR / "fig10.cfg"), "--grid", "48"])
+        rows = [r.split(",") for r in text.decode().splitlines()[1:]]
+        assert [(r[3], r[1]) for r in rows] == [
+            ("ok", "0"), ("boundary", ""), ("ok", "1"), ("boundary", ""),
+            ("ok", "0"), ("ok", "0"), ("ok", "0"), ("boundary", "")]
+
+    def test_t_equals_one_matches_step_independent_sweep(self, tmp_path):
+        argv = ["--protocol", "1d-chs", "--set", "beta=0.9", "--sweep", "alpha:-2:2:7",
+                "--steps", "1", "--grid", "64"]
+        a = self._invariant(tmp_path, "a.csv", argv)
+        b = self._invariant(tmp_path, "b.csv", argv + ["--step-independent"])
+        assert a == b and b"ok" in a
 
     def test_boundary_population_grows_with_step_number(self):
         """Distinct phase transitions along the fixed-angle sweep multiply as
