@@ -172,11 +172,7 @@ def _build_config(args) -> SweepConfig:
 
 def _cmd_bands(args) -> int:
     cfg = _build_config(args)
-    spec = registry_lookup(cfg.protocol)
-    if spec.bands != 2:
-        raise InvalidInputError(
-            f"bands output is defined for two-band protocols; {cfg.protocol!r} has four bands")
-    dim = spec.dimension
+    dim = registry_lookup(cfg.protocol).dimension
     header = (["sweep_param"] + [f"k{i+1}" for i in range(dim)] + ["e_plus"]
               + [f"v_k{i+1}" for i in range(dim)] + ["status"])
     chunks = _map_values(cfg, cfg.sweep_values(), _bands_value_rows, cfg.workers)
@@ -192,8 +188,6 @@ def _cmd_invariant(args) -> int:
     spec = registry_lookup(cfg.protocol)
     if spec.dimension == 3:
         raise InvalidInputError("invariants are computed for 1D (winding) and 2D (Chern) only")
-    if spec.bands != 2:
-        raise InvalidInputError("invariant sweeps need a two-band protocol")
     if spec.dimension == 1:
         try:
             symmetry.chiral_axis(symmetry._ensure_generic_angles(spec))
@@ -211,9 +205,6 @@ def _cmd_invariant(args) -> int:
 
 def _cmd_classify_gaps(args) -> int:
     cfg = _build_config(args)
-    spec = registry_lookup(cfg.protocol)
-    if spec.bands != 2:
-        raise InvalidInputError("gap classification needs a two-band protocol")
     records = _map_values(cfg, cfg.sweep_values(), _classify_value_record, cfg.workers)
     payload = {"schema": SCHEMA, "command": "classify-gaps",
                "protocol": cfg.protocol, "records": records}

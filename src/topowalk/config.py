@@ -9,6 +9,7 @@ from .errors import InvalidInputError
 from .protocols import ProtocolSpec, registry_lookup, step_independent_reduction
 
 SCHEMA = "topowalk/v1"
+MAX_POINTS = 2 ** 22  # sweep values x grid points per value that one run may request
 TOP_KEYS = ("schema", "protocol", "steps", "angles", "linked", "sweep", "grid", "phi",
             "out", "workers", "step_independent")
 SWEEP_KEYS = ("symbol", "start", "stop", "count")
@@ -40,6 +41,9 @@ class SweepConfig:
 
     def validate(self) -> "SweepConfig":
         spec = registry_lookup(self.protocol)  # raises for unknown ids
+        if spec.bands != 2:
+            raise InvalidInputError(
+                f"sweeps need a two-band protocol; {self.protocol!r} has four bands")
         if self.sweep_count < 2:
             raise InvalidInputError("sweep sample count must be >= 2")
         if self.grid < 8:
@@ -70,8 +74,16 @@ class SweepConfig:
         if self.step_independent and (self.steps != 1 or self.sweep_symbol == "T"):
             raise InvalidInputError("step-independent evaluation requires steps == 1"
                                     " and a sweep over an angle, not T")
+        if self.sweep_symbol == "T" and self.steps != 1:
+            raise InvalidInputError(
+                f"steps {self.steps} conflicts with the sweep over T, which sets the step number")
         if self.workers < 1:
             raise InvalidInputError("workers must be >= 1")
+        points = self.sweep_count * self.grid ** spec.dimension
+        if points > MAX_POINTS:
+            raise InvalidInputError(
+                f"sweep count x grid^{spec.dimension} = {points} momentum points exceeds"
+                f" the budget of {MAX_POINTS}")
         return self
 
     def sweep_values(self):

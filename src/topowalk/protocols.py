@@ -20,12 +20,13 @@ momentum*, the flavor blocks are assembled as
 which keeps the four-band quasi-energy spectrum symmetric under k -> -k.
 
 `compile_plan` turns a spec into a `Plan` once: per coin its four SU(2)
-entries, per run of adjacent shifts one pair of integer phase vectors.  The
-plan evaluates U(k) as four complex entry arrays updated elementwise (a shift
-scales the two rows, a coin mixes them), with no per-element (..., 2, 2)
-matrices; the product of `su2.pauli_exp` coins and diagonal shift matrices is
-the reference the tests hold it to.  On request the same loop also carries
-the exact dU/dk_i, since only the shifts depend on k.
+entries, per run of adjacent shifts one pair of integer phase vectors; it
+rejects a walk that is not special-unitary.  The plan evaluates U(k) as four
+complex entry arrays updated elementwise (a shift scales the two rows, a coin
+mixes them), with no per-element (..., 2, 2) matrices; the product of
+`su2.pauli_exp` coins and diagonal shift matrices is the reference the tests
+hold it to.  On request the same loop also carries the exact dU/dk_i, since
+only the shifts depend on k.
 """
 from __future__ import annotations
 
@@ -312,7 +313,10 @@ class Plan:
 
 def compile_plan(spec: ProtocolSpec, *, angles: Optional[Mapping] = None, T=None) -> Plan:
     """Compile the spec's two-band walk once; `angles` and `T` override the
-    bound values as in `build_unitary`."""
+    bound values as in `build_unitary`.  The coins are SU(2), so the walk is
+    special-unitary iff, on every axis, the shifts' up + down phases sum to
+    0; any other walk is rejected, which lets the Bloch split skip the
+    determinant."""
     ang = dict(spec.angles)
     if angles:
         unknown = sorted(set(angles) - set(spec.symbols))
@@ -324,7 +328,7 @@ def compile_plan(spec: ProtocolSpec, *, angles: Optional[Mapping] = None, T=None
     if np.any(np.asarray(T_eff) < 1):
         raise InvalidInputError("step number T must be >= 1")
 
-    steps = []
+    steps, det_phase = [], [0] * spec.dimension
     for is_coin, run in groupby(spec.elements, key=lambda el: isinstance(el, Coin)):
         run = list(run)
         if is_coin:
@@ -332,8 +336,12 @@ def compile_plan(spec: ProtocolSpec, *, angles: Optional[Mapping] = None, T=None
             continue
         up = [sum(n) for n in zip(*(el.up for el in run))]
         down = [sum(n) for n in zip(*(el.down for el in run))]
+        det_phase = [t + u + v for t, u, v in zip(det_phase, up, down)]
         steps.append(("shift", _phase_terms(up), _phase_terms(down),
                       any(up) and down == [-n for n in up]))
+    if any(det_phase):
+        raise InvalidInputError(f"{spec.id!r} is not special-unitary: its shifts' up + down"
+                                f" phases sum to {det_phase} per axis, not 0")
     return Plan(spec=spec, steps=tuple(steps))
 
 

@@ -2,14 +2,18 @@
 
 Two independent routes are provided and cross-validated in the tests:
 
-* the generic *oracle* route: build U(k), factor out a global phase if the
-  determinant is not 1, and read off d0 and d from traces
-  (U = d0 I - i d.sigma, E = arccos(d0), n = d/|d|), with dE/dk_i from the
-  exact k-derivative of the compiled plan (`bands_with_velocity`, the CLI's
-  one velocity route);
+* the production *plan* route: `bloch` reads U = d0 I - i d.sigma
+  (E = arccos(d0), n = d/|d|) from the four entries of the compiled plan,
+  which is special-unitary, so no phase is split off; `bands_with_velocity`
+  adds dE/dk_i from the plan's exact k-derivative.  Every two-band consumer
+  reads (d0, d) this way;
 * protocol-specific *analytic* forms rho(k), d(k), and dE/dk_i, hand-derived
   from the element products (see scripts/verify_closed_forms.py for the exact
   symbolic verification of every formula); they are the checked reference.
+
+The matrix *oracle* `bands_from_unitary(build_unitary(...))` (`oracle_bands`)
+factors the determinant phase out of any 2x2 unitary before the split; the
+tests hold the plan and the closed forms to it.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import GaplessError, InvalidInputError, UnsupportedProtocolError
-from .protocols import build_unitary, compile_plan, registry_lookup
+from .protocols import Plan, compile_plan, registry_lookup
 
 EPS_GAP = 1e-9  # |d| at or below this counts as a gap closing
 
@@ -27,40 +31,33 @@ AXES = {"x": 0, "y": 1, "z": 2, 0: 0, 1: 1, 2: 2}
 
 
 def bloch_entries(a, b, c, d):
-    """(d0, (d_x, d_y, d_z), phase) of U = [[a, b], [c, d]] = e^{i phase}(d0 I - i d.sigma),
-    elementwise over the four entries.
-
-    The global phase (half the determinant's argument) is zero for the
-    registered protocols, which are special-unitary by construction.
-    """
-    det = a * d - b * c
-    phase = 0.5 * np.angle(det)
-    w = np.exp(-1j * phase)
-    a, b, c, d = a * w, b * w, c * w, d * w
-    tr = a + d
-    tr_x = b + c
-    tr_y = 1j * (b - c)
-    tr_z = a - d
-    return 0.5 * tr.real, (-0.5 * tr_x.imag, -0.5 * tr_y.imag, -0.5 * tr_z.imag), phase
+    """(d0, (d_x, d_y, d_z)) of a special-unitary U = [[a, b], [c, d]] = d0 I - i d.sigma,
+    elementwise over the four entries."""
+    return 0.5 * (a + d).real, (-0.5 * (b + c).imag, -0.5 * (b - c).real, -0.5 * (a - d).imag)
 
 
 def bloch_split(U):
-    """(d0, d, phase) for batched 2x2 unitaries, U = e^{i phase}(d0 I - i d.sigma)."""
+    """(d0, d, phase) for batched 2x2 unitaries, U = e^{i phase}(d0 I - i d.sigma);
+    the phase is half the determinant's argument."""
     U = np.asarray(U, dtype=complex)
     if U.shape[-2:] != (2, 2):
         raise InvalidInputError(f"expected 2x2 unitaries, got shape {U.shape}")
-    d0, d, phase = bloch_entries(U[..., 0, 0], U[..., 0, 1], U[..., 1, 0], U[..., 1, 1])
-    return d0, np.stack(d, axis=-1), phase
+    a, b, c, d = U[..., 0, 0], U[..., 0, 1], U[..., 1, 0], U[..., 1, 1]
+    phase = 0.5 * np.angle(a * d - b * c)
+    w = np.exp(-1j * phase)
+    d0, dvec = bloch_entries(a * w, b * w, c * w, d * w)
+    return d0, np.stack(dvec, axis=-1), phase
 
 
 @dataclass
 class Bands:
-    """Bloch decomposition and + band energy on a batch of momenta."""
+    """Bloch decomposition and + band energy on a batch of momenta; `phase` is
+    0 on the plan route, whose walks are special-unitary."""
 
     d0: np.ndarray
     d: np.ndarray
     e_plus: np.ndarray
-    phase: np.ndarray
+    phase: np.ndarray = 0.0
 
     @property
     def gapless(self) -> np.ndarray:
@@ -77,37 +74,41 @@ class Bands:
 def bands_from_unitary(U) -> Bands:
     """Oracle decomposition of 2x2 unitaries into (d0, d, e_plus)."""
     d0, d, phase = bloch_split(U)
-    e_plus = np.arccos(np.clip(d0, -1.0, 1.0))
-    return Bands(d0=d0, d=d, e_plus=e_plus, phase=phase)
+    return Bands(d0=d0, d=d, e_plus=np.arccos(np.clip(d0, -1.0, 1.0)), phase=phase)
+
+
+def two_band_plan(spec_or_id, *, angles=None, T=None) -> Plan:
+    """The compiled plan of a two-band walk; four-band walks have no Bloch
+    split and are rejected.  `angles` and `T` override the spec's values for
+    this call and may be arrays broadcastable against the momentum batch shape."""
+    spec = registry_lookup(spec_or_id)
+    if spec.bands != 2:
+        raise UnsupportedProtocolError(f"{spec.id!r} is a four-band protocol; expected two bands")
+    return compile_plan(spec, angles=angles, T=T)
 
 
 def oracle_bands(spec_or_id, k, *, angles=None, T=None) -> Bands:
-    """Build the protocol unitary and decompose it (two-band protocols only).
+    """The matrix oracle: U(k) as 2x2 matrices (the two-band `build_unitary`),
+    decomposed by `bloch_split`; `angles` and `T` as in `two_band_plan`."""
+    return bands_from_unitary(two_band_plan(spec_or_id, angles=angles, T=T).unitary(k))
 
-    `angles` and `T` override the spec's values for this call and may be
-    arrays broadcastable against the momentum batch shape.
-    """
-    spec = registry_lookup(spec_or_id)
-    if spec.bands != 2:
-        raise UnsupportedProtocolError(
-            f"{spec.id!r} is a four-band protocol; use su2.quasi_energies on build_unitary")
-    U = build_unitary(spec, k, angles=angles, T=T)
-    return bands_from_unitary(U)
+
+def bloch(spec_or_id, k, *, angles=None, T=None) -> Bands:
+    """(d0, d, e_plus) of a two-band walk at momenta k, read from its compiled
+    plan; `angles` and `T` as in `two_band_plan`."""
+    d0, d = bloch_entries(*two_band_plan(spec_or_id, angles=angles, T=T).entries(k))
+    return Bands(d0=d0, d=np.stack(d, axis=-1), e_plus=np.arccos(np.clip(d0, -1.0, 1.0)))
 
 
 def bands_with_velocity(spec_or_id, k, *, angles=None, T=None):
     """(e_plus, |d|, v) of a two-band walk from one pass of its compiled plan.
 
     v[..., i] = dE_+/dk_i = -(d d0/dk_i)/|d| with d0 = Re(a + d)/2, read from
-    the exact k-derivative of the entries; NaN where the gap is closed.  The
-    registered walks are special-unitary, so no global-phase term enters.
-    `angles` and `T` override the spec's values as in `oracle_bands`.
+    the exact k-derivative of the entries; NaN where the gap is closed.
+    `angles` and `T` as in `two_band_plan`.
     """
-    spec = registry_lookup(spec_or_id)
-    if spec.bands != 2:
-        raise UnsupportedProtocolError(f"{spec.id!r} is a four-band protocol; expected two bands")
-    (a, b, c, d), grads = compile_plan(spec, angles=angles, T=T).entries_and_grad(k)
-    d0, (dx, dy, dz), _ = bloch_entries(a, b, c, d)
+    (a, b, c, d), grads = two_band_plan(spec_or_id, angles=angles, T=T).entries_and_grad(k)
+    d0, (dx, dy, dz) = bloch_entries(a, b, c, d)
     norm = np.sqrt(dx * dx + dy * dy + dz * dz)
     safe = np.where(norm > EPS_GAP, norm, np.nan)
     v = np.stack([-0.5 * (da + dd).real / safe for da, _, _, dd in grads], axis=-1)

@@ -1,8 +1,9 @@
 """Particle-hole / time-reversal / chiral checks and the AZ classification.
 
 Relations are verified on the reconstructed Hamiltonian H(k) (E n.sigma for
-two-band walks, the spectral reconstruction for four-band ones), at gap-open
-momenta only:
+two-band walks, from the Bloch split `spectrum.bloch` reads off the compiled
+plan; the spectral reconstruction of the assembled `build_unitary` for
+four-band ones), at gap-open momenta only:
 
     phs:  M H*(k') M^dag = -H(k)        (antiunitary, k' = -k by default)
     trs:  M H*(k') M^dag = +H(k)        (antiunitary, k' = -k by default)
@@ -26,10 +27,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import ClassificationError, DegenerateGridError, InvalidInputError
-from .protocols import ProtocolSpec, registry_lookup
-from .spectrum import bands_from_unitary
+from .protocols import ProtocolSpec, build_unitary, registry_lookup
+from .spectrum import bloch
 from .su2 import PAULI, SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, block_diag2, eig_unitary, tensor
-from .protocols import build_unitary
 
 RESIDUAL_TOL = 1e-8
 SQUARE_TOL = 1e-10
@@ -65,20 +65,20 @@ def bz_grid(dimension: int, n: int) -> np.ndarray:
 def hamiltonian_grid(spec: ProtocolSpec, k: np.ndarray):
     """(H(k), usable mask) on a batch of momenta.
 
-    Two-band: H = arccos(d0) n.sigma.  Four-band: spectral reconstruction via
-    the Schur-based eigen-decomposition (orthonormal even at degeneracies).
-    Points where any band sits within _BRANCH_MARGIN of 0 or pi are masked
-    out: H carries a branch cut at pi and n is undefined at closings.
+    Two-band: H = arccos(d0) n.sigma from the plan's Bloch split.  Four-band:
+    spectral reconstruction of the assembled U via the Schur-based
+    eigen-decomposition (orthonormal even at degeneracies).  Points where any
+    band sits within _BRANCH_MARGIN of 0 or pi are masked out: H carries a
+    branch cut at pi and n is undefined at closings.
     """
-    U = build_unitary(spec, k)
     if spec.bands == 2:
-        b = bands_from_unitary(U)
+        b = bloch(spec, k)
         norm = np.linalg.norm(b.d, axis=-1)
         ok = norm > _BRANCH_MARGIN
         n_hat = b.d / np.where(ok, norm, 1.0)[..., None]
         H = b.e_plus[..., None, None] * np.einsum("...j,jab->...ab", n_hat, PAULI)
         return H, ok
-    lam, vec = eig_unitary(U)
+    lam, vec = eig_unitary(build_unitary(spec, k))
     E = -np.angle(lam)
     H = np.einsum("...ai,...i,...bi->...ab", vec, E, vec.conj())
     ok = (np.minimum(np.abs(E), np.pi - np.abs(E)) > _BRANCH_MARGIN).all(axis=-1)
@@ -116,10 +116,8 @@ def check_relation(spec: ProtocolSpec, op: SymmetryOperator, relation: str,
 
 def d_cloud(spec: ProtocolSpec, n_per_axis: int = 24):
     """Gap-open Bloch vectors of a two-band protocol over a BZ grid."""
-    k = bz_grid(spec.dimension, n_per_axis)
-    b = bands_from_unitary(build_unitary(spec, k))
-    keep = np.linalg.norm(b.d, axis=-1) > _BRANCH_MARGIN
-    return b.d[keep]
+    d = bloch(spec, bz_grid(spec.dimension, n_per_axis)).d
+    return d[np.linalg.norm(d, axis=-1) > _BRANCH_MARGIN]
 
 
 def chiral_axis_fit(spec: ProtocolSpec, n_per_axis: int = 24):

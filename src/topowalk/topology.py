@@ -2,6 +2,9 @@
 
 Conventions
 -----------
+* Every two-band quantity is read from the Bloch split (d0, d) of the
+  compiled plan, through `spectrum.bloch`; `find_gap_closings` compiles its
+  plan once per call and applies the same split to it at every probe.
 * The gap function is g(k) = min(E_+, pi - E_+): bands touch only at
   quasi-energy 0 or pi.
 * Dirac-vs-arc discrimination follows the band shape at the closing: a
@@ -29,8 +32,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BoundaryStateError, InvalidInputError
-from .protocols import Plan, ProtocolSpec, Shift, build_unitary, compile_plan, registry_lookup
-from .spectrum import EPS_GAP, bands_from_unitary, bloch_entries
+from .protocols import ProtocolSpec, Shift, registry_lookup
+from .spectrum import EPS_GAP, bloch, bloch_entries, two_band_plan
 from .symmetry import bz_grid, chiral_axis
 
 EPS_FLAT = 1e-8
@@ -68,24 +71,11 @@ class ChernResult:
     raw: float
 
 
-def _two_band_plan(spec: ProtocolSpec) -> Plan:
-    if spec.bands != 2:
-        raise InvalidInputError(f"{spec.id!r} is a four-band protocol; expected two bands")
-    return compile_plan(spec)
-
-
-def _bloch(plan: Plan, k):
-    """(cos E_+, |d|) at momenta k, read from the plan's entries as bloch_split does."""
-    d0, (dx, dy, dz), _ = bloch_entries(*plan.entries(k))
-    return d0, np.sqrt(dx * dx + dy * dy + dz * dz)
-
-
 def gap_function(spec: ProtocolSpec):
     """g(k) = min(E_+, pi - E_+), vectorized over momenta."""
-    plan = _two_band_plan(spec)
 
     def g(k):
-        e_plus = np.arccos(np.clip(_bloch(plan, k)[0], -1.0, 1.0))
+        e_plus = bloch(spec, k).e_plus
         return np.minimum(e_plus, np.pi - e_plus)
 
     return g
@@ -126,12 +116,14 @@ def find_gap_closings(spec_or_id, *, angles=None, T=None, grid_n: int = 64,
     if grid_n < 32:
         raise InvalidInputError("grid_n must be >= 32 per axis")
     dim = spec.dimension
-    plan = _two_band_plan(spec)
+    plan = two_band_plan(spec)  # compiled once: refine evaluates it ~10^3 times
 
-    def g(pts):
-        return _bloch(plan, pts)[1]
+    def split(pts):
+        """(cos E_+, |d|) at momenta pts, through the Bloch split `bloch` uses."""
+        d0, (dx, dy, dz) = bloch_entries(*plan.entries(pts))
+        return d0, np.sqrt(dx * dx + dy * dy + dz * dz)
 
-    vals = g(bz_grid(dim, grid_n)).reshape([grid_n] * dim)
+    vals = split(bz_grid(dim, grid_n))[1].reshape([grid_n] * dim)
 
     local_min = np.ones_like(vals, dtype=bool)
     for ax in range(dim):
@@ -147,8 +139,8 @@ def find_gap_closings(spec_or_id, *, angles=None, T=None, grid_n: int = 64,
         pts = -np.pi + cand.astype(float) * cell
         for _ in range(8):  # coordinate-descent passes (clean cones need 2)
             for ax in range(dim):
-                pts = _batched_golden_axis(g, pts, ax, cell)
-        d0, resid = _bloch(plan, pts)
+                pts = _batched_golden_axis(lambda p: split(p)[1], pts, ax, cell)
+        d0, resid = split(pts)
         e_plus = np.arccos(np.clip(d0, -1.0, 1.0))
         for i in range(pts.shape[0]):
             if resid[i] <= refine_tol:
@@ -171,8 +163,7 @@ def find_gap_closings(spec_or_id, *, angles=None, T=None, grid_n: int = 64,
 
 
 def _band_variation(spec: ProtocolSpec, grid_n: int = 64) -> float:
-    k = bz_grid(spec.dimension, grid_n)
-    e = bands_from_unitary(build_unitary(spec, k)).e_plus
+    e = bloch(spec, bz_grid(spec.dimension, grid_n)).e_plus
     return float(e.max() - e.min())
 
 
@@ -216,8 +207,7 @@ def classify_boundary(spec_or_id, *, angles=None, T=None,
     spec = registry_lookup(spec_or_id, T=T, angles=angles)
     variation = _band_variation(spec, grid_n=grid_n)
     if variation <= EPS_FLAT:
-        e0 = float(bands_from_unitary(build_unitary(
-            spec, np.zeros((1, spec.dimension)))).e_plus[0])
+        e0 = float(bloch(spec, np.zeros((1, spec.dimension))).e_plus[0])
         return [BoundaryClassification(kind="flat_band",
                                        evidence={"band_variation": variation,
                                                  "energy": e0})]
@@ -288,13 +278,12 @@ def winding_number(spec_or_id, *, angles=None, T=None, grid_n: int = 256,
                    axis_vector=None) -> WindingResult:
     """Winding of the in-plane Bloch vector around the origin (1D chiral walks)."""
     spec = registry_lookup(spec_or_id, T=T, angles=angles)
-    if spec.dimension != 1 or spec.bands != 2:
-        raise InvalidInputError("winding_number needs a two-band 1D protocol")
+    if spec.dimension != 1:
+        raise InvalidInputError("winding_number needs a 1D protocol")
+    period = momentum_period(spec, 0)
+    d = bloch(spec, np.linspace(-np.pi, -np.pi + period, grid_n, endpoint=False)).d
     A = np.asarray(axis_vector, dtype=float) if axis_vector is not None else chiral_axis(spec)
     e1, e2 = _plane_basis(A)
-    period = momentum_period(spec, 0)
-    k = np.linspace(-np.pi, -np.pi + period, grid_n, endpoint=False)[:, None]
-    d = bands_from_unitary(build_unitary(spec, k)).d
     x, y = d @ e1, d @ e2
     r = np.hypot(x, y)
     if r.min() <= EPS_GAP:
@@ -322,14 +311,13 @@ def _solid_angle(a, b, c):
 def chern_number(spec_or_id, *, angles=None, T=None, grid_n: int = 64) -> ChernResult:
     """Degree of n_hat over the minimal 2D momentum torus (plaquette solid angles)."""
     spec = registry_lookup(spec_or_id, T=T, angles=angles)
-    if spec.dimension != 2 or spec.bands != 2:
-        raise InvalidInputError("chern_number needs a two-band 2D protocol")
+    if spec.dimension != 2:
+        raise InvalidInputError("chern_number needs a 2D protocol")
     px, py = momentum_period(spec, 0), momentum_period(spec, 1)
     ax = np.linspace(-np.pi, -np.pi + px, grid_n, endpoint=False)
     ay = np.linspace(-np.pi, -np.pi + py, grid_n, endpoint=False)
     KX, KY = np.meshgrid(ax, ay, indexing="ij")
-    k = np.stack([KX, KY], axis=-1)
-    d = bands_from_unitary(build_unitary(spec, k)).d
+    d = bloch(spec, np.stack([KX, KY], axis=-1)).d
     norm = np.linalg.norm(d, axis=-1)
     if norm.min() <= EPS_GAP:
         raise BoundaryStateError(

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 
-from topowalk import cli, spectrum
+from topowalk import cli, config, spectrum
 from topowalk import symmetry as sym
 
 PI = math.pi
@@ -107,7 +107,7 @@ class TestBands:
         assert run(["bands", "--config", str(cfg), "--out", "-"]) == 2
 
     def test_T_sweep(self, tmp_path):
-        cfg = small_bands_cfg(tmp_path, angles={"alpha": 0.4, "beta": 0.8},
+        cfg = small_bands_cfg(tmp_path, angles={"alpha": 0.4, "beta": 0.8}, steps=1,
                               sweep={"symbol": "T", "start": 1, "stop": 3, "count": 3})
         out = tmp_path / "o.csv"
         assert run(["bands", "--config", str(cfg), "--out", str(out)]) == 0
@@ -321,6 +321,36 @@ class TestUsageErrors:
                         "--step-independent", "--out", "-"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 3 and all("step-independent" in line for line in err)
+
+    def test_steps_with_step_sweep(self, capsys):
+        # the sweep sets the step number, so a fixed one would be dropped unseen
+        assert run(["bands", "--protocol", "1d-chs", "--set", "alpha=1.0", "--set", "beta=0.5",
+                    "--sweep", "T:1:2:2", "--grid", "8", "--steps", "5", "--out", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: steps 5")
+
+    def test_point_budget(self, capsys):
+        # rejected before any grid or sweep list is allocated
+        chs = ["--protocol", "1d-chs", "--set", "beta=0.5", "--out", "-"]
+        runs = [["invariant", *chs, "--sweep", "alpha:0:1:2", "--grid", "100000000"],
+                ["bands", *chs, "--sweep", "alpha:0:1:1000000000000", "--grid", "8"],
+                ["classify-gaps", *chs, "--sweep", "alpha:0:1:2", "--grid", "2097153"],
+                ["bands", "--protocol", "3d-simple", "--sweep", "beta:0:1:2", "--grid", "1000",
+                 "--out", "-"]]
+        for argv in runs:
+            assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == len(runs)
+        assert all("exceeds the budget" in line and "Traceback" not in line for line in err)
+        # every fixture, and fig10 at --grid 512 (8 x 512^2 points), stays within it
+        docs = [json.loads(path.read_text()) for path in sorted(FIXTURE_DIR.glob("fig*.cfg"))]
+        fig10 = json.loads((FIXTURE_DIR / "fig10.cfg").read_text())
+        for doc in docs + [{**fig10, "grid": 512}]:
+            config.config_from_dict(doc).validate()
 
     def test_missing_config_file(self):
         assert run(["bands", "--config", "/nonexistent/x.json", "--out", "-"]) == 2

@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 
 from conftest import generic_angles
 from topowalk import protocols as pr
-from topowalk import topology
 from topowalk.errors import InvalidInputError, UnknownProtocolError
-from topowalk.spectrum import bands_from_unitary, oracle_bands
+from topowalk.spectrum import bands_from_unitary, bloch_entries, oracle_bands, two_band_plan
 from topowalk.su2 import SIGMA_Y, TAU_Y, block_diag2, pauli_exp, tensor, unitarity_defect
 
 
@@ -150,6 +149,8 @@ def test_rejects_non_finite_angle(bad):
 
 
 def test_refine_norm_matches_oracle_route(rng):
+    """|d| as the gap refinement reads it (the Bloch split of its compiled
+    plan's entries) against the matrix oracle."""
     for pid in pr.PROTOCOL_IDS:
         spec = pr.registry_lookup(pid, T=4)
         if spec.bands != 2:
@@ -157,8 +158,23 @@ def test_refine_norm_matches_oracle_route(rng):
         spec = spec.with_params(**generic_angles(spec, rng))
         k = rng.uniform(-np.pi, np.pi, size=(32, spec.dimension))
         oracle = np.linalg.norm(bands_from_unitary(pr.build_unitary(spec, k)).d, axis=-1)
-        refine = topology._bloch(pr.compile_plan(spec), k)[1]
+        _, d = bloch_entries(*two_band_plan(spec).entries(k))
+        refine = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
         npt.assert_allclose(refine, oracle, rtol=0, atol=1e-15)
+
+
+def test_compile_rejects_walk_that_is_not_special_unitary():
+    """A lone half shift has det U(k) = exp(i k), so the phase-free Bloch
+    split would be wrong for it; the registered walks all pass the check."""
+    lone = pr.ProtocolSpec(id="lone-half-shift", dimension=1,
+                           elements=(pr.Coin("beta"), pr.shift_up_phase(1, 0)),
+                           angles={"beta": 0.3})
+    with pytest.raises(InvalidInputError, match="special-unitary"):
+        pr.compile_plan(lone)
+    with pytest.raises(InvalidInputError, match="special-unitary"):
+        pr.build_unitary(lone, np.zeros((2, 1)))
+    for pid in pr.PROTOCOL_IDS:
+        pr.compile_plan(pr.registry_lookup(pid))
 
 
 def test_unitarity_thousand_random_specs(rng):

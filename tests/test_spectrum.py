@@ -64,6 +64,31 @@ class TestBlochDecomposition:
         with pytest.raises(InvalidInputError):
             sp.bloch_split(np.eye(4))
 
+    @pytest.mark.parametrize("pid", [p for p in pr.PROTOCOL_IDS if pr.REGISTRY[p].bands == 2])
+    def test_plan_route_matches_oracle(self, pid, rng):
+        """`bloch` reads (d0, d) from the plan with no determinant phase; the
+        matrix oracle factors the phase out of the assembled U first."""
+        spec = pr.registry_lookup(pid)
+        n = 200
+        cases = [(generic_angles(spec, rng), 1), (generic_angles(spec, rng), 6),
+                 ({s: rng.uniform(-np.pi, np.pi, n) for s in spec.symbols},
+                  rng.integers(1, 7, n))]
+        for angles, T in cases:
+            k = rng.uniform(-np.pi, np.pi, size=(n, spec.dimension))
+            got = sp.bloch(spec, k, angles=angles, T=T)
+            want = sp.bands_from_unitary(pr.build_unitary(spec, k, angles=angles, T=T))
+            assert got.d.shape == want.d.shape == (n, 3)
+            npt.assert_allclose(got.d0, want.d0, rtol=0, atol=1e-14)
+            npt.assert_allclose(got.d, want.d, rtol=0, atol=1e-14)
+            gapped = ~want.gapless
+            npt.assert_allclose(got.e_plus[gapped], want.e_plus[gapped], rtol=0, atol=1e-14)
+            assert np.all(got.phase == 0.0)
+
+    def test_plan_route_two_band_only(self):
+        for fn in (sp.bloch, sp.oracle_bands):
+            with pytest.raises(UnsupportedProtocolError):
+                fn("2d-aii", np.zeros((1, 2)))
+
 
 class TestClosedForms:
     @pytest.mark.parametrize("pid", sp.CLOSED_FORM_IDS)
