@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -79,6 +80,10 @@ class SweepConfig:
                 f"steps {self.steps} conflicts with the sweep over T, which sets the step number")
         if self.workers < 1:
             raise InvalidInputError("workers must be >= 1")
+        cpus = os.cpu_count() or 1
+        if self.workers > cpus:
+            raise InvalidInputError(
+                f"workers {self.workers} exceeds the {cpus} CPUs of this machine")
         points = self.sweep_count * self.grid ** spec.dimension
         if points > MAX_POINTS:
             raise InvalidInputError(

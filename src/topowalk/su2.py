@@ -7,7 +7,6 @@ trailing (..., n, n) axes, so momentum grids batch for free.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidInputError
 
@@ -92,12 +91,22 @@ def block_diag2(A, B) -> np.ndarray:
     return out
 
 
-def _phase_fix(vec: np.ndarray) -> np.ndarray:
-    """Rotate a vector's global phase so its first significant entry is real positive."""
-    idx = np.flatnonzero(np.abs(vec) > 1e-10)
-    j = idx[0] if idx.size else int(np.argmax(np.abs(vec)))
-    ph = vec[j] / abs(vec[j])
-    return vec / ph
+# Mixing weights c of the Hermitian A + cB that eig_unitary diagonalises.
+# Irrational, so two distinct eigenvalues exp(iθ1), exp(iθ2) of U collide in
+# A + cB only on the measure-zero set θ1 + θ2 ≡ 2 atan(c) (mod 2π); the second
+# weight moves that set by about π.
+EIGH_MIX = (np.sqrt(2.0) - 1.0 / np.pi, 1.0 / np.pi - np.sqrt(2.0))
+
+
+def _eigh_basis(U: np.ndarray, c: float):
+    """(W, W^dag U W) from one batched eigh of A + cB."""
+    Uh = np.swapaxes(U, -1, -2).conj()
+    _, W = np.linalg.eigh(0.5 * (U + Uh) - 0.5j * c * (U - Uh))
+    return W, np.swapaxes(W, -1, -2).conj() @ U @ W
+
+
+def _off_diagonal(D: np.ndarray) -> np.ndarray:
+    return np.abs(np.where(np.eye(D.shape[-1], dtype=bool), 0.0, D)).max(axis=(-2, -1))
 
 
 def eig_unitary(U):
@@ -105,35 +114,42 @@ def eig_unitary(U):
 
     Returns (values, vectors) with eigenvalues sorted by principal argument in
     (-pi, pi], descending; ties broken by the phase-fixed eigenvector's
-    lexicographic order.  vectors[..., :, i] is the i-th eigenvector, phase
-    fixed so its first significant component is real positive.
+    lexicographic order (entries rounded to 9 digits).  vectors[..., :, i] is
+    the i-th eigenvector, phase fixed so its first entry above 1e-10 in
+    modulus is real positive.
 
-    Uses a complex Schur decomposition, which keeps eigenvectors orthonormal
-    even for degenerate spectra.
+    U is normal, so A = (U + U^dag)/2 and B = (U - U^dag)/2i commute, and one
+    batched Hermitian `eigh` of A + cB gives an orthonormal W that
+    diagonalises U, also at degenerate eigenvalues.  Every point is checked:
+    the off-diagonal of W^dag U W must be <= EIG_TOL.  Points that fail are
+    decomposed again with the second weight of EIGH_MIX; if any still fails,
+    `np.linalg.LinAlgError` is raised with the count and the worst
+    off-diagonal (deliberately not DegenerateGridError, which callers read as
+    "no gap-open momenta").
     """
     U = require_unitary(U, what="eig_unitary input")
     n = U.shape[-1]
     flat = U.reshape(-1, n, n)
-    vals = np.empty(flat.shape[:1] + (n,), dtype=complex)
-    vecs = np.empty_like(flat)
-    for m in range(flat.shape[0]):
-        T, Z = scipy.linalg.schur(flat[m], output="complex")
-        lam = np.diag(T).copy()
-        V = Z.copy()
-        cols = [_phase_fix(V[:, i]) for i in range(n)]
-        args = np.angle(lam)
-        # primary key: argument descending; secondary: lexicographic vector order
-        keys = []
-        for i in range(n):
-            v = cols[i]
-            keys.append((-args[i],) + tuple(np.round(v.view(float), 9)))
-        order = sorted(range(n), key=lambda i: keys[i])
-        vals[m] = lam[order]
-        for out_i, i in enumerate(order):
-            vecs[m, :, out_i] = cols[i]
-    vals = vals.reshape(U.shape[:-2] + (n,))
-    vecs = vecs.reshape(U.shape)
-    return vals, vecs
+    W, D = _eigh_basis(flat, EIGH_MIX[0])
+    bad = np.flatnonzero(_off_diagonal(D) > EIG_TOL)
+    if bad.size:
+        W[bad], D[bad] = _eigh_basis(flat[bad], EIGH_MIX[1])
+        off = _off_diagonal(D[bad])
+        if (off > EIG_TOL).any():
+            raise np.linalg.LinAlgError(
+                f"eig_unitary: {int((off > EIG_TOL).sum())} of {flat.shape[0]} matrices"
+                f" not diagonalised; worst off-diagonal {off.max():.3e} > {EIG_TOL:.0e}")
+    lam = np.diagonal(D, axis1=-2, axis2=-1)
+    # phase fix: a unit column always has an entry above 1e-10 in modulus
+    lead = np.take_along_axis(W, np.argmax(np.abs(W) > 1e-10, axis=-2)[:, None, :], axis=-2)
+    W = W * (np.abs(lead) / lead)
+    # primary key: argument descending; then re, im of each entry in turn
+    parts = np.round(np.stack([W.real, W.imag], axis=-2), 9).reshape(-1, 2 * n, n)
+    order = np.lexsort(np.concatenate([parts[:, ::-1], -np.angle(lam)[:, None]], axis=1)
+                       .transpose(1, 0, 2), axis=-1)
+    vals = np.take_along_axis(lam, order, axis=-1)
+    vecs = np.take_along_axis(W, order[:, None, :], axis=-1)
+    return vals.reshape(U.shape[:-2] + (n,)), vecs.reshape(U.shape)
 
 
 def quasi_energies(U) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 Relations are verified on the reconstructed Hamiltonian H(k) (E n.sigma for
 two-band walks, from the Bloch split `spectrum.bloch` reads off the compiled
-plan; the spectral reconstruction of the assembled `build_unitary` for
-four-band ones), at gap-open momenta only:
+plan; for four-band ones the spectral reconstruction of the assembled
+`build_unitary` from the batched eigenbasis of `su2.eig_unitary`), at
+gap-open momenta only:
 
     phs:  M H*(k') M^dag = -H(k)        (antiunitary, k' = -k by default)
     trs:  M H*(k') M^dag = +H(k)        (antiunitary, k' = -k by default)
@@ -66,10 +67,10 @@ def hamiltonian_grid(spec: ProtocolSpec, k: np.ndarray):
     """(H(k), usable mask) on a batch of momenta.
 
     Two-band: H = arccos(d0) n.sigma from the plan's Bloch split.  Four-band:
-    spectral reconstruction of the assembled U via the Schur-based
-    eigen-decomposition (orthonormal even at degeneracies).  Points where any
-    band sits within _BRANCH_MARGIN of 0 or pi are masked out: H carries a
-    branch cut at pi and n is undefined at closings.
+    spectral reconstruction of the assembled U from `eig_unitary`'s batched
+    eigenbasis (orthonormal even at degeneracies, checked at every point).
+    Points where any band sits within _BRANCH_MARGIN of 0 or pi are masked
+    out: H carries a branch cut at pi and n is undefined at closings.
     """
     if spec.bands == 2:
         b = bloch(spec, k)

@@ -354,7 +354,8 @@ def test_criterion_12_cli_determinism(tmp_path):
     blobs = {}
     for cmd, name in (("bands", "b"), ("invariant", "i"), ("classify-gaps", "g")):
         outs = []
-        for tag, workers in (("1", "1"), ("2", "1"), ("3", "3")):
+        # two workers: the most a 2-CPU host accepts (workers <= os.cpu_count())
+        for tag, workers in (("1", "1"), ("2", "1"), ("3", "2")):
             out = tmp_path / f"{name}{tag}.out"
             assert cli.main([cmd, "--config", str(path), "--out", str(out),
                              "--workers", workers]) == 0

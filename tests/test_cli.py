@@ -1,10 +1,13 @@
 import json
 import math
+import os
 
 import numpy as np
+import pytest
 
 from topowalk import cli, config, spectrum
 from topowalk import symmetry as sym
+from topowalk.errors import InvalidInputError
 
 PI = math.pi
 
@@ -351,6 +354,25 @@ class TestUsageErrors:
         fig10 = json.loads((FIXTURE_DIR / "fig10.cfg").read_text())
         for doc in docs + [{**fig10, "grid": 512}]:
             config.config_from_dict(doc).validate()
+
+    def test_workers_capped_at_cpu_count(self, tmp_path, capsys, monkeypatch):
+        # rejected in validate(); a stub in place of the pool fails the test if reached
+        def no_pool(*a, **kw):
+            raise AssertionError("a worker pool was started")
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        cpus = os.cpu_count() or 1
+        cfg = small_bands_cfg(tmp_path)
+        assert run(["bands", "--config", str(cfg), "--out", "-",
+                    "--workers", str(cpus + 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: workers {cpus + 1} exceeds")
+        doc = json.loads(cfg.read_text())
+        for workers in (cpus + 1, 10 ** 12):
+            with pytest.raises(InvalidInputError, match="exceeds the"):
+                config.config_from_dict({**doc, "workers": workers}).validate()
+        config.config_from_dict({**doc, "workers": cpus}).validate()
 
     def test_missing_config_file(self):
         assert run(["bands", "--config", "/nonexistent/x.json", "--out", "-"]) == 2

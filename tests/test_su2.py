@@ -1,11 +1,12 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topowalk import su2
-from topowalk.errors import InvalidInputError
+from topowalk.errors import DegenerateGridError, InvalidInputError
 
 S2 = np.sqrt(2.0)
 
@@ -99,6 +100,72 @@ class TestEigUnitary:
         for i in range(2):
             lead = vecs[:, i][np.flatnonzero(np.abs(vecs[:, i]) > 1e-10)[0]]
             assert abs(lead.imag) <= 1e-12 and lead.real > 0
+
+    @staticmethod
+    def _random_su2(rng, size=()):
+        axis = rng.normal(size=3)
+        return su2.pauli_exp(axis / np.linalg.norm(axis), rng.uniform(-6, 6, size=size))
+
+    def _four_band_batch(self, rng):
+        A, B, C, D, E, F, G, H, U2 = (self._random_su2(rng, size=8) for _ in range(9))
+        return np.concatenate([su2.tensor(A, B) @ su2.block_diag2(C, D), su2.tensor(E, F),
+                               su2.block_diag2(G, H), su2.block_diag2(U2, U2)])
+
+    def _with_phases(self, rng, theta):
+        """V diag(exp(i theta)) V^dag for a random four-band V."""
+        V = su2.tensor(self._random_su2(rng), self._random_su2(rng)) @ su2.block_diag2(
+            self._random_su2(rng), self._random_su2(rng))
+        return V @ np.diag(np.exp(1j * np.asarray(theta))) @ V.conj().T
+
+    def _assert_eigenbasis(self, U, vals, vecs, tol=1e-10):
+        n = U.shape[-1]
+        npt.assert_allclose(U @ vecs, vecs * vals[..., None, :], atol=tol)
+        npt.assert_allclose(np.swapaxes(vecs, -1, -2).conj() @ vecs,
+                            np.broadcast_to(np.eye(n), U.shape), atol=tol)
+
+    def test_four_band_batch_matches_schur(self, rng):
+        U = self._four_band_batch(rng)
+        vals, vecs = su2.eig_unitary(U)
+        for m in range(U.shape[0]):
+            T, _ = scipy.linalg.schur(U[m], output="complex")
+            ref = np.diag(T)
+            ref = ref[np.argsort(-np.angle(ref), kind="stable")]
+            npt.assert_allclose(vals[m], ref, rtol=0, atol=1e-12)
+        self._assert_eigenbasis(U, vals, vecs)
+        assert (np.diff(np.angle(vals), axis=-1) <= 0).all()
+        lead = np.take_along_axis(vecs, np.argmax(np.abs(vecs) > 1e-10, axis=-2)[:, None, :],
+                                  axis=-2)
+        assert np.abs(lead.imag).max() <= 1e-12 and (lead.real > 0).all()
+
+    def test_batch_invariance(self, rng):
+        U = self._four_band_batch(rng).reshape(4, 8, 4, 4)
+        vals, vecs = su2.eig_unitary(U)
+        for idx in np.ndindex(U.shape[:2]):
+            one_vals, one_vecs = su2.eig_unitary(U[idx])
+            npt.assert_array_equal(one_vals, vals[idx])
+            npt.assert_array_equal(one_vecs, vecs[idx])
+
+    def test_retry_when_first_mix_is_degenerate(self, rng):
+        # exp(i t1), exp(i t2) collide in A + cB where t1 + t2 = 2 atan(c)
+        c1 = su2.EIGH_MIX[0]
+        t1 = 0.4
+        theta = [t1, 2 * np.arctan(c1) - t1, -0.9, -2.3]
+        U = self._with_phases(rng, theta)
+        Uh = U.conj().T
+        _, W = np.linalg.eigh(0.5 * (U + Uh) - 0.5j * c1 * (U - Uh))
+        D = W.conj().T @ U @ W
+        assert np.abs(D - np.diag(np.diag(D))).max() > su2.EIG_TOL
+        vals, vecs = su2.eig_unitary(U)
+        npt.assert_allclose(np.angle(vals), sorted(theta, reverse=True), atol=1e-12)
+        self._assert_eigenbasis(U, vals, vecs)
+
+    def test_degenerate_under_both_mixes_raises(self, rng):
+        c1, c2 = su2.EIGH_MIX
+        theta = [0.4, 2 * np.arctan(c1) - 0.4, -0.9, 2 * np.arctan(c2) + 0.9]
+        U = np.stack([np.eye(4), self._with_phases(rng, theta)])
+        with pytest.raises(np.linalg.LinAlgError, match="1 of 2 matrices") as err:
+            su2.eig_unitary(U)
+        assert not isinstance(err.value, DegenerateGridError)
 
 
 class TestTensor:
