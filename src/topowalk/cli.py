@@ -299,7 +299,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except WalkError as err:
+    except (WalkError, np.linalg.LinAlgError) as err:
         print(f"numerical diagnostic: {err}", file=sys.stderr)
         return 3
 

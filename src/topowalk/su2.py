@@ -35,11 +35,11 @@ def unit_axis(axis) -> np.ndarray:
 
 
 def unitarity_defect(U) -> float:
-    """max over the batch of ||U^dag U - I||_max."""
+    """max over the batch of ||U^dag U - I||_max; 0.0 for an empty batch."""
     U = np.asarray(U, dtype=complex)
     n = U.shape[-1]
     prod = np.swapaxes(U, -1, -2).conj() @ U
-    return float(np.abs(prod - np.eye(n)).max())
+    return float(np.abs(prod - np.eye(n)).max(initial=0.0))
 
 
 def is_unitary(U, tol: float = UNITARITY_TOL) -> bool:

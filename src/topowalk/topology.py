@@ -4,7 +4,8 @@ Conventions
 -----------
 * Every two-band quantity is read from the Bloch split (d0, d) of the
   compiled plan, through `spectrum.bloch`; `find_gap_closings` compiles its
-  plan once per call and applies the same split to it at every probe.
+  plan once per call and refines closings by Gauss-Newton on d(k) = 0, with
+  the Jacobian split from the plan's exact dU/dk.
 * The gap function is g(k) = min(E_+, pi - E_+): bands touch only at
   quasi-energy 0 or pi.
 * Dirac-vs-arc discrimination follows the band shape at the closing: a
@@ -25,7 +26,6 @@ Conventions
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -81,32 +81,33 @@ def gap_function(spec: ProtocolSpec):
     return g
 
 
-def _batched_golden_axis(g, pts: np.ndarray, axis: int, width: float,
-                         iters: int = 64) -> np.ndarray:
-    """Golden-section descent along one axis for a whole batch of points; the
-    two probes of each iteration are evaluated in one call."""
-    invphi = (math.sqrt(5) - 1) / 2
-    n = pts.shape[0]
-    a = pts[:, axis] - width
-    b = pts[:, axis] + width
-    probes = np.concatenate([pts, pts])
-
-    for _ in range(iters):
-        probes[:n, axis] = b - invphi * (b - a)
-        probes[n:, axis] = a + invphi * (b - a)
-        val = g(probes)
-        left = val[:n] < val[n:]
-        b = np.where(left, probes[n:, axis], b)
-        a = np.where(left, a, probes[:n, axis])
-    out = pts.copy()
-    out[:, axis] = 0.5 * (a + b)
-    return out
+def _gauss_newton(plan, pts: np.ndarray, cell: float):
+    """Batched Gauss-Newton on d(k) = 0 from all start points at once: J = dd/dk
+    is the Bloch split of the plan's exact dU/dk (d is linear in U), and the step
+    -pinv(J) d, least-squares also where J is rank-deficient on closing lines, is
+    clipped to one grid cell per axis.  Stops after 60 steps or once no step
+    exceeds 1e-15 (1 + |k|); returns each point's lowest-|d| iterate, d0 and |d|."""
+    best, best_d0, best_norm = pts.copy(), np.empty(len(pts)), np.full(len(pts), np.inf)
+    for _ in range(60):
+        entries, grads = plan.entries_and_grad(pts)
+        d0, d = bloch_entries(*entries)
+        r = np.stack(d, axis=-1)
+        norm = np.sqrt((r * r).sum(axis=-1))
+        better = norm < best_norm
+        best[better], best_d0[better], best_norm[better] = pts[better], d0[better], norm[better]
+        jac = np.stack([np.stack(bloch_entries(*g)[1], axis=-1) for g in grads], axis=-1)
+        step = np.clip(-(np.linalg.pinv(jac, rcond=1e-12) @ r[:, :, None])[:, :, 0], -cell, cell)
+        pts = pts + step
+        if np.all(np.abs(step) <= 1e-15 * (1 + np.abs(pts))):
+            break
+    return best, best_d0, best_norm
 
 
 def find_gap_closings(spec_or_id, *, angles=None, T=None, grid_n: int = 64,
                       refine_tol: float = EPS_GAP) -> List[GapPoint]:
-    """Locate band touchings: coarse scan for local minima of |d|, then
-    batched per-axis golden-section coordinate descent; duplicates merged.
+    """Locate band touchings: coarse scan for local minima of |d|, then one
+    batched Gauss-Newton solve of d(k) = 0 from all of them on the plan's
+    exact Jacobian (`_gauss_newton`); duplicates merged.
 
     |d| = sin(E_+) vanishes exactly where the bands touch (E in {0, pi}) and,
     unlike min(E, pi - E), it stays fully resolved near a closing: arccos
@@ -116,14 +117,10 @@ def find_gap_closings(spec_or_id, *, angles=None, T=None, grid_n: int = 64,
     if grid_n < 32:
         raise InvalidInputError("grid_n must be >= 32 per axis")
     dim = spec.dimension
-    plan = two_band_plan(spec)  # compiled once: refine evaluates it ~10^3 times
+    plan = two_band_plan(spec)  # compiled once for the scan and every refine step
 
-    def split(pts):
-        """(cos E_+, |d|) at momenta pts, through the Bloch split `bloch` uses."""
-        d0, (dx, dy, dz) = bloch_entries(*plan.entries(pts))
-        return d0, np.sqrt(dx * dx + dy * dy + dz * dz)
-
-    vals = split(bz_grid(dim, grid_n))[1].reshape([grid_n] * dim)
+    _, (dx, dy, dz) = bloch_entries(*plan.entries(bz_grid(dim, grid_n)))
+    vals = np.sqrt(dx * dx + dy * dy + dz * dz).reshape([grid_n] * dim)
 
     local_min = np.ones_like(vals, dtype=bool)
     for ax in range(dim):
@@ -136,11 +133,7 @@ def find_gap_closings(spec_or_id, *, angles=None, T=None, grid_n: int = 64,
 
     points = []
     if cand.size:
-        pts = -np.pi + cand.astype(float) * cell
-        for _ in range(8):  # coordinate-descent passes (clean cones need 2)
-            for ax in range(dim):
-                pts = _batched_golden_axis(lambda p: split(p)[1], pts, ax, cell)
-        d0, resid = split(pts)
+        pts, d0, resid = _gauss_newton(plan, -np.pi + cand.astype(float) * cell, cell)
         e_plus = np.arccos(np.clip(d0, -1.0, 1.0))
         for i in range(pts.shape[0]):
             if resid[i] <= refine_tol:

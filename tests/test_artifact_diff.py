@@ -1,0 +1,77 @@
+import copy
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "scripts" / "artifact_diff.py"
+_SPEC = importlib.util.spec_from_file_location("artifact_diff", _PATH)
+artifact_diff = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(artifact_diff)
+
+CSV_ROWS = [["sweep_param", "k1", "e_plus", "v_k1", "status"],
+            ["0.5", "-3.141592653589793", "0.7853981633974483", "0.25", "gapped"],
+            ["0.5", "0.0", "0.0", "", "gapless"]]
+GAPS = {"schema": "topowalk/v1", "command": "classify-gaps", "protocol": "1d-chs",
+        "records": [{"sweep_value": 0.5,
+                     "gap_points": [{"k": [0.0], "quasi_energy": 0.0,
+                                     "residual": 1.2e-16}],
+                     "classifications": [{"kind": "dirac_type_one",
+                                          "evidence": {"slopes": {"0": [0.5, 0.5]}}}]}]}
+
+
+def _write(directory: Path, rows, gaps):
+    directory.mkdir()
+    (directory / "fig1_bands.csv").write_text("\n".join(",".join(r) for r in rows) + "\n")
+    (directory / "fig2_gaps.json").write_text(json.dumps(gaps, sort_keys=True, indent=2))
+    return directory
+
+
+def _compare(tmp_path, rows=CSV_ROWS, gaps=GAPS):
+    return artifact_diff.compare_dirs(_write(tmp_path / "old", CSV_ROWS, GAPS),
+                                      _write(tmp_path / "new", rows, gaps))
+
+
+def test_identical_directories_match(tmp_path):
+    diff = _compare(tmp_path)
+    assert diff.mismatches == []
+    assert diff.names == ["fig1_bands.csv", "fig2_gaps.json"]
+    assert max(diff.dev.values()) == 0.0
+
+
+def test_float_moved_within_tolerance_matches(tmp_path):
+    rows = copy.deepcopy(CSV_ROWS)
+    rows[1][2] = repr(float(rows[1][2]) + 1e-12)
+    gaps = copy.deepcopy(GAPS)
+    gaps["records"][0]["gap_points"][0]["residual"] += 1e-12
+    diff = _compare(tmp_path, rows, gaps)
+    assert diff.mismatches == []
+    assert 0.0 < diff.dev[("fig1_bands.csv", "e_plus")] < 1e-11
+    assert 0.0 < diff.dev[("fig2_gaps.json", "records.gap_points.residual")] < 1e-11
+
+
+def _csv_status(rows, gaps):
+    rows[1][4] = "gapless"
+
+
+def _json_kind(rows, gaps):
+    gaps["records"][0]["classifications"][0]["kind"] = "fermi_arc"
+
+
+def _gap_point_count(rows, gaps):
+    points = gaps["records"][0]["gap_points"]
+    points.append(dict(points[0], k=[3.0]))
+
+
+@pytest.mark.parametrize("change, where", [
+    (_csv_status, "fig1_bands.csv line 2 status"),
+    (_json_kind, "fig2_gaps.json /records/0/classifications/0/kind"),
+    (_gap_point_count, "fig2_gaps.json /records/0/gap_points length"),
+])
+def test_exact_field_change_is_a_mismatch(tmp_path, change, where):
+    rows, gaps = copy.deepcopy(CSV_ROWS), copy.deepcopy(GAPS)
+    change(rows, gaps)
+    diff = _compare(tmp_path, rows, gaps)
+    assert len(diff.mismatches) == 1
+    assert diff.mismatches[0].startswith(where)

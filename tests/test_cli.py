@@ -391,3 +391,21 @@ class TestUsageErrors:
         monkeypatch.setattr(cli, "_map_values", boom)
         cfg = small_bands_cfg(tmp_path)
         assert run(["bands", "--config", str(cfg), "--out", "-"]) == 3
+
+    @pytest.mark.parametrize("module, name, command", [
+        ("topology", "find_gap_closings", "invariant"),
+        ("symmetry", "classify", "symmetry"),
+    ])
+    def test_linalg_error_is_numerical_diagnostic(self, tmp_path, capsys, monkeypatch,
+                                                  module, name, command):
+        # exit 1 is reserved for a golden mismatch; a failed decomposition is exit 3
+        def boom(*a, **kw):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        monkeypatch.setattr(getattr(cli, module), name, boom)
+        argv = (["symmetry", "1d-chs"] if command == "symmetry"
+                else [command, "--config", str(small_bands_cfg(tmp_path))])
+        assert run(argv + ["--out", "-"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert err == ["numerical diagnostic: SVD did not converge"]

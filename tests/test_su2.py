@@ -167,6 +167,15 @@ class TestEigUnitary:
             su2.eig_unitary(U)
         assert not isinstance(err.value, DegenerateGridError)
 
+    def test_empty_batch(self):
+        vals, vecs = su2.eig_unitary(np.zeros((0, 4, 4), dtype=complex))
+        assert vals.shape == (0, 4) and vecs.shape == (0, 4, 4)
+
+
+def test_unitarity_defect_of_empty_batch_is_zero():
+    assert su2.unitarity_defect(np.zeros((0, 2, 2))) == 0.0
+    assert su2.is_unitary(np.zeros((0, 4, 4)))
+
 
 class TestTensor:
     def test_identity(self):

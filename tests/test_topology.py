@@ -6,6 +6,7 @@ import pytest
 
 from topowalk import cli
 from topowalk import protocols as pr
+from topowalk import spectrum
 from topowalk import topology as tp
 from topowalk.errors import BoundaryStateError, InvalidInputError
 
@@ -45,6 +46,20 @@ class TestGapClosings:
         beta = (alpha + PI) / 3
         pts = tp.find_gap_closings("1d-phs", angles={"alpha": alpha, "beta": beta}, T=6)
         assert pts and max(p.residual for p in pts) <= 1e-9
+
+    @pytest.mark.parametrize("pid, angles, grid_n, count", [
+        # isolated Weyl points; per-axis coordinate descent found none of them
+        ("3d-split", {"alpha": PI / 4, "beta": PI / 3, "gamma": PI / 4}, 32, 16),
+        # the gap closes along lines, where dd/dk is rank-deficient
+        ("2d-simple", {"beta": 0.0}, 64, 128),
+    ])
+    def test_refined_closings_agree_with_the_matrix_oracle(self, pid, angles, grid_n, count):
+        pts = tp.find_gap_closings(pid, angles=angles, T=1, grid_n=grid_n)
+        assert len(pts) == count
+        k = np.array([p.k for p in pts])
+        assert ((k >= -PI) & (k < PI)).all()
+        d = spectrum.oracle_bands(pid, k, angles=angles, T=1).d
+        assert np.linalg.norm(d, axis=-1).max() <= 1e-12
 
 
 class TestBoundaryTaxonomy:
