@@ -10,8 +10,11 @@ symmetry       JSON classification records; --golden diffs against the
 
 Exit codes: 0 success, 2 usage/config error, 3 numerical diagnostic,
 1 golden-table mismatch.  Identical configs produce byte-identical artifacts
-for any worker count: rows are computed per sweep value (pure functions) and
-merged in sweep order.
+for any worker count: rows are computed by pure functions and merged in sweep
+order.  `bands` computes them per chunk of sweep values, one plan pass per
+chunk of at most CHUNK_POINTS values x grid points (at least one value), so
+the chunk boundaries depend on the grid alone; the other sweeps compute them
+per sweep value.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -30,6 +34,9 @@ from .protocols import PROTOCOL_IDS, registry_lookup
 from .spectrum import EPS_GAP, bands_with_velocity
 from . import symmetry, topology
 
+# sweep values x grid points per plan pass of `bands`; larger chunks raise
+# peak memory but not speed
+CHUNK_POINTS = 2 ** 13
 
 
 def _f(x) -> str:
@@ -44,28 +51,31 @@ def _num(text, flag: str) -> float:
         raise InvalidInputError(f"{flag} expects a number, got {text!r}") from None
 
 
-def _bands_value_rows(cfg: SweepConfig, value) -> list:
-    spec = cfg.spec_at(value)
-    dim = spec.dimension
-    k = symmetry.bz_grid(dim, cfg.grid)
-    e_plus, norm, vel = bands_with_velocity(spec, k)
-    gapless = norm <= EPS_GAP
+def _sweep_cell(cfg: SweepConfig, value) -> str:
+    return _f(value) if cfg.sweep_symbol != "T" else str(int(value))
 
+
+def _bands_chunk_rows(cfg: SweepConfig, values, k, k_cells) -> str:
+    """The CSV rows of a contiguous chunk of sweep values, from one plan pass:
+    the swept, linked and step parameters are (V, 1) arrays against the (N,)
+    grid k, whose row cells `k_cells` are formatted once per run."""
+    angles, T = cfg.walk_params(np.array(values)[:, None])
+    e_plus, norm, vel = bands_with_velocity(cfg.protocol, k, angles=angles, T=T)
+    empty = "," * (k.shape[1] - 1)
+    gapless = (norm <= EPS_GAP).tolist()
+    v_axes = vel.transpose(0, 2, 1).tolist()  # per value, one list of floats per axis
     rows = []
-    sval = _f(value) if cfg.sweep_symbol != "T" else str(int(value))
-    for i in range(k.shape[0]):
-        cells = [sval] + [_f(k[i, a]) for a in range(dim)] + [_f(e_plus[i])]
-        if gapless[i]:
-            cells += ["" for _ in range(dim)] + ["gapless"]
-        else:
-            cells += [_f(vel[i, a]) for a in range(dim)] + ["gapped"]
-        rows.append(",".join(cells))
-    return rows
+    for j, (value, e_row) in enumerate(zip(values, e_plus.tolist())):
+        sval = _sweep_cell(cfg, value)
+        v_cells = map(",".join, zip(*[map(repr, axis) for axis in v_axes[j]]))
+        rows += [f"{sval},{kc},{e!r},{empty},gapless" if g else f"{sval},{kc},{e!r},{v},gapped"
+                 for kc, e, g, v in zip(k_cells, e_row, gapless[j], v_cells)]
+    return "\n".join(rows)
 
 
 def _invariant_value_rows(cfg: SweepConfig, value) -> list:
     spec = cfg.spec_at(value)
-    sval = _f(value) if cfg.sweep_symbol != "T" else str(int(value))
+    sval = _sweep_cell(cfg, value)
     closings = topology.find_gap_closings(spec, grid_n=max(cfg.grid, 32))
     if closings:
         return [f"{sval},,,boundary"]
@@ -106,6 +116,7 @@ def _jsonable(obj):
 
 
 def _map_values(cfg: SweepConfig, values, fn, workers: int):
+    workers = min(workers, len(values))  # no idle processes, no pool for one task
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, [cfg] * len(values), values))
@@ -175,11 +186,15 @@ def _cmd_bands(args) -> int:
     dim = registry_lookup(cfg.protocol).dimension
     header = (["sweep_param"] + [f"k{i+1}" for i in range(dim)] + ["e_plus"]
               + [f"v_k{i+1}" for i in range(dim)] + ["status"])
-    chunks = _map_values(cfg, cfg.sweep_values(), _bands_value_rows, cfg.workers)
-    lines = [",".join(header)]
-    for chunk in chunks:
-        lines.extend(chunk)
-    _write_text(cfg.out, "\n".join(lines) + "\n")
+    k = symmetry.bz_grid(dim, cfg.grid)
+    k_cells = [",".join(map(repr, row)) for row in k.tolist()]
+    # the chunks depend on the grid alone, so the bytes do not depend on the workers
+    size = max(1, CHUNK_POINTS // len(k))
+    values = cfg.sweep_values()
+    chunks = [values[i:i + size] for i in range(0, len(values), size)]
+    texts = _map_values(cfg, chunks, partial(_bands_chunk_rows, k=k, k_cells=k_cells),
+                        cfg.workers)
+    _write_text(cfg.out, "\n".join([",".join(header)] + texts) + "\n")
     return 0
 
 

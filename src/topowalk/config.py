@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from .errors import InvalidInputError
-from .protocols import ProtocolSpec, registry_lookup, step_independent_reduction
+from .protocols import ProtocolSpec, registry_lookup
 
 SCHEMA = "topowalk/v1"
 MAX_POINTS = 2 ** 22  # sweep values x grid points per value that one run may request
@@ -61,6 +61,12 @@ class SweepConfig:
             for edge in (self.sweep_start, self.sweep_stop):
                 if abs(edge - round(edge)) > 1e-12 or round(edge) < 1:
                     raise InvalidInputError("a step-number sweep needs integer bounds >= 1")
+            # rounded to integers, a fractional step would repeat step numbers
+            step = (self.sweep_stop - self.sweep_start) / (self.sweep_count - 1)
+            if abs(step - round(step)) > 1e-12 or round(step) == 0:
+                raise InvalidInputError(
+                    f"a step-number sweep needs a nonzero integer step; (stop - start)/(count - 1)"
+                    f" = {step:g}")
         for sym in self.angles:
             if sym not in spec.symbols:
                 raise InvalidInputError(f"{self.protocol!r} has no angle {sym!r}")
@@ -99,17 +105,25 @@ class SweepConfig:
             return [int(round(v)) for v in vals]
         return vals
 
-    def spec_at(self, value) -> ProtocolSpec:
+    def walk_params(self, value):
+        """(angles, T) of the walk at sweep value `value`: the fixed angles,
+        the swept angle or step number, each linked angle scale * value +
+        offset, and T = 1 for the step-independent-coin walk.  `value` may be
+        an array; the swept angle, the linked angles and a swept T then have
+        its shape and broadcast as `compile_plan` broadcasts them."""
         angles = dict(self.angles)
         if self.sweep_symbol == "T":
-            T = int(value)
+            T = value
         else:
             T = self.steps
-            angles[self.sweep_symbol] = float(value)
+            angles[self.sweep_symbol] = value
         for sym, link in self.linked.items():
-            angles[sym] = link.scale * float(value) + link.offset
-        spec = registry_lookup(self.protocol, T=T, angles=angles, phi=self.phi)
-        return step_independent_reduction(spec) if self.step_independent else spec
+            angles[sym] = link.scale * value + link.offset
+        return angles, (1 if self.step_independent else T)
+
+    def spec_at(self, value) -> ProtocolSpec:
+        angles, T = self.walk_params(int(value) if self.sweep_symbol == "T" else float(value))
+        return registry_lookup(self.protocol, T=T, angles=angles, phi=self.phi)
 
 
 def section(doc: dict, key: str) -> dict:

@@ -46,6 +46,14 @@ HIGH_SYMMETRY_TOL = 1e-6
 CHERN_ORIENTATION = -1.0  # fixes the reference 2D PHS fixture to +1
 
 
+def wrap_pi(x):
+    """x shifted by a multiple of 2 pi into [-pi, pi), elementwise.  The modulo
+    alone is not enough: just below -pi, (x + pi) % (2 pi) rounds up to 2 pi
+    and would return +pi."""
+    w = (np.asarray(x, dtype=float) + np.pi) % (2 * np.pi) - np.pi
+    return np.where(w >= np.pi, w - 2 * np.pi, w)
+
+
 @dataclass(frozen=True)
 class GapPoint:
     k: Tuple[float, ...]
@@ -138,16 +146,15 @@ def find_gap_closings(spec_or_id, *, angles=None, T=None, grid_n: int = 64,
         for i in range(pts.shape[0]):
             if resid[i] <= refine_tol:
                 qe = 0.0 if e_plus[i] < np.pi / 2 else np.pi
-                pt_wrapped = tuple(((x + np.pi) % (2 * np.pi)) - np.pi for x in pts[i])
-                points.append(GapPoint(k=pt_wrapped, quasi_energy=qe,
+                points.append(GapPoint(k=tuple(wrap_pi(pts[i])), quasi_energy=qe,
                                        residual=float(resid[i])))
 
     merged: List[GapPoint] = []
     for p in sorted(points, key=lambda p: (p.quasi_energy,) + p.k):
         dup = False
         for q in merged:
-            delta = [abs((a - b + np.pi) % (2 * np.pi) - np.pi) for a, b in zip(p.k, q.k)]
-            if max(delta) < MERGE_TOL and p.quasi_energy == q.quasi_energy:
+            delta = np.abs(wrap_pi(np.subtract(p.k, q.k)))
+            if delta.max() < MERGE_TOL and p.quasi_energy == q.quasi_energy:
                 dup = True
                 break
         if not dup:
@@ -179,8 +186,7 @@ def _fit_closing(spec: ProtocolSpec, k0: np.ndarray, axis: int):
 def _is_high_symmetry_set(momenta: Sequence[Tuple[float, ...]], targets) -> bool:
     for kpt in momenta:
         ok = any(
-            all(abs((x - t + np.pi) % (2 * np.pi) - np.pi) < HIGH_SYMMETRY_TOL
-                for x, t in zip(kpt, tgt))
+            all(abs(wrap_pi(x - t)) < HIGH_SYMMETRY_TOL for x, t in zip(kpt, tgt))
             for tgt in targets)
         if not ok:
             return False
@@ -284,7 +290,7 @@ def winding_number(spec_or_id, *, angles=None, T=None, grid_n: int = 256,
             f"winding undefined: the d loop passes the origin (min |d_perp| = {r.min():.2e})")
     theta = np.arctan2(y, x)
     dtheta = np.diff(np.concatenate([theta, theta[:1]]))
-    dtheta = (dtheta + np.pi) % (2 * np.pi) - np.pi
+    dtheta = wrap_pi(dtheta)
     raw = float(dtheta.sum() / (2 * np.pi))
     w = int(round(raw))
     if abs(raw - w) > QUANT_TOL:

@@ -118,6 +118,61 @@ class TestBands:
         assert sweep_vals == {"1", "2", "3"}
 
 
+CHUNK_CASES = {
+    # case: (config overrides, extra flags); each sweep spans two chunks
+    "linked-angle": ({"protocol": "1d-chs", "angles": {}, "grid": 256,
+                      "linked": {"beta": {"on": "alpha", "scale": 1 / 3, "offset": PI / 3}}},
+                     []),
+    "step-number": ({"protocol": "1d-chs", "angles": {"alpha": 0.4, "beta": 0.8}, "steps": 1,
+                     "grid": 2048}, []),
+    "step-independent": ({"protocol": "1d-phs", "angles": {"beta": PI / 3}, "steps": 1,
+                          "grid": 256}, ["--step-independent"]),
+    "2d": ({"protocol": "2d-phs", "angles": {"alpha": 0.7}, "steps": 2, "grid": 32}, []),
+}
+
+
+class TestBandsChunks:
+    @pytest.mark.parametrize("case", sorted(CHUNK_CASES))
+    def test_rows_match_per_value_reference(self, tmp_path, case):
+        overrides, flags = CHUNK_CASES[case]
+        dim = int(overrides["protocol"][0])
+        n = overrides["grid"] ** dim
+        count = cli.CHUNK_POINTS // n + 2
+        symbol = "T" if case == "step-number" else "beta" if dim == 2 else "alpha"
+        sweep = ({"symbol": "T", "start": 1, "stop": count, "count": count} if symbol == "T"
+                 else {"symbol": symbol, "start": -PI, "stop": PI, "count": count})
+        path = small_bands_cfg(tmp_path, sweep=sweep, **overrides)
+        outs = []
+        # more workers than CPUs is a usage error
+        for workers in ["1", "2"] if (os.cpu_count() or 1) >= 2 else ["1"]:
+            out = tmp_path / f"w{workers}.csv"
+            assert run(["bands", "--config", str(path), "--out", str(out),
+                        "--workers", workers] + flags) == 0
+            outs.append(out.read_bytes())
+        assert all(o == outs[0] for o in outs)
+
+        cfg = config.config_from_dict({**json.loads(path.read_text()),
+                                       "step_independent": "--step-independent" in flags})
+        k = sym.bz_grid(dim, cfg.grid)
+        k_cells = [[repr(x) for x in row] for row in k.tolist()]
+        rows = [r.split(",") for r in outs[0].decode().splitlines()[1:]]
+        values = cfg.sweep_values()
+        assert len(rows) == count * n
+        for j, value in enumerate(values):
+            block = rows[j * n:(j + 1) * n]
+            e_plus, norm, vel = spectrum.bands_with_velocity(cfg.spec_at(value), k)
+            sval = str(int(value)) if symbol == "T" else repr(float(value))
+            gapless = norm <= spectrum.EPS_GAP
+            assert [r[0] for r in block] == [sval] * n
+            assert [r[1:1 + dim] for r in block] == k_cells
+            assert [r[-1] for r in block] == ["gapless" if g else "gapped" for g in gapless]
+            got_e = np.array([float(r[1 + dim]) for r in block])
+            assert np.abs(got_e - e_plus).max() <= 1e-13
+            got_v = np.array([[float(c) if c else np.nan for c in r[2 + dim:-1]] for r in block])
+            assert np.array_equal(np.isnan(got_v), np.isnan(vel))
+            assert np.nanmax(np.abs(got_v - vel), initial=0.0) <= 1e-13
+
+
 class TestInvariant:
     def test_winding_csv(self, tmp_path):
         cfg = small_bands_cfg(tmp_path, steps=6,
@@ -324,6 +379,17 @@ class TestUsageErrors:
                         "--step-independent", "--out", "-"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 3 and all("step-independent" in line for line in err)
+
+    def test_step_sweep_repeating_step_numbers(self, capsys):
+        # rounded to integers, T:1:2:5 would emit T = 1 twice and T = 2 three times
+        for sweep in ("T:1:2:5", "T:3:3:2"):
+            assert run(["bands", "--protocol", "1d-chs", "--set", "beta=0.5",
+                        "--sweep", sweep, "--grid", "8", "--out", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 2 and all(line.startswith("error: a step-number sweep needs a"
+                                                     " nonzero integer step") for line in err)
 
     def test_steps_with_step_sweep(self, capsys):
         # the sweep sets the step number, so a fixed one would be dropped unseen

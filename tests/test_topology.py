@@ -62,6 +62,20 @@ class TestGapClosings:
         assert np.linalg.norm(d, axis=-1).max() <= 1e-12
 
 
+class TestWrapPi:
+    def test_edge_floats_on_both_sides_of_pi(self):
+        edges = np.array([PI, -PI, 3 * PI, -3 * PI])
+        xs = np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf),
+                             [0.0, 1.0, -1.0, 10.0, -10.0]])
+        # the bare modulo sends the float just below -pi to +pi
+        assert ((np.nextafter(-PI, -np.inf) + PI) % (2 * PI)) - PI == PI
+        w = tp.wrap_pi(xs)
+        assert np.all((w >= -PI) & (w < PI))
+        turns = (w - xs) / (2 * PI)
+        npt.assert_allclose(turns, np.round(turns), rtol=0, atol=1e-15)
+        assert all(tp.wrap_pi(x) == wx for x, wx in zip(xs, w))
+
+
 class TestBoundaryTaxonomy:
     def test_flat_band_detected(self):
         cls = tp.classify_boundary("3d-simple", angles={"beta": PI / 3}, T=3, grid_n=32)
