@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Compare the bundled artifacts of a git revision with the working tree's.
 
-    python scripts/artifact_diff.py REV
+    python scripts/artifact_diff.py REV [--only fig10 ...] [--grid N]
 
 Extracts REV's src/ with `git archive` into a temporary directory (nothing is
 written into the checkout), runs the working tree's scripts/run_figures.py on
 the working tree's fixtures once against that src/ and once against the
-working tree's src/, and compares the 12 artifacts:
+working tree's src/, and compares the artifacts (all 12 by default; `--only`
+and `--grid` are passed to both runs, e.g. to compare fig10 at a 512 grid):
 
 * exactly: headers, the sweep and k columns, status, kind, invariant
   columns, and in JSON every key, string, integer, sweep value and list
@@ -124,24 +125,28 @@ def _extract_src(rev: str, dest: pathlib.Path):
         tar.extractall(dest, filter="data")
 
 
-def _start_figures(src: pathlib.Path, out_dir: pathlib.Path):
+def _start_figures(src: pathlib.Path, out_dir: pathlib.Path, extra):
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
     return subprocess.Popen(
         [sys.executable, str(ROOT / "scripts" / "run_figures.py"),
-         "--fixtures", str(ROOT / "fixtures"), "--out-dir", str(out_dir)],
+         "--fixtures", str(ROOT / "fixtures"), "--out-dir", str(out_dir)] + extra,
         cwd=str(ROOT), env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("rev", help="git revision to compare the working tree against")
+    ap.add_argument("--only", nargs="+", help="fixture names passed to run_figures.py")
+    ap.add_argument("--grid", type=int, help="momentum grid passed to run_figures.py")
     args = ap.parse_args(argv)
+    extra = (["--only", *args.only] if args.only else []) + (
+        [] if args.grid is None else ["--grid", str(args.grid)])
 
     with tempfile.TemporaryDirectory(prefix="artifact-diff-") as tmp:
         tmp = pathlib.Path(tmp)
         _extract_src(args.rev, tmp / "rev")
-        runs = {"rev": _start_figures(tmp / "rev" / "src", tmp / "out-rev"),
-                "tree": _start_figures(ROOT / "src", tmp / "out-tree")}
+        runs = {"rev": _start_figures(tmp / "rev" / "src", tmp / "out-rev", extra),
+                "tree": _start_figures(ROOT / "src", tmp / "out-tree", extra)}
         failed = False
         for side, proc in runs.items():
             log, _ = proc.communicate()

@@ -3,9 +3,11 @@
 
 Runs each fixtures/figN.cfg through the CLI, then `symmetry all --golden`
 (classification.json), and drops the CSV/JSON artifacts into an output
-directory (default: figure_data/).  Usage:
+directory (default: figure_data/).  `--only` picks fixtures (and skips the
+classification), `--grid N` overrides every fixture's momentum grid.  Usage:
 
     PYTHONPATH=src python scripts/run_figures.py --out-dir figure_data
+    PYTHONPATH=src python scripts/run_figures.py --only fig10 --grid 512
 """
 import argparse
 import pathlib
@@ -27,6 +29,7 @@ def main(argv=None):
     ap.add_argument("--out-dir", default="figure_data")
     ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--only", nargs="*", help="subset of fixture names, e.g. fig6 fig10")
+    ap.add_argument("--grid", type=int, help="momentum grid per axis for every fixture")
     args = ap.parse_args(argv)
 
     fixture_dir = pathlib.Path(args.fixtures)
@@ -34,12 +37,13 @@ def main(argv=None):
     out_dir.mkdir(parents=True, exist_ok=True)
 
     names = args.only or sorted(COMMANDS, key=lambda s: int(s[3:]))
+    grid = [] if args.grid is None else ["--grid", str(args.grid)]
     for name in names:
         cfg_path = fixture_dir / f"{name}.cfg"
         cfg = load_config(str(cfg_path)).validate()
         out_path = out_dir / (cfg.out or f"{name}.out")
-        rc = cli_main([COMMANDS[name], "--config", str(cfg_path),
-                       "--out", str(out_path), "--workers", str(args.workers)])
+        rc = cli_main([COMMANDS[name], "--config", str(cfg_path), "--out", str(out_path),
+                       "--workers", str(args.workers)] + grid)
         print(f"{name}: {COMMANDS[name]} -> {out_path} (exit {rc})")
         if rc != 0:
             return rc

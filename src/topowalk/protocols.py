@@ -20,13 +20,15 @@ momentum*, the flavor blocks are assembled as
 which keeps the four-band quasi-energy spectrum symmetric under k -> -k.
 
 `compile_plan` turns a spec into a `Plan` once: per coin its four SU(2)
-entries, per run of adjacent shifts one pair of integer phase vectors; it
-rejects a walk that is not special-unitary.  The plan evaluates U(k) as four
-complex entry arrays updated elementwise (a shift scales the two rows, a coin
-mixes them), with no per-element (..., 2, 2) matrices; the product of
-`su2.pauli_exp` coins and diagonal shift matrices is the reference the tests
-hold it to.  On request the same loop also carries the exact dU/dk_i, since
-only the shifts depend on k.
+entries, per run of adjacent shifts its SU(2) part diag(e^{i m.k}, e^{-i m.k}),
+m = (up - down)/2 (half-integer for the 1D half shifts).  The dropped scalars
+e^{i (up + down).k/2} multiply to 1: walks whose up + down phases do not sum
+to 0 per axis are rejected.  The plan carries only (a, c) of the special-unitary
+U(k) = [[a, -conj(c)], [c, conj(a)]], elementwise (a coin mixes the pair, a
+shift scales it by its phase and the conjugate), computing each per-axis phasor
+exp(i m k_axis) once, so an open mesh costs n exponentials per axis, not n^dim.
+Coin and shift matrix products are the tests' reference; the same loop also
+carries the exact d(a, c)/dk_i, since only the shifts depend on k.
 """
 from __future__ import annotations
 
@@ -204,15 +206,23 @@ def step_independent_reduction(spec: ProtocolSpec) -> ProtocolSpec:
     return replace(spec, T=1)
 
 
-def _as_momenta(spec: ProtocolSpec, k) -> np.ndarray:
+def _as_momenta(spec: ProtocolSpec, k) -> Tuple[np.ndarray, ...]:
+    """Per-axis momentum components: views k[..., i] of an (..., dim) array, or
+    a list/tuple of dim broadcastable ndarrays (an open mesh) as given."""
+    dim = spec.dimension
+    if isinstance(k, (list, tuple)) and k and all(isinstance(x, np.ndarray) for x in k):
+        if len(k) != dim:
+            raise InvalidInputError(f"an open momentum mesh for {spec.id!r} needs {dim}"
+                                    f" axis arrays, got {len(k)}")
+        return tuple(np.asarray(x, dtype=float) for x in k)
     k = np.asarray(k, dtype=float)
-    if spec.dimension == 1 and (k.ndim == 0 or k.shape[-1] != 1):
+    if dim == 1 and (k.ndim == 0 or k.shape[-1] != 1):
         k = k[..., None]
-    if k.ndim == 0 or k.shape[-1] != spec.dimension:
+    if k.ndim == 0 or k.shape[-1] != dim:
         raise InvalidInputError(
-            f"momentum must have trailing dimension {spec.dimension} for {spec.id!r},"
+            f"momentum must have trailing dimension {dim} for {spec.id!r},"
             f" got shape {k.shape}")
-    return k
+    return tuple(k[..., i] for i in range(dim))
 
 
 def _coin_entries(el: Coin, spec: ProtocolSpec, angles, T):
@@ -230,85 +240,65 @@ def _coin_entries(el: Coin, spec: ProtocolSpec, angles, T):
     return (cos + msin * nz, msin * (nx - 1j * ny), msin * (nx + 1j * ny), cos - msin * nz)
 
 
-def _phase_terms(coeffs) -> Tuple[Tuple[int, int], ...]:
-    return tuple((ax, n) for ax, n in enumerate(coeffs) if n != 0)
-
-
-def _phase(k: np.ndarray, terms):
-    """exp(i sum_j n_j k_j) over the (axis, n_j) terms; None for the empty sum."""
-    arg = None
-    for ax, n in terms:
-        t = k[..., ax] if n == 1 else -k[..., ax] if n == -1 else n * k[..., ax]
-        arg = t if arg is None else arg + t
-    return None if arg is None else np.exp(1j * arg)
-
-
 @dataclass(frozen=True, eq=False)
 class Plan:
     """A protocol's two-band walk compiled for evaluation at any momenta.
 
     `steps` holds, in application order, ("coin", (c00, c01, c10, c11)) with
-    a coin's SU(2) entries, and ("shift", up, down, mirrored) for a run of
-    adjacent shifts merged into one: the (axis, coefficient) terms of its two
-    integer phase vectors, `mirrored` when down = -up.
+    a coin's SU(2) entries, and ("shift", terms) for a run of adjacent shifts
+    merged into one: the (axis, m) terms of its SU(2) phase exp(i m.k), m
+    integer or half-integer.
     """
 
     spec: ProtocolSpec
     steps: Tuple[tuple, ...]
 
-    def _walk(self, k, grad: bool):
-        """The step loop: (a, b, c, d) with U(k) = [[a, b], [c, d]] and, with
-        `grad`, per momentum axis i the row d(a, b, c, d)/dk_i.  A coin mixes
-        the derivative rows as it mixes the values.  Only the shifts carry k:
-        a phase p = exp(i n.k) takes a value X to X p and its derivative X' to
-        (X' + i n_i X) p."""
-        k = _as_momenta(self.spec, k)
-        a, b, c, d = 1.0, 0.0, 0.0, 1.0
-        grads = [(0.0, 0.0, 0.0, 0.0)] * self.spec.dimension if grad else []
-        for kind, *data in self.steps:
+    def _walk(self, ks, grad: bool):
+        """The step loop over momentum components `ks`: (a, c) with
+        U(k) = [[a, -conj(c)], [c, conj(a)]] and, with `grad`, per momentum
+        axis i the row d(a, c)/dk_i.  A coin mixes the derivative rows as it
+        mixes the values.  Only the shifts carry k: a phase p = exp(i m.k)
+        takes (a, c) to (a p, c conj(p)) and the derivatives to
+        ((a' + i m_i a) p, (c' - i m_i c) conj(p))."""
+        phasors = {t: np.exp(1j * (t[1] * ks[t[0]]))
+                   for kind, data in self.steps if kind == "shift" for t in data}
+        a, c = 1.0, 0.0
+        grads = [(0.0, 0.0)] * self.spec.dimension if grad else []
+        for kind, data in self.steps:
             if kind == "coin":
-                c00, c01, c10, c11 = data[0]
-                a, b, c, d = (c00 * a + c01 * c, c00 * b + c01 * d,
-                              c10 * a + c11 * c, c10 * b + c11 * d)
+                c00, c01, c10, c11 = data
+                a, c = c00 * a + c01 * c, c10 * a + c11 * c
                 if grads:
-                    grads = [(c00 * da + c01 * dc, c00 * db + c01 * dd,
-                              c10 * da + c11 * dc, c10 * db + c11 * dd)
-                             for da, db, dc, dd in grads]
+                    grads = [(c00 * da + c01 * dc, c10 * da + c11 * dc) for da, dc in grads]
                 continue
-            up, down, mirrored = data
-            p = _phase(k, up)
-            q = p.conj() if mirrored else _phase(k, down)
+            p = phasors[data[0]]
+            for term in data[1:]:
+                p = p * phasors[term]
+            q = p.conj()
             if grads:
-                for ax, n in up:
-                    da, db, dc, dd = grads[ax]
-                    grads[ax] = (da + 1j * n * a, db + 1j * n * b, dc, dd)
-                for ax, n in down:
-                    da, db, dc, dd = grads[ax]
-                    grads[ax] = (da, db, dc + 1j * n * c, dd + 1j * n * d)
-                p1, q1 = (1.0 if p is None else p), (1.0 if q is None else q)
-                grads = [(da * p1, db * p1, dc * q1, dd * q1) for da, db, dc, dd in grads]
-            if p is not None:
-                a, b = a * p, b * p
-            if q is not None:
-                c, d = c * q, d * q
-        return (a, b, c, d), grads
+                for ax, m in data:
+                    da, dc = grads[ax]
+                    grads[ax] = (da + 1j * m * a, dc - 1j * m * c)
+                grads = [(da * p, dc * q) for da, dc in grads]
+            a, c = a * p, c * q
+        return (a, c), grads
 
     def entries(self, k):
-        """(a, b, c, d) with U(k) = [[a, b], [c, d]], updated elementwise along
-        the steps: a shift scales the two rows by its phases, a coin mixes them."""
-        return self._walk(k, grad=False)[0]
+        """(a, c) with U(k) = [[a, -conj(c)], [c, conj(a)]], updated elementwise
+        along the steps: a coin mixes the pair, a shift scales it by its phases.
+        `k` is an (..., dim) batch or an open mesh of dim axis arrays."""
+        return self._walk(_as_momenta(self.spec, k), grad=False)[0]
 
     def entries_and_grad(self, k):
-        """(a, b, c, d) and, per momentum axis i, the exact d(a, b, c, d)/dk_i,
-        from the same step loop as `entries`."""
-        return self._walk(k, grad=True)
+        """(a, c) and, per momentum axis i, the exact d(a, c)/dk_i, from the
+        same step loop as `entries`."""
+        return self._walk(_as_momenta(self.spec, k), grad=True)
 
     def unitary(self, k) -> np.ndarray:
         """U(k) of the two-band walk as a (..., 2, 2) array over the momentum batch."""
-        k = _as_momenta(self.spec, k)
-        out = np.empty(k.shape[:-1] + (2, 2), dtype=complex)
-        out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = self.entries(k)
-        return out
+        ks = _as_momenta(self.spec, k)
+        a, c = np.broadcast_arrays(*self._walk(ks, grad=False)[0], *ks)[:2]
+        return np.stack([a, -c.conj(), c, a.conj()], axis=-1).reshape(a.shape + (2, 2))
 
 
 def compile_plan(spec: ProtocolSpec, *, angles: Optional[Mapping] = None, T=None) -> Plan:
@@ -337,8 +327,9 @@ def compile_plan(spec: ProtocolSpec, *, angles: Optional[Mapping] = None, T=None
         up = [sum(n) for n in zip(*(el.up for el in run))]
         down = [sum(n) for n in zip(*(el.down for el in run))]
         det_phase = [t + u + v for t, u, v in zip(det_phase, up, down)]
-        steps.append(("shift", _phase_terms(up), _phase_terms(down),
-                      any(up) and down == [-n for n in up]))
+        terms = tuple((ax, (u - v) / 2) for ax, (u, v) in enumerate(zip(up, down)) if u != v)
+        if terms:
+            steps.append(("shift", terms))
     if any(det_phase):
         raise InvalidInputError(f"{spec.id!r} is not special-unitary: its shifts' up + down"
                                 f" phases sum to {det_phase} per axis, not 0")
@@ -361,11 +352,10 @@ def build_unitary(spec: ProtocolSpec, k, *, angles: Optional[Mapping] = None,
     two-band blocks are packed from the entries of the compiled plan.
     """
     plan = compile_plan(spec, angles=angles, T=T)
-    k = _as_momenta(spec, k)
     Uk = plan.unitary(k)
     if spec.doubled is None:
         return Uk
-    Um = plan.unitary(-k)
+    Um = plan.unitary(-np.asarray(k, dtype=float))
     if spec.doubled == "transpose_block":
         return block_diag2(Uk, np.swapaxes(Um, -1, -2))
     if spec.doubled == "conjugate_block":

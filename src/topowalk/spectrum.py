@@ -2,18 +2,18 @@
 
 Two independent routes are provided and cross-validated in the tests:
 
-* the production *plan* route: `bloch` reads U = d0 I - i d.sigma
-  (E = arccos(d0), n = d/|d|) from the four entries of the compiled plan,
-  which is special-unitary, so no phase is split off; `bands_with_velocity`
-  adds dE/dk_i from the plan's exact k-derivative.  Every two-band consumer
-  reads (d0, d) this way;
+* the production *plan* route: `bloch` reads d0 = Re a, d = (-Im c, Re c,
+  -Im a) off the entries (a, c) of the special-unitary compiled plan,
+  U = [[a, -conj(c)], [c, conj(a)]] = d0 I - i d.sigma (E = arccos(d0),
+  n = d/|d|); `bands_with_velocity` adds dE/dk_i from the plan's exact
+  k-derivative.  Every two-band consumer reads (d0, d) this way;
 * protocol-specific *analytic* forms rho(k), d(k), and dE/dk_i, hand-derived
   from the element products (see scripts/verify_closed_forms.py for the exact
   symbolic verification of every formula); they are the checked reference.
 
 The matrix *oracle* `bands_from_unitary(build_unitary(...))` (`oracle_bands`)
-factors the determinant phase out of any 2x2 unitary before the split; the
-tests hold the plan and the closed forms to it.
+factors the determinant phase out of any 2x2 unitary and splits all four
+entries by its own formula; the tests hold the plan and the closed forms to it.
 """
 from __future__ import annotations
 
@@ -30,10 +30,10 @@ EPS_GAP = 1e-9  # |d| at or below this counts as a gap closing
 AXES = {"x": 0, "y": 1, "z": 2, 0: 0, 1: 1, 2: 2}
 
 
-def bloch_entries(a, b, c, d):
-    """(d0, (d_x, d_y, d_z)) of a special-unitary U = [[a, b], [c, d]] = d0 I - i d.sigma,
-    elementwise over the four entries."""
-    return 0.5 * (a + d).real, (-0.5 * (b + c).imag, -0.5 * (b - c).real, -0.5 * (a - d).imag)
+def bloch_entries(a, c):
+    """(d0, (d_x, d_y, d_z)) of U = [[a, -conj(c)], [c, conj(a)]] = d0 I - i d.sigma,
+    read off the plan's entries elementwise."""
+    return a.real, (-c.imag, c.real, -a.imag)
 
 
 def bloch_split(U):
@@ -45,8 +45,9 @@ def bloch_split(U):
     a, b, c, d = U[..., 0, 0], U[..., 0, 1], U[..., 1, 0], U[..., 1, 1]
     phase = 0.5 * np.angle(a * d - b * c)
     w = np.exp(-1j * phase)
-    d0, dvec = bloch_entries(a * w, b * w, c * w, d * w)
-    return d0, np.stack(dvec, axis=-1), phase
+    a, b, c, d = a * w, b * w, c * w, d * w
+    dvec = np.stack([-0.5 * (b + c).imag, -0.5 * (b - c).real, -0.5 * (a - d).imag], axis=-1)
+    return 0.5 * (a + d).real, dvec, phase
 
 
 @dataclass
@@ -103,15 +104,15 @@ def bloch(spec_or_id, k, *, angles=None, T=None) -> Bands:
 def bands_with_velocity(spec_or_id, k, *, angles=None, T=None):
     """(e_plus, |d|, v) of a two-band walk from one pass of its compiled plan.
 
-    v[..., i] = dE_+/dk_i = -(d d0/dk_i)/|d| with d0 = Re(a + d)/2, read from
-    the exact k-derivative of the entries; NaN where the gap is closed.
+    v[..., i] = dE_+/dk_i = -(d d0/dk_i)/|d| with d0 = Re a, read from the
+    exact k-derivative of the entries; NaN where the gap is closed.
     `angles` and `T` as in `two_band_plan`.
     """
-    (a, b, c, d), grads = two_band_plan(spec_or_id, angles=angles, T=T).entries_and_grad(k)
-    d0, (dx, dy, dz) = bloch_entries(a, b, c, d)
+    entries, grads = two_band_plan(spec_or_id, angles=angles, T=T).entries_and_grad(k)
+    d0, (dx, dy, dz) = bloch_entries(*entries)
     norm = np.sqrt(dx * dx + dy * dy + dz * dz)
     safe = np.where(norm > EPS_GAP, norm, np.nan)
-    v = np.stack([-0.5 * (da + dd).real / safe for da, _, _, dd in grads], axis=-1)
+    v = np.stack([-da.real / safe for da, _ in grads], axis=-1)
     return np.arccos(np.clip(d0, -1.0, 1.0)), norm, v
 
 

@@ -56,10 +56,16 @@ class SymmetryOperator:
         return None
 
 
+def momentum_axes(dimension: int, n: int, periods=None) -> List[np.ndarray]:
+    """Per-axis uniform n-point grids over [-pi, -pi + p), p from `periods`
+    (default 2 pi); their sparse `np.meshgrid` is an open mesh for the plan."""
+    periods = [2 * np.pi] * dimension if periods is None else periods
+    return [np.linspace(-np.pi, -np.pi + p, n, endpoint=False) for p in periods]
+
+
 def bz_grid(dimension: int, n: int) -> np.ndarray:
     """Uniform n-per-axis grid over [-pi, pi), flattened to (n^dim, dim)."""
-    axes = [np.linspace(-np.pi, np.pi, n, endpoint=False)] * dimension
-    mesh = np.meshgrid(*axes, indexing="ij")
+    mesh = np.meshgrid(*momentum_axes(dimension, n), indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 

@@ -2,10 +2,10 @@
 
 Conventions
 -----------
-* Every two-band quantity is read from the Bloch split (d0, d) of the
-  compiled plan, through `spectrum.bloch`; `find_gap_closings` compiles its
-  plan once per call and refines closings by Gauss-Newton on d(k) = 0, with
-  the Jacobian split from the plan's exact dU/dk.
+* Every two-band quantity is the Bloch split (d0, d) of the compiled plan
+  (`spectrum.bloch`; the gap scan and the Chern grid split its entries on an
+  open mesh); `find_gap_closings` compiles once per call and refines closings
+  by Gauss-Newton on d(k) = 0 with the Jacobian split from the exact dU/dk.
 * The gap function is g(k) = min(E_+, pi - E_+): bands touch only at
   quasi-energy 0 or pi.
 * Dirac-vs-arc discrimination follows the band shape at the closing: a
@@ -34,7 +34,7 @@ import numpy as np
 from .errors import BoundaryStateError, InvalidInputError
 from .protocols import ProtocolSpec, Shift, registry_lookup
 from .spectrum import EPS_GAP, bloch, bloch_entries, two_band_plan
-from .symmetry import bz_grid, chiral_axis
+from .symmetry import bz_grid, chiral_axis, momentum_axes
 
 EPS_FLAT = 1e-8
 FIT_WINDOW = 0.05
@@ -47,11 +47,12 @@ CHERN_ORIENTATION = -1.0  # fixes the reference 2D PHS fixture to +1
 
 
 def wrap_pi(x):
-    """x shifted by a multiple of 2 pi into [-pi, pi), elementwise.  The modulo
-    alone is not enough: just below -pi, (x + pi) % (2 pi) rounds up to 2 pi
-    and would return +pi."""
-    w = (np.asarray(x, dtype=float) + np.pi) % (2 * np.pi) - np.pi
-    return np.where(w >= np.pi, w - 2 * np.pi, w)
+    """x shifted by a multiple of 2 pi into [-pi, pi), elementwise; values in
+    range are returned as they are.  Just below -pi, (x + pi) % (2 pi) rounds
+    up to 2 pi, hence the second guard."""
+    x = np.asarray(x, dtype=float)
+    w = (x + np.pi) % (2 * np.pi) - np.pi
+    return np.where((x >= -np.pi) & (x < np.pi), x, np.where(w >= np.pi, w - 2 * np.pi, w))
 
 
 @dataclass(frozen=True)
@@ -127,8 +128,9 @@ def find_gap_closings(spec_or_id, *, angles=None, T=None, grid_n: int = 64,
     dim = spec.dimension
     plan = two_band_plan(spec)  # compiled once for the scan and every refine step
 
-    _, (dx, dy, dz) = bloch_entries(*plan.entries(bz_grid(dim, grid_n)))
-    vals = np.sqrt(dx * dx + dy * dy + dz * dz).reshape([grid_n] * dim)
+    mesh = np.meshgrid(*momentum_axes(dim, grid_n), indexing="ij", sparse=True)
+    _, (dx, dy, dz) = bloch_entries(*plan.entries(mesh))
+    vals = np.broadcast_to(np.sqrt(dx * dx + dy * dy + dz * dz), [grid_n] * dim)
 
     local_min = np.ones_like(vals, dtype=bool)
     for ax in range(dim):
@@ -279,8 +281,7 @@ def winding_number(spec_or_id, *, angles=None, T=None, grid_n: int = 256,
     spec = registry_lookup(spec_or_id, T=T, angles=angles)
     if spec.dimension != 1:
         raise InvalidInputError("winding_number needs a 1D protocol")
-    period = momentum_period(spec, 0)
-    d = bloch(spec, np.linspace(-np.pi, -np.pi + period, grid_n, endpoint=False)).d
+    d = bloch(spec, momentum_axes(1, grid_n, [momentum_period(spec, 0)])[0]).d
     A = np.asarray(axis_vector, dtype=float) if axis_vector is not None else chiral_axis(spec)
     e1, e2 = _plane_basis(A)
     x, y = d @ e1, d @ e2
@@ -300,10 +301,12 @@ def winding_number(spec_or_id, *, angles=None, T=None, grid_n: int = 256,
 
 
 def _solid_angle(a, b, c):
-    num = np.einsum("...i,...i->...", a, np.cross(b, c))
-    den = (1.0 + np.einsum("...i,...i->...", a, b)
-           + np.einsum("...i,...i->...", b, c)
-           + np.einsum("...i,...i->...", c, a))
+    """Signed solid angle of the spherical triangle of unit vectors a, b, c,
+    each given as its component triple (x, y, z) of arrays."""
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = a, b, c
+    num = ax * (by * cz - bz * cy) + ay * (bz * cx - bx * cz) + az * (bx * cy - by * cx)
+    den = (1.0 + (ax * bx + ay * by + az * bz) + (bx * cx + by * cy + bz * cz)
+           + (cx * ax + cy * ay + cz * az))
     return 2.0 * np.arctan2(num, den)
 
 
@@ -312,20 +315,18 @@ def chern_number(spec_or_id, *, angles=None, T=None, grid_n: int = 64) -> ChernR
     spec = registry_lookup(spec_or_id, T=T, angles=angles)
     if spec.dimension != 2:
         raise InvalidInputError("chern_number needs a 2D protocol")
-    px, py = momentum_period(spec, 0), momentum_period(spec, 1)
-    ax = np.linspace(-np.pi, -np.pi + px, grid_n, endpoint=False)
-    ay = np.linspace(-np.pi, -np.pi + py, grid_n, endpoint=False)
-    KX, KY = np.meshgrid(ax, ay, indexing="ij")
-    d = bloch(spec, np.stack([KX, KY], axis=-1)).d
-    norm = np.linalg.norm(d, axis=-1)
+    periods = [momentum_period(spec, 0), momentum_period(spec, 1)]
+    mesh = np.meshgrid(*momentum_axes(2, grid_n, periods), indexing="ij", sparse=True)
+    _, d = bloch_entries(*two_band_plan(spec).entries(mesh))
+    d = [np.broadcast_to(x, (grid_n, grid_n)) for x in d]
+    norm = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
     if norm.min() <= EPS_GAP:
         raise BoundaryStateError(
             f"Chern number undefined: d passes the origin (min |d| = {norm.min():.2e})")
-    n = d / norm[..., None]
-    n1 = n
-    n2 = np.roll(n, -1, axis=0)
-    n3 = np.roll(np.roll(n, -1, axis=0), -1, axis=1)
-    n4 = np.roll(n, -1, axis=1)
+    n1 = [x / norm for x in d]
+    n2 = [np.roll(x, -1, axis=0) for x in n1]
+    n3 = [np.roll(x, -1, axis=1) for x in n2]
+    n4 = [np.roll(x, -1, axis=1) for x in n1]
     omega = _solid_angle(n1, n2, n3) + _solid_angle(n1, n3, n4)
     raw = float(CHERN_ORIENTATION * omega.sum() / (4 * np.pi))
     c = int(round(raw))

@@ -75,3 +75,41 @@ def test_exact_field_change_is_a_mismatch(tmp_path, change, where):
     diff = _compare(tmp_path, rows, gaps)
     assert len(diff.mismatches) == 1
     assert diff.mismatches[0].startswith(where)
+
+
+class _FakeRun:
+    returncode = 0
+
+    def communicate(self):
+        return "", None
+
+
+def test_only_and_grid_reach_both_runs(monkeypatch, capsys):
+    """`--only` and `--grid` are passed to run_figures.py on both sides; the
+    runs and the extraction are stubbed, so no process is started."""
+    argvs = []
+    monkeypatch.setattr(artifact_diff, "_extract_src", lambda rev, dest: None)
+    monkeypatch.setattr(artifact_diff.subprocess, "Popen",
+                        lambda argv, **kw: argvs.append(argv) or _FakeRun())
+    monkeypatch.setattr(artifact_diff, "compare_dirs", lambda a, b: artifact_diff.Diff())
+    assert artifact_diff.main(["HEAD~1", "--only", "fig10", "--grid", "512"]) == 0
+    assert len(argvs) == 2
+    for argv in argvs:
+        assert argv[-4:] == ["--only", "fig10", "--grid", "512"]
+    assert artifact_diff.main(["HEAD~1"]) == 0
+    assert all(argv[-2] == "--out-dir" for argv in argvs[2:])
+    assert "PASS" in capsys.readouterr().out
+
+
+def test_run_figures_passes_grid_to_the_cli(monkeypatch, tmp_path):
+    path = _PATH.parent / "run_figures.py"
+    spec = importlib.util.spec_from_file_location("run_figures", path)
+    run_figures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_figures)
+    calls = []
+    monkeypatch.setattr(run_figures, "cli_main", lambda argv: calls.append(argv) or 0)
+    fixtures = _PATH.parent.parent / "fixtures"
+    assert run_figures.main(["--fixtures", str(fixtures), "--out-dir", str(tmp_path),
+                             "--only", "fig10", "--grid", "512"]) == 0
+    assert len(calls) == 1 and calls[0][0] == "invariant"
+    assert calls[0][-2:] == ["--grid", "512"]

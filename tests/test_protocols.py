@@ -9,6 +9,9 @@ from topowalk import protocols as pr
 from topowalk.errors import InvalidInputError, UnknownProtocolError
 from topowalk.spectrum import bands_from_unitary, bloch_entries, oracle_bands, two_band_plan
 from topowalk.su2 import SIGMA_Y, TAU_Y, block_diag2, pauli_exp, tensor, unitarity_defect
+from topowalk.symmetry import bz_grid, momentum_axes
+
+TWO_BAND_IDS = [pid for pid in pr.PROTOCOL_IDS if pr.REGISTRY[pid].bands == 2]
 
 
 def test_registry_has_all_22_protocols():
@@ -137,6 +140,47 @@ def test_plan_derivative_matches_central_difference(rng):
             step[ax] = h
             for g, p, m in zip(grad, plan.entries(k + step), plan.entries(k - step)):
                 npt.assert_allclose(g, (p - m) / (2 * h), rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("pid", TWO_BAND_IDS)
+def test_open_mesh_entries_match_flat_grid(pid, rng):
+    """The plan on an open mesh (one array per axis, n exponentials per axis)
+    gives the entries it gives on the flattened n^dim grid."""
+    spec = pr.registry_lookup(pid, T=3)
+    plan = pr.compile_plan(spec.with_params(**generic_angles(spec, rng)))
+    n = {1: 37, 2: 16, 3: 7}[spec.dimension]
+    mesh = np.meshgrid(*momentum_axes(spec.dimension, n), indexing="ij", sparse=True)
+    flat = bz_grid(spec.dimension, n)
+    for got, want in zip(plan.entries(mesh), plan.entries(flat)):
+        assert got.shape == (n,) * spec.dimension
+        npt.assert_allclose(got.ravel(), want, rtol=0, atol=1e-14)
+    npt.assert_allclose(plan.unitary(mesh).reshape(-1, 2, 2), plan.unitary(flat),
+                        rtol=0, atol=1e-14)
+
+
+def test_open_mesh_needs_one_array_per_axis():
+    plan = pr.compile_plan(pr.registry_lookup("2d-phs"))
+    with pytest.raises(InvalidInputError, match="2 axis arrays"):
+        plan.entries([np.zeros(4)])
+
+
+@pytest.mark.parametrize("pid", TWO_BAND_IDS)
+def test_unitary_is_packed_from_two_entries(pid, rng):
+    """U = [[a, -conj(c)], [c, conj(a)]] exactly, with det U = 1, also for the
+    half-shift walks whose shift phases carry half-integer m."""
+    spec = pr.registry_lookup(pid, T=5)
+    plan = pr.compile_plan(spec.with_params(**generic_angles(spec, rng)))
+    U = plan.unitary(rng.uniform(-np.pi, np.pi, size=(64, spec.dimension)))
+    npt.assert_array_equal(U[..., 0, 1], -U[..., 1, 0].conj())
+    npt.assert_array_equal(U[..., 1, 1], U[..., 0, 0].conj())
+    npt.assert_allclose(np.linalg.det(U), 1.0, rtol=0, atol=1e-14)
+
+
+def test_half_shift_walks_reduce_to_half_integer_phases():
+    for pid in ("1d-split", "1d-phs", "1d-chs"):
+        shifts = [data for kind, data in pr.compile_plan(pr.registry_lookup(pid)).steps
+                  if kind == "shift"]
+        assert ((0, 0.5),) in shifts
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

@@ -188,3 +188,14 @@ class TestClassify:
         monkeypatch.setattr(sym, "designated_operators", bad_ops)
         with pytest.raises(ClassificationError):
             sym.classify("2d-c")
+
+
+def test_momentum_axes_are_the_bz_grid_axes():
+    axes = sym.momentum_axes(2, 8)
+    npt.assert_array_equal(axes[0], np.linspace(-np.pi, np.pi, 8, endpoint=False))
+    grid = sym.bz_grid(2, 8)
+    npt.assert_array_equal(grid[:, 0], np.repeat(axes[0], 8))
+    npt.assert_array_equal(grid[:, 1], np.tile(axes[1], 8))
+    short = sym.momentum_axes(2, 4, [np.pi, 2 * np.pi])
+    npt.assert_array_equal(short[0], -np.pi + np.pi / 4 * np.arange(4))
+    npt.assert_array_equal(short[1], axes[1][::2])

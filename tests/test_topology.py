@@ -76,6 +76,14 @@ class TestWrapPi:
         assert all(tp.wrap_pi(x) == wx for x, wx in zip(xs, w))
 
 
+    def test_identity_on_values_in_range(self, rng):
+        xs = np.concatenate([rng.uniform(-PI, PI, size=200),
+                             [-PI, np.nextafter(-PI, np.inf), np.nextafter(PI, -np.inf),
+                              0.0, -0.0, 0.1, -0.3, 1e-17, -1e-300]])
+        npt.assert_array_equal(tp.wrap_pi(xs), xs)
+        assert tp.wrap_pi(0.1) == 0.1 and tp.wrap_pi(1e-17) == 1e-17
+
+
 class TestBoundaryTaxonomy:
     def test_flat_band_detected(self):
         cls = tp.classify_boundary("3d-simple", angles={"beta": PI / 3}, T=3, grid_n=32)
@@ -188,9 +196,19 @@ class TestChern:
         n2 = np.roll(n, -1, axis=0)
         n3 = np.roll(np.roll(n, -1, axis=0), -1, axis=1)
         n4 = np.roll(n, -1, axis=1)
+        n, n2, n3, n4 = (np.moveaxis(v, -1, 0) for v in (n, n2, n3, n4))
         omega = topo._solid_angle(n, n2, n3) + topo._solid_angle(n, n3, n4)
         down_raw = topo.CHERN_ORIENTATION * omega.sum() / (4 * PI)
         assert abs(up.raw + down_raw) <= 1e-9
+
+    def test_solid_angle_components_match_cross_formula(self, rng):
+        a, b, c = (v / np.linalg.norm(v, axis=-1, keepdims=True)
+                   for v in rng.normal(size=(3, 500, 3)))
+        num = np.einsum("...i,...i->...", a, np.cross(b, c))
+        den = (1.0 + np.einsum("...i,...i->...", a, b) + np.einsum("...i,...i->...", b, c)
+               + np.einsum("...i,...i->...", c, a))
+        got = tp._solid_angle(*(np.moveaxis(v, -1, 0) for v in (a, b, c)))
+        npt.assert_allclose(got, 2.0 * np.arctan2(num, den), rtol=0, atol=1e-12)
 
     def test_grid_doubling_stability(self):
         angles = {"alpha": PI / 3, "beta": PI / 4}
