@@ -27,7 +27,8 @@ from importlib import resources
 
 import numpy as np
 
-from .config import SCHEMA, SweepConfig, config_from_dict, section
+from .config import (KEYS, LINK_KEYS, SCHEMA, SWEEP_KEYS, SweepConfig, config_from_dict,
+                     read_document)
 from .errors import (BoundaryStateError, ClassificationError, InvalidInputError,
                      UnknownProtocolError, WalkError)
 from .protocols import PROTOCOL_IDS, registry_lookup
@@ -44,11 +45,16 @@ def _f(x) -> str:
     return repr(float(x))
 
 
-def _num(text, flag: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise InvalidInputError(f"{flag} expects a number, got {text!r}") from None
+def _split(text: str, keys) -> dict:
+    """--sweep or --link text A:B:... as the values of `keys` in order; a
+    missing value is left to the table to report, extra ones stay in the last."""
+    return dict(zip(keys, text.split(":", len(keys) - 1)))
+
+
+def _entry(text: str, keys=None) -> tuple:
+    """--set or --link text SYM=VALUE as (SYM, VALUE), VALUE split by `keys` if given."""
+    sym, _, value = text.partition("=")
+    return sym.strip(), value if keys is None else _split(value, keys)
 
 
 def _sweep_cell(cfg: SweepConfig, value) -> str:
@@ -127,57 +133,23 @@ def _write_text(path, text: str):
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except (OSError, ValueError) as err:  # ValueError: a path with a NUL byte
+        raise InvalidInputError(f"out {path!r} cannot be written: {err}") from None
 
 
 def _build_config(args) -> SweepConfig:
-    doc = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise InvalidInputError(f"config {args.config!r} must hold a JSON object,"
-                                    f" got {type(doc).__name__}")
-    if args.protocol:
-        doc["protocol"] = args.protocol
-    if args.steps is not None:
-        doc["steps"] = args.steps
-    if args.grid is not None:
-        doc["grid"] = args.grid
-    if args.workers is not None:
-        doc["workers"] = args.workers
-    if args.out is not None:
-        doc["out"] = args.out
-    if getattr(args, "phi", None) is not None:
-        doc["phi"] = args.phi
-    if getattr(args, "step_independent", False):
-        doc["step_independent"] = True
-    angles = dict(section(doc, "angles"))
-    for item in args.set or []:
-        if "=" not in item:
-            raise InvalidInputError(f"--set expects symbol=value, got {item!r}")
-        sym, val = item.split("=", 1)
-        angles[sym.strip()] = _num(val, "--set")
-    if angles:
-        doc["angles"] = angles
-    if args.sweep:
-        parts = args.sweep.split(":")
-        if len(parts) != 4:
-            raise InvalidInputError("--sweep expects symbol:start:stop:count")
-        doc["sweep"] = {"symbol": parts[0], "start": _num(parts[1], "--sweep"),
-                        "stop": _num(parts[2], "--sweep"),
-                        "count": _num(parts[3], "--sweep")}
-    for item in args.link or []:
-        try:
-            sym, rest = item.split("=", 1)
-            on, scale, offset = rest.split(":")
-        except ValueError:
-            raise InvalidInputError("--link expects symbol=on:scale:offset") from None
-        doc["linked"] = {**section(doc, "linked"), sym.strip(): {
-            "on": on.strip(), "scale": _num(scale, "--link"),
-            "offset": _num(offset, "--link")}}
-    doc.setdefault("schema", SCHEMA)
+    """The config file's document with the flags' values in place of its own;
+    --set and --link add to its angles and linked objects."""
+    doc = read_document(args.config) if args.config else {}
+    for key, value in vars(args).items():
+        if key in KEYS and value is not None:
+            if isinstance(value, list):  # --set/--link pairs; a non-object is left to be rejected
+                old = doc.get(key, {})
+                value = {**old, **dict(value)} if isinstance(old, dict) else old
+            doc[key] = value
     return config_from_dict(doc).validate()
 
 
@@ -262,41 +234,38 @@ def _cmd_symmetry(args) -> int:
     return 0
 
 
-def _add_sweep_options(p: argparse.ArgumentParser):
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line and exit 2, like every other usage error
+        raise InvalidInputError(message)
+
+
+def _add_sweep_options(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON sweep config (flags override fields)")
-    p.add_argument("--protocol", help="registry id, e.g. 1d-phs")
-    p.add_argument("--set", action="append", metavar="SYM=VAL",
+    p.add_argument("--set", dest="angles", action="append", type=_entry, metavar="SYM=VAL",
                    help="fix a rotation angle (repeatable)")
-    p.add_argument("--sweep", metavar="SYM:START:STOP:COUNT",
-                   help="swept parameter (an angle symbol or T)")
-    p.add_argument("--link", action="append", metavar="SYM=ON:SCALE:OFFSET",
+    p.add_argument("--sweep", type=partial(_split, keys=SWEEP_KEYS),
+                   metavar="SYM:START:STOP:COUNT", help="swept parameter (an angle symbol or T)")
+    p.add_argument("--link", dest="linked", action="append", type=partial(_entry, keys=LINK_KEYS),
+                   metavar="SYM=ON:SCALE:OFFSET",
                    help="tie an angle to the swept one: SYM = SCALE*ON + OFFSET")
-    p.add_argument("--steps", type=int, help="step number T")
-    p.add_argument("--grid", type=int, help="momentum grid size per axis")
-    p.add_argument("--phi", type=float, help="flavor-mixing angle of trs_sandwich protocols")
-    p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--workers", type=int, help="worker processes (default 1)")
-    p.add_argument("--step-independent", action="store_true", dest="step_independent",
-                   help="evaluate the step-independent-coin walk (T=1); needs an angle sweep")
+    for key, (kind, _, help_text) in KEYS.items():
+        if help_text:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text,
+                           **({"action": "store_true", "default": None} if kind is bool else {}))
+    return p
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="topowalk",
         description="band, invariant, and symmetry sweeps for split-step walk protocols")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_bands = sub.add_parser("bands", help="energy/velocity CSV over momentum grids")
-    _add_sweep_options(p_bands)
-    p_bands.set_defaults(fn=_cmd_bands)
-
-    p_inv = sub.add_parser("invariant", help="winding/Chern CSV along a sweep")
-    _add_sweep_options(p_inv)
-    p_inv.set_defaults(fn=_cmd_invariant)
-
-    p_cls = sub.add_parser("classify-gaps", help="gap closings and boundary taxonomy (JSON)")
-    _add_sweep_options(p_cls)
-    p_cls.set_defaults(fn=_cmd_classify_gaps)
+    for name, fn, help_text in (
+            ("bands", _cmd_bands, "energy/velocity CSV over momentum grids"),
+            ("invariant", _cmd_invariant, "winding/Chern CSV along a sweep"),
+            ("classify-gaps", _cmd_classify_gaps, "gap closings and boundary taxonomy (JSON)")):
+        _add_sweep_options(sub.add_parser(name, help=help_text)).set_defaults(fn=fn)
 
     p_sym = sub.add_parser("symmetry", help="classification records (JSON)")
     p_sym.add_argument("ids", nargs="*", help="protocol ids, or 'all'")
@@ -305,14 +274,11 @@ def main(argv=None) -> int:
     p_sym.add_argument("--out", help="output path (default stdout)")
     p_sym.set_defaults(fn=_cmd_symmetry)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.fn(args)
-    except (InvalidInputError, UnknownProtocolError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, json.JSONDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (InvalidInputError, UnknownProtocolError) as err:  # one line, also if input is quoted
+        print("error:", " ".join(str(err).splitlines()), file=sys.stderr)
         return 2
     except (WalkError, np.linalg.LinAlgError) as err:
         print(f"numerical diagnostic: {err}", file=sys.stderr)

@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Dict, Optional
 
 from .errors import InvalidInputError
@@ -11,34 +13,49 @@ from .protocols import ProtocolSpec, registry_lookup
 
 SCHEMA = "topowalk/v1"
 MAX_POINTS = 2 ** 22  # sweep values x grid points per value that one run may request
-TOP_KEYS = ("schema", "protocol", "steps", "angles", "linked", "sweep", "grid", "phi",
-            "out", "workers", "step_independent")
-SWEEP_KEYS = ("symbol", "start", "stop", "count")
-LINK_KEYS = ("on", "scale", "offset")
+_EXPECTED = {str: "a string", bool: "true or false", int: "an integer", float: "a finite number"}
 
-
-@dataclass
-class LinkedAngle:
-    on: str
-    scale: float
-    offset: float
+# The config keys, the only place they are declared: key -> (kind, default,
+# help).  A kind is a type, a tuple of the allowed values, a nested key table,
+# or [kind] for an object of angle symbol -> kind.  The default ... marks a
+# required key; a key whose default is None also takes null.  A top-level key
+# with a help text is the --key flag of the sweep commands.  --sweep and
+# --link give the values of SWEEP_KEYS and LINK_KEYS in table order.
+SWEEP_KEYS = {"symbol": (str, ..., None), "start": (float, ..., None),
+              "stop": (float, ..., None), "count": (int, ..., None)}
+LINK_KEYS = {"on": (str, ..., None), "scale": (float, ..., None),
+             "offset": (float, ..., None)}
+KEYS = {
+    "schema": ((SCHEMA,), SCHEMA, None),
+    "protocol": (str, ..., "registry id, e.g. 1d-phs"),
+    "steps": (int, 1, "step number T"),
+    "angles": ([float], {}, None),
+    "linked": ([LINK_KEYS], {}, None),
+    "sweep": (SWEEP_KEYS, ..., None),
+    "grid": (int, 64, "momentum grid size per axis"),
+    "out": (str, None, "output path (default stdout)"),
+    "workers": (int, 1, "worker processes (default 1)"),
+    "step_independent": (bool, False, "evaluate the step-independent-coin walk (T=1);"
+                                      " needs an angle sweep"),
+}
 
 
 @dataclass
 class SweepConfig:
+    """The keys of KEYS, with the sweep table's flattened into sweep_<key>."""
+    schema: str
     protocol: str
+    steps: int
+    angles: Dict[str, float]
+    linked: Dict[str, SimpleNamespace]  # symbol -> (on, scale, offset) of LINK_KEYS
     sweep_symbol: str  # angle symbol or "T"
     sweep_start: float
     sweep_stop: float
     sweep_count: int
-    steps: int = 1
-    angles: Dict[str, float] = field(default_factory=dict)
-    linked: Dict[str, LinkedAngle] = field(default_factory=dict)
-    grid: int = 64
-    phi: Optional[float] = None
-    out: Optional[str] = None
-    workers: int = 1
-    step_independent: bool = False
+    grid: int
+    out: Optional[str]
+    workers: int
+    step_independent: bool
 
     def validate(self) -> "SweepConfig":
         spec = registry_lookup(self.protocol)  # raises for unknown ids
@@ -123,90 +140,77 @@ class SweepConfig:
 
     def spec_at(self, value) -> ProtocolSpec:
         angles, T = self.walk_params(int(value) if self.sweep_symbol == "T" else float(value))
-        return registry_lookup(self.protocol, T=T, angles=angles, phi=self.phi)
+        return registry_lookup(self.protocol, T=T, angles=angles)
 
 
-def section(doc: dict, key: str) -> dict:
-    """The JSON object under `key` (empty if absent); anything else is a usage error."""
-    value = doc.get(key) or {}
+def _object(value, path: str) -> dict:
     if not isinstance(value, dict):
-        raise InvalidInputError(f"{key} must be a JSON object, got {value!r}")
+        raise InvalidInputError(f"{path or 'config document'} must be a JSON object, got {value!r}")
     return value
 
 
-def _known(obj: dict, keys, where: str = ""):
-    """Reject any key of `obj` outside `keys`, naming it with its path."""
-    for key in obj:
-        if key not in keys:
-            raise InvalidInputError(f"{where}{key} is not a config key;"
-                                    f" expected one of {', '.join(sorted(keys))}")
+def _fields(obj, table: dict, path: str) -> SimpleNamespace:
+    """The keys of the JSON object `obj` read by `table`; an unknown, missing
+    or ill-typed key is a usage error that names it by its path."""
+    prefix = path + "." if path else ""
+    for key in _object(obj, path):
+        if key not in table:
+            raise InvalidInputError(f"{prefix}{key} is not a config key;"
+                                    f" expected one of {', '.join(sorted(table))}")
+    values = {}
+    for key, (kind, default, _) in table.items():
+        value = obj.get(key, default)
+        if value is Ellipsis:
+            raise InvalidInputError(f"{prefix}{key} missing from config")
+        values[key] = None if value is None and default is None else _convert(kind, value,
+                                                                                prefix + key)
+    return SimpleNamespace(**values)
 
 
-def _convert(kind, value, key: str):
-    """`value` as `kind`; booleans and, for int, non-integral numbers are rejected
-    (an integral float such as the --sweep count 3.0 is accepted)."""
-    try:
-        if isinstance(value, bool) or (
-                kind is int and isinstance(value, float) and not value.is_integer()):
-            raise ValueError(value)
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidInputError(
-            f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}") from None
+def _convert(kind, value, path: str):
+    """`value` as `kind` (see KEYS), named by its `path` in a usage error.  A
+    number may be text, as a flag gives it; booleans are not numbers, numbers
+    must be finite, and an integer may be the JSON number 3.0 but not 2.7."""
+    if isinstance(kind, dict):
+        return _fields(value, kind, path)
+    if isinstance(kind, list):
+        return {sym: _convert(kind[0], v, f"{path}.{sym}")
+                for sym, v in _object(value, path).items()}
+    if kind in (int, float):
+        try:
+            number = kind(value)
+            if (not isinstance(value, bool) and math.isfinite(number)
+                    and not (isinstance(value, float) and number != value)):
+                return number
+        except (TypeError, ValueError, OverflowError):
+            pass
+    elif value in kind if isinstance(kind, tuple) else isinstance(value, kind):
+        return value
+    expected = _EXPECTED.get(kind) or " or ".join(map(repr, kind))
+    raise InvalidInputError(f"{path} must be {expected}, got {value!r}")
 
 
 def config_from_dict(doc: dict) -> SweepConfig:
-    if not isinstance(doc, dict):
-        raise InvalidInputError("config document must be a JSON object")
-    schema = doc.get("schema", SCHEMA)
-    if schema != SCHEMA:
-        raise InvalidInputError(f"unsupported config schema {schema!r} (expected {SCHEMA!r})")
-    _known(doc, TOP_KEYS)
-    sweep = section(doc, "sweep")
-    _known(sweep, SWEEP_KEYS, "sweep.")
-    for key in SWEEP_KEYS:
-        if key not in sweep:
-            raise InvalidInputError(f"sweep.{key} missing from config")
-    linked = {}
-    for sym, entry in section(doc, "linked").items():
-        if not isinstance(entry, dict):
-            raise InvalidInputError(f"linked.{sym} must be a JSON object, got {entry!r}")
-        _known(entry, LINK_KEYS, f"linked.{sym}.")
-        for key in LINK_KEYS:
-            if key not in entry:
-                raise InvalidInputError(f"linked.{sym}.{key} missing from config")
-        linked[sym] = LinkedAngle(on=entry["on"],
-                                  scale=_convert(float, entry["scale"], f"linked.{sym}.scale"),
-                                  offset=_convert(float, entry["offset"], f"linked.{sym}.offset"))
-    out = doc.get("out")
-    if out is not None and not isinstance(out, str):
-        raise InvalidInputError(f"out must be a string or null, got {out!r}")
-    step_independent = doc.get("step_independent", False)
-    if not isinstance(step_independent, bool):
-        raise InvalidInputError(
-            f"step_independent must be true or false, got {step_independent!r}")
-    cfg = SweepConfig(
-        protocol=doc.get("protocol", ""),
-        sweep_symbol=str(sweep["symbol"]),
-        sweep_start=_convert(float, sweep["start"], "sweep.start"),
-        sweep_stop=_convert(float, sweep["stop"], "sweep.stop"),
-        sweep_count=_convert(int, sweep["count"], "sweep.count"),
-        steps=_convert(int, doc.get("steps", 1), "steps"),
-        angles={k: _convert(float, v, f"angles.{k}") for k, v in section(doc, "angles").items()},
-        linked=linked,
-        grid=_convert(int, doc.get("grid", 64), "grid"),
-        phi=_convert(float, doc["phi"], "phi") if "phi" in doc else None,
-        out=out,
-        workers=_convert(int, doc.get("workers", 1), "workers"),
-        step_independent=step_independent,
-    )
-    return cfg
+    """The sweep config of the JSON object `doc`, read by KEYS."""
+    fields = {}
+    for key, value in vars(_fields(doc, KEYS, "")).items():
+        if isinstance(value, SimpleNamespace):  # a nested table: sweep.start -> sweep_start
+            fields.update((f"{key}_{sub}", v) for sub, v in vars(value).items())
+        else:
+            fields[key] = value
+    return SweepConfig(**fields)
+
+
+def read_document(path: str) -> dict:
+    """The JSON object in the file `path`; an unreadable file is a usage error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError, RecursionError) as err:
+        # ValueError covers undecodable bytes and invalid JSON
+        raise InvalidInputError(f"config {path!r} is not a readable JSON file: {err}") from None
+    return _object(doc, "")
 
 
 def load_config(path: str) -> SweepConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise InvalidInputError(f"config {path!r} is not valid JSON: {err}") from None
-    return config_from_dict(doc)
+    return config_from_dict(read_document(path))

@@ -45,8 +45,6 @@ from .su2 import SIGMA_Y, TAU_Y, block_diag2, tensor, unit_axis
 AXIS_Y = (0.0, 1.0, 0.0)
 AXIS_NU = (0.0, math.sqrt(0.5), math.sqrt(0.5))
 
-ANGLE_SYMBOLS = ("alpha", "beta", "gamma", "zeta")
-
 
 @dataclass(frozen=True)
 class Coin:

@@ -4,10 +4,12 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from topowalk import cli, config, spectrum
 from topowalk import symmetry as sym
 from topowalk.errors import InvalidInputError
+from topowalk.protocols import PROTOCOL_IDS, registry_lookup
 
 PI = math.pi
 
@@ -342,6 +344,8 @@ class TestUsageErrors:
         docs = [{"sweep": sweep},
                 {"linked": {"beta": {"on": "alpha", "offset": 0.0}}},
                 {"angles": [1, 2]},
+                # falsy non-objects are not an empty object
+                {"angles": []}, {"angles": 0}, {"angles": ""}, {"angles": False},
                 # a string is not a boolean, and counts must be integral
                 {"steps": 1, "step_independent": "false"},
                 {"grid": 8.9},
@@ -364,7 +368,8 @@ class TestUsageErrors:
         cfg = small_bands_cfg(tmp_path, out=7)
         assert run(["bands", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err.splitlines()
-        keys = ("sweep.count", "linked.beta.scale", "angles", "step_independent", "grid",
+        keys = ("sweep.count", "linked.beta.scale", "angles", "angles", "angles", "angles",
+                "angles", "step_independent", "grid",
                 "workers", "gird", "angels", "sweep.cuont", "linked.beta.sacle",
                 "config", "protocol", "out")
         assert len(err) == len(keys)
@@ -440,8 +445,24 @@ class TestUsageErrors:
                 config.config_from_dict({**doc, "workers": workers}).validate()
         config.config_from_dict({**doc, "workers": cpus}).validate()
 
-    def test_missing_config_file(self):
-        assert run(["bands", "--config", "/nonexistent/x.json", "--out", "-"]) == 2
+    def test_missing_config_file(self, tmp_path, capsys):
+        # unreadable config and output paths are usage errors, not exit 1 with a traceback
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xff\xfe{}")
+        flags = ["--protocol", "1d-chs", "--set", "beta=0.5", "--sweep", "alpha:0:1:2",
+                 "--grid", "8"]
+        runs = [["bands", "--config", "/nonexistent/x.json", "--out", "-"],
+                ["bands", "--config", str(tmp_path), "--out", "-"],
+                ["bands", "--config", str(bom), "--out", "-"],
+                ["bands", *flags, "--out", str(tmp_path)],
+                ["symmetry", "1d-chs", "--out", str(tmp_path)]]
+        for argv in runs:
+            assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == len(runs)
+        assert [line.split()[1] for line in err] == ["config"] * 3 + ["out"] * 2
 
     def test_non_numeric_flag_values(self):
         base = ["bands", "--protocol", "1d-chs", "--grid", "8", "--out", "-"]
@@ -475,3 +496,144 @@ class TestUsageErrors:
         assert captured.out == ""
         err = captured.err.splitlines()
         assert err == ["numerical diagnostic: SVD did not converge"]
+
+
+# The fuzzed boundary: config documents drawn from the key table, then
+# mutated, and argv lists drawn around them.  Surrogates are left out of the
+# text because pytest's captured stderr encodes strictly; the real stderr
+# escapes them.
+TEXT = st.text(st.characters(exclude_categories=["Cs"]), max_size=6).filter(
+    lambda t: not t.startswith("-"))  # "-h" and prefixes of "--help" would print help
+EXTREME = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 2 ** 63, 10 ** 400, -1, 0])
+JUNK = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | TEXT | EXTREME,
+                    lambda inner: st.lists(inner, max_size=3)
+                    | st.dictionaries(TEXT, inner, max_size=3), max_leaves=5)
+SYMBOLS = st.sampled_from(["alpha", "beta", "gamma", "zeta", "T"])
+TWO_BAND = [pid for pid in PROTOCOL_IDS if registry_lookup(pid).bands == 2]
+OUT = "<out>"  # replaced by a file under tmp_path; no other out value is drawn
+LIKELY = {  # values that let a run get past validation and compute
+    "protocol": st.sampled_from(TWO_BAND) | st.sampled_from(PROTOCOL_IDS), "symbol": SYMBOLS,
+    "on": SYMBOLS, "steps": st.integers(1, 3), "grid": st.integers(8, 16),
+    "count": st.integers(2, 4),
+    "start": st.integers(1, 3) | st.floats(-4, 4), "stop": st.integers(1, 4) | st.floats(-4, 4),
+    "workers": st.integers(0, 3), "out": st.sampled_from([None, "-", OUT]),
+}
+MISSPELLED = ["gird", "phi", "cuont", "sacle", "angels", "schema"]
+
+
+def _table_values(table):
+    def value(key, kind):
+        if key in LIKELY:
+            return LIKELY[key]
+        if isinstance(kind, dict):
+            return _table_values(kind)
+        if isinstance(kind, list):
+            return st.dictionaries(SYMBOLS, value(None, kind[0]), max_size=1)
+        if isinstance(kind, tuple):
+            return st.sampled_from(kind)
+        return {bool: st.booleans(), float: st.floats(-4, 4), str: TEXT}[kind]
+    return st.fixed_dictionaries(
+        {key: value(key, kind) for key, (kind, default, _) in table.items() if default is ...},
+        optional={key: value(key, kind) for key, (kind, default, _) in table.items()
+                  if default is not ...})
+
+
+def _objects(doc):
+    yield doc
+    for value in doc.values():
+        if isinstance(value, dict):
+            yield from _objects(value)
+
+
+@st.composite
+def documents(draw):
+    """A config drawn from the key table with up to three mutations: a key set
+    to junk or an extreme number, a key removed, or an unknown key added."""
+    if draw(st.integers(0, 9)) == 9:
+        return draw(JUNK)  # not a JSON object, or one of junk
+    doc = draw(_table_values(config.KEYS))
+    for _ in range(draw(st.integers(0, 3))):
+        obj = draw(st.sampled_from(list(_objects(doc))))
+        key = draw(st.sampled_from(sorted(obj) + MISSPELLED) | TEXT)
+        if obj is doc and key == "out":
+            continue
+        if draw(st.booleans()):
+            obj[key] = draw(JUNK)
+        else:
+            obj.pop(key, None)
+    return doc
+
+
+SWEEP_FLAGS = {
+    "--protocol": st.sampled_from(TWO_BAND) | TEXT,
+    "--steps": st.integers(-1, 4).map(str) | EXTREME.map(str) | TEXT,
+    "--grid": st.integers(4, 16).map(str) | EXTREME.map(str) | TEXT,
+    "--workers": st.integers(0, 3).map(str) | TEXT,
+    "--out": st.sampled_from(["-", OUT]),
+    "--set": st.builds("{}={}".format, SYMBOLS, st.floats(-4, 4) | EXTREME) | TEXT,
+    "--sweep": st.builds("{}:{}:{}:{}".format, SYMBOLS, st.integers(1, 3),
+                         st.integers(1, 4) | EXTREME, st.integers(1, 4)) | TEXT,
+    "--link": st.builds("{}={}:{}:{}".format, SYMBOLS, SYMBOLS, st.floats(-2, 2), EXTREME) | TEXT,
+    "--step-independent": st.none(),
+}
+SYMMETRY_FLAGS = {"--out": SWEEP_FLAGS["--out"], "--golden": st.none()}
+MISSPELLED_FLAGS = ["--gird", "--phi", "--sweeps", "--stpes", "--golden", "--set"]
+
+
+@st.composite
+def argvs(draw):
+    """A command with its flags, one in five times also a misspelled or misplaced flag."""
+    command = draw(st.sampled_from(["bands", "invariant", "classify-gaps", "symmetry"]))
+    argv = [command]
+    if command == "symmetry":
+        argv += draw(st.lists(st.sampled_from(PROTOCOL_IDS) | TEXT, max_size=2))
+        flags = SYMMETRY_FLAGS
+    else:
+        argv += ["--config", draw(st.sampled_from(["<cfg>"] * 6 + ["<dir>"]))]
+        flags = SWEEP_FLAGS
+    names = draw(st.lists(st.sampled_from(sorted(flags)), max_size=3))
+    if draw(st.integers(0, 4)) == 4:
+        names.append(draw(st.sampled_from(MISSPELLED_FLAGS)))
+    for flag in names:
+        value = draw(flags.get(flag, TEXT))
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+class SerialPool:
+    """Stands in for the process pool: the fuzz starts no processes."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+class TestFuzzedBoundary:
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.too_slow])
+    @given(doc=documents(), argv=argvs())
+    def test_exit_code_and_one_line_error(self, tmp_path, capsys, monkeypatch, doc, argv):
+        # 3D walks fit the budget only at grid 8 with two values
+        monkeypatch.setattr(config, "MAX_POINTS", 2 ** 10)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.chdir(tmp_path)  # a stray relative path would land here and fail the test
+        out = tmp_path / "out.txt"
+        if isinstance(doc, dict) and doc.get("out") not in (None, "-"):
+            doc["out"] = str(out)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        paths = {"<cfg>": str(cfg), "<dir>": str(tmp_path), OUT: str(out)}
+        code = run([paths.get(arg, arg) for arg in argv])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), (argv, doc, err)
+        assert len(err.splitlines()) <= 1 and "Traceback" not in err, (argv, doc, err)
+        assert {p.name for p in tmp_path.iterdir()} <= {"cfg.json", "out.txt"}
