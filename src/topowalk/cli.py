@@ -9,19 +9,21 @@ symmetry       JSON classification records; --golden diffs against the
                bundled reference table
 
 Exit codes: 0 success, 2 usage/config error, 3 numerical diagnostic,
-1 golden-table mismatch.  Identical configs produce byte-identical artifacts
-for any worker count: rows are computed by pure functions and merged in sweep
-order.  `bands` computes them per chunk of sweep values, one plan pass per
-chunk of at most CHUNK_POINTS values x grid points (at least one value), so
-the chunk boundaries depend on the grid alone; the other sweeps compute them
-per sweep value.
+1 golden-table mismatch.  An output path that cannot be written is a usage
+error before any row is computed, and a failed run creates no file.
+Identical configs produce byte-identical artifacts for any worker count: rows
+are computed by pure functions and merged in sweep order.  `bands` and
+`invariant` compute them per chunk of sweep values, one plan pass per chunk of
+at most CHUNK_POINTS values x grid points (at least one value), so the chunk
+boundaries depend on the grid alone; `classify-gaps` computes them per sweep
+value.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from importlib import resources
 
@@ -29,15 +31,19 @@ import numpy as np
 
 from .config import (KEYS, LINK_KEYS, SCHEMA, SWEEP_KEYS, SweepConfig, config_from_dict,
                      read_document)
-from .errors import (BoundaryStateError, ClassificationError, InvalidInputError,
-                     UnknownProtocolError, WalkError)
+from .errors import (ClassificationError, InvalidInputError, UnknownProtocolError,
+                     WalkError)
 from .protocols import PROTOCOL_IDS, registry_lookup
 from .spectrum import EPS_GAP, bands_with_velocity
 from . import symmetry, topology
 
-# sweep values x grid points per plan pass of `bands`; larger chunks raise
-# peak memory but not speed
+# sweep values x grid points per plan pass of `bands` and `invariant`; larger
+# chunks raise peak memory but not speed
 CHUNK_POINTS = 2 ** 13
+
+# the process pool class, imported by `_map_values` only when a run asks for
+# more than one worker; a stand-in set here is used as it is
+ProcessPoolExecutor = None
 
 
 def _f(x) -> str:
@@ -79,20 +85,13 @@ def _bands_chunk_rows(cfg: SweepConfig, values, k, k_cells) -> str:
     return "\n".join(rows)
 
 
-def _invariant_value_rows(cfg: SweepConfig, value) -> list:
-    spec = cfg.spec_at(value)
-    sval = _sweep_cell(cfg, value)
-    closings = topology.find_gap_closings(spec, grid_n=max(cfg.grid, 32))
-    if closings:
-        return [f"{sval},,,boundary"]
-    try:
-        if spec.dimension == 1:
-            res = topology.winding_number(spec, grid_n=cfg.grid)
-            return [f"{sval},{res.w},{_f(res.raw)},ok"]
-        res = topology.chern_number(spec, grid_n=cfg.grid)
-        return [f"{sval},{res.c},{_f(res.raw)},ok"]
-    except BoundaryStateError:
-        return [f"{sval},,,boundary"]
+def _invariant_chunk_rows(cfg: SweepConfig, values) -> str:
+    """The CSV rows of a contiguous chunk of sweep values, from one plan pass
+    (`topology.sweep_invariants`)."""
+    results = topology.sweep_invariants([cfg.spec_at(v) for v in values], cfg.grid)
+    return "\n".join(f"{_sweep_cell(cfg, v)},,,boundary" if res is None
+                     else f"{_sweep_cell(cfg, v)},{res[0]},{_f(res[1])},ok"
+                     for v, res in zip(values, results))
 
 
 def _classify_value_record(cfg: SweepConfig, value) -> dict:
@@ -121,23 +120,47 @@ def _jsonable(obj):
     return obj
 
 
+def _chunks(cfg: SweepConfig, points: int) -> list:
+    """The sweep values in contiguous chunks of at most CHUNK_POINTS // points
+    values (at least one); they depend on the grid alone, so the bytes do not
+    depend on the workers."""
+    size = max(1, CHUNK_POINTS // points)
+    values = cfg.sweep_values()
+    return [values[i:i + size] for i in range(0, len(values), size)]
+
+
 def _map_values(cfg: SweepConfig, values, fn, workers: int):
     workers = min(workers, len(values))  # no idle processes, no pool for one task
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        pool_class = ProcessPoolExecutor
+        if pool_class is None:
+            from concurrent.futures import ProcessPoolExecutor as pool_class
+        with pool_class(max_workers=workers) as pool:
             return list(pool.map(fn, [cfg] * len(values), values))
     return [fn(cfg, v) for v in values]
 
 
-def _write_text(path, text: str):
+def _write_text(path, text: str, mode: str = "w"):
     if path is None or path == "-":
         sys.stdout.write(text)
         return
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(path, mode, encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except (OSError, ValueError) as err:  # ValueError: a path with a NUL byte
         raise InvalidInputError(f"out {path!r} cannot be written: {err}") from None
+
+
+def _check_out(path):
+    """Append nothing to the output path, which leaves an existing file as it
+    is, so that an unwritable path fails before any row is computed; a file
+    the check creates is removed again."""
+    if path is None or path == "-":
+        return
+    existed = os.path.lexists(path)
+    _write_text(path, "", mode="a")
+    if not existed:
+        os.remove(path)
 
 
 def _build_config(args) -> SweepConfig:
@@ -150,7 +173,9 @@ def _build_config(args) -> SweepConfig:
                 old = doc.get(key, {})
                 value = {**old, **dict(value)} if isinstance(old, dict) else old
             doc[key] = value
-    return config_from_dict(doc).validate()
+    cfg = config_from_dict(doc).validate()
+    _check_out(cfg.out)
+    return cfg
 
 
 def _cmd_bands(args) -> int:
@@ -160,12 +185,8 @@ def _cmd_bands(args) -> int:
               + [f"v_k{i+1}" for i in range(dim)] + ["status"])
     k = symmetry.bz_grid(dim, cfg.grid)
     k_cells = [",".join(map(repr, row)) for row in k.tolist()]
-    # the chunks depend on the grid alone, so the bytes do not depend on the workers
-    size = max(1, CHUNK_POINTS // len(k))
-    values = cfg.sweep_values()
-    chunks = [values[i:i + size] for i in range(0, len(values), size)]
-    texts = _map_values(cfg, chunks, partial(_bands_chunk_rows, k=k, k_cells=k_cells),
-                        cfg.workers)
+    texts = _map_values(cfg, _chunks(cfg, len(k)),
+                        partial(_bands_chunk_rows, k=k, k_cells=k_cells), cfg.workers)
     _write_text(cfg.out, "\n".join([",".join(header)] + texts) + "\n")
     return 0
 
@@ -182,11 +203,9 @@ def _cmd_invariant(args) -> int:
             raise InvalidInputError(
                 f"winding needs a chiral protocol with a momentum-independent axis:"
                 f" {err}") from None
-    chunks = _map_values(cfg, cfg.sweep_values(), _invariant_value_rows, cfg.workers)
-    lines = ["sweep_param,invariant,raw,status"]
-    for chunk in chunks:
-        lines.extend(chunk)
-    _write_text(cfg.out, "\n".join(lines) + "\n")
+    texts = _map_values(cfg, _chunks(cfg, cfg.grid ** spec.dimension), _invariant_chunk_rows,
+                        cfg.workers)
+    _write_text(cfg.out, "\n".join(["sweep_param,invariant,raw,status"] + texts) + "\n")
     return 0
 
 
@@ -213,6 +232,7 @@ def _cmd_symmetry(args) -> int:
         if pid not in PROTOCOL_IDS:
             raise UnknownProtocolError(
                 f"unknown protocol id {pid!r}; valid ids: {', '.join(PROTOCOL_IDS)}")
+    _check_out(args.out)
     reports = [symmetry.classify(pid) for pid in ids]
     payload = {"schema": SCHEMA, "command": "symmetry",
                "records": [r.as_record() for r in reports]}

@@ -3,9 +3,15 @@
 Conventions
 -----------
 * Every two-band quantity is the Bloch split (d0, d) of the compiled plan
-  (`spectrum.bloch`; the gap scan and the Chern grid split its entries on an
-  open mesh); `find_gap_closings` compiles once per call and refines closings
-  by Gauss-Newton on d(k) = 0 with the Jacobian split from the exact dU/dk.
+  (`spectrum.bloch`; the gap scan, the flat-band check and the winding and
+  Chern grids split its entries on an open mesh).  One scan (`_scan`: local
+  minima of |d| against their periodic neighbours) feeds one batched
+  Gauss-Newton refine of d(k) = 0 with the Jacobian split from the exact
+  dU/dk.  `find_gap_closings` scans the full BZ, since it reports closings
+  there; `sweep_invariants` scans the *minimal* momentum torus (see below)
+  of a whole chunk of sweep values at once, from the same d that its winding
+  or Chern reduction then reads, so a pi-periodic walk is scanned at twice
+  the resolution per axis.
 * The gap function is g(k) = min(E_+, pi - E_+): bands touch only at
   quasi-energy 0 or pi.
 * Dirac-vs-arc discrimination follows the band shape at the closing: a
@@ -34,7 +40,7 @@ import numpy as np
 from .errors import BoundaryStateError, InvalidInputError
 from .protocols import ProtocolSpec, Shift, registry_lookup
 from .spectrum import EPS_GAP, bloch, bloch_entries, two_band_plan
-from .symmetry import bz_grid, chiral_axis, momentum_axes
+from .symmetry import chiral_axis, momentum_axes
 
 EPS_FLAT = 1e-8
 FIT_WINDOW = 0.05
@@ -90,12 +96,13 @@ def gap_function(spec: ProtocolSpec):
     return g
 
 
-def _gauss_newton(plan, pts: np.ndarray, cell: float):
+def _gauss_newton(plan, pts: np.ndarray, cell):
     """Batched Gauss-Newton on d(k) = 0 from all start points at once: J = dd/dk
     is the Bloch split of the plan's exact dU/dk (d is linear in U), and the step
     -pinv(J) d, least-squares also where J is rank-deficient on closing lines, is
-    clipped to one grid cell per axis.  Stops after 60 steps or once no step
-    exceeds 1e-15 (1 + |k|); returns each point's lowest-|d| iterate, d0 and |d|."""
+    clipped to one grid cell per axis (`cell`, a scalar or one per axis).  Stops
+    after 60 steps or once no step exceeds 1e-15 (1 + |k|); returns each point's
+    lowest-|d| iterate, d0 and |d|."""
     best, best_d0, best_norm = pts.copy(), np.empty(len(pts)), np.full(len(pts), np.inf)
     for _ in range(60):
         entries, grads = plan.entries_and_grad(pts)
@@ -112,11 +119,40 @@ def _gauss_newton(plan, pts: np.ndarray, cell: float):
     return best, best_d0, best_norm
 
 
+def _mesh_bloch(plan, axes, shape):
+    """(d0, [d_x, d_y, d_z]) of the plan on the open mesh of the momentum
+    `axes`, each broadcast to `shape` (any leading sweep axes of the plan's
+    angles, then one axis per momentum axis)."""
+    d0, d = bloch_entries(*plan.entries(np.meshgrid(*axes, indexing="ij", sparse=True)))
+    return np.broadcast_to(d0, shape), [np.broadcast_to(x, shape) for x in d]
+
+
+def _scan(d, cells):
+    """Start points of the gap search: the local minima of |d| over the
+    trailing len(cells) mesh axes of d, each compared with its periodic
+    neighbours on shifted slices of one wrapped copy, kept if plausibly
+    refinable to a closing (a touching cone of slope <= 2 per axis stays below
+    ~2 sqrt(dim) cell within one grid cell).  Returns the index rows of the
+    leading axes and the momenta -pi + index * cell."""
+    dim = len(cells)
+    vals = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+    lead = vals.ndim - dim
+    wrapped = np.pad(vals, [(0, 0)] * lead + [(1, 1)] * dim, mode="wrap")
+    keep = vals < 2 * np.sqrt(dim) * cells.max()
+    for ax in range(dim):
+        for side in (slice(None, -2), slice(2, None)):
+            window = [slice(1, -1)] * dim
+            window[ax] = side
+            keep &= vals <= wrapped[(Ellipsis, *window)]
+    idx = np.argwhere(keep)
+    return idx[:, :lead], -np.pi + idx[:, lead:] * cells
+
+
 def find_gap_closings(spec_or_id, *, angles=None, T=None, grid_n: int = 64,
                       refine_tol: float = EPS_GAP) -> List[GapPoint]:
-    """Locate band touchings: coarse scan for local minima of |d|, then one
-    batched Gauss-Newton solve of d(k) = 0 from all of them on the plan's
-    exact Jacobian (`_gauss_newton`); duplicates merged.
+    """Locate band touchings over the full BZ: coarse scan for local minima of
+    |d| (`_scan`), then one batched Gauss-Newton solve of d(k) = 0 from all of
+    them on the plan's exact Jacobian (`_gauss_newton`); duplicates merged.
 
     |d| = sin(E_+) vanishes exactly where the bands touch (E in {0, pi}) and,
     unlike min(E, pi - E), it stays fully resolved near a closing: arccos
@@ -127,23 +163,12 @@ def find_gap_closings(spec_or_id, *, angles=None, T=None, grid_n: int = 64,
         raise InvalidInputError("grid_n must be >= 32 per axis")
     dim = spec.dimension
     plan = two_band_plan(spec)  # compiled once for the scan and every refine step
-
-    mesh = np.meshgrid(*momentum_axes(dim, grid_n), indexing="ij", sparse=True)
-    _, (dx, dy, dz) = bloch_entries(*plan.entries(mesh))
-    vals = np.broadcast_to(np.sqrt(dx * dx + dy * dy + dz * dz), [grid_n] * dim)
-
-    local_min = np.ones_like(vals, dtype=bool)
-    for ax in range(dim):
-        local_min &= vals <= np.roll(vals, 1, axis=ax)
-        local_min &= vals <= np.roll(vals, -1, axis=ax)
-    # only minima plausibly refinable to a closing: a touching cone of slope
-    # <= 2 per axis stays below ~2*sqrt(dim)*cell within one grid cell
-    cell = 2 * np.pi / grid_n
-    cand = np.argwhere(local_min & (vals < 2 * np.sqrt(dim) * cell))
+    cells = np.full(dim, 2 * np.pi / grid_n)
+    _, starts = _scan(_mesh_bloch(plan, momentum_axes(dim, grid_n), (grid_n,) * dim)[1], cells)
 
     points = []
-    if cand.size:
-        pts, d0, resid = _gauss_newton(plan, -np.pi + cand.astype(float) * cell, cell)
+    if len(starts):
+        pts, d0, resid = _gauss_newton(plan, starts, cells)
         e_plus = np.arccos(np.clip(d0, -1.0, 1.0))
         for i in range(pts.shape[0]):
             if resid[i] <= refine_tol:
@@ -165,7 +190,9 @@ def find_gap_closings(spec_or_id, *, angles=None, T=None, grid_n: int = 64,
 
 
 def _band_variation(spec: ProtocolSpec, grid_n: int = 64) -> float:
-    e = bloch(spec, bz_grid(spec.dimension, grid_n)).e_plus
+    d0, _ = _mesh_bloch(two_band_plan(spec), momentum_axes(spec.dimension, grid_n),
+                        (grid_n,) * spec.dimension)
+    e = np.arccos(np.clip(d0, -1.0, 1.0))
     return float(e.max() - e.min())
 
 
@@ -268,36 +295,24 @@ def momentum_period(spec: ProtocolSpec, axis: int) -> float:
 
 
 def _plane_basis(A: np.ndarray):
-    v0 = np.array([0.0, 0.0, 1.0]) if abs(A[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
+    """Unit e1 and e2 with (e1, e2, A) right-handed, for each axis A (..., 3).
+    |e1| is the dot product's root, as `np.linalg.norm` of one vector takes it."""
+    v0 = np.where((np.abs(A[..., 2]) < 0.9)[..., None], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
     e1 = np.cross(A, v0)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(A, e1)  # (e1, e2, A) right-handed: e1 x e2 = A
-    return e1, e2
+    e1 /= np.sqrt(e1[..., None, :] @ e1[..., :, None])[..., 0]
+    return e1, np.cross(A, e1)
 
 
-def winding_number(spec_or_id, *, angles=None, T=None, grid_n: int = 256,
-                   axis_vector=None) -> WindingResult:
-    """Winding of the in-plane Bloch vector around the origin (1D chiral walks)."""
-    spec = registry_lookup(spec_or_id, T=T, angles=angles)
-    if spec.dimension != 1:
-        raise InvalidInputError("winding_number needs a 1D protocol")
-    d = bloch(spec, momentum_axes(1, grid_n, [momentum_period(spec, 0)])[0]).d
-    A = np.asarray(axis_vector, dtype=float) if axis_vector is not None else chiral_axis(spec)
-    e1, e2 = _plane_basis(A)
-    x, y = d @ e1, d @ e2
-    r = np.hypot(x, y)
-    if r.min() <= EPS_GAP:
-        raise BoundaryStateError(
-            f"winding undefined: the d loop passes the origin (min |d_perp| = {r.min():.2e})")
+def _winding(d, A):
+    """(raw winding, min |d_perp|) of the loops d = (d_x, d_y, d_z) over their
+    trailing momentum axis, around the chiral axes A (3,) or (..., 3) of the
+    leading axes, in the right-handed frame (e1, e2, A) of each."""
+    e1, e2 = _plane_basis(np.asarray(A, dtype=float))
+    dvec = np.stack(d, axis=-1)
+    x, y = ((dvec @ e[..., :, None])[..., 0] for e in (e1, e2))
     theta = np.arctan2(y, x)
-    dtheta = np.diff(np.concatenate([theta, theta[:1]]))
-    dtheta = wrap_pi(dtheta)
-    raw = float(dtheta.sum() / (2 * np.pi))
-    w = int(round(raw))
-    if abs(raw - w) > QUANT_TOL:
-        raise BoundaryStateError(
-            f"winding not quantized: raw = {raw:.4f} (loop too close to the origin)")
-    return WindingResult(w=w, raw=raw)
+    dtheta = wrap_pi(np.diff(theta, axis=-1, append=theta[..., :1]))
+    return dtheta.sum(axis=-1) / (2 * np.pi), np.hypot(x, y).min(axis=-1)
 
 
 def _solid_angle(a, b, c):
@@ -310,27 +325,107 @@ def _solid_angle(a, b, c):
     return 2.0 * np.arctan2(num, den)
 
 
+def _chern(d):
+    """(raw Chern number, min |d|) of d = (d_x, d_y, d_z) over its trailing two
+    momentum axes, a periodic mesh: the plaquette solid angles of n_hat, whose
+    corners are shifted slices of one wrapped copy of each component."""
+    norm = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+    lead = [(0, 0)] * (norm.ndim - 2)
+    with np.errstate(divide="ignore", invalid="ignore"):  # min |d| flags d = 0
+        n = [np.pad(x / norm, lead + [(0, 1), (0, 1)], mode="wrap") for x in d]
+    n1 = [x[..., :-1, :-1] for x in n]
+    n2 = [x[..., 1:, :-1] for x in n]
+    n3 = [x[..., 1:, 1:] for x in n]
+    n4 = [x[..., :-1, 1:] for x in n]
+    omega = _solid_angle(n1, n2, n3) + _solid_angle(n1, n3, n4)
+    return CHERN_ORIENTATION * omega.sum(axis=(-2, -1)) / (4 * np.pi), norm.min(axis=(-2, -1))
+
+
+def _quantized(what: str, raw: float, margin: float) -> int:
+    """The integer nearest raw; BoundaryStateError if the invariant `what` is
+    undefined: d came within EPS_GAP of the origin (`margin`, its least
+    distance) or raw is not within QUANT_TOL of an integer."""
+    if margin <= EPS_GAP:
+        raise BoundaryStateError(f"{what} undefined: d passes the origin (min |d| = {margin:.2e})")
+    n = int(round(raw))
+    if abs(raw - n) > QUANT_TOL:
+        raise BoundaryStateError(f"{what} not quantized: raw = {raw:.4f} (gap closing between"
+                                 f" grid points?)")
+    return n
+
+
+def winding_number(spec_or_id, *, angles=None, T=None, grid_n: int = 256,
+                   axis_vector=None) -> WindingResult:
+    """Winding of the in-plane Bloch vector around the origin (1D chiral walks)."""
+    spec = registry_lookup(spec_or_id, T=T, angles=angles)
+    if spec.dimension != 1:
+        raise InvalidInputError("winding_number needs a 1D protocol")
+    _, d = _mesh_bloch(two_band_plan(spec),
+                       momentum_axes(1, grid_n, [momentum_period(spec, 0)]), (grid_n,))
+    A = axis_vector if axis_vector is not None else chiral_axis(spec)
+    raw, margin = map(float, _winding(d, A))
+    return WindingResult(w=_quantized("winding", raw, margin), raw=raw)
+
+
 def chern_number(spec_or_id, *, angles=None, T=None, grid_n: int = 64) -> ChernResult:
     """Degree of n_hat over the minimal 2D momentum torus (plaquette solid angles)."""
     spec = registry_lookup(spec_or_id, T=T, angles=angles)
     if spec.dimension != 2:
         raise InvalidInputError("chern_number needs a 2D protocol")
     periods = [momentum_period(spec, 0), momentum_period(spec, 1)]
-    mesh = np.meshgrid(*momentum_axes(2, grid_n, periods), indexing="ij", sparse=True)
-    _, d = bloch_entries(*two_band_plan(spec).entries(mesh))
-    d = [np.broadcast_to(x, (grid_n, grid_n)) for x in d]
-    norm = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
-    if norm.min() <= EPS_GAP:
-        raise BoundaryStateError(
-            f"Chern number undefined: d passes the origin (min |d| = {norm.min():.2e})")
-    n1 = [x / norm for x in d]
-    n2 = [np.roll(x, -1, axis=0) for x in n1]
-    n3 = [np.roll(x, -1, axis=1) for x in n2]
-    n4 = [np.roll(x, -1, axis=1) for x in n1]
-    omega = _solid_angle(n1, n2, n3) + _solid_angle(n1, n3, n4)
-    raw = float(CHERN_ORIENTATION * omega.sum() / (4 * np.pi))
-    c = int(round(raw))
-    if abs(raw - c) > QUANT_TOL:
-        raise BoundaryStateError(
-            f"Chern number not quantized: raw = {raw:.4f} (gap closing between nodes?)")
-    return ChernResult(c=c, raw=raw)
+    _, d = _mesh_bloch(two_band_plan(spec), momentum_axes(2, grid_n, periods), (grid_n, grid_n))
+    raw, margin = map(float, _chern(d))
+    return ChernResult(c=_quantized("Chern number", raw, margin), raw=raw)
+
+
+def sweep_invariants(specs: Sequence[ProtocolSpec],
+                     grid_n: int) -> List[Optional[Tuple[int, float]]]:
+    """The winding (1D) or Chern (2D) number of each walk of `specs`, one
+    protocol at several angles and step numbers, from one plan pass: (n, raw)
+    per walk, or None where its gap closes or the invariant is undefined.
+
+    The angles and T of the walks are (V, 1, ...) arrays against the open mesh
+    of the minimal momentum torus at grid_n points per axis.  That one d
+    serves the scan for gap closings (`_scan`; on a separate 32-point mesh if
+    grid_n < 32), and, for the walks none of whose candidates refines to
+    |d| <= EPS_GAP in the one Gauss-Newton solve of all of them, the reduction
+    (`_winding` about each walk's chiral axis, or `_chern`).
+    """
+    spec, count = specs[0], len(specs)
+    dim = spec.dimension
+    if dim not in (1, 2):
+        raise InvalidInputError("invariants are computed for 1D (winding) and 2D (Chern) only")
+    periods = [momentum_period(spec, ax) for ax in range(dim)]
+    lead = (count,) + (1,) * dim
+    angles = {sym: np.reshape([s.angles[sym] for s in specs], lead) for sym in spec.angles}
+    steps = np.reshape([s.T for s in specs], lead)
+    plan = two_band_plan(spec, angles=angles, T=steps)
+    _, d = _mesh_bloch(plan, momentum_axes(dim, grid_n, periods), (count,) + (grid_n,) * dim)
+    scan_n = max(grid_n, 32)
+    scan_d = d if scan_n == grid_n else _mesh_bloch(plan, momentum_axes(dim, scan_n, periods),
+                                                    (count,) + (scan_n,) * dim)[1]
+    cells = np.divide(periods, scan_n)
+    rows, starts = _scan(scan_d, cells)
+    closed = np.zeros(count, dtype=bool)
+    if len(starts):
+        which = rows[:, 0]  # each start point refines at its own walk's angles and T
+        per_start = two_band_plan(spec, T=steps.ravel()[which],
+                                  angles={sym: a.ravel()[which] for sym, a in angles.items()})
+        closed[which[_gauss_newton(per_start, starts, cells)[2] <= EPS_GAP]] = True
+
+    results = [None] * count
+    todo = np.flatnonzero(~closed)
+    if not len(todo):
+        return results
+    if len(todo) < count:
+        d = [x[todo] for x in d]
+    if dim == 1:
+        what, (raw, margin) = "winding", _winding(d, [chiral_axis(specs[i]) for i in todo])
+    else:
+        what, (raw, margin) = "Chern number", _chern(d)
+    for i, r, m in zip(todo, raw.tolist(), margin.tolist()):
+        try:
+            results[i] = (_quantized(what, r, m), r)
+        except BoundaryStateError:
+            pass
+    return results

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from topowalk import cli, config, spectrum
+from topowalk import cli, config, spectrum, topology
 from topowalk import symmetry as sym
-from topowalk.errors import InvalidInputError
+from topowalk.errors import BoundaryStateError, InvalidInputError
 from topowalk.protocols import PROTOCOL_IDS, registry_lookup
 
 PI = math.pi
@@ -198,6 +198,70 @@ class TestInvariant:
     def test_winding_without_chirality_is_usage_error(self, tmp_path):
         cfg = small_bands_cfg(tmp_path, protocol="1d-phs")
         assert run(["invariant", "--config", str(cfg), "--out", "-"]) == 2
+
+
+INVARIANT_CASES = {  # overrides, sweep symbol; 1d-chs is 2 pi-periodic, 2d-phs pi-periodic
+    "linked-angle": ({"protocol": "1d-chs", "steps": 6, "angles": {}, "grid": 64,
+                      "linked": {"beta": {"on": "alpha", "scale": 1 / 3, "offset": PI / 3}}},
+                     "alpha"),
+    "step-number": ({"protocol": "1d-chs", "steps": 1,
+                     "angles": {"alpha": PI / 3, "beta": PI / 6}, "grid": 128}, "T"),
+    "grid16": ({"protocol": "2d-phs", "steps": 2, "angles": {"alpha": PI / 3}, "grid": 16},
+               "beta"),
+}
+
+
+class TestInvariantChunks:
+    @pytest.mark.parametrize("case", sorted(INVARIANT_CASES))
+    def test_rows_match_per_value_reference(self, tmp_path, monkeypatch, case):
+        overrides, symbol = INVARIANT_CASES[case]
+        dim = int(overrides["protocol"][0])
+        count = cli.CHUNK_POINTS // overrides["grid"] ** dim + 2  # two chunks
+        sweep = ({"symbol": "T", "start": 1, "stop": count, "count": count} if symbol == "T"
+                 else {"symbol": symbol, "start": -PI, "stop": PI, "count": count})
+        path = small_bands_cfg(tmp_path, sweep=sweep, **overrides)
+        outs = []
+        # more workers than CPUs is a usage error
+        for workers in ["1", "2"] if (os.cpu_count() or 1) >= 2 else ["1"]:
+            out = tmp_path / f"w{workers}.csv"
+            assert run(["invariant", "--config", str(path), "--out", str(out),
+                        "--workers", workers]) == 0
+            outs.append(out.read_bytes())
+        # chunks of three values: the sweep straddles many of them
+        monkeypatch.setattr(cli, "CHUNK_POINTS", 3 * overrides["grid"] ** dim)
+        out = tmp_path / "small-chunks.csv"
+        assert run(["invariant", "--config", str(path), "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+        assert all(o == outs[0] for o in outs)
+
+        # the per-value reference: a full-BZ gap search, then the public invariant
+        cfg = config.config_from_dict(json.loads(path.read_text()))
+        rows = [r.split(",") for r in outs[0].decode().splitlines()[1:]]
+        assert len(rows) == count
+        statuses = set()
+        for row, value in zip(rows, cfg.sweep_values()):
+            spec = cfg.spec_at(value)
+            assert row[0] == (str(value) if symbol == "T" else repr(float(value)))
+            want = None
+            if not topology.find_gap_closings(spec, grid_n=max(cfg.grid, 32)):
+                public = topology.winding_number if dim == 1 else topology.chern_number
+                try:
+                    res = public(spec, grid_n=cfg.grid)
+                    want = [str(res.w if dim == 1 else res.c), repr(res.raw), "ok"]
+                except BoundaryStateError:
+                    pass
+            assert row[1:] == (want or ["", "", "boundary"]), value
+            statuses.add(row[3])
+        assert statuses == {"ok", "boundary"}
+
+    def test_values_next_to_a_fig6_closing_stay_boundary(self, tmp_path):
+        # fig6 closes its gap at alpha = pi/2; the sweep's middle value sits on it
+        out = tmp_path / "near.csv"
+        for alpha, eps in ((PI / 2, 1e-10), (0.0, 1e-12)):
+            assert run(["invariant", "--config", str(FIXTURE_DIR / "fig6.cfg"), "--out", str(out),
+                        "--sweep", f"alpha:{alpha - eps!r}:{alpha + eps!r}:3"]) == 0
+            rows = out.read_text().splitlines()[1:]
+            assert [r.split(",")[1:] for r in rows] == [["", "", "boundary"]] * 3
 
 
 class TestClassifyGaps:
@@ -464,6 +528,35 @@ class TestUsageErrors:
         assert len(err) == len(runs)
         assert [line.split()[1] for line in err] == ["config"] * 3 + ["out"] * 2
 
+    @pytest.mark.parametrize("command", ["bands", "invariant", "classify-gaps"])
+    def test_unwritable_out_fails_before_any_value(self, tmp_path, capsys, monkeypatch,
+                                                   command):
+        def reached(*a, **kw):
+            raise AssertionError("a sweep value was computed")
+        monkeypatch.setattr(cli, "_map_values", reached)
+        cfg = small_bands_cfg(tmp_path)
+        assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: out {str(tmp_path)!r} cannot be")
+
+    def test_failed_run_leaves_no_new_file(self, tmp_path, monkeypatch):
+        from topowalk.errors import GaplessError
+
+        def boom(*a, **kw):
+            raise GaplessError("synthetic failure")
+        monkeypatch.setattr(cli, "_map_values", boom)
+        cfg = small_bands_cfg(tmp_path)
+        (tmp_path / "3d").mkdir()
+        flat = small_bands_cfg(tmp_path / "3d", protocol="3d-simple", angles={},
+                               sweep={"symbol": "beta", "start": 0.1, "stop": 0.3, "count": 2})
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        old.write_text("kept\n")
+        for out in (new, old):
+            assert run(["bands", "--config", str(cfg), "--out", str(out)]) == 3
+            # a 3D invariant is refused after the output path was checked
+            assert run(["invariant", "--config", str(flat), "--out", str(out)]) == 2
+        assert not new.exists() and old.read_text() == "kept\n"
+
     def test_non_numeric_flag_values(self):
         base = ["bands", "--protocol", "1d-chs", "--grid", "8", "--out", "-"]
         assert run(base + ["--sweep", "alpha:0:1:2", "--set", "beta=abc"]) == 2
@@ -480,7 +573,8 @@ class TestUsageErrors:
         assert run(["bands", "--config", str(cfg), "--out", "-"]) == 3
 
     @pytest.mark.parametrize("module, name, command", [
-        ("topology", "find_gap_closings", "invariant"),
+        ("topology", "find_gap_closings", "classify-gaps"),
+        ("topology", "sweep_invariants", "invariant"),
         ("symmetry", "classify", "symmetry"),
     ])
     def test_linalg_error_is_numerical_diagnostic(self, tmp_path, capsys, monkeypatch,

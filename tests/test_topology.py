@@ -221,6 +221,38 @@ class TestChern:
             tp.chern_number("1d-chs", angles={"alpha": 0.1, "beta": 0.2}, T=1)
 
 
+class TestSweepInvariants:
+    @pytest.mark.parametrize("pid, T, grid_n", [
+        ("1d-chs", 6, 128), ("1d-split", 2, 64), ("2d-phs", 2, 32), ("2d-nosym", 3, 24)])
+    def test_raw_equals_the_public_invariant(self, rng, pid, T, grid_n):
+        symbols = pr.registry_lookup(pid).symbols
+        specs = [pr.registry_lookup(pid, T=T, angles={s: float(rng.uniform(-PI, PI))
+                                                      for s in symbols}) for _ in range(16)]
+        dim = specs[0].dimension
+        public = tp.winding_number if dim == 1 else tp.chern_number
+        results = tp.sweep_invariants(specs, grid_n)
+        assert len(results) == len(specs)
+        for spec, res in zip(specs, results):
+            try:
+                want = public(spec, grid_n=grid_n)
+            except BoundaryStateError:
+                assert res is None  # random angles: no gap closing, only undefined invariants
+                continue
+            assert res == (want.w if dim == 1 else want.c, want.raw)
+        assert any(res is not None for res in results)
+
+    def test_walk_at_a_closing_has_no_invariant(self):
+        at = pr.registry_lookup("2d-phs", T=2, angles={"alpha": PI / 3, "beta": PI / 6})
+        off = pr.registry_lookup("2d-phs", T=2, angles={"alpha": PI / 3, "beta": PI / 4})
+        got = tp.sweep_invariants([off, at, off], 64)
+        want = tp.chern_number(off, grid_n=64)
+        assert got == [(want.c, want.raw), None, (want.c, want.raw)]
+
+    def test_rejects_3d(self):
+        with pytest.raises(InvalidInputError):
+            tp.sweep_invariants([pr.registry_lookup("3d-simple")], 8)
+
+
 class TestMomentumPeriod:
     def test_full_shift_pairs_give_pi(self):
         spec = pr.registry_lookup("2d-phs")
