@@ -12,11 +12,11 @@ Exit codes: 0 success, 2 usage/config error, 3 numerical diagnostic,
 1 golden-table mismatch.  An output path that cannot be written is a usage
 error before any row is computed, and a failed run creates no file.
 Identical configs produce byte-identical artifacts for any worker count: rows
-are computed by pure functions and merged in sweep order.  `bands` and
-`invariant` compute them per chunk of sweep values, one plan pass per chunk of
-at most CHUNK_POINTS values x grid points (at least one value), so the chunk
-boundaries depend on the grid alone; `classify-gaps` computes them per sweep
-value.
+are computed by pure functions and merged in sweep order.  Every sweep
+command computes them per chunk of sweep values, one plan pass per chunk of at
+most CHUNK_POINTS values x grid points (at least one value; `classify-gaps`
+counts its scan grid of at least topology.MIN_SCAN_GRID points per axis), so
+the chunk boundaries depend on the grid alone.
 """
 from __future__ import annotations
 
@@ -37,8 +37,8 @@ from .protocols import PROTOCOL_IDS, registry_lookup
 from .spectrum import EPS_GAP, bands_with_velocity
 from . import symmetry, topology
 
-# sweep values x grid points per plan pass of `bands` and `invariant`; larger
-# chunks raise peak memory but not speed
+# sweep values x grid points per plan pass of a sweep command; larger chunks
+# raise peak memory but not speed
 CHUNK_POINTS = 2 ** 13
 
 # the process pool class, imported by `_map_values` only when a run asks for
@@ -94,30 +94,15 @@ def _invariant_chunk_rows(cfg: SweepConfig, values) -> str:
                      for v, res in zip(values, results))
 
 
-def _classify_value_record(cfg: SweepConfig, value) -> dict:
-    spec = cfg.spec_at(value)
-    points = topology.find_gap_closings(spec, grid_n=max(cfg.grid, 32))
-    classes = topology.classify_boundary(spec, gap_points=points, grid_n=max(cfg.grid, 32))
-    return {
-        "sweep_value": float(value) if cfg.sweep_symbol != "T" else int(value),
-        "gap_points": [
-            {"k": [float(x) for x in p.k], "quasi_energy": float(p.quasi_energy),
-             "residual": float(p.residual)} for p in points],
-        "classifications": [
-            {"kind": c.kind, "evidence": _jsonable(c.evidence)} for c in classes],
-    }
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+def _classify_chunk_records(cfg: SweepConfig, values) -> list:
+    """The classify-gaps records of a contiguous chunk of sweep values, from one
+    plan pass (`topology.sweep_boundaries`)."""
+    found = topology.sweep_boundaries([cfg.spec_at(v) for v in values], cfg.grid)
+    return [{"sweep_value": float(v) if cfg.sweep_symbol != "T" else int(v),
+             "gap_points": [{"k": p.k, "quasi_energy": p.quasi_energy, "residual": p.residual}
+                            for p in points],
+             "classifications": [{"kind": c.kind, "evidence": c.evidence} for c in classes]}
+            for v, (points, classes) in zip(values, found)]
 
 
 def _chunks(cfg: SweepConfig, points: int) -> list:
@@ -211,9 +196,10 @@ def _cmd_invariant(args) -> int:
 
 def _cmd_classify_gaps(args) -> int:
     cfg = _build_config(args)
-    records = _map_values(cfg, cfg.sweep_values(), _classify_value_record, cfg.workers)
-    payload = {"schema": SCHEMA, "command": "classify-gaps",
-               "protocol": cfg.protocol, "records": records}
+    points = max(cfg.grid, topology.MIN_SCAN_GRID) ** registry_lookup(cfg.protocol).dimension
+    chunks = _map_values(cfg, _chunks(cfg, points), _classify_chunk_records, cfg.workers)
+    payload = {"schema": SCHEMA, "command": "classify-gaps", "protocol": cfg.protocol,
+               "records": [record for chunk in chunks for record in chunk]}
     _write_text(cfg.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return 0
 

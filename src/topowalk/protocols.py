@@ -313,7 +313,10 @@ def compile_plan(spec: ProtocolSpec, *, angles: Optional[Mapping] = None, T=None
                                     f" it uses {sorted(spec.symbols)}")
         ang.update(angles)
     T_eff = spec.T if T is None else T
-    if np.any(np.asarray(T_eff) < 1):
+    steps = np.asarray(T_eff)
+    if steps.dtype.kind not in "iu" and (steps.dtype == bool or np.any(steps != np.round(steps))):
+        raise InvalidInputError(f"step number T must be an integer, got {T_eff!r}")
+    if np.any(steps < 1):
         raise InvalidInputError("step number T must be >= 1")
 
     steps, det_phase = [], [0] * spec.dimension

@@ -121,16 +121,16 @@ def check_relation(spec: ProtocolSpec, op: SymmetryOperator, relation: str,
     return float(resid[ok].max())
 
 
-def d_cloud(spec: ProtocolSpec, n_per_axis: int = 24):
-    """Gap-open Bloch vectors of a two-band protocol over a BZ grid."""
-    d = bloch(spec, bz_grid(spec.dimension, n_per_axis)).d
+def d_cloud(spec: ProtocolSpec):
+    """Gap-open Bloch vectors of a two-band protocol over a 24-per-axis BZ grid."""
+    d = bloch(spec, bz_grid(spec.dimension, 24)).d
     return d[np.linalg.norm(d, axis=-1) > _BRANCH_MARGIN]
 
 
-def chiral_axis_fit(spec: ProtocolSpec, n_per_axis: int = 24):
+def chiral_axis_fit(spec: ProtocolSpec):
     """(axis, planarity ratio): the unit normal of the best plane through the
     d cloud and the smallest/largest singular-value ratio (0 = exactly planar)."""
-    d = d_cloud(spec, n_per_axis)
+    d = d_cloud(spec)
     if d.shape[0] < 3:
         raise DegenerateGridError("not enough gap-open points to fit a chiral axis")
     _, s, vt = np.linalg.svd(d, full_matrices=False)
@@ -204,49 +204,39 @@ def default_candidates(spec: ProtocolSpec) -> List[Tuple[str, np.ndarray]]:
     return cands
 
 
-_CANONICAL_COMBOS = {
-    "phs": ((True, True),),
-    "trs": ((True, True),),
-    "chs": ((False, False),),
+_CANONICAL_COMBOS = {  # relation -> (antiunitary, momentum flip)
+    "phs": (True, True),
+    "trs": (True, True),
+    "chs": (False, False),
 }
-_ALL_COMBOS = tuple((anti, flip) for anti in (True, False) for flip in (True, False))
 
 
-def operator_search(spec: ProtocolSpec, relation: str,
-                    candidate_set: Optional[List[Tuple[str, np.ndarray]]] = None,
-                    n_per_axis: int = 16, tol: float = RESIDUAL_TOL,
-                    combos: str = "canonical"):
-    """Candidate operators satisfying the relation within tol.
-
-    combos="canonical" restricts to the conventional realizations
-    (antiunitary comparing k to -k for phs/trs; unitary at the same k for
-    chs).  combos="all" also tries the unitary/antiunitary and flip/no-flip
-    variants as a diagnostic; note that the *no-flip* antiunitary channel is
-    satisfied kinematically by sigma_y K for every two-band walk
-    (sigma_y (n.sigma)* sigma_y = -n.sigma identically), so it says nothing
-    about the protocol and is never used to judge presence.
+def operator_search(spec: ProtocolSpec, relation: str, n_per_axis: int = 16):
+    """The `default_candidates` operators that satisfy the relation within
+    RESIDUAL_TOL on an n_per_axis BZ grid, in their conventional realization:
+    antiunitary comparing k to -k for phs/trs, unitary at the same k for chs.
+    (The *no-flip* antiunitary channel is satisfied kinematically by sigma_y K
+    for every two-band walk, sigma_y (n.sigma)* sigma_y = -n.sigma identically,
+    so it says nothing about the protocol and is never tried.)
 
     Only operators with a well-defined square (+-1) are kept.  Returns a list
     of (SymmetryOperator, residual) sorted by residual.
     """
     if relation not in _CANONICAL_COMBOS:
         raise InvalidInputError(f"unknown relation {relation!r}")
-    pairs = _CANONICAL_COMBOS[relation] if combos == "canonical" else _ALL_COMBOS
-    cands = default_candidates(spec) if candidate_set is None else candidate_set
+    anti, flip = _CANONICAL_COMBOS[relation]
     k_grid = bz_grid(spec.dimension, n_per_axis)
     found = []
-    for name, M in cands:
-        for anti, flip in pairs:
-            op = SymmetryOperator(matrix=M, antiunitary=anti, momentum_flip=flip,
-                                  label=name)
-            if op.square() is None:
-                continue
-            try:
-                r = check_relation(spec, op, relation, k_grid)
-            except DegenerateGridError:
-                continue
-            if r <= tol:
-                found.append((op, r))
+    for name, M in default_candidates(spec):
+        op = SymmetryOperator(matrix=M, antiunitary=anti, momentum_flip=flip, label=name)
+        if op.square() is None:
+            continue
+        try:
+            r = check_relation(spec, op, relation, k_grid)
+        except DegenerateGridError:
+            continue
+        if r <= RESIDUAL_TOL:
+            found.append((op, r))
     found.sort(key=lambda pair: pair[1])
     return found
 
@@ -374,7 +364,7 @@ class SymmetryReport:
         return rec
 
 
-def classify(spec_or_id, *, n_per_axis: Optional[int] = None) -> SymmetryReport:
+def classify(spec_or_id) -> SymmetryReport:
     """Verify the designated operators and emit the catalog row for a protocol.
 
     Raises ClassificationError if a designated operator fails its residual
@@ -383,9 +373,7 @@ def classify(spec_or_id, *, n_per_axis: Optional[int] = None) -> SymmetryReport:
     spec = _ensure_generic_angles(registry_lookup(spec_or_id))
     pid = spec.id
     squares, invariant = _CATALOG[pid]
-    if n_per_axis is None:
-        n_per_axis = {1: 129, 2: 24, 3: 10}[spec.dimension]
-    k_grid = bz_grid(spec.dimension, n_per_axis)
+    k_grid = bz_grid(spec.dimension, {1: 129, 2: 24, 3: 10}[spec.dimension])
 
     ops = designated_operators(spec)
     declared = _DECLARED.get(pid, ())
@@ -434,9 +422,9 @@ def _ensure_generic_angles(spec: ProtocolSpec) -> ProtocolSpec:
     return spec.with_params(T=T, **{s: _GENERIC_ANGLES[s] for s in spec.symbols})
 
 
-def classify_all(ids=None, **kwargs) -> List[SymmetryReport]:
+def classify_all() -> List[SymmetryReport]:
     from .protocols import PROTOCOL_IDS
-    return [classify(pid, **kwargs) for pid in (ids or PROTOCOL_IDS)]
+    return [classify(pid) for pid in PROTOCOL_IDS]
 
 
 def catalog_rows() -> List[dict]:

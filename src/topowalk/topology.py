@@ -3,15 +3,18 @@
 Conventions
 -----------
 * Every two-band quantity is the Bloch split (d0, d) of the compiled plan
-  (`spectrum.bloch`; the gap scan, the flat-band check and the winding and
-  Chern grids split its entries on an open mesh).  One scan (`_scan`: local
+  (`spectrum.bloch_entries` of its entries, on an open mesh for the gap
+  scan, the flat-band check and the winding and Chern grids).  One driver,
+  `_closings`, sets up the gap search for a stack of walks, one protocol at
+  several angles and step numbers, in one plan pass: one scan (`_scan`: local
   minima of |d| against their periodic neighbours) feeds one batched
   Gauss-Newton refine of d(k) = 0 with the Jacobian split from the exact
-  dU/dk.  `find_gap_closings` scans the full BZ, since it reports closings
-  there; `sweep_invariants` scans the *minimal* momentum torus (see below)
-  of a whole chunk of sweep values at once, from the same d that its winding
-  or Chern reduction then reads, so a pi-periodic walk is scanned at twice
-  the resolution per axis.
+  dU/dk.  `find_gap_closings` (one walk) and `sweep_boundaries` (a chunk of
+  `classify-gaps` sweep values, whose flat-band check reads d0 from the same
+  mesh) search the full BZ, since they report closings there;
+  `sweep_invariants` searches the *minimal* momentum torus (see below), from
+  the same d that its winding or Chern reduction then reads, so a
+  pi-periodic walk is scanned at twice the resolution per axis.
 * The gap function is g(k) = min(E_+, pi - E_+): bands touch only at
   quasi-energy 0 or pi.
 * Dirac-vs-arc discrimination follows the band shape at the closing: a
@@ -39,7 +42,7 @@ import numpy as np
 
 from .errors import BoundaryStateError, InvalidInputError
 from .protocols import ProtocolSpec, Shift, registry_lookup
-from .spectrum import EPS_GAP, bloch, bloch_entries, two_band_plan
+from .spectrum import EPS_GAP, bloch_entries, two_band_plan
 from .symmetry import chiral_axis, momentum_axes
 
 EPS_FLAT = 1e-8
@@ -49,6 +52,7 @@ DIRAC_RESIDUAL_REL = 1e-6
 MERGE_TOL = 1e-6
 QUANT_TOL = 0.02
 HIGH_SYMMETRY_TOL = 1e-6
+MIN_SCAN_GRID = 32  # points per axis, at least, of the scan for gap closings
 CHERN_ORIENTATION = -1.0  # fixes the reference 2D PHS fixture to +1
 
 
@@ -86,24 +90,16 @@ class ChernResult:
     raw: float
 
 
-def gap_function(spec: ProtocolSpec):
-    """g(k) = min(E_+, pi - E_+), vectorized over momenta."""
-
-    def g(k):
-        e_plus = bloch(spec, k).e_plus
-        return np.minimum(e_plus, np.pi - e_plus)
-
-    return g
-
-
 def _gauss_newton(plan, pts: np.ndarray, cell):
     """Batched Gauss-Newton on d(k) = 0 from all start points at once: J = dd/dk
     is the Bloch split of the plan's exact dU/dk (d is linear in U), and the step
     -pinv(J) d, least-squares also where J is rank-deficient on closing lines, is
-    clipped to one grid cell per axis (`cell`, a scalar or one per axis).  Stops
-    after 60 steps or once no step exceeds 1e-15 (1 + |k|); returns each point's
-    lowest-|d| iterate, d0 and |d|."""
+    clipped to one grid cell per axis (`cell`, a scalar or one per axis).  A
+    point stops once its step no longer exceeds 1e-15 (1 + |k|), so each
+    point's iterates do not depend on the others in the batch; all stop after
+    60 steps.  Returns each point's lowest-|d| iterate, d0 and |d|."""
     best, best_d0, best_norm = pts.copy(), np.empty(len(pts)), np.full(len(pts), np.inf)
+    done = np.zeros(len(pts), dtype=bool)
     for _ in range(60):
         entries, grads = plan.entries_and_grad(pts)
         d0, d = bloch_entries(*entries)
@@ -113,9 +109,11 @@ def _gauss_newton(plan, pts: np.ndarray, cell):
         best[better], best_d0[better], best_norm[better] = pts[better], d0[better], norm[better]
         jac = np.stack([np.stack(bloch_entries(*g)[1], axis=-1) for g in grads], axis=-1)
         step = np.clip(-(np.linalg.pinv(jac, rcond=1e-12) @ r[:, :, None])[:, :, 0], -cell, cell)
-        pts = pts + step
-        if np.all(np.abs(step) <= 1e-15 * (1 + np.abs(pts))):
+        moved = pts + step
+        done |= np.all(np.abs(step) <= 1e-15 * (1 + np.abs(moved)), axis=-1)
+        if done.all():
             break
+        pts = np.where(done[:, None], pts, moved)
     return best, best_d0, best_norm
 
 
@@ -148,68 +146,63 @@ def _scan(d, cells):
     return idx[:, :lead], -np.pi + idx[:, lead:] * cells
 
 
+def _closings(specs: Sequence[ProtocolSpec], grid_n: int, periods):
+    """The gap search of the walks `specs`, one protocol at several angles and
+    step numbers, from one plan pass: their angles and T are (V, 1, ...)
+    arrays against the open mesh of the momentum `periods` at grid_n points
+    per axis.  `_scan` takes the local minima of |d| on that mesh (on a
+    separate MIN_SCAN_GRID mesh if grid_n is smaller), and one `_gauss_newton`
+    solve refines all of them, each at its own walk's angles and T.
+
+    Returns d0 and d on the mesh (V, grid_n, ...), the walk index of each
+    start point, and each start's refined k, d0 and |d|."""
+    spec, count = specs[0], len(specs)
+    dim = spec.dimension
+    lead = (count,) + (1,) * dim
+    angles = {sym: np.reshape([s.angles[sym] for s in specs], lead) for sym in spec.angles}
+    steps = np.reshape([s.T for s in specs], lead)
+    plan = two_band_plan(spec, angles=angles, T=steps)
+    d0, d = _mesh_bloch(plan, momentum_axes(dim, grid_n, periods), (count,) + (grid_n,) * dim)
+    scan_n = max(grid_n, MIN_SCAN_GRID)
+    scan_d = d if scan_n == grid_n else _mesh_bloch(plan, momentum_axes(dim, scan_n, periods),
+                                                    (count,) + (scan_n,) * dim)[1]
+    cells = np.divide(periods, scan_n)
+    rows, starts = _scan(scan_d, cells)
+    which = rows[:, 0]
+    per_start = two_band_plan(spec, T=steps.ravel()[which],
+                              angles={sym: a.ravel()[which] for sym, a in angles.items()})
+    return (d0, d, which) + _gauss_newton(per_start, starts, cells)
+
+
+def _gap_points(pts, d0, resid, refine_tol: float) -> List[GapPoint]:
+    """The refined points with |d| <= refine_tol as closings at quasi-energy 0
+    or pi, sorted, with duplicates (within MERGE_TOL) merged."""
+    e_plus = np.arccos(np.clip(d0, -1.0, 1.0))
+    points = [GapPoint(k=tuple(wrap_pi(pts[i]).tolist()), residual=float(resid[i]),
+                       quasi_energy=0.0 if e_plus[i] < np.pi / 2 else np.pi)
+              for i in np.flatnonzero(resid <= refine_tol)]
+    merged: List[GapPoint] = []
+    for p in sorted(points, key=lambda p: (p.quasi_energy,) + p.k):
+        if not any(q.quasi_energy == p.quasi_energy
+                   and np.abs(wrap_pi(np.subtract(p.k, q.k))).max() < MERGE_TOL for q in merged):
+            merged.append(p)
+    return merged
+
+
 def find_gap_closings(spec_or_id, *, angles=None, T=None, grid_n: int = 64,
                       refine_tol: float = EPS_GAP) -> List[GapPoint]:
     """Locate band touchings over the full BZ: coarse scan for local minima of
-    |d| (`_scan`), then one batched Gauss-Newton solve of d(k) = 0 from all of
-    them on the plan's exact Jacobian (`_gauss_newton`); duplicates merged.
+    |d|, then one batched Gauss-Newton solve of d(k) = 0 from all of them on
+    the plan's exact Jacobian (`_closings`); duplicates merged.
 
     |d| = sin(E_+) vanishes exactly where the bands touch (E in {0, pi}) and,
     unlike min(E, pi - E), it stays fully resolved near a closing: arccos
     loses half the significant digits there.
     """
     spec = registry_lookup(spec_or_id, T=T, angles=angles)
-    if grid_n < 32:
-        raise InvalidInputError("grid_n must be >= 32 per axis")
-    dim = spec.dimension
-    plan = two_band_plan(spec)  # compiled once for the scan and every refine step
-    cells = np.full(dim, 2 * np.pi / grid_n)
-    _, starts = _scan(_mesh_bloch(plan, momentum_axes(dim, grid_n), (grid_n,) * dim)[1], cells)
-
-    points = []
-    if len(starts):
-        pts, d0, resid = _gauss_newton(plan, starts, cells)
-        e_plus = np.arccos(np.clip(d0, -1.0, 1.0))
-        for i in range(pts.shape[0]):
-            if resid[i] <= refine_tol:
-                qe = 0.0 if e_plus[i] < np.pi / 2 else np.pi
-                points.append(GapPoint(k=tuple(wrap_pi(pts[i])), quasi_energy=qe,
-                                       residual=float(resid[i])))
-
-    merged: List[GapPoint] = []
-    for p in sorted(points, key=lambda p: (p.quasi_energy,) + p.k):
-        dup = False
-        for q in merged:
-            delta = np.abs(wrap_pi(np.subtract(p.k, q.k)))
-            if delta.max() < MERGE_TOL and p.quasi_energy == q.quasi_energy:
-                dup = True
-                break
-        if not dup:
-            merged.append(p)
-    return merged
-
-
-def _band_variation(spec: ProtocolSpec, grid_n: int = 64) -> float:
-    d0, _ = _mesh_bloch(two_band_plan(spec), momentum_axes(spec.dimension, grid_n),
-                        (grid_n,) * spec.dimension)
-    e = np.arccos(np.clip(d0, -1.0, 1.0))
-    return float(e.max() - e.min())
-
-
-def _fit_closing(spec: ProtocolSpec, k0: np.ndarray, axis: int):
-    """One-sided linear fits of the gap along +-axis: (slope, rel_residual)."""
-    g = gap_function(spec)
-    s = np.linspace(FIT_WINDOW / 20, FIT_WINDOW, 20)
-    out = []
-    for sign in (1.0, -1.0):
-        pts = np.tile(k0, (s.size, 1))
-        pts[:, axis] += sign * s
-        gp = g(pts)
-        slope = float((gp @ s) / (s @ s))
-        scale = max(abs(slope) * FIT_WINDOW, 1e-300)
-        resid = float(np.sqrt(np.mean((gp - slope * s) ** 2)) / scale)
-        out.append((abs(slope), resid))
-    return out
+    if grid_n < MIN_SCAN_GRID:
+        raise InvalidInputError(f"grid_n must be >= {MIN_SCAN_GRID} per axis")
+    return _gap_points(*_closings([spec], grid_n, [2 * np.pi] * spec.dimension)[3:], refine_tol)
 
 
 def _is_high_symmetry_set(momenta: Sequence[Tuple[float, ...]], targets) -> bool:
@@ -227,38 +220,79 @@ def classify_boundary(spec_or_id, *, angles=None, T=None,
                       grid_n: int = 64) -> List[BoundaryClassification]:
     """Classify the gapless configuration at fixed parameters.
 
-    Returns a flat-band record if the + band is constant over the BZ;
-    otherwise one record per gap closing.  1D Dirac closings are subtyped by
-    the complete gapless set: {0, +-pi} -> type one, including +-pi/2 ->
-    type two.
+    Returns a flat-band record if the + band is constant over the BZ (at
+    grid_n points per axis); otherwise one record per gap closing (by default
+    those `find_gap_closings` finds at grid_n).  1D Dirac closings are
+    subtyped by the complete gapless set: {0, +-pi} -> type one, including
+    +-pi/2 -> type two.
     """
     spec = registry_lookup(spec_or_id, T=T, angles=angles)
-    variation = _band_variation(spec, grid_n=grid_n)
-    if variation <= EPS_FLAT:
-        e0 = float(bloch(spec, np.zeros((1, spec.dimension))).e_plus[0])
-        return [BoundaryClassification(kind="flat_band",
-                                       evidence={"band_variation": variation,
-                                                 "energy": e0})]
+    dim = spec.dimension
+    d0, _ = _mesh_bloch(two_band_plan(spec), momentum_axes(dim, grid_n), (grid_n,) * dim)
     if gap_points is None:
         gap_points = find_gap_closings(spec, grid_n=grid_n)
-    if not gap_points:
-        return []
+    return _classify(spec, d0, gap_points)
 
+
+def sweep_boundaries(specs: Sequence[ProtocolSpec], grid_n: int
+                     ) -> List[Tuple[List[GapPoint], List[BoundaryClassification]]]:
+    """The gap closings and the boundary taxonomy of each walk of `specs`, one
+    protocol at several angles and step numbers, as `find_gap_closings` and
+    `classify_boundary` give them at max(grid_n, MIN_SCAN_GRID) points per
+    axis, from one plan pass over the full BZ (`_closings`), whose d0 also
+    serves the flat-band check."""
+    d0, _, which, pts, pts_d0, resid = _closings(specs, max(grid_n, MIN_SCAN_GRID),
+                                                 [2 * np.pi] * specs[0].dimension)
+    out = []
+    for i, spec in enumerate(specs):
+        mine = which == i
+        points = _gap_points(pts[mine], pts_d0[mine], resid[mine], EPS_GAP)
+        out.append((points, _classify(spec, d0[i], points)))
+    return out
+
+
+def _classify(spec: ProtocolSpec, d0, gap_points: List[GapPoint]
+              ) -> List[BoundaryClassification]:
+    """The taxonomy of `classify_boundary` for one walk, from d0 on a full-BZ
+    mesh and its closings; the gap fits along +-each axis of every closing
+    come from one pass of one compiled plan."""
+    e = np.arccos(np.clip(d0, -1.0, 1.0))
+    variation = float(e.max() - e.min())
+    if variation > EPS_FLAT and not gap_points:
+        return []
+    plan = two_band_plan(spec)
+    dim = spec.dimension
+    if variation <= EPS_FLAT:
+        e0 = np.arccos(np.clip(plan.entries(np.zeros((1, dim)))[0].real, -1.0, 1.0))
+        return [BoundaryClassification(kind="flat_band",
+                                       evidence={"band_variation": variation,
+                                                 "energy": float(e0[0])})]
+
+    s = np.linspace(FIT_WINDOW / 20, FIT_WINDOW, 20)
+    # the fit momenta k0 + sign s e_axis: (closing, axis, sign, s, momentum)
+    offsets = np.eye(dim)[:, None, None, :] * (np.array([[1.0], [-1.0]]) * s)[:, :, None]
+    e_fit = np.arccos(np.clip(plan.entries(np.array([p.k for p in gap_points])[:, None, None, None]
+                                           + offsets)[0].real, -1.0, 1.0))
+    gaps = np.minimum(e_fit, np.pi - e_fit)
     results = []
     gapless_set = [p.k for p in gap_points]
-    for p in gap_points:
-        k0 = np.asarray(p.k, dtype=float)
-        fits = {ax: _fit_closing(spec, k0, ax) for ax in range(spec.dimension)}
-        slopes = {ax: [f[0] for f in fits[ax]] for ax in fits}
-        resids = {ax: [f[1] for f in fits[ax]] for ax in fits}
+    for p, g in zip(gap_points, gaps):
+        slopes, resids = {}, {}
+        for ax in range(dim):
+            slopes[ax], resids[ax] = [], []
+            for gp in g[ax]:  # one-sided linear fits of the gap: slope and rel residual
+                slope = float((gp @ s) / (s @ s))
+                scale = max(abs(slope) * FIT_WINDOW, 1e-300)
+                slopes[ax].append(abs(slope))
+                resids[ax].append(float(np.sqrt(np.mean((gp - slope * s) ** 2)) / scale))
         dirac = all(
             min(slopes[ax]) >= DIRAC_MIN_SLOPE and max(resids[ax]) <= DIRAC_RESIDUAL_REL
-            for ax in fits)
+            for ax in slopes)
         evidence = {"k": p.k, "quasi_energy": p.quasi_energy,
                     "slopes": slopes, "linear_fit_rel_residual": resids,
                     "gapless_set": gapless_set}
         if dirac:
-            if spec.dimension == 1:
+            if dim == 1:
                 type_one_set = [(0.0,), (np.pi,)]
                 type_two_set = type_one_set + [(np.pi / 2,), (-np.pi / 2,)]
                 if _is_high_symmetry_set(gapless_set, type_one_set):
@@ -384,34 +418,19 @@ def sweep_invariants(specs: Sequence[ProtocolSpec],
     protocol at several angles and step numbers, from one plan pass: (n, raw)
     per walk, or None where its gap closes or the invariant is undefined.
 
-    The angles and T of the walks are (V, 1, ...) arrays against the open mesh
-    of the minimal momentum torus at grid_n points per axis.  That one d
-    serves the scan for gap closings (`_scan`; on a separate 32-point mesh if
-    grid_n < 32), and, for the walks none of whose candidates refines to
-    |d| <= EPS_GAP in the one Gauss-Newton solve of all of them, the reduction
-    (`_winding` about each walk's chiral axis, or `_chern`).
+    The gap search (`_closings`) runs on the open mesh of the minimal momentum
+    torus at grid_n points per axis.  For the walks none of whose candidates
+    refines to |d| <= EPS_GAP, the same d gives the reduction (`_winding`
+    about each walk's chiral axis, or `_chern`).
     """
     spec, count = specs[0], len(specs)
     dim = spec.dimension
     if dim not in (1, 2):
         raise InvalidInputError("invariants are computed for 1D (winding) and 2D (Chern) only")
     periods = [momentum_period(spec, ax) for ax in range(dim)]
-    lead = (count,) + (1,) * dim
-    angles = {sym: np.reshape([s.angles[sym] for s in specs], lead) for sym in spec.angles}
-    steps = np.reshape([s.T for s in specs], lead)
-    plan = two_band_plan(spec, angles=angles, T=steps)
-    _, d = _mesh_bloch(plan, momentum_axes(dim, grid_n, periods), (count,) + (grid_n,) * dim)
-    scan_n = max(grid_n, 32)
-    scan_d = d if scan_n == grid_n else _mesh_bloch(plan, momentum_axes(dim, scan_n, periods),
-                                                    (count,) + (scan_n,) * dim)[1]
-    cells = np.divide(periods, scan_n)
-    rows, starts = _scan(scan_d, cells)
+    _, d, which, _, _, resid = _closings(specs, grid_n, periods)
     closed = np.zeros(count, dtype=bool)
-    if len(starts):
-        which = rows[:, 0]  # each start point refines at its own walk's angles and T
-        per_start = two_band_plan(spec, T=steps.ravel()[which],
-                                  angles={sym: a.ravel()[which] for sym, a in angles.items()})
-        closed[which[_gauss_newton(per_start, starts, cells)[2] <= EPS_GAP]] = True
+    closed[which[resid <= EPS_GAP]] = True
 
     results = [None] * count
     todo = np.flatnonzero(~closed)

@@ -264,6 +264,26 @@ class TestInvariantChunks:
             assert [r.split(",")[1:] for r in rows] == [["", "", "boundary"]] * 3
 
 
+CLASSIFY_CASES = {  # overrides, sweep, the kinds found along it
+    "fig2-like": ({"protocol": "1d-phs", "steps": 6, "angles": {}, "grid": 64,
+                   "linked": {"beta": {"on": "alpha", "scale": 1 / 3, "offset": PI / 3}}},
+                  {"symbol": "alpha", "start": -PI, "stop": PI, "count": 13},
+                  {"dirac_type_one", "dirac_type_two"}),
+    "step-number": ({"protocol": "1d-phs", "steps": 1, "grid": 48,
+                     "angles": {"alpha": PI / 2, "beta": PI / 2}},
+                    {"symbol": "T", "start": 1, "stop": 7, "count": 7},
+                    {"dirac_type_one", "dirac_type_two", "fermi_arc"}),
+    "grid16-2d": ({"protocol": "2d-phs", "steps": 2, "angles": {"alpha": PI / 3}, "grid": 16},
+                  {"symbol": "beta", "start": 0.0, "stop": PI, "count": 7}, {"fermi_arc"}),
+    "3d-weyl": ({"protocol": "3d-split", "steps": 6, "grid": 16,
+                 "angles": {"alpha": PI / 4, "gamma": PI / 4}},
+                {"symbol": "beta", "start": PI / 3, "stop": PI / 2, "count": 5},
+                {"dirac_type_one"}),
+    "3d-flat": ({"protocol": "3d-simple", "steps": 3, "angles": {}, "grid": 16},
+                {"symbol": "beta", "start": PI / 6, "stop": PI / 3, "count": 5}, {"flat_band"}),
+}
+
+
 class TestClassifyGaps:
     def test_schema_and_kinds(self, tmp_path):
         cfg = small_bands_cfg(tmp_path, steps=6, grid=48, angles={},
@@ -279,6 +299,44 @@ class TestClassifyGaps:
         assert mid["sweep_value"] == 0.0
         assert {c["kind"] for c in mid["classifications"]} == {"dirac_type_two"}
         assert payload["records"][0]["gap_points"] == []
+
+    @pytest.mark.parametrize("case", sorted(CLASSIFY_CASES))
+    def test_records_match_per_value_reference(self, tmp_path, monkeypatch, case):
+        overrides, sweep, kinds = CLASSIFY_CASES[case]
+        path = small_bands_cfg(tmp_path, sweep=sweep, **overrides)
+        argv = ["classify-gaps", "--config", str(path), "--out"]
+        out = tmp_path / "default.json"
+        assert run(argv + [str(out)]) == 0
+        outs = [out.read_bytes()]
+        # chunks of two values: the sweep spans at least three of them
+        scan_n = max(overrides["grid"], topology.MIN_SCAN_GRID)
+        points = scan_n ** int(overrides["protocol"][0])
+        monkeypatch.setattr(cli, "CHUNK_POINTS", 2 * points)
+        cfg = config.config_from_dict(json.loads(path.read_text()))
+        assert len(cli._chunks(cfg, points)) >= 3
+        # more workers than CPUs is a usage error
+        for workers in ["1", "2"] if (os.cpu_count() or 1) >= 2 else ["1"]:
+            out = tmp_path / f"w{workers}.json"
+            assert run(argv + [str(out), "--workers", workers]) == 0
+            outs.append(out.read_bytes())
+        assert all(o == outs[0] for o in outs)
+
+        # the per-value reference: the public gap search and taxonomy at the scan grid
+        records = json.loads(outs[0])["records"]
+        assert len(records) == sweep["count"]
+        found = set()
+        for record, value in zip(records, cfg.sweep_values()):
+            spec = cfg.spec_at(value)
+            points = topology.find_gap_closings(spec, grid_n=scan_n)
+            classes = topology.classify_boundary(spec, gap_points=points, grid_n=scan_n)
+            want = {"sweep_value": value,
+                    "gap_points": [{"k": p.k, "quasi_energy": p.quasi_energy,
+                                    "residual": p.residual} for p in points],
+                    "classifications": [{"kind": c.kind, "evidence": c.evidence}
+                                        for c in classes]}
+            assert record == json.loads(json.dumps(want)), value
+            found |= {c.kind for c in classes}
+        assert found == kinds
 
 
 class TestSymmetryCommand:
@@ -573,7 +631,7 @@ class TestUsageErrors:
         assert run(["bands", "--config", str(cfg), "--out", "-"]) == 3
 
     @pytest.mark.parametrize("module, name, command", [
-        ("topology", "find_gap_closings", "classify-gaps"),
+        ("topology", "sweep_boundaries", "classify-gaps"),
         ("topology", "sweep_invariants", "invariant"),
         ("symmetry", "classify", "symmetry"),
     ])

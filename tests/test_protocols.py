@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from conftest import generic_angles
 from topowalk import protocols as pr
 from topowalk.errors import InvalidInputError, UnknownProtocolError
-from topowalk.spectrum import bands_from_unitary, bloch_entries, oracle_bands, two_band_plan
+from topowalk.spectrum import (bands_from_unitary, bands_with_velocity, bloch, bloch_entries,
+                               oracle_bands, two_band_plan)
 from topowalk.su2 import SIGMA_Y, TAU_Y, block_diag2, pauli_exp, tensor, unitarity_defect
 from topowalk.symmetry import bz_grid, momentum_axes
 
@@ -336,6 +337,19 @@ def test_rejects_bad_step_numbers():
         spec.with_params(T=0)
     with pytest.raises(InvalidInputError):
         spec.with_params(T=2.5)
+
+
+@pytest.mark.parametrize("T", [2.5, True, np.nan, np.array([[1.5]]), np.array([2, 3.25]),
+                               np.array([True, False])])
+def test_plan_rejects_non_integral_step_numbers(T):
+    # the walk exists for integer T only; integral floats stay accepted
+    spec = pr.registry_lookup("1d-phs", angles={"alpha": 0.4, "beta": 0.7})
+    k = np.zeros((2, 1))
+    for call in (lambda: bloch(spec, k, T=T), lambda: bands_with_velocity(spec, k, T=T),
+                 lambda: pr.build_unitary(spec, k, T=T)):
+        with pytest.raises(InvalidInputError, match="step number T must be an integer"):
+            call()
+    assert pr.build_unitary(spec, k, T=np.array([2.0, 3.0])).shape == (2, 2, 2)
 
 
 def test_rejects_unknown_angle():
