@@ -1,10 +1,14 @@
 """Particle-hole / time-reversal / chiral checks and the AZ classification.
 
-Relations are verified on the reconstructed Hamiltonian H(k) (E n.sigma for
-two-band walks, from the Bloch split `spectrum.bloch` reads off the compiled
-plan; for four-band ones the spectral reconstruction of the assembled
-`build_unitary` from the batched eigenbasis of `su2.eig_unitary`), at
-gap-open momenta only:
+Relations are verified on the Hamiltonian H(k) with U(k) = exp(-i H(k)), at
+gap-open momenta only.  A two-band walk's H is E n.sigma from the Bloch split
+`spectrum.bloch` reads off the compiled plan.  The block-diagonal four-band
+walks read H from two such splits of their base walk, at k and at -k:
+diag(H(k), H(-k)^T) for `transpose_block`, diag(H(k), -H(-k)^*) for
+`conjugate_block`.  Only the `trs_sandwich` walks mix the flavor blocks; their
+H is the spectral reconstruction of the assembled `build_unitary` from the
+batched eigenbasis of `su2.eig_unitary`.  `classify` and `operator_search`
+evaluate H(k) and H(-k) once and reduce every relation's residual from them:
 
     phs:  M H*(k') M^dag = -H(k)        (antiunitary, k' = -k by default)
     trs:  M H*(k') M^dag = +H(k)        (antiunitary, k' = -k by default)
@@ -22,7 +26,7 @@ obstruction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -35,6 +39,7 @@ from .su2 import PAULI, SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, block_diag2, eig_uni
 RESIDUAL_TOL = 1e-8
 SQUARE_TOL = 1e-10
 _BRANCH_MARGIN = 1e-6  # skip momenta whose bands come this close to 0 or pi
+CLASSIFY_GRID = {1: 129, 2: 24, 3: 10}  # points per axis of `classify`'s BZ grid
 
 _PAULIS = {"s0": SIGMA_0, "sx": SIGMA_X, "sy": SIGMA_Y, "sz": SIGMA_Z}
 
@@ -69,22 +74,39 @@ def bz_grid(dimension: int, n: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
+def _bloch_hamiltonian(b, signs=(1.0, 1.0, 1.0)):
+    """(E n.sigma, usable mask) of a Bloch split, with n's components scaled
+    by `signs`; usable where |d| > _BRANCH_MARGIN."""
+    norm = np.linalg.norm(b.d, axis=-1)
+    ok = norm > _BRANCH_MARGIN
+    n_hat = b.d * signs / np.where(ok, norm, 1.0)[..., None]
+    return b.e_plus[..., None, None] * np.einsum("...j,jab->...ab", n_hat, PAULI), ok
+
+
+# (n.sigma)^T flips n_y; -(n.sigma)^* flips n_x and n_z
+_FLAVOR_SIGNS = {"transpose_block": (1.0, -1.0, 1.0), "conjugate_block": (-1.0, 1.0, -1.0)}
+
+
 def hamiltonian_grid(spec: ProtocolSpec, k: np.ndarray):
     """(H(k), usable mask) on a batch of momenta.
 
-    Two-band: H = arccos(d0) n.sigma from the plan's Bloch split.  Four-band:
-    spectral reconstruction of the assembled U from `eig_unitary`'s batched
-    eigenbasis (orthonormal even at degeneracies, checked at every point).
-    Points where any band sits within _BRANCH_MARGIN of 0 or pi are masked
-    out: H carries a branch cut at pi and n is undefined at closings.
+    Two-band: H = arccos(d0) n.sigma from the plan's Bloch split.  Block
+    four-band walks: diag(H(k), H'(-k)) from the base walk's splits at k and
+    -k, H' with n_y (`transpose_block`) or n_x and n_z (`conjugate_block`)
+    negated.  `trs_sandwich`: spectral reconstruction of the assembled U from
+    `eig_unitary`'s batched eigenbasis (orthonormal even at degeneracies,
+    checked at every point).  Points where any band sits within
+    _BRANCH_MARGIN of 0 or pi are masked out: H carries a branch cut at pi and
+    n is undefined at closings.
     """
-    if spec.bands == 2:
-        b = bloch(spec, k)
-        norm = np.linalg.norm(b.d, axis=-1)
-        ok = norm > _BRANCH_MARGIN
-        n_hat = b.d / np.where(ok, norm, 1.0)[..., None]
-        H = b.e_plus[..., None, None] * np.einsum("...j,jab->...ab", n_hat, PAULI)
-        return H, ok
+    if spec.doubled is None or spec.doubled in _FLAVOR_SIGNS:
+        base = _base_of(spec)
+        H, ok = _bloch_hamiltonian(bloch(base, k))
+        if spec.doubled is None:
+            return H, ok
+        Hm, okm = _bloch_hamiltonian(bloch(base, -np.asarray(k, dtype=float)),
+                                     _FLAVOR_SIGNS[spec.doubled])
+        return block_diag2(H, Hm), ok & okm
     lam, vec = eig_unitary(build_unitary(spec, k))
     E = -np.angle(lam)
     H = np.einsum("...ai,...i,...bi->...ab", vec, E, vec.conj())
@@ -92,18 +114,16 @@ def hamiltonian_grid(spec: ProtocolSpec, k: np.ndarray):
     return H, ok
 
 
-def check_relation(spec: ProtocolSpec, op: SymmetryOperator, relation: str,
-                   k_grid: np.ndarray) -> float:
-    """Max over the usable grid of the relation residual (sup norm)."""
-    if relation not in ("phs", "trs", "chs"):
-        raise InvalidInputError(f"unknown relation {relation!r}")
-    k_grid = np.asarray(k_grid, dtype=float)
-    if k_grid.ndim == 1:
-        k_grid = k_grid[:, None]
-    H, ok1 = hamiltonian_grid(spec, k_grid)
-    kp = -k_grid if op.momentum_flip else k_grid
-    Hp, ok2 = hamiltonian_grid(spec, kp)
-    ok = ok1 & ok2
+def _grid_pair(spec: ProtocolSpec, k_grid: np.ndarray, flip: bool):
+    """(H, ok) at k_grid, then (H, ok) at -k_grid if `flip`, else the same again."""
+    at_k = hamiltonian_grid(spec, k_grid)
+    return at_k + (hamiltonian_grid(spec, -k_grid) if flip else at_k)
+
+
+def _residual(op: SymmetryOperator, relation: str, H, ok, Hp, okp) -> float:
+    """Max over the momenta usable in both grids of the relation residual (sup
+    norm), H at k and Hp at the momenta op compares k with."""
+    ok = ok & okp
     if not ok.any():
         raise DegenerateGridError("no gap-open momenta on the grid")
     M = np.asarray(op.matrix, dtype=complex)
@@ -119,6 +139,17 @@ def check_relation(spec: ProtocolSpec, op: SymmetryOperator, relation: str,
         target = H
     resid = np.abs(L - target).max(axis=(-2, -1))
     return float(resid[ok].max())
+
+
+def check_relation(spec: ProtocolSpec, op: SymmetryOperator, relation: str,
+                   k_grid: np.ndarray) -> float:
+    """Max over the usable grid of the relation residual (sup norm)."""
+    if relation not in ("phs", "trs", "chs"):
+        raise InvalidInputError(f"unknown relation {relation!r}")
+    k_grid = np.asarray(k_grid, dtype=float)
+    if k_grid.ndim == 1:
+        k_grid = k_grid[:, None]
+    return _residual(op, relation, *_grid_pair(spec, k_grid, op.momentum_flip))
 
 
 def d_cloud(spec: ProtocolSpec):
@@ -152,8 +183,7 @@ def chiral_axis(spec: ProtocolSpec) -> np.ndarray:
         kb = math.cos(0.5 * spec.T * spec.angles["beta"])
         lb = math.sin(0.5 * spec.T * spec.angles["beta"])
         return np.array([kb, -lb / math.sqrt(2), lb / math.sqrt(2)])
-    base = spec if spec.doubled is None else _base_of(spec)
-    axis, ratio = chiral_axis_fit(base)
+    axis, ratio = chiral_axis_fit(_base_of(spec))
     if ratio > 1e-9:
         raise ClassificationError(
             f"{spec.id!r}: d cloud is not planar (ratio {ratio:.2e}); no constant chiral axis")
@@ -161,8 +191,8 @@ def chiral_axis(spec: ProtocolSpec) -> np.ndarray:
 
 
 def _base_of(spec: ProtocolSpec) -> ProtocolSpec:
-    from dataclasses import replace
-    return replace(spec, doubled=None)
+    """The two-band walk a four-band spec doubles; a two-band spec itself."""
+    return spec if spec.doubled is None else replace(spec, doubled=None)
 
 
 def axis_sigma(A) -> np.ndarray:
@@ -225,14 +255,14 @@ def operator_search(spec: ProtocolSpec, relation: str, n_per_axis: int = 16):
     if relation not in _CANONICAL_COMBOS:
         raise InvalidInputError(f"unknown relation {relation!r}")
     anti, flip = _CANONICAL_COMBOS[relation]
-    k_grid = bz_grid(spec.dimension, n_per_axis)
+    grids = _grid_pair(spec, bz_grid(spec.dimension, n_per_axis), flip)
     found = []
     for name, M in default_candidates(spec):
         op = SymmetryOperator(matrix=M, antiunitary=anti, momentum_flip=flip, label=name)
         if op.square() is None:
             continue
         try:
-            r = check_relation(spec, op, relation, k_grid)
+            r = _residual(op, relation, *grids)
         except DegenerateGridError:
             continue
         if r <= RESIDUAL_TOL:
@@ -364,6 +394,18 @@ class SymmetryReport:
         return rec
 
 
+def _designated_residuals(spec: ProtocolSpec, ops: Dict[str, SymmetryOperator]
+                          ) -> Dict[str, float]:
+    """Each designated operator's residual on the CLASSIFY_GRID BZ grid, all
+    from one evaluation of H(k) and, if an operator flips momentum, H(-k)."""
+    if not ops:
+        return {}
+    k_grid = bz_grid(spec.dimension, CLASSIFY_GRID[spec.dimension])
+    H, ok, Hm, okm = _grid_pair(spec, k_grid, any(op.momentum_flip for op in ops.values()))
+    return {rel: _residual(op, rel, H, ok, *((Hm, okm) if op.momentum_flip else (H, ok)))
+            for rel, op in ops.items()}
+
+
 def classify(spec_or_id) -> SymmetryReport:
     """Verify the designated operators and emit the catalog row for a protocol.
 
@@ -373,9 +415,8 @@ def classify(spec_or_id) -> SymmetryReport:
     spec = _ensure_generic_angles(registry_lookup(spec_or_id))
     pid = spec.id
     squares, invariant = _CATALOG[pid]
-    k_grid = bz_grid(spec.dimension, {1: 129, 2: 24, 3: 10}[spec.dimension])
-
     ops = designated_operators(spec)
+    found = _designated_residuals(spec, ops)
     declared = _DECLARED.get(pid, ())
     residuals: Dict[str, float] = {}
     verified: Dict[str, bool] = {}
@@ -385,8 +426,7 @@ def classify(spec_or_id) -> SymmetryReport:
         if rel in declared:
             verified[rel] = False
             continue
-        op = ops[rel]
-        r = check_relation(spec, op, rel, k_grid)
+        op, r = ops[rel], found[rel]
         residuals[rel] = r
         if r > RESIDUAL_TOL:
             raise ClassificationError(
@@ -399,8 +439,7 @@ def classify(spec_or_id) -> SymmetryReport:
 
     evidence = None
     if declared:
-        base = spec if spec.doubled is None else _base_of(spec)
-        _, evidence = chiral_axis_fit(base)
+        _, evidence = chiral_axis_fit(_base_of(spec))
 
     family = _FAMILY[squares]
     return SymmetryReport(protocol=pid, dimension=spec.dimension,

@@ -182,9 +182,13 @@ def _gap_points(pts, d0, resid, refine_tol: float) -> List[GapPoint]:
                        quasi_energy=0.0 if e_plus[i] < np.pi / 2 else np.pi)
               for i in np.flatnonzero(resid <= refine_tol)]
     merged: List[GapPoint] = []
+    kept_k = np.empty((len(points), pts.shape[-1]))
+    kept_e = np.empty(len(points))
     for p in sorted(points, key=lambda p: (p.quasi_energy,) + p.k):
-        if not any(q.quasi_energy == p.quasi_energy
-                   and np.abs(wrap_pi(np.subtract(p.k, q.k))).max() < MERGE_TOL for q in merged):
+        n = len(merged)
+        near = np.abs(wrap_pi(np.subtract(p.k, kept_k[:n]))).max(axis=-1) < MERGE_TOL
+        if not (near & (kept_e[:n] == p.quasi_energy)).any():
+            kept_k[n], kept_e[n] = p.k, p.quasi_energy
             merged.append(p)
     return merged
 

@@ -1,9 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from conftest import generic_angles
 from topowalk import protocols as pr
+from topowalk import su2
 from topowalk import symmetry as sym
 from topowalk.errors import ClassificationError
 from topowalk.spectrum import bands_from_unitary
@@ -145,6 +148,46 @@ class TestDeclaredRows:
         spec = _bound("2d-split")
         assert sym.operator_search(spec, "chs", n_per_axis=12) == []
         assert sym.operator_search(spec, "trs", n_per_axis=12) == []
+
+
+BLOCK_WALKS = ["1d-diii", "1d-cii", "2d-diii", "2d-c", "3d-diii", "3d-cii", "3d-c"]
+
+
+class TestBlockHamiltonian:
+    """The block-diagonal four-band walks read H from two Bloch splits of their
+    base walk; the spectral reconstruction of the assembled U is the reference."""
+
+    @pytest.mark.parametrize("pid", BLOCK_WALKS)
+    def test_matches_eigensolver_reconstruction(self, pid, rng):
+        for spec in (_bound(pid), _bound(pid, rng)):
+            k = sym.bz_grid(spec.dimension, sym.CLASSIFY_GRID[spec.dimension])
+            H, ok = sym.hamiltonian_grid(spec, k)
+            lam, vec = su2.eig_unitary(pr.build_unitary(spec, k))
+            E = -np.angle(lam)
+            H_ref = np.einsum("...ai,...i,...bi->...ab", vec, E, vec.conj())
+            ok_ref = (np.minimum(np.abs(E), np.pi - np.abs(E)) > sym._BRANCH_MARGIN).all(axis=-1)
+            npt.assert_array_equal(ok, ok_ref)
+            assert ok.any()
+            assert np.abs(H - H_ref)[ok].max() <= 1e-10
+
+    def test_classify_all_reads_two_grids_per_protocol(self, monkeypatch):
+        grids, eigs, current = Counter(), Counter(), []
+        real_grid, real_eig = sym.hamiltonian_grid, sym.eig_unitary
+
+        def counting_grid(spec, k):
+            grids[spec.id] += 1
+            current[:] = [spec.id]
+            return real_grid(spec, k)
+
+        def counting_eig(U):
+            eigs[current[0]] += 1
+            return real_eig(U)
+
+        monkeypatch.setattr(sym, "hamiltonian_grid", counting_grid)
+        monkeypatch.setattr(sym, "eig_unitary", counting_eig)
+        sym.classify_all()
+        assert max(grids.values()) <= 2
+        assert eigs == {"2d-aii": 2, "3d-aii": 2}
 
 
 class TestClassify:

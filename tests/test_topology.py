@@ -9,6 +9,7 @@ from topowalk import protocols as pr
 from topowalk import spectrum
 from topowalk import topology as tp
 from topowalk.errors import BoundaryStateError, InvalidInputError
+from topowalk.spectrum import EPS_GAP
 
 PI = np.pi
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -60,6 +61,38 @@ class TestGapClosings:
         assert ((k >= -PI) & (k < PI)).all()
         d = spectrum.oracle_bands(pid, k, angles=angles, T=1).d
         assert np.linalg.norm(d, axis=-1).max() <= 1e-12
+
+
+def _pairwise_merge(pts, d0, resid, refine_tol):
+    """`_gap_points` with its duplicate check as a pairwise Python scan over
+    the points kept so far: the reference for the array comparison."""
+    e_plus = np.arccos(np.clip(d0, -1.0, 1.0))
+    points = [tp.GapPoint(k=tuple(tp.wrap_pi(pts[i]).tolist()), residual=float(resid[i]),
+                          quasi_energy=0.0 if e_plus[i] < PI / 2 else PI)
+              for i in np.flatnonzero(resid <= refine_tol)]
+    merged = []
+    for p in sorted(points, key=lambda p: (p.quasi_energy,) + p.k):
+        if not any(q.quasi_energy == p.quasi_energy
+                   and np.abs(tp.wrap_pi(np.subtract(p.k, q.k))).max() < tp.MERGE_TOL
+                   for q in merged):
+            merged.append(p)
+    return merged
+
+
+def test_gap_point_merge_matches_pairwise_reference():
+    # 3d-simple at beta = 0 closes on the planes k_x + k_y + k_z = 0 mod pi:
+    # 2,048 distinct candidates on the 32-point scan; a slice of them, plus
+    # copies one period away and copies within MERGE_TOL, which must merge,
+    # and copies at the other quasi-energy, which must not
+    spec = pr.registry_lookup("3d-simple", angles={"beta": 0.0})
+    _, _, _, pts, d0, resid = tp._closings([spec], 32, [2 * PI] * 3)
+    assert len(pts) == 2048
+    pts, d0, resid = pts[:60], d0[:60], resid[:60]
+    pts = np.concatenate([pts, pts + [2 * PI, 0.0, -2 * PI], pts + 0.3 * tp.MERGE_TOL, pts])
+    d0, resid = np.concatenate([d0, d0, d0, -d0]), np.tile(resid, 4)
+    merged = tp._gap_points(pts, d0, resid, EPS_GAP)
+    assert merged == _pairwise_merge(pts, d0, resid, EPS_GAP)
+    assert len(merged) == 120
 
 
 class TestWrapPi:
