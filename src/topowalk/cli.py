@@ -17,6 +17,12 @@ command computes them per chunk of sweep values, one plan pass per chunk of at
 most CHUNK_POINTS values x grid points (at least one value; `classify-gaps`
 counts its scan grid of at least topology.MIN_SCAN_GRID points per axis), so
 the chunk boundaries depend on the grid alone.
+
+`bands` runs in two passes.  Pass 1 computes each chunk's numbers, in the
+workers if there are several, and no text.  Pass 2, in the calling process,
+formats every float of the run once per distinct magnitude and writes the
+rows chunk by chunk as they are formed; the output is opened only after pass
+1 has computed every number.
 """
 from __future__ import annotations
 
@@ -26,6 +32,7 @@ import os
 import sys
 from functools import partial
 from importlib import resources
+from itertools import chain
 
 import numpy as np
 
@@ -37,9 +44,13 @@ from .protocols import PROTOCOL_IDS, registry_lookup
 from .spectrum import EPS_GAP, bands_with_velocity
 from . import symmetry, topology
 
-# sweep values x grid points per plan pass of a sweep command; larger chunks
-# raise peak memory but not speed
+# sweep values x grid points per plan pass of a sweep command, and per piece
+# of text that pass 2 of `bands` writes; larger chunks raise peak memory but
+# not speed
 CHUNK_POINTS = 2 ** 13
+# distinct float magnitudes that pass 2 of `bands` holds as Python strings at
+# a time
+REPR_BATCH = 2 ** 16
 
 # the process pool class, imported by `_map_values` only when a run asks for
 # more than one worker; a stand-in set here is used as it is
@@ -67,22 +78,64 @@ def _sweep_cell(cfg: SweepConfig, value) -> str:
     return _f(value) if cfg.sweep_symbol != "T" else str(int(value))
 
 
-def _bands_chunk_rows(cfg: SweepConfig, values, k, k_cells) -> str:
-    """The CSV rows of a contiguous chunk of sweep values, from one plan pass:
-    the swept, linked and step parameters are (V, 1) arrays against the (N,)
-    grid k, whose row cells `k_cells` are formatted once per run."""
+def _bands_chunk(cfg: SweepConfig, values, k) -> tuple:
+    """Pass 1 of `bands` for a contiguous chunk of sweep values, from one plan
+    pass: the swept, linked and step parameters are (V, 1) arrays against the
+    (N,) grid k.  Returns the (V, N, 1 + dim) floats e_plus, v_k1, ... and the
+    (V, N) gapless mask; no text."""
     angles, T = cfg.walk_params(np.array(values)[:, None])
     e_plus, norm, vel = bands_with_velocity(cfg.protocol, k, angles=angles, T=T)
-    empty = "," * (k.shape[1] - 1)
-    gapless = (norm <= EPS_GAP).tolist()
-    v_axes = vel.transpose(0, 2, 1).tolist()  # per value, one list of floats per axis
-    rows = []
-    for j, (value, e_row) in enumerate(zip(values, e_plus.tolist())):
-        sval = _sweep_cell(cfg, value)
-        v_cells = map(",".join, zip(*[map(repr, axis) for axis in v_axes[j]]))
-        rows += [f"{sval},{kc},{e!r},{empty},gapless" if g else f"{sval},{kc},{e!r},{v},gapped"
-                 for kc, e, g, v in zip(k_cells, e_row, gapless[j], v_cells)]
-    return "\n".join(rows)
+    return np.concatenate([e_plus[..., None], vel], axis=-1), norm <= EPS_GAP
+
+
+def _ascii(texts) -> np.ndarray:
+    """ASCII `texts` as the rows of a uint8 array, padded with NUL bytes."""
+    padded = np.array(texts, dtype=bytes)
+    return padded.view(np.uint8).reshape(len(padded), padded.itemsize)
+
+
+def _float_cells(arrays):
+    """Yield, for each float array of `arrays` in turn, the repr of each of its
+    floats as ASCII: a uint8 array of the array's shape plus one axis of bytes,
+    in which NUL bytes are padding.  repr runs once per distinct magnitude
+    across all of them (np.unique of the bit patterns of |x|), and a cell
+    whose sign bit is set, -0.0 too and NaN aside, gets "-" before its
+    magnitude's text: repr(-m) == "-" + repr(m)."""
+    mags, inverse = np.unique(np.concatenate([np.abs(a).ravel() for a in arrays]).view(np.int64),
+                              return_inverse=True)
+    mags = mags.view(np.float64)
+    # in batches (one, empty, for no floats), so that only one batch of the
+    # texts is held as Python strings
+    batches = [np.array(list(map(repr, mags[i:i + REPR_BATCH].tolist())), dtype=bytes)
+               for i in range(0, max(len(mags), 1), REPR_BATCH)]
+    text = _ascii(np.concatenate(batches))
+    start = 0
+    for a in arrays:
+        cells = np.empty(a.shape + (1 + text.shape[1],), np.uint8)
+        cells[..., 0] = np.where(np.signbit(a) & ~np.isnan(a), ord("-"), 0)
+        cells[..., 1:] = text[inverse[start:start + a.size]].reshape(cells[..., 1:].shape)
+        start += a.size
+        yield cells
+
+
+def _bands_rows(cfg: SweepConfig, parts, chunks, k):
+    """Pass 2 of `bands`: the CSV text of each chunk's rows in turn, formed as
+    it is asked for, from the sweep values `parts`, their pass-1 `chunks` and
+    the grid k.  A chunk's rows are laid out as fixed-width fields in one
+    uint8 array; their text is its bytes with the NUL padding left out."""
+    k_text = _ascii([",".join(map(repr, row)) + "," for row in k.tolist()])
+    status = _ascii(["gapped\n", "gapless\n"])
+    floats = _float_cells([cells for cells, _ in chunks])
+    for values, cells, (_, gapless) in zip(parts, floats, chunks):
+        cells[gapless, 1:] = 0  # a gapless row's velocity cells are empty
+        comma = np.full(cells.shape[:-1] + (1,), ord(","), np.uint8)
+        sweep = _ascii([_sweep_cell(cfg, v) + "," for v in values])
+        shape = gapless.shape
+        row = np.concatenate([np.broadcast_to(sweep[:, None], shape + sweep.shape[-1:]),
+                              np.broadcast_to(k_text, shape + k_text.shape[-1:]),
+                              np.concatenate([cells, comma], axis=-1).reshape(shape + (-1,)),
+                              status[gapless.astype(np.intp)]], axis=-1)
+        yield row[row != 0].tobytes().decode("ascii")
 
 
 def _invariant_chunk_rows(cfg: SweepConfig, values) -> str:
@@ -125,15 +178,21 @@ def _map_values(cfg: SweepConfig, values, fn, workers: int):
     return [fn(cfg, v) for v in values]
 
 
-def _write_text(path, text: str, mode: str = "w"):
+def _unwritable(path, err) -> InvalidInputError:
+    return InvalidInputError(f"out {path!r} cannot be written: {err}")
+
+
+def _write_text(path, pieces):
+    """Write the text `pieces` in order to the output path, or to stdout for
+    None or "-"; the pieces of a generator are formed as they are written."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     try:
-        with open(path, mode, encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except (OSError, ValueError) as err:  # ValueError: a path with a NUL byte
-        raise InvalidInputError(f"out {path!r} cannot be written: {err}") from None
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(pieces)
+    except OSError as err:
+        raise _unwritable(path, err) from None
 
 
 def _check_out(path):
@@ -143,7 +202,10 @@ def _check_out(path):
     if path is None or path == "-":
         return
     existed = os.path.lexists(path)
-    _write_text(path, "", mode="a")
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except (OSError, ValueError) as err:  # ValueError: a path with a NUL byte
+        raise _unwritable(path, err) from None
     if not existed:
         os.remove(path)
 
@@ -169,10 +231,9 @@ def _cmd_bands(args) -> int:
     header = (["sweep_param"] + [f"k{i+1}" for i in range(dim)] + ["e_plus"]
               + [f"v_k{i+1}" for i in range(dim)] + ["status"])
     k = symmetry.bz_grid(dim, cfg.grid)
-    k_cells = [",".join(map(repr, row)) for row in k.tolist()]
-    texts = _map_values(cfg, _chunks(cfg, len(k)),
-                        partial(_bands_chunk_rows, k=k, k_cells=k_cells), cfg.workers)
-    _write_text(cfg.out, "\n".join([",".join(header)] + texts) + "\n")
+    parts = _chunks(cfg, len(k))
+    chunks = _map_values(cfg, parts, partial(_bands_chunk, k=k), cfg.workers)
+    _write_text(cfg.out, chain([",".join(header) + "\n"], _bands_rows(cfg, parts, chunks, k)))
     return 0
 
 
@@ -190,7 +251,7 @@ def _cmd_invariant(args) -> int:
                 f" {err}") from None
     texts = _map_values(cfg, _chunks(cfg, cfg.grid ** spec.dimension), _invariant_chunk_rows,
                         cfg.workers)
-    _write_text(cfg.out, "\n".join(["sweep_param,invariant,raw,status"] + texts) + "\n")
+    _write_text(cfg.out, ["\n".join(["sweep_param,invariant,raw,status"] + texts) + "\n"])
     return 0
 
 
@@ -200,7 +261,7 @@ def _cmd_classify_gaps(args) -> int:
     chunks = _map_values(cfg, _chunks(cfg, points), _classify_chunk_records, cfg.workers)
     payload = {"schema": SCHEMA, "command": "classify-gaps", "protocol": cfg.protocol,
                "records": [record for chunk in chunks for record in chunk]}
-    _write_text(cfg.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_text(cfg.out, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
     return 0
 
 
@@ -222,7 +283,7 @@ def _cmd_symmetry(args) -> int:
     reports = [symmetry.classify(pid) for pid in ids]
     payload = {"schema": SCHEMA, "command": "symmetry",
                "records": [r.as_record() for r in reports]}
-    _write_text(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_text(args.out, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
     if args.golden:
         golden = {row["protocol"]: row for row in _golden_table()}
         mismatches = []

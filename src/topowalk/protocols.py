@@ -314,6 +314,10 @@ def compile_plan(spec: ProtocolSpec, *, angles: Optional[Mapping] = None, T=None
         ang.update(angles)
     T_eff = spec.T if T is None else T
     steps = np.asarray(T_eff)
+    if steps.dtype == object:  # numpy keeps an integer beyond 64 bits as a Python object
+        big = [t for t in steps.flat if isinstance(t, int) and abs(t) >= 2 ** 63]
+        raise InvalidInputError(f"step number T must be an integer of at most 64 bits,"
+                                f" got {big[0] if big else T_eff!r}")
     if steps.dtype.kind not in "iu" and (steps.dtype == bool or np.any(steps != np.round(steps))):
         raise InvalidInputError(f"step number T must be an integer, got {T_eff!r}")
     if np.any(steps < 1):

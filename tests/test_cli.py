@@ -175,6 +175,74 @@ class TestBandsChunks:
             assert np.nanmax(np.abs(got_v - vel), initial=0.0) <= 1e-13
 
 
+# Floats around the places where repr changes: the signed zeros, the
+# subnormals, the infinities, NaN of either sign, and the switches between
+# positional and exponent notation at 1e-4 and 1e16.
+REPR_EDGES = [0.0, -0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, math.inf,
+              -math.inf, math.nan, -math.nan, 1e-4, math.nextafter(1e-4, 0.0), 1e16,
+              math.nextafter(1e16, 0.0), 0.1, 1.0, math.pi]
+REPR_FLOATS = (st.sampled_from(REPR_EDGES) | st.floats(allow_subnormal=True)
+               | st.floats(1e-5, 1e-3) | st.floats(1e15, 1e17))
+
+
+def two_chunk_bands_cfg(tmp_path):
+    # 256 grid points leave room for CHUNK_POINTS // 256 values per chunk
+    count = cli.CHUNK_POINTS // 256 + 2
+    return small_bands_cfg(tmp_path, grid=256,
+                           sweep={"symbol": "alpha", "start": -PI, "stop": PI, "count": count})
+
+
+class TestBandsEmit:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.lists(st.lists(REPR_FLOATS, max_size=40), min_size=1, max_size=4),
+           st.lists(st.booleans(), max_size=40))
+    def test_float_cells_equal_repr(self, parts, flips):
+        # each array also holds the negation of some of its own values, so
+        # equal magnitudes come with both signs
+        arrays = [np.array(xs + [-x for x, f in zip(xs, flips) if f], dtype=float)
+                  for xs in parts]
+        arrays[0] = arrays[0].reshape(1, -1, 1)
+        for batch in (3, cli.REPR_BATCH):  # the magnitudes formatted in several batches or one
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cli, "REPR_BATCH", batch)
+                cells = list(cli._float_cells(arrays))
+            assert [c.shape[:-1] for c in cells] == [a.shape for a in arrays]
+            texts = [[cell[cell != 0].tobytes().decode() for cell in c.reshape(-1, c.shape[-1])]
+                     for c in cells]
+            assert texts == [list(map(repr, a.ravel().tolist())) for a in arrays]
+
+    def test_failure_in_a_later_chunk_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # every number is computed before the output is opened
+        from topowalk.errors import GaplessError
+        calls = []
+
+        def second_call_fails(*a, **kw):
+            calls.append(1)
+            if len(calls) == 2:
+                raise GaplessError("synthetic failure in the second chunk")
+            return spectrum.bands_with_velocity(*a, **kw)
+        monkeypatch.setattr(cli, "bands_with_velocity", second_call_fails)
+        cfg = two_chunk_bands_cfg(tmp_path)
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        old.write_text("kept\n")
+        for out in (new, old):
+            calls.clear()
+            assert run(["bands", "--config", str(cfg), "--out", str(out)]) == 3
+            assert len(calls) == 2
+        assert not new.exists() and old.read_text() == "kept\n"
+        assert capsys.readouterr().out == ""
+
+    def test_stdout_matches_file(self, tmp_path, capsys):
+        cfg = two_chunk_bands_cfg(tmp_path)
+        out = tmp_path / "o.csv"
+        assert run(["bands", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run(["bands", "--config", str(cfg), "--out", "-"]) == 0
+        text = capsys.readouterr().out
+        assert text.count("\n") == 1 + (cli.CHUNK_POINTS // 256 + 2) * 256
+        assert text.encode() == out.read_bytes()
+
+
 class TestInvariant:
     def test_winding_csv(self, tmp_path):
         cfg = small_bands_cfg(tmp_path, steps=6,
@@ -527,6 +595,23 @@ class TestUsageErrors:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: steps 5")
 
+    def test_step_number_beyond_64_bits(self, tmp_path, capsys):
+        # numpy holds such a T as a Python object, which the integrality check
+        # cannot round; the plan rejects it by name
+        chs = ["bands", "--protocol", "1d-chs", "--set", "beta=0.5", "--grid", "8", "--out", "-"]
+        big = 99999999999999999999
+        runs = [chs + ["--sweep", "alpha:0:1:2", "--steps", str(big)],
+                chs + ["--sweep", f"T:1:{big}:2"],
+                ["bands", "--config", str(small_bands_cfg(tmp_path, steps=1e20)), "--out", "-"]]
+        for argv in runs:
+            assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == len(runs)
+        assert all(line.startswith("error: step number T must be an integer of at most 64 bits")
+                   for line in err)
+
     def test_point_budget(self, capsys):
         # rejected before any grid or sweep list is allocated
         chs = ["--protocol", "1d-chs", "--set", "beta=0.5", "--out", "-"]
@@ -656,7 +741,8 @@ class TestUsageErrors:
 # escapes them.
 TEXT = st.text(st.characters(exclude_categories=["Cs"]), max_size=6).filter(
     lambda t: not t.startswith("-"))  # "-h" and prefixes of "--help" would print help
-EXTREME = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 2 ** 63, 10 ** 400, -1, 0])
+EXTREME = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 2 ** 63, 2 ** 64,
+                           10 ** 400, -1, 0])
 JUNK = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | TEXT | EXTREME,
                     lambda inner: st.lists(inner, max_size=3)
                     | st.dictionaries(TEXT, inner, max_size=3), max_leaves=5)
