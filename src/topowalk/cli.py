@@ -57,11 +57,6 @@ REPR_BATCH = 2 ** 16
 ProcessPoolExecutor = None
 
 
-def _f(x) -> str:
-    """Shortest round-trip decimal for a float."""
-    return repr(float(x))
-
-
 def _split(text: str, keys) -> dict:
     """--sweep or --link text A:B:... as the values of `keys` in order; a
     missing value is left to the table to report, extra ones stay in the last."""
@@ -72,10 +67,6 @@ def _entry(text: str, keys=None) -> tuple:
     """--set or --link text SYM=VALUE as (SYM, VALUE), VALUE split by `keys` if given."""
     sym, _, value = text.partition("=")
     return sym.strip(), value if keys is None else _split(value, keys)
-
-
-def _sweep_cell(cfg: SweepConfig, value) -> str:
-    return _f(value) if cfg.sweep_symbol != "T" else str(int(value))
 
 
 def _bands_chunk(cfg: SweepConfig, values, k) -> tuple:
@@ -118,7 +109,7 @@ def _float_cells(arrays):
         yield cells
 
 
-def _bands_rows(cfg: SweepConfig, parts, chunks, k):
+def _bands_rows(parts, chunks, k):
     """Pass 2 of `bands`: the CSV text of each chunk's rows in turn, formed as
     it is asked for, from the sweep values `parts`, their pass-1 `chunks` and
     the grid k.  A chunk's rows are laid out as fixed-width fields in one
@@ -129,7 +120,7 @@ def _bands_rows(cfg: SweepConfig, parts, chunks, k):
     for values, cells, (_, gapless) in zip(parts, floats, chunks):
         cells[gapless, 1:] = 0  # a gapless row's velocity cells are empty
         comma = np.full(cells.shape[:-1] + (1,), ord(","), np.uint8)
-        sweep = _ascii([_sweep_cell(cfg, v) + "," for v in values])
+        sweep = _ascii([repr(v) + "," for v in values])
         shape = gapless.shape
         row = np.concatenate([np.broadcast_to(sweep[:, None], shape + sweep.shape[-1:]),
                               np.broadcast_to(k_text, shape + k_text.shape[-1:]),
@@ -142,8 +133,8 @@ def _invariant_chunk_rows(cfg: SweepConfig, values) -> str:
     """The CSV rows of a contiguous chunk of sweep values, from one plan pass
     (`topology.sweep_invariants`)."""
     results = topology.sweep_invariants([cfg.spec_at(v) for v in values], cfg.grid)
-    return "\n".join(f"{_sweep_cell(cfg, v)},,,boundary" if res is None
-                     else f"{_sweep_cell(cfg, v)},{res[0]},{_f(res[1])},ok"
+    return "\n".join(f"{v!r},,,boundary" if res is None
+                     else f"{v!r},{res[0]},{float(res[1])!r},ok"
                      for v, res in zip(values, results))
 
 
@@ -151,7 +142,7 @@ def _classify_chunk_records(cfg: SweepConfig, values) -> list:
     """The classify-gaps records of a contiguous chunk of sweep values, from one
     plan pass (`topology.sweep_boundaries`)."""
     found = topology.sweep_boundaries([cfg.spec_at(v) for v in values], cfg.grid)
-    return [{"sweep_value": float(v) if cfg.sweep_symbol != "T" else int(v),
+    return [{"sweep_value": v,
              "gap_points": [{"k": p.k, "quasi_energy": p.quasi_energy, "residual": p.residual}
                             for p in points],
              "classifications": [{"kind": c.kind, "evidence": c.evidence} for c in classes]}
@@ -233,7 +224,7 @@ def _cmd_bands(args) -> int:
     k = symmetry.bz_grid(dim, cfg.grid)
     parts = _chunks(cfg, len(k))
     chunks = _map_values(cfg, parts, partial(_bands_chunk, k=k), cfg.workers)
-    _write_text(cfg.out, chain([",".join(header) + "\n"], _bands_rows(cfg, parts, chunks, k)))
+    _write_text(cfg.out, chain([",".join(header) + "\n"], _bands_rows(parts, chunks, k)))
     return 0
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from decimal import Decimal
 from types import SimpleNamespace
 from typing import Dict, Optional
 
@@ -78,6 +79,10 @@ class SweepConfig:
             for edge in (self.sweep_start, self.sweep_stop):
                 if abs(edge - round(edge)) > 1e-12 or round(edge) < 1:
                     raise InvalidInputError("a step-number sweep needs integer bounds >= 1")
+                spec.with_params(T=round(edge))  # refuses a step number beyond 64 bits
+                if edge >= 2 ** 53:  # a float holds each integer below 2**53 exactly
+                    raise InvalidInputError("a step-number sweep needs bounds below"
+                                            " 2**53 = 9007199254740992")
             # rounded to integers, a fractional step would repeat step numbers
             step = (self.sweep_stop - self.sweep_start) / (self.sweep_count - 1)
             if abs(step - round(step)) > 1e-12 or round(step) == 0:
@@ -115,12 +120,15 @@ class SweepConfig:
         return self
 
     def sweep_values(self):
+        """The sweep's values: ints for a sweep over T, computed in integers,
+        floats for an angle."""
         n = self.sweep_count
-        step = (self.sweep_stop - self.sweep_start) / (n - 1)
-        vals = [self.sweep_start + i * step for i in range(n)]
         if self.sweep_symbol == "T":
-            return [int(round(v)) for v in vals]
-        return vals
+            start = round(self.sweep_start)
+            step = (round(self.sweep_stop) - start) // (n - 1)
+            return [start + i * step for i in range(n)]
+        step = (self.sweep_stop - self.sweep_start) / (n - 1)
+        return [self.sweep_start + i * step for i in range(n)]
 
     def walk_params(self, value):
         """(angles, T) of the walk at sweep value `value`: the fixed angles,
@@ -170,7 +178,9 @@ def _fields(obj, table: dict, path: str) -> SimpleNamespace:
 def _convert(kind, value, path: str):
     """`value` as `kind` (see KEYS), named by its `path` in a usage error.  A
     number may be text, as a flag gives it; booleans are not numbers, numbers
-    must be finite, and an integer may be the JSON number 3.0 but not 2.7."""
+    must be finite, and an integer may be the JSON number 3.0 or the text
+    "3.0" but not 2.7.  Integer text is read exactly, as a Decimal, not
+    through float; float() of it first refuses one beyond any float."""
     if isinstance(kind, dict):
         return _fields(value, kind, path)
     if isinstance(kind, list):
@@ -178,11 +188,12 @@ def _convert(kind, value, path: str):
                 for sym, v in _object(value, path).items()}
     if kind in (int, float):
         try:
-            number = kind(value)
-            if (not isinstance(value, bool) and math.isfinite(number)
-                    and not (isinstance(value, float) and number != value)):
-                return number
-        except (TypeError, ValueError, OverflowError):
+            exact = Decimal(value) if kind is int and isinstance(value, str) else value
+            if not isinstance(value, bool) and math.isfinite(float(exact)):
+                number = kind(exact)
+                if not (isinstance(exact, (float, Decimal)) and number != exact):
+                    return number
+        except (TypeError, ValueError, ArithmeticError):
             pass
     elif value in kind if isinstance(kind, tuple) else isinstance(value, kind):
         return value

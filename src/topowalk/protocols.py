@@ -113,20 +113,43 @@ class ProtocolSpec:
 
     def with_params(self, T: Optional[int] = None, phi: Optional[float] = None,
                     **angles: float) -> "ProtocolSpec":
-        new_T = self.T if T is None else T
-        if not (isinstance(new_T, (int, np.integer)) and not isinstance(new_T, bool)):
-            raise InvalidInputError(f"step number T must be an integer, got {new_T!r}")
-        if new_T < 1:
-            raise InvalidInputError(f"step number T must be >= 1, got {new_T}")
-        known = set(self.symbols)
-        for sym in angles:
-            if sym not in known:
-                raise InvalidInputError(
-                    f"protocol {self.id!r} has no angle {sym!r}; it uses {sorted(known)}")
-        merged = dict(self.angles)
-        merged.update({sym: float(v) for sym, v in angles.items()})
-        return replace(self, T=int(new_T), angles=merged,
+        steps = self.T if T is None else _step_number(T)
+        if type(steps) is not int and np.ndim(steps):
+            raise InvalidInputError(f"step number T of a spec must be one integer, got {T!r}")
+        merged = _merged_angles(self, angles)
+        merged.update((sym, float(merged[sym])) for sym in angles)
+        return replace(self, T=int(steps), angles=merged,
                        phi=self.phi if phi is None else float(phi))
+
+
+def _step_number(T):
+    """T, if it is a step number or an array of them: integers >= 1 of at most
+    64 bits; an integral float counts, a bool does not."""
+    if type(T) is int and 1 <= T < 2 ** 63:
+        return T
+    steps = np.asarray(T)
+    if steps.dtype == object:  # numpy keeps an integer beyond 64 bits as a Python object
+        big = [t for t in steps.flat if isinstance(t, int) and abs(t) >= 2 ** 63]
+        raise InvalidInputError(f"step number T must be an integer of at most 64 bits,"
+                                f" got {big[0] if big else T!r}")
+    if steps.dtype.kind not in "iu" and (steps.dtype == bool or np.any(steps != np.round(steps))):
+        raise InvalidInputError(f"step number T must be an integer, got {T!r}")
+    if np.any(steps < 1):
+        raise InvalidInputError(f"step number T must be >= 1, got {T!r}")
+    return T
+
+
+def _merged_angles(spec: ProtocolSpec, angles: Optional[Mapping]) -> dict:
+    """The spec's bound angles updated by `angles`; an angle the protocol does
+    not use is rejected."""
+    merged = dict(spec.angles)
+    if angles:
+        unknown = sorted(set(angles) - set(spec.symbols))
+        if unknown:
+            raise InvalidInputError(f"protocol {spec.id!r} has no angle {unknown[0]!r};"
+                                    f" it uses {sorted(spec.symbols)}")
+        merged.update(angles)
+    return merged
 
 
 def _spec(pid, dim, elements, doubled=None):
@@ -305,23 +328,8 @@ def compile_plan(spec: ProtocolSpec, *, angles: Optional[Mapping] = None, T=None
     special-unitary iff, on every axis, the shifts' up + down phases sum to
     0; any other walk is rejected, which lets the Bloch split skip the
     determinant."""
-    ang = dict(spec.angles)
-    if angles:
-        unknown = sorted(set(angles) - set(spec.symbols))
-        if unknown:
-            raise InvalidInputError(f"protocol {spec.id!r} has no angle {unknown[0]!r};"
-                                    f" it uses {sorted(spec.symbols)}")
-        ang.update(angles)
-    T_eff = spec.T if T is None else T
-    steps = np.asarray(T_eff)
-    if steps.dtype == object:  # numpy keeps an integer beyond 64 bits as a Python object
-        big = [t for t in steps.flat if isinstance(t, int) and abs(t) >= 2 ** 63]
-        raise InvalidInputError(f"step number T must be an integer of at most 64 bits,"
-                                f" got {big[0] if big else T_eff!r}")
-    if steps.dtype.kind not in "iu" and (steps.dtype == bool or np.any(steps != np.round(steps))):
-        raise InvalidInputError(f"step number T must be an integer, got {T_eff!r}")
-    if np.any(steps < 1):
-        raise InvalidInputError("step number T must be >= 1")
+    ang = _merged_angles(spec, angles)
+    T_eff = _step_number(spec.T if T is None else T)
 
     steps, det_phase = [], [0] * spec.dimension
     for is_coin, run in groupby(spec.elements, key=lambda el: isinstance(el, Coin)):

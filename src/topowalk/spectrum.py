@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import GaplessError, InvalidInputError, UnsupportedProtocolError
-from .protocols import Plan, compile_plan, registry_lookup
+from .protocols import REGISTRY, Plan, ProtocolSpec, _as_momenta, compile_plan, registry_lookup
 
 EPS_GAP = 1e-9  # |d| at or below this counts as a gap closing
 
@@ -124,69 +124,45 @@ def bands_with_velocity(spec_or_id, k, *, angles=None, T=None):
 # and is the authority in case of doubt.
 
 
-def _kl(T, theta):
-    half = 0.5 * np.multiply(T, theta)
-    return np.cos(half), np.sin(half)
+def _coeffs(angles, T, pid, *symbols):
+    """kappa_j, lambda_j of each angle symbol j in turn, flattened."""
+    out = []
+    for s in symbols:
+        try:
+            half = 0.5 * np.multiply(T, np.asarray(angles[s], dtype=float))
+        except KeyError:
+            raise InvalidInputError(f"angle {s!r} required for {pid!r}") from None
+        out += [np.cos(half), np.sin(half)]
+    return out
 
 
-def _ang(angles, spec_or_id, *symbols):
-    try:
-        return [np.asarray(angles[s], dtype=float) for s in symbols]
-    except KeyError as err:
-        raise InvalidInputError(f"angle {err.args[0]!r} required for {spec_or_id!r}") from None
-
-
-def _k_components(k, dim):
-    k = np.asarray(k, dtype=float)
-    if dim == 1 and (k.ndim == 0 or k.shape[-1] != 1):
-        k = k[..., None]
-    if k.shape[-1] != dim:
-        raise InvalidInputError(f"momentum must have {dim} components, got shape {k.shape}")
-    return [k[..., i] for i in range(dim)]
-
-
-def _rho_1d_phs(angles, T, k):
-    (alpha, beta) = _ang(angles, "1d-phs", "alpha", "beta")
-    ka, la = _kl(T, alpha)
-    kb, lb = _kl(T, beta)
-    (kx,) = _k_components(k, 1)
+def _rho_1d_phs(angles, T, kx):
+    ka, la, kb, lb = _coeffs(angles, T, "1d-phs", "alpha", "beta")
     return ka * kb * np.cos(2 * kx) - la * lb * np.cos(kx)
 
 
-def _d_1d_phs(angles, T, k):
-    (alpha, beta) = _ang(angles, "1d-phs", "alpha", "beta")
-    ka, la = _kl(T, alpha)
-    kb, lb = _kl(T, beta)
-    (kx,) = _k_components(k, 1)
+def _d_1d_phs(angles, T, kx):
+    ka, la, kb, lb = _coeffs(angles, T, "1d-phs", "alpha", "beta")
     dx = -la * kb * np.sin(kx)
     dy = la * kb * np.cos(kx) + ka * lb
     dz = la * lb * np.sin(kx) - 2 * ka * kb * np.cos(kx) * np.sin(kx)
     return np.stack(np.broadcast_arrays(dx, dy, dz), axis=-1)
 
 
-def _drho_1d_phs(angles, T, k, axis):
-    (alpha, beta) = _ang(angles, "1d-phs", "alpha", "beta")
-    ka, la = _kl(T, alpha)
-    kb, lb = _kl(T, beta)
-    (kx,) = _k_components(k, 1)
+def _drho_1d_phs(angles, T, axis, kx):
+    ka, la, kb, lb = _coeffs(angles, T, "1d-phs", "alpha", "beta")
     return -2 * ka * kb * np.sin(2 * kx) + la * lb * np.sin(kx)
 
 
-def _rho_1d_chs(angles, T, k):
-    (alpha, beta) = _ang(angles, "1d-chs", "alpha", "beta")
-    ka, la = _kl(T, alpha)
-    kb, lb = _kl(T, beta)
-    (kx,) = _k_components(k, 1)
+def _rho_1d_chs(angles, T, kx):
+    ka, la, kb, lb = _coeffs(angles, T, "1d-chs", "alpha", "beta")
     s_ab = la * kb + ka * lb  # sin(T(alpha+beta)/2)
     return (-0.5 * la * lb * (1 + np.cos(kx)) + ka * kb * np.cos(kx)
             + s_ab * np.sin(kx) / np.sqrt(2))
 
 
-def _d_1d_chs(angles, T, k):
-    (alpha, beta) = _ang(angles, "1d-chs", "alpha", "beta")
-    ka, la = _kl(T, alpha)
-    kb, lb = _kl(T, beta)
-    (kx,) = _k_components(k, 1)
+def _d_1d_chs(angles, T, kx):
+    ka, la, kb, lb = _coeffs(angles, T, "1d-chs", "alpha", "beta")
     s_ab = la * kb + ka * lb
     dx = 0.5 * lb * (np.sqrt(2) * ka * np.sin(kx) + la * (1 - np.cos(kx)))
     dy = la * kb / np.sqrt(2) + 0.5 * lb * (la * np.sin(kx) + np.sqrt(2) * ka * np.cos(kx))
@@ -195,25 +171,19 @@ def _d_1d_chs(angles, T, k):
     return np.stack(np.broadcast_arrays(dx, dy, dz), axis=-1)
 
 
-def _drho_1d_chs(angles, T, k, axis):
-    return _d_1d_chs(angles, T, k)[..., 2]
+def _drho_1d_chs(angles, T, axis, kx):
+    return _d_1d_chs(angles, T, kx)[..., 2]
 
 
-def _rho_2d_phs(angles, T, k):
-    (alpha, beta) = _ang(angles, "2d-phs", "alpha", "beta")
-    ka, la = _kl(T, alpha)
-    cb = np.cos(np.multiply(T, beta))  # the beta coin acts twice per period
-    sb = np.sin(np.multiply(T, beta))
-    kx, ky = _k_components(k, 2)
+def _rho_2d_phs(angles, T, kx, ky):
+    ka, la = _coeffs(angles, T, "2d-phs", "alpha")
+    cb, sb = _coeffs(angles, np.multiply(2, T), "2d-phs", "beta")  # two beta coins per period
     return (ka * (cb * np.cos(kx) * np.cos(kx + 2 * ky) - np.sin(kx) * np.sin(kx + 2 * ky))
             - la * sb * np.cos(kx) ** 2)
 
 
-def _d_2d_phs(angles, T, k):
-    (alpha, beta) = _ang(angles, "2d-phs", "alpha", "beta")
-    ka, la = _kl(T, alpha)
-    kb, lb = _kl(T, beta)
-    kx, ky = _k_components(k, 2)
+def _d_2d_phs(angles, T, kx, ky):
+    ka, la, kb, lb = _coeffs(angles, T, "2d-phs", "alpha", "beta")
     dx = 2 * lb * np.sin(kx) * (ka * kb * np.cos(kx + 2 * ky) - la * lb * np.cos(kx))
     dy = (la * kb ** 2 - la * lb ** 2 * np.cos(2 * kx)
           + 2 * ka * kb * lb * np.cos(kx) * np.cos(kx + 2 * ky))
@@ -222,35 +192,24 @@ def _d_2d_phs(angles, T, k):
     return np.stack(np.broadcast_arrays(dx, dy, dz), axis=-1)
 
 
-def _drho_2d_phs(angles, T, k, axis):
-    (alpha, beta) = _ang(angles, "2d-phs", "alpha", "beta")
-    ka, la = _kl(T, alpha)
-    cb = np.cos(np.multiply(T, beta))
-    sb = np.sin(np.multiply(T, beta))
-    kx, ky = _k_components(k, 2)
+def _drho_2d_phs(angles, T, axis, kx, ky):
+    ka, la = _coeffs(angles, T, "2d-phs", "alpha")
+    cb, sb = _coeffs(angles, np.multiply(2, T), "2d-phs", "beta")
     if axis == 0:
         return -ka * (1 + cb) * np.sin(2 * kx + 2 * ky) + la * sb * np.sin(2 * kx)
     return -2 * ka * (cb * np.cos(kx) * np.sin(kx + 2 * ky) + np.sin(kx) * np.cos(kx + 2 * ky))
 
 
-def _rho_2d_nosym(angles, T, k):
-    (alpha, beta, gamma) = _ang(angles, "2d-nosym", "alpha", "beta", "gamma")
-    ka, la = _kl(T, alpha)
-    kb, lb = _kl(T, beta)
-    kg, lg = _kl(T, gamma)
-    kx, ky = _k_components(k, 2)
+def _rho_2d_nosym(angles, T, kx, ky):
+    ka, la, kb, lb, kg, lg = _coeffs(angles, T, "2d-nosym", "alpha", "beta", "gamma")
     r2 = np.sqrt(2)
     return (r2 * la / 2 * (kb * kg * np.sin(2 * kx + 2 * ky) - lb * kg
                            - kb * lg * np.cos(2 * ky) - lb * lg * np.sin(2 * kx))
             + ka * (kb * kg * np.cos(2 * kx + 2 * ky) - lb * lg * np.cos(2 * kx)))
 
 
-def _d_2d_nosym(angles, T, k):
-    (alpha, beta, gamma) = _ang(angles, "2d-nosym", "alpha", "beta", "gamma")
-    ka, la = _kl(T, alpha)
-    kb, lb = _kl(T, beta)
-    kg, lg = _kl(T, gamma)
-    kx, ky = _k_components(k, 2)
+def _d_2d_nosym(angles, T, kx, ky):
+    ka, la, kb, lb, kg, lg = _coeffs(angles, T, "2d-nosym", "alpha", "beta", "gamma")
     r2 = np.sqrt(2)
     dx = (r2 * la / 2 * (kb * lg * np.cos(2 * kx) - lb * kg * np.cos(2 * kx + 2 * ky)
                          - lb * lg * np.sin(2 * ky))
@@ -264,12 +223,8 @@ def _d_2d_nosym(angles, T, k):
     return np.stack(np.broadcast_arrays(dx, dy, dz), axis=-1)
 
 
-def _drho_2d_nosym(angles, T, k, axis):
-    (alpha, beta, gamma) = _ang(angles, "2d-nosym", "alpha", "beta", "gamma")
-    ka, la = _kl(T, alpha)
-    kb, lb = _kl(T, beta)
-    kg, lg = _kl(T, gamma)
-    kx, ky = _k_components(k, 2)
+def _drho_2d_nosym(angles, T, axis, kx, ky):
+    ka, la, kb, lb, kg, lg = _coeffs(angles, T, "2d-nosym", "alpha", "beta", "gamma")
     r2 = np.sqrt(2)
     if axis == 0:
         return (r2 * la * (kb * kg * np.cos(2 * kx + 2 * ky) - lb * lg * np.cos(2 * kx))
@@ -278,45 +233,32 @@ def _drho_2d_nosym(angles, T, k, axis):
             - 2 * ka * kb * kg * np.sin(2 * kx + 2 * ky))
 
 
-def _rho_3d_simple(angles, T, k):
-    (beta,) = _ang(angles, "3d-simple", "beta")
-    kb, lb = _kl(T, beta)
-    K = np.asarray(k, dtype=float).sum(axis=-1)
+def _rho_3d_simple(angles, T, *k):
+    kb, lb = _coeffs(angles, T, "3d-simple", "beta")
+    K = sum(k)
     return kb * np.cos(K)
 
 
-def _d_3d_simple(angles, T, k):
-    (beta,) = _ang(angles, "3d-simple", "beta")
-    kb, lb = _kl(T, beta)
-    K = np.asarray(k, dtype=float).sum(axis=-1)
+def _d_3d_simple(angles, T, *k):
+    kb, lb = _coeffs(angles, T, "3d-simple", "beta")
+    K = sum(k)
     return np.stack(np.broadcast_arrays(lb * np.sin(K), lb * np.cos(K), -kb * np.sin(K)), axis=-1)
 
 
-def _drho_3d_simple(angles, T, k, axis):
-    (beta,) = _ang(angles, "3d-simple", "beta")
-    kb, lb = _kl(T, beta)
-    K = np.asarray(k, dtype=float).sum(axis=-1)
+def _drho_3d_simple(angles, T, axis, *k):
+    kb, lb = _coeffs(angles, T, "3d-simple", "beta")
+    K = sum(k)
     return -kb * np.sin(K)
 
 
-def _split_coeffs(angles, T):
-    (alpha, beta, gamma) = _ang(angles, "3d-split", "alpha", "beta", "gamma")
-    ka, la = _kl(T, alpha)
-    kb, lb = _kl(T, beta)
-    kg, lg = _kl(T, gamma)
-    return ka, la, kb, lb, kg, lg
-
-
-def _rho_3d_split(angles, T, k):
-    ka, la, kb, lb, kg, lg = _split_coeffs(angles, T)
-    x, y, z = _k_components(k, 3)
+def _rho_3d_split(angles, T, x, y, z):
+    ka, la, kb, lb, kg, lg = _coeffs(angles, T, "3d-split", "alpha", "beta", "gamma")
     return (ka * kb * kg * np.cos(x + y + z) - kg * la * lb * np.cos(x - y - z)
             - lg * la * kb * np.cos(x - y + z) - lg * ka * lb * np.cos(x + y - z))
 
 
-def _d_3d_split(angles, T, k):
-    ka, la, kb, lb, kg, lg = _split_coeffs(angles, T)
-    x, y, z = _k_components(k, 3)
+def _d_3d_split(angles, T, x, y, z):
+    ka, la, kb, lb, kg, lg = _coeffs(angles, T, "3d-split", "alpha", "beta", "gamma")
     dx = (lb * (ka * kg * np.sin(x + y + z) - la * lg * np.sin(x - y + z))
           - kb * (la * kg * np.sin(x - y - z) + ka * lg * np.sin(x + y - z)))
     dy = (kb * (la * kg * np.cos(x - y - z) + ka * lg * np.cos(x + y - z))
@@ -326,36 +268,26 @@ def _d_3d_split(angles, T, k):
     return np.stack(np.broadcast_arrays(dx, dy, dz), axis=-1)
 
 
-def _drho_3d_split(angles, T, k, axis):
-    ka, la, kb, lb, kg, lg = _split_coeffs(angles, T)
-    x, y, z = _k_components(k, 3)
+def _drho_3d_split(angles, T, axis, x, y, z):
+    ka, la, kb, lb, kg, lg = _coeffs(angles, T, "3d-split", "alpha", "beta", "gamma")
     c1, c2, c3, c4 = ka * kb * kg, kg * la * lb, lg * la * kb, lg * ka * lb
     signs = {0: (1, 1, 1), 1: (-1, -1, 1), 2: (-1, 1, -1)}[axis]
     return (-c1 * np.sin(x + y + z) + signs[0] * c2 * np.sin(x - y - z)
             + signs[1] * c3 * np.sin(x - y + z) + signs[2] * c4 * np.sin(x + y - z))
 
 
-def _phs3_coeffs(angles, T):
-    (alpha, beta, gamma, zeta) = _ang(angles, "3d-phs", "alpha", "beta", "gamma", "zeta")
-    ka, la = _kl(T, alpha)
-    kb, lb = _kl(T, beta)
-    kg, lg = _kl(T, gamma)
-    kz, lz = _kl(T, zeta)
-    return ka, la, kb, lb, kg, lg, kz, lz
-
-
-def _rho_3d_phs(angles, T, k):
-    ka, la, kb, lb, kg, lg, kz, lz = _phs3_coeffs(angles, T)
-    x, y, z = _k_components(k, 3)
+def _rho_3d_phs(angles, T, x, y, z):
+    ka, la, kb, lb, kg, lg, kz, lz = _coeffs(angles, T, "3d-phs",
+                                             "alpha", "beta", "gamma", "zeta")
     return (ka * kb * (kg * kz * np.cos(2 * (x + y + z)) - lg * lz * np.cos(2 * (x + z)))
             - ka * lb * (lg * kz * np.cos(2 * x) + kg * lz * np.cos(2 * (x + y)))
             - la * kb * (lg * kz * np.cos(2 * (y + z)) + kg * lz * np.cos(2 * z))
             - la * lb * (kg * kz - lg * lz * np.cos(2 * y)))
 
 
-def _d_3d_phs(angles, T, k):
-    ka, la, kb, lb, kg, lg, kz, lz = _phs3_coeffs(angles, T)
-    x, y, z = _k_components(k, 3)
+def _d_3d_phs(angles, T, x, y, z):
+    ka, la, kb, lb, kg, lg, kz, lz = _coeffs(angles, T, "3d-phs",
+                                             "alpha", "beta", "gamma", "zeta")
     dx = (-ka * kb * lg * kz * np.sin(2 * x) - ka * kb * kg * lz * np.sin(2 * (x + y))
           + ka * lb * kg * kz * np.sin(2 * (x + y + z)) - ka * lb * lg * lz * np.sin(2 * (x + z))
           + la * kb * lg * lz * np.sin(2 * y) - la * lb * lg * kz * np.sin(2 * (y + z))
@@ -371,9 +303,9 @@ def _d_3d_phs(angles, T, k):
     return np.stack(np.broadcast_arrays(dx, dy, dz), axis=-1)
 
 
-def _drho_3d_phs(angles, T, k, axis):
-    ka, la, kb, lb, kg, lg, kz, lz = _phs3_coeffs(angles, T)
-    x, y, z = _k_components(k, 3)
+def _drho_3d_phs(angles, T, axis, x, y, z):
+    ka, la, kb, lb, kg, lg, kz, lz = _coeffs(angles, T, "3d-phs",
+                                             "alpha", "beta", "gamma", "zeta")
     if axis == 0:
         return 2 * ka * (lb * lg * kz * np.sin(2 * x) + lb * kg * lz * np.sin(2 * (x + y))
                          - kb * kg * kz * np.sin(2 * (x + y + z))
@@ -387,17 +319,8 @@ def _drho_3d_phs(angles, T, k, axis):
                      + la * kg * lz * np.sin(2 * z) - ka * kg * kz * np.sin(2 * (x + y + z)))
 
 
-def _chs3_coeffs(angles, T):
-    (alpha, beta, gamma) = _ang(angles, "3d-chs", "alpha", "beta", "gamma")
-    ka, la = _kl(T, alpha)
-    kb, lb = _kl(T, beta)
-    kg, lg = _kl(T, gamma)
-    return ka, la, kb, lb, kg, lg
-
-
-def _rho_3d_chs(angles, T, k):
-    ka, la, kb, lb, kg, lg = _chs3_coeffs(angles, T)
-    x, y, z = _k_components(k, 3)
+def _rho_3d_chs(angles, T, x, y, z):
+    ka, la, kb, lb, kg, lg = _coeffs(angles, T, "3d-chs", "alpha", "beta", "gamma")
     r8 = 2 * np.sqrt(2)
     p1 = 2 * la * kb * kg + 2 * ka * lb * kg + 2 * ka * kb * lg - la * lb * lg
     p2 = 2 * ka * kb * kg - la * lb * kg - la * kb * lg - ka * lb * lg
@@ -408,9 +331,8 @@ def _rho_3d_chs(angles, T, k):
             + (np.sin(x - y - z) - np.sin(x + y - z) - np.sin(x - y + z)) * la * lb * lg / r8)
 
 
-def _d_3d_chs(angles, T, k):
-    ka, la, kb, lb, kg, lg = _chs3_coeffs(angles, T)
-    x, y, z = _k_components(k, 3)
+def _d_3d_chs(angles, T, x, y, z):
+    ka, la, kb, lb, kg, lg = _coeffs(angles, T, "3d-chs", "alpha", "beta", "gamma")
     r8 = 2 * np.sqrt(2)
     lll = la * lb * lg
     dx = ((lll - 2 * ka * kb * lg) * np.sin(x + y - z) / r8
@@ -437,9 +359,8 @@ def _d_3d_chs(angles, T, k):
     return np.stack(np.broadcast_arrays(dx, dy, dz), axis=-1)
 
 
-def _drho_3d_chs(angles, T, k, axis):
-    ka, la, kb, lb, kg, lg = _chs3_coeffs(angles, T)
-    x, y, z = _k_components(k, 3)
+def _drho_3d_chs(angles, T, axis, x, y, z):
+    ka, la, kb, lb, kg, lg = _coeffs(angles, T, "3d-chs", "alpha", "beta", "gamma")
     r8 = 2 * np.sqrt(2)
     lll = la * lb * lg
     p1 = 2 * la * kb * kg + 2 * ka * lb * kg + 2 * ka * kb * lg - lll
@@ -454,18 +375,9 @@ def _drho_3d_chs(angles, T, k, axis):
                + tc * np.cos(x - y + z)) * lll / r8)
 
 
-def _nosym3_coeffs(angles, T):
-    (alpha, beta, gamma, zeta) = _ang(angles, "3d-nosym", "alpha", "beta", "gamma", "zeta")
-    ka, la = _kl(T, alpha)
-    kb, lb = _kl(T, beta)
-    kg, lg = _kl(T, gamma)
-    kz, lz = _kl(T, zeta)
-    return ka, la, kb, lb, kg, lg, kz, lz
-
-
-def _rho_3d_nosym(angles, T, k):
-    ka, la, kb, lb, kg, lg, kz, lz = _nosym3_coeffs(angles, T)
-    x, y, z = _k_components(k, 3)
+def _rho_3d_nosym(angles, T, x, y, z):
+    ka, la, kb, lb, kg, lg, kz, lz = _coeffs(angles, T, "3d-nosym",
+                                             "alpha", "beta", "gamma", "zeta")
     r2 = np.sqrt(2)
     return (ka * kb * kg * kz * np.cos(2 * (x + y + z))
             + la * kb * kg * kz * np.sin(2 * (x + y + z)) / r2
@@ -478,9 +390,9 @@ def _rho_3d_nosym(angles, T, k):
                          + kb * lg * kz * np.cos(2 * (y + z)) + kb * kg * lz * np.cos(2 * z)))
 
 
-def _d_3d_nosym(angles, T, k):
-    ka, la, kb, lb, kg, lg, kz, lz = _nosym3_coeffs(angles, T)
-    x, y, z = _k_components(k, 3)
+def _d_3d_nosym(angles, T, x, y, z):
+    ka, la, kb, lb, kg, lg, kz, lz = _coeffs(angles, T, "3d-nosym",
+                                             "alpha", "beta", "gamma", "zeta")
     r2 = np.sqrt(2)
     dx = (ka * lb * kg * kz * np.sin(2 * (x + y + z))
           - la * lb * kg * kz * np.cos(2 * (x + y + z)) / r2
@@ -510,9 +422,9 @@ def _d_3d_nosym(angles, T, k):
     return np.stack(np.broadcast_arrays(dx, dy, dz), axis=-1)
 
 
-def _drho_3d_nosym(angles, T, k, axis):
-    ka, la, kb, lb, kg, lg, kz, lz = _nosym3_coeffs(angles, T)
-    x, y, z = _k_components(k, 3)
+def _drho_3d_nosym(angles, T, axis, x, y, z):
+    ka, la, kb, lb, kg, lg, kz, lz = _coeffs(angles, T, "3d-nosym",
+                                             "alpha", "beta", "gamma", "zeta")
     r2 = np.sqrt(2)
     common = (-2 * ka * kb * kg * kz * np.sin(2 * (x + y + z))
               + r2 * la * kb * kg * kz * np.cos(2 * (x + y + z)))
@@ -537,39 +449,49 @@ def _drho_3d_nosym(angles, T, k, axis):
             + r2 * la * kb * kg * lz * np.sin(2 * z))
 
 
-CLOSED_FORM_IDS = ("1d-phs", "1d-chs", "2d-phs", "2d-nosym", "3d-simple",
-                   "3d-split", "3d-phs", "3d-chs", "3d-nosym")
-
-_RHO = {"1d-phs": _rho_1d_phs, "1d-chs": _rho_1d_chs, "2d-phs": _rho_2d_phs,
-        "2d-nosym": _rho_2d_nosym, "3d-simple": _rho_3d_simple,
-        "3d-split": _rho_3d_split, "3d-phs": _rho_3d_phs,
-        "3d-chs": _rho_3d_chs, "3d-nosym": _rho_3d_nosym}
-_D = {"1d-phs": _d_1d_phs, "1d-chs": _d_1d_chs, "2d-phs": _d_2d_phs,
-      "2d-nosym": _d_2d_nosym, "3d-simple": _d_3d_simple,
-      "3d-split": _d_3d_split, "3d-phs": _d_3d_phs,
-      "3d-chs": _d_3d_chs, "3d-nosym": _d_3d_nosym}
-_DRHO = {"1d-phs": _drho_1d_phs, "1d-chs": _drho_1d_chs, "2d-phs": _drho_2d_phs,
-         "2d-nosym": _drho_2d_nosym, "3d-simple": _drho_3d_simple,
-         "3d-split": _drho_3d_split, "3d-phs": _drho_3d_phs,
-         "3d-chs": _drho_3d_chs, "3d-nosym": _drho_3d_nosym}
+# registry id -> (rho, d, drho) of its closed forms
+_CLOSED_FORMS = {
+    "1d-phs": (_rho_1d_phs, _d_1d_phs, _drho_1d_phs),
+    "1d-chs": (_rho_1d_chs, _d_1d_chs, _drho_1d_chs),
+    "2d-phs": (_rho_2d_phs, _d_2d_phs, _drho_2d_phs),
+    "2d-nosym": (_rho_2d_nosym, _d_2d_nosym, _drho_2d_nosym),
+    "3d-simple": (_rho_3d_simple, _d_3d_simple, _drho_3d_simple),
+    "3d-split": (_rho_3d_split, _d_3d_split, _drho_3d_split),
+    "3d-phs": (_rho_3d_phs, _d_3d_phs, _drho_3d_phs),
+    "3d-chs": (_rho_3d_chs, _d_3d_chs, _drho_3d_chs),
+    "3d-nosym": (_rho_3d_nosym, _d_3d_nosym, _drho_3d_nosym),
+}
+CLOSED_FORM_IDS = tuple(_CLOSED_FORMS)
 
 
-def _closed(table, pid):
+def _axis(spec: ProtocolSpec, axis) -> int:
+    """The index of the momentum axis `axis` ("x" or 0, ...) of the walk."""
+    ax = AXES.get(axis)
+    if ax is None or ax >= spec.dimension:
+        raise InvalidInputError(f"axis {axis!r} invalid for a {spec.dimension}d protocol")
+    return ax
+
+
+def _closed_form(which: int, pid: str, angles: Mapping, T, k, *axis):
+    """The closed form `which` (0 rho, 1 d, 2 drho) of `pid`, given the momentum
+    components of k and, for drho, the axis index."""
     try:
-        return table[pid]
+        form = _CLOSED_FORMS[pid][which]
     except KeyError:
-        raise UnsupportedProtocolError(
-            f"no analytic form registered for {pid!r}; available: {sorted(_RHO)}") from None
+        raise UnsupportedProtocolError(f"no analytic form registered for {pid!r};"
+                                       f" available: {sorted(_CLOSED_FORMS)}") from None
+    spec = REGISTRY[pid]
+    return form(angles, T, *[_axis(spec, a) for a in axis], *_as_momenta(spec, k))
 
 
 def rho_closed_form(pid: str, angles: Mapping, T, k):
     """Analytic cos(E_+) for the registered two-band protocols."""
-    return _closed(_RHO, pid)(angles, T, np.asarray(k, dtype=float))
+    return _closed_form(0, pid, angles, T, k)
 
 
 def d_closed_form(pid: str, angles: Mapping, T, k):
     """Analytic Bloch vector d (the +-band convention of the oracle route)."""
-    return _closed(_D, pid)(angles, T, np.asarray(k, dtype=float))
+    return _closed_form(1, pid, angles, T, k)
 
 
 def n_closed_form(pid: str, angles: Mapping, T, k):
@@ -582,10 +504,8 @@ def n_closed_form(pid: str, angles: Mapping, T, k):
 
 
 def drho_closed_form(pid: str, angles: Mapping, T, k, axis):
-    ax = AXES.get(axis)
-    if ax is None:
-        raise InvalidInputError(f"unknown momentum axis {axis!r}")
-    return _closed(_DRHO, pid)(angles, T, np.asarray(k, dtype=float), ax)
+    """Analytic d rho/d k_axis; an axis beyond the walk's dimension is rejected."""
+    return _closed_form(2, pid, angles, T, k, axis)
 
 
 def group_velocity_closed(pid: str, angles: Mapping, T, k, axis):
@@ -600,12 +520,8 @@ def group_velocity_closed(pid: str, angles: Mapping, T, k, axis):
 def group_velocity_numeric(spec_or_id, k, axis, *, angles=None, T=None, h: float = 1e-5):
     """Central finite difference of the + band along a momentum axis."""
     spec = registry_lookup(spec_or_id)
-    ax = AXES.get(axis)
-    if ax is None or ax >= spec.dimension:
-        raise InvalidInputError(f"axis {axis!r} invalid for a {spec.dimension}d protocol")
-    k = np.asarray(k, dtype=float)
-    if spec.dimension == 1 and (k.ndim == 0 or k.shape[-1] != 1):
-        k = k[..., None]
+    ax = _axis(spec, axis)
+    k = np.stack(_as_momenta(spec, k), axis=-1)
     step = np.zeros(spec.dimension)
     step[ax] = h
     plus = oracle_bands(spec, k + step, angles=angles, T=T)

@@ -147,8 +147,6 @@ def check_relation(spec: ProtocolSpec, op: SymmetryOperator, relation: str,
     if relation not in ("phs", "trs", "chs"):
         raise InvalidInputError(f"unknown relation {relation!r}")
     k_grid = np.asarray(k_grid, dtype=float)
-    if k_grid.ndim == 1:
-        k_grid = k_grid[:, None]
     return _residual(op, relation, *_grid_pair(spec, k_grid, op.momentum_flip))
 
 

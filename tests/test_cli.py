@@ -119,6 +119,21 @@ class TestBands:
         sweep_vals = {l.split(",")[0] for l in out.read_text().splitlines()[1:]}
         assert sweep_vals == {"1", "2", "3"}
 
+    def test_integral_number_text_is_an_integer(self, tmp_path, capsys):
+        # flag text is read as the JSON numbers are: "3.0" is an integer, and
+        # integer text is exact beyond 2**53
+        base = ["bands", "--protocol", "1d-chs", "--set", "beta=0.5", "--out", "-"]
+        for integral in (["--sweep", "alpha:0:1:3.0", "--grid", "8.0", "--steps", "1.0"],
+                         ["--sweep", "alpha:0:1:3", "--grid", "8", "--steps", "1e0"],
+                         ["--config", str(small_bands_cfg(
+                             tmp_path, steps=1.0, grid=8.0, angles={},
+                             sweep={"symbol": "alpha", "start": 0, "stop": 1, "count": 3.0}))]):
+            assert run(base + integral) == 0
+        outputs = capsys.readouterr().out.split("sweep_param")
+        assert len(outputs) == 4 and outputs[1] == outputs[2] == outputs[3]
+        doc = json.loads(small_bands_cfg(tmp_path).read_text())
+        assert config.config_from_dict({**doc, "steps": "9007199254740993"}).steps == 2 ** 53 + 1
+
 
 CHUNK_CASES = {
     # case: (config overrides, extra flags); each sweep spans two chunks
@@ -575,6 +590,16 @@ class TestUsageErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 3 and all("step-independent" in line for line in err)
 
+    def test_step_sweep_beyond_float_precision(self, capsys):
+        # T bounds are read as floats, which would turn 2**53 + 1 into 2**53
+        assert run(["bands", "--protocol", "1d-chs", "--set", "alpha=0.4", "--set", "beta=0.5",
+                    "--sweep", "T:9007199254740993:9007199254740995:2", "--grid", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: a step-number sweep needs bounds"
+                                                   " below 2**53")
+
     def test_step_sweep_repeating_step_numbers(self, capsys):
         # rounded to integers, T:1:2:5 would emit T = 1 twice and T = 2 three times
         for sweep in ("T:1:2:5", "T:3:3:2"):
@@ -705,6 +730,9 @@ class TestUsageErrors:
         assert run(base + ["--sweep", "alpha:0:1:2", "--set", "beta=abc"]) == 2
         assert run(base + ["--sweep", "alpha:0:end:2"]) == 2
         assert run(base + ["--sweep", "alpha:0:1:2", "--link", "beta=alpha:x:0"]) == 2
+        assert run(base + ["--sweep", "alpha:0:1:2.5"]) == 2
+        assert run(base + ["--sweep", "alpha:0:1:2", "--grid", "8.5"]) == 2
+        assert run(base + ["--sweep", "alpha:0:1:2", "--grid", "1e999999999"]) == 2
 
     def test_numerical_diagnostic_exit_code(self, tmp_path, monkeypatch):
         from topowalk.errors import GaplessError

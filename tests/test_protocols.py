@@ -337,6 +337,8 @@ def test_rejects_bad_step_numbers():
         spec.with_params(T=0)
     with pytest.raises(InvalidInputError):
         spec.with_params(T=2.5)
+    with pytest.raises(InvalidInputError, match="one integer"):  # a spec holds one step number
+        spec.with_params(T=np.array([2, 3]))
 
 
 @pytest.mark.parametrize("T", [2.5, True, np.nan, np.array([[1.5]]), np.array([2, 3.25]),
@@ -347,8 +349,9 @@ def test_plan_rejects_non_integral_step_numbers(T):
     # an integer beyond 64 bits is refused before numpy rounds it
     spec = pr.registry_lookup("1d-phs", angles={"alpha": 0.4, "beta": 0.7})
     k = np.zeros((2, 1))
+    # registry_lookup shares the plan's check, so it refuses the same values
     for call in (lambda: bloch(spec, k, T=T), lambda: bands_with_velocity(spec, k, T=T),
-                 lambda: pr.build_unitary(spec, k, T=T)):
+                 lambda: pr.build_unitary(spec, k, T=T), lambda: pr.registry_lookup(spec, T=T)):
         with pytest.raises(InvalidInputError, match="step number T must be an integer"):
             call()
     assert pr.build_unitary(spec, k, T=np.array([2.0, 3.0])).shape == (2, 2, 2)

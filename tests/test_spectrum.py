@@ -222,6 +222,11 @@ class TestGroupVelocity:
         with pytest.raises(InvalidInputError):
             sp.group_velocity_numeric("1d-chs", np.zeros((1, 1)), "y",
                                       angles={"alpha": 0.3, "beta": 0.1}, T=1)
+        with pytest.raises(InvalidInputError):
+            sp.drho_closed_form("2d-phs", {"alpha": 0.3, "beta": 0.1}, 1, np.zeros((1, 2)), "z")
+        with pytest.raises(InvalidInputError):
+            sp.group_velocity_closed("1d-phs", {"alpha": 0.3, "beta": 0.1}, 1,
+                                     np.full((1, 1), 0.5), "y")
 
 
 @pytest.mark.parametrize("pid,expect_symmetric", [
