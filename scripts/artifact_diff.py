@@ -16,8 +16,9 @@ and `--grid` are passed to both runs, e.g. to compare fig10 at a 512 grid):
   as cos(e_plus), because at a band touching arccos turns a one-ulp change
   of cos E into ~1e-8.
 
-Prints the largest deviation per artifact and field and exits 1 on any
-mismatch (or if either run fails).
+Prints, per artifact, whether the two runs' bytes are identical, then the
+largest deviation per artifact and field, and exits 1 on any mismatch (or if
+either run fails).  Identical bytes are reported, not required.
 """
 import argparse
 import csv
@@ -38,10 +39,12 @@ EXACT_KEYS = {"sweep_value"}
 
 
 class Diff:
-    """Largest float deviation per (artifact, field) and the exact mismatches."""
+    """Whether each artifact's bytes are identical, the largest float deviation
+    per (artifact, field) and the exact mismatches."""
 
     def __init__(self):
         self.names = []
+        self.identical = {}
         self.dev = {}
         self.mismatches = []
 
@@ -110,7 +113,9 @@ def compare_dirs(old_dir: pathlib.Path, new_dir: pathlib.Path) -> Diff:
         if not (pa.is_file() and pb.is_file()):
             diff.mismatches.append(f"{name}: present on one side only")
             continue
-        ta, tb = pa.read_text(encoding="utf-8"), pb.read_text(encoding="utf-8")
+        ba, bb = pa.read_bytes(), pb.read_bytes()
+        diff.identical[name] = ba == bb
+        ta, tb = ba.decode("utf-8"), bb.decode("utf-8")
         if name.endswith(".json"):
             _compare_json(name, json.loads(ta), json.loads(tb), diff)
         else:
@@ -158,6 +163,8 @@ def main(argv=None) -> int:
         diff = compare_dirs(tmp / "out-rev", tmp / "out-tree")
 
     print(f"artifacts compared: {len(diff.names)} ({args.rev} vs working tree)")
+    for name in diff.names:
+        print(f"  {name:24s} bytes {'identical' if diff.identical.get(name) else 'differ'}")
     for (name, field), dev in sorted(diff.dev.items()):
         flag = "" if dev <= FLOAT_TOL else "  > tolerance"
         print(f"  {name:24s} {field:48s} max |d| = {dev:.3g}{flag}")

@@ -205,7 +205,8 @@ def _build_config(args) -> SweepConfig:
     """The config file's document with the flags' values in place of its own;
     --set and --link add to its angles and linked objects."""
     doc = read_document(args.config) if args.config else {}
-    for key, value in vars(args).items():
+    for dest, value in vars(args).items():
+        key = {"set": "angles", "link": "linked"}.get(dest, dest)  # the object a pair adds to
         if key in KEYS and value is not None:
             if isinstance(value, list):  # --set/--link pairs; a non-object is left to be rejected
                 old = doc.get(key, {})
@@ -299,11 +300,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_sweep_options(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON sweep config (flags override fields)")
-    p.add_argument("--set", dest="angles", action="append", type=_entry, metavar="SYM=VAL",
+    p.add_argument("--set", action="append", type=_entry, metavar="SYM=VAL",
                    help="fix a rotation angle (repeatable)")
     p.add_argument("--sweep", type=partial(_split, keys=SWEEP_KEYS),
                    metavar="SYM:START:STOP:COUNT", help="swept parameter (an angle symbol or T)")
-    p.add_argument("--link", dest="linked", action="append", type=partial(_entry, keys=LINK_KEYS),
+    p.add_argument("--link", action="append", type=partial(_entry, keys=LINK_KEYS),
                    metavar="SYM=ON:SCALE:OFFSET",
                    help="tie an angle to the swept one: SYM = SCALE*ON + OFFSET")
     for key, (kind, _, help_text) in KEYS.items():

@@ -466,7 +466,10 @@ CLOSED_FORM_IDS = tuple(_CLOSED_FORMS)
 
 def _axis(spec: ProtocolSpec, axis) -> int:
     """The index of the momentum axis `axis` ("x" or 0, ...) of the walk."""
-    ax = AXES.get(axis)
+    try:
+        ax = AXES.get(axis)
+    except TypeError:  # unhashable
+        ax = None
     if ax is None or ax >= spec.dimension:
         raise InvalidInputError(f"axis {axis!r} invalid for a {spec.dimension}d protocol")
     return ax
@@ -477,7 +480,7 @@ def _closed_form(which: int, pid: str, angles: Mapping, T, k, *axis):
     components of k and, for drho, the axis index."""
     try:
         form = _CLOSED_FORMS[pid][which]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable id
         raise UnsupportedProtocolError(f"no analytic form registered for {pid!r};"
                                        f" available: {sorted(_CLOSED_FORMS)}") from None
     spec = REGISTRY[pid]

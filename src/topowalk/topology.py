@@ -7,7 +7,7 @@ Conventions
   scan, the flat-band check and the winding and Chern grids).  One driver,
   `_closings`, sets up the gap search for a stack of walks, one protocol at
   several angles and step numbers, in one plan pass: one scan (`_scan`: local
-  minima of |d| against their periodic neighbours) feeds one batched
+  minima of |d|, which the Chern reduction reuses) feeds one batched
   Gauss-Newton refine of d(k) = 0 with the Jacobian split from the exact
   dU/dk.  `find_gap_closings` (one walk) and `sweep_boundaries` (a chunk of
   `classify-gaps` sweep values, whose flat-band check reads d0 from the same
@@ -15,6 +15,9 @@ Conventions
   `sweep_invariants` searches the *minimal* momentum torus (see below), from
   the same d that its winding or Chern reduction then reads, so a
   pi-periodic walk is scanned at twice the resolution per axis.
+* A dense mesh is evaluated in blocks of about BLOCK_POINTS points (`_blocks`),
+  so that each temporary stays in L2.  Every value is elementwise, as in one
+  pass over the whole mesh, so the blocks change no bits.
 * The gap function is g(k) = min(E_+, pi - E_+): bands touch only at
   quasi-energy 0 or pi.
 * Dirac-vs-arc discrimination follows the band shape at the closing: a
@@ -53,6 +56,7 @@ MERGE_TOL = 1e-6
 QUANT_TOL = 0.02
 HIGH_SYMMETRY_TOL = 1e-6
 MIN_SCAN_GRID = 32  # points per axis, at least, of the scan for gap closings
+BLOCK_POINTS = 2 ** 14  # mesh points per block of a dense-mesh pass: its temporaries fit in L2
 CHERN_ORIENTATION = -1.0  # fixes the reference 2D PHS fixture to +1
 
 
@@ -117,31 +121,45 @@ def _gauss_newton(plan, pts: np.ndarray, cell):
     return best, best_d0, best_norm
 
 
+def _blocks(count: int, row_points: int) -> List[slice]:
+    """range(count) in even slices of at least BLOCK_POINTS // row_points rows
+    and, where count allows, two points: numpy multiplies complex arrays of
+    one element on a path that rounds differently from its vector loop."""
+    parts = max(1, count // max(BLOCK_POINTS // row_points, 2 // row_points, 1))
+    return [slice(i * count // parts, (i + 1) * count // parts) for i in range(parts)]
+
+
 def _mesh_bloch(plan, axes, shape):
-    """(d0, [d_x, d_y, d_z]) of the plan on the open mesh of the momentum
-    `axes`, each broadcast to `shape` (any leading sweep axes of the plan's
-    angles, then one axis per momentum axis)."""
-    d0, d = bloch_entries(*plan.entries(np.meshgrid(*axes, indexing="ij", sparse=True)))
-    return np.broadcast_to(d0, shape), [np.broadcast_to(x, shape) for x in d]
+    """(d0, d, |d|) of the plan on the open mesh of the momentum `axes`, with d
+    one (3, *shape) array; `shape` is any leading sweep axes of the plan's
+    angles, then the mesh.  The plan and the Bloch split run per block of the
+    first momentum axis, into arrays allocated once."""
+    lead = len(shape) - len(axes)
+    d0, d, norm = np.empty(shape), np.empty((3,) + shape), np.empty(shape)
+    first, *rest = np.meshgrid(*axes, indexing="ij", sparse=True)
+    for rows in _blocks(shape[lead], int(np.prod(shape)) // shape[lead]):
+        at = (slice(None),) * lead + (rows,)
+        d0[at], (x, y, z) = bloch_entries(*plan.entries([first[rows]] + rest))
+        d[(0,) + at], d[(1,) + at], d[(2,) + at] = x, y, z
+        norm[at] = np.sqrt(x * x + y * y + z * z)
+    return d0, d, norm
 
 
-def _scan(d, cells):
-    """Start points of the gap search: the local minima of |d| over the
-    trailing len(cells) mesh axes of d, each compared with its periodic
-    neighbours on shifted slices of one wrapped copy, kept if plausibly
-    refinable to a closing (a touching cone of slope <= 2 per axis stays below
-    ~2 sqrt(dim) cell within one grid cell).  Returns the index rows of the
-    leading axes and the momenta -pi + index * cell."""
+def _scan(vals, cells):
+    """Start points of the gap search: the local minima of |d| (`vals`) over
+    its trailing len(cells) mesh axes, each compared with its periodic
+    neighbours on slices of `vals` itself, kept if plausibly refinable to a
+    closing (a touching cone of slope <= 2 per axis stays below ~2 sqrt(dim)
+    cell within one grid cell).  Returns the index rows of the leading axes
+    and the momenta -pi + index * cell."""
     dim = len(cells)
-    vals = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
     lead = vals.ndim - dim
-    wrapped = np.pad(vals, [(0, 0)] * lead + [(1, 1)] * dim, mode="wrap")
     keep = vals < 2 * np.sqrt(dim) * cells.max()
-    for ax in range(dim):
-        for side in (slice(None, -2), slice(2, None)):
-            window = [slice(1, -1)] * dim
-            window[ax] = side
-            keep &= vals <= wrapped[(Ellipsis, *window)]
+    for ax in range(lead, vals.ndim):
+        v, k = np.moveaxis(vals, ax, 0), np.moveaxis(keep, ax, 0)
+        for here, there in ((slice(1, None), slice(None, -1)), (slice(None, -1), slice(1, None)),
+                            (0, -1), (-1, 0)):
+            k[here] &= v[here] <= v[there]
     idx = np.argwhere(keep)
     return idx[:, :lead], -np.pi + idx[:, lead:] * cells
 
@@ -154,24 +172,26 @@ def _closings(specs: Sequence[ProtocolSpec], grid_n: int, periods):
     separate MIN_SCAN_GRID mesh if grid_n is smaller), and one `_gauss_newton`
     solve refines all of them, each at its own walk's angles and T.
 
-    Returns d0 and d on the mesh (V, grid_n, ...), the walk index of each
-    start point, and each start's refined k, d0 and |d|."""
+    Returns d0, d and |d| on the mesh (V, grid_n, ...) as `_mesh_bloch` gives
+    them, the walk index of each start point, and each start's refined k, d0
+    and |d|."""
     spec, count = specs[0], len(specs)
     dim = spec.dimension
     lead = (count,) + (1,) * dim
     angles = {sym: np.reshape([s.angles[sym] for s in specs], lead) for sym in spec.angles}
     steps = np.reshape([s.T for s in specs], lead)
     plan = two_band_plan(spec, angles=angles, T=steps)
-    d0, d = _mesh_bloch(plan, momentum_axes(dim, grid_n, periods), (count,) + (grid_n,) * dim)
+    d0, d, norm = _mesh_bloch(plan, momentum_axes(dim, grid_n, periods),
+                              (count,) + (grid_n,) * dim)
     scan_n = max(grid_n, MIN_SCAN_GRID)
-    scan_d = d if scan_n == grid_n else _mesh_bloch(plan, momentum_axes(dim, scan_n, periods),
-                                                    (count,) + (scan_n,) * dim)[1]
+    scan_norm = norm if scan_n == grid_n else _mesh_bloch(
+        plan, momentum_axes(dim, scan_n, periods), (count,) + (scan_n,) * dim)[2]
     cells = np.divide(periods, scan_n)
-    rows, starts = _scan(scan_d, cells)
+    rows, starts = _scan(scan_norm, cells)
     which = rows[:, 0]
     per_start = two_band_plan(spec, T=steps.ravel()[which],
                               angles={sym: a.ravel()[which] for sym, a in angles.items()})
-    return (d0, d, which) + _gauss_newton(per_start, starts, cells)
+    return (d0, d, norm, which) + _gauss_newton(per_start, starts, cells)
 
 
 def _gap_points(pts, d0, resid, refine_tol: float) -> List[GapPoint]:
@@ -206,7 +226,7 @@ def find_gap_closings(spec_or_id, *, angles=None, T=None, grid_n: int = 64,
     spec = registry_lookup(spec_or_id, T=T, angles=angles)
     if grid_n < MIN_SCAN_GRID:
         raise InvalidInputError(f"grid_n must be >= {MIN_SCAN_GRID} per axis")
-    return _gap_points(*_closings([spec], grid_n, [2 * np.pi] * spec.dimension)[3:], refine_tol)
+    return _gap_points(*_closings([spec], grid_n, [2 * np.pi] * spec.dimension)[4:], refine_tol)
 
 
 def _is_high_symmetry_set(momenta: Sequence[Tuple[float, ...]], targets) -> bool:
@@ -232,7 +252,7 @@ def classify_boundary(spec_or_id, *, angles=None, T=None,
     """
     spec = registry_lookup(spec_or_id, T=T, angles=angles)
     dim = spec.dimension
-    d0, _ = _mesh_bloch(two_band_plan(spec), momentum_axes(dim, grid_n), (grid_n,) * dim)
+    d0 = _mesh_bloch(two_band_plan(spec), momentum_axes(dim, grid_n), (grid_n,) * dim)[0]
     if gap_points is None:
         gap_points = find_gap_closings(spec, grid_n=grid_n)
     return _classify(spec, d0, gap_points)
@@ -245,8 +265,8 @@ def sweep_boundaries(specs: Sequence[ProtocolSpec], grid_n: int
     `classify_boundary` give them at max(grid_n, MIN_SCAN_GRID) points per
     axis, from one plan pass over the full BZ (`_closings`), whose d0 also
     serves the flat-band check."""
-    d0, _, which, pts, pts_d0, resid = _closings(specs, max(grid_n, MIN_SCAN_GRID),
-                                                 [2 * np.pi] * specs[0].dimension)
+    d0, _, _, which, pts, pts_d0, resid = _closings(specs, max(grid_n, MIN_SCAN_GRID),
+                                                    [2 * np.pi] * specs[0].dimension)
     out = []
     for i, spec in enumerate(specs):
         mine = which == i
@@ -363,19 +383,27 @@ def _solid_angle(a, b, c):
     return 2.0 * np.arctan2(num, den)
 
 
-def _chern(d):
-    """(raw Chern number, min |d|) of d = (d_x, d_y, d_z) over its trailing two
-    momentum axes, a periodic mesh: the plaquette solid angles of n_hat, whose
-    corners are shifted slices of one wrapped copy of each component."""
-    norm = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
-    lead = [(0, 0)] * (norm.ndim - 2)
+def _chern(d, norm):
+    """(raw Chern number, min |d|) of d (3, ..., N, N), with |d| `norm`, over
+    its trailing two axes, a periodic mesh: the plaquette solid angles of
+    n_hat.  Held flat in a wrapped copy, N + 2 rows of w = N + 1, the corners
+    (r, s), (r+1, s), (r+1, s+1), (r, s+1) are contiguous slices at offsets 0,
+    w, w + 1 and 1, reduced per block of rows into one contiguous omega (column
+    N, which wraps, left out); omega is then summed whole."""
+    n, lead = norm.shape[-1], norm.shape[:-2]
+    w = n + 1
+    flat = np.zeros((3,) + lead + ((w + 1) * w,))
+    wrapped = flat.reshape((3,) + lead + (w + 1, w))
     with np.errstate(divide="ignore", invalid="ignore"):  # min |d| flags d = 0
-        n = [np.pad(x / norm, lead + [(0, 1), (0, 1)], mode="wrap") for x in d]
-    n1 = [x[..., :-1, :-1] for x in n]
-    n2 = [x[..., 1:, :-1] for x in n]
-    n3 = [x[..., 1:, 1:] for x in n]
-    n4 = [x[..., :-1, 1:] for x in n]
-    omega = _solid_angle(n1, n2, n3) + _solid_angle(n1, n3, n4)
+        np.divide(d, norm, out=wrapped[..., :n, :n])
+    wrapped[..., :n, n] = wrapped[..., :n, 0]
+    wrapped[..., n, :] = wrapped[..., 0, :]
+    omega = np.empty(norm.shape)
+    for rows in _blocks(n, w * int(np.prod(lead))):
+        lo, hi = rows.start * w, rows.stop * w
+        n1, n2, n3, n4 = ([x[..., lo + at:hi + at] for x in flat] for at in (0, w, w + 1, 1))
+        part = _solid_angle(n1, n2, n3) + _solid_angle(n1, n3, n4)
+        omega[..., rows, :] = part.reshape(lead + (-1, w))[..., :n]
     return CHERN_ORIENTATION * omega.sum(axis=(-2, -1)) / (4 * np.pi), norm.min(axis=(-2, -1))
 
 
@@ -398,8 +426,8 @@ def winding_number(spec_or_id, *, angles=None, T=None, grid_n: int = 256,
     spec = registry_lookup(spec_or_id, T=T, angles=angles)
     if spec.dimension != 1:
         raise InvalidInputError("winding_number needs a 1D protocol")
-    _, d = _mesh_bloch(two_band_plan(spec),
-                       momentum_axes(1, grid_n, [momentum_period(spec, 0)]), (grid_n,))
+    d = _mesh_bloch(two_band_plan(spec),
+                    momentum_axes(1, grid_n, [momentum_period(spec, 0)]), (grid_n,))[1]
     A = axis_vector if axis_vector is not None else chiral_axis(spec)
     raw, margin = map(float, _winding(d, A))
     return WindingResult(w=_quantized("winding", raw, margin), raw=raw)
@@ -411,8 +439,9 @@ def chern_number(spec_or_id, *, angles=None, T=None, grid_n: int = 64) -> ChernR
     if spec.dimension != 2:
         raise InvalidInputError("chern_number needs a 2D protocol")
     periods = [momentum_period(spec, 0), momentum_period(spec, 1)]
-    _, d = _mesh_bloch(two_band_plan(spec), momentum_axes(2, grid_n, periods), (grid_n, grid_n))
-    raw, margin = map(float, _chern(d))
+    _, d, norm = _mesh_bloch(two_band_plan(spec), momentum_axes(2, grid_n, periods),
+                             (grid_n, grid_n))
+    raw, margin = map(float, _chern(d, norm))
     return ChernResult(c=_quantized("Chern number", raw, margin), raw=raw)
 
 
@@ -432,7 +461,7 @@ def sweep_invariants(specs: Sequence[ProtocolSpec],
     if dim not in (1, 2):
         raise InvalidInputError("invariants are computed for 1D (winding) and 2D (Chern) only")
     periods = [momentum_period(spec, ax) for ax in range(dim)]
-    _, d, which, _, _, resid = _closings(specs, grid_n, periods)
+    _, d, norm, which, _, _, resid = _closings(specs, grid_n, periods)
     closed = np.zeros(count, dtype=bool)
     closed[which[resid <= EPS_GAP]] = True
 
@@ -441,11 +470,11 @@ def sweep_invariants(specs: Sequence[ProtocolSpec],
     if not len(todo):
         return results
     if len(todo) < count:
-        d = [x[todo] for x in d]
+        d, norm = d[:, todo], norm[todo]
     if dim == 1:
         what, (raw, margin) = "winding", _winding(d, [chiral_axis(specs[i]) for i in todo])
     else:
-        what, (raw, margin) = "Chern number", _chern(d)
+        what, (raw, margin) = "Chern number", _chern(d, norm)
     for i, r, m in zip(todo, raw.tolist(), margin.tolist()):
         try:
             results[i] = (_quantized(what, r, m), r)

@@ -38,6 +38,7 @@ def test_identical_directories_match(tmp_path):
     assert diff.mismatches == []
     assert diff.names == ["fig1_bands.csv", "fig2_gaps.json"]
     assert max(diff.dev.values()) == 0.0
+    assert diff.identical == {"fig1_bands.csv": True, "fig2_gaps.json": True}
 
 
 def test_float_moved_within_tolerance_matches(tmp_path):
@@ -49,6 +50,7 @@ def test_float_moved_within_tolerance_matches(tmp_path):
     assert diff.mismatches == []
     assert 0.0 < diff.dev[("fig1_bands.csv", "e_plus")] < 1e-11
     assert 0.0 < diff.dev[("fig2_gaps.json", "records.gap_points.residual")] < 1e-11
+    assert diff.identical == {"fig1_bands.csv": False, "fig2_gaps.json": False}
 
 
 def _csv_status(rows, gaps):
@@ -113,3 +115,18 @@ def test_run_figures_passes_grid_to_the_cli(monkeypatch, tmp_path):
                              "--only", "fig10", "--grid", "512"]) == 0
     assert len(calls) == 1 and calls[0][0] == "invariant"
     assert calls[0][-2:] == ["--grid", "512"]
+
+
+def test_byte_identity_is_printed_per_artifact(monkeypatch, capsys, tmp_path):
+    rows = copy.deepcopy(CSV_ROWS)
+    rows[1][3] = "0.25000000000000006"
+    diff = _compare(tmp_path, rows)
+    monkeypatch.setattr(artifact_diff, "_extract_src", lambda rev, dest: None)
+    monkeypatch.setattr(artifact_diff.subprocess, "Popen", lambda argv, **kw: _FakeRun())
+    monkeypatch.setattr(artifact_diff, "compare_dirs", lambda a, b: diff)
+    assert artifact_diff.main(["HEAD~1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split() == ["fig1_bands.csv", "bytes", "differ"]
+    assert lines[2].split() == ["fig2_gaps.json", "bytes", "identical"]
+    assert lines[-1].endswith("PASS")
+

@@ -346,6 +346,22 @@ class TestInvariantChunks:
             rows = out.read_text().splitlines()[1:]
             assert [r.split(",")[1:] for r in rows] == [["", "", "boundary"]] * 3
 
+    def test_fig10_bytes_do_not_depend_on_workers_or_blocks(self, tmp_path, monkeypatch):
+        argv = ["invariant", "--config", str(FIXTURE_DIR / "fig10.cfg"), "--grid", "96"]
+        outs = []
+        # more workers than CPUs is a usage error
+        for workers in ["1", "2"] if (os.cpu_count() or 1) >= 2 else ["1"]:
+            out = tmp_path / f"w{workers}.csv"
+            assert run(argv + ["--out", str(out), "--workers", workers]) == 0
+            outs.append(out.read_bytes())
+        # blocks of one row of the 96 x 96 mesh, and of one row of plaquettes
+        monkeypatch.setattr(topology, "BLOCK_POINTS", 7)
+        out = tmp_path / "small-blocks.csv"
+        assert run(argv + ["--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+        assert all(o == outs[0] for o in outs)
+        assert b",ok\n" in outs[0] and b",boundary\n" in outs[0]
+
 
 CLASSIFY_CASES = {  # overrides, sweep, the kinds found along it
     "fig2-like": ({"protocol": "1d-phs", "steps": 6, "angles": {}, "grid": 64,

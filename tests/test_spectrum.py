@@ -134,6 +134,10 @@ class TestClosedForms:
         with pytest.raises(UnsupportedProtocolError):
             sp.rho_closed_form("2d-simple", {"beta": 0.2}, 2, np.zeros((1, 2)))
 
+    def test_unhashable_protocol_id_is_unsupported(self):
+        with pytest.raises(UnsupportedProtocolError, match="no analytic form"):
+            sp.rho_closed_form(["1d-phs"], {"alpha": 0.1, "beta": 0.2}, 2, np.zeros((1, 1)))
+
     def test_normalized_vector_raises_at_closing(self):
         with pytest.raises(GaplessError):
             sp.n_closed_form("1d-chs", {"alpha": 0.0, "beta": 0.0}, 1, np.zeros((1, 1)))
@@ -227,6 +231,10 @@ class TestGroupVelocity:
         with pytest.raises(InvalidInputError):
             sp.group_velocity_closed("1d-phs", {"alpha": 0.3, "beta": 0.1}, 1,
                                      np.full((1, 1), 0.5), "y")
+
+    def test_rejects_unhashable_axis(self):
+        with pytest.raises(InvalidInputError, match=r"axis \[0\] invalid"):
+            sp.drho_closed_form("1d-phs", {"alpha": 0.3, "beta": 0.1}, 1, np.zeros((1, 1)), [0])
 
 
 @pytest.mark.parametrize("pid,expect_symmetric", [

@@ -7,6 +7,7 @@ import pytest
 from topowalk import cli
 from topowalk import protocols as pr
 from topowalk import spectrum
+from topowalk import symmetry
 from topowalk import topology as tp
 from topowalk.errors import BoundaryStateError, InvalidInputError
 from topowalk.spectrum import EPS_GAP
@@ -85,7 +86,7 @@ def test_gap_point_merge_matches_pairwise_reference():
     # copies one period away and copies within MERGE_TOL, which must merge,
     # and copies at the other quasi-energy, which must not
     spec = pr.registry_lookup("3d-simple", angles={"beta": 0.0})
-    _, _, _, pts, d0, resid = tp._closings([spec], 32, [2 * PI] * 3)
+    *_, pts, d0, resid = tp._closings([spec], 32, [2 * PI] * 3)
     assert len(pts) == 2048
     pts, d0, resid = pts[:60], d0[:60], resid[:60]
     pts = np.concatenate([pts, pts + [2 * PI, 0.0, -2 * PI], pts + 0.3 * tp.MERGE_TOL, pts])
@@ -284,6 +285,79 @@ class TestSweepInvariants:
     def test_rejects_3d(self):
         with pytest.raises(InvalidInputError):
             tp.sweep_invariants([pr.registry_lookup("3d-simple")], 8)
+
+
+def _stacked_plan(pid, count, rng):
+    """The plan of `count` walks of `pid` at random angles and T = 2, as (V, 1, ...)
+    arrays the way `topology._closings` stacks a chunk of sweep values."""
+    spec = pr.registry_lookup(pid)
+    lead = (count,) + (1,) * spec.dimension
+    angles = {s: rng.uniform(-PI, PI, count).reshape(lead) for s in spec.symbols}
+    return spectrum.two_band_plan(spec, angles=angles, T=np.full(lead, 2)), spec.dimension
+
+
+def _at_block_sizes(monkeypatch, fn):
+    """fn() with one block over the whole mesh, then with BLOCK_POINTS 1 and 7:
+    blocks of uneven row counts, each smaller than a row of the 2D and 3D meshes."""
+    outs = []
+    for points in (2 ** 40, 1, 7):
+        monkeypatch.setattr(tp, "BLOCK_POINTS", points)
+        outs.append(fn())
+    return outs
+
+
+def _as_bytes(arrays):
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+class TestBlocks:
+    """Blocking a dense mesh changes no bits: every block value is elementwise."""
+
+    @pytest.mark.parametrize("pid, grid_n", [("1d-chs", 37), ("2d-phs", 13), ("3d-phs", 6)])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_mesh_bloch(self, monkeypatch, rng, pid, grid_n, count):
+        plan, dim = _stacked_plan(pid, count, rng)
+        axes = symmetry.momentum_axes(dim, grid_n)
+        shape = (count,) + (grid_n,) * dim
+        one, *blocked = _at_block_sizes(
+            monkeypatch, lambda: _as_bytes(tp._mesh_bloch(plan, axes, shape)))
+        assert one[1][0] == (3,) + shape
+        assert all(b == one for b in blocked)
+
+    @pytest.mark.parametrize("pid, grid_n", [("1d-chs", 40), ("2d-phs", 24)])
+    def test_sweep_invariants(self, monkeypatch, pid, grid_n):
+        first, second = pr.registry_lookup(pid).symbols
+        specs = [pr.registry_lookup(pid, T=2, angles={first: v, second: v / 3 + PI / 3})
+                 for v in np.linspace(-PI, PI, 9)]
+        one, *blocked = _at_block_sizes(monkeypatch,
+                                        lambda: repr(tp.sweep_invariants(specs, grid_n)))
+        assert "None" in one and "(" in one  # closed and gapped walks both
+        assert all(b == one for b in blocked)
+
+    def test_sweep_boundaries(self, monkeypatch):
+        specs = [pr.registry_lookup("2d-phs", T=2, angles={"alpha": PI / 3, "beta": b})
+                 for b in (PI / 12, PI / 6, PI / 4)]
+        one, *blocked = _at_block_sizes(monkeypatch,
+                                        lambda: repr(tp.sweep_boundaries(specs, 8)))
+        assert "GapPoint" in one
+        assert all(b == one for b in blocked)
+
+    def test_chern_number(self, monkeypatch):
+        one, *blocked = _at_block_sizes(monkeypatch, lambda: repr(tp.chern_number(
+            "2d-phs", angles={"alpha": PI / 3, "beta": PI / 4}, T=2, grid_n=33)))
+        assert one.startswith("ChernResult(c=1,")
+        assert all(b == one for b in blocked)
+
+    def test_zero_d_point_is_flagged(self, monkeypatch, rng):
+        d = rng.normal(size=(3, 2, 11, 11))
+        d[:, 1, 4, 7] = 0.0
+        norm = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+        one, *blocked = _at_block_sizes(monkeypatch, lambda: _as_bytes(tp._chern(d, norm)))
+        assert all(b == one for b in blocked)
+        raw, margin = tp._chern(d, norm)
+        assert margin[1] == 0.0 and margin[0] > 0.0 and np.isfinite(raw[0])
+        with pytest.raises(BoundaryStateError, match="passes the origin"):
+            tp._quantized("Chern number", float(raw[1]), float(margin[1]))
 
 
 class TestMomentumPeriod:
