@@ -15,9 +15,9 @@ Conventions
   `sweep_invariants` searches the *minimal* momentum torus (see below), from
   the same d that its winding or Chern reduction then reads, so a
   pi-periodic walk is scanned at twice the resolution per axis.
-* A dense mesh is evaluated in blocks of about BLOCK_POINTS points (`_blocks`),
-  so that each temporary stays in L2.  Every value is elementwise, as in one
-  pass over the whole mesh, so the blocks change no bits.
+* Dense meshes are evaluated in blocks (`_blocks`) of about BLOCK_POINTS
+  points, whose temporaries stay in L2, into just the full-mesh arrays the
+  caller reads; every value is elementwise, so the blocks change no bits.
 * The gap function is g(k) = min(E_+, pi - E_+): bands touch only at
   quasi-energy 0 or pi.
 * Dirac-vs-arc discrimination follows the band shape at the closing: a
@@ -129,20 +129,24 @@ def _blocks(count: int, row_points: int) -> List[slice]:
     return [slice(i * count // parts, (i + 1) * count // parts) for i in range(parts)]
 
 
-def _mesh_bloch(plan, axes, shape):
-    """(d0, d, |d|) of the plan on the open mesh of the momentum `axes`, with d
-    one (3, *shape) array; `shape` is any leading sweep axes of the plan's
-    angles, then the mesh.  The plan and the Bloch split run per block of the
-    first momentum axis, into arrays allocated once."""
+def _mesh_bloch(plan, axes, shape, d0: bool = False):
+    """(d, |d|) of the plan on the open mesh of the momentum `axes`, with d one
+    (3, *shape) array, or (d0, |d|) if `d0`: no caller reads both.  `shape`
+    is any leading sweep axes of the plan's angles, then the mesh.  The plan
+    and the Bloch split run per block of the first momentum axis, into arrays
+    allocated once."""
     lead = len(shape) - len(axes)
-    d0, d, norm = np.empty(shape), np.empty((3,) + shape), np.empty(shape)
+    out, norm = np.empty(shape if d0 else (3,) + shape), np.empty(shape)
     first, *rest = np.meshgrid(*axes, indexing="ij", sparse=True)
     for rows in _blocks(shape[lead], int(np.prod(shape)) // shape[lead]):
         at = (slice(None),) * lead + (rows,)
-        d0[at], (x, y, z) = bloch_entries(*plan.entries([first[rows]] + rest))
-        d[(0,) + at], d[(1,) + at], d[(2,) + at] = x, y, z
+        scalar, (x, y, z) = bloch_entries(*plan.entries([first[rows]] + rest))
+        if d0:
+            out[at] = scalar
+        else:
+            out[(0,) + at], out[(1,) + at], out[(2,) + at] = x, y, z
         norm[at] = np.sqrt(x * x + y * y + z * z)
-    return d0, d, norm
+    return out, norm
 
 
 def _scan(vals, cells):
@@ -164,7 +168,7 @@ def _scan(vals, cells):
     return idx[:, :lead], -np.pi + idx[:, lead:] * cells
 
 
-def _closings(specs: Sequence[ProtocolSpec], grid_n: int, periods):
+def _closings(specs: Sequence[ProtocolSpec], grid_n: int, periods, d0: bool = False):
     """The gap search of the walks `specs`, one protocol at several angles and
     step numbers, from one plan pass: their angles and T are (V, 1, ...)
     arrays against the open mesh of the momentum `periods` at grid_n points
@@ -172,26 +176,26 @@ def _closings(specs: Sequence[ProtocolSpec], grid_n: int, periods):
     separate MIN_SCAN_GRID mesh if grid_n is smaller), and one `_gauss_newton`
     solve refines all of them, each at its own walk's angles and T.
 
-    Returns d0, d and |d| on the mesh (V, grid_n, ...) as `_mesh_bloch` gives
-    them, the walk index of each start point, and each start's refined k, d0
-    and |d|."""
+    Returns d (or d0 if `d0`) and |d| on the mesh (V, grid_n, ...) as
+    `_mesh_bloch` gives them, the walk index of each start point, and each
+    start's refined k, d0 and |d|."""
     spec, count = specs[0], len(specs)
     dim = spec.dimension
     lead = (count,) + (1,) * dim
     angles = {sym: np.reshape([s.angles[sym] for s in specs], lead) for sym in spec.angles}
     steps = np.reshape([s.T for s in specs], lead)
     plan = two_band_plan(spec, angles=angles, T=steps)
-    d0, d, norm = _mesh_bloch(plan, momentum_axes(dim, grid_n, periods),
-                              (count,) + (grid_n,) * dim)
+    mesh, norm = _mesh_bloch(plan, momentum_axes(dim, grid_n, periods),
+                             (count,) + (grid_n,) * dim, d0)
     scan_n = max(grid_n, MIN_SCAN_GRID)
     scan_norm = norm if scan_n == grid_n else _mesh_bloch(
-        plan, momentum_axes(dim, scan_n, periods), (count,) + (scan_n,) * dim)[2]
+        plan, momentum_axes(dim, scan_n, periods), (count,) + (scan_n,) * dim, True)[1]
     cells = np.divide(periods, scan_n)
     rows, starts = _scan(scan_norm, cells)
     which = rows[:, 0]
     per_start = two_band_plan(spec, T=steps.ravel()[which],
                               angles={sym: a.ravel()[which] for sym, a in angles.items()})
-    return (d0, d, norm, which) + _gauss_newton(per_start, starts, cells)
+    return (mesh, norm, which) + _gauss_newton(per_start, starts, cells)
 
 
 def _gap_points(pts, d0, resid, refine_tol: float) -> List[GapPoint]:
@@ -226,7 +230,8 @@ def find_gap_closings(spec_or_id, *, angles=None, T=None, grid_n: int = 64,
     spec = registry_lookup(spec_or_id, T=T, angles=angles)
     if grid_n < MIN_SCAN_GRID:
         raise InvalidInputError(f"grid_n must be >= {MIN_SCAN_GRID} per axis")
-    return _gap_points(*_closings([spec], grid_n, [2 * np.pi] * spec.dimension)[4:], refine_tol)
+    found = _closings([spec], grid_n, [2 * np.pi] * spec.dimension, True)
+    return _gap_points(*found[3:], refine_tol)
 
 
 def _is_high_symmetry_set(momenta: Sequence[Tuple[float, ...]], targets) -> bool:
@@ -252,7 +257,7 @@ def classify_boundary(spec_or_id, *, angles=None, T=None,
     """
     spec = registry_lookup(spec_or_id, T=T, angles=angles)
     dim = spec.dimension
-    d0 = _mesh_bloch(two_band_plan(spec), momentum_axes(dim, grid_n), (grid_n,) * dim)[0]
+    d0 = _mesh_bloch(two_band_plan(spec), momentum_axes(dim, grid_n), (grid_n,) * dim, True)[0]
     if gap_points is None:
         gap_points = find_gap_closings(spec, grid_n=grid_n)
     return _classify(spec, d0, gap_points)
@@ -265,8 +270,8 @@ def sweep_boundaries(specs: Sequence[ProtocolSpec], grid_n: int
     `classify_boundary` give them at max(grid_n, MIN_SCAN_GRID) points per
     axis, from one plan pass over the full BZ (`_closings`), whose d0 also
     serves the flat-band check."""
-    d0, _, _, which, pts, pts_d0, resid = _closings(specs, max(grid_n, MIN_SCAN_GRID),
-                                                    [2 * np.pi] * specs[0].dimension)
+    d0, _, which, pts, pts_d0, resid = _closings(specs, max(grid_n, MIN_SCAN_GRID),
+                                                 [2 * np.pi] * specs[0].dimension, True)
     out = []
     for i, spec in enumerate(specs):
         mine = which == i
@@ -315,21 +320,15 @@ def _classify(spec: ProtocolSpec, d0, gap_points: List[GapPoint]
         evidence = {"k": p.k, "quasi_energy": p.quasi_energy,
                     "slopes": slopes, "linear_fit_rel_residual": resids,
                     "gapless_set": gapless_set}
-        if dirac:
-            if dim == 1:
-                type_one_set = [(0.0,), (np.pi,)]
-                type_two_set = type_one_set + [(np.pi / 2,), (-np.pi / 2,)]
-                if _is_high_symmetry_set(gapless_set, type_one_set):
-                    kind = "dirac_type_one"
-                elif _is_high_symmetry_set(gapless_set, type_two_set):
-                    kind = "dirac_type_two"
-                else:
-                    kind = "unclassified"
-            else:
-                kind = "dirac_type_one"
+        type_one_set = [(0.0,), (np.pi,)]  # 1D; type two adds +-pi/2
+        if not dirac:
+            kind = "fermi_arc" if max(max(slopes[ax]) for ax in slopes) > 0 else "unclassified"
+        elif dim > 1 or _is_high_symmetry_set(gapless_set, type_one_set):
+            kind = "dirac_type_one"
+        elif _is_high_symmetry_set(gapless_set, type_one_set + [(np.pi / 2,), (-np.pi / 2,)]):
+            kind = "dirac_type_two"
         else:
-            max_slope = max(max(slopes[ax]) for ax in slopes)
-            kind = "fermi_arc" if max_slope > 0 else "unclassified"
+            kind = "unclassified"
         results.append(BoundaryClassification(kind=kind, evidence=evidence))
     return results
 
@@ -383,28 +382,33 @@ def _solid_angle(a, b, c):
     return 2.0 * np.arctan2(num, den)
 
 
-def _chern(d, norm):
-    """(raw Chern number, min |d|) of d (3, ..., N, N), with |d| `norm`, over
-    its trailing two axes, a periodic mesh: the plaquette solid angles of
-    n_hat.  Held flat in a wrapped copy, N + 2 rows of w = N + 1, the corners
-    (r, s), (r+1, s), (r+1, s+1), (r, s+1) are contiguous slices at offsets 0,
-    w, w + 1 and 1, reduced per block of rows into one contiguous omega (column
-    N, which wraps, left out); omega is then summed whole."""
-    n, lead = norm.shape[-1], norm.shape[:-2]
-    w = n + 1
-    flat = np.zeros((3,) + lead + ((w + 1) * w,))
-    wrapped = flat.reshape((3,) + lead + (w + 1, w))
-    with np.errstate(divide="ignore", invalid="ignore"):  # min |d| flags d = 0
-        np.divide(d, norm, out=wrapped[..., :n, :n])
-    wrapped[..., :n, n] = wrapped[..., :n, 0]
-    wrapped[..., n, :] = wrapped[..., 0, :]
-    omega = np.empty(norm.shape)
-    for rows in _blocks(n, w * int(np.prod(lead))):
-        lo, hi = rows.start * w, rows.stop * w
-        n1, n2, n3, n4 = ([x[..., lo + at:hi + at] for x in flat] for at in (0, w, w + 1, 1))
+def _chern(d, norm, walks=None):
+    """(raw Chern number, min |d|) of each walk of d (3, V, N, N), or of the
+    `walks` (ascending indices) only, with |d| `norm`, over its trailing two
+    axes, a periodic mesh: the plaquette solid angles of n_hat = d / |d|.  Per
+    block of rows, one reused tile holds n_hat on rows of w = N + 1 (the block's
+    rows, the next one, cyclically, and one of padding; column N wraps column
+    0), so the corners (r, s), (r+1, s), (r+1, s+1), (r, s+1) are contiguous
+    slices at offsets 0, w, w + 1 and 1; omega (column N left out) is summed whole."""
+    n, w = norm.shape[-1], norm.shape[-1] + 1
+    count = len(norm) if walks is None else len(walks)
+    at = slice(None) if count == len(norm) else walks
+    blocks = _blocks(n, w * count)
+    tile = np.zeros((3, count, max(b.stop - b.start for b in blocks) + 2, w))
+    flat = tile.reshape(3, count, -1)
+    omega, margin = np.empty((count, n, n)), np.full(count, np.inf)
+    for rows in blocks:
+        r, below = rows.stop - rows.start, rows.stop % n
+        part_norm = norm[at, rows]
+        with np.errstate(divide="ignore", invalid="ignore"):  # min |d| flags d = 0
+            np.divide(d[:, at, rows], part_norm, out=tile[..., :r, :n])
+            np.divide(d[:, at, below], norm[at, below], out=tile[..., r, :n])
+        tile[..., :r + 1, n] = tile[..., :r + 1, 0]
+        np.minimum(margin, part_norm.min(axis=(-2, -1)), out=margin)
+        n1, n2, n3, n4 = ([x[..., k:r * w + k] for x in flat] for k in (0, w, w + 1, 1))
         part = _solid_angle(n1, n2, n3) + _solid_angle(n1, n3, n4)
-        omega[..., rows, :] = part.reshape(lead + (-1, w))[..., :n]
-    return CHERN_ORIENTATION * omega.sum(axis=(-2, -1)) / (4 * np.pi), norm.min(axis=(-2, -1))
+        omega[:, rows] = part.reshape(count, r, w)[..., :n]
+    return CHERN_ORIENTATION * omega.sum(axis=(-2, -1)) / (4 * np.pi), margin
 
 
 def _quantized(what: str, raw: float, margin: float) -> int:
@@ -427,7 +431,7 @@ def winding_number(spec_or_id, *, angles=None, T=None, grid_n: int = 256,
     if spec.dimension != 1:
         raise InvalidInputError("winding_number needs a 1D protocol")
     d = _mesh_bloch(two_band_plan(spec),
-                    momentum_axes(1, grid_n, [momentum_period(spec, 0)]), (grid_n,))[1]
+                    momentum_axes(1, grid_n, [momentum_period(spec, 0)]), (grid_n,))[0]
     A = axis_vector if axis_vector is not None else chiral_axis(spec)
     raw, margin = map(float, _winding(d, A))
     return WindingResult(w=_quantized("winding", raw, margin), raw=raw)
@@ -439,9 +443,9 @@ def chern_number(spec_or_id, *, angles=None, T=None, grid_n: int = 64) -> ChernR
     if spec.dimension != 2:
         raise InvalidInputError("chern_number needs a 2D protocol")
     periods = [momentum_period(spec, 0), momentum_period(spec, 1)]
-    _, d, norm = _mesh_bloch(two_band_plan(spec), momentum_axes(2, grid_n, periods),
-                             (grid_n, grid_n))
-    raw, margin = map(float, _chern(d, norm))
+    d, norm = _mesh_bloch(two_band_plan(spec), momentum_axes(2, grid_n, periods),
+                          (grid_n, grid_n))
+    raw, margin = (float(x[0]) for x in _chern(d[:, None], norm[None]))
     return ChernResult(c=_quantized("Chern number", raw, margin), raw=raw)
 
 
@@ -461,20 +465,16 @@ def sweep_invariants(specs: Sequence[ProtocolSpec],
     if dim not in (1, 2):
         raise InvalidInputError("invariants are computed for 1D (winding) and 2D (Chern) only")
     periods = [momentum_period(spec, ax) for ax in range(dim)]
-    _, d, norm, which, _, _, resid = _closings(specs, grid_n, periods)
-    closed = np.zeros(count, dtype=bool)
-    closed[which[resid <= EPS_GAP]] = True
-
+    d, norm, which, _, _, resid = _closings(specs, grid_n, periods)
+    todo = np.flatnonzero(np.bincount(which[resid <= EPS_GAP], minlength=count) == 0)
     results = [None] * count
-    todo = np.flatnonzero(~closed)
     if not len(todo):
         return results
-    if len(todo) < count:
-        d, norm = d[:, todo], norm[todo]
     if dim == 1:
-        what, (raw, margin) = "winding", _winding(d, [chiral_axis(specs[i]) for i in todo])
+        what, (raw, margin) = "winding", _winding(d[:, todo] if len(todo) < count else d,
+                                                  [chiral_axis(specs[i]) for i in todo])
     else:
-        what, (raw, margin) = "Chern number", _chern(d, norm)
+        what, (raw, margin) = "Chern number", _chern(d, norm, todo)
     for i, r, m in zip(todo, raw.tolist(), margin.tolist()):
         try:
             results[i] = (_quantized(what, r, m), r)

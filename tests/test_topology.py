@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -319,9 +320,9 @@ class TestBlocks:
         plan, dim = _stacked_plan(pid, count, rng)
         axes = symmetry.momentum_axes(dim, grid_n)
         shape = (count,) + (grid_n,) * dim
-        one, *blocked = _at_block_sizes(
-            monkeypatch, lambda: _as_bytes(tp._mesh_bloch(plan, axes, shape)))
-        assert one[1][0] == (3,) + shape
+        one, *blocked = _at_block_sizes(monkeypatch, lambda: _as_bytes(
+            tp._mesh_bloch(plan, axes, shape) + tp._mesh_bloch(plan, axes, shape, True)))
+        assert one[0][0] == (3,) + shape and one[2][0] == shape
         assert all(b == one for b in blocked)
 
     @pytest.mark.parametrize("pid, grid_n", [("1d-chs", 40), ("2d-phs", 24)])
@@ -358,6 +359,61 @@ class TestBlocks:
         assert margin[1] == 0.0 and margin[0] > 0.0 and np.isfinite(raw[0])
         with pytest.raises(BoundaryStateError, match="passes the origin"):
             tp._quantized("Chern number", float(raw[1]), float(margin[1]))
+
+
+def _rolled_chern(d, norm):
+    """The Chern reduction of every walk of d (3, V, N, N) from whole-mesh
+    np.roll copies of n_hat: the reference for the tiled `topology._chern`."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n1 = d / norm
+    n2 = np.roll(n1, -1, axis=-2)
+    n3, n4 = np.roll(n2, -1, axis=-1), np.roll(n1, -1, axis=-1)
+
+    def solid_angle(a, b, c):
+        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = a, b, c
+        num = ax * (by * cz - bz * cy) + ay * (bz * cx - bx * cz) + az * (bx * cy - by * cx)
+        den = (1.0 + (ax * bx + ay * by + az * bz) + (bx * cx + by * cy + bz * cz)
+               + (cx * ax + cy * ay + cz * az))
+        return 2.0 * np.arctan2(num, den)
+
+    omega = solid_angle(n1, n2, n3) + solid_angle(n1, n3, n4)
+    return (tp.CHERN_ORIENTATION * omega.sum(axis=(-2, -1)) / (4 * PI),
+            norm.min(axis=(-2, -1)))
+
+
+class TestChernTiles:
+    """The tiled Chern reduction equals the whole-mesh plaquette sum bit for bit."""
+
+    @pytest.mark.parametrize("points", [None, 1, 7])
+    @pytest.mark.parametrize("n", [2, 3, 8, 33])
+    @pytest.mark.parametrize("count, walks", [(1, None), (3, None), (3, [0, 2]), (3, [1])])
+    def test_matches_rolled_reference(self, monkeypatch, rng, points, n, count, walks):
+        if points is not None:
+            monkeypatch.setattr(tp, "BLOCK_POINTS", points)
+        d = rng.normal(size=(3, count, n, n))
+        d[:, -1, n // 2, n - 1] = 0.0  # in the wrap column of the last walk
+        norm = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+        picked = list(range(count)) if walks is None else walks
+        want = _rolled_chern(d[:, picked], norm[picked])
+        got = tp._chern(d, norm, walks)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        raw, margin = got
+        assert (margin == 0.0).tolist() == [i == count - 1 for i in picked]
+        assert np.isfinite(raw).tolist() == [i != count - 1 for i in picked]
+
+    def test_sweep_invariants_footprint(self):
+        """One 512^2 Chern walk holds d, |d| and omega on the full mesh (five
+        float arrays) and only block-sized arrays beside them."""
+        n = 512
+        spec = pr.registry_lookup("2d-phs", T=2, angles={"alpha": PI / 3, "beta": PI / 4})
+        tracemalloc.start()
+        try:
+            result = tp.sweep_invariants([spec], n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result[0][0] == 1
+        assert peak <= 5 * 8 * n * n + 2 * 2 ** 20
 
 
 class TestMomentumPeriod:
