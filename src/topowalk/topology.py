@@ -320,15 +320,21 @@ def _classify(spec: ProtocolSpec, d0, gap_points: List[GapPoint]
         evidence = {"k": p.k, "quasi_energy": p.quasi_energy,
                     "slopes": slopes, "linear_fit_rel_residual": resids,
                     "gapless_set": gapless_set}
-        type_one_set = [(0.0,), (np.pi,)]  # 1D; type two adds +-pi/2
-        if not dirac:
-            kind = "fermi_arc" if max(max(slopes[ax]) for ax in slopes) > 0 else "unclassified"
-        elif dim > 1 or _is_high_symmetry_set(gapless_set, type_one_set):
-            kind = "dirac_type_one"
-        elif _is_high_symmetry_set(gapless_set, type_one_set + [(np.pi / 2,), (-np.pi / 2,)]):
-            kind = "dirac_type_two"
+        if dirac:
+            if dim == 1:
+                type_one_set = [(0.0,), (np.pi,)]
+                type_two_set = type_one_set + [(np.pi / 2,), (-np.pi / 2,)]
+                if _is_high_symmetry_set(gapless_set, type_one_set):
+                    kind = "dirac_type_one"
+                elif _is_high_symmetry_set(gapless_set, type_two_set):
+                    kind = "dirac_type_two"
+                else:
+                    kind = "unclassified"
+            else:
+                kind = "dirac_type_one"
         else:
-            kind = "unclassified"
+            max_slope = max(max(slopes[ax]) for ax in slopes)
+            kind = "fermi_arc" if max_slope > 0 else "unclassified"
         results.append(BoundaryClassification(kind=kind, evidence=evidence))
     return results
 
@@ -382,33 +388,29 @@ def _solid_angle(a, b, c):
     return 2.0 * np.arctan2(num, den)
 
 
-def _chern(d, norm, walks=None):
-    """(raw Chern number, min |d|) of each walk of d (3, V, N, N), or of the
-    `walks` (ascending indices) only, with |d| `norm`, over its trailing two
-    axes, a periodic mesh: the plaquette solid angles of n_hat = d / |d|.  Per
-    block of rows, one reused tile holds n_hat on rows of w = N + 1 (the block's
-    rows, the next one, cyclically, and one of padding; column N wraps column
-    0), so the corners (r, s), (r+1, s), (r+1, s+1), (r, s+1) are contiguous
-    slices at offsets 0, w, w + 1 and 1; omega (column N left out) is summed whole."""
-    n, w = norm.shape[-1], norm.shape[-1] + 1
-    count = len(norm) if walks is None else len(walks)
-    at = slice(None) if count == len(norm) else walks
+def _chern(d, norm):
+    """(raw Chern number, min |d|) of each walk of d (3, V, N, N), with |d|
+    `norm`, over its trailing two axes, a periodic mesh: the plaquette solid
+    angles of n_hat = d / |d|.  Per block of rows, one reused tile holds n_hat
+    on rows of w = N + 1 (the block's rows, the next one, cyclically, and one of
+    padding; column N wraps column 0), so the corners (r, s), (r+1, s),
+    (r+1, s+1), (r, s+1) are contiguous slices at offsets 0, w, w + 1 and 1;
+    omega (column N left out) is summed whole."""
+    count, n, w = len(norm), norm.shape[-1], norm.shape[-1] + 1
     blocks = _blocks(n, w * count)
     tile = np.zeros((3, count, max(b.stop - b.start for b in blocks) + 2, w))
     flat = tile.reshape(3, count, -1)
-    omega, margin = np.empty((count, n, n)), np.full(count, np.inf)
+    omega = np.empty(norm.shape)
     for rows in blocks:
         r, below = rows.stop - rows.start, rows.stop % n
-        part_norm = norm[at, rows]
         with np.errstate(divide="ignore", invalid="ignore"):  # min |d| flags d = 0
-            np.divide(d[:, at, rows], part_norm, out=tile[..., :r, :n])
-            np.divide(d[:, at, below], norm[at, below], out=tile[..., r, :n])
+            np.divide(d[:, :, rows], norm[:, rows], out=tile[..., :r, :n])
+            np.divide(d[:, :, below], norm[:, below], out=tile[..., r, :n])
         tile[..., :r + 1, n] = tile[..., :r + 1, 0]
-        np.minimum(margin, part_norm.min(axis=(-2, -1)), out=margin)
         n1, n2, n3, n4 = ([x[..., k:r * w + k] for x in flat] for k in (0, w, w + 1, 1))
         part = _solid_angle(n1, n2, n3) + _solid_angle(n1, n3, n4)
         omega[:, rows] = part.reshape(count, r, w)[..., :n]
-    return CHERN_ORIENTATION * omega.sum(axis=(-2, -1)) / (4 * np.pi), margin
+    return CHERN_ORIENTATION * omega.sum(axis=(-2, -1)) / (4 * np.pi), norm.min(axis=(-2, -1))
 
 
 def _quantized(what: str, raw: float, margin: float) -> int:
@@ -466,15 +468,19 @@ def sweep_invariants(specs: Sequence[ProtocolSpec],
         raise InvalidInputError("invariants are computed for 1D (winding) and 2D (Chern) only")
     periods = [momentum_period(spec, ax) for ax in range(dim)]
     d, norm, which, _, _, resid = _closings(specs, grid_n, periods)
-    todo = np.flatnonzero(np.bincount(which[resid <= EPS_GAP], minlength=count) == 0)
+    closed = np.zeros(count, dtype=bool)
+    closed[which[resid <= EPS_GAP]] = True
+
     results = [None] * count
+    todo = np.flatnonzero(~closed)
     if not len(todo):
         return results
+    if len(todo) < count:
+        d, norm = d[:, todo], norm[todo]
     if dim == 1:
-        what, (raw, margin) = "winding", _winding(d[:, todo] if len(todo) < count else d,
-                                                  [chiral_axis(specs[i]) for i in todo])
+        what, (raw, margin) = "winding", _winding(d, [chiral_axis(specs[i]) for i in todo])
     else:
-        what, (raw, margin) = "Chern number", _chern(d, norm, todo)
+        what, (raw, margin) = "Chern number", _chern(d, norm)
     for i, r, m in zip(todo, raw.tolist(), margin.tolist()):
         try:
             results[i] = (_quantized(what, r, m), r)
