@@ -32,7 +32,7 @@ class BoundaryStateError(WalkError):
 
 
 class DegenerateGridError(WalkError):
-    """A grid computation found no usable (gap-open) points."""
+    """A grid computation found no usable points: none at all, or no gap-open ones."""
 
 
 class ClassificationError(WalkError):

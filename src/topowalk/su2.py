@@ -125,7 +125,8 @@ def eig_unitary(U):
     decomposed again with the second weight of EIGH_MIX; if any still fails,
     `np.linalg.LinAlgError` is raised with the count and the worst
     off-diagonal (deliberately not DegenerateGridError, which callers read as
-    "no gap-open momenta").
+    "no usable momenta").  No production path calls it: it is the tests'
+    spectral reference for H = i log U, and perfbench/tracer.py spans it.
     """
     U = require_unitary(U, what="eig_unitary input")
     n = U.shape[-1]

@@ -1,18 +1,18 @@
 """Particle-hole / time-reversal / chiral checks and the AZ classification.
 
-Relations are verified on the Hamiltonian H(k) with U(k) = exp(-i H(k)), at
-gap-open momenta only.  A two-band walk's H is E n.sigma from the Bloch split
-`spectrum.bloch` reads off the compiled plan.  The block-diagonal four-band
-walks read H from two such splits of their base walk, at k and at -k:
-diag(H(k), H(-k)^T) for `transpose_block`, diag(H(k), -H(-k)^*) for
-`conjugate_block`.  Only the `trs_sandwich` walks mix the flavor blocks; their
-H is the spectral reconstruction of the assembled `build_unitary` from the
-batched eigenbasis of `su2.eig_unitary`.  `classify` and `operator_search`
-evaluate H(k) and H(-k) once and reduce every relation's residual from them:
+Relations are checked on the one-step unitary U(k) of `build_unitary`, in
+their Floquet form (Kitagawa, Berg, Rudner & Demler, PRB 82, 235114, 2010):
 
-    phs:  M H*(k') M^dag = -H(k)        (antiunitary, k' = -k by default)
-    trs:  M H*(k') M^dag = +H(k)        (antiunitary, k' = -k by default)
-    chs:  M^dag H(k') M  = -H(k)        (unitary, k' = k)
+    phs:  M U*(k') M^dag = U(k)         (antiunitary, k' = -k by default)
+    trs:  M U*(k') M^dag = U(k)^dag     (antiunitary, k' = -k by default)
+    chs:  M^dag U(k') M  = U(k)^dag     (unitary, k' = k)
+
+With U = exp(-i H), each is the exponential of the Hamiltonian relation
+M H*(k') M^dag = -H(k), M H*(k') M^dag = +H(k) and M^dag H(k') M = -H(k), and
+is equivalent to it wherever H = i log U is defined.  On U it holds at every
+momentum, band touchings at quasi-energy 0 or pi included, so no momentum is
+masked.  `classify` and `operator_search` evaluate U(k) and, if an operator
+flips momentum, U(-k) once and reduce every relation's residual from them.
 
 The classification table bundles, for every registered protocol, a designated
 operator set realizing its catalog row.  Three rows (2d-split, 3d-split trs
@@ -34,11 +34,11 @@ import numpy as np
 from .errors import ClassificationError, DegenerateGridError, InvalidInputError
 from .protocols import ProtocolSpec, build_unitary, registry_lookup
 from .spectrum import bloch
-from .su2 import PAULI, SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, block_diag2, eig_unitary, tensor
+from .su2 import SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, block_diag2, tensor
 
 RESIDUAL_TOL = 1e-8
 SQUARE_TOL = 1e-10
-_BRANCH_MARGIN = 1e-6  # skip momenta whose bands come this close to 0 or pi
+_BRANCH_MARGIN = 1e-6  # |d| below which `d_cloud` treats a momentum as a closing
 CLASSIFY_GRID = {1: 129, 2: 24, 3: 10}  # points per axis of `classify`'s BZ grid
 
 _PAULIS = {"s0": SIGMA_0, "sx": SIGMA_X, "sy": SIGMA_Y, "sz": SIGMA_Z}
@@ -74,79 +74,32 @@ def bz_grid(dimension: int, n: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def _bloch_hamiltonian(b, signs=(1.0, 1.0, 1.0)):
-    """(E n.sigma, usable mask) of a Bloch split, with n's components scaled
-    by `signs`; usable where |d| > _BRANCH_MARGIN."""
-    norm = np.linalg.norm(b.d, axis=-1)
-    ok = norm > _BRANCH_MARGIN
-    n_hat = b.d * signs / np.where(ok, norm, 1.0)[..., None]
-    return b.e_plus[..., None, None] * np.einsum("...j,jab->...ab", n_hat, PAULI), ok
-
-
-# (n.sigma)^T flips n_y; -(n.sigma)^* flips n_x and n_z
-_FLAVOR_SIGNS = {"transpose_block": (1.0, -1.0, 1.0), "conjugate_block": (-1.0, 1.0, -1.0)}
-
-
-def hamiltonian_grid(spec: ProtocolSpec, k: np.ndarray):
-    """(H(k), usable mask) on a batch of momenta.
-
-    Two-band: H = arccos(d0) n.sigma from the plan's Bloch split.  Block
-    four-band walks: diag(H(k), H'(-k)) from the base walk's splits at k and
-    -k, H' with n_y (`transpose_block`) or n_x and n_z (`conjugate_block`)
-    negated.  `trs_sandwich`: spectral reconstruction of the assembled U from
-    `eig_unitary`'s batched eigenbasis (orthonormal even at degeneracies,
-    checked at every point).  Points where any band sits within
-    _BRANCH_MARGIN of 0 or pi are masked out: H carries a branch cut at pi and
-    n is undefined at closings.
-    """
-    if spec.doubled is None or spec.doubled in _FLAVOR_SIGNS:
-        base = _base_of(spec)
-        H, ok = _bloch_hamiltonian(bloch(base, k))
-        if spec.doubled is None:
-            return H, ok
-        Hm, okm = _bloch_hamiltonian(bloch(base, -np.asarray(k, dtype=float)),
-                                     _FLAVOR_SIGNS[spec.doubled])
-        return block_diag2(H, Hm), ok & okm
-    lam, vec = eig_unitary(build_unitary(spec, k))
-    E = -np.angle(lam)
-    H = np.einsum("...ai,...i,...bi->...ab", vec, E, vec.conj())
-    ok = (np.minimum(np.abs(E), np.pi - np.abs(E)) > _BRANCH_MARGIN).all(axis=-1)
-    return H, ok
-
-
 def _grid_pair(spec: ProtocolSpec, k_grid: np.ndarray, flip: bool):
-    """(H, ok) at k_grid, then (H, ok) at -k_grid if `flip`, else the same again."""
-    at_k = hamiltonian_grid(spec, k_grid)
-    return at_k + (hamiltonian_grid(spec, -k_grid) if flip else at_k)
+    """U at k_grid, then U at -k_grid if `flip`, else the same array again."""
+    k_grid = np.asarray(k_grid, dtype=float)
+    U = build_unitary(spec, k_grid)
+    return U, (build_unitary(spec, -k_grid) if flip else U)
 
 
-def _residual(op: SymmetryOperator, relation: str, H, ok, Hp, okp) -> float:
-    """Max over the momenta usable in both grids of the relation residual (sup
-    norm), H at k and Hp at the momenta op compares k with."""
-    ok = ok & okp
-    if not ok.any():
-        raise DegenerateGridError("no gap-open momenta on the grid")
+def _residual(op: SymmetryOperator, relation: str, U, Up) -> float:
+    """Max over the grid of the relation residual (sup norm), U at k and Up at
+    the momenta op compares k with."""
+    if not U.size:
+        raise DegenerateGridError("no momenta on the grid")
     M = np.asarray(op.matrix, dtype=complex)
-    X = Hp.conj() if op.antiunitary else Hp
-    if relation == "chs":
-        L = M.conj().T @ X @ M
-        target = -H
-    elif relation == "phs":
-        L = M @ X @ M.conj().T
-        target = -H
-    else:
-        L = M @ X @ M.conj().T
-        target = H
-    resid = np.abs(L - target).max(axis=(-2, -1))
-    return float(resid[ok].max())
+    X = Up.conj() if op.antiunitary else Up
+    L = M.conj().T @ X @ M if relation == "chs" else M @ X @ M.conj().T
+    # exp of the H relation (L_H = -H(k) for phs and chs, +H(k) for trs) gives U^dag or
+    # U; an antiunitary op conjugates U = exp(-iH) to exp(+iH*), which swaps the two
+    target = U if op.antiunitary != (relation == "trs") else np.swapaxes(U, -1, -2).conj()
+    return float(np.abs(L - target).max())
 
 
 def check_relation(spec: ProtocolSpec, op: SymmetryOperator, relation: str,
                    k_grid: np.ndarray) -> float:
-    """Max over the usable grid of the relation residual (sup norm)."""
+    """Max over the grid of the relation residual on U (sup norm)."""
     if relation not in ("phs", "trs", "chs"):
         raise InvalidInputError(f"unknown relation {relation!r}")
-    k_grid = np.asarray(k_grid, dtype=float)
     return _residual(op, relation, *_grid_pair(spec, k_grid, op.momentum_flip))
 
 
@@ -244,8 +197,8 @@ def operator_search(spec: ProtocolSpec, relation: str, n_per_axis: int = 16):
     RESIDUAL_TOL on an n_per_axis BZ grid, in their conventional realization:
     antiunitary comparing k to -k for phs/trs, unitary at the same k for chs.
     (The *no-flip* antiunitary channel is satisfied kinematically by sigma_y K
-    for every two-band walk, sigma_y (n.sigma)* sigma_y = -n.sigma identically,
-    so it says nothing about the protocol and is never tried.)
+    for every two-band walk, sigma_y U*(k) sigma_y = U(k) for every SU(2)
+    matrix U, so it says nothing about the protocol and is never tried.)
 
     Only operators with a well-defined square (+-1) are kept.  Returns a list
     of (SymmetryOperator, residual) sorted by residual.
@@ -395,12 +348,12 @@ class SymmetryReport:
 def _designated_residuals(spec: ProtocolSpec, ops: Dict[str, SymmetryOperator]
                           ) -> Dict[str, float]:
     """Each designated operator's residual on the CLASSIFY_GRID BZ grid, all
-    from one evaluation of H(k) and, if an operator flips momentum, H(-k)."""
+    from one evaluation of U(k) and, if an operator flips momentum, U(-k)."""
     if not ops:
         return {}
     k_grid = bz_grid(spec.dimension, CLASSIFY_GRID[spec.dimension])
-    H, ok, Hm, okm = _grid_pair(spec, k_grid, any(op.momentum_flip for op in ops.values()))
-    return {rel: _residual(op, rel, H, ok, *((Hm, okm) if op.momentum_flip else (H, ok)))
+    U, Um = _grid_pair(spec, k_grid, any(op.momentum_flip for op in ops.values()))
+    return {rel: _residual(op, rel, U, Um if op.momentum_flip else U)
             for rel, op in ops.items()}
 
 

@@ -198,6 +198,12 @@ def _closings(specs: Sequence[ProtocolSpec], grid_n: int, periods, d0: bool = Fa
     return (mesh, norm, which) + _gauss_newton(per_start, starts, cells)
 
 
+def _check_grid(grid_n) -> None:
+    """InvalidInputError unless grid_n, the points per momentum axis, is an integer >= 2."""
+    if isinstance(grid_n, bool) or not isinstance(grid_n, (int, np.integer)) or grid_n < 2:
+        raise InvalidInputError(f"grid_n must be an integer >= 2, got {grid_n!r}")
+
+
 def _gap_points(pts, d0, resid, refine_tol: float) -> List[GapPoint]:
     """The refined points with |d| <= refine_tol as closings at quasi-energy 0
     or pi, sorted, with duplicates (within MERGE_TOL) merged."""
@@ -228,6 +234,7 @@ def find_gap_closings(spec_or_id, *, angles=None, T=None, grid_n: int = 64,
     loses half the significant digits there.
     """
     spec = registry_lookup(spec_or_id, T=T, angles=angles)
+    _check_grid(grid_n)
     if grid_n < MIN_SCAN_GRID:
         raise InvalidInputError(f"grid_n must be >= {MIN_SCAN_GRID} per axis")
     found = _closings([spec], grid_n, [2 * np.pi] * spec.dimension, True)
@@ -256,6 +263,7 @@ def classify_boundary(spec_or_id, *, angles=None, T=None,
     +-pi/2 -> type two.
     """
     spec = registry_lookup(spec_or_id, T=T, angles=angles)
+    _check_grid(grid_n)
     dim = spec.dimension
     d0 = _mesh_bloch(two_band_plan(spec), momentum_axes(dim, grid_n), (grid_n,) * dim, True)[0]
     if gap_points is None:
@@ -303,40 +311,24 @@ def _classify(spec: ProtocolSpec, d0, gap_points: List[GapPoint]
     e_fit = np.arccos(np.clip(plan.entries(np.array([p.k for p in gap_points])[:, None, None, None]
                                            + offsets)[0].real, -1.0, 1.0))
     gaps = np.minimum(e_fit, np.pi - e_fit)
-    results = []
+    # one-sided linear fits of the gap per (closing, axis, sign): slope and rel residual
+    slope = (gaps[..., None, :] @ s[:, None])[..., 0, 0] / (s @ s)
+    scale = np.maximum(np.abs(slope) * FIT_WINDOW, 1e-300)
+    resid = np.sqrt(np.mean((gaps - slope[..., None] * s) ** 2, axis=-1)) / scale
+    slope = np.abs(slope)
+    dirac = ((slope.min(axis=-1) >= DIRAC_MIN_SLOPE)
+             & (resid.max(axis=-1) <= DIRAC_RESIDUAL_REL)).all(axis=-1)
     gapless_set = [p.k for p in gap_points]
-    for p, g in zip(gap_points, gaps):
-        slopes, resids = {}, {}
-        for ax in range(dim):
-            slopes[ax], resids[ax] = [], []
-            for gp in g[ax]:  # one-sided linear fits of the gap: slope and rel residual
-                slope = float((gp @ s) / (s @ s))
-                scale = max(abs(slope) * FIT_WINDOW, 1e-300)
-                slopes[ax].append(abs(slope))
-                resids[ax].append(float(np.sqrt(np.mean((gp - slope * s) ** 2)) / scale))
-        dirac = all(
-            min(slopes[ax]) >= DIRAC_MIN_SLOPE and max(resids[ax]) <= DIRAC_RESIDUAL_REL
-            for ax in slopes)
-        evidence = {"k": p.k, "quasi_energy": p.quasi_energy,
-                    "slopes": slopes, "linear_fit_rel_residual": resids,
-                    "gapless_set": gapless_set}
-        if dirac:
-            if dim == 1:
-                type_one_set = [(0.0,), (np.pi,)]
-                type_two_set = type_one_set + [(np.pi / 2,), (-np.pi / 2,)]
-                if _is_high_symmetry_set(gapless_set, type_one_set):
-                    kind = "dirac_type_one"
-                elif _is_high_symmetry_set(gapless_set, type_two_set):
-                    kind = "dirac_type_two"
-                else:
-                    kind = "unclassified"
-            else:
-                kind = "dirac_type_one"
-        else:
-            max_slope = max(max(slopes[ax]) for ax in slopes)
-            kind = "fermi_arc" if max_slope > 0 else "unclassified"
-        results.append(BoundaryClassification(kind=kind, evidence=evidence))
-    return results
+    one = [(0.0,), (np.pi,)]  # a 1D cone is subtyped by the whole gapless set
+    two = one + [(np.pi / 2,), (-np.pi / 2,)]
+    dirac_kind = ("dirac_type_one" if dim > 1 or _is_high_symmetry_set(gapless_set, one) else
+                  "dirac_type_two" if _is_high_symmetry_set(gapless_set, two) else "unclassified")
+    return [BoundaryClassification(
+        kind=dirac_kind if dirac[i] else "fermi_arc" if slope[i].max() > 0 else "unclassified",
+        evidence={"k": p.k, "quasi_energy": p.quasi_energy,
+                  "slopes": dict(enumerate(slope[i].tolist())),
+                  "linear_fit_rel_residual": dict(enumerate(resid[i].tolist())),
+                  "gapless_set": gapless_set}) for i, p in enumerate(gap_points)]
 
 
 def momentum_period(spec: ProtocolSpec, axis: int) -> float:
@@ -432,6 +424,7 @@ def winding_number(spec_or_id, *, angles=None, T=None, grid_n: int = 256,
     spec = registry_lookup(spec_or_id, T=T, angles=angles)
     if spec.dimension != 1:
         raise InvalidInputError("winding_number needs a 1D protocol")
+    _check_grid(grid_n)
     d = _mesh_bloch(two_band_plan(spec),
                     momentum_axes(1, grid_n, [momentum_period(spec, 0)]), (grid_n,))[0]
     A = axis_vector if axis_vector is not None else chiral_axis(spec)
@@ -444,6 +437,7 @@ def chern_number(spec_or_id, *, angles=None, T=None, grid_n: int = 64) -> ChernR
     spec = registry_lookup(spec_or_id, T=T, angles=angles)
     if spec.dimension != 2:
         raise InvalidInputError("chern_number needs a 2D protocol")
+    _check_grid(grid_n)
     periods = [momentum_period(spec, 0), momentum_period(spec, 1)]
     d, norm = _mesh_bloch(two_band_plan(spec), momentum_axes(2, grid_n, periods),
                           (grid_n, grid_n))

@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 
 import numpy as np
@@ -8,7 +9,7 @@ from conftest import generic_angles
 from topowalk import protocols as pr
 from topowalk import su2
 from topowalk import symmetry as sym
-from topowalk.errors import ClassificationError
+from topowalk.errors import ClassificationError, DegenerateGridError
 from topowalk.spectrum import bands_from_unitary
 
 
@@ -38,8 +39,9 @@ class TestCheckRelation:
         op = sym.SymmetryOperator(np.eye(2, dtype=complex), antiunitary=False,
                                   momentum_flip=False, label="1")
         grid = sym.bz_grid(1, 65)
-        H, ok = sym.hamiltonian_grid(spec, grid)
-        expected = 2 * np.abs(H[ok]).max(axis=(-2, -1)).max()
+        # U - U^dag = -2i d.sigma, whose largest entry is max(|d_z|, |d_x - i d_y|)
+        d = bands_from_unitary(pr.build_unitary(spec, grid)).d
+        expected = 2 * np.maximum(np.abs(d[:, 2]), np.hypot(d[:, 0], d[:, 1])).max()
         resid = sym.check_relation(spec, op, "chs", grid)
         npt.assert_allclose(resid, expected, atol=1e-12)
         assert resid > 0.5
@@ -53,6 +55,21 @@ class TestCheckRelation:
         op_lit = sym.SymmetryOperator(np.eye(2, dtype=complex), True, False, "K")
         assert sym.check_relation(spec, op_flip, "phs", grid) <= 1e-9
         assert sym.check_relation(spec, op_lit, "phs", grid) > 1e-2
+
+    def test_empty_grid_raises_and_empty_search_finds_nothing(self):
+        spec = _bound("3d-diii")
+        op = sym.designated_operators(spec)["phs"]
+        with pytest.raises(DegenerateGridError):
+            sym.check_relation(spec, op, "phs", np.zeros((0, 3)))
+        for rel in ("phs", "trs", "chs"):
+            assert sym.operator_search(spec, rel, n_per_axis=0) == []
+
+    def test_relation_holds_at_band_touchings(self):
+        # the bands touch at k = 0 and -pi, where H = i log U has no branch;
+        # the relation on U is defined there
+        spec = pr.registry_lookup("1d-phs", T=6, angles={"alpha": np.pi / 2, "beta": np.pi / 2})
+        op = sym.SymmetryOperator(np.eye(2, dtype=complex), True, True, "K")
+        assert sym.check_relation(spec, op, "phs", np.array([[0.0], [-np.pi]])) <= 1e-12
 
 
 class TestOperatorSearch:
@@ -150,44 +167,63 @@ class TestDeclaredRows:
         assert sym.operator_search(spec, "trs", n_per_axis=12) == []
 
 
-BLOCK_WALKS = ["1d-diii", "1d-cii", "2d-diii", "2d-c", "3d-diii", "3d-cii", "3d-c"]
+def _h_grid(spec, k):
+    """(H, usable mask) with H = i log U the spectral reconstruction of U from
+    `eig_unitary`, usable where every band is _BRANCH_MARGIN away from 0 and pi."""
+    lam, vec = su2.eig_unitary(pr.build_unitary(spec, k))
+    E = -np.angle(lam)
+    H = np.einsum("...ai,...i,...bi->...ab", vec, E, vec.conj())
+    return H, (np.minimum(np.abs(E), np.pi - np.abs(E)) > sym._BRANCH_MARGIN).all(axis=-1)
+
+
+def _h_residual(op, relation, H, ok, Hp, okp):
+    """The relation on H over the momenta usable at k and k':
+    M H*(k') M^dag = -H(k) (phs), +H(k) (trs); M^dag H(k') M = -H(k) (chs)."""
+    ok = ok & okp
+    assert ok.any()
+    M = np.asarray(op.matrix, dtype=complex)
+    X = Hp.conj() if op.antiunitary else Hp
+    L = M.conj().T @ X @ M if relation == "chs" else M @ X @ M.conj().T
+    target = H if relation == "trs" else -H
+    return np.abs(L - target).max(axis=(-2, -1))[ok].max()
 
 
 class TestBlockHamiltonian:
-    """The block-diagonal four-band walks read H from two Bloch splits of their
-    base walk; the spectral reconstruction of the assembled U is the reference."""
+    """Relations are checked on U; their verdicts must be those of the same
+    relations on the reference H = i log U from the eigensolver."""
 
-    @pytest.mark.parametrize("pid", BLOCK_WALKS)
+    @pytest.mark.parametrize("pid", pr.PROTOCOL_IDS)
     def test_matches_eigensolver_reconstruction(self, pid, rng):
         for spec in (_bound(pid), _bound(pid, rng)):
             k = sym.bz_grid(spec.dimension, sym.CLASSIFY_GRID[spec.dimension])
-            H, ok = sym.hamiltonian_grid(spec, k)
-            lam, vec = su2.eig_unitary(pr.build_unitary(spec, k))
-            E = -np.angle(lam)
-            H_ref = np.einsum("...ai,...i,...bi->...ab", vec, E, vec.conj())
-            ok_ref = (np.minimum(np.abs(E), np.pi - np.abs(E)) > sym._BRANCH_MARGIN).all(axis=-1)
-            npt.assert_array_equal(ok, ok_ref)
-            assert ok.any()
-            assert np.abs(H - H_ref)[ok].max() <= 1e-10
+            U, Um = pr.build_unitary(spec, k), pr.build_unitary(spec, -k)
+            H, Hm = _h_grid(spec, k), _h_grid(spec, -k)
+            ops = list(sym.designated_operators(spec).items())
+            for rel, (anti, flip) in sym._CANONICAL_COMBOS.items():
+                ops += [(rel, sym.SymmetryOperator(M, anti, flip, name))
+                        for name, M in sym.default_candidates(spec)]
+            for rel, op in ops:
+                at = (Um, Hm) if op.momentum_flip else (U, H)
+                by_u = sym._residual(op, rel, U, at[0])
+                by_h = _h_residual(op, rel, *H, *at[1])
+                assert (by_u <= sym.RESIDUAL_TOL) == (by_h <= sym.RESIDUAL_TOL), \
+                    (rel, op.label, by_u, by_h)
 
     def test_classify_all_reads_two_grids_per_protocol(self, monkeypatch):
-        grids, eigs, current = Counter(), Counter(), []
-        real_grid, real_eig = sym.hamiltonian_grid, sym.eig_unitary
+        grids, eigs = Counter(), []
+        real_build = sym.build_unitary
 
-        def counting_grid(spec, k):
+        def counting_build(spec, k):
             grids[spec.id] += 1
-            current[:] = [spec.id]
-            return real_grid(spec, k)
+            return real_build(spec, k)
 
-        def counting_eig(U):
-            eigs[current[0]] += 1
-            return real_eig(U)
-
-        monkeypatch.setattr(sym, "hamiltonian_grid", counting_grid)
-        monkeypatch.setattr(sym, "eig_unitary", counting_eig)
+        monkeypatch.setattr(sym, "build_unitary", counting_build)
+        for module in [m for name, m in sys.modules.items() if name.startswith("topowalk")]:
+            if hasattr(module, "eig_unitary"):
+                monkeypatch.setattr(module, "eig_unitary", lambda U: eigs.append(U))
         sym.classify_all()
-        assert max(grids.values()) <= 2
-        assert eigs == {"2d-aii": 2, "3d-aii": 2}
+        assert grids and max(grids.values()) <= 2
+        assert eigs == []
 
 
 class TestClassify:

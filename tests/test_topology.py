@@ -155,6 +155,56 @@ class TestBoundaryTaxonomy:
                                     T=2, grid_n=48) == []
 
 
+def _loop_classify(spec, gap_points):
+    """(kind, evidence) per closing from one-sided gap fits taken one closing,
+    axis and sign at a time: the reference `_classify`'s array fits must equal."""
+    s = np.linspace(tp.FIT_WINDOW / 20, tp.FIT_WINDOW, 20)
+    plan, dim = spectrum.two_band_plan(spec), spec.dimension
+    gapless_set = [p.k for p in gap_points]
+    out = []
+    for p in gap_points:
+        slopes, resids = {}, {}
+        for ax in range(dim):
+            slopes[ax], resids[ax] = [], []
+            for sign in (1.0, -1.0):
+                k = np.array(p.k) + np.eye(dim)[ax] * (sign * s)[:, None]
+                e = np.arccos(np.clip(plan.entries(k)[0].real, -1.0, 1.0))
+                gp = np.minimum(e, PI - e)
+                slope = float((gp @ s) / (s @ s))
+                scale = max(abs(slope) * tp.FIT_WINDOW, 1e-300)
+                slopes[ax].append(abs(slope))
+                resids[ax].append(float(np.sqrt(np.mean((gp - slope * s) ** 2)) / scale))
+        if all(min(slopes[ax]) >= tp.DIRAC_MIN_SLOPE and max(resids[ax]) <= tp.DIRAC_RESIDUAL_REL
+               for ax in slopes):
+            kind = "dirac_type_one"
+            if dim == 1 and not tp._is_high_symmetry_set(gapless_set, [(0.0,), (PI,)]):
+                kind = ("dirac_type_two" if tp._is_high_symmetry_set(
+                    gapless_set, [(0.0,), (PI,), (PI / 2,), (-PI / 2,)]) else "unclassified")
+        else:
+            kind = "fermi_arc" if max(max(v) for v in slopes.values()) > 0 else "unclassified"
+        out.append((kind, {"k": p.k, "quasi_energy": p.quasi_energy, "slopes": slopes,
+                           "linear_fit_rel_residual": resids, "gapless_set": gapless_set}))
+    return out
+
+
+@pytest.mark.parametrize("pid, T, angles", [
+    ("1d-phs", 6, {"alpha": PI / 2, "beta": PI / 2}),
+    ("1d-phs", 6, {"alpha": 0.0, "beta": PI / 3}),
+    ("1d-phs", 6, {"alpha": PI / 4, "beta": (PI / 4 + PI) / 3}),
+    ("2d-phs", 2, {"alpha": PI / 3, "beta": PI / 6}),
+    ("3d-chs", 1, {"alpha": PI / 2, "beta": PI / 2}),
+])
+def test_gap_fits_equal_the_per_closing_loop(pid, T, angles):
+    spec = pr.registry_lookup(pid, T=T, angles=angles)
+    points = tp.find_gap_closings(spec, grid_n=32)
+    assert points
+    dim = spec.dimension
+    d0 = tp._mesh_bloch(spectrum.two_band_plan(spec), symmetry.momentum_axes(dim, 32),
+                        (32,) * dim, True)[0]
+    got = [(c.kind, c.evidence) for c in tp._classify(spec, d0, points)]
+    assert got == _loop_classify(spec, points)
+
+
 class TestWinding:
     def test_trivial_and_nontrivial_regions(self):
         t = {"T": 6}
@@ -254,6 +304,30 @@ class TestChern:
     def test_rejects_wrong_dimension(self):
         with pytest.raises(InvalidInputError):
             tp.chern_number("1d-chs", angles={"alpha": 0.1, "beta": 0.2}, T=1)
+
+
+_GRID_CALLS = {
+    "winding_number": lambda g: tp.winding_number(
+        "1d-chs", angles={"alpha": 2.094, "beta": (2.094 + PI) / 3}, T=6, grid_n=g),
+    "chern_number": lambda g: tp.chern_number(
+        "2d-phs", angles={"alpha": PI / 3, "beta": PI / 4}, T=2, grid_n=g),
+    "find_gap_closings": lambda g: tp.find_gap_closings(
+        "1d-phs", angles={"alpha": PI / 2, "beta": PI / 2}, T=6, grid_n=g),
+    "classify_boundary": lambda g: tp.classify_boundary(
+        "1d-phs", angles={"alpha": PI / 2, "beta": PI / 2}, T=6, grid_n=g),
+}
+
+
+@pytest.mark.parametrize("fn", sorted(_GRID_CALLS))
+@pytest.mark.parametrize("grid_n", [0, -4, 2.5, 1, True])
+def test_bad_grid_n_is_invalid_input(fn, grid_n):
+    with pytest.raises(InvalidInputError, match="grid_n must be an integer >= 2"):
+        _GRID_CALLS[fn](grid_n)
+
+
+def test_two_points_per_axis_is_a_valid_grid():
+    for grid_n in (2, np.int64(2)):
+        tp._check_grid(grid_n)
 
 
 class TestSweepInvariants:
