@@ -14,7 +14,7 @@ import pathlib
 import sys
 
 from topowalk.cli import main as cli_main
-from topowalk.config import load_config
+from topowalk.config import config_from_dict, read_document
 
 COMMANDS = {
     "fig1": "bands", "fig2": "classify-gaps", "fig3": "bands", "fig4": "bands",
@@ -40,7 +40,7 @@ def main(argv=None):
     grid = [] if args.grid is None else ["--grid", str(args.grid)]
     for name in names:
         cfg_path = fixture_dir / f"{name}.cfg"
-        cfg = load_config(str(cfg_path)).validate()
+        cfg = config_from_dict(read_document(str(cfg_path))).validate()
         out_path = out_dir / (cfg.out or f"{name}.out")
         rc = cli_main([COMMANDS[name], "--config", str(cfg_path), "--out", str(out_path),
                        "--workers", str(args.workers)] + grid)

@@ -4,10 +4,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 from decimal import Decimal
 from types import SimpleNamespace
-from typing import Dict, Optional
 
 from .errors import InvalidInputError
 from .protocols import ProtocolSpec, registry_lookup
@@ -41,22 +39,10 @@ KEYS = {
 }
 
 
-@dataclass
-class SweepConfig:
-    """The keys of KEYS, with the sweep table's flattened into sweep_<key>."""
-    schema: str
-    protocol: str
-    steps: int
-    angles: Dict[str, float]
-    linked: Dict[str, SimpleNamespace]  # symbol -> (on, scale, offset) of LINK_KEYS
-    sweep_symbol: str  # angle symbol or "T"
-    sweep_start: float
-    sweep_stop: float
-    sweep_count: int
-    grid: int
-    out: Optional[str]
-    workers: int
-    step_independent: bool
+class SweepConfig(SimpleNamespace):
+    """The keys of KEYS as attributes, as `config_from_dict` sets them: the
+    sweep table's flattened into sweep_<key>, and each linked angle the
+    (on, scale, offset) namespace of LINK_KEYS."""
 
     def validate(self) -> "SweepConfig":
         spec = registry_lookup(self.protocol)  # raises for unknown ids
@@ -132,10 +118,11 @@ class SweepConfig:
 
     def walk_params(self, value):
         """(angles, T) of the walk at sweep value `value`: the fixed angles,
-        the swept angle or step number, each linked angle scale * value +
-        offset, and T = 1 for the step-independent-coin walk.  `value` may be
-        an array; the swept angle, the linked angles and a swept T then have
-        its shape and broadcast as `compile_plan` broadcasts them."""
+        the swept angle or step number, and each linked angle scale * value +
+        offset (the step-independent-coin walk has steps == 1, which
+        `validate` enforces).  `value` may be an array; the swept angle, the
+        linked angles and a swept T then have its shape and broadcast as
+        `compile_plan` broadcasts them."""
         angles = dict(self.angles)
         if self.sweep_symbol == "T":
             T = value
@@ -144,7 +131,7 @@ class SweepConfig:
             angles[self.sweep_symbol] = value
         for sym, link in self.linked.items():
             angles[sym] = link.scale * value + link.offset
-        return angles, (1 if self.step_independent else T)
+        return angles, T
 
     def spec_at(self, value) -> ProtocolSpec:
         angles, T = self.walk_params(int(value) if self.sweep_symbol == "T" else float(value))
@@ -221,7 +208,3 @@ def read_document(path: str) -> dict:
         # ValueError covers undecodable bytes and invalid JSON
         raise InvalidInputError(f"config {path!r} is not a readable JSON file: {err}") from None
     return _object(doc, "")
-
-
-def load_config(path: str) -> SweepConfig:
-    return config_from_dict(read_document(path))

@@ -64,13 +64,6 @@ class Bands:
     def gapless(self) -> np.ndarray:
         return np.linalg.norm(self.d, axis=-1) <= EPS_GAP
 
-    @property
-    def n(self) -> np.ndarray:
-        """Unit Bloch vector; NaN where the gap is closed."""
-        norm = np.linalg.norm(self.d, axis=-1)
-        safe = np.where(norm > EPS_GAP, norm, np.nan)
-        return self.d / safe[..., None]
-
 
 def bands_from_unitary(U) -> Bands:
     """Oracle decomposition of 2x2 unitaries into (d0, d, e_plus)."""

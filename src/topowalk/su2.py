@@ -1,8 +1,8 @@
 """Small dense complex linear algebra for two- and four-level unitaries.
 
-Pauli algebra, SU(2) exponentials, eigen-decomposition with a fixed ordering
-and phase convention, and 2x2 Kronecker products.  Everything acts on the
-trailing (..., n, n) axes, so momentum grids batch for free.
+Pauli algebra, SU(2) exponentials, a checked eigen-decomposition of
+unitaries, and 2x2 Kronecker products.  Everything acts on the trailing
+(..., n, n) axes, so momentum grids batch for free.
 """
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 # tau_i: the same matrices acting on the flavor index of four-band protocols
 TAU_0, TAU_X, TAU_Y, TAU_Z = SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z
@@ -40,10 +39,6 @@ def unitarity_defect(U) -> float:
     n = U.shape[-1]
     prod = np.swapaxes(U, -1, -2).conj() @ U
     return float(np.abs(prod - np.eye(n)).max(initial=0.0))
-
-
-def is_unitary(U, tol: float = UNITARITY_TOL) -> bool:
-    return unitarity_defect(U) <= tol
 
 
 def require_unitary(U, what: str = "matrix", tol: float = UNITARITY_TOL) -> np.ndarray:
@@ -112,11 +107,9 @@ def _off_diagonal(D: np.ndarray) -> np.ndarray:
 def eig_unitary(U):
     """Eigen-decomposition of a (batched) unitary matrix.
 
-    Returns (values, vectors) with eigenvalues sorted by principal argument in
-    (-pi, pi], descending; ties broken by the phase-fixed eigenvector's
-    lexicographic order (entries rounded to 9 digits).  vectors[..., :, i] is
-    the i-th eigenvector, phase fixed so its first entry above 1e-10 in
-    modulus is real positive.
+    Returns (values, vectors): vectors[..., :, i] is a unit eigenvector of
+    eigenvalue values[..., i] and the columns are orthonormal; their order and
+    phases are whatever `eigh` gives.
 
     U is normal, so A = (U + U^dag)/2 and B = (U - U^dag)/2i commute, and one
     batched Hermitian `eigh` of A + cB gives an orthonormal W that
@@ -140,17 +133,8 @@ def eig_unitary(U):
             raise np.linalg.LinAlgError(
                 f"eig_unitary: {int((off > EIG_TOL).sum())} of {flat.shape[0]} matrices"
                 f" not diagonalised; worst off-diagonal {off.max():.3e} > {EIG_TOL:.0e}")
-    lam = np.diagonal(D, axis1=-2, axis2=-1)
-    # phase fix: a unit column always has an entry above 1e-10 in modulus
-    lead = np.take_along_axis(W, np.argmax(np.abs(W) > 1e-10, axis=-2)[:, None, :], axis=-2)
-    W = W * (np.abs(lead) / lead)
-    # primary key: argument descending; then re, im of each entry in turn
-    parts = np.round(np.stack([W.real, W.imag], axis=-2), 9).reshape(-1, 2 * n, n)
-    order = np.lexsort(np.concatenate([parts[:, ::-1], -np.angle(lam)[:, None]], axis=1)
-                       .transpose(1, 0, 2), axis=-1)
-    vals = np.take_along_axis(lam, order, axis=-1)
-    vecs = np.take_along_axis(W, order[:, None, :], axis=-1)
-    return vals.reshape(U.shape[:-2] + (n,)), vecs.reshape(U.shape)
+    lam = np.diagonal(D, axis1=-2, axis2=-1).copy()  # a writable array, not a view
+    return lam.reshape(U.shape[:-2] + (n,)), W.reshape(U.shape)
 
 
 def quasi_energies(U) -> np.ndarray:

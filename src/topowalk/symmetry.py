@@ -201,10 +201,14 @@ def operator_search(spec: ProtocolSpec, relation: str, n_per_axis: int = 16):
     matrix U, so it says nothing about the protocol and is never tried.)
 
     Only operators with a well-defined square (+-1) are kept.  Returns a list
-    of (SymmetryOperator, residual) sorted by residual.
+    of (SymmetryOperator, residual) sorted by residual; n_per_axis = 0 finds
+    none.
     """
     if relation not in _CANONICAL_COMBOS:
         raise InvalidInputError(f"unknown relation {relation!r}")
+    if (isinstance(n_per_axis, bool) or not isinstance(n_per_axis, (int, np.integer))
+            or n_per_axis < 0):
+        raise InvalidInputError(f"n_per_axis must be an integer >= 0, got {n_per_axis!r}")
     anti, flip = _CANONICAL_COMBOS[relation]
     grids = _grid_pair(spec, bz_grid(spec.dimension, n_per_axis), flip)
     found = []
@@ -270,8 +274,6 @@ _DECLARED: Dict[str, Tuple[str, ...]] = {
     "3d-cii": ("phs", "chs"),
 }
 
-I2 = np.eye(2, dtype=complex)
-
 
 def designated_operators(spec: ProtocolSpec) -> Dict[str, SymmetryOperator]:
     """The registered operator realizing each present symmetry of the row."""
@@ -290,7 +292,7 @@ def designated_operators(spec: ProtocolSpec) -> Dict[str, SymmetryOperator]:
 
     if spec.doubled is None:
         if squares[0] and "phs" not in declared:
-            ops["phs"] = K(I2, "K")
+            ops["phs"] = K(SIGMA_0, "K")
         if squares[2] and "chs" not in declared:
             G = axis_sigma(chiral_axis(spec))
             ops["chs"] = uni(G, "A.sigma")
@@ -299,7 +301,7 @@ def designated_operators(spec: ProtocolSpec) -> Dict[str, SymmetryOperator]:
             ops["trs"] = K(ops["chs"].matrix, "A.sigma K")
     elif spec.doubled == "transpose_block":
         if squares[1]:
-            ops["trs"] = K(tensor(SIGMA_Y, I2), "yxs0 K")
+            ops["trs"] = K(tensor(SIGMA_Y, SIGMA_0), "yxs0 K")
         if squares[0] == 1:
             ops["phs"] = K(np.eye(4, dtype=complex), "K")
         elif squares[0] == -1 and "phs" not in declared:
@@ -307,14 +309,14 @@ def designated_operators(spec: ProtocolSpec) -> Dict[str, SymmetryOperator]:
             ops["phs"] = K(_offdiag(G, -G.conj()), "offdiag(G,-G*) K")
         if squares[2] and "chs" not in declared:
             if squares[0] == 1:
-                ops["chs"] = uni(tensor(SIGMA_X, I2), "xxs0")
+                ops["chs"] = uni(tensor(SIGMA_X, SIGMA_0), "xxs0")
             else:
                 G = axis_sigma(chiral_axis(spec))
                 ops["chs"] = uni(block_diag2(G, G.conj()), "diag(G,G*)")
     elif spec.doubled == "conjugate_block":
-        ops["phs"] = K(tensor(SIGMA_Y, I2), "yxs0 K")
+        ops["phs"] = K(tensor(SIGMA_Y, SIGMA_0), "yxs0 K")
     elif spec.doubled == "trs_sandwich":
-        ops["trs"] = K(tensor(SIGMA_Y, I2), "yxs0 K")
+        ops["trs"] = K(tensor(SIGMA_Y, SIGMA_0), "yxs0 K")
     return ops
 
 
@@ -410,19 +412,3 @@ def _ensure_generic_angles(spec: ProtocolSpec) -> ProtocolSpec:
         return spec
     T = spec.T if spec.T != 1 else 3
     return spec.with_params(T=T, **{s: _GENERIC_ANGLES[s] for s in spec.symbols})
-
-
-def classify_all() -> List[SymmetryReport]:
-    from .protocols import PROTOCOL_IDS
-    return [classify(pid) for pid in PROTOCOL_IDS]
-
-
-def catalog_rows() -> List[dict]:
-    """The bundled reference classification table, one record per protocol."""
-    from .protocols import REGISTRY
-    rows = []
-    for pid, (squares, invariant) in _CATALOG.items():
-        rows.append({"protocol": pid, "dimension": REGISTRY[pid].dimension,
-                     "phs": squares[0], "trs": squares[1], "chs": squares[2],
-                     "az_family": _FAMILY[squares], "invariant_group": invariant})
-    return rows

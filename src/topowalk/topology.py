@@ -258,16 +258,19 @@ def classify_boundary(spec_or_id, *, angles=None, T=None,
 
     Returns a flat-band record if the + band is constant over the BZ (at
     grid_n points per axis); otherwise one record per gap closing (by default
-    those `find_gap_closings` finds at grid_n).  1D Dirac closings are
-    subtyped by the complete gapless set: {0, +-pi} -> type one, including
-    +-pi/2 -> type two.
+    those `find_gap_closings` finds at grid_n, from the same mesh pass as the
+    flat-band check: `sweep_boundaries`).  1D Dirac closings are subtyped by
+    the complete gapless set: {0, +-pi} -> type one, including +-pi/2 -> type
+    two.
     """
     spec = registry_lookup(spec_or_id, T=T, angles=angles)
     _check_grid(grid_n)
+    if gap_points is None:
+        if grid_n < MIN_SCAN_GRID:
+            raise InvalidInputError(f"grid_n must be >= {MIN_SCAN_GRID} per axis")
+        return sweep_boundaries([spec], grid_n)[0][1]
     dim = spec.dimension
     d0 = _mesh_bloch(two_band_plan(spec), momentum_axes(dim, grid_n), (grid_n,) * dim, True)[0]
-    if gap_points is None:
-        gap_points = find_gap_closings(spec, grid_n=grid_n)
     return _classify(spec, d0, gap_points)
 
 
@@ -418,8 +421,7 @@ def _quantized(what: str, raw: float, margin: float) -> int:
     return n
 
 
-def winding_number(spec_or_id, *, angles=None, T=None, grid_n: int = 256,
-                   axis_vector=None) -> WindingResult:
+def winding_number(spec_or_id, *, angles=None, T=None, grid_n: int = 256) -> WindingResult:
     """Winding of the in-plane Bloch vector around the origin (1D chiral walks)."""
     spec = registry_lookup(spec_or_id, T=T, angles=angles)
     if spec.dimension != 1:
@@ -427,8 +429,7 @@ def winding_number(spec_or_id, *, angles=None, T=None, grid_n: int = 256,
     _check_grid(grid_n)
     d = _mesh_bloch(two_band_plan(spec),
                     momentum_axes(1, grid_n, [momentum_period(spec, 0)]), (grid_n,))[0]
-    A = axis_vector if axis_vector is not None else chiral_axis(spec)
-    raw, margin = map(float, _winding(d, A))
+    raw, margin = map(float, _winding(d, chiral_axis(spec)))
     return WindingResult(w=_quantized("winding", raw, margin), raw=raw)
 
 

@@ -15,7 +15,6 @@ class TestBlochDecomposition:
         assert b.d0 == 1.0 and b.e_plus == 0.0
         npt.assert_array_equal(b.d, np.zeros(3))
         assert bool(b.gapless)
-        assert np.isnan(b.n).all()
 
     def test_z_rotation(self):
         U = np.diag([np.exp(0.3j), np.exp(-0.3j)])

@@ -6,10 +6,11 @@ import numpy.testing as npt
 import pytest
 
 from conftest import generic_angles
+from topowalk import cli
 from topowalk import protocols as pr
 from topowalk import su2
 from topowalk import symmetry as sym
-from topowalk.errors import ClassificationError, DegenerateGridError
+from topowalk.errors import ClassificationError, DegenerateGridError, InvalidInputError
 from topowalk.spectrum import bands_from_unitary
 
 
@@ -63,6 +64,11 @@ class TestCheckRelation:
             sym.check_relation(spec, op, "phs", np.zeros((0, 3)))
         for rel in ("phs", "trs", "chs"):
             assert sym.operator_search(spec, rel, n_per_axis=0) == []
+
+    @pytest.mark.parametrize("n_per_axis", [-1, 2.5, True])
+    def test_search_rejects_bad_grid_size(self, n_per_axis):
+        with pytest.raises(InvalidInputError, match="n_per_axis must be an integer >= 0"):
+            sym.operator_search(_bound("1d-phs"), "phs", n_per_axis=n_per_axis)
 
     def test_relation_holds_at_band_touchings(self):
         # the bands touch at k = 0 and -pi, where H = i log U has no branch;
@@ -221,7 +227,8 @@ class TestBlockHamiltonian:
         for module in [m for name, m in sys.modules.items() if name.startswith("topowalk")]:
             if hasattr(module, "eig_unitary"):
                 monkeypatch.setattr(module, "eig_unitary", lambda U: eigs.append(U))
-        sym.classify_all()
+        for pid in pr.PROTOCOL_IDS:
+            sym.classify(pid)
         assert grids and max(grids.values()) <= 2
         assert eigs == []
 
@@ -247,9 +254,9 @@ class TestClassify:
         assert r.operator_verified == {"trs": True}
 
     def test_all_rows_match_catalog(self):
-        rows = {row["protocol"]: row for row in sym.catalog_rows()}
+        rows = {row["protocol"]: row for row in cli._golden_table()}
         assert len(rows) == 22
-        for report in sym.classify_all():
+        for report in map(sym.classify, pr.PROTOCOL_IDS):
             assert report.canonical() == rows[report.protocol]
             for rel, ok in report.operator_verified.items():
                 if ok:

@@ -42,6 +42,9 @@ class TestGapClosings:
         with pytest.raises(InvalidInputError):
             tp.find_gap_closings("1d-chs", angles={"alpha": 0.0, "beta": 0.0}, T=1,
                                  grid_n=16)
+        with pytest.raises(InvalidInputError, match="grid_n must be >= 32"):
+            tp.classify_boundary("1d-chs", angles={"alpha": 0.0, "beta": 0.0}, T=1,
+                                 grid_n=16)
 
     def test_interior_closing_is_refined_to_machine_gap(self):
         # generic arc-type touch away from high-symmetry momenta
@@ -154,6 +157,18 @@ class TestBoundaryTaxonomy:
         assert tp.classify_boundary("2d-phs", angles={"alpha": PI / 3, "beta": PI / 12},
                                     T=2, grid_n=48) == []
 
+    def test_default_closings_come_from_one_mesh_pass(self, monkeypatch):
+        shapes, real = [], tp._mesh_bloch
+
+        def counting(plan, axes, shape, d0=False):
+            shapes.append(shape)
+            return real(plan, axes, shape, d0)
+
+        monkeypatch.setattr(tp, "_mesh_bloch", counting)
+        cls = tp.classify_boundary("1d-phs", angles={"alpha": PI / 2, "beta": PI / 2}, T=6)
+        assert {c.kind for c in cls} == {"dirac_type_one"}
+        assert shapes == [(1, 64)]
+
 
 def _loop_classify(spec, gap_points):
     """(kind, evidence) per closing from one-sided gap fits taken one closing,
@@ -230,13 +245,15 @@ class TestWinding:
         assert abs(a.raw - b.raw) <= 1e-3
 
     def test_orientation_reversal_flips_sign(self):
-        from topowalk.symmetry import chiral_axis
         spec = pr.registry_lookup("1d-chs", T=6,
                                   angles={"alpha": 2.094, "beta": (2.094 + PI) / 3})
-        A = chiral_axis(spec)
-        w_fwd = tp.winding_number(spec, axis_vector=A)
-        w_rev = tp.winding_number(spec, axis_vector=-A)
-        assert w_fwd.w == -w_rev.w != 0
+        A = symmetry.chiral_axis(spec)
+        axes = symmetry.momentum_axes(1, 256, [tp.momentum_period(spec, 0)])
+        d = tp._mesh_bloch(spectrum.two_band_plan(spec), axes, (256,))[0]
+        w_fwd, w_rev = (tp._quantized("winding", *map(float, tp._winding(d, A * sign)))
+                        for sign in (1.0, -1.0))
+        assert w_fwd == -w_rev != 0
+        assert w_fwd == tp.winding_number(spec).w
 
     def test_winding_supported_for_planar_split_walk(self):
         res = tp.winding_number("1d-split", angles={"alpha": 0.3, "beta": 0.9}, T=2)
