@@ -27,7 +27,6 @@ def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--fixtures", default="fixtures", help="fixture directory")
     ap.add_argument("--out-dir", default="figure_data")
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--only", nargs="*", help="subset of fixture names, e.g. fig6 fig10")
     ap.add_argument("--grid", type=int, help="momentum grid per axis for every fixture")
     args = ap.parse_args(argv)
@@ -42,8 +41,7 @@ def main(argv=None):
         cfg_path = fixture_dir / f"{name}.cfg"
         cfg = config_from_dict(read_document(str(cfg_path))).validate()
         out_path = out_dir / (cfg.out or f"{name}.out")
-        rc = cli_main([COMMANDS[name], "--config", str(cfg_path), "--out", str(out_path),
-                       "--workers", str(args.workers)] + grid)
+        rc = cli_main([COMMANDS[name], "--config", str(cfg_path), "--out", str(out_path)] + grid)
         print(f"{name}: {COMMANDS[name]} -> {out_path} (exit {rc})")
         if rc != 0:
             return rc

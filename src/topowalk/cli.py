@@ -186,6 +186,12 @@ def _write_text(path, pieces):
         raise _unwritable(path, err) from None
 
 
+def _json_pieces(payload):
+    """The text of `payload` as sorted, indented JSON and a newline, in pieces
+    formed as they are written, so the whole text is never held at once."""
+    return chain(json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload), ["\n"])
+
+
 def _check_out(path):
     """Append nothing to the output path, which leaves an existing file as it
     is, so that an unwritable path fails before any row is computed; a file
@@ -253,7 +259,7 @@ def _cmd_classify_gaps(args) -> int:
     chunks = _map_values(cfg, _chunks(cfg, points), _classify_chunk_records, cfg.workers)
     payload = {"schema": SCHEMA, "command": "classify-gaps", "protocol": cfg.protocol,
                "records": [record for chunk in chunks for record in chunk]}
-    _write_text(cfg.out, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
+    _write_text(cfg.out, _json_pieces(payload))
     return 0
 
 
@@ -275,7 +281,7 @@ def _cmd_symmetry(args) -> int:
     reports = [symmetry.classify(pid) for pid in ids]
     payload = {"schema": SCHEMA, "command": "symmetry",
                "records": [r.as_record() for r in reports]}
-    _write_text(args.out, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
+    _write_text(args.out, _json_pieces(payload))
     if args.golden:
         golden = {row["protocol"]: row for row in _golden_table()}
         mismatches = []

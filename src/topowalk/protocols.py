@@ -15,7 +15,7 @@ momentum*, the flavor blocks are assembled as
 
     transpose_block:  diag(U(k), U(-k)^T)
     conjugate_block:  diag(U(k), U(-k)^*)
-    trs_sandwich:     diag(U(k), 1) exp(-i tau_y sigma_y phi/2) diag(1, U(-k)^T)
+    trs_sandwich:     diag(U(k), 1) exp(-i tau_y sigma_y pi/4) diag(1, U(-k)^T)
 
 which keeps the four-band quasi-energy spectrum symmetric under k -> -k.
 
@@ -44,6 +44,10 @@ from .su2 import SIGMA_Y, TAU_Y, block_diag2, tensor, unit_axis
 
 AXIS_Y = (0.0, 1.0, 0.0)
 AXIS_NU = (0.0, math.sqrt(0.5), math.sqrt(0.5))
+# exp(-i tau_y sigma_y pi/4), the fixed wall of the trs_sandwich (AII) walks;
+# cos(pi/4), not 1/sqrt(2), which differs in the last bit
+SANDWICH_WALL = (math.cos(math.pi / 4) * np.eye(4, dtype=complex)
+                 - 1j * math.sin(math.pi / 4) * tensor(TAU_Y, SIGMA_Y))
 
 
 @dataclass(frozen=True)
@@ -97,7 +101,6 @@ class ProtocolSpec:
     T: int = 1
     angles: Mapping[str, float] = field(default_factory=dict)
     doubled: Optional[str] = None  # None | transpose_block | conjugate_block | trs_sandwich
-    phi: float = math.pi / 2  # only used by trs_sandwich
 
     @property
     def symbols(self) -> Tuple[str, ...]:
@@ -111,15 +114,13 @@ class ProtocolSpec:
     def bands(self) -> int:
         return 4 if self.doubled else 2
 
-    def with_params(self, T: Optional[int] = None, phi: Optional[float] = None,
-                    **angles: float) -> "ProtocolSpec":
+    def with_params(self, T: Optional[int] = None, **angles: float) -> "ProtocolSpec":
         steps = self.T if T is None else _step_number(T)
         if type(steps) is not int and np.ndim(steps):
             raise InvalidInputError(f"step number T of a spec must be one integer, got {T!r}")
         merged = _merged_angles(self, angles)
         merged.update((sym, float(merged[sym])) for sym in angles)
-        return replace(self, T=int(steps), angles=merged,
-                       phi=self.phi if phi is None else float(phi))
+        return replace(self, T=int(steps), angles=merged)
 
 
 def _step_number(T):
@@ -205,10 +206,9 @@ PROTOCOL_IDS = tuple(REGISTRY)
 
 
 def registry_lookup(spec_or_id: Union[str, ProtocolSpec], T: Optional[int] = None,
-                    angles: Optional[Mapping[str, float]] = None,
-                    phi: Optional[float] = None) -> ProtocolSpec:
+                    angles: Optional[Mapping[str, float]] = None) -> ProtocolSpec:
     """Return a protocol, given by registry id or as a spec, with the given step
-    number, angles and phi bound; what is not given keeps its current value."""
+    number and angles bound; what is not given keeps its current value."""
     if isinstance(spec_or_id, ProtocolSpec):
         spec = spec_or_id
     elif not isinstance(spec_or_id, str):
@@ -219,7 +219,7 @@ def registry_lookup(spec_or_id: Union[str, ProtocolSpec], T: Optional[int] = Non
         except KeyError:
             raise UnknownProtocolError(f"unknown protocol id {spec_or_id!r};"
                                        f" valid ids: {', '.join(PROTOCOL_IDS)}") from None
-    return spec.with_params(T=T, phi=phi, **dict(angles or {}))
+    return spec.with_params(T=T, **dict(angles or {}))
 
 
 def step_independent_reduction(spec: ProtocolSpec) -> ProtocolSpec:
@@ -349,12 +349,6 @@ def compile_plan(spec: ProtocolSpec, *, angles: Optional[Mapping] = None, T=None
     return Plan(spec=spec, steps=tuple(steps))
 
 
-def _sandwich_wall(phi: float) -> np.ndarray:
-    """exp(-i tau_y sigma_y phi/2)."""
-    g = tensor(TAU_Y, SIGMA_Y)
-    return math.cos(phi / 2) * np.eye(4, dtype=complex) - 1j * math.sin(phi / 2) * g
-
-
 def build_unitary(spec: ProtocolSpec, k, *, angles: Optional[Mapping] = None,
                   T=None) -> np.ndarray:
     """Momentum-space one-step unitary U(k); batched over leading axes of k.
@@ -377,10 +371,10 @@ def build_unitary(spec: ProtocolSpec, k, *, angles: Optional[Mapping] = None,
         eye = np.broadcast_to(np.eye(2, dtype=complex), Uk.shape)
         left = block_diag2(Uk, eye)
         right = block_diag2(eye, np.swapaxes(Um, -1, -2))
-        return left @ _sandwich_wall(spec.phi) @ right
+        return left @ SANDWICH_WALL @ right
     raise InvalidInputError(f"unknown doubling {spec.doubled!r}")
 
 
-def step_independent_unitary(spec: ProtocolSpec, k, *, angles=None) -> np.ndarray:
+def step_independent_unitary(spec: ProtocolSpec, k) -> np.ndarray:
     """U(k) of the step-independent-coin walk: the spec reduced to T = 1."""
-    return build_unitary(step_independent_reduction(spec), k, angles=angles)
+    return build_unitary(step_independent_reduction(spec), k)

@@ -27,8 +27,6 @@ from .protocols import REGISTRY, Plan, ProtocolSpec, _as_momenta, compile_plan, 
 
 EPS_GAP = 1e-9  # |d| at or below this counts as a gap closing
 
-AXES = {"x": 0, "y": 1, "z": 2, 0: 0, 1: 1, 2: 2}
-
 
 def bloch_entries(a, c):
     """(d0, (d_x, d_y, d_z)) of U = [[a, -conj(c)], [c, conj(a)]] = d0 I - i d.sigma,
@@ -458,14 +456,11 @@ CLOSED_FORM_IDS = tuple(_CLOSED_FORMS)
 
 
 def _axis(spec: ProtocolSpec, axis) -> int:
-    """The index of the momentum axis `axis` ("x" or 0, ...) of the walk."""
-    try:
-        ax = AXES.get(axis)
-    except TypeError:  # unhashable
-        ax = None
-    if ax is None or ax >= spec.dimension:
+    """`axis` if it is the integer index 0 .. dim - 1 of a momentum axis of the walk."""
+    if (isinstance(axis, bool) or not isinstance(axis, (int, np.integer))
+            or not 0 <= axis < spec.dimension):
         raise InvalidInputError(f"axis {axis!r} invalid for a {spec.dimension}d protocol")
-    return ax
+    return int(axis)
 
 
 def _closed_form(which: int, pid: str, angles: Mapping, T, k, *axis):
@@ -488,15 +483,6 @@ def rho_closed_form(pid: str, angles: Mapping, T, k):
 def d_closed_form(pid: str, angles: Mapping, T, k):
     """Analytic Bloch vector d (the +-band convention of the oracle route)."""
     return _closed_form(1, pid, angles, T, k)
-
-
-def n_closed_form(pid: str, angles: Mapping, T, k):
-    """Normalized analytic Bloch vector; raises GaplessError at closings."""
-    d = d_closed_form(pid, angles, T, k)
-    norm = np.linalg.norm(d, axis=-1)
-    if np.any(norm <= EPS_GAP):
-        raise GaplessError(f"gap closed for {pid!r}: |d| <= {EPS_GAP}")
-    return d / norm[..., None]
 
 
 def drho_closed_form(pid: str, angles: Mapping, T, k, axis):

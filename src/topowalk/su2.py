@@ -15,8 +15,8 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-# tau_i: the same matrices acting on the flavor index of four-band protocols
-TAU_0, TAU_X, TAU_Y, TAU_Z = SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z
+# tau_y: sigma_y acting on the flavor index of four-band protocols
+TAU_Y = SIGMA_Y
 
 UNITARITY_TOL = 1e-12
 EIG_TOL = 1e-10
@@ -41,13 +41,14 @@ def unitarity_defect(U) -> float:
     return float(np.abs(prod - np.eye(n)).max(initial=0.0))
 
 
-def require_unitary(U, what: str = "matrix", tol: float = UNITARITY_TOL) -> np.ndarray:
+def require_unitary(U) -> np.ndarray:
     U = np.asarray(U, dtype=complex)
     if U.shape[-1] != U.shape[-2]:
-        raise InvalidInputError(f"{what} must be square, got shape {U.shape}")
+        raise InvalidInputError(f"eig_unitary input must be square, got shape {U.shape}")
     defect = unitarity_defect(U)
-    if defect > tol:
-        raise InvalidInputError(f"{what} is not unitary: ||U^dag U - I||_max = {defect:.3e} > {tol:.1e}")
+    if defect > UNITARITY_TOL:
+        raise InvalidInputError(f"eig_unitary input is not unitary: ||U^dag U - I||_max ="
+                                f" {defect:.3e} > {UNITARITY_TOL:.1e}")
     return U
 
 
@@ -121,7 +122,7 @@ def eig_unitary(U):
     "no usable momenta").  No production path calls it: it is the tests'
     spectral reference for H = i log U, and perfbench/tracer.py spans it.
     """
-    U = require_unitary(U, what="eig_unitary input")
+    U = require_unitary(U)
     n = U.shape[-1]
     flat = U.reshape(-1, n, n)
     W, D = _eigh_basis(flat, EIGH_MIX[0])

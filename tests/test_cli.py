@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -437,6 +438,22 @@ class TestClassifyGaps:
             found |= {c.kind for c in classes}
         assert found == kinds
 
+    def test_json_is_written_without_holding_its_whole_text(self, tmp_path):
+        # every classification of the beta = 0 walk repeats its gapless set of
+        # nodal lines, so the text is larger than the records it is made from;
+        # the peak stays below the artifact's size only if the text is streamed
+        out = tmp_path / "lines.json"
+        tracemalloc.start()
+        try:
+            assert run(["classify-gaps", "--protocol", "2d-simple", "--sweep", "beta:0:0.1:2",
+                        "--grid", "64", "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        text = out.read_text()
+        assert peak < len(text)
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
 
 class TestSymmetryCommand:
     def test_all_against_golden(self, tmp_path):
@@ -596,6 +613,21 @@ class TestUsageErrors:
         assert len(err) == len(keys)
         for line, key in zip(err, keys):
             assert line.startswith("error: " + key)
+        # well-typed values that validate() rejects
+        rejected = [({"angles": {"beta": 0.5, "gamma": 0.1}}, "'1d-chs' has no angle 'gamma'"),
+                    ({"linked": {"gamma": link}}, "'1d-chs' has no linked angle 'gamma'"),
+                    ({"angles": {"beta": 0.5}, "linked": {"beta": link}},
+                     "linked angle 'beta' must not also be fixed"),
+                    ({"angles": {}, "linked": {"beta": {**link, "on": "beta"}}},
+                     "linked angle 'beta' must follow the swept symbol 'alpha'"),
+                    ({"workers": 0}, "workers must be >= 1"),
+                    ({"steps": 1, "sweep": {"symbol": "T", "start": 0, "stop": 2, "count": 3}},
+                     "a step-number sweep needs integer bounds >= 1")]
+        for overrides, message in rejected:
+            cfg = small_bands_cfg(tmp_path, **overrides)
+            assert run(["bands", "--config", str(cfg), "--out", "-"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == f"error: {message}\n"
 
     def test_step_independent_rejects_step_sweep(self, capsys):
         # the flag evaluates the T = 1 walk, so a sweep over T contradicts it
@@ -722,6 +754,21 @@ class TestUsageErrors:
         assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: out {str(tmp_path)!r} cannot be")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    def test_failed_write_is_one_line_usage_error(self, tmp_path, capsys):
+        # the write fails with ENOSPC after the output path was checked, in
+        # the middle of the streamed text
+        cfg = small_bands_cfg(tmp_path)
+        runs = [[command, "--config", str(cfg)] for command in
+                ("bands", "invariant", "classify-gaps")] + [["symmetry", "1d-chs"]]
+        for argv in runs:
+            assert run(argv + ["--out", "/dev/full"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == len(runs)
+        assert all(line.startswith("error: out '/dev/full' cannot be written: ") for line in err)
 
     def test_failed_run_leaves_no_new_file(self, tmp_path, monkeypatch):
         from topowalk.errors import GaplessError

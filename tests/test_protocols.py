@@ -100,14 +100,14 @@ def _reference_unitary(spec, k, angles, T):
         return block_diag2(Uk, Um.conj())
     assert spec.doubled == "trs_sandwich"
     eye = np.broadcast_to(np.eye(2, dtype=complex), Uk.shape)
-    wall = (np.cos(spec.phi / 2) * np.eye(4)
-            - 1j * np.sin(spec.phi / 2) * tensor(TAU_Y, SIGMA_Y))
+    wall = (np.cos(np.pi / 4) * np.eye(4)
+            - 1j * np.sin(np.pi / 4) * tensor(TAU_Y, SIGMA_Y))
     return block_diag2(Uk, eye) @ wall @ block_diag2(eye, np.swapaxes(Um, -1, -2))
 
 
 @pytest.mark.parametrize("pid", pr.PROTOCOL_IDS)
 def test_kernel_matches_matrix_product_reference(pid, rng):
-    spec = pr.registry_lookup(pid, T=3, phi=0.7)
+    spec = pr.registry_lookup(pid, T=3)
     spec = spec.with_params(**generic_angles(spec, rng))
     n = 7
     k = rng.uniform(-np.pi, np.pi, size=(n, spec.dimension))
@@ -292,18 +292,6 @@ def test_transpose_block_uses_reversed_momentum(rng):
     npt.assert_allclose(U[..., :2, :2], pr.build_unitary(base, k), atol=1e-15)
     npt.assert_allclose(U[..., 2:, 2:],
                         np.swapaxes(pr.build_unitary(base, -k), -1, -2), atol=1e-15)
-
-
-def test_sandwich_reduces_to_blocks_at_phi_zero(rng):
-    spec = pr.registry_lookup("2d-aii", T=2, phi=0.0,
-                              angles={"alpha": 0.5, "beta": 0.8, "gamma": -0.4})
-    base = pr.registry_lookup("2d-nosym", T=2,
-                              angles={"alpha": 0.5, "beta": 0.8, "gamma": -0.4})
-    k = rng.uniform(-np.pi, np.pi, size=(4, 2))
-    U = pr.build_unitary(spec, k)
-    npt.assert_allclose(U[..., :2, :2], pr.build_unitary(base, k), atol=1e-14)
-    npt.assert_allclose(U[..., 2:, 2:],
-                        np.swapaxes(pr.build_unitary(base, -k), -1, -2), atol=1e-14)
 
 
 def test_step_independent_reduction_rewrites_T_only():

@@ -137,10 +137,6 @@ class TestClosedForms:
         with pytest.raises(UnsupportedProtocolError, match="no analytic form"):
             sp.rho_closed_form(["1d-phs"], {"alpha": 0.1, "beta": 0.2}, 2, np.zeros((1, 1)))
 
-    def test_normalized_vector_raises_at_closing(self):
-        with pytest.raises(GaplessError):
-            sp.n_closed_form("1d-chs", {"alpha": 0.0, "beta": 0.0}, 1, np.zeros((1, 1)))
-
 
 class TestGroupVelocity:
     @pytest.mark.parametrize("pid", sp.CLOSED_FORM_IDS)
@@ -230,6 +226,12 @@ class TestGroupVelocity:
         with pytest.raises(InvalidInputError):
             sp.group_velocity_closed("1d-phs", {"alpha": 0.3, "beta": 0.1}, 1,
                                      np.full((1, 1), 0.5), "y")
+        # an axis is an integer index: a letter, bool or float one is rejected
+        # also where its value would name an axis of the walk
+        for axis in ("x", True, 1.0, -1):
+            with pytest.raises(InvalidInputError, match=f"axis {axis!r} invalid for a 2d"):
+                sp.drho_closed_form("2d-phs", {"alpha": 0.3, "beta": 0.1}, 1,
+                                    np.zeros((1, 2)), axis)
 
     def test_rejects_unhashable_axis(self):
         with pytest.raises(InvalidInputError, match=r"axis \[0\] invalid"):

@@ -374,6 +374,13 @@ class TestSweepInvariants:
         want = tp.chern_number(off, grid_n=64)
         assert got == [(want.c, want.raw), None, (want.c, want.raw)]
 
+    def test_unquantized_raw_has_no_invariant(self):
+        # gapped, but two points per axis sum the solid angles to raw = -0.5
+        spec = pr.registry_lookup("2d-phs", T=2, angles={"alpha": PI / 3, "beta": PI / 4})
+        with pytest.raises(BoundaryStateError, match=r"not quantized: raw = -0\.5000"):
+            tp.chern_number(spec, grid_n=2)
+        assert tp.sweep_invariants([spec], 2) == [None]
+
     def test_rejects_3d(self):
         with pytest.raises(InvalidInputError):
             tp.sweep_invariants([pr.registry_lookup("3d-simple")], 8)
