@@ -50,7 +50,7 @@ from . import symmetry, topology
 CHUNK_POINTS = 2 ** 13
 # distinct float magnitudes that pass 2 of `bands` holds as Python strings at
 # a time
-REPR_BATCH = 2 ** 16
+REPR_BATCH = 2 ** 12
 
 # the process pool class, imported by `_map_values` only when a run asks for
 # more than one worker; a stand-in set here is used as it is
@@ -175,15 +175,21 @@ def _unwritable(path, err) -> InvalidInputError:
 
 def _write_text(path, pieces):
     """Write the text `pieces` in order to the output path, or to stdout for
-    None or "-"; the pieces of a generator are formed as they are written."""
+    None or "-"; the pieces of a generator are formed as they are written.
+    If the write fails, a file that this call created is removed again."""
     if path is None or path == "-":
         sys.stdout.writelines(pieces)
         return
+    existed = os.path.lexists(path)
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(pieces)
-    except OSError as err:
-        raise _unwritable(path, err) from None
+    except BaseException as err:
+        if not existed and os.path.lexists(path):
+            os.remove(path)
+        if isinstance(err, OSError):
+            raise _unwritable(path, err) from None
+        raise
 
 
 def _json_pieces(payload):

@@ -351,7 +351,9 @@ def compile_plan(spec: ProtocolSpec, *, angles: Optional[Mapping] = None, T=None
 
 def build_unitary(spec: ProtocolSpec, k, *, angles: Optional[Mapping] = None,
                   T=None) -> np.ndarray:
-    """Momentum-space one-step unitary U(k); batched over leading axes of k.
+    """Momentum-space one-step unitary U(k); batched over leading axes of k,
+    an (..., dim) batch or an open mesh of dim axis arrays.  The U(-k) blocks
+    of a four-band walk negate the per-axis components of either.
 
     `angles` values and `T` may be arrays broadcastable against the momentum
     batch shape (useful for random-sample sweeps).  They default to the values
@@ -359,10 +361,11 @@ def build_unitary(spec: ProtocolSpec, k, *, angles: Optional[Mapping] = None,
     two-band blocks are packed from the entries of the compiled plan.
     """
     plan = compile_plan(spec, angles=angles, T=T)
-    Uk = plan.unitary(k)
+    ks = _as_momenta(spec, k)
+    Uk = plan.unitary(ks)
     if spec.doubled is None:
         return Uk
-    Um = plan.unitary(-np.asarray(k, dtype=float))
+    Um = plan.unitary(tuple(-x for x in ks))
     if spec.doubled == "transpose_block":
         return block_diag2(Uk, np.swapaxes(Um, -1, -2))
     if spec.doubled == "conjugate_block":

@@ -12,7 +12,8 @@ M H*(k') M^dag = -H(k), M H*(k') M^dag = +H(k) and M^dag H(k') M = -H(k), and
 is equivalent to it wherever H = i log U is defined.  On U it holds at every
 momentum, band touchings at quasi-energy 0 or pi included, so no momentum is
 masked.  `classify` and `operator_search` evaluate U(k) and, if an operator
-flips momentum, U(-k) once and reduce every relation's residual from them.
+flips momentum, U(-k) once on the open mesh of the BZ grid and reduce every
+relation's residual from them, each with one matrix product.
 
 The classification table bundles, for every registered protocol, a designated
 operator set realizing its catalog row.  Three rows (2d-split, 3d-split trs
@@ -32,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import ClassificationError, DegenerateGridError, InvalidInputError
-from .protocols import ProtocolSpec, build_unitary, registry_lookup
+from .protocols import ProtocolSpec, _as_momenta, build_unitary, registry_lookup
 from .spectrum import bloch
 from .su2 import SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, block_diag2, tensor
 
@@ -74,21 +75,32 @@ def bz_grid(dimension: int, n: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def _grid_pair(spec: ProtocolSpec, k_grid: np.ndarray, flip: bool):
-    """U at k_grid, then U at -k_grid if `flip`, else the same array again."""
-    k_grid = np.asarray(k_grid, dtype=float)
-    U = build_unitary(spec, k_grid)
-    return U, (build_unitary(spec, -k_grid) if flip else U)
+def _open_mesh(dimension: int, n: int) -> List[np.ndarray]:
+    """The open mesh of the n-per-axis BZ grid: U on it is U on `bz_grid`,
+    shaped (n,) * dimension, from n exponentials per axis."""
+    return np.meshgrid(*momentum_axes(dimension, n), indexing="ij", sparse=True)
+
+
+def _grid_pair(spec: ProtocolSpec, k, flip: bool):
+    """U at the momenta k (a batch or an open mesh), then U at -k if `flip`,
+    else the same array again."""
+    ks = _as_momenta(spec, k)
+    U = build_unitary(spec, ks)
+    return U, (build_unitary(spec, tuple(-x for x in ks)) if flip else U)
 
 
 def _residual(op: SymmetryOperator, relation: str, U, Up) -> float:
     """Max over the grid of the relation residual (sup norm), U at k and Up at
-    the momenta op compares k with."""
+    the momenta op compares k with.  The sandwich L = A X B of every point is
+    one row of the (points, n^2) @ kron(A^T, B) product, row-major."""
     if not U.size:
         raise DegenerateGridError("no momenta on the grid")
     M = np.asarray(op.matrix, dtype=complex)
-    X = Up.conj() if op.antiunitary else Up
-    L = M.conj().T @ X @ M if relation == "chs" else M @ X @ M.conj().T
+    n = M.shape[0]
+    X = (Up.conj() if op.antiunitary else Up).reshape(-1, n * n)
+    # chs: M^dag X M; phs and trs: M X M^dag
+    K = np.kron(M.conj(), M) if relation == "chs" else np.kron(M.T, M.conj().T)
+    L = (X @ K).reshape(U.shape)
     # exp of the H relation (L_H = -H(k) for phs and chs, +H(k) for trs) gives U^dag or
     # U; an antiunitary op conjugates U = exp(-iH) to exp(+iH*), which swaps the two
     target = U if op.antiunitary != (relation == "trs") else np.swapaxes(U, -1, -2).conj()
@@ -105,7 +117,7 @@ def check_relation(spec: ProtocolSpec, op: SymmetryOperator, relation: str,
 
 def d_cloud(spec: ProtocolSpec):
     """Gap-open Bloch vectors of a two-band protocol over a 24-per-axis BZ grid."""
-    d = bloch(spec, bz_grid(spec.dimension, 24)).d
+    d = bloch(spec, _open_mesh(spec.dimension, 24)).d.reshape(-1, 3)
     return d[np.linalg.norm(d, axis=-1) > _BRANCH_MARGIN]
 
 
@@ -210,7 +222,7 @@ def operator_search(spec: ProtocolSpec, relation: str, n_per_axis: int = 16):
             or n_per_axis < 0):
         raise InvalidInputError(f"n_per_axis must be an integer >= 0, got {n_per_axis!r}")
     anti, flip = _CANONICAL_COMBOS[relation]
-    grids = _grid_pair(spec, bz_grid(spec.dimension, n_per_axis), flip)
+    grids = _grid_pair(spec, _open_mesh(spec.dimension, n_per_axis), flip)
     found = []
     for name, M in default_candidates(spec):
         op = SymmetryOperator(matrix=M, antiunitary=anti, momentum_flip=flip, label=name)
@@ -353,8 +365,8 @@ def _designated_residuals(spec: ProtocolSpec, ops: Dict[str, SymmetryOperator]
     from one evaluation of U(k) and, if an operator flips momentum, U(-k)."""
     if not ops:
         return {}
-    k_grid = bz_grid(spec.dimension, CLASSIFY_GRID[spec.dimension])
-    U, Um = _grid_pair(spec, k_grid, any(op.momentum_flip for op in ops.values()))
+    mesh = _open_mesh(spec.dimension, CLASSIFY_GRID[spec.dimension])
+    U, Um = _grid_pair(spec, mesh, any(op.momentum_flip for op in ops.values()))
     return {rel: _residual(op, rel, U, Um if op.momentum_flip else U)
             for rel, op in ops.items()}
 

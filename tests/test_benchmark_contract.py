@@ -67,3 +67,17 @@ def test_every_topowalk_name_the_harness_reads_exists(script):
                 and node.value.id in modules):
             module = modules[node.value.id]
             assert hasattr(module, node.attr), f"{module.__name__}.{node.attr}"
+
+
+def test_classify_counts_the_open_mesh_points():
+    """classify evaluates U on the open 10^3 mesh; the tracer's point count of
+    each (10, 10, 10, 4, 4) U is the 1000 momenta of the flattened grid."""
+    tracer = _load("tracer").Tracer()
+    tracer.install()
+    try:
+        topowalk.symmetry.classify("3d-aii")
+    finally:
+        tracer.uninstall()
+    builds = [span[5] for span in tracer.spans if span[0] == "protocols.build_unitary"]
+    assert len(builds) == 2  # U(k) and U(-k)
+    assert all(counts["points"] == 1000 for counts in builds)

@@ -1,11 +1,18 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+
+try:
+    import resource
+except ImportError:  # not a POSIX system
+    resource = None
 
 from topowalk import cli, config, spectrum, topology
 from topowalk import symmetry as sym
@@ -769,6 +776,26 @@ class TestUsageErrors:
         err = captured.err.splitlines()
         assert len(err) == len(runs)
         assert all(line.startswith("error: out '/dev/full' cannot be written: ") for line in err)
+
+    @pytest.mark.skipif(resource is None, reason="needs the POSIX resource module")
+    def test_write_failing_partway_removes_the_new_file(self, tmp_path):
+        # a file size limit of 2 KiB, set in the child only, fails the write of
+        # the symmetry table partway with EFBIG
+        def limit_file_size():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (2048, 2048))
+
+        out = tmp_path / "NEW.json"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run([sys.executable, "-m", "topowalk.cli", "symmetry", "all",
+                               "--out", str(out)], preexec_fn=limit_file_size, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: out {str(out)!r} cannot be written: ")
+        assert not out.exists()
 
     def test_failed_run_leaves_no_new_file(self, tmp_path, monkeypatch):
         from topowalk.errors import GaplessError

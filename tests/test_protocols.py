@@ -143,20 +143,27 @@ def test_plan_derivative_matches_central_difference(rng):
                 npt.assert_allclose(g, (p - m) / (2 * h), rtol=0, atol=1e-8)
 
 
-@pytest.mark.parametrize("pid", TWO_BAND_IDS)
+@pytest.mark.parametrize("pid", pr.PROTOCOL_IDS)
 def test_open_mesh_entries_match_flat_grid(pid, rng):
-    """The plan on an open mesh (one array per axis, n exponentials per axis)
-    gives the entries it gives on the flattened n^dim grid."""
+    """On an open mesh (one array per axis, n exponentials per axis) the plan
+    gives, bit for bit, the entries it gives on the flattened n^dim grid, and
+    `build_unitary` gives U(k) and, on the negated axes, U(-k), doubled walks
+    included."""
     spec = pr.registry_lookup(pid, T=3)
-    plan = pr.compile_plan(spec.with_params(**generic_angles(spec, rng)))
-    n = {1: 37, 2: 16, 3: 7}[spec.dimension]
-    mesh = np.meshgrid(*momentum_axes(spec.dimension, n), indexing="ij", sparse=True)
-    flat = bz_grid(spec.dimension, n)
+    spec = spec.with_params(**generic_angles(spec, rng))
+    plan = pr.compile_plan(spec)
+    shape = ({1: 37, 2: 16, 3: 7}[spec.dimension],) * spec.dimension
+    mesh = np.meshgrid(*momentum_axes(spec.dimension, shape[0]), indexing="ij", sparse=True)
+    flat = bz_grid(spec.dimension, shape[0])
     for got, want in zip(plan.entries(mesh), plan.entries(flat)):
-        assert got.shape == (n,) * spec.dimension
-        npt.assert_allclose(got.ravel(), want, rtol=0, atol=1e-14)
-    npt.assert_allclose(plan.unitary(mesh).reshape(-1, 2, 2), plan.unitary(flat),
-                        rtol=0, atol=1e-14)
+        assert got.shape == shape
+        npt.assert_array_equal(got.ravel(), want)
+    npt.assert_array_equal(plan.unitary(mesh).reshape(-1, 2, 2), plan.unitary(flat))
+    for axes, batch in ((mesh, flat), ([-x for x in mesh], -flat)):
+        U = pr.build_unitary(spec, axes)
+        assert U.shape == shape + (spec.bands, spec.bands)
+        npt.assert_array_equal(U.reshape(-1, spec.bands, spec.bands),
+                               pr.build_unitary(spec, batch))
 
 
 def test_open_mesh_needs_one_array_per_axis():

@@ -187,11 +187,56 @@ def _h_residual(op, relation, H, ok, Hp, okp):
     M H*(k') M^dag = -H(k) (phs), +H(k) (trs); M^dag H(k') M = -H(k) (chs)."""
     ok = ok & okp
     assert ok.any()
-    M = np.asarray(op.matrix, dtype=complex)
-    X = Hp.conj() if op.antiunitary else Hp
-    L = M.conj().T @ X @ M if relation == "chs" else M @ X @ M.conj().T
     target = H if relation == "trs" else -H
-    return np.abs(L - target).max(axis=(-2, -1))[ok].max()
+    return np.abs(_sandwich(op, relation, Hp) - target).max(axis=(-2, -1))[ok].max()
+
+
+def _sandwich(op, relation, X):
+    """M^dag X' M (chs) or M X' M^dag (phs, trs) from two per-point matmuls,
+    X' = X* for an antiunitary op."""
+    M = np.asarray(op.matrix, dtype=complex)
+    X = X.conj() if op.antiunitary else X
+    return M.conj().T @ X @ M if relation == "chs" else M @ X @ M.conj().T
+
+
+def _two_matmul_residual(op, relation, U, Up):
+    """The relation residual on U from `_sandwich`: the reference for the
+    one-product `_residual`."""
+    target = U if op.antiunitary != (relation == "trs") else np.swapaxes(U, -1, -2).conj()
+    return float(np.abs(_sandwich(op, relation, Up) - target).max())
+
+
+def _classify_grids(spec):
+    """U(k) and U(-k) on classify's open mesh."""
+    mesh = sym._open_mesh(spec.dimension, sym.CLASSIFY_GRID[spec.dimension])
+    return sym._grid_pair(spec, mesh, True)
+
+
+class TestResidualProduct:
+    """`_residual` reduces each relation with one (points, n^2) @ kron(A^T, B)
+    product; it agrees with two per-point matmuls within 1e-15."""
+
+    @pytest.mark.parametrize("pid", pr.PROTOCOL_IDS)
+    def test_designated_operators_match_two_matmuls(self, pid):
+        spec = sym._ensure_generic_angles(pr.registry_lookup(pid))
+        U, Um = _classify_grids(spec)
+        for rel, op in sym.designated_operators(spec).items():
+            at = Um if op.momentum_flip else U
+            assert abs(sym._residual(op, rel, U, at)
+                       - _two_matmul_residual(op, rel, U, at)) <= 1e-15, (rel, op.label)
+
+    def test_search_candidates_match_two_matmuls(self):
+        spec = sym._ensure_generic_angles(pr.registry_lookup("1d-cii"))
+        U, Um = _classify_grids(spec)
+        checked = 0
+        for rel, (anti, flip) in sym._CANONICAL_COMBOS.items():
+            for name, M in sym.default_candidates(spec):
+                op = sym.SymmetryOperator(M, anti, flip, name)
+                at = Um if flip else U
+                assert abs(sym._residual(op, rel, U, at)
+                           - _two_matmul_residual(op, rel, U, at)) <= 1e-15, (rel, name)
+                checked += 1
+        assert checked == 3 * (32 + 4)  # tau_i x sigma_j with phases 1, i; the G blocks
 
 
 class TestBlockHamiltonian:
