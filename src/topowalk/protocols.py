@@ -29,12 +29,21 @@ shift scales it by its phase and the conjugate), computing each per-axis phasor
 exp(i m k_axis) once, so an open mesh costs n exponentials per axis, not n^dim.
 Coin and shift matrix products are the tests' reference; the same loop also
 carries the exact d(a, c)/dk_i, since only the shifts depend on k.
+
+`Plan.fourier` gives (a, c) as trigonometric polynomials in k instead, for
+the dense open-mesh pass of `topology`: a shift only relabels frequencies,
+so which frequencies occur (at most three per axis in every registered
+walk) is derived once per protocol from its shifts (`_fourier_layout`), and
+per call only the coins' arithmetic runs on the coefficient arrays.  Flat
+batches, gradients, and `entries`/`unitary` on open meshes (the symmetry
+checks) stay on the step loop.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import groupby
+from functools import lru_cache
+from itertools import groupby, product
 from typing import Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -304,6 +313,27 @@ class Plan:
             a, c = a * p, c * q
         return (a, c), grads
 
+    def fourier(self):
+        """(a, c) as trigonometric polynomials in k: per entry, the frequencies
+        of each momentum axis, freqs[ax] of length F_ax, and the coefficients
+        coef (..., F_0, ..., F_dim-1), the coins' shape first, with
+        entry(k) = sum_j coef[..., j] prod_ax exp(i freqs[ax][j_ax] k_ax).
+        Which frequencies occur depends only on the shifts, so their
+        bookkeeping is done once per protocol (`_fourier_layout`); per call
+        only the coins mix the coefficient arrays, as the step loop mixes
+        values.  Each array carries a zero slot last, which the gathers read
+        for frequencies an entry lacks."""
+        shifts = tuple(data if kind == "shift" else None for kind, data in self.steps)
+        gathers, grids = _fourier_layout(shifts, self.spec.dimension)
+        a, c = np.array([1.0, 0.0], dtype=complex), np.zeros(1, dtype=complex)
+        coins = (data for kind, data in self.steps if kind == "coin")
+        for (ia, ic), entries in zip(gathers, coins):
+            c00, c01, c10, c11 = (np.asarray(x)[..., None] for x in entries)
+            ga, gc = a[..., ia], c[..., ic]
+            a, c = c00 * ga + c01 * gc, c10 * ga + c11 * gc
+        return tuple((freqs, x[..., dense].reshape(x.shape[:-1] + tuple(map(len, freqs))))
+                     for (freqs, dense), x in zip(grids, (a, c)))
+
     def entries(self, k):
         """(a, c) with U(k) = [[a, -conj(c)], [c, conj(a)]], updated elementwise
         along the steps: a coin mixes the pair, a shift scales it by its phases.
@@ -320,6 +350,43 @@ class Plan:
         ks = _as_momenta(self.spec, k)
         a, c = np.broadcast_arrays(*self._walk(ks, grad=False)[0], *ks)[:2]
         return np.stack([a, -c.conj(), c, a.conj()], axis=-1).reshape(a.shape + (2, 2))
+
+
+@lru_cache(maxsize=64)
+def _fourier_layout(shifts: tuple, dim: int):
+    """The frequency bookkeeping of `Plan.fourier`: `shifts` holds per step
+    its shift terms, or None for a coin.  A shift by m moves a's frequencies
+    by +m and c's by -m; a coin puts both on the union of their sets.
+    Returns per coin the gathers of a and c onto that union, and per entry
+    its sorted frequencies per axis and the gather of its coefficients onto
+    their product grid; index -1 reads the zero slot."""
+    fa, fc = [(0.0,) * dim], []
+    gathers = []
+    for terms in shifts:
+        if terms is None:
+            union = sorted(set(fa) | set(fc))
+            gathers.append(tuple(_frozen([f.index(u) if u in f else -1 for u in union] + [-1])
+                                 for f in (fa, fc)))
+            fa = fc = union
+            continue
+        m = [0.0] * dim
+        for ax, v in terms:
+            m[ax] = v
+        fa = [tuple(x + y for x, y in zip(f, m)) for f in fa]
+        fc = [tuple(x - y for x, y in zip(f, m)) for f in fc]
+    grids = []
+    for f in (fa, fc):
+        freqs = [sorted({g[ax] for g in f}) or [0.0] for ax in range(dim)]
+        dense = [f.index(g) if g in f else -1 for g in product(*freqs)]
+        grids.append((tuple(map(_frozen, freqs)), _frozen(dense)))
+    return tuple(gathers), tuple(grids)
+
+
+def _frozen(values) -> np.ndarray:
+    """A read-only array of `values`: the cached layout hands it to every caller."""
+    out = np.array(values)
+    out.flags.writeable = False
+    return out
 
 
 def compile_plan(spec: ProtocolSpec, *, angles: Optional[Mapping] = None, T=None) -> Plan:

@@ -15,9 +15,13 @@ Conventions
   `sweep_invariants` searches the *minimal* momentum torus (see below), from
   the same d that its winding or Chern reduction then reads, so a
   pi-periodic walk is scanned at twice the resolution per axis.
-* Dense meshes are evaluated in blocks (`_blocks`) of about BLOCK_POINTS
-  points, whose temporaries stay in L2, into just the full-mesh arrays the
-  caller reads; every value is elementwise, so the blocks change no bits.
+* Dense meshes (`_mesh_bloch`) are evaluated from the plan's Fourier
+  coefficients (`Plan.fourier`), not by the step loop: contracted with the
+  phasors of every momentum axis but the first once per call, then summed
+  per block (`_blocks`) of about BLOCK_POINTS points of the first axis, whose
+  temporaries stay in L2, into just the full-mesh arrays the caller reads.
+  Every value is an elementwise sum of products, with no BLAS call, so
+  neither the blocks nor the stack of walks change a bit.
 * The gap function is g(k) = min(E_+, pi - E_+): bands touch only at
   quasi-energy 0 or pi.
 * Dirac-vs-arc discrimination follows the band shape at the closing: a
@@ -39,6 +43,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -129,42 +134,117 @@ def _blocks(count: int, row_points: int) -> List[slice]:
     return [slice(i * count // parts, (i + 1) * count // parts) for i in range(parts)]
 
 
+def _mesh_rows(freqs, coef, axes, lead_shape):
+    """A plan entry's Fourier coefficients (`Plan.fourier`) contracted over
+    every momentum axis but the first, on the open mesh of `axes`: per
+    first-axis frequency, one complex row lead_shape + (1, n_1, ...).  Each
+    axis is a sum of elementwise products, so the rows do not depend on the
+    stack of walks."""
+    dim, lead = len(axes), len(lead_shape)
+    fshape = coef.shape[coef.ndim - dim:]
+    coef = np.broadcast_to(coef, lead_shape + (1,) * dim + fshape).reshape(lead_shape + fshape)
+    for ax in range(dim - 1, -1, -1):
+        # per frequency j of axis ax, the coefficients with that axis turned into the mesh's
+        terms = [coef[(slice(None),) * (lead + ax) + (j, None)] for j in range(fshape[ax])]
+        if ax == 0:
+            return terms
+        phasors = np.exp(1j * np.multiply.outer(freqs[ax], axes[ax]))
+        phasors = phasors.reshape(phasors.shape + (1,) * (dim - 1 - ax))
+        coef = terms[0] * phasors[0]
+        for term, p in zip(terms[1:], phasors[1:]):
+            coef = coef + term * p
+
+
+def _first_axis_pairs(freqs, rows, k, dim):
+    """Re and Im of the entry sum_j exp(i freqs[j] k_0) rows[j] as lists of
+    (column, row) real pairs whose products sum to them, column None for 1.
+    A frequency and its negative share their cos and sin columns:
+    e^{imk} B_m + e^{-imk} B_-m = cos(mk) (B_m + B_-m) + i sin(mk) (B_m - B_-m)."""
+    by = dict(zip(freqs.tolist(), rows))
+    re, im = [], []
+    for mu in sorted({abs(f) for f in by}, reverse=True):
+        plus, minus = by.get(mu), by.get(-mu) if mu else None
+        total = plus if minus is None else minus if plus is None else plus + minus
+        if not mu:
+            re.append((None, np.ascontiguousarray(total.real)))
+            im.append((None, np.ascontiguousarray(total.imag)))
+            continue
+        diff = plus if minus is None else -minus if plus is None else plus - minus
+        cos, sin = (f(mu * k).reshape((-1,) + (1,) * (dim - 1)) for f in (np.cos, np.sin))
+        re += [(cos, np.ascontiguousarray(total.real)), (sin, -diff.imag)]
+        im += [(cos, np.ascontiguousarray(total.imag)), (sin, np.ascontiguousarray(diff.real))]
+    return re, im
+
+
 def _mesh_bloch(plan, axes, shape, d0: bool = False):
     """(d, |d|) of the plan on the open mesh of the momentum `axes`, with d one
     (3, *shape) array, or (d0, |d|) if `d0`: no caller reads both.  `shape`
-    is any leading sweep axes of the plan's angles, then the mesh.  The plan
-    and the Bloch split run per block of the first momentum axis, into arrays
-    allocated once."""
-    lead = len(shape) - len(axes)
+    is any leading sweep axes of the plan's angles, then the mesh.  The plan's
+    Fourier coefficients are contracted over the other momentum axes once
+    (`_mesh_rows`); per block of the first axis, each of d0 = Re a and
+    d = (-Im c, Re c, -Im a) is a sum of real column-by-row products
+    (`_first_axis_pairs`), formed in place in arrays allocated once."""
+    dim = len(axes)
+    lead = len(shape) - dim
     out, norm = np.empty(shape if d0 else (3,) + shape), np.empty(shape)
-    first, *rest = np.meshgrid(*axes, indexing="ij", sparse=True)
-    for rows in _blocks(shape[lead], int(np.prod(shape)) // shape[lead]):
+    (re_a, im_a), (re_c, im_c) = (
+        _first_axis_pairs(freqs[0], _mesh_rows(freqs, coef, axes, shape[:lead]), axes[0], dim)
+        for freqs, coef in plan.fourier())
+    sums = [[(col, -row) for col, row in im_c], re_c, [(col, -row) for col, row in im_a]]
+    row_points = int(np.prod(shape)) // shape[lead]
+    blocks = _blocks(shape[lead], row_points)
+    buffers = np.empty((4 if d0 else 1, max(b.stop - b.start for b in blocks) * row_points))
+    for rows in blocks:
         at = (slice(None),) * lead + (rows,)
-        scalar, (x, y, z) = bloch_entries(*plan.entries([first[rows]] + rest))
+        part = shape[:lead] + (rows.stop - rows.start,) + shape[lead + 1:]
+        tmp, *d = (b[:int(np.prod(part))].reshape(part) for b in buffers)
         if d0:
-            out[at] = scalar
+            _sum_pairs(out[at], re_a, rows, tmp)
         else:
-            out[(0,) + at], out[(1,) + at], out[(2,) + at] = x, y, z
-        norm[at] = np.sqrt(x * x + y * y + z * z)
+            d = [out[(i,) + at] for i in range(3)]
+        for dest, pairs in zip(d, sums):
+            _sum_pairs(dest, pairs, rows, tmp)
+        x, y, z = d
+        nrm = norm[at]
+        np.multiply(x, x, out=nrm)
+        nrm += np.multiply(y, y, out=tmp)
+        nrm += np.multiply(z, z, out=tmp)
+        np.sqrt(nrm, out=nrm)
     return out, norm
+
+
+def _sum_pairs(dest, pairs, rows, tmp) -> None:
+    """dest = the sum, in order, of column[rows] * row over the (column, row)
+    pairs, or of row alone where column is None; `tmp` is a work array of dest's
+    shape."""
+    (column, row), *rest = pairs
+    if column is None:
+        dest[...] = row
+    else:
+        np.multiply(column[rows], row, out=dest)
+    for column, row in rest:
+        dest += row if column is None else np.multiply(column[rows], row, out=tmp)
 
 
 def _scan(vals, cells):
     """Start points of the gap search: the local minima of |d| (`vals`) over
-    its trailing len(cells) mesh axes, each compared with its periodic
-    neighbours on slices of `vals` itself, kept if plausibly refinable to a
+    its trailing len(cells) mesh axes, kept if plausibly refinable to a
     closing (a touching cone of slope <= 2 per axis stays below ~2 sqrt(dim)
-    cell within one grid cell).  Returns the index rows of the leading axes
-    and the momenta -pi + index * cell."""
+    cell within one grid cell).  Only the points below that threshold are
+    compared with their periodic neighbours, by flat index, axis by axis; a
+    NaN is never kept.  Returns, in C order, the index rows of the leading
+    axes and the momenta -pi + index * cell."""
     dim = len(cells)
     lead = vals.ndim - dim
-    keep = vals < 2 * np.sqrt(dim) * cells.max()
-    for ax in range(lead, vals.ndim):
-        v, k = np.moveaxis(vals, ax, 0), np.moveaxis(keep, ax, 0)
-        for here, there in ((slice(1, None), slice(None, -1)), (slice(None, -1), slice(1, None)),
-                            (0, -1), (-1, 0)):
-            k[here] &= v[here] <= v[there]
-    idx = np.argwhere(keep)
+    flat = np.flatnonzero(vals < 2 * np.sqrt(dim) * cells.max())
+    v, stride = vals.ravel(), 1
+    for n in reversed(vals.shape[lead:]):
+        here, at = v[flat], flat // stride % n
+        for edge, step in ((n - 1, stride), (0, -stride)):
+            flat = flat[here <= v[np.where(at == edge, flat - (n - 1) * step, flat + step)]]
+            here, at = v[flat], flat // stride % n
+        stride *= n
+    idx = np.stack(np.unravel_index(flat, vals.shape), axis=-1)
     return idx[:, :lead], -np.pi + idx[:, lead:] * cells
 
 
@@ -206,19 +286,28 @@ def _check_grid(grid_n) -> None:
 
 def _gap_points(pts, d0, resid, refine_tol: float) -> List[GapPoint]:
     """The refined points with |d| <= refine_tol as closings at quasi-energy 0
-    or pi, sorted, with duplicates (within MERGE_TOL) merged."""
-    e_plus = np.arccos(np.clip(d0, -1.0, 1.0))
-    points = [GapPoint(k=tuple(wrap_pi(pts[i]).tolist()), residual=float(resid[i]),
-                       quasi_energy=0.0 if e_plus[i] < np.pi / 2 else np.pi)
-              for i in np.flatnonzero(resid <= refine_tol)]
+    or pi, sorted, with duplicates (within MERGE_TOL) merged: a point is kept
+    unless a kept point at its energy lies within MERGE_TOL on every axis,
+    across +-pi too.  The kept points are hashed into wrapped cells of
+    2 MERGE_TOL per axis (the last cell up to twice as wide), so each point is
+    compared only with those in its own and the adjacent cells."""
+    sel = np.flatnonzero(resid <= refine_tol)
+    e_plus = np.arccos(np.clip(d0[sel], -1.0, 1.0))
+    points = [GapPoint(k=tuple(k), residual=r, quasi_energy=0.0 if e < np.pi / 2 else np.pi)
+              for k, r, e in zip(wrap_pi(pts[sel]).tolist(), resid[sel].tolist(), e_plus)]
+    points.sort(key=lambda p: (p.quasi_energy,) + p.k)
+    ncell = int(2 * np.pi // (2 * MERGE_TOL))
+    ks = np.reshape([p.k for p in points], (-1, pts.shape[-1]))
+    cells = np.minimum((ks + np.pi) // (2 * MERGE_TOL), ncell - 1).astype(int).tolist()
     merged: List[GapPoint] = []
-    kept_k = np.empty((len(points), pts.shape[-1]))
-    kept_e = np.empty(len(points))
-    for p in sorted(points, key=lambda p: (p.quasi_energy,) + p.k):
-        n = len(merged)
-        near = np.abs(wrap_pi(np.subtract(p.k, kept_k[:n]))).max(axis=-1) < MERGE_TOL
-        if not (near & (kept_e[:n] == p.quasi_energy)).any():
-            kept_k[n], kept_e[n] = p.k, p.quasi_energy
+    kept: Dict[tuple, List[tuple]] = {}
+    for p, cell in zip(points, cells):
+        near = set(product((p.quasi_energy,), *(((c - 1) % ncell, c, (c + 1) % ncell)
+                                                for c in cell)))
+        close = [k for key in near for k in kept.get(key, ())]
+        if not close or not (np.abs(wrap_pi(np.subtract(p.k, close))).max(axis=-1)
+                             < MERGE_TOL).any():
+            kept.setdefault((p.quasi_energy,) + tuple(cell), []).append(p.k)
             merged.append(p)
     return merged
 

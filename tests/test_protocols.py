@@ -166,6 +166,35 @@ def test_open_mesh_entries_match_flat_grid(pid, rng):
                                pr.build_unitary(spec, batch))
 
 
+@pytest.mark.parametrize("pid", TWO_BAND_IDS)
+def test_fourier_coefficients_sum_to_the_entries(pid, rng):
+    """The plan's Fourier coefficients, summed against their phasors, give the
+    step loop's (a, c) within rounding, on a stack of walks as for one walk;
+    which frequencies occur depends on the protocol's elements, not on its
+    angles or step number."""
+    spec = pr.registry_lookup(pid)
+    dim = spec.dimension
+    k = rng.uniform(-2 * np.pi, 2 * np.pi, size=(9, dim))
+    stack = {s: rng.uniform(-np.pi, np.pi, size=(4, 1)) for s in spec.symbols}
+    freqs = None
+    for plan in (pr.compile_plan(spec, angles=generic_angles(spec, rng), T=3),
+                 pr.compile_plan(spec, angles=stack, T=rng.integers(1, 6, size=(4, 1)))):
+        terms = plan.fourier()
+        if freqs is None:
+            freqs = [[f.tolist() for f in fr] for fr, _ in terms]
+        assert [[f.tolist() for f in fr] for fr, _ in terms] == freqs
+        assert all(max(map(len, fr)) <= 3 for fr, _ in terms)
+        for (fr, coef), want in zip(terms, plan.entries(k)):
+            phase = [np.exp(1j * np.multiply.outer(k[:, ax], fr[ax])) for ax in range(dim)]
+            got = 0
+            for j in np.ndindex(coef.shape[coef.ndim - dim:]):
+                term = coef[(Ellipsis,) + j]
+                for ax in range(dim):
+                    term = term * phase[ax][:, j[ax]]
+                got = got + term
+            npt.assert_allclose(got, np.broadcast_to(want, got.shape), rtol=0, atol=1e-14)
+
+
 def test_open_mesh_needs_one_array_per_axis():
     plan = pr.compile_plan(pr.registry_lookup("2d-phs"))
     with pytest.raises(InvalidInputError, match="2 axis arrays"):

@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import generic_angles
 from topowalk import cli
 from topowalk import protocols as pr
 from topowalk import spectrum
@@ -98,6 +99,57 @@ def test_gap_point_merge_matches_pairwise_reference():
     merged = tp._gap_points(pts, d0, resid, EPS_GAP)
     assert merged == _pairwise_merge(pts, d0, resid, EPS_GAP)
     assert len(merged) == 120
+
+
+def test_gap_point_merge_across_pi_matches_pairwise_reference():
+    """Clusters straddling +-pi on every axis, a chain of points 0.6 MERGE_TOL
+    apart (the greedy merge keeps every other one), points in the wider last
+    cell of the hash, and copies one period away, at both quasi-energies."""
+    tol = tp.MERGE_TOL
+    edge = [PI - 0.3 * tol, -PI + 0.4 * tol, -PI, PI - 1.7 * tol, PI - 2.9 * tol,
+            np.nextafter(PI, 0.0), PI + 0.2 * tol]
+    chain = [0.5 + 0.6 * tol * i for i in range(6)]
+    base = np.array([(x, y) for x in edge + chain for y in edge[:4] + chain[:2]])
+    pts = np.concatenate([base, base[::-1] + [2 * PI, -2 * PI], base + 0.45 * tol])
+    d0 = np.where(np.arange(len(pts)) % 3 == 0, -0.5, 0.5)
+    resid = np.zeros(len(pts))
+    merged = tp._gap_points(pts, d0, resid, EPS_GAP)
+    assert merged == _pairwise_merge(pts, d0, resid, EPS_GAP)
+    assert 20 < len(merged) < len(pts) / 2
+    assert any(abs(p.k[0]) > 3.1 and abs(p.k[1]) > 3.1 for p in merged)
+
+
+def _dense_scan(vals, cells):
+    """`_scan` comparing every mesh point with its periodic neighbours on
+    whole-mesh slices: the reference for the comparison at the candidates."""
+    dim = len(cells)
+    lead = vals.ndim - dim
+    keep = vals < 2 * np.sqrt(dim) * cells.max()
+    for ax in range(lead, vals.ndim):
+        v, k = np.moveaxis(vals, ax, 0), np.moveaxis(keep, ax, 0)
+        for here, there in ((slice(1, None), slice(None, -1)), (slice(None, -1), slice(1, None)),
+                            (0, -1), (-1, 0)):
+            k[here] &= v[here] <= v[there]
+    idx = np.argwhere(keep)
+    return idx[:, :lead], -PI + idx[:, lead:] * cells
+
+
+@pytest.mark.parametrize("shape, dim", [
+    ((64,), 1), ((3, 40), 1), ((2,), 1), ((4, 2), 1), ((12, 12), 2), ((3, 9, 2), 2),
+    ((2, 2), 2), ((2, 5, 6, 7), 3), ((3, 2, 2, 2), 3)])
+def test_scan_matches_dense_neighbour_reference(rng, shape, dim):
+    """Same start points in the same order, bit for bit, with ties (values on
+    a coarse lattice), NaN, leading walk axes, 1D to 3D and grids of 2."""
+    cells = np.full(dim, 0.25 / np.sqrt(dim))
+    kept = 0
+    for _ in range(40):
+        vals = np.round(rng.uniform(0.0, 1.2, size=shape), 1)
+        vals[rng.uniform(size=shape) < 0.1] = np.nan
+        got, want = tp._scan(vals, cells), _dense_scan(vals, cells)
+        assert [(g.dtype, g.shape, g.tobytes()) for g in got] == [
+            (w.dtype, w.shape, w.tobytes()) for w in want]
+        kept += len(got[0])
+    assert kept
 
 
 class TestWrapPi:
@@ -384,6 +436,62 @@ class TestSweepInvariants:
     def test_rejects_3d(self):
         with pytest.raises(InvalidInputError):
             tp.sweep_invariants([pr.registry_lookup("3d-simple")], 8)
+
+
+TWO_BAND_IDS = [pid for pid in pr.PROTOCOL_IDS if pr.REGISTRY[pid].bands == 2]
+
+
+class TestMeshFourier:
+    """The dense mesh pass sums Fourier terms (`Plan.fourier`); the step loop
+    on the open mesh is its reference."""
+
+    @pytest.mark.parametrize("pid", TWO_BAND_IDS)
+    @pytest.mark.parametrize("period", [PI, 2 * PI])
+    def test_matches_step_loop(self, rng, pid, period):
+        spec = pr.registry_lookup(pid)
+        dim = spec.dimension
+        lead = (3,) + (1,) * dim
+        stacked = spectrum.two_band_plan(
+            spec, angles={s: rng.uniform(-PI, PI, lead) for s in spec.symbols},
+            T=rng.integers(1, 6, lead))
+        single = spectrum.two_band_plan(spec, angles=generic_angles(spec, rng), T=4)
+        for grid_n in ({1: 37, 2: 13, 3: 5}[dim], 2):
+            axes = symmetry.momentum_axes(dim, grid_n, [period] * dim)
+            mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+            for plan, walks in ((stacked, (3,)), (single, ())):
+                shape = walks + (grid_n,) * dim
+                d0, d = spectrum.bloch_entries(*plan.entries(mesh))
+                want = np.stack([np.broadcast_to(x, shape) for x in d])
+                (got, norm), (got0, norm0) = (tp._mesh_bloch(plan, axes, shape, flag)
+                                              for flag in (False, True))
+                npt.assert_allclose(got, want, rtol=0, atol=1e-14)
+                npt.assert_allclose(got0, np.broadcast_to(d0, shape), rtol=0, atol=1e-14)
+                npt.assert_allclose(norm, np.sqrt((want * want).sum(axis=0)), rtol=0, atol=1e-14)
+                assert norm0.tobytes() == norm.tobytes()
+
+    @pytest.mark.parametrize("pid", TWO_BAND_IDS)
+    def test_stacked_walk_equals_walk_alone(self, rng, pid):
+        """A stack mixing a zero-angle walk (every coin the identity) with
+        generic walks gives each walk the bits it has when evaluated alone."""
+        spec = pr.registry_lookup(pid)
+        dim = spec.dimension
+        specs = [spec.with_params(T=1, **{s: 0.0 for s in spec.symbols})] + [
+            spec.with_params(T=int(t), **generic_angles(spec, rng)) for t in (2, 5)]
+        lead = (len(specs),) + (1,) * dim
+        plan = spectrum.two_band_plan(
+            spec, angles={s: np.reshape([w.angles[s] for w in specs], lead)
+                          for s in spec.symbols},
+            T=np.reshape([w.T for w in specs], lead))
+        grid_n = {1: 40, 2: 12, 3: 6}[dim]
+        axes = symmetry.momentum_axes(dim, grid_n)
+        for d0 in (False, True):
+            out, norm = tp._mesh_bloch(plan, axes, (len(specs),) + (grid_n,) * dim, d0)
+            for i, walk in enumerate(specs):
+                alone, alone_norm = tp._mesh_bloch(spectrum.two_band_plan(walk), axes,
+                                                   (grid_n,) * dim, d0)
+                mine = out[i] if d0 else out[:, i]
+                assert mine.tobytes() == alone.tobytes()
+                assert norm[i].tobytes() == alone_norm.tobytes()
 
 
 def _stacked_plan(pid, count, rng):
