@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare the bundled artifacts of a git revision with the working tree's.
 
-    python scripts/artifact_diff.py REV [--only fig10 ...] [--grid N]
+    python scripts/artifact_diff.py REV [--only fig10 ...] [--grid N] [--identical]
 
 Extracts REV's src/ with `git archive` into a temporary directory (nothing is
 written into the checkout), runs the working tree's scripts/run_figures.py on
@@ -18,7 +18,8 @@ and `--grid` are passed to both runs, e.g. to compare fig10 at a 512 grid):
 
 Prints, per artifact, whether the two runs' bytes are identical, then the
 largest deviation per artifact and field, and exits 1 on any mismatch (or if
-either run fails).  Identical bytes are reported, not required.
+either run fails).  Identical bytes are reported, and required only with
+`--identical`: then any artifact whose bytes differ also exits 1.
 """
 import argparse
 import csv
@@ -143,6 +144,8 @@ def main(argv=None) -> int:
     ap.add_argument("rev", help="git revision to compare the working tree against")
     ap.add_argument("--only", nargs="+", help="fixture names passed to run_figures.py")
     ap.add_argument("--grid", type=int, help="momentum grid passed to run_figures.py")
+    ap.add_argument("--identical", action="store_true",
+                    help="exit 1 unless every artifact is byte-identical")
     args = ap.parse_args(argv)
     extra = (["--only", *args.only] if args.only else []) + (
         [] if args.grid is None else ["--grid", str(args.grid)])
@@ -172,6 +175,10 @@ def main(argv=None) -> int:
         print(f"{len(diff.mismatches)} mismatches, first ones:")
         for line in diff.mismatches[:20]:
             print(f"  {line}")
+        return 1
+    differ = [name for name in diff.names if not diff.identical.get(name)]
+    if args.identical and differ:
+        print(f"bytes differ in {len(differ)} of {len(diff.names)} artifacts: FAIL (--identical)")
         return 1
     print(f"exact fields identical; floats within {FLOAT_TOL:g}: PASS")
     return 0

@@ -22,7 +22,11 @@ the chunk boundaries depend on the grid alone.
 workers if there are several, and no text.  Pass 2, in the calling process,
 formats every float of the run once per distinct magnitude and writes the
 rows chunk by chunk as they are formed; the output is opened only after pass
-1 has computed every number.
+1 has computed every number.  The magnitudes are formatted by a numpy kernel
+(`_repr_block`) that writes the bytes of repr, the shortest decimal that
+rounds back; repr itself runs only on the values the kernel cannot prove:
+those outside [1e-4, 1e16), 0, subnormals, inf, NaN and exact ties at the
+final digit count.
 """
 from __future__ import annotations
 
@@ -48,9 +52,10 @@ from . import symmetry, topology
 # of text that pass 2 of `bands` writes; larger chunks raise peak memory but
 # not speed
 CHUNK_POINTS = 2 ** 13
-# distinct float magnitudes that pass 2 of `bands` holds as Python strings at
-# a time
-REPR_BATCH = 2 ** 12
+# distinct float magnitudes per block of pass 2's shortest-repr kernel
+# (`_repr_block`): each of its temporaries holds a block, so larger blocks
+# raise peak memory and page faults, smaller ones the per-block call overhead
+REPR_BATCH = 2 ** 13
 
 # the process pool class, imported by `_map_values` only when a run asks for
 # more than one worker; a stand-in set here is used as it is
@@ -85,21 +90,142 @@ def _ascii(texts) -> np.ndarray:
     return padded.view(np.uint8).reshape(len(padded), padded.itemsize)
 
 
+# Tables of `_repr_block`.  10**k is an exact double for k <= 22, and
+# _TEN_HI + _TEN_LO its Veltkamp split (by 2**27 + 1) for exact products.
+_TEN = 10.0 ** np.arange(23)
+_TEN_HI = 134217729.0 * _TEN - (134217729.0 * _TEN - _TEN)
+_TEN_LO = _TEN - _TEN_HI
+# the double nearest 10**m, at index m + 5
+_TEN_FLOAT = np.array([float(f"1e{m}") for m in range(-5, 18)])
+# the 4 ASCII digits of 0..9999 as the bytes of a little-endian uint32
+_DIGITS4 = sum(((np.arange(10000, dtype=np.uint32) // 10 ** (3 - i)) % 10 + 48) << 8 * i
+               for i in range(4)).astype("<u4")
+# at row p, the bytes of a 20-digit text to keep: its 3 leading zeros and p digits
+_KEEP = np.where(np.arange(20) < 3 + np.arange(18)[:, None], 0xFF, 0).astype(np.uint8).view("<u4")
+
+
+def _repr_block(x, text, z) -> np.ndarray:
+    """Write repr(v) of the floats v of the sorted, non-negative array `x`
+    into the rows of the zeroed uint8 array `text`; `z` is a work buffer of
+    len(x) x 20 bytes.  Returns the mask of the rows written.  The rest are
+    left to repr: v outside [1e-4, 1e16) (repr's exponent form, 0,
+    subnormals, inf and NaN) and a tie between two candidates at the final
+    digit count.
+
+    repr(v) is the shortest decimal that rounds back to v, and the one
+    nearest v among those.  With E = floor(log10 v), y = v * 10**(16 - E)
+    lies in [1e16, 1e17); it is computed exactly as hi + lo (Dekker's
+    product), with hi >= 2**53 an integer and |lo| <= 8.  Rounded to p
+    digits it is q * D, D = 10**(17 - p), which rounds back to v if
+    |q * D - y| is below the half-ulp H of v times 10**(16 - E), or equal to
+    it for an even mantissa.  The rounding and this test compare lo with an
+    integer difference of int64 values; where that difference is too large
+    to convert exactly, it is far beyond lo and H, and elsewhere the
+    comparisons are exact, since lo and H are multiples of 2**-47 below 32
+    for v >= 1e-4.  17 digits always round back; p goes down from 16 while
+    the candidate still does, because the nearest p-digit decimal rounds
+    back at every p above the shortest.  (Below a power of two the interval
+    is half as wide; the tests check every power of two in the range.)"""
+    bits = x.view(np.int64)
+    inside = (x >= 1e-4) & (x < 1e16)
+    v = np.where(inside, x, 1.5)
+    e2 = (v.view(np.int64) >> 52) - 1023  # v in [2**e2, 2**(e2 + 1))
+    E = (e2 * 78913) >> 18  # floor(e2 * log10(2)), so floor(log10 v) is E or E + 1
+    E += v >= _TEN_FLOAT[E + 6]
+    k = 16 - E
+    hi = v * _TEN[k]
+    split = 134217729.0 * v
+    v_hi = split - (split - v)
+    v_lo = v - v_hi
+    ten_hi, ten_lo = _TEN_HI[k], _TEN_LO[k]
+    lo = (((v_hi * ten_hi - hi) + v_hi * ten_lo) + v_lo * ten_hi) + v_lo * ten_lo
+    ok = inside & ((hi > 1e16) | ((hi == 1e16) & (lo >= 0))) & (hi < 1e17)  # checks E
+    hi = np.where(ok, hi, 1e16).astype(np.int64)
+    half_ulp = _TEN[k] * ((e2 + 970) << 52).view(np.float64)  # 10**k * 2**(e2 - 53)
+    even = (bits & 1) == 0
+    digits = hi + np.rint(lo).astype(np.int64)  # 17 digits, half-even as hi is even
+    tie = np.zeros(len(x), bool)
+    p = np.full(len(x), 17, np.intp)
+    live = slice(None)  # all values at 16 digits, then those still rounding back
+    for n in range(16, 0, -1):
+        D = 10 ** (17 - n)
+        y_hi, y_lo = hi[live], lo[live]
+        q = y_hi // D
+        # y / D = q + (remainder + lo) / D rounds to q - 1 plus the number of
+        # (j + 1/2) * D, j = -1, 0, 1, that remainder + lo passes; for D > 10
+        # only j = 0 can go either way, as |lo| <= 8
+        twice_rem, twice_lo = 2 * (y_hi - q * D), 2 * y_lo
+        at_tie = np.zeros(len(q), bool)
+        steps = (-1, 0, 1) if D == 10 else (0,)
+        q += steps[0]
+        for j in steps:
+            edge = ((2 * j + 1) * D - twice_rem).astype(np.float64)
+            q += twice_lo > edge
+            at_tie |= twice_lo == edge
+        q *= D
+        miss = np.abs((q - y_hi).astype(np.float64) - y_lo) - half_ulp[live]
+        back = (miss < 0) | ((miss == 0) & even[live])
+        if n == 16:
+            back &= ok
+            live = np.flatnonzero(back)
+        else:
+            live = live[back]
+        digits[live], p[live], tie[live] = q[back], n, at_tie[back]
+        if not len(live):
+            break
+    ok &= ~tie
+    # repr's digits are 0.d1d2... * 10**(E + 1): no v in range rounds up to
+    # 10**(E + 1), as the double nearest each of 1e-3 ... 1e16 is not below it
+    point = np.where(ok, E + 1, 1)
+    # the 20-digit text of `digits` (3 leading zeros), NUL after the p-th digit
+    z4 = z.view("<u4")
+    for col in range(4, 0, -1):
+        rest = digits // 10000
+        z4[:, col] = _DIGITS4[digits - rest * 10000]
+        digits = rest
+    z4[:, 0] = _DIGITS4[digits]
+    z4 &= np.take(_KEEP, p, axis=0)
+    # the layout follows `point`, in [-3, 16] and constant over runs of sorted x
+    runs = np.flatnonzero(point[1:] != point[:-1]) + 1
+    for start, stop in zip([0] + runs.tolist(), runs.tolist() + [len(x)]):
+        d, out, src = int(point[start]), text[start:stop], z[start:stop]
+        if d > 0:  # "." after the d-th digit; "0" for a NUL before it and just after
+            np.maximum(src[:, 3:3 + d], 48, out=out[:, :d])
+            out[:, d] = 46
+            np.maximum(src[:, 3 + d], 48, out=out[:, d + 1])
+            out[:, d + 2:18] = src[:, 4 + d:]
+        else:  # "0." and -d zeros before the digits
+            out[:, :2 - d] = 48
+            out[:, 1] = 46
+            out[:, 2 - d:19 - d] = src[:, 3:]
+    return ok
+
+
+def _repr_text(mags) -> np.ndarray:
+    """The repr of each float of the sorted, non-negative array `mags` as the
+    rows of a uint8 array, padded with NUL bytes: by `_repr_block` in blocks
+    of REPR_BATCH, and by repr for the values it leaves."""
+    text = np.zeros((len(mags), 23), np.uint8)  # no repr is longer than 23 characters
+    z = np.empty((min(len(mags), REPR_BATCH), 20), np.uint8)
+    for i in range(0, len(mags), REPR_BATCH):
+        x = mags[i:i + REPR_BATCH]
+        rest = np.flatnonzero(~_repr_block(x, text[i:i + REPR_BATCH], z[:len(x)]))
+        texts = np.array([repr(v) for v in x[rest].tolist()], dtype="S23")
+        text[i + rest] = texts.view(np.uint8).reshape(len(rest), 23)
+    width = next((w for w in range(23, 0, -1) if text[:, w - 1].any()), 0)
+    return text[:, :width]
+
+
 def _float_cells(arrays):
     """Yield, for each float array of `arrays` in turn, the repr of each of its
     floats as ASCII: a uint8 array of the array's shape plus one axis of bytes,
-    in which NUL bytes are padding.  repr runs once per distinct magnitude
-    across all of them (np.unique of the bit patterns of |x|), and a cell
-    whose sign bit is set, -0.0 too and NaN aside, gets "-" before its
-    magnitude's text: repr(-m) == "-" + repr(m)."""
+    in which NUL bytes are padding.  Each distinct magnitude across all of
+    them (np.unique of the bit patterns of |x|) is formatted once, by
+    `_repr_text`, and a cell whose sign bit is set, -0.0 too and NaN aside,
+    gets "-" before its magnitude's text: repr(-m) == "-" + repr(m)."""
     mags, inverse = np.unique(np.concatenate([np.abs(a).ravel() for a in arrays]).view(np.int64),
                               return_inverse=True)
-    mags = mags.view(np.float64)
-    # in batches (one, empty, for no floats), so that only one batch of the
-    # texts is held as Python strings
-    batches = [np.array(list(map(repr, mags[i:i + REPR_BATCH].tolist())), dtype=bytes)
-               for i in range(0, max(len(mags), 1), REPR_BATCH)]
-    text = _ascii(np.concatenate(batches))
+    text = _repr_text(mags.view(np.float64))
     start = 0
     for a in arrays:
         cells = np.empty(a.shape + (1 + text.shape[1],), np.uint8)

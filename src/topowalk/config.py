@@ -81,6 +81,8 @@ class SweepConfig(SimpleNamespace):
         for sym, link in self.linked.items():
             if sym not in spec.symbols:
                 raise InvalidInputError(f"{self.protocol!r} has no linked angle {sym!r}")
+            if sym == self.sweep_symbol:
+                raise InvalidInputError(f"linked angle {sym!r} must not be the swept angle")
             if sym in self.angles:
                 raise InvalidInputError(f"linked angle {sym!r} must not also be fixed")
             if link.on != self.sweep_symbol:

@@ -130,3 +130,22 @@ def test_byte_identity_is_printed_per_artifact(monkeypatch, capsys, tmp_path):
     assert lines[2].split() == ["fig2_gaps.json", "bytes", "identical"]
     assert lines[-1].endswith("PASS")
 
+
+
+def test_identical_requires_identical_bytes(monkeypatch, capsys, tmp_path):
+    """--identical fails a run whose floats stay within tolerance but whose
+    bytes differ, and passes one whose bytes are all identical."""
+    rows = copy.deepcopy(CSV_ROWS)
+    rows[1][3] = "0.25000000000000006"
+    (tmp_path / "moved").mkdir()
+    (tmp_path / "same").mkdir()
+    diffs = {"moved": _compare(tmp_path / "moved", rows), "same": _compare(tmp_path / "same")}
+    monkeypatch.setattr(artifact_diff, "_extract_src", lambda rev, dest: None)
+    monkeypatch.setattr(artifact_diff.subprocess, "Popen", lambda argv, **kw: _FakeRun())
+    for case, identical_rc in (("moved", 1), ("same", 0)):
+        monkeypatch.setattr(artifact_diff, "compare_dirs", lambda a, b: diffs[case])
+        assert artifact_diff.main(["HEAD~1"]) == 0
+        assert artifact_diff.main(["HEAD~1", "--identical"]) == identical_rc
+    out = capsys.readouterr().out.splitlines()
+    assert "bytes differ in 1 of 2 artifacts: FAIL (--identical)" in out
+    assert out[-1].endswith("PASS")

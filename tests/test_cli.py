@@ -205,7 +205,42 @@ REPR_EDGES = [0.0, -0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308
               -math.inf, math.nan, -math.nan, 1e-4, math.nextafter(1e-4, 0.0), 1e16,
               math.nextafter(1e16, 0.0), 0.1, 1.0, math.pi]
 REPR_FLOATS = (st.sampled_from(REPR_EDGES) | st.floats(allow_subnormal=True)
-               | st.floats(1e-5, 1e-3) | st.floats(1e15, 1e17))
+               | st.floats(1e-5, 1e-3) | st.floats(1e15, 1e17) | st.floats(1e-4, 1e16)
+               | st.builds(lambda a, b: float(f"{a}e{b}"), st.integers(1, 10 ** 6),
+                           st.integers(-10, 16)))
+# The places where the shortest-repr kernel of `cli._repr_text` could go
+# wrong: both ends of its range, every power of two in it (an interval half
+# as wide below it), short decimals a * 10**b (few digits), each with both of
+# its neighbours; values exactly halfway between two candidates at the final
+# digit count, which repr rounds half to even (...071.62, ...864.2,
+# ...161.688, and at 17 digits ...000.2 and ...000.8); and values whose
+# rounding to 16 digits moves by more than one unit (0.00072..., 730.46...,
+# 7301323471.5...).
+REPR_CENTRES = ([1e-4, 1e16] + [2.0 ** e for e in range(-14, 55)]
+                + [float(f"{a}e{b}") for a in range(1, 1000) for b in range(-5, 17)])
+REPR_EDGE_SET = ([y for x in REPR_CENTRES
+                  for y in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))]
+                 + [80060887369071.625, 721798164256864.25, 9030519031161.6875,
+                    1500000000000000.25, 1500000000000000.75, 0.0007206469892672471,
+                    730.4670414018079, 7301323471.523439])
+BANDS_FIXTURES = ["fig1", "fig3", "fig4", "fig5", "fig7", "fig8", "fig9"]
+
+
+def cell_texts(cells):
+    """The text of each cell of a `cli._float_cells` array, NUL padding dropped."""
+    return [cell[cell != 0].tobytes().decode() for cell in cells.reshape(-1, cells.shape[-1])]
+
+
+@pytest.fixture(scope="module")
+def bands_fixture_floats():
+    """Pass 1's float arrays of each bundled `bands` fixture, by name."""
+    floats = {}
+    for name in BANDS_FIXTURES:
+        cfg = config.config_from_dict(
+            json.loads((FIXTURE_DIR / f"{name}.cfg").read_text())).validate()
+        k = sym.bz_grid(registry_lookup(cfg.protocol).dimension, cfg.grid)
+        floats[name] = [cli._bands_chunk(cfg, values, k)[0] for values in cli._chunks(cfg, len(k))]
+    return floats
 
 
 def two_chunk_bands_cfg(tmp_path):
@@ -230,9 +265,45 @@ class TestBandsEmit:
                 mp.setattr(cli, "REPR_BATCH", batch)
                 cells = list(cli._float_cells(arrays))
             assert [c.shape[:-1] for c in cells] == [a.shape for a in arrays]
-            texts = [[cell[cell != 0].tobytes().decode() for cell in c.reshape(-1, c.shape[-1])]
-                     for c in cells]
-            assert texts == [list(map(repr, a.ravel().tolist())) for a in arrays]
+            assert [cell_texts(c) for c in cells] == [list(map(repr, a.ravel().tolist()))
+                                                      for a in arrays]
+            # a sign byte and as many bytes as the longest magnitude's text
+            width = max((len(repr(abs(x))) for a in arrays for x in a.ravel().tolist()),
+                        default=0)
+            assert cells[0].shape[-1] == 1 + width
+
+    def test_float_cells_equal_repr_on_edge_set(self):
+        values = np.array(REPR_EDGE_SET)
+        arrays = [values, -values[::7]]
+        for batch in (251, cli.REPR_BATCH):  # blocks that start inside runs of one exponent
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cli, "REPR_BATCH", batch)
+                cells = list(cli._float_cells(arrays))
+            assert [cell_texts(c) for c in cells] == [list(map(repr, a.tolist())) for a in arrays]
+
+    def test_float_cells_equal_repr_on_bands_fixtures(self, bands_fixture_floats):
+        for name, arrays in bands_fixture_floats.items():
+            cells = cli._float_cells(arrays)
+            for a, c in zip(arrays, cells):
+                assert cell_texts(c) == list(map(repr, a.ravel().tolist())), name
+
+    def test_kernel_proves_bands_fixture_magnitudes(self, bands_fixture_floats):
+        # without this, a kernel that left every value to repr would still
+        # pass every byte check; what it leaves on these fixtures is nearly
+        # all below 1e-4 (26% of fig9's magnitudes, 16% of fig8's)
+        proved = total = inside = proved_inside = 0
+        for arrays in bands_fixture_floats.values():
+            mags = np.unique(np.concatenate([np.abs(a).ravel() for a in arrays]))
+            ok = np.zeros(len(mags), bool)
+            for i in range(0, len(mags), cli.REPR_BATCH):
+                x = mags[i:i + cli.REPR_BATCH]
+                ok[i:i + len(x)] = cli._repr_block(x, np.zeros((len(x), 23), np.uint8),
+                                                   np.empty((len(x), 20), np.uint8))
+            proved, total = proved + ok.sum(), total + len(mags)
+            in_range = (mags >= 1e-4) & (mags < 1e16)
+            inside, proved_inside = inside + in_range.sum(), proved_inside + ok[in_range].sum()
+        assert proved >= 0.95 * total
+        assert proved_inside >= 0.999 * inside
 
     def test_failure_in_a_later_chunk_writes_nothing(self, tmp_path, monkeypatch, capsys):
         # every number is computed before the output is opened
@@ -625,6 +696,8 @@ class TestUsageErrors:
                     ({"linked": {"gamma": link}}, "'1d-chs' has no linked angle 'gamma'"),
                     ({"angles": {"beta": 0.5}, "linked": {"beta": link}},
                      "linked angle 'beta' must not also be fixed"),
+                    ({"linked": {"alpha": link}},
+                     "linked angle 'alpha' must not be the swept angle"),
                     ({"angles": {}, "linked": {"beta": {**link, "on": "beta"}}},
                      "linked angle 'beta' must follow the swept symbol 'alpha'"),
                     ({"workers": 0}, "workers must be >= 1"),
@@ -635,6 +708,17 @@ class TestUsageErrors:
             assert run(["bands", "--config", str(cfg), "--out", "-"]) == 2
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    def test_linked_angle_is_swept_angle(self, capsys):
+        # the link would replace the swept value: rows labelled alpha = 1.0
+        # would be computed at alpha = 2.0
+        for command in ("bands", "invariant", "classify-gaps"):
+            assert run([command, "--protocol", "1d-chs", "--sweep", "alpha:0:1:2",
+                        "--set", "beta=0.3", "--link", "alpha=alpha:2:0", "--out", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: linked angle 'alpha' must not be the swept angle"] * 3
 
     def test_step_independent_rejects_step_sweep(self, capsys):
         # the flag evaluates the T = 1 walk, so a sweep over T contradicts it
