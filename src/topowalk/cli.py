@@ -18,11 +18,13 @@ most CHUNK_POINTS values x grid points (at least one value; `classify-gaps`
 counts its scan grid of at least topology.MIN_SCAN_GRID points per axis), so
 the chunk boundaries depend on the grid alone.
 
-`bands` runs in two passes.  Pass 1 computes each chunk's numbers, in the
-workers if there are several, and no text.  Pass 2, in the calling process,
-formats every float of the run once per distinct magnitude and writes the
-rows chunk by chunk as they are formed; the output is opened only after pass
-1 has computed every number.  The magnitudes are formatted by a numpy kernel
+`bands` runs in two passes, both in the calling process for any number of
+workers: pass 1 is a few milliseconds of numerics per chunk, less than a
+pool costs to start and to send the floats back.  Pass 1 computes each
+chunk's numbers and no text.  Pass 2 formats every float of the run once per
+distinct magnitude and writes the rows chunk by chunk as they are formed;
+the output is opened only after pass 1 has computed every number.  The
+magnitudes are formatted by a numpy kernel
 (`_repr_block`) that writes the bytes of repr, the shortest decimal that
 rounds back; repr itself runs only on the values the kernel cannot prove:
 those outside [1e-4, 1e16), 0, subnormals, inf, NaN and exact ties at the
@@ -117,8 +119,12 @@ def _repr_block(x, text, z) -> np.ndarray:
     lies in [1e16, 1e17); it is computed exactly as hi + lo (Dekker's
     product), with hi >= 2**53 an integer and |lo| <= 8.  Rounded to p
     digits it is q * D, D = 10**(17 - p), which rounds back to v if
-    |q * D - y| is below the half-ulp H of v times 10**(16 - E), or equal to
-    it for an even mantissa.  The rounding and this test compare lo with an
+    |q * D - y| is below the half-ulp H of v times 10**(16 - E).  (Equal to
+    H, it would round back for an even mantissa, but no candidate is ever a
+    midpoint of two neighbouring doubles in the range: below 2**53 the
+    midpoint has more than 16 significant digits, and above it is an odd
+    integer, while a v < 1e16 there has 16 digits, so a shorter candidate is
+    a multiple of 10.)  The rounding and this test compare lo with an
     integer difference of int64 values; where that difference is too large
     to convert exactly, it is far beyond lo and H, and elsewhere the
     comparisons are exact, since lo and H are multiples of 2**-47 below 32
@@ -126,7 +132,6 @@ def _repr_block(x, text, z) -> np.ndarray:
     the candidate still does, because the nearest p-digit decimal rounds
     back at every p above the shortest.  (Below a power of two the interval
     is half as wide; the tests check every power of two in the range.)"""
-    bits = x.view(np.int64)
     inside = (x >= 1e-4) & (x < 1e16)
     v = np.where(inside, x, 1.5)
     e2 = (v.view(np.int64) >> 52) - 1023  # v in [2**e2, 2**(e2 + 1))
@@ -142,7 +147,6 @@ def _repr_block(x, text, z) -> np.ndarray:
     ok = inside & ((hi > 1e16) | ((hi == 1e16) & (lo >= 0))) & (hi < 1e17)  # checks E
     hi = np.where(ok, hi, 1e16).astype(np.int64)
     half_ulp = _TEN[k] * ((e2 + 970) << 52).view(np.float64)  # 10**k * 2**(e2 - 53)
-    even = (bits & 1) == 0
     digits = hi + np.rint(lo).astype(np.int64)  # 17 digits, half-even as hi is even
     tie = np.zeros(len(x), bool)
     p = np.full(len(x), 17, np.intp)
@@ -164,7 +168,7 @@ def _repr_block(x, text, z) -> np.ndarray:
             at_tie |= twice_lo == edge
         q *= D
         miss = np.abs((q - y_hi).astype(np.float64) - y_lo) - half_ulp[live]
-        back = (miss < 0) | ((miss == 0) & even[live])
+        back = miss < 0
         if n == 16:
             back &= ok
             live = np.flatnonzero(back)
@@ -362,7 +366,7 @@ def _cmd_bands(args) -> int:
               + [f"v_k{i+1}" for i in range(dim)] + ["status"])
     k = symmetry.bz_grid(dim, cfg.grid)
     parts = _chunks(cfg, len(k))
-    chunks = _map_values(cfg, parts, partial(_bands_chunk, k=k), cfg.workers)
+    chunks = _map_values(cfg, parts, partial(_bands_chunk, k=k), 1)  # no pool: see the module doc
     _write_text(cfg.out, chain([",".join(header) + "\n"], _bands_rows(parts, chunks, k)))
     return 0
 

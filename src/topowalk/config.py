@@ -88,6 +88,15 @@ class SweepConfig(SimpleNamespace):
             if link.on != self.sweep_symbol:
                 raise InvalidInputError(
                     f"linked angle {sym!r} must follow the swept symbol {self.sweep_symbol!r}")
+        if not math.isfinite(self.sweep_stop - self.sweep_start):
+            raise InvalidInputError("sweep stop - start must be finite")
+        # each T * theta finite at both ends, so between them: no coin overflows
+        T = max(self.sweep_start, self.sweep_stop) if self.sweep_symbol == "T" else self.steps
+        for edge in (self.sweep_start, self.sweep_stop):
+            for sym, theta in {**spec.angles, **self.walk_params(edge)[0]}.items():
+                if not math.isfinite(T * theta):
+                    raise InvalidInputError(f"rotation angle {sym!r} = {theta!r} at step number"
+                                            f" {int(T)} gives a non-finite T * {sym}")
         if self.step_independent and (self.steps != 1 or self.sweep_symbol == "T"):
             raise InvalidInputError("step-independent evaluation requires steps == 1"
                                     " and a sweep over an angle, not T")

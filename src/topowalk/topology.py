@@ -12,9 +12,9 @@ Conventions
   dU/dk.  `find_gap_closings` (one walk) and `sweep_boundaries` (a chunk of
   `classify-gaps` sweep values, whose flat-band check reads d0 from the same
   mesh) search the full BZ, since they report closings there;
-  `sweep_invariants` searches the *minimal* momentum torus (see below), from
-  the same d that its winding or Chern reduction then reads, so a
-  pi-periodic walk is scanned at twice the resolution per axis.
+  `_invariants` (`sweep_invariants`, and `winding_number` and `chern_number`
+  for one walk) searches the *minimal* momentum torus (see below), from the
+  same d that its winding or Chern reduction then reads.
 * Dense meshes (`_mesh_bloch`) are evaluated from the plan's Fourier
   coefficients (`Plan.fourier`), not by the step loop: contracted with the
   phasors of every momentum axis but the first once per call, then summed
@@ -512,62 +512,64 @@ def _quantized(what: str, raw: float, margin: float) -> int:
 
 def winding_number(spec_or_id, *, angles=None, T=None, grid_n: int = 256) -> WindingResult:
     """Winding of the in-plane Bloch vector around the origin (1D chiral walks)."""
-    spec = registry_lookup(spec_or_id, T=T, angles=angles)
-    if spec.dimension != 1:
-        raise InvalidInputError("winding_number needs a 1D protocol")
-    _check_grid(grid_n)
-    d = _mesh_bloch(two_band_plan(spec),
-                    momentum_axes(1, grid_n, [momentum_period(spec, 0)]), (grid_n,))[0]
-    raw, margin = map(float, _winding(d, chiral_axis(spec)))
-    return WindingResult(w=_quantized("winding", raw, margin), raw=raw)
+    return WindingResult(*_one_walk("winding_number", 1, spec_or_id, angles, T, grid_n))
 
 
 def chern_number(spec_or_id, *, angles=None, T=None, grid_n: int = 64) -> ChernResult:
     """Degree of n_hat over the minimal 2D momentum torus (plaquette solid angles)."""
+    return ChernResult(*_one_walk("chern_number", 2, spec_or_id, angles, T, grid_n))
+
+
+def _one_walk(name: str, dim: int, spec_or_id, angles, T, grid_n) -> Tuple[int, float]:
+    """(n, raw) of the one walk of the `dim`-D call `name`, or its error raised."""
     spec = registry_lookup(spec_or_id, T=T, angles=angles)
-    if spec.dimension != 2:
-        raise InvalidInputError("chern_number needs a 2D protocol")
+    if spec.dimension != dim:
+        raise InvalidInputError(f"{name} needs a {dim}D protocol")
     _check_grid(grid_n)
-    periods = [momentum_period(spec, 0), momentum_period(spec, 1)]
-    d, norm = _mesh_bloch(two_band_plan(spec), momentum_axes(2, grid_n, periods),
-                          (grid_n, grid_n))
-    raw, margin = (float(x[0]) for x in _chern(d[:, None], norm[None]))
-    return ChernResult(c=_quantized("Chern number", raw, margin), raw=raw)
+    (result,) = _invariants([spec], grid_n)
+    if isinstance(result, BoundaryStateError):
+        raise result
+    return result
 
 
 def sweep_invariants(specs: Sequence[ProtocolSpec],
                      grid_n: int) -> List[Optional[Tuple[int, float]]]:
     """The winding (1D) or Chern (2D) number of each walk of `specs`, one
     protocol at several angles and step numbers, from one plan pass: (n, raw)
-    per walk, or None where its gap closes or the invariant is undefined.
+    per walk, or None where its gap closes or the invariant is undefined."""
+    return [None if isinstance(r, BoundaryStateError) else r for r in _invariants(specs, grid_n)]
 
-    The gap search (`_closings`) runs on the open mesh of the minimal momentum
-    torus at grid_n points per axis.  For the walks none of whose candidates
-    refines to |d| <= EPS_GAP, the same d gives the reduction (`_winding`
-    about each walk's chiral axis, or `_chern`).
-    """
-    spec, count = specs[0], len(specs)
-    dim = spec.dimension
+
+def _invariants(specs: Sequence[ProtocolSpec], grid_n: int) -> list:
+    """The one invariant route: per walk, (n, raw) or the BoundaryStateError
+    that says why it has none.  The gap search (`_closings`) runs on the open
+    mesh of the minimal momentum torus at grid_n points per axis, so a closing
+    between mesh points is refined, not hidden by the degree (an integer on any
+    mesh).  The walks with no candidate refined to |d| <= EPS_GAP reduce the
+    same d (`_winding` about their chiral axes, or `_chern`) to `_quantized`."""
+    count, dim = len(specs), specs[0].dimension
     if dim not in (1, 2):
         raise InvalidInputError("invariants are computed for 1D (winding) and 2D (Chern) only")
-    periods = [momentum_period(spec, ax) for ax in range(dim)]
-    d, norm, which, _, _, resid = _closings(specs, grid_n, periods)
-    closed = np.zeros(count, dtype=bool)
-    closed[which[resid <= EPS_GAP]] = True
-
-    results = [None] * count
-    todo = np.flatnonzero(~closed)
-    if not len(todo):
+    what = "winding" if dim == 1 else "Chern number"
+    periods = [momentum_period(specs[0], ax) for ax in range(dim)]
+    d, norm, which, pts, _, resid = _closings(specs, grid_n, periods)
+    results: list = [None] * count
+    closes = np.flatnonzero(resid <= EPS_GAP)[::-1]
+    for i, j in dict(zip(which[closes].tolist(), closes.tolist())).items():  # each walk's first
+        results[i] = BoundaryStateError(
+            f"{what} undefined: the gap closes at k = {wrap_pi(pts[j]).round(6).tolist()}")
+    todo = [i for i, r in enumerate(results) if r is None]
+    if not todo:
         return results
     if len(todo) < count:
         d, norm = d[:, todo], norm[todo]
     if dim == 1:
-        what, (raw, margin) = "winding", _winding(d, [chiral_axis(specs[i]) for i in todo])
+        raw, margin = _winding(d, [chiral_axis(specs[i]) for i in todo])
     else:
-        what, (raw, margin) = "Chern number", _chern(d, norm)
+        raw, margin = _chern(d, norm)
     for i, r, m in zip(todo, raw.tolist(), margin.tolist()):
         try:
             results[i] = (_quantized(what, r, m), r)
-        except BoundaryStateError:
-            pass
+        except BoundaryStateError as err:
+            results[i] = err
     return results

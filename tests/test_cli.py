@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -326,6 +327,21 @@ class TestBandsEmit:
         assert not new.exists() and old.read_text() == "kept\n"
         assert capsys.readouterr().out == ""
 
+    def test_workers_start_no_pool(self, tmp_path, monkeypatch):
+        # both passes run in the calling process: the pool only ever ran pass
+        # 1, a few milliseconds per chunk, and was slower than one process
+        cfg = two_chunk_bands_cfg(tmp_path)
+        assert len(cli._chunks(config.config_from_dict(json.loads(cfg.read_text())), 256)) == 2
+        one, two = tmp_path / "w1.csv", tmp_path / "w2.csv"
+        assert run(["bands", "--config", str(cfg), "--out", str(one), "--workers", "1"]) == 0
+
+        def no_pool(*a, **kw):
+            raise AssertionError("a worker pool was started")
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # --workers 2 is valid on any host
+        assert run(["bands", "--config", str(cfg), "--out", str(two), "--workers", "2"]) == 0
+        assert two.read_bytes() == one.read_bytes()
+
     def test_stdout_matches_file(self, tmp_path, capsys):
         cfg = two_chunk_bands_cfg(tmp_path)
         out = tmp_path / "o.csv"
@@ -634,6 +650,19 @@ class TestFixtureFiles:
         e = bands_from_unitary(build_unitary(spec, k)).e_plus
         assert all(float(r[3]) == e[i] for i, r in enumerate(rows[:64]))
 
+    def test_fixtures_and_symmetry_record_no_warning(self, tmp_path):
+        commands = {"fig2": "classify-gaps", "fig6": "invariant", "fig10": "invariant",
+                    "fig11": "invariant"}
+        paths = sorted(FIXTURE_DIR.glob("fig*.cfg"))
+        assert len(paths) == 11
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for path in paths:
+                assert run([commands.get(path.stem, "bands"), "--config", str(path),
+                            "--out", str(tmp_path / path.stem)]) == 0
+            assert run(["symmetry", "all", "--golden", "--out", str(tmp_path / "sym.json")]) == 0
+        assert [str(w.message) for w in caught] == []
+
 
 class TestUsageErrors:
     def test_unknown_protocol(self, tmp_path):
@@ -775,6 +804,37 @@ class TestUsageErrors:
         assert len(err) == len(runs)
         assert all(line.startswith("error: step number T must be an integer of at most 64 bits")
                    for line in err)
+
+    def test_overflowing_rotation_angle(self, tmp_path, capsys):
+        # T * theta beyond the largest float is rejected before any value is
+        # computed, so no numpy overflow warning comes before the error line
+        chs = ["--protocol", "1d-chs", "--set", "beta=1", "--grid", "8"]
+        runs = [[command, "--protocol", "1d-phs", "--set", "beta=1", "--steps", "6",
+                 "--sweep", "alpha:0:1e308:2", "--grid", "8"]
+                for command in ("bands", "invariant", "classify-gaps")]
+        runs += [["invariant", "--protocol", "1d-chs", "--sweep", "alpha:0:1e308:2",
+                  "--link", "beta=alpha:10:0", "--grid", "8"],
+                 ["bands", *chs, "--set", "alpha=1e308", "--sweep", "T:1:3:3"],
+                 ["bands", "--config", str(small_bands_cfg(tmp_path, angles={"beta": 1e308}))],
+                 ["bands", "--config", str(small_bands_cfg(
+                     tmp_path, angles={}, linked={"beta": {"on": "alpha", "scale": -10.0,
+                                                           "offset": 0.0}},
+                     sweep={"symbol": "alpha", "start": -1e308, "stop": 0.0, "count": 2}))]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning fails the run it comes from
+            for argv in runs:
+                assert run(argv + ["--out", "-"]) == 2, argv
+            assert run(["bands", *chs, "--sweep", "alpha:-1e308:1e308:3", "--out", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == len(runs) + 1
+        assert err[0] == ("error: rotation angle 'alpha' = 1e+308 at step number 6 gives a"
+                          " non-finite T * alpha")
+        assert [line.split("'")[1] for line in err[:-1]] == ["alpha"] * 3 + ["beta", "alpha"] + [
+            "beta"] * 2
+        assert all("non-finite T *" in line for line in err[:-1])
+        assert err[-1] == "error: sweep stop - start must be finite"
 
     def test_point_budget(self, capsys):
         # rejected before any grid or sweep list is allocated

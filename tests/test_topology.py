@@ -426,6 +426,19 @@ class TestSweepInvariants:
         want = tp.chern_number(off, grid_n=64)
         assert got == [(want.c, want.raw), None, (want.c, want.raw)]
 
+    @pytest.mark.parametrize("pid, T, angles, grid_n", [
+        ("2d-nosym", 3, {"alpha": PI / 3, "gamma": PI / 4, "beta": 3 * PI / 4}, 50),
+        ("2d-phs", 2, {"alpha": PI / 3, "beta": PI / 6}, 63),
+        ("1d-chs", 6, {"alpha": -PI / 2, "beta": (-PI / 2 + PI) / 3}, 255)])
+    def test_closing_between_mesh_points_has_no_invariant(self, pid, T, angles, grid_n):
+        # the gap closes between mesh points, where the discretized degree is
+        # still an integer (1, 0 and 0); the one-walk calls run the gap search
+        spec = pr.registry_lookup(pid, T=T, angles=angles)
+        public = tp.winding_number if spec.dimension == 1 else tp.chern_number
+        with pytest.raises(BoundaryStateError, match="undefined: the gap closes at k = "):
+            public(spec, grid_n=grid_n)
+        assert tp.sweep_invariants([spec], grid_n) == [None]
+
     def test_unquantized_raw_has_no_invariant(self):
         # gapped, but two points per axis sum the solid angles to raw = -0.5
         spec = pr.registry_lookup("2d-phs", T=2, angles={"alpha": PI / 3, "beta": PI / 4})
@@ -441,6 +454,30 @@ class TestSweepInvariants:
 TWO_BAND_IDS = [pid for pid in pr.PROTOCOL_IDS if pr.REGISTRY[pid].bands == 2]
 
 
+def _assert_mesh_matches_step_loop(spec, rng, period):
+    """`_mesh_bloch`, in both output modes, for a stack of three walks of
+    `spec` and for one, equals the step loop on the open mesh within 1e-14."""
+    dim = spec.dimension
+    lead = (3,) + (1,) * dim
+    stacked = spectrum.two_band_plan(
+        spec, angles={s: rng.uniform(-PI, PI, lead) for s in spec.symbols},
+        T=rng.integers(1, 6, lead))
+    single = spectrum.two_band_plan(spec, angles=generic_angles(spec, rng), T=4)
+    for grid_n in ({1: 37, 2: 13, 3: 5}[dim], 2):
+        axes = symmetry.momentum_axes(dim, grid_n, [period] * dim)
+        mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+        for plan, walks in ((stacked, (3,)), (single, ())):
+            shape = walks + (grid_n,) * dim
+            d0, d = spectrum.bloch_entries(*plan.entries(mesh))
+            want = np.stack([np.broadcast_to(x, shape) for x in d])
+            (got, norm), (got0, norm0) = (tp._mesh_bloch(plan, axes, shape, flag)
+                                          for flag in (False, True))
+            npt.assert_allclose(got, want, rtol=0, atol=1e-14)
+            npt.assert_allclose(got0, np.broadcast_to(d0, shape), rtol=0, atol=1e-14)
+            npt.assert_allclose(norm, np.sqrt((want * want).sum(axis=0)), rtol=0, atol=1e-14)
+            assert norm0.tobytes() == norm.tobytes()
+
+
 class TestMeshFourier:
     """The dense mesh pass sums Fourier terms (`Plan.fourier`); the step loop
     on the open mesh is its reference."""
@@ -448,26 +485,20 @@ class TestMeshFourier:
     @pytest.mark.parametrize("pid", TWO_BAND_IDS)
     @pytest.mark.parametrize("period", [PI, 2 * PI])
     def test_matches_step_loop(self, rng, pid, period):
-        spec = pr.registry_lookup(pid)
-        dim = spec.dimension
-        lead = (3,) + (1,) * dim
-        stacked = spectrum.two_band_plan(
-            spec, angles={s: rng.uniform(-PI, PI, lead) for s in spec.symbols},
-            T=rng.integers(1, 6, lead))
-        single = spectrum.two_band_plan(spec, angles=generic_angles(spec, rng), T=4)
-        for grid_n in ({1: 37, 2: 13, 3: 5}[dim], 2):
-            axes = symmetry.momentum_axes(dim, grid_n, [period] * dim)
-            mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-            for plan, walks in ((stacked, (3,)), (single, ())):
-                shape = walks + (grid_n,) * dim
-                d0, d = spectrum.bloch_entries(*plan.entries(mesh))
-                want = np.stack([np.broadcast_to(x, shape) for x in d])
-                (got, norm), (got0, norm0) = (tp._mesh_bloch(plan, axes, shape, flag)
-                                              for flag in (False, True))
-                npt.assert_allclose(got, want, rtol=0, atol=1e-14)
-                npt.assert_allclose(got0, np.broadcast_to(d0, shape), rtol=0, atol=1e-14)
-                npt.assert_allclose(norm, np.sqrt((want * want).sum(axis=0)), rtol=0, atol=1e-14)
-                assert norm0.tobytes() == norm.tobytes()
+        _assert_mesh_matches_step_loop(pr.registry_lookup(pid), rng, period)
+
+    @pytest.mark.parametrize("elements", [
+        (pr.Coin("beta"), pr.shift_both(2, 1)),
+        (pr.Coin("alpha"), pr.shift_both(3, 1, 2), pr.Coin("beta", pr.AXIS_NU),
+         pr.shift_both(3, 2))])
+    def test_walk_without_a_shift_along_axis_0(self, rng, elements):
+        """Every registered walk shifts along axis 0; a caller's walk need not,
+        and then each entry has only frequency 0 on the first axis."""
+        dim = len(elements[1].up)
+        spec = pr.ProtocolSpec(id="no-axis-0-shift", dimension=dim, elements=elements)
+        for freqs, _ in spectrum.two_band_plan(spec, angles=generic_angles(spec)).fourier():
+            assert freqs[0].tolist() == [0]
+        _assert_mesh_matches_step_loop(spec, rng, 2 * PI)
 
     @pytest.mark.parametrize("pid", TWO_BAND_IDS)
     def test_stacked_walk_equals_walk_alone(self, rng, pid):
