@@ -4,17 +4,18 @@ Conventions
 -----------
 * Every two-band quantity is the Bloch split (d0, d) of the compiled plan
   (`spectrum.bloch_entries` of its entries, on an open mesh for the gap
-  scan, the flat-band check and the winding and Chern grids).  One driver,
-  `_closings`, sets up the gap search for a stack of walks, one protocol at
-  several angles and step numbers, in one plan pass: one scan (`_scan`: local
-  minima of |d|, which the Chern reduction reuses) feeds one batched
-  Gauss-Newton refine of d(k) = 0 with the Jacobian split from the exact
-  dU/dk.  `find_gap_closings` (one walk) and `sweep_boundaries` (a chunk of
-  `classify-gaps` sweep values, whose flat-band check reads d0 from the same
-  mesh) search the full BZ, since they report closings there;
-  `_invariants` (`sweep_invariants`, and `winding_number` and `chern_number`
-  for one walk) searches the *minimal* momentum torus (see below), from the
-  same d that its winding or Chern reduction then reads.
+  scan, the flat-band check and the Chern grids).  One driver, `_closings`,
+  sets up the gap search for a stack of walks, one protocol at several
+  angles and step numbers (`_one_protocol` rejects any other stack), in one
+  plan pass: one scan (`_scan`: local minima of |d|, which the Chern
+  reduction reuses) feeds one batched Gauss-Newton refine of d(k) = 0 with
+  the Jacobian split from the exact dU/dk.  `find_gap_closings` (one walk)
+  and `sweep_boundaries` (a chunk of `classify-gaps` sweep values, whose
+  flat-band check reads d0 from the same mesh) search the full BZ, since
+  they report closings there; `_invariants` (`sweep_invariants`, and
+  `winding_number` and `chern_number` for one walk) searches the *minimal*
+  momentum torus (see below) of a 2D walk, from the same d that its Chern
+  reduction then reads.  1D windings need no mesh (see below).
 * Dense meshes (`_mesh_bloch`) are evaluated from the plan's Fourier
   coefficients (`Plan.fourier`), not by the step loop: contracted with the
   phasors of every momentum axis but the first once per call, then summed
@@ -32,7 +33,15 @@ Conventions
   (arc-type) touches sit at ~1e-5, so the 1e-6 threshold separates them by
   orders of magnitude on the bundled fixtures.
 * Winding numbers use the right-handed frame (e1, e2, A) built on the chiral
-  axis A; counterclockwise in (e1, e2) counts +1.
+  axis A; counterclockwise in (e1, e2) counts +1.  They are exact: the
+  in-plane loop z(k) = (e1 + i e2).d(k) is a Laurent polynomial
+  sum_{|f| <= F} z_f e^{ifk} read from the plan's Fourier coefficients, and
+  its winding over 2 pi is the number of roots of w^F z(w) inside the unit
+  circle, minus F (`_windings`: zeros minus poles, as in Verresen, Jones &
+  Pollmann, PRL 120, 057001, 2018); a pi-periodic walk winds half that over
+  its minimal torus.  A root whose nearest point e^{ik} on the circle has
+  |z| <= EPS_GAP is a gap closing at k (a chiral walk's d lies in the plane,
+  so |z| = |d|), where the winding is undefined.  The grid does not enter.
 * Chern numbers are the degree of n_hat: T^2 -> S^2 summed from signed
   plaquette solid angles over the protocol's *minimal* momentum torus (many
   registered walks are exactly pi-periodic per axis; over the full
@@ -48,7 +57,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BoundaryStateError, InvalidInputError
+from .errors import BoundaryStateError, DegenerateGridError, InvalidInputError
 from .protocols import ProtocolSpec, Shift, registry_lookup
 from .spectrum import EPS_GAP, bloch_entries, two_band_plan
 from .symmetry import chiral_axis, momentum_axes
@@ -370,6 +379,9 @@ def sweep_boundaries(specs: Sequence[ProtocolSpec], grid_n: int
     `classify_boundary` give them at max(grid_n, MIN_SCAN_GRID) points per
     axis, from one plan pass over the full BZ (`_closings`), whose d0 also
     serves the flat-band check."""
+    if not specs:
+        return []
+    _one_protocol(specs)
     d0, _, which, pts, pts_d0, resid = _closings(specs, max(grid_n, MIN_SCAN_GRID),
                                                  [2 * np.pi] * specs[0].dimension, True)
     out = []
@@ -450,16 +462,82 @@ def _plane_basis(A: np.ndarray):
     return e1, np.cross(A, e1)
 
 
-def _winding(d, A):
-    """(raw winding, min |d_perp|) of the loops d = (d_x, d_y, d_z) over their
-    trailing momentum axis, around the chiral axes A (3,) or (..., 3) of the
-    leading axes, in the right-handed frame (e1, e2, A) of each."""
-    e1, e2 = _plane_basis(np.asarray(A, dtype=float))
-    dvec = np.stack(d, axis=-1)
-    x, y = ((dvec @ e[..., :, None])[..., 0] for e in (e1, e2))
-    theta = np.arctan2(y, x)
-    dtheta = wrap_pi(np.diff(theta, axis=-1, append=theta[..., :1]))
-    return dtheta.sum(axis=-1) / (2 * np.pi), np.hypot(x, y).min(axis=-1)
+def _in_plane_coefficients(plan, A):
+    """The Laurent coefficients z_f, f = -F..F, of z(k) = (e1 + i e2).d(k) of
+    a stack of 1D walks about their chiral axes A (V, 3) (frames of
+    `_plane_basis`), as (V, 2F + 1): of d = (-Im c, Re c, -Im a) with a and c
+    from `Plan.fourier`, whose x_f e^{ifk} puts x_f / 2 (Re x) or x_f / 2i
+    (Im x) at f and the conjugate at -f.  F, the largest frequency of a or
+    c, is an integer for every special-unitary walk."""
+    ((fa,), ca), ((fc,), cc) = plan.fourier()
+    count = len(A)
+    ca, cc = np.broadcast_to(ca, (count, len(fa))), np.broadcast_to(cc, (count, len(fc)))
+    F = int(max(np.abs(fa).max(), np.abs(fc).max()))
+    e1, e2 = _plane_basis(A)
+    ux, uy, uz = (e1 + 1j * e2).T[..., None]
+    z = np.zeros((count, 2 * F + 1), dtype=complex)
+    for freqs, coef, up, down in ((fc, cc, (uy + 1j * ux) / 2, (uy - 1j * ux) / 2),
+                                  (fa, ca, 0.5j * uz, -0.5j * uz)):
+        z[:, (F + freqs).astype(int)] += up * coef
+        z[:, (F - freqs).astype(int)] += down * coef.conj()
+    return z
+
+
+def _root_count(z):
+    """Per row of Laurent coefficients z (V, 2F + 1), f = -F..F, of
+    z(k) = sum_f z_f e^{ifk}: the number of roots of w^F z(w) inside the unit
+    circle, and the least k at which |z| <= EPS_GAP (-pi if at every k), or
+    inf.  An exactly zero coefficient at the low (high) end is a root at 0
+    (at infinity); the other roots of each pattern of such zeros are the
+    eigenvalues of one batched companion matrix, and |z| is checked at the
+    point e^{ik} of the circle nearest each of them."""
+    count, degree = z.shape[0], z.shape[1] - 1
+    nonzero = z != 0
+    low = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), degree + 1)
+    high = degree - nonzero[:, ::-1].argmax(axis=1)
+    inside, closes = low.copy(), np.full(count, np.inf)
+    for lo, hi in set(zip(low.tolist(), high.tolist())):
+        mine = np.flatnonzero((low == lo) & (high == hi))
+        if hi <= lo:  # |z| is constant on the circle
+            closes[mine] = np.where(np.abs(z[mine, min(lo, degree)]) <= EPS_GAP, -np.pi, np.inf)
+            continue
+        companion = np.zeros((len(mine), hi - lo, hi - lo), dtype=complex)
+        companion[:, 1:, :-1] = np.eye(hi - lo - 1)
+        companion[:, :, -1] = -z[mine, lo:hi] / z[mine, hi, None]
+        roots = np.linalg.eigvals(companion)
+        inside[mine] += (np.abs(roots) < 1).sum(axis=1)
+        k = np.angle(roots)
+        on_circle = np.exp(1j * np.multiply.outer(k, np.arange(degree + 1) - degree // 2))
+        gap = np.abs((on_circle * z[mine, None, :]).sum(axis=-1))
+        closes[mine] = np.where(gap <= EPS_GAP, wrap_pi(k), np.inf).min(axis=1)
+    return inside, closes
+
+
+def _windings(specs: Sequence[ProtocolSpec]) -> list:
+    """The 1D branch of `_invariants` (see the module docstring): per walk,
+    (n, float(n)) from the roots of its in-plane Laurent polynomial, or the
+    BoundaryStateError that says why it has none.  A walk with too few
+    gap-open momenta to fit its chiral axis has no winding either."""
+    results: list = [None] * len(specs)
+    axes = {}
+    for i, spec in enumerate(specs):
+        try:
+            axes[i] = chiral_axis(spec)
+        except DegenerateGridError as err:
+            results[i] = BoundaryStateError(f"winding undefined: {err}")
+    todo = list(axes)
+    if not todo:
+        return results
+    angles = {sym: np.array([specs[i].angles[sym] for i in todo]) for sym in specs[0].angles}
+    plan = two_band_plan(specs[0], angles=angles, T=np.array([specs[i].T for i in todo]))
+    z = _in_plane_coefficients(plan, np.array(list(axes.values())))
+    inside, closes = _root_count(z)
+    halves = 2 if momentum_period(specs[0], 0) == np.pi else 1
+    windings = ((inside - z.shape[1] // 2) // halves).tolist()
+    for i, n, k in zip(todo, windings, closes.tolist()):
+        results[i] = (n, float(n)) if k == np.inf else BoundaryStateError(
+            f"winding undefined: the gap closes at k = {[round(k, 6)]}")
+    return results
 
 
 def _solid_angle(a, b, c):
@@ -511,7 +589,9 @@ def _quantized(what: str, raw: float, margin: float) -> int:
 
 
 def winding_number(spec_or_id, *, angles=None, T=None, grid_n: int = 256) -> WindingResult:
-    """Winding of the in-plane Bloch vector around the origin (1D chiral walks)."""
+    """Winding of the in-plane Bloch vector around the origin (1D chiral
+    walks), counted exactly from the roots of its Fourier polynomial; grid_n
+    is checked but does not change it."""
     return WindingResult(*_one_walk("winding_number", 1, spec_or_id, angles, T, grid_n))
 
 
@@ -525,7 +605,6 @@ def _one_walk(name: str, dim: int, spec_or_id, angles, T, grid_n) -> Tuple[int, 
     spec = registry_lookup(spec_or_id, T=T, angles=angles)
     if spec.dimension != dim:
         raise InvalidInputError(f"{name} needs a {dim}D protocol")
-    _check_grid(grid_n)
     (result,) = _invariants([spec], grid_n)
     if isinstance(result, BoundaryStateError):
         raise result
@@ -535,41 +614,58 @@ def _one_walk(name: str, dim: int, spec_or_id, angles, T, grid_n) -> Tuple[int, 
 def sweep_invariants(specs: Sequence[ProtocolSpec],
                      grid_n: int) -> List[Optional[Tuple[int, float]]]:
     """The winding (1D) or Chern (2D) number of each walk of `specs`, one
-    protocol at several angles and step numbers, from one plan pass: (n, raw)
-    per walk, or None where its gap closes or the invariant is undefined."""
+    protocol at several angles and step numbers, in one pass: (n, raw) per
+    walk, or None where its gap closes or the invariant is undefined."""
     return [None if isinstance(r, BoundaryStateError) else r for r in _invariants(specs, grid_n)]
+
+
+def _one_protocol(specs: Sequence[ProtocolSpec]) -> None:
+    """InvalidInputError unless the walks `specs` differ only in T and the
+    values of their angles: a stack is compiled as the first walk's protocol."""
+    def protocol(s):
+        return s.id, s.dimension, s.elements, s.doubled, s.angles.keys()
+
+    first = protocol(specs[0])
+    for spec in specs[1:]:
+        if protocol(spec) != first:
+            raise InvalidInputError(f"a stack of walks is one protocol at several angles and"
+                                    f" step numbers; {spec.id!r} differs from {specs[0].id!r}")
 
 
 def _invariants(specs: Sequence[ProtocolSpec], grid_n: int) -> list:
     """The one invariant route: per walk, (n, raw) or the BoundaryStateError
-    that says why it has none.  The gap search (`_closings`) runs on the open
-    mesh of the minimal momentum torus at grid_n points per axis, so a closing
+    that says why it has none.  1D walks count the roots of their in-plane
+    Fourier polynomial (`_windings`), exactly and with no mesh; grid_n is
+    still checked.  2D walks run the gap search (`_closings`) on the open mesh
+    of the minimal momentum torus at grid_n points per axis, so a closing
     between mesh points is refined, not hidden by the degree (an integer on any
-    mesh).  The walks with no candidate refined to |d| <= EPS_GAP reduce the
-    same d (`_winding` about their chiral axes, or `_chern`) to `_quantized`."""
-    count, dim = len(specs), specs[0].dimension
+    mesh); the walks with no candidate refined to |d| <= EPS_GAP reduce the
+    same d (`_chern`) to `_quantized`."""
+    _check_grid(grid_n)
+    if not specs:
+        return []
+    _one_protocol(specs)
+    dim = specs[0].dimension
     if dim not in (1, 2):
         raise InvalidInputError("invariants are computed for 1D (winding) and 2D (Chern) only")
-    what = "winding" if dim == 1 else "Chern number"
+    if dim == 1:
+        return _windings(specs)
     periods = [momentum_period(specs[0], ax) for ax in range(dim)]
     d, norm, which, pts, _, resid = _closings(specs, grid_n, periods)
-    results: list = [None] * count
+    results: list = [None] * len(specs)
     closes = np.flatnonzero(resid <= EPS_GAP)[::-1]
     for i, j in dict(zip(which[closes].tolist(), closes.tolist())).items():  # each walk's first
         results[i] = BoundaryStateError(
-            f"{what} undefined: the gap closes at k = {wrap_pi(pts[j]).round(6).tolist()}")
+            f"Chern number undefined: the gap closes at k = {wrap_pi(pts[j]).round(6).tolist()}")
     todo = [i for i, r in enumerate(results) if r is None]
     if not todo:
         return results
-    if len(todo) < count:
+    if len(todo) < len(specs):
         d, norm = d[:, todo], norm[todo]
-    if dim == 1:
-        raw, margin = _winding(d, [chiral_axis(specs[i]) for i in todo])
-    else:
-        raw, margin = _chern(d, norm)
+    raw, margin = _chern(d, norm)
     for i, r, m in zip(todo, raw.tolist(), margin.tolist()):
         try:
-            results[i] = (_quantized(what, r, m), r)
+            results[i] = (_quantized("Chern number", r, m), r)
         except BoundaryStateError as err:
             results[i] = err
     return results

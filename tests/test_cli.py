@@ -367,6 +367,19 @@ class TestInvariant:
         assert lines[0] == "sweep_param,invariant,raw,status"
         assert any(line.endswith("ok") for line in lines[1:])
 
+    def test_winding_next_to_a_touching_is_exact(self, tmp_path):
+        # the loop passes 2.5e-6 ... 3.1e-5 from the origin at alpha = -1.572 ...
+        # -1.568, between the points of any mesh; the winding is -1 on both
+        # sides of the touching at alpha = -pi/2
+        out = tmp_path / "w.csv"
+        assert run(["invariant", "--protocol", "1d-chs", "--steps", "6",
+                    "--sweep", "alpha:-1.58:-1.56:11",
+                    "--link", "beta=alpha:0.3333333333333333:1.0471975511965976",
+                    "--grid", "256", "--out", str(out)]) == 0
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+        assert len(rows) == 11
+        assert all(r[1:] == ["-1", "-1.0", "ok"] for r in rows)
+
     def test_3d_is_unsupported(self, tmp_path):
         cfg = small_bands_cfg(tmp_path, protocol="3d-simple", angles={},
                               sweep={"symbol": "beta", "start": 0.1, "stop": 0.3,

@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from topowalk import protocols as pr
 from topowalk import spectrum
 from topowalk import symmetry
 from topowalk import topology as tp
-from topowalk.errors import BoundaryStateError, InvalidInputError
+from topowalk.errors import BoundaryStateError, DegenerateGridError, InvalidInputError
 from topowalk.spectrum import EPS_GAP
 
 PI = np.pi
@@ -296,16 +297,15 @@ class TestWinding:
         assert a.w == b.w
         assert abs(a.raw - b.raw) <= 1e-3
 
-    def test_orientation_reversal_flips_sign(self):
+    def test_orientation_reversal_flips_sign(self, monkeypatch):
+        # the root count about -A, whose frame (e1, e2, -A) turns the other way
         spec = pr.registry_lookup("1d-chs", T=6,
                                   angles={"alpha": 2.094, "beta": (2.094 + PI) / 3})
-        A = symmetry.chiral_axis(spec)
-        axes = symmetry.momentum_axes(1, 256, [tp.momentum_period(spec, 0)])
-        d = tp._mesh_bloch(spectrum.two_band_plan(spec), axes, (256,))[0]
-        w_fwd, w_rev = (tp._quantized("winding", *map(float, tp._winding(d, A * sign)))
-                        for sign in (1.0, -1.0))
-        assert w_fwd == -w_rev != 0
-        assert w_fwd == tp.winding_number(spec).w
+        w_fwd = tp.winding_number(spec)
+        monkeypatch.setattr(tp, "chiral_axis", lambda s: -symmetry.chiral_axis(s))
+        w_rev = tp.winding_number(spec)
+        assert w_fwd.w == -w_rev.w != 0
+        assert (w_fwd.raw, w_rev.raw) == (float(w_fwd.w), float(w_rev.w))
 
     def test_winding_supported_for_planar_split_walk(self):
         res = tp.winding_number("1d-split", angles={"alpha": 0.3, "beta": 0.9}, T=2)
@@ -449,6 +449,113 @@ class TestSweepInvariants:
     def test_rejects_3d(self):
         with pytest.raises(InvalidInputError):
             tp.sweep_invariants([pr.registry_lookup("3d-simple")], 8)
+
+    @pytest.mark.parametrize("pids", [("2d-phs", "2d-nosym"), ("1d-chs", "1d-split"),
+                                      ("1d-chs", "2d-phs")])
+    @pytest.mark.parametrize("sweep", [tp.sweep_invariants, tp.sweep_boundaries])
+    def test_rejects_a_stack_of_two_protocols(self, pids, sweep):
+        # a stack is compiled as its first walk's protocol: 2d-nosym's gamma
+        # would be ignored, 1d-split's coin axes replaced by 1d-chs's
+        specs = [pr.registry_lookup(pid, T=2, angles=generic_angles(pr.REGISTRY[pid]))
+                 for pid in pids]
+        with pytest.raises(InvalidInputError, match="one protocol"):
+            sweep(specs, 32)
+
+    @pytest.mark.parametrize("sweep", [tp.sweep_invariants, tp.sweep_boundaries])
+    def test_empty_stack_has_no_results(self, sweep):
+        assert sweep([], 32) == []
+
+
+def _reference_windings(specs):
+    """Per 1D walk, its winding or None at a boundary, independently of the
+    root route: the Laurent coefficients of z(k) = (e1 + i e2).d(k), in a
+    frame of its own about the chiral axis, by FFT of the step loop's d at 8
+    momenta, then numpy.roots of w z(w) one walk at a time.  A walk whose
+    chiral axis cannot be fitted must have d = 0 at every sample."""
+    k = 2 * PI * np.arange(8) / 8
+    plan = spectrum.two_band_plan(
+        specs[0], angles={s: np.array([[w.angles[s]] for w in specs]) for s in specs[0].angles},
+        T=np.array([[w.T] for w in specs]))
+    d = np.stack(spectrum.bloch_entries(*plan.entries(k))[1], axis=-1)
+    out, axes = [None] * len(specs), {}
+    for i, spec in enumerate(specs):
+        assert tp.momentum_period(spec, 0) == 2 * PI
+        try:
+            axes[i] = symmetry.chiral_axis(spec)
+        except DegenerateGridError:
+            assert np.abs(d[i]).max() <= EPS_GAP
+    todo, A = list(axes), np.array(list(axes.values()))
+    e1 = np.cross(A, np.eye(3)[np.argmin(np.abs(A), axis=1)])
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    coef = np.fft.fft((d[todo] @ (e1 + 1j * np.cross(A, e1))[:, :, None])[..., 0]) / 8
+    assert np.abs(coef[:, 2:7]).max() <= 1e-12  # z_f at f mod 8: frequencies -1, 0, 1 only
+    for i, (z0, z1, *_, z_1) in zip(todo, coef):
+        roots = np.roots([z1, z0, z_1])
+        on_circle = np.exp(1j * np.angle(roots))
+        gap = np.abs(z_1 / on_circle + z0 + z1 * on_circle)
+        out[i] = None if (gap <= EPS_GAP).any() else int((np.abs(roots) < 1).sum()) - 1
+    return out
+
+
+class TestRootCount:
+    """The 1D windings of `sweep_invariants` equal an independent root count."""
+
+    def test_fig6_line(self):
+        # 20,001 values of fig6's line; at 36 of them, all within 5.7e-3 of the
+        # touching at alpha = -pi/2, the loop passes the origin between the
+        # points of a 256-point mesh
+        specs = [pr.registry_lookup("1d-chs", T=6, angles={"alpha": a, "beta": a / 3 + PI / 3})
+                 for a in np.linspace(-PI, PI, 20001).tolist()]
+        want = _reference_windings(specs)
+        assert tp.sweep_invariants(specs, 256) == [None if n is None else (n, float(n))
+                                                   for n in want]
+        assert {-1, 0, 1, None} == set(want)
+
+    @pytest.mark.parametrize("pid, gapless", [("1d-simple", 0), ("1d-split", 9), ("1d-chs", 0)])
+    def test_special_angle_lattice(self, pid, gapless):
+        # exactly zero coefficients, and 1d-split walks gapless at every k
+        symbols = pr.REGISTRY[pid].symbols
+        values = [0.0, PI / 2, -PI / 2, PI, PI / 3, 2 * PI, 0.7]
+        specs = [pr.registry_lookup(pid, T=T, angles=dict(zip(symbols, angles)))
+                 for T in (1, 2, 6) for angles in product(values, repeat=len(symbols))]
+        want = _reference_windings(specs)
+        assert tp.sweep_invariants(specs, 2) == [None if n is None else (n, float(n))
+                                                 for n in want]
+        assert sum(np.abs(spectrum.bloch(s, np.linspace(-PI, PI, 9)).d).max() <= EPS_GAP
+                   for s in specs) == gapless
+
+
+@pytest.mark.parametrize("z, winding, closes", [
+    ([0.0, 0.5, 1.0], 1, None),  # 0.5 + e^{ik}: roots 0 and -0.5 of w z(w)
+    ([1.0, 0.5, 0.0], -1, None),  # e^{-ik} + 0.5: roots -2 and infinity
+    ([0.0, 2.0, 0.0], 0, None),  # 2: roots 0 and infinity
+    ([1.0, 0.0, 1.0], None, -PI / 2),  # 2 cos k: roots -i and i on the circle
+    ([0.0, 1e-12, 0.0], None, -PI),  # |z| = 1e-12 at every k
+    ([0.0, 0.0, 0.0], None, -PI)])
+def test_root_count_puts_exactly_zero_ends_at_zero_and_infinity(z, winding, closes):
+    # stacked beside 2 e^{-ik} + 1 + 0.5 e^{ik}, whose roots -1 +- i sqrt(3) are outside
+    inside, k = tp._root_count(np.array([z, [2.0, 1.0, 0.5]], dtype=complex))
+    assert inside[1] - 1 == -1 and k[1] == np.inf
+    if winding is None:
+        assert k[0] == pytest.approx(closes, abs=1e-12)
+    else:
+        assert (inside[0] - 1, k[0]) == (winding, np.inf)
+
+
+class TestChernNearBoundary:
+    """2D stays on the mesh: grids 32 and 128 agree next to a catalogued boundary."""
+
+    @pytest.mark.parametrize("pid, T, angles, beta", [
+        ("2d-phs", 2, {"alpha": PI / 3}, PI / 6),
+        ("2d-nosym", 3, {"alpha": PI / 3, "gamma": PI / 4}, 3 * PI / 4)])
+    def test_grid_ladder(self, pid, T, angles, beta):
+        offsets = [sign * 10.0 ** -e for e in range(1, 7) for sign in (1, -1)]
+        specs = [pr.registry_lookup(pid, T=T, angles=dict(angles, beta=beta + delta))
+                 for delta in offsets]
+        coarse, fine = ([None if r is None else r[0] for r in tp.sweep_invariants(specs, n)]
+                        for n in (32, 128))
+        assert coarse == fine
+        assert 0 in fine and len(set(fine) - {None}) == 2  # the ladder crosses the boundary
 
 
 TWO_BAND_IDS = [pid for pid in pr.PROTOCOL_IDS if pr.REGISTRY[pid].bands == 2]
