@@ -14,9 +14,11 @@ error before any row is computed, and a failed run creates no file.
 Identical configs produce byte-identical artifacts for any worker count: rows
 are computed by pure functions and merged in sweep order.  Every sweep
 command computes them per chunk of sweep values, one plan pass per chunk of at
-most CHUNK_POINTS values x grid points (at least one value; `classify-gaps`
-counts its scan grid of at least topology.MIN_SCAN_GRID points per axis), so
-the chunk boundaries depend on the grid alone.
+most CHUNK_POINTS values x points (at least one value).  The points are the
+grid's, or for `classify-gaps` and 2D `invariant` the scan grid's, of at least
+topology.MIN_SCAN_GRID points per axis; a 1D `invariant` value reads no mesh
+and counts the entries of its companion matrix (`_invariant_points`).  So the
+chunk boundaries depend on the config alone.
 
 `bands` runs in two passes, both in the calling process for any number of
 workers: pass 1 is a few milliseconds of numerics per chunk, less than a
@@ -47,7 +49,7 @@ from .config import (KEYS, LINK_KEYS, SCHEMA, SWEEP_KEYS, SweepConfig, config_fr
 from .errors import (ClassificationError, InvalidInputError, UnknownProtocolError,
                      WalkError)
 from .protocols import PROTOCOL_IDS, registry_lookup
-from .spectrum import EPS_GAP, bands_with_velocity
+from .spectrum import EPS_GAP, bands_with_velocity, two_band_plan
 from . import symmetry, topology
 
 # sweep values x grid points per plan pass of a sweep command, and per piece
@@ -288,6 +290,19 @@ def _chunks(cfg: SweepConfig, points: int) -> list:
     return [values[i:i + size] for i in range(0, len(values), size)]
 
 
+def _invariant_points(spec, grid: int) -> int:
+    """The points per sweep value by which `invariant` sizes its chunks.  A
+    2D value is the gap search's mesh of max(grid, topology.MIN_SCAN_GRID)
+    points per axis.  A 1D value reads no mesh: its winding is counted on one
+    (2F)^2 companion matrix (`topology._root_count`), F the largest frequency
+    of (a, c), which the shifts alone fix, so a chunk's companion matrices
+    hold at most CHUNK_POINTS complex entries (128 KiB), and the phasors of
+    its closing check about as many again."""
+    if spec.dimension == 2:
+        return max(grid, topology.MIN_SCAN_GRID) ** 2
+    return int(2 * max(np.abs(freqs).max() for (freqs,), _ in two_band_plan(spec).fourier())) ** 2
+
+
 def _map_values(cfg: SweepConfig, values, fn, workers: int):
     workers = min(workers, len(values))  # no idle processes, no pool for one task
     if workers > 1:
@@ -383,8 +398,8 @@ def _cmd_invariant(args) -> int:
             raise InvalidInputError(
                 f"winding needs a chiral protocol with a momentum-independent axis:"
                 f" {err}") from None
-    texts = _map_values(cfg, _chunks(cfg, cfg.grid ** spec.dimension), _invariant_chunk_rows,
-                        cfg.workers)
+    texts = _map_values(cfg, _chunks(cfg, _invariant_points(spec, cfg.grid)),
+                        _invariant_chunk_rows, cfg.workers)
     _write_text(cfg.out, ["\n".join(["sweep_param,invariant,raw,status"] + texts) + "\n"])
     return 0
 

@@ -42,11 +42,18 @@ Conventions
   its minimal torus.  A root whose nearest point e^{ik} on the circle has
   |z| <= EPS_GAP is a gap closing at k (a chiral walk's d lies in the plane,
   so |z| = |d|), where the winding is undefined.  The grid does not enter.
-* Chern numbers are the degree of n_hat: T^2 -> S^2 summed from signed
-  plaquette solid angles over the protocol's *minimal* momentum torus (many
-  registered walks are exactly pi-periodic per axis; over the full
-  [-pi, pi)^2 square the degree would simply repeat).  The orientation
-  constant is fixed so the two-band 2D particle-hole walk at
+* Chern numbers are the degree of n_hat: T^2 -> S^2 over the protocol's
+  *minimal* momentum torus (many registered walks are exactly pi-periodic
+  per axis; over the full [-pi, pi)^2 square the degree would simply
+  repeat), on at least MIN_SCAN_GRID points per axis.  The degree is the
+  signed number of preimages of any regular value (Milnor, Topology from the
+  Differentiable Viewpoint, 1965), so `_chern` counts the mesh triangles
+  whose geodesic image covers one fixed direction p, off every high-symmetry
+  direction of d, each by the sign of its orientation: an exact integer, with
+  no solid angle.  Each edge's side of p is one 2x2 determinant shared by its
+  two triangles, and an exact zero is broken by one fixed infinitesimal move
+  of p (Edelsbrunner & Muecke, Simulation of Simplicity, ACM TOG 9, 1990).
+  The orientation constant is fixed so the two-band 2D particle-hole walk at
   T=2, alpha=pi/3, beta=pi/4 carries Chern number +1.
 """
 from __future__ import annotations
@@ -67,11 +74,24 @@ FIT_WINDOW = 0.05
 DIRAC_MIN_SLOPE = 0.1
 DIRAC_RESIDUAL_REL = 1e-6
 MERGE_TOL = 1e-6
-QUANT_TOL = 0.02
+QUANT_TOL = 0.02  # |raw - n| allowed on an `ok` row: raw is exact; the benchmark's checks read it
 HIGH_SYMMETRY_TOL = 1e-6
 MIN_SCAN_GRID = 32  # points per axis, at least, of the scan for gap closings
 BLOCK_POINTS = 2 ** 14  # mesh points per block of a dense-mesh pass: its temporaries fit in L2
 CHERN_ORIENTATION = -1.0  # fixes the reference 2D PHS fixture to +1
+
+
+def _euler_zyz(a: float, b: float, c: float) -> np.ndarray:
+    """The proper rotation Rz(a) Ry(b) Rz(c)."""
+    def rz(t):
+        return np.array([[np.cos(t), -np.sin(t), 0], [np.sin(t), np.cos(t), 0], [0, 0, 1]])
+    ry = np.array([[np.cos(b), 0, np.sin(b)], [0, 1, 0], [-np.sin(b), 0, np.cos(b)]])
+    return rz(a) @ ry @ rz(c)
+
+
+# the frame of the Chern count (`_chern`): irrational Euler angles put the
+# counted direction p = CHERN_FRAME^T e_z off every high-symmetry direction of d
+CHERN_FRAME = _euler_zyz(np.sqrt(2.0), np.sqrt(3.0) / 2, np.sqrt(0.5))
 
 
 def wrap_pi(x):
@@ -260,10 +280,10 @@ def _scan(vals, cells):
 def _closings(specs: Sequence[ProtocolSpec], grid_n: int, periods, d0: bool = False):
     """The gap search of the walks `specs`, one protocol at several angles and
     step numbers, from one plan pass: their angles and T are (V, 1, ...)
-    arrays against the open mesh of the momentum `periods` at grid_n points
-    per axis.  `_scan` takes the local minima of |d| on that mesh (on a
-    separate MIN_SCAN_GRID mesh if grid_n is smaller), and one `_gauss_newton`
-    solve refines all of them, each at its own walk's angles and T.
+    arrays against the open mesh of the momentum `periods` at grid_n
+    (>= MIN_SCAN_GRID) points per axis.  `_scan` takes the local minima of |d|
+    on that mesh, and one `_gauss_newton` solve refines all of them, each at
+    its own walk's angles and T.
 
     Returns d (or d0 if `d0`) and |d| on the mesh (V, grid_n, ...) as
     `_mesh_bloch` gives them, the walk index of each start point, and each
@@ -276,11 +296,8 @@ def _closings(specs: Sequence[ProtocolSpec], grid_n: int, periods, d0: bool = Fa
     plan = two_band_plan(spec, angles=angles, T=steps)
     mesh, norm = _mesh_bloch(plan, momentum_axes(dim, grid_n, periods),
                              (count,) + (grid_n,) * dim, d0)
-    scan_n = max(grid_n, MIN_SCAN_GRID)
-    scan_norm = norm if scan_n == grid_n else _mesh_bloch(
-        plan, momentum_axes(dim, scan_n, periods), (count,) + (scan_n,) * dim, True)[1]
-    cells = np.divide(periods, scan_n)
-    rows, starts = _scan(scan_norm, cells)
+    cells = np.divide(periods, grid_n)
+    rows, starts = _scan(norm, cells)
     which = rows[:, 0]
     per_start = two_band_plan(spec, T=steps.ravel()[which],
                               angles={sym: a.ravel()[which] for sym, a in angles.items()})
@@ -540,52 +557,84 @@ def _windings(specs: Sequence[ProtocolSpec]) -> list:
     return results
 
 
-def _solid_angle(a, b, c):
-    """Signed solid angle of the spherical triangle of unit vectors a, b, c,
-    each given as its component triple (x, y, z) of arrays."""
-    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = a, b, c
-    num = ax * (by * cz - bz * cy) + ay * (bz * cx - bx * cz) + az * (bx * cy - by * cx)
-    den = (1.0 + (ax * bx + ay * by + az * bz) + (bx * cx + by * cy + bz * cz)
-           + (cx * ax + cy * ay + cz * az))
-    return 2.0 * np.arctan2(num, den)
+def _corners(d, walk, i, s, offsets):
+    """d (3, V, N, N) at the mesh points (i + di, s + ds), cyclically, of the
+    walks `walk`, one (3, K) array per offset (di, ds)."""
+    n = d.shape[-1]
+    return [d[:, walk, (i + di) % n, (s + ds) % n] for di, ds in offsets]
 
 
 def _chern(d, norm):
     """(raw Chern number, min |d|) of each walk of d (3, V, N, N), with |d|
-    `norm`, over its trailing two axes, a periodic mesh: the plaquette solid
-    angles of n_hat = d / |d|.  Per block of rows, one reused tile holds n_hat
-    on rows of w = N + 1 (the block's rows, the next one, cyclically, and one of
-    padding; column N wraps column 0), so the corners (r, s), (r+1, s),
-    (r+1, s+1), (r, s+1) are contiguous slices at offsets 0, w, w + 1 and 1;
-    omega (column N left out) is summed whole."""
+    `norm`, over its trailing two axes, a periodic mesh: CHERN_ORIENTATION
+    times the signed count of the mesh triangles (r, s) (r+1, s) (r+1, s+1)
+    and (r, s) (r+1, s+1) (r, s+1) whose geodesic image under n_hat covers
+    the direction p = CHERN_FRAME^T e_z, or NaN where n_hat is exactly
+    antipodal across a mesh edge.
+
+    In the frame (x', y') = CHERN_FRAME[:2] d, every row, column and diagonal
+    edge a -> b has det(a, b, p) = x'_a y'_b - y'_a x'_b, formed once and
+    shared by its two triangles, so their signs agree; an exact 0 counts as
+    positive in that stored direction, and its endpoints are looked at in 3D.
+    A triangle whose three edge signs agree covers p or -p; det(a, b, c) of
+    the same sign says p.  Per block of rows, one reused tile holds (x', y')
+    on rows of w = N + 1 (the block's rows, the next one, cyclically, and one
+    of padding; column N wraps column 0), so the corners (r, s), (r+1, s),
+    (r+1, s+1), (r, s+1) are contiguous slices at offsets 0, w, w + 1 and 1."""
     count, n, w = len(norm), norm.shape[-1], norm.shape[-1] + 1
     blocks = _blocks(n, w * count)
-    tile = np.zeros((3, count, max(b.stop - b.start for b in blocks) + 2, w))
-    flat = tile.reshape(3, count, -1)
-    omega = np.empty(norm.shape)
+    size = max(b.stop - b.start for b in blocks)
+    tile = np.zeros((2, count, size + 2, w))
+    x, y = tile.reshape(2, count, -1)
+    dets, tmp = np.empty((3, count, (size + 1) * w)), np.empty(count * (size + 1) * w)
+    degree, antipodal = np.zeros(count, dtype=np.int64), np.zeros(count, dtype=bool)
     for rows in blocks:
         r, below = rows.stop - rows.start, rows.stop % n
-        with np.errstate(divide="ignore", invalid="ignore"):  # min |d| flags d = 0
-            np.divide(d[:, :, rows], norm[:, rows], out=tile[..., :r, :n])
-            np.divide(d[:, :, below], norm[:, below], out=tile[..., r, :n])
+        for frame, dest in zip(CHERN_FRAME[:2], tile):
+            for at, src in ((slice(0, r), d[:, :, rows]), (r, d[:, :, below])):
+                out = dest[:, at, :n]
+                part = tmp[:out.size].reshape(out.shape)
+                np.multiply(src[0], frame[0], out=out)
+                out += np.multiply(src[1], frame[1], out=part)
+                out += np.multiply(src[2], frame[2], out=part)
         tile[..., :r + 1, n] = tile[..., :r + 1, 0]
-        n1, n2, n3, n4 = ([x[..., k:r * w + k] for x in flat] for k in (0, w, w + 1, 1))
-        part = _solid_angle(n1, n2, n3) + _solid_angle(n1, n3, n4)
-        omega[:, rows] = part.reshape(count, r, w)[..., :n]
-    return CHERN_ORIENTATION * omega.sum(axis=(-2, -1)) / (4 * np.pi), norm.min(axis=(-2, -1))
+        length = r * w
+        formed = (length + 1, length + w, length)  # row, column, diagonal edges
+        for det, off, m in zip(dets, (w, 1, w + 1), formed):
+            np.multiply(x[:, :m], y[:, off:off + m], out=det[:, :m])
+            det[:, :m] -= np.multiply(y[:, :m], x[:, off:off + m],
+                                      out=tmp[:count * m].reshape(count, m))
+            walk, j = np.divmod(np.flatnonzero(det[:, :length] == 0), length)
+            walk, j = walk[j % w < n], j[j % w < n]
+            if walk.size:
+                a, b = _corners(d, walk, rows.start + j // w, j % w, ((0, 0), divmod(off, w)))
+                flip = (np.cross(a, b, axis=0) == 0).all(axis=0) & ((a * b).sum(axis=0) < 0)
+                antipodal[walk[flip]] = True
+        rp, cp, dp = (det[:, :m] >= 0 for det, m in zip(dets, formed))  # an exact 0 is positive
+        for agree, up, corners in (
+                ((rp[:, :length] == cp[:, w:]) & (rp[:, :length] != dp), rp, ((1, 0), (1, 1))),
+                ((dp != rp[:, 1:]) & (dp != cp[:, :length]), dp, ((1, 1), (0, 1)))):
+            agree.reshape(count, r, w)[..., n] = False
+            walk, j = np.divmod(np.flatnonzero(agree), length)
+            if walk.size:
+                a, b, c = _corners(d, walk, rows.start + j // w, j % w, ((0, 0),) + corners)
+                sign = np.where(up[walk, j], 1, -1)
+                covers = np.sign((a * np.cross(b, c, axis=0)).sum(axis=0)) == sign
+                np.add.at(degree, walk[covers], sign[covers])
+    raw = CHERN_ORIENTATION * degree + 0.0  # + 0.0: a count of 0 gives 0.0, not -0.0
+    raw[antipodal] = np.nan
+    return raw, norm.min(axis=(-2, -1))
 
 
 def _quantized(what: str, raw: float, margin: float) -> int:
-    """The integer nearest raw; BoundaryStateError if the invariant `what` is
+    """The integer raw; BoundaryStateError if the invariant `what` is
     undefined: d came within EPS_GAP of the origin (`margin`, its least
-    distance) or raw is not within QUANT_TOL of an integer."""
+    distance), or raw is NaN (`_chern`: n_hat antipodal across a mesh edge)."""
     if margin <= EPS_GAP:
         raise BoundaryStateError(f"{what} undefined: d passes the origin (min |d| = {margin:.2e})")
-    n = int(round(raw))
-    if abs(raw - n) > QUANT_TOL:
-        raise BoundaryStateError(f"{what} not quantized: raw = {raw:.4f} (gap closing between"
-                                 f" grid points?)")
-    return n
+    if raw != raw:
+        raise BoundaryStateError(f"{what} undefined: n_hat is antipodal across a mesh edge")
+    return int(raw)
 
 
 def winding_number(spec_or_id, *, angles=None, T=None, grid_n: int = 256) -> WindingResult:
@@ -596,7 +645,9 @@ def winding_number(spec_or_id, *, angles=None, T=None, grid_n: int = 256) -> Win
 
 
 def chern_number(spec_or_id, *, angles=None, T=None, grid_n: int = 64) -> ChernResult:
-    """Degree of n_hat over the minimal 2D momentum torus (plaquette solid angles)."""
+    """Degree of n_hat over the minimal 2D momentum torus (`_chern`: the
+    signed mesh triangles covering one direction), on at least MIN_SCAN_GRID
+    points per axis."""
     return ChernResult(*_one_walk("chern_number", 2, spec_or_id, angles, T, grid_n))
 
 
@@ -637,10 +688,11 @@ def _invariants(specs: Sequence[ProtocolSpec], grid_n: int) -> list:
     that says why it has none.  1D walks count the roots of their in-plane
     Fourier polynomial (`_windings`), exactly and with no mesh; grid_n is
     still checked.  2D walks run the gap search (`_closings`) on the open mesh
-    of the minimal momentum torus at grid_n points per axis, so a closing
-    between mesh points is refined, not hidden by the degree (an integer on any
-    mesh); the walks with no candidate refined to |d| <= EPS_GAP reduce the
-    same d (`_chern`) to `_quantized`."""
+    of the minimal momentum torus at max(grid_n, MIN_SCAN_GRID) points per
+    axis, so a closing between mesh points is refined, not hidden by the
+    degree (an integer on any mesh), and no coarser mesh is counted; the walks
+    with no candidate refined to |d| <= EPS_GAP reduce the same d (`_chern`)
+    to `_quantized`."""
     _check_grid(grid_n)
     if not specs:
         return []
@@ -651,7 +703,7 @@ def _invariants(specs: Sequence[ProtocolSpec], grid_n: int) -> list:
     if dim == 1:
         return _windings(specs)
     periods = [momentum_period(specs[0], ax) for ax in range(dim)]
-    d, norm, which, pts, _, resid = _closings(specs, grid_n, periods)
+    d, norm, which, pts, _, resid = _closings(specs, max(grid_n, MIN_SCAN_GRID), periods)
     results: list = [None] * len(specs)
     closes = np.flatnonzero(resid <= EPS_GAP)[::-1]
     for i, j in dict(zip(which[closes].tolist(), closes.tolist())).items():  # each walk's first

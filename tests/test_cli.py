@@ -407,7 +407,11 @@ class TestInvariantChunks:
     def test_rows_match_per_value_reference(self, tmp_path, monkeypatch, case):
         overrides, symbol = INVARIANT_CASES[case]
         dim = int(overrides["protocol"][0])
-        count = cli.CHUNK_POINTS // overrides["grid"] ** dim + 2  # two chunks
+        points = cli._invariant_points(registry_lookup(overrides["protocol"]), overrides["grid"])
+        # a 1D value is one 4-entry companion matrix, so two chunks of the
+        # default size would be 2,050 values: chunks of at most 64 values
+        monkeypatch.setattr(cli, "CHUNK_POINTS", min(cli.CHUNK_POINTS, 64 * points))
+        count = cli.CHUNK_POINTS // points + 2  # two chunks
         sweep = ({"symbol": "T", "start": 1, "stop": count, "count": count} if symbol == "T"
                  else {"symbol": symbol, "start": -PI, "stop": PI, "count": count})
         path = small_bands_cfg(tmp_path, sweep=sweep, **overrides)
@@ -419,7 +423,7 @@ class TestInvariantChunks:
                         "--workers", workers]) == 0
             outs.append(out.read_bytes())
         # chunks of three values: the sweep straddles many of them
-        monkeypatch.setattr(cli, "CHUNK_POINTS", 3 * overrides["grid"] ** dim)
+        monkeypatch.setattr(cli, "CHUNK_POINTS", 3 * points)
         out = tmp_path / "small-chunks.csv"
         assert run(["invariant", "--config", str(path), "--out", str(out)]) == 0
         outs.append(out.read_bytes())
@@ -444,6 +448,15 @@ class TestInvariantChunks:
             assert row[1:] == (want or ["", "", "boundary"]), value
             statuses.add(row[3])
         assert statuses == {"ok", "boundary"}
+
+    def test_1d_chunks_do_not_depend_on_the_grid(self):
+        # the root count reads no mesh: fig6's 181 values are one chunk at any grid
+        cfg = config.config_from_dict(json.loads((FIXTURE_DIR / "fig6.cfg").read_text()))
+        spec = registry_lookup(cfg.protocol)
+        assert {cli._invariant_points(spec, grid) for grid in (2, 64, 256, 4096)} == {4}
+        assert len(cli._chunks(cfg, cli._invariant_points(spec, cfg.grid))) == 1
+        assert cli._invariant_points(registry_lookup("1d-phs"), 256) == 16
+        assert cli._invariant_points(registry_lookup("2d-phs"), 8) == 32 ** 2
 
     def test_values_next_to_a_fig6_closing_stay_boundary(self, tmp_path):
         # fig6 closes its gap at alpha = pi/2; the sweep's middle value sits on it

@@ -351,18 +351,38 @@ class TestChern:
         n3 = np.roll(np.roll(n, -1, axis=0), -1, axis=1)
         n4 = np.roll(n, -1, axis=1)
         n, n2, n3, n4 = (np.moveaxis(v, -1, 0) for v in (n, n2, n3, n4))
-        omega = topo._solid_angle(n, n2, n3) + topo._solid_angle(n, n3, n4)
+        omega = _solid_angle(n, n2, n3) + _solid_angle(n, n3, n4)
         down_raw = topo.CHERN_ORIENTATION * omega.sum() / (4 * PI)
         assert abs(up.raw + down_raw) <= 1e-9
 
-    def test_solid_angle_components_match_cross_formula(self, rng):
-        a, b, c = (v / np.linalg.norm(v, axis=-1, keepdims=True)
-                   for v in rng.normal(size=(3, 500, 3)))
-        num = np.einsum("...i,...i->...", a, np.cross(b, c))
-        den = (1.0 + np.einsum("...i,...i->...", a, b) + np.einsum("...i,...i->...", b, c)
-               + np.einsum("...i,...i->...", c, a))
-        got = tp._solid_angle(*(np.moveaxis(v, -1, 0) for v in (a, b, c)))
-        npt.assert_allclose(got, 2.0 * np.arctan2(num, den), rtol=0, atol=1e-12)
+    def test_link_variables_agree_with_the_count(self):
+        # Fukui-Hatsugai-Suzuki link variables of the + band's eigenvectors of
+        # d.sigma: an independent reference, up to one orientation sign shared
+        # by both nontrivial fixtures, which carry opposite Chern numbers
+        n = 64
+        fixtures = [("2d-phs", 2, {"alpha": PI / 3, "beta": PI / 4}, 1),
+                    ("2d-nosym", 3, {"alpha": PI / 3, "gamma": PI / 4, "beta": PI / 2}, -1)]
+        signs = set()
+        for pid, T, angles, want in fixtures:
+            spec = pr.registry_lookup(pid, T=T, angles=angles)
+            assert tp.chern_number(spec, grid_n=n).c == want
+            axes = symmetry.momentum_axes(2, n, [tp.momentum_period(spec, a) for a in range(2)])
+            k = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+            d = spectrum.bloch(spec, k).d
+            h = np.einsum("...i,ijk->...jk", d, np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
+                                                          [[1, 0], [0, -1]]]))
+            u = np.linalg.eigh(h)[1][..., 1]  # the eigenvector of +|d|
+
+            def link(axis):
+                z = (u.conj() * np.roll(u, -1, axis=axis)).sum(axis=-1)
+                return z / np.abs(z)
+
+            ux, uy = link(0), link(1)
+            flux = np.angle(ux * np.roll(uy, -1, axis=0) / np.roll(ux, -1, axis=1) / uy)
+            c = flux.sum() / (2 * PI)
+            assert abs(c - round(c)) <= 1e-9 and abs(round(c)) == 1
+            signs.add(round(c) * want)
+        assert len(signs) == 1
 
     def test_grid_doubling_stability(self):
         angles = {"alpha": PI / 3, "beta": PI / 4}
@@ -439,12 +459,20 @@ class TestSweepInvariants:
             public(spec, grid_n=grid_n)
         assert tp.sweep_invariants([spec], grid_n) == [None]
 
-    def test_unquantized_raw_has_no_invariant(self):
-        # gapped, but two points per axis sum the solid angles to raw = -0.5
-        spec = pr.registry_lookup("2d-phs", T=2, angles={"alpha": PI / 3, "beta": PI / 4})
-        with pytest.raises(BoundaryStateError, match=r"not quantized: raw = -0\.5000"):
-            tp.chern_number(spec, grid_n=2)
-        assert tp.sweep_invariants([spec], 2) == [None]
+    @pytest.mark.parametrize("pid, T, angles, want", [
+        ("2d-phs", 2, {"alpha": PI / 3, "beta": PI / 4}, 1),
+        ("2d-simple", 1, {"beta": PI / 2}, 0),
+        ("2d-nosym", 1, {"alpha": 3 * PI / 4, "beta": PI / 2, "gamma": 0.0}, 0)])
+    def test_coarse_grid_counts_on_the_scan_floor(self, pid, T, angles, want):
+        # a Chern number is never counted on fewer than MIN_SCAN_GRID points
+        # per axis: these coarse meshes used to give -0.5 (not quantized), -3
+        # at grid 3 and -4 at grid 8
+        spec = pr.registry_lookup(pid, T=T, angles=angles)
+        fine = tp.chern_number(spec, grid_n=64)
+        assert (fine.c, fine.raw) == (want, float(want))
+        for grid_n in (2, 3, 8, tp.MIN_SCAN_GRID):
+            assert tp.chern_number(spec, grid_n=grid_n) == fine
+            assert tp.sweep_invariants([spec], grid_n) == [(want, float(want))]
 
     def test_rejects_3d(self):
         with pytest.raises(InvalidInputError):
@@ -556,6 +584,33 @@ class TestChernNearBoundary:
                         for n in (32, 128))
         assert coarse == fine
         assert 0 in fine and len(set(fine) - {None}) == 2  # the ladder crosses the boundary
+
+    @pytest.mark.parametrize("pid", ["2d-simple", "2d-split", "2d-phs", "2d-nosym"])
+    def test_special_angle_lattice_matches_the_solid_angle_sum(self, monkeypatch, pid):
+        # {0, pi/2, pi/3, 0.7} per angle x T in {1, 2, 3}: the integer and
+        # status of the count equal the rounded plaquette solid-angle sum on
+        # the same mesh, after the same gap search
+        searches, search = [], tp._closings
+
+        def closings(*args):
+            searches.append(search(*args))
+            return searches[-1]
+
+        monkeypatch.setattr(tp, "_closings", closings)
+        symbols = pr.registry_lookup(pid).symbols
+        specs = [pr.registry_lookup(pid, T=T, angles=dict(zip(symbols, a)))
+                 for T in (1, 2, 3) for a in product((0.0, PI / 2, PI / 3, 0.7),
+                                                     repeat=len(symbols))]
+        for grid_n in (32, 64):
+            got = [None if r is None else r[0] for r in tp.sweep_invariants(specs, grid_n)]
+            d, norm, which, _, _, resid = searches.pop()
+            raw, margin = _rolled_chern(d, norm)
+            closed = set(which[resid <= EPS_GAP].tolist())
+            want = [None if i in closed or m <= EPS_GAP or abs(r - round(r)) > tp.QUANT_TOL
+                    else round(r) for i, (r, m) in enumerate(zip(raw.tolist(), margin.tolist()))]
+            assert got == want
+            assert None in got and 0 in got
+            assert (set(got) > {None, 0}) == (pid in ("2d-phs", "2d-nosym"))
 
 
 TWO_BAND_IDS = [pid for pid in pr.PROTOCOL_IDS if pr.REGISTRY[pid].bands == 2]
@@ -705,56 +760,127 @@ class TestBlocks:
             tp._quantized("Chern number", float(raw[1]), float(margin[1]))
 
 
+def _solid_angle(a, b, c):
+    """Signed solid angle of the geodesic triangle of unit vectors a, b, c,
+    each given as its component triple (x, y, z) of arrays (Van Oosterom &
+    Strackee): the reference the Chern count is checked against."""
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = a, b, c
+    num = ax * (by * cz - bz * cy) + ay * (bz * cx - bx * cz) + az * (bx * cy - by * cx)
+    den = (1.0 + (ax * bx + ay * by + az * bz) + (bx * cx + by * cy + bz * cz)
+           + (cx * ax + cy * ay + cz * az))
+    return 2.0 * np.arctan2(num, den)
+
+
 def _rolled_chern(d, norm):
-    """The Chern reduction of every walk of d (3, V, N, N) from whole-mesh
-    np.roll copies of n_hat: the reference for the tiled `topology._chern`."""
+    """The plaquette solid-angle sum of every walk of d (3, V, N, N), from
+    whole-mesh np.roll copies of n_hat, over 4 pi, and min |d|: the
+    reference for the tiled count of `topology._chern`."""
     with np.errstate(divide="ignore", invalid="ignore"):
         n1 = d / norm
     n2 = np.roll(n1, -1, axis=-2)
     n3, n4 = np.roll(n2, -1, axis=-1), np.roll(n1, -1, axis=-1)
-
-    def solid_angle(a, b, c):
-        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = a, b, c
-        num = ax * (by * cz - bz * cy) + ay * (bz * cx - bx * cz) + az * (bx * cy - by * cx)
-        den = (1.0 + (ax * bx + ay * by + az * bz) + (bx * cx + by * cy + bz * cz)
-               + (cx * ax + cy * ay + cz * az))
-        return 2.0 * np.arctan2(num, den)
-
-    omega = solid_angle(n1, n2, n3) + solid_angle(n1, n3, n4)
+    omega = _solid_angle(n1, n2, n3) + _solid_angle(n1, n3, n4)
     return (tp.CHERN_ORIENTATION * omega.sum(axis=(-2, -1)) / (4 * PI),
             norm.min(axis=(-2, -1)))
 
 
 class TestChernTiles:
-    """The tiled Chern reduction equals the whole-mesh plaquette sum bit for bit."""
+    """The tiled count is the rounded whole-mesh solid-angle sum, at any block size."""
 
     @pytest.mark.parametrize("points", [None, 1, 7])
     @pytest.mark.parametrize("n", [2, 3, 8, 33])
     @pytest.mark.parametrize("count, open_walks", [(1, None), (3, None), (3, [0, 2])])
     def test_matches_rolled_reference(self, monkeypatch, rng, points, n, count, open_walks):
         """open_walks: the copy `sweep_invariants` reduces when some walks close."""
-        if points is not None:
-            monkeypatch.setattr(tp, "BLOCK_POINTS", points)
         d = rng.normal(size=(3, count, n, n))
         d[:, -1, n // 2, n - 1] = 0.0  # in the wrap column of the last walk
         norm = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
         if open_walks is not None:
             d, norm = d[:, open_walks], norm[open_walks]
-        got = tp._chern(d, norm)
-        assert [g.tobytes() for g in got] == [w.tobytes() for w in _rolled_chern(d, norm)]
-        raw, margin = got
+        whole = tp._chern(d, norm)
+        if points is not None:
+            monkeypatch.setattr(tp, "BLOCK_POINTS", points)
+        raw, margin = got = tp._chern(d, norm)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in whole]
+        ref_raw, ref_margin = _rolled_chern(d, norm)
+        assert margin.tobytes() == ref_margin.tobytes()
         last = [i == len(norm) - 1 for i in range(len(norm))]
         assert (margin == 0.0).tolist() == last
-        assert np.isfinite(raw).tolist() == [not x for x in last]
+        # a zero d is no antipodal edge; every count is an integer
+        assert np.isfinite(raw).all() and (raw == np.round(raw)).all()
+        npt.assert_array_equal(raw[:-1], np.round(ref_raw[:-1]))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 33])
+    def test_count_is_the_rounded_solid_angle_sum(self, rng, n):
+        d = rng.normal(size=(3, 300, n, n))
+        norm = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+        raw, _ = tp._chern(d, norm)
+        ref = _rolled_chern(d, norm)[0]
+        assert np.abs(ref - np.round(ref)).max() <= 1e-9
+        npt.assert_array_equal(raw, np.round(ref))
+        assert not np.signbit(raw[raw == 0]).any()  # 0.0, never -0.0
+
+    def test_frame_is_a_proper_rotation_off_the_axes(self):
+        R = tp.CHERN_FRAME
+        npt.assert_allclose(R @ R.T, np.eye(3), rtol=0, atol=1e-15)
+        assert abs(np.linalg.det(R) - 1.0) <= 1e-15
+        assert np.abs(R[2]).min() >= 0.4  # p = R^T e_z is off every coordinate plane
+
+    @staticmethod
+    def _insulator(n, m=1.0):
+        """d = (sin kx, sin ky, m + cos kx + cos ky) on the n x n torus, with
+        the sines exactly 0 at k in {0, pi}: there n_hat = +-e_z exactly."""
+        k = -PI + 2 * PI * np.arange(n) / n
+        s, c = np.sin(k), np.cos(k)
+        s[np.isclose(np.abs(k), PI) | (k == 0)] = 0.0
+        kx, ky = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+        d = np.stack([s[kx], s[ky], m + c[kx] + c[ky]])[:, None]
+        return d, np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+
+    @pytest.mark.parametrize("identity", [False, True])
+    @pytest.mark.parametrize("n", [8, 32, 33])
+    def test_points_at_the_poles(self, monkeypatch, n, identity):
+        """identity: p = e_z is exactly the direction of the poles, so every
+        edge at a pole has an exactly zero determinant, which the one fixed
+        move of p must resolve for its triangles alike."""
+        if identity:
+            monkeypatch.setattr(tp, "CHERN_FRAME", np.eye(3))
+        for m in (1.0, -1.0, 0.5, 3.0):
+            d, norm = self._insulator(n, m)
+            poles = (d[0] == 0) & (d[1] == 0)
+            assert poles.sum() >= (1 if n % 2 else 4)
+            raw, margin = tp._chern(d, norm)
+            ref = _rolled_chern(d, norm)[0]
+            assert raw[0] == np.round(ref[0]) == (0 if m == 3.0 else 1 if m > 0 else -1)
+            assert margin[0] > 0
+
+    @pytest.mark.parametrize("axis", [-2, -1])
+    def test_d_constant_along_one_axis_has_degree_zero(self, rng, axis):
+        d = np.repeat(rng.normal(size=(3, 2, 1, 12)) if axis == -2
+                      else rng.normal(size=(3, 2, 12, 1)), 12, axis=axis)
+        norm = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+        raw, margin = tp._chern(d, norm)
+        assert raw.tolist() == [0.0, 0.0] and not np.signbit(raw).any()
+        assert tp._quantized("Chern number", float(raw[0]), float(margin[0])) == 0
+
+    def test_antipodal_edge_has_no_chern_number(self):
+        d, norm = self._insulator(16)
+        d = np.concatenate([d, d], axis=1)
+        d[:, 1, 5, 9] = -d[:, 1, 5, 8]  # n_hat flips across one column edge of walk 1
+        norm = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+        raw, margin = tp._chern(d, norm)
+        assert abs(raw[0]) == 1.0 and np.isnan(raw[1]) and (margin > 0).all()
+        with pytest.raises(BoundaryStateError, match="antipodal across a mesh edge"):
+            tp._quantized("Chern number", float(raw[1]), float(margin[1]))
 
     def test_sweep_invariants_footprint(self):
-        """One 512^2 Chern walk holds d, |d| and omega on the full mesh (five
-        float arrays, 10 MiB) and only block-sized arrays beside them.  The
-        2 MiB slack covers the reused n_hat tile (34 rows of 513, 0.4 MiB) and
-        the `_solid_angle` temporaries of one block (about 0.9 MiB); the
-        search before it (`_closings`) peaks lower, at d, |d| and its own
-        block temporaries.  A full wrapped copy of n_hat (6 MiB) or a d0
-        array (2 MiB) beside d breaks the bound."""
+        """One 512^2 Chern walk holds d and |d| on the full mesh (four float
+        arrays, 8 MiB) and only block-sized arrays beside them.  The 2 MiB
+        slack covers the reused (x', y') tile (2 x 34 rows of 513, 0.3 MiB),
+        the edge determinants and their signs of one block (about 0.6 MiB);
+        the search before it (`_closings`) peaks lower, at d, |d| and its own
+        block temporaries.  A full-mesh array beside d (2 MiB), such as a d0
+        or a per-plaquette sum, breaks the bound."""
         n = 512
         spec = pr.registry_lookup("2d-phs", T=2, angles={"alpha": PI / 3, "beta": PI / 4})
         tracemalloc.start()
@@ -764,7 +890,7 @@ class TestChernTiles:
         finally:
             tracemalloc.stop()
         assert result[0][0] == 1
-        assert peak <= 5 * 8 * n * n + 2 * 2 ** 20
+        assert peak <= 4 * 8 * n * n + 2 * 2 ** 20
 
 
 class TestMomentumPeriod:
