@@ -14,8 +14,11 @@ error before any row is computed, and a failed run creates no file.
 Identical configs produce byte-identical artifacts for any worker count: rows
 are computed by pure functions and merged in sweep order.  Every sweep
 command computes them per chunk of sweep values, one plan pass per chunk of at
-most CHUNK_POINTS values x points (at least one value).  The points are the
-grid's, or for `classify-gaps` and 2D `invariant` the scan grid's, of at least
+most a budget of values x points (at least one value): CHUNK_POINTS for
+`bands`, whose pass-2 text pieces set its peak memory, and SWEEP_POINTS for
+`invariant` and `classify-gaps`, which pay their plan compiles, Gauss-Newton
+loop and block set-up once per chunk.  The points are the grid's, or for
+`classify-gaps` and 2D `invariant` the scan grid's, of at least
 topology.MIN_SCAN_GRID points per axis; a 1D `invariant` value reads no mesh
 and counts the entries of its companion matrix (`_invariant_points`).  So the
 chunk boundaries depend on the config alone.
@@ -52,10 +55,14 @@ from .protocols import PROTOCOL_IDS, registry_lookup
 from .spectrum import EPS_GAP, bands_with_velocity, two_band_plan
 from . import symmetry, topology
 
-# sweep values x grid points per plan pass of a sweep command, and per piece
-# of text that pass 2 of `bands` writes; larger chunks raise peak memory but
-# not speed
+# sweep values x grid points per plan pass of `bands`, and per piece of text
+# that its pass 2 writes, which set its peak memory; larger chunks raise peak
+# memory but not speed
 CHUNK_POINTS = 2 ** 13
+# sweep values x points per plan pass of `invariant` and `classify-gaps`
+# (`_invariant_points`; the scan grid): each chunk pays its plan compiles,
+# Gauss-Newton loop and block set-up once; 2**17 was no faster, 2**15 slower
+SWEEP_POINTS = 2 ** 16
 # distinct float magnitudes per block of pass 2's shortest-repr kernel
 # (`_repr_block`): each of its temporaries holds a block, so larger blocks
 # raise peak memory and page faults, smaller ones the per-block call overhead
@@ -281,11 +288,11 @@ def _classify_chunk_records(cfg: SweepConfig, values) -> list:
             for v, (points, classes) in zip(values, found)]
 
 
-def _chunks(cfg: SweepConfig, points: int) -> list:
-    """The sweep values in contiguous chunks of at most CHUNK_POINTS // points
-    values (at least one); they depend on the grid alone, so the bytes do not
-    depend on the workers."""
-    size = max(1, CHUNK_POINTS // points)
+def _chunks(cfg: SweepConfig, points: int, budget: int) -> list:
+    """The sweep values in contiguous chunks of at most budget // points
+    values (at least one); they depend on the config alone, so the bytes do
+    not depend on the workers."""
+    size = max(1, budget // points)
     values = cfg.sweep_values()
     return [values[i:i + size] for i in range(0, len(values), size)]
 
@@ -296,8 +303,8 @@ def _invariant_points(spec, grid: int) -> int:
     points per axis.  A 1D value reads no mesh: its winding is counted on one
     (2F)^2 companion matrix (`topology._root_count`), F the largest frequency
     of (a, c), which the shifts alone fix, so a chunk's companion matrices
-    hold at most CHUNK_POINTS complex entries (128 KiB), and the phasors of
-    its closing check about as many again."""
+    hold at most SWEEP_POINTS complex entries (1 MiB), and the phasors of its
+    closing check about as many again."""
     if spec.dimension == 2:
         return max(grid, topology.MIN_SCAN_GRID) ** 2
     return int(2 * max(np.abs(freqs).max() for (freqs,), _ in two_band_plan(spec).fourier())) ** 2
@@ -380,7 +387,7 @@ def _cmd_bands(args) -> int:
     header = (["sweep_param"] + [f"k{i+1}" for i in range(dim)] + ["e_plus"]
               + [f"v_k{i+1}" for i in range(dim)] + ["status"])
     k = symmetry.bz_grid(dim, cfg.grid)
-    parts = _chunks(cfg, len(k))
+    parts = _chunks(cfg, len(k), CHUNK_POINTS)
     chunks = _map_values(cfg, parts, partial(_bands_chunk, k=k), 1)  # no pool: see the module doc
     _write_text(cfg.out, chain([",".join(header) + "\n"], _bands_rows(parts, chunks, k)))
     return 0
@@ -398,7 +405,7 @@ def _cmd_invariant(args) -> int:
             raise InvalidInputError(
                 f"winding needs a chiral protocol with a momentum-independent axis:"
                 f" {err}") from None
-    texts = _map_values(cfg, _chunks(cfg, _invariant_points(spec, cfg.grid)),
+    texts = _map_values(cfg, _chunks(cfg, _invariant_points(spec, cfg.grid), SWEEP_POINTS),
                         _invariant_chunk_rows, cfg.workers)
     _write_text(cfg.out, ["\n".join(["sweep_param,invariant,raw,status"] + texts) + "\n"])
     return 0
@@ -407,7 +414,8 @@ def _cmd_invariant(args) -> int:
 def _cmd_classify_gaps(args) -> int:
     cfg = _build_config(args)
     points = max(cfg.grid, topology.MIN_SCAN_GRID) ** registry_lookup(cfg.protocol).dimension
-    chunks = _map_values(cfg, _chunks(cfg, points), _classify_chunk_records, cfg.workers)
+    chunks = _map_values(cfg, _chunks(cfg, points, SWEEP_POINTS), _classify_chunk_records,
+                         cfg.workers)
     payload = {"schema": SCHEMA, "command": "classify-gaps", "protocol": cfg.protocol,
                "records": [record for chunk in chunks for record in chunk]}
     _write_text(cfg.out, _json_pieces(payload))

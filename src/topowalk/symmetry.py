@@ -121,18 +121,33 @@ def d_cloud(spec: ProtocolSpec):
     return d[np.linalg.norm(d, axis=-1) > _BRANCH_MARGIN]
 
 
+def _plane_fits(d):
+    """(axis, planarity ratio) of each d cloud of d (..., n, 3), from one
+    batched SVD: the unit normal of its best plane, signed so that its
+    largest component is positive, and its smallest/largest singular-value
+    ratio (0 = exactly planar)."""
+    _, s, vt = np.linalg.svd(d, full_matrices=False)
+    axis = vt[..., -1, :]
+    big = np.take_along_axis(axis, np.abs(axis).argmax(axis=-1)[..., None], axis=-1)
+    return np.where(big < 0, -axis, axis), s[..., -1] / s[..., 0]
+
+
 def chiral_axis_fit(spec: ProtocolSpec):
     """(axis, planarity ratio): the unit normal of the best plane through the
     d cloud and the smallest/largest singular-value ratio (0 = exactly planar)."""
     d = d_cloud(spec)
     if d.shape[0] < 3:
         raise DegenerateGridError("not enough gap-open points to fit a chiral axis")
-    _, s, vt = np.linalg.svd(d, full_matrices=False)
-    axis = vt[-1]
-    j = int(np.argmax(np.abs(axis)))
-    if axis[j] < 0:
-        axis = -axis
-    return axis, float(s[-1] / s[0])
+    axis, ratio = _plane_fits(d)
+    return axis, float(ratio)
+
+
+def _planar_axis(spec: ProtocolSpec, axis, ratio: float) -> np.ndarray:
+    """The fitted `axis`; ClassificationError if the d cloud is not planar."""
+    if ratio > 1e-9:
+        raise ClassificationError(
+            f"{spec.id!r}: d cloud is not planar (ratio {ratio:.2e}); no constant chiral axis")
+    return axis
 
 
 def chiral_axis(spec: ProtocolSpec) -> np.ndarray:
@@ -146,11 +161,40 @@ def chiral_axis(spec: ProtocolSpec) -> np.ndarray:
         kb = math.cos(0.5 * spec.T * spec.angles["beta"])
         lb = math.sin(0.5 * spec.T * spec.angles["beta"])
         return np.array([kb, -lb / math.sqrt(2), lb / math.sqrt(2)])
-    axis, ratio = chiral_axis_fit(_base_of(spec))
-    if ratio > 1e-9:
-        raise ClassificationError(
-            f"{spec.id!r}: d cloud is not planar (ratio {ratio:.2e}); no constant chiral axis")
-    return axis
+    return _planar_axis(spec, *chiral_axis_fit(_base_of(spec)))
+
+
+def chiral_axes(specs) -> list:
+    """The chiral axis of each walk of `specs`, one protocol at several angles
+    and step numbers, as `chiral_axis` gives it, or the DegenerateGridError
+    that says why it cannot be fitted; the first walk whose d cloud is not
+    planar raises ClassificationError.  The fitted axes come from one stacked
+    evaluation of the walks' d clouds and one batched SVD per set of walks
+    with the same gap-open momenta, so each cloud, and its axis, is
+    bit-identical to `chiral_axis`'s."""
+    spec = specs[0]
+    if spec.id in ("1d-chs", "1d-cii"):
+        return [chiral_axis(s) for s in specs]
+    shape = (-1,) + (1,) * spec.dimension
+    angles = {sym: np.reshape([s.angles[sym] for s in specs], shape) for sym in spec.angles}
+    d = bloch(_base_of(spec), _open_mesh(spec.dimension, 24), angles=angles,
+              T=np.reshape([s.T for s in specs], shape)).d.reshape(len(specs), -1, 3)
+    gap_open = np.linalg.norm(d, axis=-1) > _BRANCH_MARGIN
+    groups: Dict[bytes, List[int]] = {}
+    for i, key in enumerate(np.packbits(gap_open, axis=-1)):
+        groups.setdefault(key.tobytes(), []).append(i)
+    fits: list = [None] * len(specs)
+    for members in groups.values():
+        mask = gap_open[members[0]]
+        if mask.sum() < 3:
+            for i in members:
+                fits[i] = DegenerateGridError("not enough gap-open points to fit a chiral axis")
+            continue
+        axes, ratios = _plane_fits(d[members][:, mask])
+        for i, axis, ratio in zip(members, axes, ratios.tolist()):
+            fits[i] = (axis, ratio)
+    return [fit if isinstance(fit, DegenerateGridError) else _planar_axis(s, *fit)
+            for s, fit in zip(specs, fits)]
 
 
 def _base_of(spec: ProtocolSpec) -> ProtocolSpec:

@@ -67,7 +67,7 @@ import numpy as np
 from .errors import BoundaryStateError, DegenerateGridError, InvalidInputError
 from .protocols import ProtocolSpec, Shift, registry_lookup
 from .spectrum import EPS_GAP, bloch_entries, two_band_plan
-from .symmetry import chiral_axis, momentum_axes
+from .symmetry import chiral_axes, momentum_axes
 
 EPS_FLAT = 1e-8
 FIT_WINDOW = 0.05
@@ -310,31 +310,35 @@ def _check_grid(grid_n) -> None:
         raise InvalidInputError(f"grid_n must be an integer >= 2, got {grid_n!r}")
 
 
-def _gap_points(pts, d0, resid, refine_tol: float) -> List[GapPoint]:
-    """The refined points with |d| <= refine_tol as closings at quasi-energy 0
-    or pi, sorted, with duplicates (within MERGE_TOL) merged: a point is kept
-    unless a kept point at its energy lies within MERGE_TOL on every axis,
-    across +-pi too.  The kept points are hashed into wrapped cells of
+def _gap_points(which, pts, d0, resid, count: int, refine_tol: float) -> List[List[GapPoint]]:
+    """Per walk 0 .. count - 1, its refined points (those of `which` == the
+    walk) with |d| <= refine_tol as closings at quasi-energy 0 or pi, sorted,
+    with duplicates (within MERGE_TOL) merged: a point is kept unless a kept
+    point of its walk at its energy lies within MERGE_TOL on every axis,
+    across +-pi too.  One selection, wrap and energy pass runs over all the
+    starts; the kept points are hashed by walk, energy and wrapped cells of
     2 MERGE_TOL per axis (the last cell up to twice as wide), so each point is
     compared only with those in its own and the adjacent cells."""
     sel = np.flatnonzero(resid <= refine_tol)
     e_plus = np.arccos(np.clip(d0[sel], -1.0, 1.0))
-    points = [GapPoint(k=tuple(k), residual=r, quasi_energy=0.0 if e < np.pi / 2 else np.pi)
-              for k, r, e in zip(wrap_pi(pts[sel]).tolist(), resid[sel].tolist(), e_plus)]
-    points.sort(key=lambda p: (p.quasi_energy,) + p.k)
+    points = sorted(((w, GapPoint(k=tuple(k), residual=r,
+                                  quasi_energy=0.0 if e < np.pi / 2 else np.pi))
+                     for w, k, r, e in zip(which[sel].tolist(), wrap_pi(pts[sel]).tolist(),
+                                           resid[sel].tolist(), e_plus)),
+                    key=lambda wp: (wp[0], wp[1].quasi_energy) + wp[1].k)
     ncell = int(2 * np.pi // (2 * MERGE_TOL))
-    ks = np.reshape([p.k for p in points], (-1, pts.shape[-1]))
+    ks = np.reshape([p.k for _, p in points], (-1, pts.shape[-1]))
     cells = np.minimum((ks + np.pi) // (2 * MERGE_TOL), ncell - 1).astype(int).tolist()
-    merged: List[GapPoint] = []
+    merged: List[List[GapPoint]] = [[] for _ in range(count)]
     kept: Dict[tuple, List[tuple]] = {}
-    for p, cell in zip(points, cells):
-        near = set(product((p.quasi_energy,), *(((c - 1) % ncell, c, (c + 1) % ncell)
-                                                for c in cell)))
+    for (w, p), cell in zip(points, cells):
+        near = set(product((w,), (p.quasi_energy,), *(((c - 1) % ncell, c, (c + 1) % ncell)
+                                                      for c in cell)))
         close = [k for key in near for k in kept.get(key, ())]
         if not close or not (np.abs(wrap_pi(np.subtract(p.k, close))).max(axis=-1)
                              < MERGE_TOL).any():
-            kept.setdefault((p.quasi_energy,) + tuple(cell), []).append(p.k)
-            merged.append(p)
+            kept.setdefault((w, p.quasi_energy) + tuple(cell), []).append(p.k)
+            merged[w].append(p)
     return merged
 
 
@@ -353,7 +357,7 @@ def find_gap_closings(spec_or_id, *, angles=None, T=None, grid_n: int = 64,
     if grid_n < MIN_SCAN_GRID:
         raise InvalidInputError(f"grid_n must be >= {MIN_SCAN_GRID} per axis")
     found = _closings([spec], grid_n, [2 * np.pi] * spec.dimension, True)
-    return _gap_points(*found[3:], refine_tol)
+    return _gap_points(*found[2:], 1, refine_tol)[0]
 
 
 def _is_high_symmetry_set(momenta: Sequence[Tuple[float, ...]], targets) -> bool:
@@ -386,7 +390,7 @@ def classify_boundary(spec_or_id, *, angles=None, T=None,
         return sweep_boundaries([spec], grid_n)[0][1]
     dim = spec.dimension
     d0 = _mesh_bloch(two_band_plan(spec), momentum_axes(dim, grid_n), (grid_n,) * dim, True)[0]
-    return _classify(spec, d0, gap_points)
+    return _classify([spec], d0[None], [gap_points])[0]
 
 
 def sweep_boundaries(specs: Sequence[ProtocolSpec], grid_n: int
@@ -399,37 +403,50 @@ def sweep_boundaries(specs: Sequence[ProtocolSpec], grid_n: int
     if not specs:
         return []
     _one_protocol(specs)
-    d0, _, which, pts, pts_d0, resid = _closings(specs, max(grid_n, MIN_SCAN_GRID),
-                                                 [2 * np.pi] * specs[0].dimension, True)
-    out = []
-    for i, spec in enumerate(specs):
-        mine = which == i
-        points = _gap_points(pts[mine], pts_d0[mine], resid[mine], EPS_GAP)
-        out.append((points, _classify(spec, d0[i], points)))
-    return out
+    d0, _, *starts = _closings(specs, max(grid_n, MIN_SCAN_GRID),
+                               [2 * np.pi] * specs[0].dimension, True)
+    points = _gap_points(*starts, len(specs), EPS_GAP)
+    return list(zip(points, _classify(specs, d0, points)))
 
 
-def _classify(spec: ProtocolSpec, d0, gap_points: List[GapPoint]
-              ) -> List[BoundaryClassification]:
-    """The taxonomy of `classify_boundary` for one walk, from d0 on a full-BZ
-    mesh and its closings; the gap fits along +-each axis of every closing
-    come from one pass of one compiled plan."""
-    e = np.arccos(np.clip(d0, -1.0, 1.0))
-    variation = float(e.max() - e.min())
-    if variation > EPS_FLAT and not gap_points:
-        return []
-    plan = two_band_plan(spec)
-    dim = spec.dimension
-    if variation <= EPS_FLAT:
-        e0 = np.arccos(np.clip(plan.entries(np.zeros((1, dim)))[0].real, -1.0, 1.0))
-        return [BoundaryClassification(kind="flat_band",
-                                       evidence={"band_variation": variation,
-                                                 "energy": float(e0[0])})]
+def _stacked_plan(specs: Sequence[ProtocolSpec], shape):
+    """The compiled plan of the walks `specs`, one protocol: their angles and
+    T as arrays of `shape`, one walk per entry along its first axis."""
+    angles = {sym: np.reshape([s.angles[sym] for s in specs], shape) for sym in specs[0].angles}
+    return two_band_plan(specs[0], angles=angles, T=np.reshape([s.T for s in specs], shape))
 
+
+def _classify(specs: Sequence[ProtocolSpec], d0, gap_points: List[List[GapPoint]]
+              ) -> List[List[BoundaryClassification]]:
+    """The taxonomy of `classify_boundary` for each walk of `specs`, one
+    protocol, from its d0 on a full-BZ mesh (a stack, walks first) and its
+    closings.  The flat-band variation is one reduction over the stack; the
+    gap fits along +-each axis of every closing of every walk that is not flat
+    come from one pass of one compiled plan with per-closing angles and T, so
+    Python runs per walk only where it has a closing or a flat band."""
+    e = np.clip(d0, -1.0, 1.0)
+    np.arccos(e, out=e)
+    mesh = tuple(range(1, e.ndim))
+    variation = (e.max(axis=mesh) - e.min(axis=mesh)).tolist()
+    out: List[List[BoundaryClassification]] = [[] for _ in specs]
+    dim = specs[0].dimension
+    flat = [i for i, v in enumerate(variation) if v <= EPS_FLAT]
+    if flat:
+        e0 = np.arccos(np.clip(_stacked_plan([specs[i] for i in flat], (-1, 1)).entries(
+            np.zeros((1, dim)))[0].real, -1.0, 1.0))
+        for i, energy in zip(flat, e0[:, 0].tolist()):
+            out[i] = [BoundaryClassification(kind="flat_band",
+                                             evidence={"band_variation": variation[i],
+                                                       "energy": energy})]
+    fit = [i for i, pts in enumerate(gap_points) if pts and not out[i]]
+    if not fit:
+        return out
+    closings = [(i, p) for i in fit for p in gap_points[i]]
     s = np.linspace(FIT_WINDOW / 20, FIT_WINDOW, 20)
     # the fit momenta k0 + sign s e_axis: (closing, axis, sign, s, momentum)
     offsets = np.eye(dim)[:, None, None, :] * (np.array([[1.0], [-1.0]]) * s)[:, :, None]
-    e_fit = np.arccos(np.clip(plan.entries(np.array([p.k for p in gap_points])[:, None, None, None]
+    plan = _stacked_plan([specs[i] for i, _ in closings], (-1, 1, 1, 1))
+    e_fit = np.arccos(np.clip(plan.entries(np.array([p.k for _, p in closings])[:, None, None, None]
                                            + offsets)[0].real, -1.0, 1.0))
     gaps = np.minimum(e_fit, np.pi - e_fit)
     # one-sided linear fits of the gap per (closing, axis, sign): slope and rel residual
@@ -438,18 +455,24 @@ def _classify(spec: ProtocolSpec, d0, gap_points: List[GapPoint]
     resid = np.sqrt(np.mean((gaps - slope[..., None] * s) ** 2, axis=-1)) / scale
     slope = np.abs(slope)
     dirac = ((slope.min(axis=-1) >= DIRAC_MIN_SLOPE)
-             & (resid.max(axis=-1) <= DIRAC_RESIDUAL_REL)).all(axis=-1)
-    gapless_set = [p.k for p in gap_points]
+             & (resid.max(axis=-1) <= DIRAC_RESIDUAL_REL)).all(axis=-1).tolist()
+    # per closing, in the order of `closings`: (Dirac cone, any slope, slopes, residuals)
+    fits = zip(dirac, (slope.max(axis=(-2, -1)) > 0).tolist(), slope.tolist(), resid.tolist())
     one = [(0.0,), (np.pi,)]  # a 1D cone is subtyped by the whole gapless set
     two = one + [(np.pi / 2,), (-np.pi / 2,)]
-    dirac_kind = ("dirac_type_one" if dim > 1 or _is_high_symmetry_set(gapless_set, one) else
-                  "dirac_type_two" if _is_high_symmetry_set(gapless_set, two) else "unclassified")
-    return [BoundaryClassification(
-        kind=dirac_kind if dirac[i] else "fermi_arc" if slope[i].max() > 0 else "unclassified",
-        evidence={"k": p.k, "quasi_energy": p.quasi_energy,
-                  "slopes": dict(enumerate(slope[i].tolist())),
-                  "linear_fit_rel_residual": dict(enumerate(resid[i].tolist())),
-                  "gapless_set": gapless_set}) for i, p in enumerate(gap_points)]
+    for i in fit:
+        gapless_set = [p.k for p in gap_points[i]]
+        dirac_kind = ("dirac_type_one" if dim > 1 or _is_high_symmetry_set(gapless_set, one) else
+                      "dirac_type_two" if _is_high_symmetry_set(gapless_set, two) else
+                      "unclassified")
+        out[i] = [BoundaryClassification(
+            kind=dirac_kind if cone else "fermi_arc" if sloped else "unclassified",
+            evidence={"k": p.k, "quasi_energy": p.quasi_energy,
+                      "slopes": dict(enumerate(slopes)),
+                      "linear_fit_rel_residual": dict(enumerate(resids)),
+                      "gapless_set": gapless_set})
+            for p, (cone, sloped, slopes, resids) in zip(gap_points[i], fits)]
+    return out
 
 
 def momentum_period(spec: ProtocolSpec, axis: int) -> float:
@@ -536,18 +559,17 @@ def _windings(specs: Sequence[ProtocolSpec]) -> list:
     BoundaryStateError that says why it has none.  A walk with too few
     gap-open momenta to fit its chiral axis has no winding either."""
     results: list = [None] * len(specs)
-    axes = {}
-    for i, spec in enumerate(specs):
-        try:
-            axes[i] = chiral_axis(spec)
-        except DegenerateGridError as err:
-            results[i] = BoundaryStateError(f"winding undefined: {err}")
-    todo = list(axes)
+    todo, axes = [], []
+    for i, axis in enumerate(chiral_axes(specs)):
+        if isinstance(axis, DegenerateGridError):
+            results[i] = BoundaryStateError(f"winding undefined: {axis}")
+        else:
+            todo.append(i)
+            axes.append(axis)
     if not todo:
         return results
-    angles = {sym: np.array([specs[i].angles[sym] for i in todo]) for sym in specs[0].angles}
-    plan = two_band_plan(specs[0], angles=angles, T=np.array([specs[i].T for i in todo]))
-    z = _in_plane_coefficients(plan, np.array(list(axes.values())))
+    plan = _stacked_plan([specs[i] for i in todo], (-1,))
+    z = _in_plane_coefficients(plan, np.array(axes))
     inside, closes = _root_count(z)
     halves = 2 if momentum_period(specs[0], 0) == np.pi else 1
     windings = ((inside - z.shape[1] // 2) // halves).tolist()

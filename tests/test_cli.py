@@ -240,7 +240,8 @@ def bands_fixture_floats():
         cfg = config.config_from_dict(
             json.loads((FIXTURE_DIR / f"{name}.cfg").read_text())).validate()
         k = sym.bz_grid(registry_lookup(cfg.protocol).dimension, cfg.grid)
-        floats[name] = [cli._bands_chunk(cfg, values, k)[0] for values in cli._chunks(cfg, len(k))]
+        floats[name] = [cli._bands_chunk(cfg, values, k)[0]
+                         for values in cli._chunks(cfg, len(k), cli.CHUNK_POINTS)]
     return floats
 
 
@@ -331,7 +332,8 @@ class TestBandsEmit:
         # both passes run in the calling process: the pool only ever ran pass
         # 1, a few milliseconds per chunk, and was slower than one process
         cfg = two_chunk_bands_cfg(tmp_path)
-        assert len(cli._chunks(config.config_from_dict(json.loads(cfg.read_text())), 256)) == 2
+        doc = config.config_from_dict(json.loads(cfg.read_text()))
+        assert len(cli._chunks(doc, 256, cli.CHUNK_POINTS)) == 2
         one, two = tmp_path / "w1.csv", tmp_path / "w2.csv"
         assert run(["bands", "--config", str(cfg), "--out", str(one), "--workers", "1"]) == 0
 
@@ -402,31 +404,49 @@ INVARIANT_CASES = {  # overrides, sweep symbol; 1d-chs is 2 pi-periodic, 2d-phs 
 }
 
 
+def count_stacks(monkeypatch, name):
+    """The number of walks of each call of topology.`name` (`sweep_invariants`
+    or `sweep_boundaries`) made in this process, recorded as the calls come."""
+    sizes, real = [], getattr(topology, name)
+
+    def counting(specs, grid_n):
+        sizes.append(len(specs))
+        return real(specs, grid_n)
+
+    monkeypatch.setattr(topology, name, counting)
+    return sizes
+
+
 class TestInvariantChunks:
     @pytest.mark.parametrize("case", sorted(INVARIANT_CASES))
     def test_rows_match_per_value_reference(self, tmp_path, monkeypatch, case):
         overrides, symbol = INVARIANT_CASES[case]
         dim = int(overrides["protocol"][0])
         points = cli._invariant_points(registry_lookup(overrides["protocol"]), overrides["grid"])
-        # a 1D value is one 4-entry companion matrix, so two chunks of the
-        # default size would be 2,050 values: chunks of at most 64 values
-        monkeypatch.setattr(cli, "CHUNK_POINTS", min(cli.CHUNK_POINTS, 64 * points))
-        count = cli.CHUNK_POINTS // points + 2  # two chunks
+        # chunks of 64 1D values (one 4-entry companion matrix each) or 8 2D
+        # values, set by the budget `invariant` reads; the sweep is two chunks
+        size = 64 if dim == 1 else 8
+        monkeypatch.setattr(cli, "SWEEP_POINTS", size * points)
+        count = size + 2
         sweep = ({"symbol": "T", "start": 1, "stop": count, "count": count} if symbol == "T"
                  else {"symbol": symbol, "start": -PI, "stop": PI, "count": count})
         path = small_bands_cfg(tmp_path, sweep=sweep, **overrides)
+        stacks = count_stacks(monkeypatch, "sweep_invariants")
         outs = []
-        # more workers than CPUs is a usage error
+        # more workers than CPUs is a usage error; a pool's calls are made in its processes
         for workers in ["1", "2"] if (os.cpu_count() or 1) >= 2 else ["1"]:
             out = tmp_path / f"w{workers}.csv"
             assert run(["invariant", "--config", str(path), "--out", str(out),
                         "--workers", workers]) == 0
             outs.append(out.read_bytes())
+        assert stacks == [size, 2]
         # chunks of three values: the sweep straddles many of them
-        monkeypatch.setattr(cli, "CHUNK_POINTS", 3 * points)
+        monkeypatch.setattr(cli, "SWEEP_POINTS", 3 * points)
+        stacks.clear()
         out = tmp_path / "small-chunks.csv"
         assert run(["invariant", "--config", str(path), "--out", str(out)]) == 0
         outs.append(out.read_bytes())
+        assert stacks == [min(3, count - i) for i in range(0, count, 3)]
         assert all(o == outs[0] for o in outs)
 
         # the per-value reference: a full-BZ gap search, then the public invariant
@@ -454,7 +474,7 @@ class TestInvariantChunks:
         cfg = config.config_from_dict(json.loads((FIXTURE_DIR / "fig6.cfg").read_text()))
         spec = registry_lookup(cfg.protocol)
         assert {cli._invariant_points(spec, grid) for grid in (2, 64, 256, 4096)} == {4}
-        assert len(cli._chunks(cfg, cli._invariant_points(spec, cfg.grid))) == 1
+        assert len(cli._chunks(cfg, cli._invariant_points(spec, cfg.grid), cli.SWEEP_POINTS)) == 1
         assert cli._invariant_points(registry_lookup("1d-phs"), 256) == 16
         assert cli._invariant_points(registry_lookup("2d-phs"), 8) == 32 ** 2
 
@@ -528,19 +548,21 @@ class TestClassifyGaps:
         out = tmp_path / "default.json"
         assert run(argv + [str(out)]) == 0
         outs = [out.read_bytes()]
-        # chunks of two values: the sweep spans at least three of them
+        # chunks of two values, set by the budget `classify-gaps` reads: the
+        # sweep spans at least three of them
         scan_n = max(overrides["grid"], topology.MIN_SCAN_GRID)
-        points = scan_n ** int(overrides["protocol"][0])
-        monkeypatch.setattr(cli, "CHUNK_POINTS", 2 * points)
-        cfg = config.config_from_dict(json.loads(path.read_text()))
-        assert len(cli._chunks(cfg, points)) >= 3
-        # more workers than CPUs is a usage error
+        monkeypatch.setattr(cli, "SWEEP_POINTS", 2 * scan_n ** int(overrides["protocol"][0]))
+        stacks = count_stacks(monkeypatch, "sweep_boundaries")
+        # more workers than CPUs is a usage error; a pool's calls are made in its processes
         for workers in ["1", "2"] if (os.cpu_count() or 1) >= 2 else ["1"]:
             out = tmp_path / f"w{workers}.json"
             assert run(argv + [str(out), "--workers", workers]) == 0
             outs.append(out.read_bytes())
+        assert stacks == [min(2, sweep["count"] - i) for i in range(0, sweep["count"], 2)]
+        assert len(stacks) >= 3
         assert all(o == outs[0] for o in outs)
 
+        cfg = config.config_from_dict(json.loads(path.read_text()))
         # the per-value reference: the public gap search and taxonomy at the scan grid
         records = json.loads(outs[0])["records"]
         assert len(records) == sweep["count"]
@@ -573,6 +595,77 @@ class TestClassifyGaps:
         text = out.read_text()
         assert peak < len(text)
         assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+class TestSweepBudget:
+    @pytest.mark.parametrize("fig", ["fig2", "fig10", "fig11"])
+    def test_fixture_bytes_do_not_depend_on_the_budget_or_workers(self, tmp_path, monkeypatch,
+                                                                   fig):
+        command = "classify-gaps" if fig == "fig2" else "invariant"
+        argv = [command, "--config", str(FIXTURE_DIR / f"{fig}.cfg"), "--out"]
+        outs = []
+        for budget in (cli.SWEEP_POINTS, 1):  # the default, then one value per chunk
+            monkeypatch.setattr(cli, "SWEEP_POINTS", budget)
+            # more workers than CPUs is a usage error
+            for workers in ["1", "2"] if (os.cpu_count() or 1) >= 2 else ["1"]:
+                out = tmp_path / f"{budget}-w{workers}"
+                assert run(argv + [str(out), "--workers", workers]) == 0
+                outs.append(out.read_bytes())
+        assert all(o == outs[0] for o in outs)
+
+    @pytest.mark.parametrize("fig, count", [("fig10", 8), ("fig11", 10)])
+    def test_chern_fixture_is_one_stack(self, tmp_path, monkeypatch, fig, count):
+        stacks = count_stacks(monkeypatch, "sweep_invariants")
+        assert run(["invariant", "--config", str(FIXTURE_DIR / f"{fig}.cfg"),
+                    "--out", str(tmp_path / "out.csv")]) == 0
+        assert stacks == [count]
+
+    def test_fig2_fits_only_the_walks_with_closings(self, tmp_path, monkeypatch):
+        # the gap fits are the one plan compiled with (closing, axis, sign, s) angles
+        plans, real = [], topology.two_band_plan
+
+        def recording(spec, *, angles=None, T=None):
+            plans.append(angles or {})
+            return real(spec, angles=angles, T=T)
+
+        monkeypatch.setattr(topology, "two_band_plan", recording)
+        out = tmp_path / "fig2.json"
+        assert run(["classify-gaps", "--config", str(FIXTURE_DIR / "fig2.cfg"),
+                    "--out", str(out)]) == 0
+        closing = [r["sweep_value"] for r in json.loads(out.read_text())["records"]
+                   if r["gap_points"]]
+        assert len(closing) == 9
+        fits = [a["alpha"] for a in plans if np.ndim(a.get("alpha")) == 4]
+        assert len(fits) == 1
+        assert sorted(set(fits[0].ravel().tolist())) == closing
+
+    @pytest.mark.parametrize("case", ["2d-invariant", "3d-classify"])
+    def test_chunk_memory_is_bounded_by_the_budget(self, case):
+        """A full chunk's traced peak is below 10 (2D `invariant`: d and |d|
+        are 4 floats a point) or 24 (3D `classify-gaps`: d0 and |d|, plus the
+        Gauss-Newton starts of 256 closings) x SWEEP_POINTS x 8 bytes."""
+        if case == "2d-invariant":
+            doc = json.loads((FIXTURE_DIR / "fig10.cfg").read_text())
+            doc["sweep"]["count"] = cli.SWEEP_POINTS // doc["grid"] ** 2
+            cfg = config.config_from_dict(doc)
+            points = cli._invariant_points(registry_lookup(cfg.protocol), cfg.grid)
+            chunk, bound, fn = cfg.sweep_values(), 10, cli._invariant_chunk_rows
+        else:
+            cfg = config.config_from_dict({
+                "schema": "topowalk/v1", "protocol": "3d-phs", "steps": 1, "grid": 32,
+                "angles": {"alpha": 0.7, "gamma": 0.4},
+                "sweep": {"symbol": "beta", "start": 0.1, "stop": 3.1, "count": 4}})
+            points = cfg.grid ** 3
+            chunk, bound, fn = cfg.sweep_values()[:2], 24, cli._classify_chunk_records
+        assert cli._chunks(cfg, points, cli.SWEEP_POINTS)[0] == chunk
+        assert len(chunk) * points == cli.SWEEP_POINTS
+        tracemalloc.start()
+        try:
+            assert fn(cfg, chunk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * cli.SWEEP_POINTS * 8
 
 
 class TestSymmetryCommand:

@@ -141,6 +141,53 @@ class TestCompositionAndGeometry:
         assert min(np.abs(fitted - A).max(), np.abs(fitted + A).max()) <= 1e-9
 
 
+SPECIAL_ANGLES = [0.0, np.pi / 2, -np.pi / 2, np.pi, np.pi / 3, 2 * np.pi, 0.7]
+
+
+def _lattice(pid):
+    """The walks of `pid` at every pair of special angles, T in {1, 2, 6}."""
+    return [pr.registry_lookup(pid, T=T, angles={"alpha": a, "beta": b})
+            for T in (1, 2, 6) for a in SPECIAL_ANGLES for b in SPECIAL_ANGLES]
+
+
+class TestStackedChiralAxes:
+    def test_each_axis_is_bit_identical_to_chiral_axis(self):
+        # 1d-split: a T = 6 sweep and the special-angle lattice, whose walks
+        # fall into five gap-open masks; the sweep's two walks at alpha =
+        # +-pi/2 and nine of the lattice's have too few gap-open momenta to fit
+        sweep = [pr.registry_lookup("1d-split", T=6, angles={"alpha": a, "beta": (a + np.pi) / 3})
+                 for a in np.linspace(-np.pi, np.pi, 181)]
+        specs = sweep + _lattice("1d-split")
+        degenerate = 0
+        for spec, got in zip(specs, sym.chiral_axes(specs)):
+            try:
+                want = sym.chiral_axis(spec)
+            except DegenerateGridError as err:
+                assert isinstance(got, DegenerateGridError) and str(got) == str(err)
+                degenerate += 1
+                continue
+            assert got.tobytes() == want.tobytes()
+        assert degenerate == 2 + 9
+
+    def test_analytic_axes_are_chiral_axis(self):
+        specs = _lattice("1d-chs")
+        for spec, got in zip(specs, sym.chiral_axes(specs)):
+            assert got.tobytes() == sym.chiral_axis(spec).tobytes()
+
+    def test_first_non_planar_walk_raises(self):
+        specs = _lattice("1d-phs")
+        errors = []
+        for spec in specs:
+            try:
+                sym.chiral_axis(spec)
+            except ClassificationError as err:
+                errors.append(str(err))
+        assert len(set(errors)) > 1
+        with pytest.raises(ClassificationError) as info:
+            sym.chiral_axes(specs)
+        assert str(info.value) == errors[0]
+
+
 class TestDeclaredRows:
     """The catalog lists BDI for 2d/3d-split and AIII for 3d-chs, but the
     literal element orderings put the Bloch vector on a genuinely

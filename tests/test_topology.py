@@ -97,7 +97,7 @@ def test_gap_point_merge_matches_pairwise_reference():
     pts, d0, resid = pts[:60], d0[:60], resid[:60]
     pts = np.concatenate([pts, pts + [2 * PI, 0.0, -2 * PI], pts + 0.3 * tp.MERGE_TOL, pts])
     d0, resid = np.concatenate([d0, d0, d0, -d0]), np.tile(resid, 4)
-    merged = tp._gap_points(pts, d0, resid, EPS_GAP)
+    merged = tp._gap_points(np.zeros(len(pts), int), pts, d0, resid, 1, EPS_GAP)[0]
     assert merged == _pairwise_merge(pts, d0, resid, EPS_GAP)
     assert len(merged) == 120
 
@@ -114,7 +114,7 @@ def test_gap_point_merge_across_pi_matches_pairwise_reference():
     pts = np.concatenate([base, base[::-1] + [2 * PI, -2 * PI], base + 0.45 * tol])
     d0 = np.where(np.arange(len(pts)) % 3 == 0, -0.5, 0.5)
     resid = np.zeros(len(pts))
-    merged = tp._gap_points(pts, d0, resid, EPS_GAP)
+    merged = tp._gap_points(np.zeros(len(pts), int), pts, d0, resid, 1, EPS_GAP)[0]
     assert merged == _pairwise_merge(pts, d0, resid, EPS_GAP)
     assert 20 < len(merged) < len(pts) / 2
     assert any(abs(p.k[0]) > 3.1 and abs(p.k[1]) > 3.1 for p in merged)
@@ -269,7 +269,7 @@ def test_gap_fits_equal_the_per_closing_loop(pid, T, angles):
     dim = spec.dimension
     d0 = tp._mesh_bloch(spectrum.two_band_plan(spec), symmetry.momentum_axes(dim, 32),
                         (32,) * dim, True)[0]
-    got = [(c.kind, c.evidence) for c in tp._classify(spec, d0, points)]
+    got = [(c.kind, c.evidence) for c in tp._classify([spec], d0[None], [points])[0]]
     assert got == _loop_classify(spec, points)
 
 
@@ -302,7 +302,8 @@ class TestWinding:
         spec = pr.registry_lookup("1d-chs", T=6,
                                   angles={"alpha": 2.094, "beta": (2.094 + PI) / 3})
         w_fwd = tp.winding_number(spec)
-        monkeypatch.setattr(tp, "chiral_axis", lambda s: -symmetry.chiral_axis(s))
+        monkeypatch.setattr(tp, "chiral_axes",
+                            lambda specs: [-a for a in symmetry.chiral_axes(specs)])
         w_rev = tp.winding_number(spec)
         assert w_fwd.w == -w_rev.w != 0
         assert (w_fwd.raw, w_rev.raw) == (float(w_fwd.w), float(w_rev.w))
