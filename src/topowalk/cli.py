@@ -10,7 +10,10 @@ symmetry       JSON classification records; --golden diffs against the
 
 Exit codes: 0 success, 2 usage/config error, 3 numerical diagnostic,
 1 golden-table mismatch.  An output path that cannot be written is a usage
-error before any row is computed, and a failed run creates no file.
+error before any row is computed, and a failed run creates no file.  An
+existing output is overwritten in place, and a failed write leaves the
+prefix it wrote (`_write_text`); a closed or broken stdout is unwritable too.
+`main` builds its parser once per process (`_parser`).
 Identical configs produce byte-identical artifacts for any worker count: rows
 are computed by pure functions and merged in sweep order.  Every sweep
 command computes them per chunk of sweep values, one plan pass per chunk of at
@@ -40,8 +43,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
-from functools import partial
+from functools import lru_cache, partial
 from importlib import resources
 from itertools import chain
 
@@ -270,8 +274,9 @@ def _bands_rows(parts, chunks, k):
 
 def _invariant_chunk_rows(cfg: SweepConfig, values) -> str:
     """The CSV rows of a contiguous chunk of sweep values, from one plan pass
-    (`topology.sweep_invariants`)."""
-    results = topology.sweep_invariants([cfg.spec_at(v) for v in values], cfg.grid)
+    (`topology.sweep_invariants`) over the walks that `SweepConfig.specs_at`
+    binds from one registry lookup."""
+    results = topology.sweep_invariants(cfg.specs_at(values), cfg.grid)
     return "\n".join(f"{v!r},,,boundary" if res is None
                      else f"{v!r},{res[0]},{float(res[1])!r},ok"
                      for v, res in zip(values, results))
@@ -279,8 +284,9 @@ def _invariant_chunk_rows(cfg: SweepConfig, values) -> str:
 
 def _classify_chunk_records(cfg: SweepConfig, values) -> list:
     """The classify-gaps records of a contiguous chunk of sweep values, from one
-    plan pass (`topology.sweep_boundaries`)."""
-    found = topology.sweep_boundaries([cfg.spec_at(v) for v in values], cfg.grid)
+    plan pass (`topology.sweep_boundaries`) over the walks that
+    `SweepConfig.specs_at` binds from one registry lookup."""
+    found = topology.sweep_boundaries(cfg.specs_at(values), cfg.grid)
     return [{"sweep_value": v,
              "gap_points": [{"k": p.k, "quasi_energy": p.quasi_energy, "residual": p.residual}
                             for p in points],
@@ -328,14 +334,39 @@ def _unwritable(path, err) -> InvalidInputError:
 def _write_text(path, pieces):
     """Write the text `pieces` in order to the output path, or to stdout for
     None or "-"; the pieces of a generator are formed as they are written.
-    If the write fails, a file that this call created is removed again."""
+
+    An existing file is overwritten in place, not truncated at open (on
+    ext4, rewriting a truncated file waits for the old blocks' writeback);
+    a regular file is then cut at the end of the text written, which keeps
+    its inode, mode and links, and leaves a failed write's prefix with no
+    old tail, as truncation did.  Devices and FIFOs are never cut.  A file
+    that this call created is removed again if the write fails.  A closed
+    or broken stdout is unwritable too; after a broken pipe, fd 1 points at
+    os.devnull, so the interpreter's final flush does not fail again."""
     if path is None or path == "-":
-        sys.stdout.writelines(pieces)
+        if sys.stdout is None:  # fd 1 was closed when Python started
+            raise _unwritable("-", "stdout is closed")
+        try:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        except OSError as err:
+            if isinstance(err, BrokenPipeError):
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+            raise _unwritable("-", err) from None
         return
     existed = os.path.lexists(path)
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(pieces)
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8",
+                  newline="\n") as fh:
+            try:
+                fh.writelines(pieces)
+                fh.flush()
+            finally:
+                fd = fh.fileno()
+                if stat.S_ISREG(os.fstat(fd).st_mode):  # cut at the bytes written
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
     except BaseException as err:
         if not existed and os.path.lexists(path):
             os.remove(path)
@@ -479,7 +510,12 @@ def _add_sweep_options(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
     return p
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """The command-line parser, built on first use and kept for the process,
+    so that in-process callers (scripts/run_figures.py, the tests, the
+    benchmark) build its four subcommands once, not once per `main` call; a
+    one-shot shell call builds it once either way."""
     parser = _Parser(
         prog="topowalk",
         description="band, invariant, and symmetry sweeps for split-step walk protocols")
@@ -497,9 +533,12 @@ def main(argv=None) -> int:
                        help="diff against the bundled reference table; exit 1 on mismatch")
     p_sym.add_argument("--out", help="output path (default stdout)")
     p_sym.set_defaults(fn=_cmd_symmetry)
+    return parser
 
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except (InvalidInputError, UnknownProtocolError) as err:  # one line, also if input is quoted
         print("error:", " ".join(str(err).splitlines()), file=sys.stderr)

@@ -144,9 +144,27 @@ class SweepConfig(SimpleNamespace):
             angles[sym] = link.scale * value + link.offset
         return angles, T
 
+    def specs_at(self, values) -> list:
+        """The walks at the sweep values `values`, in order.  Only the first
+        goes through `registry_lookup`, which checks its step number and
+        angles; the others are bound on it directly, as every value lies
+        between the sweep's two ends, whose symbols, step numbers and finite
+        T * theta `validate` checked."""
+        cast = int if self.sweep_symbol == "T" else float
+        params = (self.walk_params(cast(value)) for value in values)
+        angles, T = next(params, (None, None))
+        if angles is None:
+            return []
+        first = registry_lookup(self.protocol, T=T, angles=angles)
+        return [first] + [
+            ProtocolSpec(id=first.id, dimension=first.dimension, elements=first.elements,
+                         T=int(T), angles={**first.angles,
+                                           **{sym: float(theta) for sym, theta in angles.items()}},
+                         doubled=first.doubled)
+            for angles, T in params]
+
     def spec_at(self, value) -> ProtocolSpec:
-        angles, T = self.walk_params(int(value) if self.sweep_symbol == "T" else float(value))
-        return registry_lookup(self.protocol, T=T, angles=angles)
+        return self.specs_at([value])[0]
 
 
 def _object(value, path: str) -> dict:

@@ -1116,6 +1116,165 @@ class TestUsageErrors:
         assert err == ["numerical diagnostic: SVD did not converge"]
 
 
+def child_env() -> dict:
+    """The environment of a `python -m topowalk.cli` child that imports this checkout."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
+
+
+class TestUnwritableStdout:
+    """A closed or broken stdout is an unwritable output: exit 2, one line."""
+
+    def test_broken_pipe(self):
+        # the reader closes the pipe after one byte, as `| head -c 1` does
+        proc = subprocess.Popen([sys.executable, "-m", "topowalk.cli", "bands", "--config",
+                                 str(FIXTURE_DIR / "fig1.cfg"), "--workers", "1", "--out", "-"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+        assert len(proc.stdout.read(1)) == 1
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 2, err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: out '-' cannot be written: "), err
+
+    @pytest.mark.parametrize("argv", [["symmetry", "1d-chs"],
+                                      ["invariant", "--config", "<cfg>"]])
+    def test_closed_stdout(self, tmp_path, argv):
+        argv = [str(small_bands_cfg(tmp_path)) if a == "<cfg>" else a for a in argv]
+        proc = subprocess.run([sys.executable, "-m", "topowalk.cli", *argv],
+                              preexec_fn=lambda: os.close(1), env=child_env(),
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert lines == ["error: out '-' cannot be written: stdout is closed"]
+
+
+class TestOutputOverwrite:
+    """An existing output is rewritten in place and cut at the end of the new text."""
+
+    def fresh(self, tmp_path, argv) -> bytes:
+        out = tmp_path / "fresh.out"
+        assert run(argv + ["--out", str(out)]) == 0
+        return out.read_bytes()
+
+    def test_longer_file_is_cut(self, tmp_path):
+        fig1 = ["bands", "--config", str(FIXTURE_DIR / "fig1.cfg")]
+        out = tmp_path / "fig1.csv"
+        assert run(fig1 + ["--grid", "512", "--out", str(out)]) == 0
+        before = os.stat(out)
+        new = self.fresh(tmp_path, fig1)
+        assert before.st_size > len(new)
+        assert run(fig1 + ["--out", str(out)]) == 0
+        assert out.read_bytes() == new
+        after = os.stat(out)
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+
+    def test_shorter_file_is_extended_in_place(self, tmp_path):
+        argv = ["classify-gaps", "--config", str(small_bands_cfg(tmp_path))]
+        out = tmp_path / "gaps.json"
+        out.write_text("old\n")
+        os.chmod(out, 0o640)
+        linked = tmp_path / "hard.json"
+        os.link(out, linked)
+        before = os.stat(out)
+        assert run(argv + ["--out", str(out)]) == 0
+        new = self.fresh(tmp_path, argv)
+        assert out.read_bytes() == new and linked.read_bytes() == new
+        after = os.stat(out)
+        assert (after.st_ino, after.st_mode, after.st_nlink) == (before.st_ino, 0o100640, 2)
+
+    def test_symlink_writes_its_target(self, tmp_path):
+        argv = ["invariant", "--config", str(small_bands_cfg(tmp_path))]
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("x" * 10000)
+        link.symlink_to(target)
+        assert run(argv + ["--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == self.fresh(tmp_path, argv)
+
+    @pytest.mark.skipif(resource is None, reason="needs the POSIX resource module")
+    def test_write_failing_partway_keeps_the_written_prefix(self, tmp_path):
+        # as test_write_failing_partway_removes_the_new_file, on a file that
+        # existed and was longer than the limit: it holds the 2 KiB written
+        # before EFBIG and none of its old bytes, as truncation at open left it
+        def limit_file_size():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (2048, 2048))
+
+        out = tmp_path / "OLD.json"
+        out.write_text("x" * 10000)
+        proc = subprocess.run([sys.executable, "-m", "topowalk.cli", "symmetry", "all",
+                               "--out", str(out)], preexec_fn=limit_file_size, env=child_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: out {str(out)!r} cannot be written: ")
+        new = self.fresh(tmp_path, ["symmetry", "all"])
+        assert len(new) > 2048
+        assert out.read_bytes() == new[:2048]
+
+
+class TestPerProcessParser:
+    """`main` builds its parser once per process; each call parses afresh."""
+
+    def test_parser_built_once(self, tmp_path, monkeypatch):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting(self, *a, **kw):
+            built.append(self)
+            init(self, *a, **kw)
+        monkeypatch.setattr(cli._Parser, "__init__", counting)
+        cli._parser.cache_clear()
+        cfg = str(small_bands_cfg(tmp_path))
+        assert run(["bands", "--config", cfg, "--out", str(tmp_path / "a.csv")]) == 0
+        first = len(built)  # the parser and its subcommand parsers
+        for command in ("invariant", "classify-gaps"):
+            assert run([command, "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+        assert run(["symmetry", "1d-chs", "--out", str(tmp_path / "c.json")]) == 0
+        assert first == 5 and len(built) == first
+        cli._parser.cache_clear()
+
+    def test_flag_values_do_not_carry_over(self, tmp_path):
+        base = ["bands", "--protocol", "1d-chs", "--sweep", "alpha:0:1:2", "--grid", "8"]
+        out = tmp_path / "o.csv"
+        assert run(base + ["--set", "gamma=0.5", "--out", str(out)]) == 2  # 1d-chs has no gamma
+        assert run(base + ["--set", "beta=0.5", "--link", "beta=alpha:1:0", "--out", str(out)]) == 2
+        assert run(base + ["--out", str(out)]) == 0  # neither the --set nor the --link is kept
+        after = out.read_bytes()
+        cli._parser.cache_clear()
+        assert run(base + ["--out", str(out)]) == 0
+        assert out.read_bytes() == after
+        args = cli._parser().parse_args(base + ["--set", "beta=0.1"])
+        assert args.set == [("beta", "0.1")] and args.link is None
+        assert cli._parser().parse_args(base).set is None
+
+    def test_usage_error_after_success(self, tmp_path, capsys):
+        cfg = str(small_bands_cfg(tmp_path))
+        assert run(["invariant", "--config", cfg, "--out", "-"]) == 0
+        capsys.readouterr()
+        for argv in (["invariant", "--config", cfg, "--bogus"], ["nocommand"], []):
+            assert run(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 3 and all(line.startswith("error: ") for line in err)
+
+    @pytest.mark.parametrize("name", [f"fig{i}" for i in range(1, 12)])
+    def test_specs_at_binds_as_registry_lookup(self, name):
+        cfg = config.config_from_dict(json.loads((FIXTURE_DIR / f"{name}.cfg").read_text()))
+        cfg.validate()
+        values = cfg.sweep_values()
+        specs = cfg.specs_at(values)
+        assert specs == [cfg.spec_at(v) for v in values]
+        for spec, value in zip(specs, values):
+            angles, T = cfg.walk_params(value)
+            want = registry_lookup(cfg.protocol, T=T, angles=angles)
+            assert spec == want and list(spec.angles.items()) == list(want.angles.items())
+            assert type(spec.T) is int and all(type(a) is float for a in spec.angles.values())
+        assert cfg.specs_at([]) == []
+
+
 # The fuzzed boundary: config documents drawn from the key table, then
 # mutated, and argv lists drawn around them.  Surrogates are left out of the
 # text because pytest's captured stderr encodes strictly; the real stderr
