@@ -12,7 +12,8 @@ Exit codes: 0 success, 2 usage/config error, 3 numerical diagnostic,
 1 golden-table mismatch.  An output path that cannot be written is a usage
 error before any row is computed, and a failed run creates no file.  An
 existing output is overwritten in place, and a failed write leaves the
-prefix it wrote (`_write_text`); a closed or broken stdout is unwritable too.
+prefix it wrote (`_write_text`); a closed stdout is refused before any row
+is computed too, and a broken one when it is written.
 `main` builds its parser once per process (`_parser`).
 Identical configs produce byte-identical artifacts for any worker count: rows
 are computed by pure functions and merged in sweep order.  Every sweep
@@ -20,11 +21,13 @@ command computes them per chunk of sweep values, one plan pass per chunk of at
 most a budget of values x points (at least one value): CHUNK_POINTS for
 `bands`, whose pass-2 text pieces set its peak memory, and SWEEP_POINTS for
 `invariant` and `classify-gaps`, which pay their plan compiles, Gauss-Newton
-loop and block set-up once per chunk.  The points are the grid's, or for
-`classify-gaps` and 2D `invariant` the scan grid's, of at least
-topology.MIN_SCAN_GRID points per axis; a 1D `invariant` value reads no mesh
-and counts the entries of its companion matrix (`_invariant_points`).  So the
-chunk boundaries depend on the config alone.
+loop and block set-up once per chunk.  A chunk's walks are bound in one way
+for all three commands: `SweepConfig.walk_params` of the array of its values
+gives the angles and T, scalars or arrays along the chunk.  The points are
+the grid's, or for `classify-gaps` and 2D `invariant` the scan grid's, of at
+least topology.MIN_SCAN_GRID points per axis; a 1D `invariant` value reads
+no mesh and counts the entries of its companion matrix
+(`_invariant_points`).  So the chunk boundaries depend on the config alone.
 
 `bands` runs in two passes, both in the calling process for any number of
 workers: pass 1 is a few milliseconds of numerics per chunk, less than a
@@ -274,9 +277,10 @@ def _bands_rows(parts, chunks, k):
 
 def _invariant_chunk_rows(cfg: SweepConfig, values) -> str:
     """The CSV rows of a contiguous chunk of sweep values, from one plan pass
-    (`topology.sweep_invariants`) over the walks that `SweepConfig.specs_at`
-    binds from one registry lookup."""
-    results = topology.sweep_invariants(cfg.specs_at(values), cfg.grid)
+    (`topology.sweep_invariants`) over the walks whose angles and T
+    `SweepConfig.walk_params` gives as arrays."""
+    angles, T = cfg.walk_params(np.array(values))
+    results = topology.sweep_invariants(cfg.protocol, cfg.grid, angles=angles, T=T)
     return "\n".join(f"{v!r},,,boundary" if res is None
                      else f"{v!r},{res[0]},{float(res[1])!r},ok"
                      for v, res in zip(values, results))
@@ -284,9 +288,10 @@ def _invariant_chunk_rows(cfg: SweepConfig, values) -> str:
 
 def _classify_chunk_records(cfg: SweepConfig, values) -> list:
     """The classify-gaps records of a contiguous chunk of sweep values, from one
-    plan pass (`topology.sweep_boundaries`) over the walks that
-    `SweepConfig.specs_at` binds from one registry lookup."""
-    found = topology.sweep_boundaries(cfg.specs_at(values), cfg.grid)
+    plan pass (`topology.sweep_boundaries`) over the walks whose angles and T
+    `SweepConfig.walk_params` gives as arrays."""
+    angles, T = cfg.walk_params(np.array(values))
+    found = topology.sweep_boundaries(cfg.protocol, cfg.grid, angles=angles, T=T)
     return [{"sweep_value": v,
              "gap_points": [{"k": p.k, "quasi_energy": p.quasi_energy, "residual": p.residual}
                             for p in points],
@@ -340,12 +345,11 @@ def _write_text(path, pieces):
     a regular file is then cut at the end of the text written, which keeps
     its inode, mode and links, and leaves a failed write's prefix with no
     old tail, as truncation did.  Devices and FIFOs are never cut.  A file
-    that this call created is removed again if the write fails.  A closed
-    or broken stdout is unwritable too; after a broken pipe, fd 1 points at
-    os.devnull, so the interpreter's final flush does not fail again."""
+    that this call created is removed again if the write fails.  A broken
+    stdout is unwritable too (a closed one fails in `_check_out`); after a
+    broken pipe, fd 1 points at os.devnull, so the interpreter's final flush
+    does not fail again."""
     if path is None or path == "-":
-        if sys.stdout is None:  # fd 1 was closed when Python started
-            raise _unwritable("-", "stdout is closed")
         try:
             sys.stdout.writelines(pieces)
             sys.stdout.flush()
@@ -384,8 +388,11 @@ def _json_pieces(payload):
 def _check_out(path):
     """Append nothing to the output path, which leaves an existing file as it
     is, so that an unwritable path fails before any row is computed; a file
-    the check creates is removed again."""
+    the check creates is removed again.  Stdout (None or "-") fails here if
+    it is closed."""
     if path is None or path == "-":
+        if sys.stdout is None:  # fd 1 was closed when Python started
+            raise _unwritable("-", "stdout is closed")
         return
     existed = os.path.lexists(path)
     try:

@@ -132,8 +132,11 @@ class SweepConfig(SimpleNamespace):
         the swept angle or step number, and each linked angle scale * value +
         offset (the step-independent-coin walk has steps == 1, which
         `validate` enforces).  `value` may be an array; the swept angle, the
-        linked angles and a swept T then have its shape and broadcast as
-        `compile_plan` broadcasts them."""
+        linked angles and a swept T then have its shape.  This is how every
+        sweep command binds a chunk's walks: an array of its values gives the
+        angles and T that the plan, or `topology`'s stack of walks
+        (`protocols.stacked_params`), takes, and the plan's compile checks
+        each value's step number and finite T * theta."""
         angles = dict(self.angles)
         if self.sweep_symbol == "T":
             T = value
@@ -144,27 +147,10 @@ class SweepConfig(SimpleNamespace):
             angles[sym] = link.scale * value + link.offset
         return angles, T
 
-    def specs_at(self, values) -> list:
-        """The walks at the sweep values `values`, in order.  Only the first
-        goes through `registry_lookup`, which checks its step number and
-        angles; the others are bound on it directly, as every value lies
-        between the sweep's two ends, whose symbols, step numbers and finite
-        T * theta `validate` checked."""
-        cast = int if self.sweep_symbol == "T" else float
-        params = (self.walk_params(cast(value)) for value in values)
-        angles, T = next(params, (None, None))
-        if angles is None:
-            return []
-        first = registry_lookup(self.protocol, T=T, angles=angles)
-        return [first] + [
-            ProtocolSpec(id=first.id, dimension=first.dimension, elements=first.elements,
-                         T=int(T), angles={**first.angles,
-                                           **{sym: float(theta) for sym, theta in angles.items()}},
-                         doubled=first.doubled)
-            for angles, T in params]
-
     def spec_at(self, value) -> ProtocolSpec:
-        return self.specs_at([value])[0]
+        """The walk at the sweep value `value`, bound by `registry_lookup`."""
+        angles, T = self.walk_params(value)
+        return registry_lookup(self.protocol, T=T, angles=angles)
 
 
 def _object(value, path: str) -> dict:

@@ -162,6 +162,27 @@ def _merged_angles(spec: ProtocolSpec, angles: Optional[Mapping]) -> dict:
     return merged
 
 
+def stacked_params(spec: ProtocolSpec, angles: Optional[Mapping] = None, T=None):
+    """The (angles, T) of a stack of walks of the spec: its bound angles
+    updated by `angles` and its step number replaced by `T`, each a scalar or
+    a 1-D array along the stack, broadcast once to one shape (V,), V = 1 if
+    all are scalars: float64 angles and int64 step numbers.  Any other shape,
+    two lengths among the arrays, or a T that is no step number is rejected."""
+    merged = {sym: np.asarray(theta, dtype=float)
+              for sym, theta in _merged_angles(spec, angles).items()}
+    steps = np.asarray(_step_number(spec.T if T is None else T))
+    if steps.dtype.kind != "i" and np.any(steps >= 2 ** 63):
+        raise InvalidInputError(f"step number T must be an integer of at most 64 bits, got {T!r}")
+    params = [*merged.values(), steps]
+    shapes = {p.shape for p in params if p.ndim}
+    if len(shapes) > 1 or any(p.ndim > 1 for p in params):
+        raise InvalidInputError(f"the angles and T of a stack of walks must be scalars or 1-D"
+                                f" arrays of one length, got shapes {sorted(shapes)}")
+    shape = shapes.pop() if shapes else (1,)
+    return ({sym: np.broadcast_to(theta, shape) for sym, theta in merged.items()},
+            np.broadcast_to(steps, shape).astype(np.int64))
+
+
 def _spec(pid, dim, elements, doubled=None):
     spec = ProtocolSpec(id=pid, dimension=dim, elements=tuple(elements), doubled=doubled)
     return replace(spec, angles={sym: 0.0 for sym in spec.symbols})
@@ -443,8 +464,3 @@ def build_unitary(spec: ProtocolSpec, k, *, angles: Optional[Mapping] = None,
         right = block_diag2(eye, np.swapaxes(Um, -1, -2))
         return left @ SANDWICH_WALL @ right
     raise InvalidInputError(f"unknown doubling {spec.doubled!r}")
-
-
-def step_independent_unitary(spec: ProtocolSpec, k) -> np.ndarray:
-    """U(k) of the step-independent-coin walk: the spec reduced to T = 1."""
-    return build_unitary(step_independent_reduction(spec), k)

@@ -58,10 +58,6 @@ class Bands:
     e_plus: np.ndarray
     phase: np.ndarray = 0.0
 
-    @property
-    def gapless(self) -> np.ndarray:
-        return np.linalg.norm(self.d, axis=-1) <= EPS_GAP
-
 
 def bands_from_unitary(U) -> Bands:
     """Oracle decomposition of 2x2 unitaries into (d0, d, e_plus)."""
@@ -498,25 +494,3 @@ def group_velocity_closed(pid: str, angles: Mapping, T, k, axis):
         raise GaplessError(f"group velocity ill-defined for {pid!r}: bands touch")
     return -drho_closed_form(pid, angles, T, k, axis) / np.sqrt(s2)
 
-
-def group_velocity_numeric(spec_or_id, k, axis, *, angles=None, T=None, h: float = 1e-5):
-    """Central finite difference of the + band along a momentum axis."""
-    spec = registry_lookup(spec_or_id)
-    ax = _axis(spec, axis)
-    k = np.stack(_as_momenta(spec, k), axis=-1)
-    step = np.zeros(spec.dimension)
-    step[ax] = h
-    plus = oracle_bands(spec, k + step, angles=angles, T=T)
-    minus = oracle_bands(spec, k - step, angles=angles, T=T)
-    if np.any(plus.gapless) or np.any(minus.gapless):
-        raise GaplessError("finite-difference stencil touches a gap closing")
-    return (plus.e_plus - minus.e_plus) / (2 * h)
-
-
-def match_global_sign(d_ref, d_other):
-    """Best global sign s minimizing ||d_ref - s*d_other||; returns (s, max_err)."""
-    d_ref = np.asarray(d_ref, float)
-    d_other = np.asarray(d_other, float)
-    err_plus = np.abs(d_ref - d_other).max()
-    err_minus = np.abs(d_ref + d_other).max()
-    return (1, err_plus) if err_plus <= err_minus else (-1, err_minus)

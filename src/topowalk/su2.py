@@ -1,7 +1,7 @@
 """Small dense complex linear algebra for two- and four-level unitaries.
 
-Pauli algebra, SU(2) exponentials, a checked eigen-decomposition of
-unitaries, and 2x2 Kronecker products.  Everything acts on the trailing
+Pauli matrices, rotation axes, a checked eigen-decomposition of unitaries,
+and 2x2 Kronecker products.  Everything acts on the trailing
 (..., n, n) axes, so momentum grids batch for free.
 """
 from __future__ import annotations
@@ -50,20 +50,6 @@ def require_unitary(U) -> np.ndarray:
         raise InvalidInputError(f"eig_unitary input is not unitary: ||U^dag U - I||_max ="
                                 f" {defect:.3e} > {UNITARITY_TOL:.1e}")
     return U
-
-
-def pauli_exp(axis, angle) -> np.ndarray:
-    """exp(-i*angle/2 * axis.sigma) = cos(angle/2) I - i sin(angle/2) axis.sigma.
-
-    `angle` may be an array; the result has shape angle.shape + (2, 2).
-    """
-    a = unit_axis(axis)
-    ang = np.asarray(angle, dtype=float)
-    if not np.all(np.isfinite(ang)):
-        raise InvalidInputError("rotation angle must be finite")
-    half = 0.5 * ang
-    gen = a[0] * SIGMA_X + a[1] * SIGMA_Y + a[2] * SIGMA_Z
-    return np.cos(half)[..., None, None] * SIGMA_0 - 1j * np.sin(half)[..., None, None] * gen
 
 
 def tensor(A, B) -> np.ndarray:
@@ -137,13 +123,3 @@ def eig_unitary(U):
     lam = np.diagonal(D, axis1=-2, axis2=-1).copy()  # a writable array, not a view
     return lam.reshape(U.shape[:-2] + (n,)), W.reshape(U.shape)
 
-
-def quasi_energies(U) -> np.ndarray:
-    """Quasi-energies E_j = i ln(lambda_j) of a batched unitary, sorted ascending.
-
-    Convention: an eigenvalue exp(-iE) carries quasi-energy +E, so
-    E_j = -arg(lambda_j) in (-pi, pi].
-    """
-    U = np.asarray(U, dtype=complex)
-    lam = np.linalg.eigvals(U)
-    return np.sort(-np.angle(lam), axis=-1)

@@ -33,13 +33,13 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import ClassificationError, DegenerateGridError, InvalidInputError
-from .protocols import ProtocolSpec, _as_momenta, build_unitary, registry_lookup
+from .protocols import ProtocolSpec, _as_momenta, build_unitary, registry_lookup, stacked_params
 from .spectrum import bloch
 from .su2 import SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, block_diag2, tensor
 
 RESIDUAL_TOL = 1e-8
 SQUARE_TOL = 1e-10
-_BRANCH_MARGIN = 1e-6  # |d| below which `d_cloud` treats a momentum as a closing
+_BRANCH_MARGIN = 1e-6  # |d| below which a d cloud (`_chiral_fits`) treats a momentum as a closing
 CLASSIFY_GRID = {1: 129, 2: 24, 3: 10}  # points per axis of `classify`'s BZ grid
 
 _PAULIS = {"s0": SIGMA_0, "sx": SIGMA_X, "sy": SIGMA_Y, "sz": SIGMA_Z}
@@ -115,31 +115,47 @@ def check_relation(spec: ProtocolSpec, op: SymmetryOperator, relation: str,
     return _residual(op, relation, *_grid_pair(spec, k_grid, op.momentum_flip))
 
 
-def d_cloud(spec: ProtocolSpec):
-    """Gap-open Bloch vectors of a two-band protocol over a 24-per-axis BZ grid."""
-    d = bloch(spec, _open_mesh(spec.dimension, 24)).d.reshape(-1, 3)
-    return d[np.linalg.norm(d, axis=-1) > _BRANCH_MARGIN]
-
-
-def _plane_fits(d):
-    """(axis, planarity ratio) of each d cloud of d (..., n, 3), from one
-    batched SVD: the unit normal of its best plane, signed so that its
-    largest component is positive, and its smallest/largest singular-value
-    ratio (0 = exactly planar)."""
-    _, s, vt = np.linalg.svd(d, full_matrices=False)
-    axis = vt[..., -1, :]
-    big = np.take_along_axis(axis, np.abs(axis).argmax(axis=-1)[..., None], axis=-1)
-    return np.where(big < 0, -axis, axis), s[..., -1] / s[..., 0]
+def _chiral_fits(spec: ProtocolSpec, angles=None, T=None) -> list:
+    """Per walk of the stack (`angles`, `T`: scalars or 1-D arrays,
+    `stacked_params`) of the two-band walk `spec` doubles, or is: (axis,
+    planarity ratio) of its d cloud, the gap-open Bloch vectors over a
+    24-per-axis BZ grid, or the DegenerateGridError that says it has too few
+    of them.  The axis is the unit normal of the cloud's best plane, signed
+    so that its largest component is positive, and the ratio its
+    smallest/largest singular value (0 = exactly planar).  The clouds come
+    from one stacked evaluation and one batched SVD per set of walks with the
+    same gap-open momenta."""
+    spec = _base_of(spec)
+    angles, T = stacked_params(spec, angles, T)
+    shape = (-1,) + (1,) * spec.dimension
+    d = bloch(spec, _open_mesh(spec.dimension, 24), T=T.reshape(shape),
+              angles={sym: a.reshape(shape) for sym, a in angles.items()}).d.reshape(len(T), -1, 3)
+    gap_open = np.linalg.norm(d, axis=-1) > _BRANCH_MARGIN
+    groups: Dict[bytes, List[int]] = {}
+    for i, key in enumerate(np.packbits(gap_open, axis=-1)):
+        groups.setdefault(key.tobytes(), []).append(i)
+    fits: list = [None] * len(T)
+    for members in groups.values():
+        mask = gap_open[members[0]]
+        if mask.sum() < 3:
+            for i in members:
+                fits[i] = DegenerateGridError("not enough gap-open points to fit a chiral axis")
+            continue
+        _, s, vt = np.linalg.svd(d[np.ix_(members, np.flatnonzero(mask))], full_matrices=False)
+        axes = vt[:, -1, :]
+        big = np.take_along_axis(axes, np.abs(axes).argmax(axis=-1)[:, None], axis=-1)
+        for i, axis, ratio in zip(members, np.where(big < 0, -axes, axes),
+                                  (s[:, -1] / s[:, 0]).tolist()):
+            fits[i] = (axis, ratio)
+    return fits
 
 
 def chiral_axis_fit(spec: ProtocolSpec):
-    """(axis, planarity ratio): the unit normal of the best plane through the
-    d cloud and the smallest/largest singular-value ratio (0 = exactly planar)."""
-    d = d_cloud(spec)
-    if d.shape[0] < 3:
-        raise DegenerateGridError("not enough gap-open points to fit a chiral axis")
-    axis, ratio = _plane_fits(d)
-    return axis, float(ratio)
+    """(axis, planarity ratio) of the walk's d cloud (`_chiral_fits`)."""
+    (fit,) = _chiral_fits(spec)
+    if isinstance(fit, DegenerateGridError):
+        raise fit
+    return fit
 
 
 def _planar_axis(spec: ProtocolSpec, axis, ratio: float) -> np.ndarray:
@@ -150,51 +166,31 @@ def _planar_axis(spec: ProtocolSpec, axis, ratio: float) -> np.ndarray:
     return axis
 
 
+def chiral_axes(spec: ProtocolSpec, *, angles=None, T=None) -> list:
+    """The chiral axis A, Gamma = A.sigma, of each walk of the stack (`angles`,
+    `T`: scalars or 1-D arrays, `stacked_params`) of a two-band chiral
+    protocol or its doubling, or the DegenerateGridError that says why it
+    cannot be fitted; the first walk whose d cloud is not planar raises
+    ClassificationError.  For 1d-chs the axis is analytic, A = (kappa_beta,
+    -lambda_beta/sqrt(2), +lambda_beta/sqrt(2)), per walk on Python floats;
+    for the other planar walks it is fitted from the d cloud
+    (`_chiral_fits`)."""
+    if spec.id in ("1d-chs", "1d-cii"):
+        angles, T = stacked_params(spec, angles, T)
+        halves = [0.5 * t * beta for t, beta in zip(T.tolist(), angles["beta"].tolist())]
+        return [np.array([math.cos(h), -math.sin(h) / math.sqrt(2), math.sin(h) / math.sqrt(2)])
+                for h in halves]
+    return [fit if isinstance(fit, DegenerateGridError) else _planar_axis(spec, *fit)
+            for fit in _chiral_fits(spec, angles, T)]
+
+
 def chiral_axis(spec: ProtocolSpec) -> np.ndarray:
-    """Chiral axis A with Gamma = A.sigma for the two-band chiral protocols.
-
-    For 1d-chs the axis is analytic: A = (kappa_beta, -lambda_beta/sqrt(2),
-    +lambda_beta/sqrt(2)); for the other planar walks it is fitted from the
-    d cloud.
-    """
-    if spec.id in ("1d-chs", "1d-cii"):
-        kb = math.cos(0.5 * spec.T * spec.angles["beta"])
-        lb = math.sin(0.5 * spec.T * spec.angles["beta"])
-        return np.array([kb, -lb / math.sqrt(2), lb / math.sqrt(2)])
-    return _planar_axis(spec, *chiral_axis_fit(_base_of(spec)))
-
-
-def chiral_axes(specs) -> list:
-    """The chiral axis of each walk of `specs`, one protocol at several angles
-    and step numbers, as `chiral_axis` gives it, or the DegenerateGridError
-    that says why it cannot be fitted; the first walk whose d cloud is not
-    planar raises ClassificationError.  The fitted axes come from one stacked
-    evaluation of the walks' d clouds and one batched SVD per set of walks
-    with the same gap-open momenta, so each cloud, and its axis, is
-    bit-identical to `chiral_axis`'s."""
-    spec = specs[0]
-    if spec.id in ("1d-chs", "1d-cii"):
-        return [chiral_axis(s) for s in specs]
-    shape = (-1,) + (1,) * spec.dimension
-    angles = {sym: np.reshape([s.angles[sym] for s in specs], shape) for sym in spec.angles}
-    d = bloch(_base_of(spec), _open_mesh(spec.dimension, 24), angles=angles,
-              T=np.reshape([s.T for s in specs], shape)).d.reshape(len(specs), -1, 3)
-    gap_open = np.linalg.norm(d, axis=-1) > _BRANCH_MARGIN
-    groups: Dict[bytes, List[int]] = {}
-    for i, key in enumerate(np.packbits(gap_open, axis=-1)):
-        groups.setdefault(key.tobytes(), []).append(i)
-    fits: list = [None] * len(specs)
-    for members in groups.values():
-        mask = gap_open[members[0]]
-        if mask.sum() < 3:
-            for i in members:
-                fits[i] = DegenerateGridError("not enough gap-open points to fit a chiral axis")
-            continue
-        axes, ratios = _plane_fits(d[members][:, mask])
-        for i, axis, ratio in zip(members, axes, ratios.tolist()):
-            fits[i] = (axis, ratio)
-    return [fit if isinstance(fit, DegenerateGridError) else _planar_axis(s, *fit)
-            for s, fit in zip(specs, fits)]
+    """The chiral axis of the walk (`chiral_axes`); DegenerateGridError if it
+    cannot be fitted."""
+    (axis,) = chiral_axes(spec)
+    if isinstance(axis, DegenerateGridError):
+        raise axis
+    return axis
 
 
 def _base_of(spec: ProtocolSpec) -> ProtocolSpec:
@@ -448,7 +444,7 @@ def classify(spec_or_id) -> SymmetryReport:
 
     evidence = None
     if declared:
-        _, evidence = chiral_axis_fit(_base_of(spec))
+        _, evidence = chiral_axis_fit(spec)
 
     family = _FAMILY[squares]
     return SymmetryReport(protocol=pid, dimension=spec.dimension,

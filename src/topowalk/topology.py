@@ -4,12 +4,13 @@ Conventions
 -----------
 * Every two-band quantity is the Bloch split (d0, d) of the compiled plan
   (`spectrum.bloch_entries` of its entries, on an open mesh for the gap
-  scan, the flat-band check and the Chern grids).  One driver, `_closings`,
-  sets up the gap search for a stack of walks, one protocol at several
-  angles and step numbers (`_one_protocol` rejects any other stack), in one
-  plan pass: one scan (`_scan`: local minima of |d|, which the Chern
-  reduction reuses) feeds one batched Gauss-Newton refine of d(k) = 0 with
-  the Jacobian split from the exact dU/dk.  `find_gap_closings` (one walk)
+  scan, the flat-band check and the Chern grids).  A stack of walks is one
+  protocol with its angles and T as 1-D arrays along the stack
+  (`protocols.stacked_params`); a one-walk call is a stack of one.  One
+  driver, `_closings`, sets up the gap search for a stack in one plan pass:
+  one scan (`_scan`: local minima of |d|, which the Chern reduction reuses)
+  feeds one batched Gauss-Newton refine of d(k) = 0 with the Jacobian split
+  from the exact dU/dk.  `find_gap_closings` (one walk)
   and `sweep_boundaries` (a chunk of `classify-gaps` sweep values, whose
   flat-band check reads d0 from the same mesh) search the full BZ, since
   they report closings there; `_invariants` (`sweep_invariants`, and
@@ -65,7 +66,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BoundaryStateError, DegenerateGridError, InvalidInputError
-from .protocols import ProtocolSpec, Shift, registry_lookup
+from .protocols import ProtocolSpec, Shift, registry_lookup, stacked_params
 from .spectrum import EPS_GAP, bloch_entries, two_band_plan
 from .symmetry import chiral_axes, momentum_axes
 
@@ -277,31 +278,32 @@ def _scan(vals, cells):
     return idx[:, :lead], -np.pi + idx[:, lead:] * cells
 
 
-def _closings(specs: Sequence[ProtocolSpec], grid_n: int, periods, d0: bool = False):
-    """The gap search of the walks `specs`, one protocol at several angles and
-    step numbers, from one plan pass: their angles and T are (V, 1, ...)
-    arrays against the open mesh of the momentum `periods` at grid_n
-    (>= MIN_SCAN_GRID) points per axis.  `_scan` takes the local minima of |d|
-    on that mesh, and one `_gauss_newton` solve refines all of them, each at
-    its own walk's angles and T.
+def _plan(spec: ProtocolSpec, angles, T, walks=slice(None), ndim: int = 1):
+    """The compiled plan of the walks `walks` of the stack (`angles`, `T`), one
+    walk per entry of its first axis, with ndim - 1 axes of 1 after it."""
+    shape = (-1,) + (1,) * (ndim - 1)
+    return two_band_plan(spec, angles={sym: a[walks].reshape(shape) for sym, a in angles.items()},
+                         T=T[walks].reshape(shape))
+
+
+def _closings(spec: ProtocolSpec, angles, T, grid_n: int, periods, d0: bool = False):
+    """The gap search of the stack of walks (`angles`, `T`) of `spec`, from one
+    plan pass: their angles and T are (V, 1, ...) arrays against the open
+    mesh of the momentum `periods` at grid_n (>= MIN_SCAN_GRID) points per
+    axis.  `_scan` takes the local minima of |d| on that mesh, and one
+    `_gauss_newton` solve refines all of them, each at its own walk's angles
+    and T.
 
     Returns d (or d0 if `d0`) and |d| on the mesh (V, grid_n, ...) as
     `_mesh_bloch` gives them, the walk index of each start point, and each
     start's refined k, d0 and |d|."""
-    spec, count = specs[0], len(specs)
     dim = spec.dimension
-    lead = (count,) + (1,) * dim
-    angles = {sym: np.reshape([s.angles[sym] for s in specs], lead) for sym in spec.angles}
-    steps = np.reshape([s.T for s in specs], lead)
-    plan = two_band_plan(spec, angles=angles, T=steps)
-    mesh, norm = _mesh_bloch(plan, momentum_axes(dim, grid_n, periods),
-                             (count,) + (grid_n,) * dim, d0)
+    mesh, norm = _mesh_bloch(_plan(spec, angles, T, ndim=1 + dim),
+                             momentum_axes(dim, grid_n, periods), (len(T),) + (grid_n,) * dim, d0)
     cells = np.divide(periods, grid_n)
     rows, starts = _scan(norm, cells)
     which = rows[:, 0]
-    per_start = two_band_plan(spec, T=steps.ravel()[which],
-                              angles={sym: a.ravel()[which] for sym, a in angles.items()})
-    return (mesh, norm, which) + _gauss_newton(per_start, starts, cells)
+    return (mesh, norm, which) + _gauss_newton(_plan(spec, angles, T, which), starts, cells)
 
 
 def _check_grid(grid_n) -> None:
@@ -356,7 +358,7 @@ def find_gap_closings(spec_or_id, *, angles=None, T=None, grid_n: int = 64,
     _check_grid(grid_n)
     if grid_n < MIN_SCAN_GRID:
         raise InvalidInputError(f"grid_n must be >= {MIN_SCAN_GRID} per axis")
-    found = _closings([spec], grid_n, [2 * np.pi] * spec.dimension, True)
+    found = _closings(spec, *stacked_params(spec), grid_n, [2 * np.pi] * spec.dimension, True)
     return _gap_points(*found[2:], 1, refine_tol)[0]
 
 
@@ -387,52 +389,49 @@ def classify_boundary(spec_or_id, *, angles=None, T=None,
     if gap_points is None:
         if grid_n < MIN_SCAN_GRID:
             raise InvalidInputError(f"grid_n must be >= {MIN_SCAN_GRID} per axis")
-        return sweep_boundaries([spec], grid_n)[0][1]
+        return sweep_boundaries(spec, grid_n)[0][1]
     dim = spec.dimension
-    d0 = _mesh_bloch(two_band_plan(spec), momentum_axes(dim, grid_n), (grid_n,) * dim, True)[0]
-    return _classify([spec], d0[None], [gap_points])[0]
+    angles, T = stacked_params(spec)
+    d0 = _mesh_bloch(_plan(spec, angles, T, ndim=1 + dim), momentum_axes(dim, grid_n),
+                     (1,) + (grid_n,) * dim, True)[0]
+    return _classify(spec, angles, T, d0, [gap_points])[0]
 
 
-def sweep_boundaries(specs: Sequence[ProtocolSpec], grid_n: int
+def sweep_boundaries(spec_or_id, grid_n: int, *, angles=None, T=None
                      ) -> List[Tuple[List[GapPoint], List[BoundaryClassification]]]:
-    """The gap closings and the boundary taxonomy of each walk of `specs`, one
-    protocol at several angles and step numbers, as `find_gap_closings` and
-    `classify_boundary` give them at max(grid_n, MIN_SCAN_GRID) points per
-    axis, from one plan pass over the full BZ (`_closings`), whose d0 also
-    serves the flat-band check."""
-    if not specs:
+    """The gap closings and the boundary taxonomy of each walk of the stack
+    (`angles`, `T`: scalars or 1-D arrays, `stacked_params`), as
+    `find_gap_closings` and `classify_boundary` give them at max(grid_n,
+    MIN_SCAN_GRID) points per axis, from one plan pass over the full BZ
+    (`_closings`), whose d0 also serves the flat-band check."""
+    spec = registry_lookup(spec_or_id)
+    angles, T = stacked_params(spec, angles, T)
+    if not len(T):
         return []
-    _one_protocol(specs)
-    d0, _, *starts = _closings(specs, max(grid_n, MIN_SCAN_GRID),
-                               [2 * np.pi] * specs[0].dimension, True)
-    points = _gap_points(*starts, len(specs), EPS_GAP)
-    return list(zip(points, _classify(specs, d0, points)))
+    d0, _, *starts = _closings(spec, angles, T, max(grid_n, MIN_SCAN_GRID),
+                               [2 * np.pi] * spec.dimension, True)
+    points = _gap_points(*starts, len(T), EPS_GAP)
+    return list(zip(points, _classify(spec, angles, T, d0, points)))
 
 
-def _stacked_plan(specs: Sequence[ProtocolSpec], shape):
-    """The compiled plan of the walks `specs`, one protocol: their angles and
-    T as arrays of `shape`, one walk per entry along its first axis."""
-    angles = {sym: np.reshape([s.angles[sym] for s in specs], shape) for sym in specs[0].angles}
-    return two_band_plan(specs[0], angles=angles, T=np.reshape([s.T for s in specs], shape))
-
-
-def _classify(specs: Sequence[ProtocolSpec], d0, gap_points: List[List[GapPoint]]
+def _classify(spec: ProtocolSpec, angles, T, d0, gap_points: List[List[GapPoint]]
               ) -> List[List[BoundaryClassification]]:
-    """The taxonomy of `classify_boundary` for each walk of `specs`, one
-    protocol, from its d0 on a full-BZ mesh (a stack, walks first) and its
-    closings.  The flat-band variation is one reduction over the stack; the
-    gap fits along +-each axis of every closing of every walk that is not flat
-    come from one pass of one compiled plan with per-closing angles and T, so
-    Python runs per walk only where it has a closing or a flat band."""
+    """The taxonomy of `classify_boundary` for each walk of the stack
+    (`angles`, `T`) of `spec`, from its d0 on a full-BZ mesh (walks first)
+    and its closings.  The flat-band variation is one reduction over the
+    stack; the gap fits along +-each axis of every closing of every walk that
+    is not flat come from one pass of one compiled plan with per-closing
+    angles and T, so Python runs per walk only where it has a closing or a
+    flat band."""
     e = np.clip(d0, -1.0, 1.0)
     np.arccos(e, out=e)
     mesh = tuple(range(1, e.ndim))
     variation = (e.max(axis=mesh) - e.min(axis=mesh)).tolist()
-    out: List[List[BoundaryClassification]] = [[] for _ in specs]
-    dim = specs[0].dimension
+    out: List[List[BoundaryClassification]] = [[] for _ in variation]
+    dim = spec.dimension
     flat = [i for i, v in enumerate(variation) if v <= EPS_FLAT]
     if flat:
-        e0 = np.arccos(np.clip(_stacked_plan([specs[i] for i in flat], (-1, 1)).entries(
+        e0 = np.arccos(np.clip(_plan(spec, angles, T, flat, 2).entries(
             np.zeros((1, dim)))[0].real, -1.0, 1.0))
         for i, energy in zip(flat, e0[:, 0].tolist()):
             out[i] = [BoundaryClassification(kind="flat_band",
@@ -445,7 +444,7 @@ def _classify(specs: Sequence[ProtocolSpec], d0, gap_points: List[List[GapPoint]
     s = np.linspace(FIT_WINDOW / 20, FIT_WINDOW, 20)
     # the fit momenta k0 + sign s e_axis: (closing, axis, sign, s, momentum)
     offsets = np.eye(dim)[:, None, None, :] * (np.array([[1.0], [-1.0]]) * s)[:, :, None]
-    plan = _stacked_plan([specs[i] for i, _ in closings], (-1, 1, 1, 1))
+    plan = _plan(spec, angles, T, [i for i, _ in closings], 4)
     e_fit = np.arccos(np.clip(plan.entries(np.array([p.k for _, p in closings])[:, None, None, None]
                                            + offsets)[0].real, -1.0, 1.0))
     gaps = np.minimum(e_fit, np.pi - e_fit)
@@ -553,14 +552,15 @@ def _root_count(z):
     return inside, closes
 
 
-def _windings(specs: Sequence[ProtocolSpec]) -> list:
-    """The 1D branch of `_invariants` (see the module docstring): per walk,
-    (n, float(n)) from the roots of its in-plane Laurent polynomial, or the
-    BoundaryStateError that says why it has none.  A walk with too few
-    gap-open momenta to fit its chiral axis has no winding either."""
-    results: list = [None] * len(specs)
+def _windings(spec: ProtocolSpec, angles, T) -> list:
+    """The 1D branch of `_invariants` (see the module docstring): per walk of
+    the stack (`angles`, `T`), (n, float(n)) from the roots of its in-plane
+    Laurent polynomial, or the BoundaryStateError that says why it has none.
+    A walk with too few gap-open momenta to fit its chiral axis has no
+    winding either."""
+    results: list = [None] * len(T)
     todo, axes = [], []
-    for i, axis in enumerate(chiral_axes(specs)):
+    for i, axis in enumerate(chiral_axes(spec, angles=angles, T=T)):
         if isinstance(axis, DegenerateGridError):
             results[i] = BoundaryStateError(f"winding undefined: {axis}")
         else:
@@ -568,10 +568,9 @@ def _windings(specs: Sequence[ProtocolSpec]) -> list:
             axes.append(axis)
     if not todo:
         return results
-    plan = _stacked_plan([specs[i] for i in todo], (-1,))
-    z = _in_plane_coefficients(plan, np.array(axes))
+    z = _in_plane_coefficients(_plan(spec, angles, T, todo), np.array(axes))
     inside, closes = _root_count(z)
-    halves = 2 if momentum_period(specs[0], 0) == np.pi else 1
+    halves = 2 if momentum_period(spec, 0) == np.pi else 1
     windings = ((inside - z.shape[1] // 2) // halves).tolist()
     for i, n, k in zip(todo, windings, closes.tolist()):
         results[i] = (n, float(n)) if k == np.inf else BoundaryStateError(
@@ -678,36 +677,25 @@ def _one_walk(name: str, dim: int, spec_or_id, angles, T, grid_n) -> Tuple[int, 
     spec = registry_lookup(spec_or_id, T=T, angles=angles)
     if spec.dimension != dim:
         raise InvalidInputError(f"{name} needs a {dim}D protocol")
-    (result,) = _invariants([spec], grid_n)
+    (result,) = _invariants(spec, grid_n)
     if isinstance(result, BoundaryStateError):
         raise result
     return result
 
 
-def sweep_invariants(specs: Sequence[ProtocolSpec],
-                     grid_n: int) -> List[Optional[Tuple[int, float]]]:
-    """The winding (1D) or Chern (2D) number of each walk of `specs`, one
-    protocol at several angles and step numbers, in one pass: (n, raw) per
-    walk, or None where its gap closes or the invariant is undefined."""
-    return [None if isinstance(r, BoundaryStateError) else r for r in _invariants(specs, grid_n)]
+def sweep_invariants(spec_or_id, grid_n: int, *, angles=None,
+                     T=None) -> List[Optional[Tuple[int, float]]]:
+    """The winding (1D) or Chern (2D) number of each walk of the stack
+    (`angles`, `T`: scalars or 1-D arrays, `stacked_params`), in one pass:
+    (n, raw) per walk, or None where its gap closes or the invariant is
+    undefined."""
+    return [None if isinstance(r, BoundaryStateError) else r
+            for r in _invariants(spec_or_id, grid_n, angles, T)]
 
 
-def _one_protocol(specs: Sequence[ProtocolSpec]) -> None:
-    """InvalidInputError unless the walks `specs` differ only in T and the
-    values of their angles: a stack is compiled as the first walk's protocol."""
-    def protocol(s):
-        return s.id, s.dimension, s.elements, s.doubled, s.angles.keys()
-
-    first = protocol(specs[0])
-    for spec in specs[1:]:
-        if protocol(spec) != first:
-            raise InvalidInputError(f"a stack of walks is one protocol at several angles and"
-                                    f" step numbers; {spec.id!r} differs from {specs[0].id!r}")
-
-
-def _invariants(specs: Sequence[ProtocolSpec], grid_n: int) -> list:
-    """The one invariant route: per walk, (n, raw) or the BoundaryStateError
-    that says why it has none.  1D walks count the roots of their in-plane
+def _invariants(spec_or_id, grid_n: int, angles=None, T=None) -> list:
+    """The one invariant route: per walk of the stack (`angles`, `T`), (n, raw)
+    or the BoundaryStateError that says why it has none.  1D walks count the roots of their in-plane
     Fourier polynomial (`_windings`), exactly and with no mesh; grid_n is
     still checked.  2D walks run the gap search (`_closings`) on the open mesh
     of the minimal momentum torus at max(grid_n, MIN_SCAN_GRID) points per
@@ -716,17 +704,18 @@ def _invariants(specs: Sequence[ProtocolSpec], grid_n: int) -> list:
     with no candidate refined to |d| <= EPS_GAP reduce the same d (`_chern`)
     to `_quantized`."""
     _check_grid(grid_n)
-    if not specs:
-        return []
-    _one_protocol(specs)
-    dim = specs[0].dimension
+    spec = registry_lookup(spec_or_id)
+    angles, T = stacked_params(spec, angles, T)
+    dim = spec.dimension
     if dim not in (1, 2):
         raise InvalidInputError("invariants are computed for 1D (winding) and 2D (Chern) only")
+    if not len(T):
+        return []
     if dim == 1:
-        return _windings(specs)
-    periods = [momentum_period(specs[0], ax) for ax in range(dim)]
-    d, norm, which, pts, _, resid = _closings(specs, max(grid_n, MIN_SCAN_GRID), periods)
-    results: list = [None] * len(specs)
+        return _windings(spec, angles, T)
+    periods = [momentum_period(spec, ax) for ax in range(dim)]
+    d, norm, which, pts, _, resid = _closings(spec, angles, T, max(grid_n, MIN_SCAN_GRID), periods)
+    results: list = [None] * len(T)
     closes = np.flatnonzero(resid <= EPS_GAP)[::-1]
     for i, j in dict(zip(which[closes].tolist(), closes.tolist())).items():  # each walk's first
         results[i] = BoundaryStateError(
@@ -734,7 +723,7 @@ def _invariants(specs: Sequence[ProtocolSpec], grid_n: int) -> list:
     todo = [i for i, r in enumerate(results) if r is None]
     if not todo:
         return results
-    if len(todo) < len(specs):
+    if len(todo) < len(T):
         d, norm = d[:, todo], norm[todo]
     raw, margin = _chern(d, norm)
     for i, r, m in zip(todo, raw.tolist(), margin.tolist()):

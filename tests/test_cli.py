@@ -18,7 +18,7 @@ except ImportError:  # not a POSIX system
 from topowalk import cli, config, spectrum, topology
 from topowalk import symmetry as sym
 from topowalk.errors import BoundaryStateError, InvalidInputError
-from topowalk.protocols import PROTOCOL_IDS, registry_lookup
+from topowalk.protocols import PROTOCOL_IDS, registry_lookup, stacked_params
 
 PI = math.pi
 
@@ -110,9 +110,11 @@ class TestBands:
                 assert all(v != "" for v in r[2 + dim:-1]) == (r[-1] == "gapped")
             gapped = [r for r in rows if r[0] == "0.7"]
             k = np.array([[float(x) for x in r[1:1 + dim]] for r in gapped])
+            walk, h = registry_lookup(protocol, T=2, angles={**angles, "beta": 0.7}), 1e-5
             for ax in range(dim):
-                vn = spectrum.group_velocity_numeric(protocol, k, ax, T=2,
-                                                     angles={**angles, "beta": 0.7})
+                step = h * np.eye(dim)[ax]  # the central difference of the matrix oracle
+                vn = (spectrum.oracle_bands(walk, k + step).e_plus
+                      - spectrum.oracle_bands(walk, k - step).e_plus) / (2 * h)
                 v = np.array([float(r[2 + dim + ax]) for r in gapped])
                 assert np.abs(v - vn).max() <= 1e-8
 
@@ -409,9 +411,9 @@ def count_stacks(monkeypatch, name):
     or `sweep_boundaries`) made in this process, recorded as the calls come."""
     sizes, real = [], getattr(topology, name)
 
-    def counting(specs, grid_n):
-        sizes.append(len(specs))
-        return real(specs, grid_n)
+    def counting(pid, grid_n, *, angles=None, T=None):
+        sizes.append(len(stacked_params(registry_lookup(pid), angles, T)[1]))
+        return real(pid, grid_n, angles=angles, T=T)
 
     monkeypatch.setattr(topology, name, counting)
     return sizes
@@ -1139,6 +1141,20 @@ class TestUnwritableStdout:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: out '-' cannot be written: "), err
 
+    @pytest.mark.parametrize("command", ["bands", "invariant"])
+    def test_closed_stdout_is_refused_before_any_row(self, tmp_path, capsys, monkeypatch,
+                                                     command):
+        def unreached(*args, **kwargs):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(cli, "_bands_chunk", unreached)
+        monkeypatch.setattr(topology, "sweep_invariants", unreached)
+        monkeypatch.setattr(sys, "stdout", None)  # as Python leaves it when fd 1 is closed
+        code = run([command, "--config", str(small_bands_cfg(tmp_path)), "--out", "-"])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: out '-' cannot be written: stdout is closed"]
+
     @pytest.mark.parametrize("argv", [["symmetry", "1d-chs"],
                                       ["invariant", "--config", "<cfg>"]])
     def test_closed_stdout(self, tmp_path, argv):
@@ -1262,17 +1278,20 @@ class TestPerProcessParser:
 
     @pytest.mark.parametrize("name", [f"fig{i}" for i in range(1, 12)])
     def test_specs_at_binds_as_registry_lookup(self, name):
+        """A chunk's stack, `walk_params` of the array of its values, holds
+        the bits of each walk that `registry_lookup` binds at one value."""
         cfg = config.config_from_dict(json.loads((FIXTURE_DIR / f"{name}.cfg").read_text()))
         cfg.validate()
         values = cfg.sweep_values()
-        specs = cfg.specs_at(values)
-        assert specs == [cfg.spec_at(v) for v in values]
-        for spec, value in zip(specs, values):
-            angles, T = cfg.walk_params(value)
-            want = registry_lookup(cfg.protocol, T=T, angles=angles)
-            assert spec == want and list(spec.angles.items()) == list(want.angles.items())
-            assert type(spec.T) is int and all(type(a) is float for a in spec.angles.values())
-        assert cfg.specs_at([]) == []
+        spec = registry_lookup(cfg.protocol)
+        angles, T = stacked_params(spec, *cfg.walk_params(np.array(values)))
+        assert T.dtype == np.int64 and all(a.dtype == np.float64 for a in angles.values())
+        for i, value in enumerate(values):
+            want = cfg.spec_at(value)
+            assert list(angles) == list(want.angles) and T[i] == want.T
+            assert [a[i].tobytes() for a in angles.values()] == [
+                np.float64(a).tobytes() for a in want.angles.values()]
+        assert len(stacked_params(spec, *cfg.walk_params(np.array(values[:0])))[1]) == 0
 
 
 # The fuzzed boundary: config documents drawn from the key table, then

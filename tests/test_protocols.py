@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +10,8 @@ from topowalk import protocols as pr
 from topowalk.errors import InvalidInputError, UnknownProtocolError
 from topowalk.spectrum import (bands_from_unitary, bands_with_velocity, bloch, bloch_entries,
                                oracle_bands, two_band_plan)
-from topowalk.su2 import SIGMA_Y, TAU_Y, block_diag2, pauli_exp, tensor, unitarity_defect
+from topowalk.su2 import (SIGMA_X, SIGMA_Y, SIGMA_Z, TAU_Y, block_diag2, tensor,
+                          unitarity_defect)
 from topowalk.symmetry import bz_grid, momentum_axes
 
 TWO_BAND_IDS = [pid for pid in pr.PROTOCOL_IDS if pr.REGISTRY[pid].bands == 2]
@@ -74,13 +76,16 @@ def test_1d_phs_matches_explicit_product():
 
 
 def _reference_base(spec, k, angles, T):
-    """Product of pauli_exp coins and diagonal shift matrices, in application order."""
+    """Product of coins exp(-i T theta/2 axis.sigma), by scipy's matrix
+    exponential, and diagonal shift matrices, in application order."""
     batch = np.broadcast_shapes(k.shape[:-1], np.shape(T),
                                 *(np.shape(v) for v in angles.values()))
     U = np.broadcast_to(np.eye(2, dtype=complex), batch + (2, 2))
     for el in spec.elements:
         if isinstance(el, pr.Coin):
-            M = pauli_exp(el.axis, np.multiply(T, angles[el.symbol]))
+            gen = np.tensordot(el.axis, [SIGMA_X, SIGMA_Y, SIGMA_Z], axes=1)
+            theta = np.multiply(T, angles[el.symbol])
+            M = scipy.linalg.expm(-0.5j * np.asarray(theta)[..., None, None] * gen)
         else:
             M = np.zeros(k.shape[:-1] + (2, 2), dtype=complex)
             M[..., 0, 0] = np.exp(1j * (k @ np.array(el.up, dtype=float)))
@@ -342,7 +347,7 @@ def test_step_independent_unitary_bitwise_matches_T1(rng):
     spec = pr.registry_lookup("2d-phs", T=1, angles={"alpha": 0.71, "beta": -0.39})
     k = rng.uniform(-np.pi, np.pi, size=(9, 2))
     A = pr.build_unitary(spec, k)
-    B = pr.step_independent_unitary(spec, k)
+    B = pr.build_unitary(pr.step_independent_reduction(spec), k)
     assert np.array_equal(A, B)
 
 

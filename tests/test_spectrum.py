@@ -6,7 +6,13 @@ from conftest import generic_angles
 from topowalk import protocols as pr
 from topowalk import spectrum as sp
 from topowalk.errors import GaplessError, InvalidInputError, UnsupportedProtocolError
-from topowalk.su2 import quasi_energies
+
+
+def central_difference(spec, k, axis, *, angles=None, T=None, h=1e-5):
+    """The + band's velocity along `axis` by a central difference of the matrix oracle."""
+    step = h * np.eye(spec.dimension)[axis]
+    return (sp.oracle_bands(spec, k + step, angles=angles, T=T).e_plus
+            - sp.oracle_bands(spec, k - step, angles=angles, T=T).e_plus) / (2 * h)
 
 
 class TestBlochDecomposition:
@@ -14,7 +20,7 @@ class TestBlochDecomposition:
         b = sp.bands_from_unitary(np.eye(2))
         assert b.d0 == 1.0 and b.e_plus == 0.0
         npt.assert_array_equal(b.d, np.zeros(3))
-        assert bool(b.gapless)
+        assert np.linalg.norm(b.d) <= sp.EPS_GAP
 
     def test_z_rotation(self):
         U = np.diag([np.exp(0.3j), np.exp(-0.3j)])
@@ -55,7 +61,7 @@ class TestBlochDecomposition:
         k = rng.uniform(-np.pi, np.pi, size=(50, 2))
         U = pr.build_unitary(spec, k)
         b = sp.bands_from_unitary(U)
-        E = quasi_energies(U)  # sorted ascending: (-e_plus, +e_plus)
+        E = np.sort(-np.angle(np.linalg.eigvals(U)), axis=-1)  # (-e_plus, +e_plus)
         npt.assert_allclose(E[:, 1], b.e_plus, atol=1e-10)
         npt.assert_allclose(E[:, 0], -b.e_plus, atol=1e-10)
 
@@ -79,7 +85,7 @@ class TestBlochDecomposition:
             assert got.d.shape == want.d.shape == (n, 3)
             npt.assert_allclose(got.d0, want.d0, rtol=0, atol=1e-14)
             npt.assert_allclose(got.d, want.d, rtol=0, atol=1e-14)
-            gapped = ~want.gapless
+            gapped = np.linalg.norm(want.d, axis=-1) > sp.EPS_GAP
             npt.assert_allclose(got.e_plus[gapped], want.e_plus[gapped], rtol=0, atol=1e-14)
             assert np.all(got.phase == 0.0)
 
@@ -102,8 +108,7 @@ class TestClosedForms:
         assert np.abs(rho - np.cos(b.e_plus)).max() <= 1e-10
         assert np.abs(rho).max() <= 1 + 1e-10
         d = sp.d_closed_form(pid, angles, T, k)
-        sign, err = sp.match_global_sign(b.d, d)
-        assert sign == 1 and err <= 1e-9
+        assert np.abs(b.d - d).max() <= 1e-9 < np.abs(b.d + d).max()  # the sign +1
 
     def test_frozen_2d_phs_value(self):
         rho = sp.rho_closed_form("2d-phs", {"alpha": np.pi / 3, "beta": np.pi / 4}, 2,
@@ -152,7 +157,7 @@ class TestGroupVelocity:
         k = np.asarray(picks)
         for ax in range(spec.dimension):
             vc = sp.group_velocity_closed(spec.id, spec.angles, spec.T, k, ax)
-            vn = sp.group_velocity_numeric(spec, k, ax)
+            vn = central_difference(spec, k, ax)
             assert np.abs(vc - vn).max() <= 1e-6
 
     @pytest.mark.parametrize("pid", [p for p in pr.PROTOCOL_IDS if pr.REGISTRY[p].bands == 2])
@@ -176,7 +181,7 @@ class TestGroupVelocity:
                 if pid in sp.CLOSED_FORM_IDS:
                     ref, tol = sp.group_velocity_closed(pid, angles, T, k, ax), 1e-12
                 else:
-                    ref, tol = sp.group_velocity_numeric(spec, k, ax, angles=angles, T=T), 1e-8
+                    ref, tol = central_difference(spec, k, ax, angles=angles, T=T), 1e-8
                 assert np.abs(v[away, ax] - ref[away]).max() <= tol
 
     def test_plan_velocity_nan_at_closing_and_two_band_only(self):
@@ -188,13 +193,13 @@ class TestGroupVelocity:
             sp.bands_with_velocity("1d-diii", np.zeros((1, 1)))
 
     def test_flat_band_velocity_zero(self):
-        v = sp.group_velocity_numeric("3d-simple", np.array([[0.3, -1.0, 0.4]]), 0,
-                                      angles={"beta": np.pi}, T=1)
+        v = central_difference(pr.REGISTRY["3d-simple"], np.array([[0.3, -1.0, 0.4]]), 0,
+                               angles={"beta": np.pi}, T=1)
         npt.assert_allclose(v, 0.0, atol=1e-8)
 
     def test_linear_band_unit_velocity(self):
-        v = sp.group_velocity_numeric("1d-chs", np.array([[0.4]]), 0,
-                                      angles={"alpha": 0.0, "beta": 0.0}, T=1)
+        v = central_difference(pr.REGISTRY["1d-chs"], np.array([[0.4]]), 0,
+                               angles={"alpha": 0.0, "beta": 0.0}, T=1)
         npt.assert_allclose(v, 1.0, atol=1e-8)
 
     def test_1d_chs_velocity_is_minus_nz_and_bounded(self, rng):
@@ -211,16 +216,7 @@ class TestGroupVelocity:
             sp.group_velocity_closed("1d-chs", {"alpha": 0.0, "beta": 0.0}, 1,
                                      np.zeros((1, 1)), 0)
 
-    def test_numeric_velocity_raises_when_stencil_touches_closing(self):
-        # k - h lands exactly on the k = 0 closing
-        with pytest.raises(GaplessError):
-            sp.group_velocity_numeric("1d-chs", np.array([[1e-5]]), 0,
-                                      angles={"alpha": 0.0, "beta": 0.0}, T=1, h=1e-5)
-
     def test_rejects_bad_axis(self):
-        with pytest.raises(InvalidInputError):
-            sp.group_velocity_numeric("1d-chs", np.zeros((1, 1)), "y",
-                                      angles={"alpha": 0.3, "beta": 0.1}, T=1)
         with pytest.raises(InvalidInputError):
             sp.drho_closed_form("2d-phs", {"alpha": 0.3, "beta": 0.1}, 1, np.zeros((1, 2)), "z")
         with pytest.raises(InvalidInputError):

@@ -5,13 +5,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import generic_angles
+from conftest import as_stack, generic_angles
 from topowalk import cli
 from topowalk import protocols as pr
 from topowalk import su2
 from topowalk import symmetry as sym
 from topowalk.errors import ClassificationError, DegenerateGridError, InvalidInputError
-from topowalk.spectrum import bands_from_unitary
+from topowalk.spectrum import bands_from_unitary, bloch
 
 
 def _bound(pid, rng=None, T=3):
@@ -151,27 +151,33 @@ def _lattice(pid):
 
 
 class TestStackedChiralAxes:
-    def test_each_axis_is_bit_identical_to_chiral_axis(self):
+    def test_each_axis_is_bit_identical_to_an_svd_of_its_cloud(self):
         # 1d-split: a T = 6 sweep and the special-angle lattice, whose walks
         # fall into five gap-open masks; the sweep's two walks at alpha =
-        # +-pi/2 and nine of the lattice's have too few gap-open momenta to fit
+        # +-pi/2 and nine of the lattice's have too few gap-open momenta to fit.
+        # The reference fits each walk alone: its gap-open d on the 24-point
+        # mesh, the last right singular vector, signed by its largest component
         sweep = [pr.registry_lookup("1d-split", T=6, angles={"alpha": a, "beta": (a + np.pi) / 3})
                  for a in np.linspace(-np.pi, np.pi, 181)]
         specs = sweep + _lattice("1d-split")
+        k = np.linspace(-np.pi, np.pi, 24, endpoint=False)
         degenerate = 0
-        for spec, got in zip(specs, sym.chiral_axes(specs)):
-            try:
-                want = sym.chiral_axis(spec)
-            except DegenerateGridError as err:
-                assert isinstance(got, DegenerateGridError) and str(got) == str(err)
+        for spec, got in zip(specs, sym.chiral_axes(specs[0], **as_stack(specs))):
+            d = bloch(spec, k).d
+            d = d[np.linalg.norm(d, axis=-1) > sym._BRANCH_MARGIN]
+            if len(d) < 3:
+                assert isinstance(got, DegenerateGridError)
+                assert str(got) == "not enough gap-open points to fit a chiral axis"
                 degenerate += 1
                 continue
+            want = np.linalg.svd(d, full_matrices=False)[2][-1]
+            want = -want if want[np.abs(want).argmax()] < 0 else want
             assert got.tobytes() == want.tobytes()
         assert degenerate == 2 + 9
 
     def test_analytic_axes_are_chiral_axis(self):
         specs = _lattice("1d-chs")
-        for spec, got in zip(specs, sym.chiral_axes(specs)):
+        for spec, got in zip(specs, sym.chiral_axes(specs[0], **as_stack(specs))):
             assert got.tobytes() == sym.chiral_axis(spec).tobytes()
 
     def test_first_non_planar_walk_raises(self):
@@ -184,7 +190,7 @@ class TestStackedChiralAxes:
                 errors.append(str(err))
         assert len(set(errors)) > 1
         with pytest.raises(ClassificationError) as info:
-            sym.chiral_axes(specs)
+            sym.chiral_axes(specs[0], **as_stack(specs))
         assert str(info.value) == errors[0]
 
 

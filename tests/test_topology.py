@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import generic_angles
+from conftest import as_stack, generic_angles
 from topowalk import cli
 from topowalk import protocols as pr
 from topowalk import spectrum
@@ -92,7 +92,7 @@ def test_gap_point_merge_matches_pairwise_reference():
     # copies one period away and copies within MERGE_TOL, which must merge,
     # and copies at the other quasi-energy, which must not
     spec = pr.registry_lookup("3d-simple", angles={"beta": 0.0})
-    *_, pts, d0, resid = tp._closings([spec], 32, [2 * PI] * 3)
+    *_, pts, d0, resid = tp._closings(spec, *pr.stacked_params(spec), 32, [2 * PI] * 3)
     assert len(pts) == 2048
     pts, d0, resid = pts[:60], d0[:60], resid[:60]
     pts = np.concatenate([pts, pts + [2 * PI, 0.0, -2 * PI], pts + 0.3 * tp.MERGE_TOL, pts])
@@ -269,7 +269,8 @@ def test_gap_fits_equal_the_per_closing_loop(pid, T, angles):
     dim = spec.dimension
     d0 = tp._mesh_bloch(spectrum.two_band_plan(spec), symmetry.momentum_axes(dim, 32),
                         (32,) * dim, True)[0]
-    got = [(c.kind, c.evidence) for c in tp._classify([spec], d0[None], [points])[0]]
+    got = [(c.kind, c.evidence)
+           for c in tp._classify(spec, *pr.stacked_params(spec), d0[None], [points])[0]]
     assert got == _loop_classify(spec, points)
 
 
@@ -303,7 +304,7 @@ class TestWinding:
                                   angles={"alpha": 2.094, "beta": (2.094 + PI) / 3})
         w_fwd = tp.winding_number(spec)
         monkeypatch.setattr(tp, "chiral_axes",
-                            lambda specs: [-a for a in symmetry.chiral_axes(specs)])
+                            lambda spec, **stack: [-a for a in symmetry.chiral_axes(spec, **stack)])
         w_rev = tp.winding_number(spec)
         assert w_fwd.w == -w_rev.w != 0
         assert (w_fwd.raw, w_rev.raw) == (float(w_fwd.w), float(w_rev.w))
@@ -429,7 +430,7 @@ class TestSweepInvariants:
                                                       for s in symbols}) for _ in range(16)]
         dim = specs[0].dimension
         public = tp.winding_number if dim == 1 else tp.chern_number
-        results = tp.sweep_invariants(specs, grid_n)
+        results = tp.sweep_invariants(pid, grid_n, **as_stack(specs))
         assert len(results) == len(specs)
         for spec, res in zip(specs, results):
             try:
@@ -441,9 +442,9 @@ class TestSweepInvariants:
         assert any(res is not None for res in results)
 
     def test_walk_at_a_closing_has_no_invariant(self):
-        at = pr.registry_lookup("2d-phs", T=2, angles={"alpha": PI / 3, "beta": PI / 6})
         off = pr.registry_lookup("2d-phs", T=2, angles={"alpha": PI / 3, "beta": PI / 4})
-        got = tp.sweep_invariants([off, at, off], 64)
+        got = tp.sweep_invariants("2d-phs", 64, T=2, angles={
+            "alpha": PI / 3, "beta": np.array([PI / 4, PI / 6, PI / 4])})
         want = tp.chern_number(off, grid_n=64)
         assert got == [(want.c, want.raw), None, (want.c, want.raw)]
 
@@ -458,7 +459,7 @@ class TestSweepInvariants:
         public = tp.winding_number if spec.dimension == 1 else tp.chern_number
         with pytest.raises(BoundaryStateError, match="undefined: the gap closes at k = "):
             public(spec, grid_n=grid_n)
-        assert tp.sweep_invariants([spec], grid_n) == [None]
+        assert tp.sweep_invariants(spec, grid_n) == [None]
 
     @pytest.mark.parametrize("pid, T, angles, want", [
         ("2d-phs", 2, {"alpha": PI / 3, "beta": PI / 4}, 1),
@@ -473,26 +474,64 @@ class TestSweepInvariants:
         assert (fine.c, fine.raw) == (want, float(want))
         for grid_n in (2, 3, 8, tp.MIN_SCAN_GRID):
             assert tp.chern_number(spec, grid_n=grid_n) == fine
-            assert tp.sweep_invariants([spec], grid_n) == [(want, float(want))]
+            assert tp.sweep_invariants(spec, grid_n) == [(want, float(want))]
 
     def test_rejects_3d(self):
         with pytest.raises(InvalidInputError):
-            tp.sweep_invariants([pr.registry_lookup("3d-simple")], 8)
-
-    @pytest.mark.parametrize("pids", [("2d-phs", "2d-nosym"), ("1d-chs", "1d-split"),
-                                      ("1d-chs", "2d-phs")])
-    @pytest.mark.parametrize("sweep", [tp.sweep_invariants, tp.sweep_boundaries])
-    def test_rejects_a_stack_of_two_protocols(self, pids, sweep):
-        # a stack is compiled as its first walk's protocol: 2d-nosym's gamma
-        # would be ignored, 1d-split's coin axes replaced by 1d-chs's
-        specs = [pr.registry_lookup(pid, T=2, angles=generic_angles(pr.REGISTRY[pid]))
-                 for pid in pids]
-        with pytest.raises(InvalidInputError, match="one protocol"):
-            sweep(specs, 32)
+            tp.sweep_invariants("3d-simple", 8)
 
     @pytest.mark.parametrize("sweep", [tp.sweep_invariants, tp.sweep_boundaries])
     def test_empty_stack_has_no_results(self, sweep):
-        assert sweep([], 32) == []
+        for pid, stack in (("2d-phs", {"angles": {"beta": np.array([])}}),
+                           ("1d-chs", {"T": np.array([], dtype=int)})):
+            assert sweep(pid, 32, **stack) == []
+
+
+class TestStackInput:
+    """A stack of walks is one protocol with its angles and T each a scalar or
+    a 1-D array along the stack (`protocols.stacked_params`)."""
+
+    @pytest.mark.parametrize("sweep", [tp.sweep_invariants, tp.sweep_boundaries])
+    @pytest.mark.parametrize("angles, T", [
+        ({"alpha": np.full((2, 2), PI / 3)}, 2),  # a 2-D array
+        ({"alpha": np.full(3, PI / 3), "beta": np.full(2, PI / 4)}, 2),  # two lengths
+        ({"alpha": np.full(3, PI / 3)}, np.array([1, 2])),
+        ({}, np.array([[2]])),
+        ({}, np.array([2, 0])),  # T = 0
+        ({}, np.array([2, 2.5])),
+        ({"gamma": np.full(2, PI / 4)}, 2),  # 2d-phs has no gamma
+    ])
+    def test_bad_stack_is_invalid_input(self, sweep, angles, T):
+        with pytest.raises(InvalidInputError):
+            sweep("2d-phs", 32, angles={"alpha": PI / 3, "beta": PI / 4, **angles}, T=T)
+
+    def test_stacked_params_broadcast_to_one_shape(self):
+        spec = pr.registry_lookup("2d-nosym", T=3, angles={"gamma": 0.25})
+        angles, T = pr.stacked_params(spec, {"alpha": [0.5, -0.5]})
+        assert T.dtype == np.int64 and T.tolist() == [3, 3]
+        assert {s: a.tolist() for s, a in angles.items()} == {
+            "alpha": [0.5, -0.5], "beta": [0.0, 0.0], "gamma": [0.25, 0.25]}
+        assert all(a.dtype == np.float64 for a in angles.values())
+        angles, T = pr.stacked_params(spec, T=np.array([2.0, 4.0]))
+        assert T.dtype == np.int64 and T.tolist() == [2, 4]
+        assert pr.stacked_params(spec)[1].tolist() == [3]  # scalars: a stack of one
+        with pytest.raises(InvalidInputError, match="at most 64 bits"):
+            pr.stacked_params(spec, T=np.array([2.0 ** 63]))
+
+    @pytest.mark.parametrize("pid, grid_n", [("1d-chs", 64), ("1d-split", 64), ("2d-phs", 32)])
+    def test_stack_equals_each_walk_alone(self, pid, grid_n):
+        first, second = pr.registry_lookup(pid).symbols
+        alpha = np.linspace(-PI, PI, 9)
+        angles = {first: alpha, second: alpha / 3 + PI / 3}
+        T = np.array([1, 2, 3, 6, 1, 2, 3, 6, 2])
+        invariants = tp.sweep_invariants(pid, grid_n, angles=angles, T=T)
+        boundaries = tp.sweep_boundaries(pid, grid_n, angles=angles, T=T)
+        for i, t in enumerate(T.tolist()):
+            walk = {s: a[i] for s, a in angles.items()}
+            assert [invariants[i]] == tp.sweep_invariants(pid, grid_n, angles=walk, T=t)
+            assert [boundaries[i]] == tp.sweep_boundaries(pid, grid_n, angles=walk, T=t)
+        assert None in invariants and any(r is not None for r in invariants)
+        assert any(points for points, _ in boundaries)
 
 
 def _reference_windings(specs):
@@ -536,8 +575,8 @@ class TestRootCount:
         specs = [pr.registry_lookup("1d-chs", T=6, angles={"alpha": a, "beta": a / 3 + PI / 3})
                  for a in np.linspace(-PI, PI, 20001).tolist()]
         want = _reference_windings(specs)
-        assert tp.sweep_invariants(specs, 256) == [None if n is None else (n, float(n))
-                                                   for n in want]
+        assert tp.sweep_invariants("1d-chs", 256, **as_stack(specs)) == [
+            None if n is None else (n, float(n)) for n in want]
         assert {-1, 0, 1, None} == set(want)
 
     @pytest.mark.parametrize("pid, gapless", [("1d-simple", 0), ("1d-split", 9), ("1d-chs", 0)])
@@ -548,8 +587,8 @@ class TestRootCount:
         specs = [pr.registry_lookup(pid, T=T, angles=dict(zip(symbols, angles)))
                  for T in (1, 2, 6) for angles in product(values, repeat=len(symbols))]
         want = _reference_windings(specs)
-        assert tp.sweep_invariants(specs, 2) == [None if n is None else (n, float(n))
-                                                 for n in want]
+        assert tp.sweep_invariants(pid, 2, **as_stack(specs)) == [
+            None if n is None else (n, float(n)) for n in want]
         assert sum(np.abs(spectrum.bloch(s, np.linspace(-PI, PI, 9)).d).max() <= EPS_GAP
                    for s in specs) == gapless
 
@@ -579,10 +618,9 @@ class TestChernNearBoundary:
         ("2d-nosym", 3, {"alpha": PI / 3, "gamma": PI / 4}, 3 * PI / 4)])
     def test_grid_ladder(self, pid, T, angles, beta):
         offsets = [sign * 10.0 ** -e for e in range(1, 7) for sign in (1, -1)]
-        specs = [pr.registry_lookup(pid, T=T, angles=dict(angles, beta=beta + delta))
-                 for delta in offsets]
-        coarse, fine = ([None if r is None else r[0] for r in tp.sweep_invariants(specs, n)]
-                        for n in (32, 128))
+        stack = {"T": T, "angles": dict(angles, beta=beta + np.array(offsets))}
+        coarse, fine = ([None if r is None else r[0]
+                         for r in tp.sweep_invariants(pid, n, **stack)] for n in (32, 128))
         assert coarse == fine
         assert 0 in fine and len(set(fine) - {None}) == 2  # the ladder crosses the boundary
 
@@ -603,7 +641,8 @@ class TestChernNearBoundary:
                  for T in (1, 2, 3) for a in product((0.0, PI / 2, PI / 3, 0.7),
                                                      repeat=len(symbols))]
         for grid_n in (32, 64):
-            got = [None if r is None else r[0] for r in tp.sweep_invariants(specs, grid_n)]
+            got = [None if r is None else r[0]
+                   for r in tp.sweep_invariants(pid, grid_n, **as_stack(specs))]
             d, norm, which, _, _, resid = searches.pop()
             raw, margin = _rolled_chern(d, norm)
             closed = set(which[resid <= EPS_GAP].tolist())
@@ -728,18 +767,17 @@ class TestBlocks:
     @pytest.mark.parametrize("pid, grid_n", [("1d-chs", 40), ("2d-phs", 24)])
     def test_sweep_invariants(self, monkeypatch, pid, grid_n):
         first, second = pr.registry_lookup(pid).symbols
-        specs = [pr.registry_lookup(pid, T=2, angles={first: v, second: v / 3 + PI / 3})
-                 for v in np.linspace(-PI, PI, 9)]
-        one, *blocked = _at_block_sizes(monkeypatch,
-                                        lambda: repr(tp.sweep_invariants(specs, grid_n)))
+        v = np.linspace(-PI, PI, 9)
+        angles = {first: v, second: v / 3 + PI / 3}
+        one, *blocked = _at_block_sizes(monkeypatch, lambda: repr(
+            tp.sweep_invariants(pid, grid_n, angles=angles, T=2)))
         assert "None" in one and "(" in one  # closed and gapped walks both
         assert all(b == one for b in blocked)
 
     def test_sweep_boundaries(self, monkeypatch):
-        specs = [pr.registry_lookup("2d-phs", T=2, angles={"alpha": PI / 3, "beta": b})
-                 for b in (PI / 12, PI / 6, PI / 4)]
-        one, *blocked = _at_block_sizes(monkeypatch,
-                                        lambda: repr(tp.sweep_boundaries(specs, 8)))
+        angles = {"alpha": PI / 3, "beta": np.array([PI / 12, PI / 6, PI / 4])}
+        one, *blocked = _at_block_sizes(monkeypatch, lambda: repr(
+            tp.sweep_boundaries("2d-phs", 8, angles=angles, T=2)))
         assert "GapPoint" in one
         assert all(b == one for b in blocked)
 
@@ -886,7 +924,7 @@ class TestChernTiles:
         spec = pr.registry_lookup("2d-phs", T=2, angles={"alpha": PI / 3, "beta": PI / 4})
         tracemalloc.start()
         try:
-            result = tp.sweep_invariants([spec], n)
+            result = tp.sweep_invariants(spec, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
