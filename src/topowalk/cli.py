@@ -24,10 +24,10 @@ most a budget of values x points (at least one value): CHUNK_POINTS for
 loop and block set-up once per chunk.  A chunk's walks are bound in one way
 for all three commands: `SweepConfig.walk_params` of the array of its values
 gives the angles and T, scalars or arrays along the chunk.  The points are
-the grid's, or for `classify-gaps` and 2D `invariant` the scan grid's, of at
-least topology.MIN_SCAN_GRID points per axis; a 1D `invariant` value reads
-no mesh and counts the entries of its companion matrix
-(`_invariant_points`).  So the chunk boundaries depend on the config alone.
+those one value costs: grid^dim for `bands`, and the gap search's scan mesh
+for `invariant` and `classify-gaps` (`_scan_points`).  The same count times
+the sweep count is held to config.MAX_POINTS before any value or grid is
+allocated (`_chunks`).  So the chunk boundaries depend on the config alone.
 
 `bands` runs in two passes, both in the calling process for any number of
 workers: pass 1 is a few milliseconds of numerics per chunk, less than a
@@ -59,16 +59,16 @@ from .config import (KEYS, LINK_KEYS, SCHEMA, SWEEP_KEYS, SweepConfig, config_fr
 from .errors import (ClassificationError, InvalidInputError, UnknownProtocolError,
                      WalkError)
 from .protocols import PROTOCOL_IDS, registry_lookup
-from .spectrum import EPS_GAP, bands_with_velocity, two_band_plan
-from . import symmetry, topology
+from .spectrum import EPS_GAP, bands_with_velocity
+from . import config, symmetry, topology
 
 # sweep values x grid points per plan pass of `bands`, and per piece of text
 # that its pass 2 writes, which set its peak memory; larger chunks raise peak
 # memory but not speed
 CHUNK_POINTS = 2 ** 13
-# sweep values x points per plan pass of `invariant` and `classify-gaps`
-# (`_invariant_points`; the scan grid): each chunk pays its plan compiles,
-# Gauss-Newton loop and block set-up once; 2**17 was no faster, 2**15 slower
+# sweep values x points (`_scan_points`) per plan pass of `invariant` and
+# `classify-gaps`: each chunk pays its plan compiles, Gauss-Newton loop and
+# block set-up once; 2**17 was no faster, 2**15 slower
 SWEEP_POINTS = 2 ** 16
 # distinct float magnitudes per block of pass 2's shortest-repr kernel
 # (`_repr_block`): each of its temporaries holds a block, so larger blocks
@@ -301,24 +301,22 @@ def _classify_chunk_records(cfg: SweepConfig, values) -> list:
 
 def _chunks(cfg: SweepConfig, points: int, budget: int) -> list:
     """The sweep values in contiguous chunks of at most budget // points
-    values (at least one); they depend on the config alone, so the bytes do
-    not depend on the workers."""
+    values (at least one), one value costing `points`; they depend on the
+    config alone, so the bytes do not depend on the workers.  A run of more
+    than config.MAX_POINTS points is refused before any value is made."""
+    if cfg.sweep_count * points > config.MAX_POINTS:
+        raise InvalidInputError(f"sweep count {cfg.sweep_count} x {points} points per value"
+                                f" exceeds the budget of {config.MAX_POINTS} momentum points")
     size = max(1, budget // points)
     values = cfg.sweep_values()
     return [values[i:i + size] for i in range(0, len(values), size)]
 
 
-def _invariant_points(spec, grid: int) -> int:
-    """The points per sweep value by which `invariant` sizes its chunks.  A
-    2D value is the gap search's mesh of max(grid, topology.MIN_SCAN_GRID)
-    points per axis.  A 1D value reads no mesh: its winding is counted on one
-    (2F)^2 companion matrix (`topology._root_count`), F the largest frequency
-    of (a, c), which the shifts alone fix, so a chunk's companion matrices
-    hold at most SWEEP_POINTS complex entries (1 MiB), and the phasors of its
-    closing check about as many again."""
-    if spec.dimension == 2:
-        return max(grid, topology.MIN_SCAN_GRID) ** 2
-    return int(2 * max(np.abs(freqs).max() for (freqs,), _ in two_band_plan(spec).fourier())) ** 2
+def _scan_points(cfg: SweepConfig) -> int:
+    """The points one `invariant` or `classify-gaps` value costs: the scan
+    mesh of `topology._closings`, which also bounds the 24-point d cloud of
+    a 1D winding's chiral-axis fit."""
+    return max(cfg.grid, topology.MIN_SCAN_GRID) ** registry_lookup(cfg.protocol).dimension
 
 
 def _map_values(cfg: SweepConfig, values, fn, workers: int):
@@ -424,8 +422,8 @@ def _cmd_bands(args) -> int:
     dim = registry_lookup(cfg.protocol).dimension
     header = (["sweep_param"] + [f"k{i+1}" for i in range(dim)] + ["e_plus"]
               + [f"v_k{i+1}" for i in range(dim)] + ["status"])
+    parts = _chunks(cfg, cfg.grid ** dim, CHUNK_POINTS)
     k = symmetry.bz_grid(dim, cfg.grid)
-    parts = _chunks(cfg, len(k), CHUNK_POINTS)
     chunks = _map_values(cfg, parts, partial(_bands_chunk, k=k), 1)  # no pool: see the module doc
     _write_text(cfg.out, chain([",".join(header) + "\n"], _bands_rows(parts, chunks, k)))
     return 0
@@ -443,7 +441,7 @@ def _cmd_invariant(args) -> int:
             raise InvalidInputError(
                 f"winding needs a chiral protocol with a momentum-independent axis:"
                 f" {err}") from None
-    texts = _map_values(cfg, _chunks(cfg, _invariant_points(spec, cfg.grid), SWEEP_POINTS),
+    texts = _map_values(cfg, _chunks(cfg, _scan_points(cfg), SWEEP_POINTS),
                         _invariant_chunk_rows, cfg.workers)
     _write_text(cfg.out, ["\n".join(["sweep_param,invariant,raw,status"] + texts) + "\n"])
     return 0
@@ -451,9 +449,8 @@ def _cmd_invariant(args) -> int:
 
 def _cmd_classify_gaps(args) -> int:
     cfg = _build_config(args)
-    points = max(cfg.grid, topology.MIN_SCAN_GRID) ** registry_lookup(cfg.protocol).dimension
-    chunks = _map_values(cfg, _chunks(cfg, points, SWEEP_POINTS), _classify_chunk_records,
-                         cfg.workers)
+    chunks = _map_values(cfg, _chunks(cfg, _scan_points(cfg), SWEEP_POINTS),
+                         _classify_chunk_records, cfg.workers)
     payload = {"schema": SCHEMA, "command": "classify-gaps", "protocol": cfg.protocol,
                "records": [record for chunk in chunks for record in chunk]}
     _write_text(cfg.out, _json_pieces(payload))

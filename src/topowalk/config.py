@@ -11,7 +11,7 @@ from .errors import InvalidInputError
 from .protocols import ProtocolSpec, registry_lookup
 
 SCHEMA = "topowalk/v1"
-MAX_POINTS = 2 ** 22  # sweep values x grid points per value that one run may request
+MAX_POINTS = 2 ** 22  # sweep values x the points one value costs that one run may request
 _EXPECTED = {str: "a string", bool: "true or false", int: "an integer", float: "a finite number"}
 
 # The config keys, the only place they are declared: key -> (kind, default,
@@ -109,11 +109,6 @@ class SweepConfig(SimpleNamespace):
         if self.workers > cpus:
             raise InvalidInputError(
                 f"workers {self.workers} exceeds the {cpus} CPUs of this machine")
-        points = self.sweep_count * self.grid ** spec.dimension
-        if points > MAX_POINTS:
-            raise InvalidInputError(
-                f"sweep count x grid^{spec.dimension} = {points} momentum points exceeds"
-                f" the budget of {MAX_POINTS}")
         return self
 
     def sweep_values(self):

@@ -289,14 +289,16 @@ def _plan(spec: ProtocolSpec, angles, T, walks=slice(None), ndim: int = 1):
 def _closings(spec: ProtocolSpec, angles, T, grid_n: int, periods, d0: bool = False):
     """The gap search of the stack of walks (`angles`, `T`) of `spec`, from one
     plan pass: their angles and T are (V, 1, ...) arrays against the open
-    mesh of the momentum `periods` at grid_n (>= MIN_SCAN_GRID) points per
-    axis.  `_scan` takes the local minima of |d| on that mesh, and one
-    `_gauss_newton` solve refines all of them, each at its own walk's angles
-    and T.
+    mesh of the momentum `periods` at n = max(grid_n, MIN_SCAN_GRID) points
+    per axis, the one scan floor (`_check_grid` first).  `_scan` takes the
+    local minima of |d| on that mesh, and one `_gauss_newton` solve refines
+    all of them, each at its own walk's angles and T.
 
-    Returns d (or d0 if `d0`) and |d| on the mesh (V, grid_n, ...) as
+    Returns d (or d0 if `d0`) and |d| on the mesh (V, n, ...) as
     `_mesh_bloch` gives them, the walk index of each start point, and each
     start's refined k, d0 and |d|."""
+    _check_grid(grid_n)
+    grid_n = max(grid_n, MIN_SCAN_GRID)
     dim = spec.dimension
     mesh, norm = _mesh_bloch(_plan(spec, angles, T, ndim=1 + dim),
                              momentum_axes(dim, grid_n, periods), (len(T),) + (grid_n,) * dim, d0)
@@ -346,18 +348,16 @@ def _gap_points(which, pts, d0, resid, count: int, refine_tol: float) -> List[Li
 
 def find_gap_closings(spec_or_id, *, angles=None, T=None, grid_n: int = 64,
                       refine_tol: float = EPS_GAP) -> List[GapPoint]:
-    """Locate band touchings over the full BZ: coarse scan for local minima of
-    |d|, then one batched Gauss-Newton solve of d(k) = 0 from all of them on
-    the plan's exact Jacobian (`_closings`); duplicates merged.
+    """Locate band touchings over the full BZ: a scan of at least
+    MIN_SCAN_GRID points per axis for local minima of |d|, then one batched
+    Gauss-Newton solve of d(k) = 0 from all of them on the plan's exact
+    Jacobian (`_closings`); duplicates merged.
 
     |d| = sin(E_+) vanishes exactly where the bands touch (E in {0, pi}) and,
     unlike min(E, pi - E), it stays fully resolved near a closing: arccos
     loses half the significant digits there.
     """
     spec = registry_lookup(spec_or_id, T=T, angles=angles)
-    _check_grid(grid_n)
-    if grid_n < MIN_SCAN_GRID:
-        raise InvalidInputError(f"grid_n must be >= {MIN_SCAN_GRID} per axis")
     found = _closings(spec, *stacked_params(spec), grid_n, [2 * np.pi] * spec.dimension, True)
     return _gap_points(*found[2:], 1, refine_tol)[0]
 
@@ -377,19 +377,18 @@ def classify_boundary(spec_or_id, *, angles=None, T=None,
                       grid_n: int = 64) -> List[BoundaryClassification]:
     """Classify the gapless configuration at fixed parameters.
 
-    Returns a flat-band record if the + band is constant over the BZ (at
-    grid_n points per axis); otherwise one record per gap closing (by default
-    those `find_gap_closings` finds at grid_n, from the same mesh pass as the
-    flat-band check: `sweep_boundaries`).  1D Dirac closings are subtyped by
+    Returns a flat-band record if the + band is constant over the BZ;
+    otherwise one record per gap closing.  By default the closings are those
+    `find_gap_closings` finds, and the flat-band check reads the same scan
+    mesh (`sweep_boundaries`); given `gap_points`, the check reads a mesh of
+    grid_n points per axis.  1D Dirac closings are subtyped by
     the complete gapless set: {0, +-pi} -> type one, including +-pi/2 -> type
     two.
     """
     spec = registry_lookup(spec_or_id, T=T, angles=angles)
-    _check_grid(grid_n)
     if gap_points is None:
-        if grid_n < MIN_SCAN_GRID:
-            raise InvalidInputError(f"grid_n must be >= {MIN_SCAN_GRID} per axis")
         return sweep_boundaries(spec, grid_n)[0][1]
+    _check_grid(grid_n)
     dim = spec.dimension
     angles, T = stacked_params(spec)
     d0 = _mesh_bloch(_plan(spec, angles, T, ndim=1 + dim), momentum_axes(dim, grid_n),
@@ -401,15 +400,14 @@ def sweep_boundaries(spec_or_id, grid_n: int, *, angles=None, T=None
                      ) -> List[Tuple[List[GapPoint], List[BoundaryClassification]]]:
     """The gap closings and the boundary taxonomy of each walk of the stack
     (`angles`, `T`: scalars or 1-D arrays, `stacked_params`), as
-    `find_gap_closings` and `classify_boundary` give them at max(grid_n,
-    MIN_SCAN_GRID) points per axis, from one plan pass over the full BZ
-    (`_closings`), whose d0 also serves the flat-band check."""
+    `find_gap_closings` and `classify_boundary` give them, from one plan
+    pass over the full BZ (`_closings`, at least MIN_SCAN_GRID points per
+    axis), whose d0 also serves the flat-band check."""
     spec = registry_lookup(spec_or_id)
     angles, T = stacked_params(spec, angles, T)
     if not len(T):
         return []
-    d0, _, *starts = _closings(spec, angles, T, max(grid_n, MIN_SCAN_GRID),
-                               [2 * np.pi] * spec.dimension, True)
+    d0, _, *starts = _closings(spec, angles, T, grid_n, [2 * np.pi] * spec.dimension, True)
     points = _gap_points(*starts, len(T), EPS_GAP)
     return list(zip(points, _classify(spec, angles, T, d0, points)))
 
@@ -698,7 +696,7 @@ def _invariants(spec_or_id, grid_n: int, angles=None, T=None) -> list:
     or the BoundaryStateError that says why it has none.  1D walks count the roots of their in-plane
     Fourier polynomial (`_windings`), exactly and with no mesh; grid_n is
     still checked.  2D walks run the gap search (`_closings`) on the open mesh
-    of the minimal momentum torus at max(grid_n, MIN_SCAN_GRID) points per
+    of the minimal momentum torus at no fewer than MIN_SCAN_GRID points per
     axis, so a closing between mesh points is refined, not hidden by the
     degree (an integer on any mesh), and no coarser mesh is counted; the walks
     with no candidate refined to |d| <= EPS_GAP reduce the same d (`_chern`)
@@ -714,7 +712,7 @@ def _invariants(spec_or_id, grid_n: int, angles=None, T=None) -> list:
     if dim == 1:
         return _windings(spec, angles, T)
     periods = [momentum_period(spec, ax) for ax in range(dim)]
-    d, norm, which, pts, _, resid = _closings(spec, angles, T, max(grid_n, MIN_SCAN_GRID), periods)
+    d, norm, which, pts, _, resid = _closings(spec, angles, T, grid_n, periods)
     results: list = [None] * len(T)
     closes = np.flatnonzero(resid <= EPS_GAP)[::-1]
     for i, j in dict(zip(which[closes].tolist(), closes.tolist())).items():  # each walk's first

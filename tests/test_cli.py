@@ -241,9 +241,10 @@ def bands_fixture_floats():
     for name in BANDS_FIXTURES:
         cfg = config.config_from_dict(
             json.loads((FIXTURE_DIR / f"{name}.cfg").read_text())).validate()
-        k = sym.bz_grid(registry_lookup(cfg.protocol).dimension, cfg.grid)
+        dim = registry_lookup(cfg.protocol).dimension
+        k = sym.bz_grid(dim, cfg.grid)
         floats[name] = [cli._bands_chunk(cfg, values, k)[0]
-                         for values in cli._chunks(cfg, len(k), cli.CHUNK_POINTS)]
+                         for values in cli._chunks(cfg, cfg.grid ** dim, cli.CHUNK_POINTS)]
     return floats
 
 
@@ -424,15 +425,16 @@ class TestInvariantChunks:
     def test_rows_match_per_value_reference(self, tmp_path, monkeypatch, case):
         overrides, symbol = INVARIANT_CASES[case]
         dim = int(overrides["protocol"][0])
-        points = cli._invariant_points(registry_lookup(overrides["protocol"]), overrides["grid"])
-        # chunks of 64 1D values (one 4-entry companion matrix each) or 8 2D
-        # values, set by the budget `invariant` reads; the sweep is two chunks
+        # chunks of 64 1D or 8 2D values, set by the budget `invariant` reads
+        # and the scan mesh one value costs; the sweep is two chunks
         size = 64 if dim == 1 else 8
-        monkeypatch.setattr(cli, "SWEEP_POINTS", size * points)
         count = size + 2
         sweep = ({"symbol": "T", "start": 1, "stop": count, "count": count} if symbol == "T"
                  else {"symbol": symbol, "start": -PI, "stop": PI, "count": count})
         path = small_bands_cfg(tmp_path, sweep=sweep, **overrides)
+        cfg = config.config_from_dict(json.loads(path.read_text()))
+        points = cli._scan_points(cfg)
+        monkeypatch.setattr(cli, "SWEEP_POINTS", size * points)
         stacks = count_stacks(monkeypatch, "sweep_invariants")
         outs = []
         # more workers than CPUs is a usage error; a pool's calls are made in its processes
@@ -452,7 +454,6 @@ class TestInvariantChunks:
         assert all(o == outs[0] for o in outs)
 
         # the per-value reference: a full-BZ gap search, then the public invariant
-        cfg = config.config_from_dict(json.loads(path.read_text()))
         rows = [r.split(",") for r in outs[0].decode().splitlines()[1:]]
         assert len(rows) == count
         statuses = set()
@@ -471,14 +472,15 @@ class TestInvariantChunks:
             statuses.add(row[3])
         assert statuses == {"ok", "boundary"}
 
-    def test_1d_chunks_do_not_depend_on_the_grid(self):
-        # the root count reads no mesh: fig6's 181 values are one chunk at any grid
-        cfg = config.config_from_dict(json.loads((FIXTURE_DIR / "fig6.cfg").read_text()))
-        spec = registry_lookup(cfg.protocol)
-        assert {cli._invariant_points(spec, grid) for grid in (2, 64, 256, 4096)} == {4}
-        assert len(cli._chunks(cfg, cli._invariant_points(spec, cfg.grid), cli.SWEEP_POINTS)) == 1
-        assert cli._invariant_points(registry_lookup("1d-phs"), 256) == 16
-        assert cli._invariant_points(registry_lookup("2d-phs"), 8) == 32 ** 2
+    def test_chunks_count_the_scan_mesh(self):
+        # a value costs the scan mesh, of at least MIN_SCAN_GRID points per
+        # axis: fig6's 181 values are one chunk at --grid <= 362
+        doc = json.loads((FIXTURE_DIR / "fig6.cfg").read_text())
+        cfgs = [config.config_from_dict({**doc, "grid": grid}) for grid in (8, 256, 362, 363)]
+        assert [len(cli._chunks(cfg, cli._scan_points(cfg), cli.SWEEP_POINTS))
+                for cfg in cfgs] == [1, 1, 1, 2]
+        assert [cli._scan_points(config.config_from_dict({**doc, "protocol": pid, "grid": 8}))
+                for pid in ("1d-chs", "2d-phs", "3d-phs")] == [32, 32 ** 2, 32 ** 3]
 
     def test_values_next_to_a_fig6_closing_stay_boundary(self, tmp_path):
         # fig6 closes its gap at alpha = pi/2; the sweep's middle value sits on it
@@ -641,24 +643,29 @@ class TestSweepBudget:
         assert len(fits) == 1
         assert sorted(set(fits[0].ravel().tolist())) == closing
 
-    @pytest.mark.parametrize("case", ["2d-invariant", "3d-classify"])
+    @pytest.mark.parametrize("case", ["1d-invariant", "2d-invariant", "3d-classify"])
     def test_chunk_memory_is_bounded_by_the_budget(self, case):
-        """A full chunk's traced peak is below 10 (2D `invariant`: d and |d|
-        are 4 floats a point) or 24 (3D `classify-gaps`: d0 and |d|, plus the
-        Gauss-Newton starts of 256 closings) x SWEEP_POINTS x 8 bytes."""
-        if case == "2d-invariant":
+        """A full chunk's traced peak is below 12 (1D `invariant`: the
+        chiral-axis d clouds and the root count), 10 (2D `invariant`: d and
+        |d| are 4 floats a point) or 24 (3D `classify-gaps`: d0 and |d|, plus
+        the Gauss-Newton starts of 256 closings) x SWEEP_POINTS x 8 bytes."""
+        if case == "1d-invariant":
+            doc = json.loads((FIXTURE_DIR / "fig6.cfg").read_text())
+            doc.update(protocol="1d-split", grid=32)
+            doc["sweep"]["count"] = cli.SWEEP_POINTS // doc["grid"]
+            bound, fn = 12, cli._invariant_chunk_rows
+        elif case == "2d-invariant":
             doc = json.loads((FIXTURE_DIR / "fig10.cfg").read_text())
             doc["sweep"]["count"] = cli.SWEEP_POINTS // doc["grid"] ** 2
-            cfg = config.config_from_dict(doc)
-            points = cli._invariant_points(registry_lookup(cfg.protocol), cfg.grid)
-            chunk, bound, fn = cfg.sweep_values(), 10, cli._invariant_chunk_rows
+            bound, fn = 10, cli._invariant_chunk_rows
         else:
-            cfg = config.config_from_dict({
-                "schema": "topowalk/v1", "protocol": "3d-phs", "steps": 1, "grid": 32,
-                "angles": {"alpha": 0.7, "gamma": 0.4},
-                "sweep": {"symbol": "beta", "start": 0.1, "stop": 3.1, "count": 4}})
-            points = cfg.grid ** 3
-            chunk, bound, fn = cfg.sweep_values()[:2], 24, cli._classify_chunk_records
+            doc = {"schema": "topowalk/v1", "protocol": "3d-phs", "steps": 1, "grid": 32,
+                   "angles": {"alpha": 0.7, "gamma": 0.4},
+                   "sweep": {"symbol": "beta", "start": 0.1, "stop": 3.1, "count": 4}}
+            bound, fn = 24, cli._classify_chunk_records
+        cfg = config.config_from_dict(doc)
+        points = cli._scan_points(cfg)
+        chunk = cfg.sweep_values()[:cli.SWEEP_POINTS // points]
         assert cli._chunks(cfg, points, cli.SWEEP_POINTS)[0] == chunk
         assert len(chunk) * points == cli.SWEEP_POINTS
         tracemalloc.start()
@@ -957,14 +964,24 @@ class TestUsageErrors:
         assert all("non-finite T *" in line for line in err[:-1])
         assert err[-1] == "error: sweep stop - start must be finite"
 
-    def test_point_budget(self, capsys):
-        # rejected before any grid or sweep list is allocated
+    def test_point_budget(self, capsys, monkeypatch):
+        # rejected before any grid or sweep list is allocated, and before any
+        # chunk is computed; `invariant` and `classify-gaps` count the scan
+        # mesh a value costs, not grid^dim (8,192 x 32^3 and 65,536 x 32^2)
+        def no_chunk(*a, **kw):
+            raise AssertionError("a chunk was computed")
+        monkeypatch.setattr(topology, "sweep_boundaries", no_chunk)
+        monkeypatch.setattr(topology, "sweep_invariants", no_chunk)
         chs = ["--protocol", "1d-chs", "--set", "beta=0.5", "--out", "-"]
         runs = [["invariant", *chs, "--sweep", "alpha:0:1:2", "--grid", "100000000"],
                 ["bands", *chs, "--sweep", "alpha:0:1:1000000000000", "--grid", "8"],
                 ["classify-gaps", *chs, "--sweep", "alpha:0:1:2", "--grid", "2097153"],
                 ["bands", "--protocol", "3d-simple", "--sweep", "beta:0:1:2", "--grid", "1000",
-                 "--out", "-"]]
+                 "--out", "-"],
+                ["classify-gaps", "--protocol", "3d-phs", "--set", "alpha=0.7", "--set",
+                 "gamma=0.4", "--grid", "8", "--sweep", "beta:0.1:3.1:8192", "--out", "-"],
+                ["invariant", "--protocol", "2d-phs", "--steps", "2", "--set", "alpha=1.0",
+                 "--grid", "8", "--sweep", "beta:0.1:3.1:65536", "--out", "-"]]
         for argv in runs:
             assert run(argv) == 2
         captured = capsys.readouterr()
@@ -972,11 +989,17 @@ class TestUsageErrors:
         err = captured.err.splitlines()
         assert len(err) == len(runs)
         assert all("exceeds the budget" in line and "Traceback" not in line for line in err)
-        # every fixture, and fig10 at --grid 512 (8 x 512^2 points), stays within it
-        docs = [json.loads(path.read_text()) for path in sorted(FIXTURE_DIR.glob("fig*.cfg"))]
-        fig10 = json.loads((FIXTURE_DIR / "fig10.cfg").read_text())
-        for doc in docs + [{**fig10, "grid": 512}]:
-            config.config_from_dict(doc).validate()
+        # every fixture, and fig10 at --grid 512 (8 x 512^2 points), stays
+        # within it at the points its own command counts
+        docs = {path.stem: json.loads(path.read_text())
+                for path in sorted(FIXTURE_DIR.glob("fig*.cfg"))}
+        for name, doc in [*docs.items(), ("fig10", {**docs["fig10"], "grid": 512})]:
+            cfg = config.config_from_dict(doc).validate()
+            if name in BANDS_FIXTURES:
+                dim = registry_lookup(cfg.protocol).dimension
+                assert cli._chunks(cfg, cfg.grid ** dim, cli.CHUNK_POINTS), name
+            else:
+                assert cli._chunks(cfg, cli._scan_points(cfg), cli.SWEEP_POINTS), name
 
     def test_workers_capped_at_cpu_count(self, tmp_path, capsys, monkeypatch):
         # rejected in validate(); a stub in place of the pool fails the test if reached
@@ -1419,7 +1442,8 @@ class TestFuzzedBoundary:
                                      HealthCheck.too_slow])
     @given(doc=documents(), argv=argvs())
     def test_exit_code_and_one_line_error(self, tmp_path, capsys, monkeypatch, doc, argv):
-        # 3D walks fit the budget only at grid 8 with two values
+        # 3D bands fit the budget only at grid 8 with two values, and a 2D or
+        # 3D scan (at least 32 points per axis) never does
         monkeypatch.setattr(config, "MAX_POINTS", 2 ** 10)
         monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
         monkeypatch.chdir(tmp_path)  # a stray relative path would land here and fail the test

@@ -40,13 +40,16 @@ class TestGapClosings:
                                    T=2, grid_n=48)
         assert pts == []
 
-    def test_rejects_tiny_grid(self):
-        with pytest.raises(InvalidInputError):
-            tp.find_gap_closings("1d-chs", angles={"alpha": 0.0, "beta": 0.0}, T=1,
-                                 grid_n=16)
-        with pytest.raises(InvalidInputError, match="grid_n must be >= 32"):
-            tp.classify_boundary("1d-chs", angles={"alpha": 0.0, "beta": 0.0}, T=1,
-                                 grid_n=16)
+    def test_every_search_uses_one_grid_policy(self):
+        # `_closings` checks the grid and scans at least MIN_SCAN_GRID points
+        # per axis: a one-walk call below the floor gives the floor's result,
+        # and the sweep refuses what the one-walk calls refuse
+        walk = {"angles": {"alpha": 0.0, "beta": 0.0}, "T": 1}
+        for search in (tp.find_gap_closings, tp.classify_boundary):
+            assert search("1d-chs", grid_n=16, **walk) == search("1d-chs", grid_n=32, **walk)
+        for grid_n in (True, 2.5, 0, -5):
+            with pytest.raises(InvalidInputError, match="grid_n must be an integer >= 2"):
+                tp.sweep_boundaries("1d-chs", grid_n, angles={"alpha": np.zeros(2), "beta": 0.0})
 
     def test_interior_closing_is_refined_to_machine_gap(self):
         # generic arc-type touch away from high-symmetry momenta
