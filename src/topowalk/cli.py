@@ -313,9 +313,8 @@ def _chunks(cfg: SweepConfig, points: int, budget: int) -> list:
 
 
 def _scan_points(cfg: SweepConfig) -> int:
-    """The points one `invariant` or `classify-gaps` value costs: the scan
-    mesh of `topology._closings`, which also bounds the 24-point d cloud of
-    a 1D winding's chiral-axis fit."""
+    """The points one `invariant` or `classify-gaps` value costs, as its chunks
+    count it: the scan mesh of `topology._closings` (a 1D winding reads none)."""
     return max(cfg.grid, topology.MIN_SCAN_GRID) ** registry_lookup(cfg.protocol).dimension
 
 
@@ -436,8 +435,8 @@ def _cmd_invariant(args) -> int:
         raise InvalidInputError("invariants are computed for 1D (winding) and 2D (Chern) only")
     if spec.dimension == 1:
         try:
-            symmetry.chiral_axis(symmetry._ensure_generic_angles(spec))
-        except (ClassificationError, KeyError) as err:
+            symmetry.chiral_axis(spec)
+        except ClassificationError as err:
             raise InvalidInputError(
                 f"winding needs a chiral protocol with a momentum-independent axis:"
                 f" {err}") from None

@@ -146,6 +146,8 @@ def _step_number(T):
         raise InvalidInputError(f"step number T must be an integer, got {T!r}")
     if np.any(steps < 1):
         raise InvalidInputError(f"step number T must be >= 1, got {T!r}")
+    if steps.dtype.kind != "i" and np.any(steps >= 2 ** 63):  # uint64 or float
+        raise InvalidInputError(f"step number T must be an integer of at most 64 bits, got {T!r}")
     return T
 
 
@@ -171,8 +173,6 @@ def stacked_params(spec: ProtocolSpec, angles: Optional[Mapping] = None, T=None)
     merged = {sym: np.asarray(theta, dtype=float)
               for sym, theta in _merged_angles(spec, angles).items()}
     steps = np.asarray(_step_number(spec.T if T is None else T))
-    if steps.dtype.kind != "i" and np.any(steps >= 2 ** 63):
-        raise InvalidInputError(f"step number T must be an integer of at most 64 bits, got {T!r}")
     params = [*merged.values(), steps]
     shapes = {p.shape for p in params if p.ndim}
     if len(shapes) > 1 or any(p.ndim > 1 for p in params):

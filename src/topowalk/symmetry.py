@@ -22,24 +22,26 @@ Bloch vector provably spans all three axes, so no constant-matrix operator
 can realize the cataloged symmetry for the registered element ordering, and
 the report carries `operator_verified: false` for them.  `evidence_ratio`
 (the smallest-to-largest singular-value ratio of the d cloud) quantifies the
-obstruction.
+obstruction; it comes from the one d-cloud SVD (`chiral_axis_fit`), which also
+decides once per protocol whether the closed form of `chiral_axes` applies.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import ClassificationError, DegenerateGridError, InvalidInputError
-from .protocols import ProtocolSpec, _as_momenta, build_unitary, registry_lookup, stacked_params
+from .protocols import (Coin, ProtocolSpec, _as_momenta, build_unitary, registry_lookup,
+                        stacked_params)
 from .spectrum import bloch
-from .su2 import SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, block_diag2, tensor
+from .su2 import SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, block_diag2, tensor, unit_axis
 
 RESIDUAL_TOL = 1e-8
 SQUARE_TOL = 1e-10
-_BRANCH_MARGIN = 1e-6  # |d| below which a d cloud (`_chiral_fits`) treats a momentum as a closing
+_BRANCH_MARGIN = 1e-6  # |d| below which `chiral_axis_fit` treats a momentum as a closing
 CLASSIFY_GRID = {1: 129, 2: 24, 3: 10}  # points per axis of `classify`'s BZ grid
 
 _PAULIS = {"s0": SIGMA_0, "sx": SIGMA_X, "sy": SIGMA_Y, "sz": SIGMA_Z}
@@ -115,82 +117,67 @@ def check_relation(spec: ProtocolSpec, op: SymmetryOperator, relation: str,
     return _residual(op, relation, *_grid_pair(spec, k_grid, op.momentum_flip))
 
 
-def _chiral_fits(spec: ProtocolSpec, angles=None, T=None) -> list:
-    """Per walk of the stack (`angles`, `T`: scalars or 1-D arrays,
-    `stacked_params`) of the two-band walk `spec` doubles, or is: (axis,
-    planarity ratio) of its d cloud, the gap-open Bloch vectors over a
-    24-per-axis BZ grid, or the DegenerateGridError that says it has too few
-    of them.  The axis is the unit normal of the cloud's best plane, signed
-    so that its largest component is positive, and the ratio its
-    smallest/largest singular value (0 = exactly planar).  The clouds come
-    from one stacked evaluation and one batched SVD per set of walks with the
-    same gap-open momenta."""
-    spec = _base_of(spec)
-    angles, T = stacked_params(spec, angles, T)
-    shape = (-1,) + (1,) * spec.dimension
-    d = bloch(spec, _open_mesh(spec.dimension, 24), T=T.reshape(shape),
-              angles={sym: a.reshape(shape) for sym, a in angles.items()}).d.reshape(len(T), -1, 3)
-    gap_open = np.linalg.norm(d, axis=-1) > _BRANCH_MARGIN
-    groups: Dict[bytes, List[int]] = {}
-    for i, key in enumerate(np.packbits(gap_open, axis=-1)):
-        groups.setdefault(key.tobytes(), []).append(i)
-    fits: list = [None] * len(T)
-    for members in groups.values():
-        mask = gap_open[members[0]]
-        if mask.sum() < 3:
-            for i in members:
-                fits[i] = DegenerateGridError("not enough gap-open points to fit a chiral axis")
-            continue
-        _, s, vt = np.linalg.svd(d[np.ix_(members, np.flatnonzero(mask))], full_matrices=False)
-        axes = vt[:, -1, :]
-        big = np.take_along_axis(axes, np.abs(axes).argmax(axis=-1)[:, None], axis=-1)
-        for i, axis, ratio in zip(members, np.where(big < 0, -axes, axes),
-                                  (s[:, -1] / s[:, 0]).tolist()):
-            fits[i] = (axis, ratio)
-    return fits
-
-
 def chiral_axis_fit(spec: ProtocolSpec):
-    """(axis, planarity ratio) of the walk's d cloud (`_chiral_fits`)."""
-    (fit,) = _chiral_fits(spec)
-    if isinstance(fit, DegenerateGridError):
-        raise fit
-    return fit
+    """(axis, planarity ratio) of the d cloud of the walk (or of the walk it
+    doubles), its gap-open Bloch vectors on a 24-per-axis BZ grid: the unit
+    normal of its best plane, of either sign, and its smallest/largest singular
+    value (0 = planar); DegenerateGridError if fewer than 3 are gap-open."""
+    spec = _base_of(spec)
+    d = bloch(spec, _open_mesh(spec.dimension, 24)).d.reshape(-1, 3)
+    d = d[np.linalg.norm(d, axis=-1) > _BRANCH_MARGIN]
+    if len(d) < 3:
+        raise DegenerateGridError("not enough gap-open points to fit a chiral axis")
+    _, s, vt = np.linalg.svd(d, full_matrices=False)
+    return vt[-1], float(s[-1] / s[0])
 
 
-def _planar_axis(spec: ProtocolSpec, axis, ratio: float) -> np.ndarray:
-    """The fitted `axis`; ClassificationError if the d cloud is not planar."""
-    if ratio > 1e-9:
-        raise ClassificationError(
-            f"{spec.id!r}: d cloud is not planar (ratio {ratio:.2e}); no constant chiral axis")
-    return axis
+def _turned_e_x(coin: Coin, angles, T) -> np.ndarray:
+    """e_x turned by h = -T theta/2 about the axis n of `coin` (angle theta) per
+    walk of the stack, (V, 3): cos h e_x + sin h (0, n_z, -n_y) + (1 - cos h) n_x n."""
+    nx, ny, nz = unit_axis(coin.axis)
+    h = -0.5 * (T * angles[coin.symbol])
+    c, s = np.cos(h), np.sin(h)
+    return np.stack([c + (1 - c) * nx * nx, s * nz + (1 - c) * nx * ny,
+                     (1 - c) * nx * nz - s * ny], axis=-1)
 
 
-def chiral_axes(spec: ProtocolSpec, *, angles=None, T=None) -> list:
-    """The chiral axis A, Gamma = A.sigma, of each walk of the stack (`angles`,
-    `T`: scalars or 1-D arrays, `stacked_params`) of a two-band chiral
-    protocol or its doubling, or the DegenerateGridError that says why it
-    cannot be fitted; the first walk whose d cloud is not planar raises
-    ClassificationError.  For 1d-chs the axis is analytic, A = (kappa_beta,
-    -lambda_beta/sqrt(2), +lambda_beta/sqrt(2)), per walk on Python floats;
-    for the other planar walks it is fitted from the d cloud
-    (`_chiral_fits`)."""
-    if spec.id in ("1d-chs", "1d-cii"):
-        angles, T = stacked_params(spec, angles, T)
-        halves = [0.5 * t * beta for t, beta in zip(T.tolist(), angles["beta"].tolist())]
-        return [np.array([math.cos(h), -math.sin(h) / math.sqrt(2), math.sin(h) / math.sqrt(2)])
-                for h in halves]
-    return [fit if isinstance(fit, DegenerateGridError) else _planar_axis(spec, *fit)
-            for fit in _chiral_fits(spec, angles, T)]
+@lru_cache(maxsize=64)
+def _chiral_coin(dimension: int, elements: tuple) -> Optional[Coin]:
+    """The first coin of the two-band walk of `elements` if the walk is
+    chiral about the axis `_turned_e_x` gives from it, else None: its d
+    cloud at generic angles (`chiral_axis_fit`) must be planar about it."""
+    coin = next((el for el in elements if isinstance(el, Coin)), None)
+    if coin is None:
+        return None
+    spec = _ensure_generic_angles(ProtocolSpec("", dimension, elements))
+    try:
+        axis, ratio = chiral_axis_fit(spec)
+    except DegenerateGridError:  # d = 0 at every momentum
+        return None
+    A = _turned_e_x(coin, *stacked_params(spec))[0]
+    return coin if max(ratio, np.linalg.norm(np.cross(axis, A))) <= 1e-9 else None
+
+
+def chiral_axes(spec: ProtocolSpec, *, angles=None, T=None) -> np.ndarray:
+    """The chiral axis A, Gamma = A.sigma, of each walk of the stack
+    (`angles`, `T`: scalars or 1-D arrays, `stacked_params`) of a two-band
+    chiral protocol or its doubling, as a (V, 3) array: e_x turned by
+    -T theta/2 about the axis of the first coin (angle theta): the walk is
+    sigma_x-chiral in the time frame that splits that coin in halves (Asboth
+    & Obuse, PRB 88, 121406(R), 2013).  A protocol not chiral about it
+    (`_chiral_coin`) raises ClassificationError, whatever the angles."""
+    base = _base_of(spec)
+    angles, T = stacked_params(base, angles, T)
+    coin = _chiral_coin(base.dimension, base.elements)
+    if coin is None:
+        raise ClassificationError(f"{spec.id!r} has no constant chiral axis: its d cloud"
+                                  f" at generic angles is not planar about one")
+    return _turned_e_x(coin, angles, T)
 
 
 def chiral_axis(spec: ProtocolSpec) -> np.ndarray:
-    """The chiral axis of the walk (`chiral_axes`); DegenerateGridError if it
-    cannot be fitted."""
-    (axis,) = chiral_axes(spec)
-    if isinstance(axis, DegenerateGridError):
-        raise axis
-    return axis
+    """The chiral axis of the walk (`chiral_axes`)."""
+    return chiral_axes(spec)[0]
 
 
 def _base_of(spec: ProtocolSpec) -> ProtocolSpec:
@@ -227,7 +214,7 @@ def default_candidates(spec: ProtocolSpec) -> List[Tuple[str, np.ndarray]]:
                 cands.append((f"i*{tn[1]}x{sn}", 1j * M))
         try:
             G = axis_sigma(chiral_axis(spec))
-        except (ClassificationError, DegenerateGridError, KeyError):
+        except ClassificationError:
             G = None
         if G is not None:
             cands.append(("diag(G,G*)", block_diag2(G, G.conj())))

@@ -33,8 +33,8 @@ Conventions
   cone configurations sit at ~1e-10 relative residual while generic
   (arc-type) touches sit at ~1e-5, so the 1e-6 threshold separates them by
   orders of magnitude on the bundled fixtures.
-* Winding numbers use the right-handed frame (e1, e2, A) built on the chiral
-  axis A; counterclockwise in (e1, e2) counts +1.  They are exact: the
+* Winding numbers use the right-handed frame (e1, e2, A) on the chiral axis A
+  (`chiral_axes`, smooth in the angles); counterclockwise counts +1.  They are exact: the
   in-plane loop z(k) = (e1 + i e2).d(k) is a Laurent polynomial
   sum_{|f| <= F} z_f e^{ifk} read from the plan's Fourier coefficients, and
   its winding over 2 pi is the number of roots of w^F z(w) inside the unit
@@ -65,7 +65,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BoundaryStateError, DegenerateGridError, InvalidInputError
+from .errors import BoundaryStateError, InvalidInputError
 from .protocols import ProtocolSpec, Shift, registry_lookup, stacked_params
 from .spectrum import EPS_GAP, bloch_entries, two_band_plan
 from .symmetry import chiral_axes, momentum_axes
@@ -402,7 +402,8 @@ def sweep_boundaries(spec_or_id, grid_n: int, *, angles=None, T=None
     (`angles`, `T`: scalars or 1-D arrays, `stacked_params`), as
     `find_gap_closings` and `classify_boundary` give them, from one plan
     pass over the full BZ (`_closings`, at least MIN_SCAN_GRID points per
-    axis), whose d0 also serves the flat-band check."""
+    axis), whose d0 also serves the flat-band check; grid_n is checked first."""
+    _check_grid(grid_n)
     spec = registry_lookup(spec_or_id)
     angles, T = stacked_params(spec, angles, T)
     if not len(T):
@@ -553,27 +554,15 @@ def _root_count(z):
 def _windings(spec: ProtocolSpec, angles, T) -> list:
     """The 1D branch of `_invariants` (see the module docstring): per walk of
     the stack (`angles`, `T`), (n, float(n)) from the roots of its in-plane
-    Laurent polynomial, or the BoundaryStateError that says why it has none.
-    A walk with too few gap-open momenta to fit its chiral axis has no
-    winding either."""
-    results: list = [None] * len(T)
-    todo, axes = [], []
-    for i, axis in enumerate(chiral_axes(spec, angles=angles, T=T)):
-        if isinstance(axis, DegenerateGridError):
-            results[i] = BoundaryStateError(f"winding undefined: {axis}")
-        else:
-            todo.append(i)
-            axes.append(axis)
-    if not todo:
-        return results
-    z = _in_plane_coefficients(_plan(spec, angles, T, todo), np.array(axes))
+    Laurent polynomial about its chiral axis (`chiral_axes`), or the
+    BoundaryStateError that says why it has none."""
+    z = _in_plane_coefficients(_plan(spec, angles, T), chiral_axes(spec, angles=angles, T=T))
     inside, closes = _root_count(z)
     halves = 2 if momentum_period(spec, 0) == np.pi else 1
     windings = ((inside - z.shape[1] // 2) // halves).tolist()
-    for i, n, k in zip(todo, windings, closes.tolist()):
-        results[i] = (n, float(n)) if k == np.inf else BoundaryStateError(
-            f"winding undefined: the gap closes at k = {[round(k, 6)]}")
-    return results
+    return [(n, float(n)) if k == np.inf else BoundaryStateError(
+        f"winding undefined: the gap closes at k = {[round(k, 6)]}")
+        for n, k in zip(windings, closes.tolist())]
 
 
 def _corners(d, walk, i, s, offsets):

@@ -385,6 +385,22 @@ class TestInvariant:
         assert len(rows) == 11
         assert all(r[1:] == ["-1", "-1.0", "ok"] for r in rows)
 
+    @pytest.mark.parametrize("walk, sweep", [
+        (["--protocol", "1d-split", "--set", "alpha=0.9", "--steps", "1"], "beta:-1.7:-1.4"),
+        (["--protocol", "1d-simple", "--steps", "3"], "beta:-2.8:-2.4")])
+    def test_winding_keeps_its_sign_where_no_gap_closes(self, tmp_path, walk, sweep):
+        # no gap closes on either line, so all rows carry one winding; an axis
+        # signed by its largest component flipped it where |A_x| = |A_z|
+        out = tmp_path / "gaps.json"
+        assert run(["classify-gaps", *walk, "--sweep", f"{sweep}:301", "--out", str(out)]) == 0
+        assert not any(r["gap_points"] for r in json.loads(out.read_text())["records"])
+        out = tmp_path / "w.csv"
+        assert run(["invariant", *walk, "--sweep", f"{sweep}:5", "--grid", "64",
+                    "--out", str(out)]) == 0
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+        assert len(rows) == 5 and len({tuple(r[1:]) for r in rows}) == 1
+        assert rows[0][3] == "ok"
+
     def test_3d_is_unsupported(self, tmp_path):
         cfg = small_bands_cfg(tmp_path, protocol="3d-simple", angles={},
                               sweep={"symbol": "beta", "start": 0.1, "stop": 0.3,
@@ -646,7 +662,7 @@ class TestSweepBudget:
     @pytest.mark.parametrize("case", ["1d-invariant", "2d-invariant", "3d-classify"])
     def test_chunk_memory_is_bounded_by_the_budget(self, case):
         """A full chunk's traced peak is below 12 (1D `invariant`: the
-        chiral-axis d clouds and the root count), 10 (2D `invariant`: d and
+        Fourier coefficients and the root count), 10 (2D `invariant`: d and
         |d| are 4 floats a point) or 24 (3D `classify-gaps`: d0 and |d|, plus
         the Gauss-Newton starts of 256 closings) x SWEEP_POINTS x 8 bytes."""
         if case == "1d-invariant":
@@ -1436,25 +1452,75 @@ class SerialPool:
         return map(fn, *iterables)
 
 
+@st.composite
+def well_formed(draw):
+    """A config that passes validation, and the argv that runs it: a two-band
+    protocol of a dimension whose scan fits the fuzz's budget, swept over one
+    of its own angles (or over T in integer steps), grid 8-16, 2-4 values,
+    no links."""
+    command = draw(st.sampled_from(["classify-gaps", "invariant", "bands"]))
+    dims = (1, 2) if command == "bands" else (1,)
+    pid = draw(st.sampled_from([p for p in TWO_BAND if registry_lookup(p).dimension in dims]))
+    symbol = draw(st.sampled_from(registry_lookup(pid).symbols + ("T",)))
+    count = draw(st.integers(2, 4))
+    doc = {"protocol": pid, "grid": draw(st.integers(8, 16)),
+           "out": draw(st.sampled_from(["-", OUT]))}
+    if symbol == "T":  # the sweep sets the step number
+        start = draw(st.integers(1, 3))
+        stop = start + draw(st.integers(1, 2)) * (count - 1)
+    else:
+        start, stop = draw(st.floats(-4, 4)), draw(st.floats(-4, 4))
+        doc["steps"] = draw(st.integers(1, 3))
+    doc["sweep"] = {"symbol": symbol, "start": start, "stop": stop, "count": count}
+    return doc, [command, "--config", "<cfg>"]
+
+
+@st.composite
+def cases(draw):
+    """(doc, argv): one in four well-formed, the others fuzzed."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(well_formed())
+    return draw(documents()), draw(argvs())
+
+
+def _counted(calls, name, fn):
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    return counting
+
+
 class TestFuzzedBoundary:
-    @settings(derandomize=True, max_examples=80, deadline=None, database=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture,
-                                     HealthCheck.too_slow])
-    @given(doc=documents(), argv=argvs())
-    def test_exit_code_and_one_line_error(self, tmp_path, capsys, monkeypatch, doc, argv):
+    def test_exit_code_and_one_line_error(self, tmp_path, capsys, monkeypatch):
         # 3D bands fit the budget only at grid 8 with two values, and a 2D or
         # 3D scan (at least 32 points per axis) never does
         monkeypatch.setattr(config, "MAX_POINTS", 2 ** 10)
         monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
         monkeypatch.chdir(tmp_path)  # a stray relative path would land here and fail the test
-        out = tmp_path / "out.txt"
-        if isinstance(doc, dict) and doc.get("out") not in (None, "-"):
-            doc["out"] = str(out)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(doc))
-        paths = {"<cfg>": str(cfg), "<dir>": str(tmp_path), OUT: str(out)}
-        code = run([paths.get(arg, arg) for arg in argv])
-        err = capsys.readouterr().err
-        assert code in (0, 2, 3), (argv, doc, err)
-        assert len(err.splitlines()) <= 1 and "Traceback" not in err, (argv, doc, err)
-        assert {p.name for p in tmp_path.iterdir()} <= {"cfg.json", "out.txt"}
+        calls, computed = [], []  # the chunk calls made; per example, whether it made any
+        for module, name in ((topology, "sweep_invariants"), (topology, "sweep_boundaries"),
+                             (cli, "_bands_chunk")):
+            monkeypatch.setattr(module, name, _counted(calls, name, getattr(module, name)))
+
+        @settings(derandomize=True, max_examples=80, deadline=None, database=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(case=cases())
+        def example(case):
+            doc, argv = case
+            made = len(calls)
+            out = tmp_path / "out.txt"
+            if isinstance(doc, dict) and doc.get("out") not in (None, "-"):
+                doc["out"] = str(out)
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            paths = {"<cfg>": str(cfg), "<dir>": str(tmp_path), OUT: str(out)}
+            code = run([paths.get(arg, arg) for arg in argv])
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3), (argv, doc, err)
+            assert len(err.splitlines()) <= 1 and "Traceback" not in err, (argv, doc, err)
+            assert {p.name for p in tmp_path.iterdir()} <= {"cfg.json", "out.txt"}
+            computed.append(len(calls) > made)
+
+        example()
+        assert sum(computed) >= 10, (len(computed), sorted(set(calls)))
+        assert set(calls) == {"sweep_invariants", "sweep_boundaries", "_bands_chunk"}

@@ -372,10 +372,11 @@ def test_rejects_bad_step_numbers():
 
 @pytest.mark.parametrize("T", [2.5, True, np.nan, np.array([[1.5]]), np.array([2, 3.25]),
                                np.array([True, False]), 2 ** 64,
-                               np.array([1, 2 ** 70], dtype=object)])
+                               np.array([1, 2 ** 70], dtype=object), 2 ** 63,
+                               np.array([2.0 ** 63])])
 def test_plan_rejects_non_integral_step_numbers(T):
     # the walk exists for integer T only; integral floats stay accepted, and
-    # an integer beyond 64 bits is refused before numpy rounds it
+    # an integer of 2**63 or more (beyond int64) is refused before numpy rounds it
     spec = pr.registry_lookup("1d-phs", angles={"alpha": 0.4, "beta": 0.7})
     k = np.zeros((2, 1))
     # registry_lookup shares the plan's check, so it refuses the same values

@@ -1,5 +1,6 @@
 import sys
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import numpy.testing as npt
@@ -145,53 +146,84 @@ SPECIAL_ANGLES = [0.0, np.pi / 2, -np.pi / 2, np.pi, np.pi / 3, 2 * np.pi, 0.7]
 
 
 def _lattice(pid):
-    """The walks of `pid` at every pair of special angles, T in {1, 2, 6}."""
-    return [pr.registry_lookup(pid, T=T, angles={"alpha": a, "beta": b})
-            for T in (1, 2, 6) for a in SPECIAL_ANGLES for b in SPECIAL_ANGLES]
+    """The walks of `pid` at every pair of special values of its first two
+    angles (its only one, if it has one), the others at 0, T in {1, 2, 6}."""
+    symbols = pr.REGISTRY[pid].symbols[:2]
+    return [pr.registry_lookup(pid, T=T, angles=dict(zip(symbols, values)))
+            for T in (1, 2, 6) for values in product(SPECIAL_ANGLES, repeat=len(symbols))]
 
 
 class TestStackedChiralAxes:
-    def test_each_axis_is_bit_identical_to_an_svd_of_its_cloud(self):
-        # 1d-split: a T = 6 sweep and the special-angle lattice, whose walks
-        # fall into five gap-open masks; the sweep's two walks at alpha =
-        # +-pi/2 and nine of the lattice's have too few gap-open momenta to fit.
-        # The reference fits each walk alone: its gap-open d on the 24-point
-        # mesh, the last right singular vector, signed by its largest component
+    def test_each_axis_is_the_formula_and_the_svd_of_its_cloud(self):
+        # 1d-split: a T = 6 sweep and the special-angle lattice.  Each axis is
+        # e_y's half-turn image of e_x, (cos T beta/2, 0, sin T beta/2), and
+        # +- the last right singular vector of its walk's gap-open d on the
+        # 24-point mesh wherever that cloud spans a plane; the sweep's two
+        # walks at alpha = +-pi/2 and nine of the lattice's have too few
+        # gap-open momenta to fit, and some lattice clouds are a line
         sweep = [pr.registry_lookup("1d-split", T=6, angles={"alpha": a, "beta": (a + np.pi) / 3})
                  for a in np.linspace(-np.pi, np.pi, 181)]
         specs = sweep + _lattice("1d-split")
         k = np.linspace(-np.pi, np.pi, 24, endpoint=False)
-        degenerate = 0
-        for spec, got in zip(specs, sym.chiral_axes(specs[0], **as_stack(specs))):
+        got = sym.chiral_axes(specs[0], **as_stack(specs))
+        assert got.shape == (len(specs), 3)
+        fitted = 0
+        for spec, axis in zip(specs, got):
+            half = 0.5 * spec.T * spec.angles["beta"]
+            assert np.abs(axis - [np.cos(half), 0.0, np.sin(half)]).max() <= 1e-12
             d = bloch(spec, k).d
             d = d[np.linalg.norm(d, axis=-1) > sym._BRANCH_MARGIN]
+            assert np.abs(d @ axis).max(initial=0.0) <= 1e-12
             if len(d) < 3:
-                assert isinstance(got, DegenerateGridError)
-                assert str(got) == "not enough gap-open points to fit a chiral axis"
-                degenerate += 1
                 continue
-            want = np.linalg.svd(d, full_matrices=False)[2][-1]
-            want = -want if want[np.abs(want).argmax()] < 0 else want
-            assert got.tobytes() == want.tobytes()
-        assert degenerate == 2 + 9
+            _, s, vt = np.linalg.svd(d, full_matrices=False)
+            if s[1] > 1e-6 * s[0]:
+                assert min(np.abs(vt[-1] - axis).max(), np.abs(vt[-1] + axis).max()) <= 1e-12
+                fitted += 1
+        assert fitted >= 181 - 2
+
+    @pytest.mark.parametrize("pid", ["1d-simple", "1d-split", "1d-chs", "2d-simple",
+                                     "3d-simple", "1d-cii"])
+    def test_formula_is_the_fit_on_random_walks(self, pid, rng):
+        specs = [pr.registry_lookup(pid, T=int(rng.integers(1, 9)),
+                                    angles=generic_angles(pr.REGISTRY[pid], rng))
+                 for _ in range(8)]
+        grid = sym.bz_grid(specs[0].dimension, {1: 16, 2: 16, 3: 8}[specs[0].dimension])
+        for spec, axis in zip(specs, sym.chiral_axes(specs[0], **as_stack(specs))):
+            fitted, ratio = sym.chiral_axis_fit(spec)
+            assert ratio <= 1e-12
+            assert min(np.abs(fitted - axis).max(), np.abs(fitted + axis).max()) <= 1e-12
+            G = sym.axis_sigma(axis)
+            op = sym.SymmetryOperator(G if spec.bands == 2 else su2.block_diag2(G, G.conj()),
+                                      antiunitary=False, momentum_flip=False)
+            assert sym.check_relation(spec, op, "chs", grid) <= 1e-12
 
     def test_analytic_axes_are_chiral_axis(self):
         specs = _lattice("1d-chs")
         for spec, got in zip(specs, sym.chiral_axes(specs[0], **as_stack(specs))):
             assert got.tobytes() == sym.chiral_axis(spec).tobytes()
 
-    def test_first_non_planar_walk_raises(self):
+    def test_every_1d_phs_walk_raises(self):
+        # 1d-phs has no chiral axis at any angles, not only where its d cloud
+        # spans three axes
         specs = _lattice("1d-phs")
-        errors = []
         for spec in specs:
-            try:
+            with pytest.raises(ClassificationError, match="not planar"):
                 sym.chiral_axis(spec)
-            except ClassificationError as err:
-                errors.append(str(err))
-        assert len(set(errors)) > 1
-        with pytest.raises(ClassificationError) as info:
+        with pytest.raises(ClassificationError, match="not planar"):
             sym.chiral_axes(specs[0], **as_stack(specs))
-        assert str(info.value) == errors[0]
+
+    @pytest.mark.parametrize("pid", [pid for pid in pr.PROTOCOL_IDS
+                                     if pr.REGISTRY[pid].bands == 2])
+    def test_axes_exist_exactly_for_the_catalogued_chiral_walks(self, pid):
+        # at generic angles and on the special-angle lattice alike
+        chiral = bool(sym._CATALOG[pid][0][2]) and "chs" not in sym._DECLARED.get(pid, ())
+        for spec in [_bound(pid)] + _lattice(pid):
+            if chiral:
+                assert sym.chiral_axis(spec).shape == (3,)
+            else:
+                with pytest.raises(ClassificationError):
+                    sym.chiral_axis(spec)
 
 
 class TestDeclaredRows:

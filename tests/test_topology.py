@@ -12,7 +12,7 @@ from topowalk import protocols as pr
 from topowalk import spectrum
 from topowalk import symmetry
 from topowalk import topology as tp
-from topowalk.errors import BoundaryStateError, DegenerateGridError, InvalidInputError
+from topowalk.errors import BoundaryStateError, InvalidInputError
 from topowalk.spectrum import EPS_GAP
 
 PI = np.pi
@@ -307,7 +307,7 @@ class TestWinding:
                                   angles={"alpha": 2.094, "beta": (2.094 + PI) / 3})
         w_fwd = tp.winding_number(spec)
         monkeypatch.setattr(tp, "chiral_axes",
-                            lambda spec, **stack: [-a for a in symmetry.chiral_axes(spec, **stack)])
+                            lambda spec, **stack: -symmetry.chiral_axes(spec, **stack))
         w_rev = tp.winding_number(spec)
         assert w_fwd.w == -w_rev.w != 0
         assert (w_fwd.raw, w_rev.raw) == (float(w_fwd.w), float(w_rev.w))
@@ -488,6 +488,9 @@ class TestSweepInvariants:
         for pid, stack in (("2d-phs", {"angles": {"beta": np.array([])}}),
                            ("1d-chs", {"T": np.array([], dtype=int)})):
             assert sweep(pid, 32, **stack) == []
+            for grid_n in (True, 0, 2.5):  # the grid is checked first, on no walks too
+                with pytest.raises(InvalidInputError, match="grid_n must be an integer >= 2"):
+                    sweep(pid, grid_n, **stack)
 
 
 class TestStackInput:
@@ -541,31 +544,64 @@ def _reference_windings(specs):
     """Per 1D walk, its winding or None at a boundary, independently of the
     root route: the Laurent coefficients of z(k) = (e1 + i e2).d(k), in a
     frame of its own about the chiral axis, by FFT of the step loop's d at 8
-    momenta, then numpy.roots of w z(w) one walk at a time.  A walk whose
-    chiral axis cannot be fitted must have d = 0 at every sample."""
+    momenta, then numpy.roots of w z(w) one walk at a time.  A walk with
+    d = 0 at every sample closes its gap everywhere."""
     k = 2 * PI * np.arange(8) / 8
     plan = spectrum.two_band_plan(
         specs[0], angles={s: np.array([[w.angles[s]] for w in specs]) for s in specs[0].angles},
         T=np.array([[w.T] for w in specs]))
     d = np.stack(spectrum.bloch_entries(*plan.entries(k))[1], axis=-1)
-    out, axes = [None] * len(specs), {}
-    for i, spec in enumerate(specs):
-        assert tp.momentum_period(spec, 0) == 2 * PI
-        try:
-            axes[i] = symmetry.chiral_axis(spec)
-        except DegenerateGridError:
-            assert np.abs(d[i]).max() <= EPS_GAP
-    todo, A = list(axes), np.array(list(axes.values()))
+    assert all(tp.momentum_period(spec, 0) == 2 * PI for spec in specs)
+    A = np.array([symmetry.chiral_axis(spec) for spec in specs])
     e1 = np.cross(A, np.eye(3)[np.argmin(np.abs(A), axis=1)])
     e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-    coef = np.fft.fft((d[todo] @ (e1 + 1j * np.cross(A, e1))[:, :, None])[..., 0]) / 8
+    coef = np.fft.fft((d @ (e1 + 1j * np.cross(A, e1))[:, :, None])[..., 0]) / 8
     assert np.abs(coef[:, 2:7]).max() <= 1e-12  # z_f at f mod 8: frequencies -1, 0, 1 only
-    for i, (z0, z1, *_, z_1) in zip(todo, coef):
+    out = [None] * len(specs)
+    for i, (z0, z1, *_, z_1) in enumerate(coef):
+        if np.abs(d[i]).max() <= EPS_GAP:
+            continue
         roots = np.roots([z1, z0, z_1])
         on_circle = np.exp(1j * np.angle(roots))
         gap = np.abs(z_1 / on_circle + z0 + z1 * on_circle)
         out[i] = None if (gap <= EPS_GAP).any() else int((np.abs(roots) < 1).sum()) - 1
     return out
+
+
+class TestWindingContinuity:
+    """A winding changes only where the gap closes: two values of one sweep
+    with an open gap everywhere between them have one winding."""
+
+    def test_certified_open_gap_keeps_the_winding(self, rng):
+        # The gap is certified open over the whole segment from d on a
+        # (values, k) mesh: |d| moves by at most L_k per unit of k (the
+        # shifts' total |m|) and by at most T/2 per unit of a coin angle, so
+        # min |d| above L_k h/2 + L_v dv/2 leaves no closing between mesh
+        # points.  The windings of the two ends are then equal.
+        k = np.linspace(-PI, PI, 1024, endpoint=False)
+        certified = 0
+        for _ in range(48):
+            pid = str(rng.choice(["1d-simple", "1d-split", "1d-chs"]))
+            spec = pr.registry_lookup(pid, T=int(rng.integers(1, 9)),
+                                      angles=generic_angles(pr.REGISTRY[pid], rng))
+            symbol = str(rng.choice(spec.symbols))
+            start = rng.uniform(-PI, PI)
+            values = np.linspace(start, start + rng.uniform(0.05, 1.0), 201)
+            d = spectrum.bloch(spec, k, angles={symbol: values[:, None]}).d
+            steps = spectrum.two_band_plan(spec).steps
+            lip_k = sum(abs(m) for kind, data in steps if kind == "shift" for _, m in data)
+            lip_v = spec.T / 2 * sum(getattr(el, "symbol", None) == symbol
+                                     for el in spec.elements)
+            margin = lip_k * PI / len(k) + lip_v * (values[1] - values[0]) / 2
+            if np.linalg.norm(d, axis=-1).min() <= margin:
+                continue
+            certified += 1
+            stack = {"angles": {symbol: values}}
+            assert not any(points for points, _ in tp.sweep_boundaries(spec, 32, **stack))
+            ends = tp.sweep_invariants(spec, 32, angles={symbol: values[[0, -1]]})
+            assert ends[0] is not None and ends[0] == ends[1], (pid, spec.T, spec.angles,
+                                                                symbol, values[[0, -1]])
+        assert certified >= 16
 
 
 class TestRootCount:
