@@ -314,8 +314,8 @@ def _chunks(cfg: SweepConfig, points: int, budget: int) -> list:
 
 def _scan_points(cfg: SweepConfig) -> int:
     """The points one `invariant` or `classify-gaps` value costs, as its chunks
-    count it: the scan mesh of `topology._closings` (a 1D winding reads none)."""
-    return max(cfg.grid, topology.MIN_SCAN_GRID) ** registry_lookup(cfg.protocol).dimension
+    count it: the `topology.scan_grid` mesh of the gap search (a 1D winding reads none)."""
+    return topology.scan_grid(cfg.grid) ** registry_lookup(cfg.protocol).dimension
 
 
 def _map_values(cfg: SweepConfig, values, fn, workers: int):

@@ -151,6 +151,15 @@ def _step_number(T):
     return T
 
 
+def _integer(name: str, value, low: int, high: float = np.inf) -> int:
+    """`value` as an int if it is an int or numpy integer, not a bool, in
+    [low, high); InvalidInputError naming `name` if not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not low <= value < high:
+        below = "" if high == np.inf else f" and < {high}"
+        raise InvalidInputError(f"{name} must be an integer >= {low}{below}, got {value!r}")
+    return int(value)
+
+
 def _merged_angles(spec: ProtocolSpec, angles: Optional[Mapping]) -> dict:
     """The spec's bound angles updated by `angles`; an angle the protocol does
     not use is rejected."""

@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import GaplessError, InvalidInputError, UnsupportedProtocolError
-from .protocols import REGISTRY, Plan, ProtocolSpec, _as_momenta, compile_plan, registry_lookup
+from .protocols import REGISTRY, Plan, _as_momenta, _integer, compile_plan, registry_lookup
 
 EPS_GAP = 1e-9  # |d| at or below this counts as a gap closing
 
@@ -451,14 +451,6 @@ _CLOSED_FORMS = {
 CLOSED_FORM_IDS = tuple(_CLOSED_FORMS)
 
 
-def _axis(spec: ProtocolSpec, axis) -> int:
-    """`axis` if it is the integer index 0 .. dim - 1 of a momentum axis of the walk."""
-    if (isinstance(axis, bool) or not isinstance(axis, (int, np.integer))
-            or not 0 <= axis < spec.dimension):
-        raise InvalidInputError(f"axis {axis!r} invalid for a {spec.dimension}d protocol")
-    return int(axis)
-
-
 def _closed_form(which: int, pid: str, angles: Mapping, T, k, *axis):
     """The closed form `which` (0 rho, 1 d, 2 drho) of `pid`, given the momentum
     components of k and, for drho, the axis index."""
@@ -468,7 +460,8 @@ def _closed_form(which: int, pid: str, angles: Mapping, T, k, *axis):
         raise UnsupportedProtocolError(f"no analytic form registered for {pid!r};"
                                        f" available: {sorted(_CLOSED_FORMS)}") from None
     spec = REGISTRY[pid]
-    return form(angles, T, *[_axis(spec, a) for a in axis], *_as_momenta(spec, k))
+    return form(angles, T, *[_integer("axis", a, 0, spec.dimension) for a in axis],
+                *_as_momenta(spec, k))
 
 
 def rho_closed_form(pid: str, angles: Mapping, T, k):

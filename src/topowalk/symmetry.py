@@ -34,8 +34,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import ClassificationError, DegenerateGridError, InvalidInputError
-from .protocols import (Coin, ProtocolSpec, _as_momenta, build_unitary, registry_lookup,
-                        stacked_params)
+from .protocols import (Coin, ProtocolSpec, _as_momenta, _integer, build_unitary,
+                        registry_lookup, stacked_params)
 from .spectrum import bloch
 from .su2 import SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, block_diag2, tensor, unit_axis
 
@@ -245,9 +245,7 @@ def operator_search(spec: ProtocolSpec, relation: str, n_per_axis: int = 16):
     """
     if relation not in _CANONICAL_COMBOS:
         raise InvalidInputError(f"unknown relation {relation!r}")
-    if (isinstance(n_per_axis, bool) or not isinstance(n_per_axis, (int, np.integer))
-            or n_per_axis < 0):
-        raise InvalidInputError(f"n_per_axis must be an integer >= 0, got {n_per_axis!r}")
+    _integer("n_per_axis", n_per_axis, 0)
     anti, flip = _CANONICAL_COMBOS[relation]
     grids = _grid_pair(spec, _open_mesh(spec.dimension, n_per_axis), flip)
     found = []

@@ -7,23 +7,24 @@ Conventions
   scan, the flat-band check and the Chern grids).  A stack of walks is one
   protocol with its angles and T as 1-D arrays along the stack
   (`protocols.stacked_params`); a one-walk call is a stack of one.  One
-  driver, `_closings`, sets up the gap search for a stack in one plan pass:
-  one scan (`_scan`: local minima of |d|, which the Chern reduction reuses)
-  feeds one batched Gauss-Newton refine of d(k) = 0 with the Jacobian split
-  from the exact dU/dk.  `find_gap_closings` (one walk)
-  and `sweep_boundaries` (a chunk of `classify-gaps` sweep values, whose
-  flat-band check reads d0 from the same mesh) search the full BZ, since
-  they report closings there; `_invariants` (`sweep_invariants`, and
-  `winding_number` and `chern_number` for one walk) searches the *minimal*
-  momentum torus (see below) of a 2D walk, from the same d that its Chern
-  reduction then reads.  1D windings need no mesh (see below).
-* Dense meshes (`_mesh_bloch`) are evaluated from the plan's Fourier
-  coefficients (`Plan.fourier`), not by the step loop: contracted with the
-  phasors of every momentum axis but the first once per call, then summed
-  per block (`_blocks`) of about BLOCK_POINTS points of the first axis, whose
-  temporaries stay in L2, into just the full-mesh arrays the caller reads.
-  Every value is an elementwise sum of products, with no BLAS call, so
-  neither the blocks nor the stack of walks change a bit.
+  driver, `_closings`, sets up the gap search for a stack in one plan pass
+  on `scan_grid` points per axis, the one grid rule: one scan (`_scan`:
+  local minima of |d|, which the Chern reduction reuses) feeds one batched
+  Gauss-Newton refine of d(k) = 0 with the Jacobian split from the exact
+  dU/dk.  `find_gap_closings`, `classify_boundary` (given closings or not)
+  and `sweep_boundaries` search the full BZ, where they report closings and
+  the last two read d0 for the flat-band check; `_invariants` (behind
+  `sweep_invariants`, `winding_number` and `chern_number`) searches the
+  *minimal* momentum torus (see below) of a 2D walk, from the same d that its
+  Chern reduction then reads.  1D windings need no mesh (see below).
+* The dense mesh (`_mesh_bloch`, called by `_closings` alone) is evaluated
+  from the plan's Fourier coefficients (`Plan.fourier`), not by the step
+  loop: contracted with the phasors of every momentum axis but the first
+  once per call, then summed per block (`_blocks`) of about BLOCK_POINTS
+  points of the first axis, whose temporaries stay in L2, into just the
+  full-mesh arrays the caller reads.  Every value is an elementwise sum of
+  products, with no BLAS call, so neither the blocks nor the stack of walks
+  change a bit.
 * The gap function is g(k) = min(E_+, pi - E_+): bands touch only at
   quasi-energy 0 or pi.
 * Dirac-vs-arc discrimination follows the band shape at the closing: a
@@ -61,12 +62,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from numbers import Real
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import BoundaryStateError, InvalidInputError
-from .protocols import ProtocolSpec, Shift, registry_lookup, stacked_params
+from .protocols import ProtocolSpec, Shift, _integer, registry_lookup, stacked_params
 from .spectrum import EPS_GAP, bloch_entries, two_band_plan
 from .symmetry import chiral_axes, momentum_axes
 
@@ -289,16 +291,15 @@ def _plan(spec: ProtocolSpec, angles, T, walks=slice(None), ndim: int = 1):
 def _closings(spec: ProtocolSpec, angles, T, grid_n: int, periods, d0: bool = False):
     """The gap search of the stack of walks (`angles`, `T`) of `spec`, from one
     plan pass: their angles and T are (V, 1, ...) arrays against the open
-    mesh of the momentum `periods` at n = max(grid_n, MIN_SCAN_GRID) points
-    per axis, the one scan floor (`_check_grid` first).  `_scan` takes the
-    local minima of |d| on that mesh, and one `_gauss_newton` solve refines
-    all of them, each at its own walk's angles and T.
+    mesh of the momentum `periods` at n = scan_grid(grid_n) points per axis,
+    the only dense mesh (`_mesh_bloch`) of any search or flat-band check.
+    `_scan` takes the local minima of |d| on that mesh, and one
+    `_gauss_newton` solve refines all of them, each at its own walk's angles and T.
 
     Returns d (or d0 if `d0`) and |d| on the mesh (V, n, ...) as
     `_mesh_bloch` gives them, the walk index of each start point, and each
     start's refined k, d0 and |d|."""
-    _check_grid(grid_n)
-    grid_n = max(grid_n, MIN_SCAN_GRID)
+    grid_n = scan_grid(grid_n)
     dim = spec.dimension
     mesh, norm = _mesh_bloch(_plan(spec, angles, T, ndim=1 + dim),
                              momentum_axes(dim, grid_n, periods), (len(T),) + (grid_n,) * dim, d0)
@@ -308,10 +309,10 @@ def _closings(spec: ProtocolSpec, angles, T, grid_n: int, periods, d0: bool = Fa
     return (mesh, norm, which) + _gauss_newton(_plan(spec, angles, T, which), starts, cells)
 
 
-def _check_grid(grid_n) -> None:
-    """InvalidInputError unless grid_n, the points per momentum axis, is an integer >= 2."""
-    if isinstance(grid_n, bool) or not isinstance(grid_n, (int, np.integer)) or grid_n < 2:
-        raise InvalidInputError(f"grid_n must be an integer >= 2, got {grid_n!r}")
+def scan_grid(grid_n) -> int:
+    """grid_n, the points per momentum axis asked of a gap search, raised to
+    MIN_SCAN_GRID; InvalidInputError unless it is an integer >= 2."""
+    return max(_integer("grid_n", grid_n, 2), MIN_SCAN_GRID)
 
 
 def _gap_points(which, pts, d0, resid, count: int, refine_tol: float) -> List[List[GapPoint]]:
@@ -351,12 +352,14 @@ def find_gap_closings(spec_or_id, *, angles=None, T=None, grid_n: int = 64,
     """Locate band touchings over the full BZ: a scan of at least
     MIN_SCAN_GRID points per axis for local minima of |d|, then one batched
     Gauss-Newton solve of d(k) = 0 from all of them on the plan's exact
-    Jacobian (`_closings`); duplicates merged.
+    Jacobian (`_closings`); duplicates merged.  refine_tol must be >= 0.
 
     |d| = sin(E_+) vanishes exactly where the bands touch (E in {0, pi}) and,
     unlike min(E, pi - E), it stays fully resolved near a closing: arccos
     loses half the significant digits there.
     """
+    if isinstance(refine_tol, bool) or not isinstance(refine_tol, Real) or not refine_tol >= 0:
+        raise InvalidInputError(f"refine_tol must be a number >= 0, got {refine_tol!r}")
     spec = registry_lookup(spec_or_id, T=T, angles=angles)
     found = _closings(spec, *stacked_params(spec), grid_n, [2 * np.pi] * spec.dimension, True)
     return _gap_points(*found[2:], 1, refine_tol)[0]
@@ -378,22 +381,18 @@ def classify_boundary(spec_or_id, *, angles=None, T=None,
     """Classify the gapless configuration at fixed parameters.
 
     Returns a flat-band record if the + band is constant over the BZ;
-    otherwise one record per gap closing.  By default the closings are those
-    `find_gap_closings` finds, and the flat-band check reads the same scan
-    mesh (`sweep_boundaries`); given `gap_points`, the check reads a mesh of
-    grid_n points per axis.  1D Dirac closings are subtyped by
-    the complete gapless set: {0, +-pi} -> type one, including +-pi/2 -> type
-    two.
+    otherwise one record per gap closing.  The flat-band check reads d0 on
+    the gap search's mesh (`_closings`) whether or not `gap_points` are
+    given; by default the closings are those that search finds, as
+    `find_gap_closings` and `sweep_boundaries` give them.  1D Dirac closings
+    are subtyped by the complete gapless set: {0, +-pi} -> type one,
+    including +-pi/2 -> type two.
     """
     spec = registry_lookup(spec_or_id, T=T, angles=angles)
-    if gap_points is None:
-        return sweep_boundaries(spec, grid_n)[0][1]
-    _check_grid(grid_n)
-    dim = spec.dimension
     angles, T = stacked_params(spec)
-    d0 = _mesh_bloch(_plan(spec, angles, T, ndim=1 + dim), momentum_axes(dim, grid_n),
-                     (1,) + (grid_n,) * dim, True)[0]
-    return _classify(spec, angles, T, d0, [gap_points])[0]
+    d0, _, *starts = _closings(spec, angles, T, grid_n, [2 * np.pi] * spec.dimension, True)
+    points = _gap_points(*starts, 1, EPS_GAP) if gap_points is None else [gap_points]
+    return _classify(spec, angles, T, d0, points)[0]
 
 
 def sweep_boundaries(spec_or_id, grid_n: int, *, angles=None, T=None
@@ -403,7 +402,7 @@ def sweep_boundaries(spec_or_id, grid_n: int, *, angles=None, T=None
     `find_gap_closings` and `classify_boundary` give them, from one plan
     pass over the full BZ (`_closings`, at least MIN_SCAN_GRID points per
     axis), whose d0 also serves the flat-band check; grid_n is checked first."""
-    _check_grid(grid_n)
+    scan_grid(grid_n)
     spec = registry_lookup(spec_or_id)
     angles, T = stacked_params(spec, angles, T)
     if not len(T):
@@ -690,7 +689,7 @@ def _invariants(spec_or_id, grid_n: int, angles=None, T=None) -> list:
     degree (an integer on any mesh), and no coarser mesh is counted; the walks
     with no candidate refined to |d| <= EPS_GAP reduce the same d (`_chern`)
     to `_quantized`."""
-    _check_grid(grid_n)
+    scan_grid(grid_n)
     spec = registry_lookup(spec_or_id)
     angles, T = stacked_params(spec, angles, T)
     dim = spec.dimension

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -224,13 +226,14 @@ class TestGroupVelocity:
                                      np.full((1, 1), 0.5), "y")
         # an axis is an integer index: a letter, bool or float one is rejected
         # also where its value would name an axis of the walk
-        for axis in ("x", True, 1.0, -1):
-            with pytest.raises(InvalidInputError, match=f"axis {axis!r} invalid for a 2d"):
+        for axis in ("x", True, 1.0, -1, 2):
+            with pytest.raises(InvalidInputError, match=re.escape(
+                    f"axis must be an integer >= 0 and < 2, got {axis!r}")):
                 sp.drho_closed_form("2d-phs", {"alpha": 0.3, "beta": 0.1}, 1,
                                     np.zeros((1, 2)), axis)
 
     def test_rejects_unhashable_axis(self):
-        with pytest.raises(InvalidInputError, match=r"axis \[0\] invalid"):
+        with pytest.raises(InvalidInputError, match=r"axis must be an integer >= 0 and < 1, got \[0\]"):
             sp.drho_closed_form("1d-phs", {"alpha": 0.3, "beta": 0.1}, 1, np.zeros((1, 1)), [0])
 
 

@@ -75,3 +75,13 @@ def test_every_top_level_definition_is_reached():
                        for name, where, owner in reached):
                 dead.append(node.name)
     assert sorted(dead) == sorted(TEST_ONLY), "reached by the tests alone"
+
+
+def test_only_the_gap_search_builds_a_dense_mesh():
+    # one mesh route: every gap search and flat-band check reads the floored
+    # mesh of `topology._closings`, so a second caller of `_mesh_bloch` is a
+    # second grid rule
+    readers = {(path.stem, owner) for path in sorted(SRC.glob("*.py"))
+               for name, owner in _references(ast.parse(path.read_text()), strings=False)
+               if name == "_mesh_bloch"}
+    assert readers == {("topology", "_closings")}

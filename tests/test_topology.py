@@ -41,15 +41,31 @@ class TestGapClosings:
         assert pts == []
 
     def test_every_search_uses_one_grid_policy(self):
-        # `_closings` checks the grid and scans at least MIN_SCAN_GRID points
-        # per axis: a one-walk call below the floor gives the floor's result,
-        # and the sweep refuses what the one-walk calls refuse
+        # every search scans `scan_grid` points per axis, at least
+        # MIN_SCAN_GRID: a one-walk call below the floor gives the floor's
+        # result, given its closings or not, and the sweep refuses what the
+        # one-walk calls refuse
         walk = {"angles": {"alpha": 0.0, "beta": 0.0}, "T": 1}
         for search in (tp.find_gap_closings, tp.classify_boundary):
             assert search("1d-chs", grid_n=16, **walk) == search("1d-chs", grid_n=32, **walk)
+        walk = {"angles": {"alpha": PI / 3, "beta": PI / 6}, "T": 2}
+        points = tp.find_gap_closings("2d-phs", grid_n=2, **walk)
+        assert (tp.classify_boundary("2d-phs", gap_points=points, grid_n=2, **walk)
+                == tp.classify_boundary("2d-phs", gap_points=points, grid_n=32, **walk))
         for grid_n in (True, 2.5, 0, -5):
             with pytest.raises(InvalidInputError, match="grid_n must be an integer >= 2"):
                 tp.sweep_boundaries("1d-chs", grid_n, angles={"alpha": np.zeros(2), "beta": 0.0})
+
+    def test_refine_tol_is_a_number_at_least_zero(self):
+        # no |d| is <= NaN or <= -1: such a tolerance used to find nothing, silently
+        walk = {"angles": {"alpha": PI / 2, "beta": PI / 2}, "T": 6}
+        assert len(tp.find_gap_closings("1d-phs", **walk)) == 2
+        for tol in (float("nan"), -1.0, True, "1e-9", None, 1j):
+            with pytest.raises(InvalidInputError, match="refine_tol must be a number >= 0"):
+                tp.find_gap_closings("1d-phs", refine_tol=tol, **walk)
+        for tol in (3e-5, 1, np.float32(1e-9), np.int64(1), float("inf")):
+            assert len(tp.find_gap_closings("1d-phs", refine_tol=tol, **walk)) == 2
+        assert tp.find_gap_closings("1d-phs", refine_tol=0.0, **walk) == []
 
     def test_interior_closing_is_refined_to_machine_gap(self):
         # generic arc-type touch away from high-symmetry momenta
@@ -224,6 +240,36 @@ class TestBoundaryTaxonomy:
         cls = tp.classify_boundary("1d-phs", angles={"alpha": PI / 2, "beta": PI / 2}, T=6)
         assert {c.kind for c in cls} == {"dirac_type_one"}
         assert shapes == [(1, 64)]
+
+
+class TestOneBoundaryRoute:
+    """`classify_boundary` reads the gap search's mesh whether its closings
+    are found or given: at 2 points per axis the frequency-2 band of these
+    walks aliases to a constant, which a mesh of grid_n points called flat."""
+
+    @pytest.mark.parametrize("grid_n", [2, 8, 64])
+    @pytest.mark.parametrize("pid, T, angles", [
+        ("2d-phs", 2, {"alpha": PI / 3, "beta": PI / 6}),
+        ("3d-phs", 1, {"alpha": 0.7, "beta": 1.1, "gamma": 0.4, "zeta": 0.0})])
+    def test_given_closings_give_the_found_records(self, pid, T, angles, grid_n):
+        walk = {"angles": angles, "T": T, "grid_n": grid_n}
+        points = tp.find_gap_closings(pid, **walk)
+        assert points
+        found = tp.classify_boundary(pid, **walk)
+        assert {c.kind for c in found} == {"fermi_arc"}
+        assert tp.classify_boundary(pid, gap_points=points, **walk) == found
+
+    @pytest.mark.parametrize("pid", ["2d-phs", "2d-nosym", "3d-phs", "3d-nosym"])
+    def test_generic_walk_is_not_flat_on_a_coarse_grid(self, rng, pid):
+        spec = pr.registry_lookup(pid)
+        for _ in range(8):
+            walk = {"angles": generic_angles(spec, rng), "T": int(rng.integers(1, 5))}
+            assert tp.classify_boundary(pid, gap_points=[], grid_n=2, **walk) == [], walk
+
+    def test_flat_walk_stays_flat_on_a_coarse_grid(self):
+        cls = tp.classify_boundary("3d-simple", angles={"beta": PI / 3}, T=3, gap_points=[],
+                                   grid_n=2)
+        assert [c.kind for c in cls] == ["flat_band"]
 
 
 def _loop_classify(spec, gap_points):
@@ -409,6 +455,8 @@ _GRID_CALLS = {
         "1d-phs", angles={"alpha": PI / 2, "beta": PI / 2}, T=6, grid_n=g),
     "classify_boundary": lambda g: tp.classify_boundary(
         "1d-phs", angles={"alpha": PI / 2, "beta": PI / 2}, T=6, grid_n=g),
+    "classify_boundary given closings": lambda g: tp.classify_boundary(
+        "1d-phs", angles={"alpha": PI / 2, "beta": PI / 2}, T=6, grid_n=g, gap_points=[]),
 }
 
 
@@ -420,8 +468,8 @@ def test_bad_grid_n_is_invalid_input(fn, grid_n):
 
 
 def test_two_points_per_axis_is_a_valid_grid():
-    for grid_n in (2, np.int64(2)):
-        tp._check_grid(grid_n)
+    assert tp.scan_grid(2) == tp.scan_grid(np.int64(2)) == tp.MIN_SCAN_GRID == 32
+    assert tp.scan_grid(64) == 64
 
 
 class TestSweepInvariants:
