@@ -467,9 +467,7 @@ def _cmd_symmetry(args) -> int:
     if not ids or ids == ["all"]:
         ids = list(PROTOCOL_IDS)
     for pid in ids:
-        if pid not in PROTOCOL_IDS:
-            raise UnknownProtocolError(
-                f"unknown protocol id {pid!r}; valid ids: {', '.join(PROTOCOL_IDS)}")
+        registry_lookup(pid)
     _check_out(args.out)
     reports = [symmetry.classify(pid) for pid in ids]
     payload = {"schema": SCHEMA, "command": "symmetry",

@@ -33,7 +33,7 @@ carries the exact d(a, c)/dk_i, since only the shifts depend on k.
 `Plan.fourier` gives (a, c) as trigonometric polynomials in k instead, for
 the dense open-mesh pass of `topology`: a shift only relabels frequencies,
 so which frequencies occur (at most three per axis in every registered
-walk) is derived once per protocol from its shifts (`_fourier_layout`), and
+walk) is derived once per protocol from its shifts (`_layout`), and
 per call only the coins' arithmetic runs on the coefficient arrays.  Flat
 batches, gradients, and `entries`/`unitary` on open meshes (the symmetry
 checks) stay on the step loop.
@@ -44,6 +44,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import groupby, product
+from numbers import Real
 from typing import Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -124,11 +125,17 @@ class ProtocolSpec:
         return 4 if self.doubled else 2
 
     def with_params(self, T: Optional[int] = None, **angles: float) -> "ProtocolSpec":
+        if T is None and not angles and type(self.T) is int:
+            return self  # nothing to bind
         steps = self.T if T is None else _step_number(T)
         if type(steps) is not int and np.ndim(steps):
             raise InvalidInputError(f"step number T of a spec must be one integer, got {T!r}")
         merged = _merged_angles(self, angles)
-        merged.update((sym, float(merged[sym])) for sym in angles)
+        for sym in angles:
+            if np.ndim(merged[sym]):
+                raise InvalidInputError(f"angle {sym!r} of a spec must be one number,"
+                                        f" got {merged[sym]!r}")
+            merged[sym] = float(merged[sym])
         return replace(self, T=int(steps), angles=merged)
 
 
@@ -162,15 +169,28 @@ def _integer(name: str, value, low: int, high: float = np.inf) -> int:
 
 def _merged_angles(spec: ProtocolSpec, angles: Optional[Mapping]) -> dict:
     """The spec's bound angles updated by `angles`; an angle the protocol does
-    not use is rejected."""
+    not use, or one that is neither a real number nor an array of them (a
+    bool, complex number, string or None), is rejected."""
     merged = dict(spec.angles)
     if angles:
         unknown = sorted(set(angles) - set(spec.symbols))
         if unknown:
             raise InvalidInputError(f"protocol {spec.id!r} has no angle {unknown[0]!r};"
                                     f" it uses {sorted(spec.symbols)}")
+        for sym, theta in angles.items():
+            real = isinstance(theta, Real) or _kind(theta) in "iuf"
+            if isinstance(theta, bool) or not real:
+                raise InvalidInputError(f"angle {sym!r} must be a real number, got {theta!r}")
         merged.update(angles)
     return merged
+
+
+def _kind(values) -> str:
+    """The numpy dtype kind of `values` as an array, or "O" if it is ragged."""
+    try:
+        return np.asarray(values).dtype.kind
+    except ValueError:
+        return "O"
 
 
 def stacked_params(spec: ProtocolSpec, angles: Optional[Mapping] = None, T=None):
@@ -293,7 +313,7 @@ def _coin_entries(el: Coin, spec: ProtocolSpec, angles, T):
         raise InvalidInputError(f"angle {el.symbol!r} missing for protocol {spec.id!r}") from None
     nx, ny, nz = unit_axis(el.axis)
     eff = T * np.asarray(theta, dtype=float)
-    if not np.all(np.isfinite(eff)):
+    if not np.isfinite(eff).all():
         raise InvalidInputError("rotation angle must be finite")
     half = 0.5 * eff
     cos, msin = np.cos(half), -1j * np.sin(half)
@@ -349,12 +369,11 @@ class Plan:
         coef (..., F_0, ..., F_dim-1), the coins' shape first, with
         entry(k) = sum_j coef[..., j] prod_ax exp(i freqs[ax][j_ax] k_ax).
         Which frequencies occur depends only on the shifts, so their
-        bookkeeping is done once per protocol (`_fourier_layout`); per call
+        bookkeeping is done once per protocol (`_layout`); per call
         only the coins mix the coefficient arrays, as the step loop mixes
         values.  Each array carries a zero slot last, which the gathers read
         for frequencies an entry lacks."""
-        shifts = tuple(data if kind == "shift" else None for kind, data in self.steps)
-        gathers, grids = _fourier_layout(shifts, self.spec.dimension)
+        gathers, grids = _layout(self.spec.elements, self.spec.dimension)[2:]
         a, c = np.array([1.0, 0.0], dtype=complex), np.zeros(1, dtype=complex)
         coins = (data for kind, data in self.steps if kind == "coin")
         for (ia, ic), entries in zip(gathers, coins):
@@ -383,33 +402,38 @@ class Plan:
 
 
 @lru_cache(maxsize=64)
-def _fourier_layout(shifts: tuple, dim: int):
-    """The frequency bookkeeping of `Plan.fourier`: `shifts` holds per step
-    its shift terms, or None for a coin.  A shift by m moves a's frequencies
-    by +m and c's by -m; a coin puts both on the union of their sets.
-    Returns per coin the gathers of a and c onto that union, and per entry
-    its sorted frequencies per axis and the gather of its coefficients onto
-    their product grid; index -1 reads the zero slot."""
-    fa, fc = [(0.0,) * dim], []
-    gathers = []
-    for terms in shifts:
-        if terms is None:
-            union = sorted(set(fa) | set(fc))
-            gathers.append(tuple(_frozen([f.index(u) if u in f else -1 for u in union] + [-1])
-                                 for f in (fa, fc)))
-            fa = fc = union
+def _layout(elements: tuple, dim: int):
+    """A protocol's shift bookkeeping, done once: `compile_plan`'s steps with
+    each run of shifts as the (axis, m) terms of its SU(2) phase, the per-axis
+    sums of the shifts' up + down phases, and, for `Plan.fourier` (a shift by m
+    moves a's frequencies by +m and c's by -m; a coin puts both on their union),
+    per coin the gathers of a and c onto that union and per entry its sorted
+    frequencies per axis and the gather onto their grid (-1: the zero slot)."""
+    steps, det_phase, gathers, fa, fc = [], [0] * dim, [], [(0.0,) * dim], []
+    for is_coin, run in groupby(elements, key=lambda el: isinstance(el, Coin)):
+        run = list(run)
+        if is_coin:
+            for _ in run:
+                union = sorted(set(fa) | set(fc))
+                gathers.append(tuple(_frozen([f.index(u) if u in f else -1 for u in union] + [-1])
+                                     for f in (fa, fc)))
+                fa = fc = union
+            steps += run
             continue
-        m = [0.0] * dim
-        for ax, v in terms:
-            m[ax] = v
-        fa = [tuple(x + y for x, y in zip(f, m)) for f in fa]
-        fc = [tuple(x - y for x, y in zip(f, m)) for f in fc]
+        up = [sum(n) for n in zip(*(el.up for el in run))]
+        down = [sum(n) for n in zip(*(el.down for el in run))]
+        det_phase = [t + u + v for t, u, v in zip(det_phase, up, down)]
+        m = [(u - v) / 2 for u, v in zip(up, down)]
+        if any(m):
+            steps.append(tuple((ax, x) for ax, x in enumerate(m) if x))
+            fa = [tuple(x + y for x, y in zip(f, m)) for f in fa]
+            fc = [tuple(x - y for x, y in zip(f, m)) for f in fc]
     grids = []
     for f in (fa, fc):
         freqs = [sorted({g[ax] for g in f}) or [0.0] for ax in range(dim)]
         dense = [f.index(g) if g in f else -1 for g in product(*freqs)]
         grids.append((tuple(map(_frozen, freqs)), _frozen(dense)))
-    return tuple(gathers), tuple(grids)
+    return tuple(steps), tuple(det_phase), tuple(gathers), tuple(grids)
 
 
 def _frozen(values) -> np.ndarray:
@@ -427,23 +451,13 @@ def compile_plan(spec: ProtocolSpec, *, angles: Optional[Mapping] = None, T=None
     determinant."""
     ang = _merged_angles(spec, angles)
     T_eff = _step_number(spec.T if T is None else T)
-
-    steps, det_phase = [], [0] * spec.dimension
-    for is_coin, run in groupby(spec.elements, key=lambda el: isinstance(el, Coin)):
-        run = list(run)
-        if is_coin:
-            steps += [("coin", _coin_entries(el, spec, ang, T_eff)) for el in run]
-            continue
-        up = [sum(n) for n in zip(*(el.up for el in run))]
-        down = [sum(n) for n in zip(*(el.down for el in run))]
-        det_phase = [t + u + v for t, u, v in zip(det_phase, up, down)]
-        terms = tuple((ax, (u - v) / 2) for ax, (u, v) in enumerate(zip(up, down)) if u != v)
-        if terms:
-            steps.append(("shift", terms))
+    layout, det_phase = _layout(spec.elements, spec.dimension)[:2]
     if any(det_phase):
         raise InvalidInputError(f"{spec.id!r} is not special-unitary: its shifts' up + down"
-                                f" phases sum to {det_phase} per axis, not 0")
-    return Plan(spec=spec, steps=tuple(steps))
+                                f" phases sum to {list(det_phase)} per axis, not 0")
+    return Plan(spec=spec, steps=tuple(
+        ("coin", _coin_entries(step, spec, ang, T_eff)) if isinstance(step, Coin)
+        else ("shift", step) for step in layout))
 
 
 def build_unitary(spec: ProtocolSpec, k, *, angles: Optional[Mapping] = None,

@@ -4,19 +4,19 @@ Conventions
 -----------
 * Every two-band quantity is the Bloch split (d0, d) of the compiled plan
   (`spectrum.bloch_entries` of its entries, on an open mesh for the gap
-  scan, the flat-band check and the Chern grids).  A stack of walks is one
-  protocol with its angles and T as 1-D arrays along the stack
-  (`protocols.stacked_params`); a one-walk call is a stack of one.  One
-  driver, `_closings`, sets up the gap search for a stack in one plan pass
-  on `scan_grid` points per axis, the one grid rule: one scan (`_scan`:
-  local minima of |d|, which the Chern reduction reuses) feeds one batched
-  Gauss-Newton refine of d(k) = 0 with the Jacobian split from the exact
-  dU/dk.  `find_gap_closings`, `classify_boundary` (given closings or not)
-  and `sweep_boundaries` search the full BZ, where they report closings and
-  the last two read d0 for the flat-band check; `_invariants` (behind
+  scan and the Chern grids).  A stack of walks is one protocol with its
+  angles and T as 1-D arrays along the stack (`protocols.stacked_params`);
+  a one-walk call is a stack of one.  One driver, `_closings`, sets up the
+  gap search for a stack in one plan pass on `scan_grid` points per axis,
+  the one grid rule: one scan (`_scan`: local minima of |d|, which the
+  Chern reduction reuses) feeds one batched Gauss-Newton refine of
+  d(k) = 0 with the Jacobian split from the exact dU/dk.
+  `find_gap_closings`, `classify_boundary` (unless given its closings) and
+  `sweep_boundaries` search the full BZ; `_invariants` (behind
   `sweep_invariants`, `winding_number` and `chern_number`) searches the
   *minimal* momentum torus (see below) of a 2D walk, from the same d that its
-  Chern reduction then reads.  1D windings need no mesh (see below).
+  Chern reduction then reads.  Flat bands (`_flat_bands`) and 1D windings
+  (see below) need no mesh.
 * The dense mesh (`_mesh_bloch`, called by `_closings` alone) is evaluated
   from the plan's Fourier coefficients (`Plan.fourier`), not by the step
   loop: contracted with the phasors of every momentum axis but the first
@@ -61,6 +61,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 from numbers import Real
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -68,7 +69,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BoundaryStateError, InvalidInputError
-from .protocols import ProtocolSpec, Shift, _integer, registry_lookup, stacked_params
+from .protocols import ProtocolSpec, Shift, _frozen, _integer, registry_lookup, stacked_params
 from .spectrum import EPS_GAP, bloch_entries, two_band_plan
 from .symmetry import chiral_axes, momentum_axes
 
@@ -188,7 +189,7 @@ def _mesh_rows(freqs, coef, axes, lead_shape):
 
 
 def _first_axis_pairs(freqs, rows, k, dim):
-    """Re and Im of the entry sum_j exp(i freqs[j] k_0) rows[j] as lists of
+    """Re and -Im of the entry sum_j exp(i freqs[j] k_0) rows[j] as lists of
     (column, row) real pairs whose products sum to them, column None for 1.
     A frequency and its negative share their cos and sin columns:
     e^{imk} B_m + e^{-imk} B_-m = cos(mk) (B_m + B_-m) + i sin(mk) (B_m - B_-m)."""
@@ -199,50 +200,44 @@ def _first_axis_pairs(freqs, rows, k, dim):
         total = plus if minus is None else minus if plus is None else plus + minus
         if not mu:
             re.append((None, np.ascontiguousarray(total.real)))
-            im.append((None, np.ascontiguousarray(total.imag)))
+            im.append((None, -total.imag))
             continue
         diff = plus if minus is None else -minus if plus is None else plus - minus
         cos, sin = (f(mu * k).reshape((-1,) + (1,) * (dim - 1)) for f in (np.cos, np.sin))
         re += [(cos, np.ascontiguousarray(total.real)), (sin, -diff.imag)]
-        im += [(cos, np.ascontiguousarray(total.imag)), (sin, np.ascontiguousarray(diff.real))]
+        im += [(cos, -total.imag), (sin, -diff.real)]
     return re, im
 
 
-def _mesh_bloch(plan, axes, shape, d0: bool = False):
+def _mesh_bloch(plan, axes, shape):
     """(d, |d|) of the plan on the open mesh of the momentum `axes`, with d one
-    (3, *shape) array, or (d0, |d|) if `d0`: no caller reads both.  `shape`
-    is any leading sweep axes of the plan's angles, then the mesh.  The plan's
-    Fourier coefficients are contracted over the other momentum axes once
-    (`_mesh_rows`); per block of the first axis, each of d0 = Re a and
-    d = (-Im c, Re c, -Im a) is a sum of real column-by-row products
-    (`_first_axis_pairs`), formed in place in arrays allocated once."""
+    (3, *shape) array.  `shape` is any leading sweep axes of the plan's
+    angles, then the mesh.  The plan's Fourier coefficients are contracted
+    over the other momentum axes once (`_mesh_rows`); per block of the first
+    axis, each of d = (-Im c, Re c, -Im a) is a sum of real column-by-row
+    products (`_first_axis_pairs`), formed in place in arrays allocated once."""
     dim = len(axes)
     lead = len(shape) - dim
-    out, norm = np.empty(shape if d0 else (3,) + shape), np.empty(shape)
-    (re_a, im_a), (re_c, im_c) = (
+    d, norm = np.empty((3,) + shape), np.empty(shape)
+    (_, im_a), (re_c, im_c) = (  # d = (-Im c, Re c, -Im a)
         _first_axis_pairs(freqs[0], _mesh_rows(freqs, coef, axes, shape[:lead]), axes[0], dim)
         for freqs, coef in plan.fourier())
-    sums = [[(col, -row) for col, row in im_c], re_c, [(col, -row) for col, row in im_a]]
     row_points = int(np.prod(shape)) // shape[lead]
     blocks = _blocks(shape[lead], row_points)
-    buffers = np.empty((4 if d0 else 1, max(b.stop - b.start for b in blocks) * row_points))
+    buffer = np.empty(max(b.stop - b.start for b in blocks) * row_points)
     for rows in blocks:
         at = (slice(None),) * lead + (rows,)
         part = shape[:lead] + (rows.stop - rows.start,) + shape[lead + 1:]
-        tmp, *d = (b[:int(np.prod(part))].reshape(part) for b in buffers)
-        if d0:
-            _sum_pairs(out[at], re_a, rows, tmp)
-        else:
-            d = [out[(i,) + at] for i in range(3)]
-        for dest, pairs in zip(d, sums):
+        tmp = buffer[:int(np.prod(part))].reshape(part)
+        x, y, z = (d[(i,) + at] for i in range(3))
+        for dest, pairs in zip((x, y, z), (im_c, re_c, im_a)):
             _sum_pairs(dest, pairs, rows, tmp)
-        x, y, z = d
         nrm = norm[at]
         np.multiply(x, x, out=nrm)
         nrm += np.multiply(y, y, out=tmp)
         nrm += np.multiply(z, z, out=tmp)
         np.sqrt(nrm, out=nrm)
-    return out, norm
+    return d, norm
 
 
 def _sum_pairs(dest, pairs, rows, tmp) -> None:
@@ -288,25 +283,21 @@ def _plan(spec: ProtocolSpec, angles, T, walks=slice(None), ndim: int = 1):
                          T=T[walks].reshape(shape))
 
 
-def _closings(spec: ProtocolSpec, angles, T, grid_n: int, periods, d0: bool = False):
-    """The gap search of the stack of walks (`angles`, `T`) of `spec`, from one
-    plan pass: their angles and T are (V, 1, ...) arrays against the open
-    mesh of the momentum `periods` at n = scan_grid(grid_n) points per axis,
-    the only dense mesh (`_mesh_bloch`) of any search or flat-band check.
-    `_scan` takes the local minima of |d| on that mesh, and one
-    `_gauss_newton` solve refines all of them, each at its own walk's angles and T.
-
-    Returns d (or d0 if `d0`) and |d| on the mesh (V, n, ...) as
-    `_mesh_bloch` gives them, the walk index of each start point, and each
-    start's refined k, d0 and |d|."""
+def _closings(spec: ProtocolSpec, angles, T, grid_n: int, periods):
+    """The gap search of the stack of walks (`angles`, `T`) of `spec`: one
+    plan pass of (V, 1, ...) angles and T on the open mesh of the momentum
+    `periods` at scan_grid(grid_n) points per axis (`_mesh_bloch`, the only
+    dense mesh), whose local minima of |d| (`_scan`) one `_gauss_newton`
+    solve refines, each at its own walk's angles and T.  Returns d and |d| on
+    the mesh, the walk of each start, and each start's refined k, d0 and |d|."""
     grid_n = scan_grid(grid_n)
     dim = spec.dimension
-    mesh, norm = _mesh_bloch(_plan(spec, angles, T, ndim=1 + dim),
-                             momentum_axes(dim, grid_n, periods), (len(T),) + (grid_n,) * dim, d0)
+    d, norm = _mesh_bloch(_plan(spec, angles, T, ndim=1 + dim),
+                          momentum_axes(dim, grid_n, periods), (len(T),) + (grid_n,) * dim)
     cells = np.divide(periods, grid_n)
     rows, starts = _scan(norm, cells)
     which = rows[:, 0]
-    return (mesh, norm, which) + _gauss_newton(_plan(spec, angles, T, which), starts, cells)
+    return (d, norm, which) + _gauss_newton(_plan(spec, angles, T, which), starts, cells)
 
 
 def scan_grid(grid_n) -> int:
@@ -361,7 +352,7 @@ def find_gap_closings(spec_or_id, *, angles=None, T=None, grid_n: int = 64,
     if isinstance(refine_tol, bool) or not isinstance(refine_tol, Real) or not refine_tol >= 0:
         raise InvalidInputError(f"refine_tol must be a number >= 0, got {refine_tol!r}")
     spec = registry_lookup(spec_or_id, T=T, angles=angles)
-    found = _closings(spec, *stacked_params(spec), grid_n, [2 * np.pi] * spec.dimension, True)
+    found = _closings(spec, *stacked_params(spec), grid_n, [2 * np.pi] * spec.dimension)
     return _gap_points(*found[2:], 1, refine_tol)[0]
 
 
@@ -380,19 +371,31 @@ def classify_boundary(spec_or_id, *, angles=None, T=None,
                       grid_n: int = 64) -> List[BoundaryClassification]:
     """Classify the gapless configuration at fixed parameters.
 
-    Returns a flat-band record if the + band is constant over the BZ;
-    otherwise one record per gap closing.  The flat-band check reads d0 on
-    the gap search's mesh (`_closings`) whether or not `gap_points` are
-    given; by default the closings are those that search finds, as
-    `find_gap_closings` and `sweep_boundaries` give them.  1D Dirac closings
-    are subtyped by the complete gapless set: {0, +-pi} -> type one,
-    including +-pi/2 -> type two.
+    Returns a flat-band record if the + band is constant over the BZ
+    (`_flat_bands`); otherwise one record per gap closing: by default those
+    `find_gap_closings` finds; given `gap_points`, no search runs and grid_n
+    is only checked.  1D Dirac closings are subtyped by the complete gapless
+    set: {0, +-pi} -> type one, including +-pi/2 -> type two.
     """
     spec = registry_lookup(spec_or_id, T=T, angles=angles)
-    angles, T = stacked_params(spec)
-    d0, _, *starts = _closings(spec, angles, T, grid_n, [2 * np.pi] * spec.dimension, True)
-    points = _gap_points(*starts, 1, EPS_GAP) if gap_points is None else [gap_points]
-    return _classify(spec, angles, T, d0, points)[0]
+    if gap_points is None:
+        return sweep_boundaries(spec, grid_n)[0][1]
+    scan_grid(grid_n)
+    return _classify(spec, *stacked_params(spec), [_given_points(gap_points, spec.dimension)])[0]
+
+
+def _given_points(gap_points, dim: int) -> List[GapPoint]:
+    """The closings given to `classify_boundary`; InvalidInputError unless
+    they are a list of GapPoint, each with a k of `dim` finite real numbers."""
+    if not isinstance(gap_points, (list, tuple)):
+        raise InvalidInputError(f"gap_points must be a list of GapPoint, got {gap_points!r}")
+    for p in gap_points:
+        if not (isinstance(p, GapPoint) and isinstance(p.k, (tuple, list, np.ndarray))
+                and len(p.k) == dim and all(isinstance(x, Real) and not isinstance(x, bool)
+                                            and np.isfinite(x) for x in p.k)):
+            raise InvalidInputError(f"each gap point must be a GapPoint whose k holds {dim}"
+                                    f" finite real numbers, got {p!r}")
+    return list(gap_points)
 
 
 def sweep_boundaries(spec_or_id, grid_n: int, *, angles=None, T=None
@@ -401,40 +404,54 @@ def sweep_boundaries(spec_or_id, grid_n: int, *, angles=None, T=None
     (`angles`, `T`: scalars or 1-D arrays, `stacked_params`), as
     `find_gap_closings` and `classify_boundary` give them, from one plan
     pass over the full BZ (`_closings`, at least MIN_SCAN_GRID points per
-    axis), whose d0 also serves the flat-band check; grid_n is checked first."""
+    axis); grid_n is checked first."""
     scan_grid(grid_n)
     spec = registry_lookup(spec_or_id)
     angles, T = stacked_params(spec, angles, T)
     if not len(T):
         return []
-    d0, _, *starts = _closings(spec, angles, T, grid_n, [2 * np.pi] * spec.dimension, True)
+    starts = _closings(spec, angles, T, grid_n, [2 * np.pi] * spec.dimension)[2:]
     points = _gap_points(*starts, len(T), EPS_GAP)
-    return list(zip(points, _classify(spec, angles, T, d0, points)))
+    return list(zip(points, _classify(spec, angles, T, points)))
 
 
-def _classify(spec: ProtocolSpec, angles, T, d0, gap_points: List[List[GapPoint]]
+@lru_cache(maxsize=64)
+def _mirrored(freqs: tuple):
+    """For a's frequencies per axis `freqs`, the grid of per axis their union
+    with their negatives and 0, whose C order reversed sends f to -f: the flat
+    index of f = 0, its middle, and of each of a's."""
+    union = [sorted({0.0, *f, *(-x for x in f)}) for f in freqs]
+    shape = [len(u) for u in union]
+    return int(np.prod(shape)) // 2, _frozen(np.ravel_multi_index(
+        np.ix_(*([u.index(x) for x in f] for u, f in zip(union, freqs))), shape).ravel())
+
+
+def _flat_bands(spec: ProtocolSpec, angles, T):
+    """Per walk of the stack (`angles`, `T`) of `spec`, a bound on the + band's
+    energy variation, arccos(max(b_0 - S, -1)) - arccos(min(b_0 + S, 1)), and
+    its energy arccos(b_0), from the Fourier coefficients b_f =
+    (A_f + conj A_-f) / 2 of d0 = Re a (A_f: a's, 0 where a lacks f), within
+    S = sum_{f != 0} |b_f| (2 |b_f| per pair +-f, `_mirrored`) of b_0."""
+    (freqs, coef), _ = _plan(spec, angles, T).fourier()
+    half, at = _mirrored(tuple(tuple(f.tolist()) for f in freqs))
+    a = np.zeros((len(T), 2 * half + 1), dtype=complex)
+    a[:, at] = coef.reshape(-1, at.size)
+    b0, spread = a[:, half].real, np.abs(a[:, :half] + a[:, :half:-1].conj()).sum(axis=1)
+    bound = np.arccos(np.maximum(b0 - spread, -1.0)) - np.arccos(np.minimum(b0 + spread, 1.0))
+    return list(zip(bound.tolist(), np.arccos(np.clip(b0, -1.0, 1.0)).tolist()))
+
+
+def _classify(spec: ProtocolSpec, angles, T, gap_points: List[List[GapPoint]]
               ) -> List[List[BoundaryClassification]]:
     """The taxonomy of `classify_boundary` for each walk of the stack
-    (`angles`, `T`) of `spec`, from its d0 on a full-BZ mesh (walks first)
-    and its closings.  The flat-band variation is one reduction over the
-    stack; the gap fits along +-each axis of every closing of every walk that
-    is not flat come from one pass of one compiled plan with per-closing
-    angles and T, so Python runs per walk only where it has a closing or a
-    flat band."""
-    e = np.clip(d0, -1.0, 1.0)
-    np.arccos(e, out=e)
-    mesh = tuple(range(1, e.ndim))
-    variation = (e.max(axis=mesh) - e.min(axis=mesh)).tolist()
-    out: List[List[BoundaryClassification]] = [[] for _ in variation]
+    (`angles`, `T`) of `spec`, from its closings: one flat-band pass over the
+    stack (`_flat_bands`), then the gap fits along +-each axis of every
+    closing of every walk that is not flat from one pass of one compiled plan
+    with per-closing angles and T."""
+    out: List[List[BoundaryClassification]] = [
+        [BoundaryClassification(kind="flat_band", evidence={"band_variation": v, "energy": e})]
+        if v <= EPS_FLAT else [] for v, e in _flat_bands(spec, angles, T)]
     dim = spec.dimension
-    flat = [i for i, v in enumerate(variation) if v <= EPS_FLAT]
-    if flat:
-        e0 = np.arccos(np.clip(_plan(spec, angles, T, flat, 2).entries(
-            np.zeros((1, dim)))[0].real, -1.0, 1.0))
-        for i, energy in zip(flat, e0[:, 0].tolist()):
-            out[i] = [BoundaryClassification(kind="flat_band",
-                                             evidence={"band_variation": variation[i],
-                                                       "energy": energy})]
     fit = [i for i, pts in enumerate(gap_points) if pts and not out[i]]
     if not fit:
         return out

@@ -600,6 +600,20 @@ class TestClassifyGaps:
             found |= {c.kind for c in classes}
         assert found == kinds
 
+    def test_flat_record_has_the_closed_form_energy(self, tmp_path, rng):
+        overrides, sweep, _ = CLASSIFY_CASES["3d-flat"]
+        out = tmp_path / "flat.json"
+        assert run(["classify-gaps", "--config", str(small_bands_cfg(tmp_path, sweep=sweep,
+                                                                     **overrides)),
+                    "--out", str(out)]) == 0
+        record = json.loads(out.read_text())["records"][-1]
+        assert record["sweep_value"] == pytest.approx(PI / 3, rel=1e-15)
+        (flat,) = record["classifications"]
+        assert flat["kind"] == "flat_band"
+        k = rng.uniform(-PI, PI, (64, 3))
+        want = np.arccos(spectrum.rho_closed_form("3d-simple", {"beta": PI / 3}, 3, k))
+        np.testing.assert_allclose(flat["evidence"]["energy"], want, rtol=0, atol=1e-12)
+
     def test_json_is_written_without_holding_its_whole_text(self, tmp_path):
         # every classification of the beta = 0 walk repeats its gapless set of
         # nodal lines, so the text is larger than the records it is made from;
@@ -663,7 +677,7 @@ class TestSweepBudget:
     def test_chunk_memory_is_bounded_by_the_budget(self, case):
         """A full chunk's traced peak is below 12 (1D `invariant`: the
         Fourier coefficients and the root count), 10 (2D `invariant`: d and
-        |d| are 4 floats a point) or 24 (3D `classify-gaps`: d0 and |d|, plus
+        |d| are 4 floats a point) or 24 (3D `classify-gaps`: d and |d|, plus
         the Gauss-Newton starts of 256 closings) x SWEEP_POINTS x 8 bytes."""
         if case == "1d-invariant":
             doc = json.loads((FIXTURE_DIR / "fig6.cfg").read_text())

@@ -234,6 +234,30 @@ def test_rejects_non_finite_angle(bad):
         pr.build_unitary(spec, np.zeros((2, 2)), angles={"gamma": np.array([0.1, bad])})
 
 
+@pytest.mark.parametrize("bad", ["x", "0.5", None, 1j, True, np.bool_(True), [0.5, 0.7],
+                                 np.array([0.5, 0.7])])
+def test_one_walk_angle_must_be_one_real_number(bad):
+    with pytest.raises(InvalidInputError, match="angle 'alpha'"):
+        pr.registry_lookup("1d-phs", angles={"alpha": bad})
+
+
+@pytest.mark.parametrize("bad", ["x", None, 1j, True, ["0.5", "0.7"], [True, False],
+                                 np.array([1j, 0.5]), [[0.5], [0.5, 0.7]]])
+def test_stacked_angle_must_be_real(bad):
+    spec = pr.registry_lookup("1d-phs")
+    with pytest.raises(InvalidInputError, match="angle 'alpha'"):
+        pr.stacked_params(spec, {"alpha": bad})
+    with pytest.raises(InvalidInputError, match="angle 'alpha'"):
+        pr.compile_plan(spec, angles={"alpha": bad})
+
+
+def test_real_angles_of_every_numeric_type_are_taken():
+    for theta in (1, 0.5, np.float32(0.5), np.int64(1), np.array(0.5)):
+        assert pr.registry_lookup("1d-phs", angles={"alpha": theta}).angles["alpha"] == float(theta)
+    angles, _ = pr.stacked_params(pr.registry_lookup("1d-phs"), {"alpha": [0.5, 1]})
+    assert angles["alpha"].tolist() == [0.5, 1.0]
+
+
 def test_refine_norm_matches_oracle_route(rng):
     """|d| as the gap refinement reads it (the Bloch split of its compiled
     plan's entries) against the matrix oracle."""

@@ -232,9 +232,9 @@ class TestBoundaryTaxonomy:
     def test_default_closings_come_from_one_mesh_pass(self, monkeypatch):
         shapes, real = [], tp._mesh_bloch
 
-        def counting(plan, axes, shape, d0=False):
+        def counting(plan, axes, shape):
             shapes.append(shape)
-            return real(plan, axes, shape, d0)
+            return real(plan, axes, shape)
 
         monkeypatch.setattr(tp, "_mesh_bloch", counting)
         cls = tp.classify_boundary("1d-phs", angles={"alpha": PI / 2, "beta": PI / 2}, T=6)
@@ -270,6 +270,140 @@ class TestOneBoundaryRoute:
         cls = tp.classify_boundary("3d-simple", angles={"beta": PI / 3}, T=3, gap_points=[],
                                    grid_n=2)
         assert [c.kind for c in cls] == ["flat_band"]
+
+
+class TestGivenClosings:
+    """`classify_boundary` given its closings runs no gap search, and it
+    refuses what is not a closing of the walk's dimension."""
+
+    WALK = {"angles": {"alpha": 1.0, "beta": 0.5}, "T": 2}
+
+    def test_no_search_runs(self, monkeypatch):
+        points = tp.find_gap_closings("2d-phs", **self.WALK)
+        assert points
+        found = tp.classify_boundary("2d-phs", **self.WALK)
+        searches, search = [], tp._closings
+
+        def counting(*args):
+            searches.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(tp, "_closings", counting)
+        assert tp.classify_boundary("2d-phs", gap_points=points, **self.WALK) == found
+        assert tp.classify_boundary("2d-phs", gap_points=[], **self.WALK) == []
+        assert searches == []
+        with pytest.raises(InvalidInputError, match="grid_n"):
+            tp.classify_boundary("2d-phs", gap_points=points, grid_n=1, **self.WALK)
+
+    @pytest.mark.parametrize("bad", [
+        tp.GapPoint(k=(0.0,), quasi_energy=0.0, residual=0.0),
+        tp.GapPoint(k=(0.0, 0.0, 0.0), quasi_energy=0.0, residual=0.0),
+        tp.GapPoint(k=(np.nan, 0.0), quasi_energy=0.0, residual=0.0),
+        tp.GapPoint(k=(np.inf, 0.0), quasi_energy=0.0, residual=0.0),
+        tp.GapPoint(k=(True, 0.0), quasi_energy=0.0, residual=0.0),
+        tp.GapPoint(k=("0", 0.0), quasi_energy=0.0, residual=0.0),
+        tp.GapPoint(k=0.0, quasi_energy=0.0, residual=0.0),
+        (0.0, 0.0),
+        "k"])
+    def test_refuses_what_is_no_closing(self, bad):
+        with pytest.raises(InvalidInputError, match="GapPoint"):
+            tp.classify_boundary("2d-phs", gap_points=[bad], **self.WALK)
+
+    def test_refuses_a_lone_closing(self):
+        point = tp.GapPoint(k=(0.0, 0.0), quasi_energy=0.0, residual=0.0)
+        with pytest.raises(InvalidInputError, match="list of GapPoint"):
+            tp.classify_boundary("2d-phs", gap_points=point, **self.WALK)
+
+
+@pytest.mark.parametrize("call", [tp.classify_boundary, tp.chern_number])
+@pytest.mark.parametrize("bad", [[0.5, 0.7], np.array([0.5, 0.7]), "0.5", None, 1j])
+def test_one_walk_call_refuses_an_angle_that_is_no_real_number(call, bad):
+    with pytest.raises(InvalidInputError, match="angle 'alpha'"):
+        call("2d-phs", angles={"alpha": bad}, T=2)
+
+
+@pytest.mark.parametrize("sweep", [tp.sweep_boundaries, tp.sweep_invariants])
+def test_stack_refuses_angles_that_are_no_real_numbers(sweep):
+    with pytest.raises(InvalidInputError, match="angle 'alpha'"):
+        sweep("2d-phs", 32, angles={"alpha": ["0.5", "0.7"]}, T=2)
+
+
+class TestFlatBandBound:
+    """The flat-band check reads the Fourier coefficients of d0 = Re a: its
+    `band_variation` bounds the + band's energy variation from above."""
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-9])
+    def test_bound_covers_the_mesh_range(self, eps):
+        walk = {"angles": {"beta": PI / 3 + eps}, "T": 3}
+        (flat,) = tp.classify_boundary("3d-simple", gap_points=[], **walk)
+        assert flat.kind == "flat_band"
+        mesh = np.meshgrid(*symmetry.momentum_axes(3, 24), indexing="ij", sparse=True)
+        plan = spectrum.two_band_plan(pr.registry_lookup("3d-simple", **walk))
+        e = np.arccos(np.clip(plan.entries(mesh)[0].real, -1.0, 1.0))
+        assert flat.evidence["band_variation"] >= e.max() - e.min()
+        assert flat.evidence["band_variation"] <= tp.EPS_FLAT
+
+    @pytest.mark.parametrize("pid", [p for p in pr.PROTOCOL_IDS if pr.REGISTRY[p].bands == 2])
+    def test_bound_and_energy_against_the_step_loop(self, rng, pid):
+        """On a stack of random walks, the bound covers the range of arccos(d0)
+        on an open mesh up to rounding (the mesh meets d0's extremes where
+        every phase is 1), and b_0 and S are those of the FFT of d0 on that
+        mesh, exact for a mesh finer than every frequency."""
+        spec = pr.registry_lookup(pid)
+        dim = spec.dimension
+        angles = {s: rng.uniform(-PI, PI, 4) for s in spec.symbols}
+        T = rng.integers(1, 5, 4)
+        flat = tp._flat_bands(spec, *pr.stacked_params(spec, angles, T))
+        mesh = np.meshgrid(*symmetry.momentum_axes(dim, {1: 64, 2: 24, 3: 16}[dim]),
+                           indexing="ij", sparse=True)
+        for (bound, energy), t, i in zip(flat, T.tolist(), range(4)):
+            walk = {"angles": {s: a[i] for s, a in angles.items()}, "T": t}
+            d0 = spectrum.two_band_plan(pr.registry_lookup(pid, **walk)).entries(mesh)[0].real
+            e = np.arccos(np.clip(d0, -1.0, 1.0))
+            assert bound >= e.max() - e.min() - 1e-14
+            b = np.fft.fftn(d0).ravel() / d0.size
+            b0, spread = b[0].real, np.abs(b[1:]).sum()
+            npt.assert_allclose(np.cos(energy), b0, rtol=0, atol=1e-14)
+            npt.assert_allclose(bound, np.arccos(max(b0 - spread, -1.0))
+                                - np.arccos(min(b0 + spread, 1.0)), rtol=0, atol=1e-9)
+
+    def test_bound_of_a_synthetic_polynomial(self, monkeypatch, rng):
+        """Complex coefficients at f and -f, and at f whose -f a lacks: the
+        bound and energy are those of the FFT of d0 = Re a on a fine mesh."""
+        freqs = (np.array([-1.0, 1.0, 2.0]), np.array([0.0, 1.0]))
+        coef = 0.05 * (rng.normal(size=(3, 3, 2)) + 1j * rng.normal(size=(3, 3, 2)))
+
+        class Plan:
+            def fourier(self):
+                return (freqs, coef), None
+
+        monkeypatch.setattr(tp, "_plan", lambda *args: Plan())
+        flat = tp._flat_bands(pr.registry_lookup("2d-phs"), {}, np.ones(3))
+        k0, k1 = np.meshgrid(*symmetry.momentum_axes(2, 16), indexing="ij", sparse=True)
+        for (bound, energy), c in zip(flat, coef):
+            a = sum(c[i, j] * np.exp(1j * (f0 * k0 + f1 * k1))
+                    for i, f0 in enumerate(freqs[0]) for j, f1 in enumerate(freqs[1]))
+            b = np.fft.fftn(a.real).ravel() / a.size
+            b0, spread = b[0].real, np.abs(b[1:]).sum()
+            assert -1 < b0 - spread and b0 + spread < 1
+            npt.assert_allclose([bound, np.cos(energy)],
+                                [np.arccos(b0 - spread) - np.arccos(b0 + spread), b0],
+                                rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-3])
+    def test_near_flat_walk_is_not_flat(self, eps):
+        for gap_points in ([], None):
+            cls = tp.classify_boundary("3d-simple", angles={"beta": PI / 3 + eps}, T=3,
+                                       gap_points=gap_points, grid_n=2)
+            assert all(c.kind != "flat_band" for c in cls)
+
+    @pytest.mark.parametrize("pid", ["1d-phs", "2d-phs", "2d-nosym", "3d-phs"])
+    @pytest.mark.parametrize("grid_n", [2, 64])
+    def test_generic_walk_is_never_flat(self, rng, pid, grid_n):
+        spec = pr.registry_lookup(pid)
+        for _ in range(8):
+            walk = {"angles": generic_angles(spec, rng), "T": int(rng.integers(1, 5))}
+            assert tp.classify_boundary(pid, gap_points=[], grid_n=grid_n, **walk) == [], walk
 
 
 def _loop_classify(spec, gap_points):
@@ -315,11 +449,8 @@ def test_gap_fits_equal_the_per_closing_loop(pid, T, angles):
     spec = pr.registry_lookup(pid, T=T, angles=angles)
     points = tp.find_gap_closings(spec, grid_n=32)
     assert points
-    dim = spec.dimension
-    d0 = tp._mesh_bloch(spectrum.two_band_plan(spec), symmetry.momentum_axes(dim, 32),
-                        (32,) * dim, True)[0]
     got = [(c.kind, c.evidence)
-           for c in tp._classify(spec, *pr.stacked_params(spec), d0[None], [points])[0]]
+           for c in tp._classify(spec, *pr.stacked_params(spec), [points])[0]]
     assert got == _loop_classify(spec, points)
 
 
@@ -744,8 +875,8 @@ TWO_BAND_IDS = [pid for pid in pr.PROTOCOL_IDS if pr.REGISTRY[pid].bands == 2]
 
 
 def _assert_mesh_matches_step_loop(spec, rng, period):
-    """`_mesh_bloch`, in both output modes, for a stack of three walks of
-    `spec` and for one, equals the step loop on the open mesh within 1e-14."""
+    """`_mesh_bloch`, for a stack of three walks of `spec` and for one, equals
+    the step loop on the open mesh within 1e-14."""
     dim = spec.dimension
     lead = (3,) + (1,) * dim
     stacked = spectrum.two_band_plan(
@@ -757,14 +888,11 @@ def _assert_mesh_matches_step_loop(spec, rng, period):
         mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
         for plan, walks in ((stacked, (3,)), (single, ())):
             shape = walks + (grid_n,) * dim
-            d0, d = spectrum.bloch_entries(*plan.entries(mesh))
+            d = spectrum.bloch_entries(*plan.entries(mesh))[1]
             want = np.stack([np.broadcast_to(x, shape) for x in d])
-            (got, norm), (got0, norm0) = (tp._mesh_bloch(plan, axes, shape, flag)
-                                          for flag in (False, True))
+            got, norm = tp._mesh_bloch(plan, axes, shape)
             npt.assert_allclose(got, want, rtol=0, atol=1e-14)
-            npt.assert_allclose(got0, np.broadcast_to(d0, shape), rtol=0, atol=1e-14)
             npt.assert_allclose(norm, np.sqrt((want * want).sum(axis=0)), rtol=0, atol=1e-14)
-            assert norm0.tobytes() == norm.tobytes()
 
 
 class TestMeshFourier:
@@ -804,14 +932,12 @@ class TestMeshFourier:
             T=np.reshape([w.T for w in specs], lead))
         grid_n = {1: 40, 2: 12, 3: 6}[dim]
         axes = symmetry.momentum_axes(dim, grid_n)
-        for d0 in (False, True):
-            out, norm = tp._mesh_bloch(plan, axes, (len(specs),) + (grid_n,) * dim, d0)
-            for i, walk in enumerate(specs):
-                alone, alone_norm = tp._mesh_bloch(spectrum.two_band_plan(walk), axes,
-                                                   (grid_n,) * dim, d0)
-                mine = out[i] if d0 else out[:, i]
-                assert mine.tobytes() == alone.tobytes()
-                assert norm[i].tobytes() == alone_norm.tobytes()
+        out, norm = tp._mesh_bloch(plan, axes, (len(specs),) + (grid_n,) * dim)
+        for i, walk in enumerate(specs):
+            alone, alone_norm = tp._mesh_bloch(spectrum.two_band_plan(walk), axes,
+                                               (grid_n,) * dim)
+            assert out[:, i].tobytes() == alone.tobytes()
+            assert norm[i].tobytes() == alone_norm.tobytes()
 
 
 def _stacked_plan(pid, count, rng):
@@ -847,8 +973,8 @@ class TestBlocks:
         axes = symmetry.momentum_axes(dim, grid_n)
         shape = (count,) + (grid_n,) * dim
         one, *blocked = _at_block_sizes(monkeypatch, lambda: _as_bytes(
-            tp._mesh_bloch(plan, axes, shape) + tp._mesh_bloch(plan, axes, shape, True)))
-        assert one[0][0] == (3,) + shape and one[2][0] == shape
+            tp._mesh_bloch(plan, axes, shape)))
+        assert one[0][0] == (3,) + shape and one[1][0] == shape
         assert all(b == one for b in blocked)
 
     @pytest.mark.parametrize("pid, grid_n", [("1d-chs", 40), ("2d-phs", 24)])
