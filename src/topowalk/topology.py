@@ -19,12 +19,13 @@ Conventions
   (see below) need no mesh.
 * The dense mesh (`_mesh_bloch`, called by `_closings` alone) is evaluated
   from the plan's Fourier coefficients (`Plan.fourier`), not by the step
-  loop: contracted with the phasors of every momentum axis but the first
-  once per call, then summed per block (`_blocks`) of about BLOCK_POINTS
-  points of the first axis, whose temporaries stay in L2, into just the
-  full-mesh arrays the caller reads.  Every value is an elementwise sum of
-  products, with no BLAS call, so neither the blocks nor the stack of walks
-  change a bit.
+  loop, and in the frame of the Chern count (CHERN_FRAME d, turned once on
+  the coefficients): contracted elementwise with the phasors of every
+  momentum axis but the first, then over the first by one real matrix
+  product per component of d and walk, written into the full-mesh d.  Each
+  walk's product has one shape whatever the stack, so the stack changes no
+  bit; |d| and the Chern tile are formed per block (`_blocks`) of about
+  BLOCK_POINTS points, elementwise, so the blocks change none either.
 * The gap function is g(k) = min(E_+, pi - E_+): bands touch only at
   quasi-energy 0 or pi.
 * Dirac-vs-arc discrimination follows the band shape at the closing: a
@@ -81,7 +82,7 @@ MERGE_TOL = 1e-6
 QUANT_TOL = 0.02  # |raw - n| allowed on an `ok` row: raw is exact; the benchmark's checks read it
 HIGH_SYMMETRY_TOL = 1e-6
 MIN_SCAN_GRID = 32  # points per axis, at least, of the scan for gap closings
-BLOCK_POINTS = 2 ** 14  # mesh points per block of a dense-mesh pass: its temporaries fit in L2
+BLOCK_POINTS = 2 ** 14  # mesh points per block of |d| and of the Chern tile: temporaries fit in L2
 CHERN_ORIENTATION = -1.0  # fixes the reference 2D PHS fixture to +1
 
 
@@ -160,97 +161,71 @@ def _gauss_newton(plan, pts: np.ndarray, cell):
 
 
 def _blocks(count: int, row_points: int) -> List[slice]:
-    """range(count) in even slices of at least BLOCK_POINTS // row_points rows
-    and, where count allows, two points: numpy multiplies complex arrays of
-    one element on a path that rounds differently from its vector loop."""
-    parts = max(1, count // max(BLOCK_POINTS // row_points, 2 // row_points, 1))
+    """range(count) in even slices of at least BLOCK_POINTS // row_points rows,
+    and at least one."""
+    parts = max(1, count // max(BLOCK_POINTS // row_points, 1))
     return [slice(i * count // parts, (i + 1) * count // parts) for i in range(parts)]
 
 
 def _mesh_rows(freqs, coef, axes, lead_shape):
     """A plan entry's Fourier coefficients (`Plan.fourier`) contracted over
-    every momentum axis but the first, on the open mesh of `axes`: per
-    first-axis frequency, one complex row lead_shape + (1, n_1, ...).  Each
+    every momentum axis but the first, on the open mesh of `axes`: one complex
+    array lead_shape + (F_0, n_1, ...), a row per first-axis frequency.  Each
     axis is a sum of elementwise products, so the rows do not depend on the
     stack of walks."""
     dim, lead = len(axes), len(lead_shape)
     fshape = coef.shape[coef.ndim - dim:]
     coef = np.broadcast_to(coef, lead_shape + (1,) * dim + fshape).reshape(lead_shape + fshape)
-    for ax in range(dim - 1, -1, -1):
+    for ax in range(dim - 1, 0, -1):
         # per frequency j of axis ax, the coefficients with that axis turned into the mesh's
         terms = [coef[(slice(None),) * (lead + ax) + (j, None)] for j in range(fshape[ax])]
-        if ax == 0:
-            return terms
         phasors = np.exp(1j * np.multiply.outer(freqs[ax], axes[ax]))
         phasors = phasors.reshape(phasors.shape + (1,) * (dim - 1 - ax))
         coef = terms[0] * phasors[0]
         for term, p in zip(terms[1:], phasors[1:]):
             coef = coef + term * p
-
-
-def _first_axis_pairs(freqs, rows, k, dim):
-    """Re and -Im of the entry sum_j exp(i freqs[j] k_0) rows[j] as lists of
-    (column, row) real pairs whose products sum to them, column None for 1.
-    A frequency and its negative share their cos and sin columns:
-    e^{imk} B_m + e^{-imk} B_-m = cos(mk) (B_m + B_-m) + i sin(mk) (B_m - B_-m)."""
-    by = dict(zip(freqs.tolist(), rows))
-    re, im = [], []
-    for mu in sorted({abs(f) for f in by}, reverse=True):
-        plus, minus = by.get(mu), by.get(-mu) if mu else None
-        total = plus if minus is None else minus if plus is None else plus + minus
-        if not mu:
-            re.append((None, np.ascontiguousarray(total.real)))
-            im.append((None, -total.imag))
-            continue
-        diff = plus if minus is None else -minus if plus is None else plus - minus
-        cos, sin = (f(mu * k).reshape((-1,) + (1,) * (dim - 1)) for f in (np.cos, np.sin))
-        re += [(cos, np.ascontiguousarray(total.real)), (sin, -diff.imag)]
-        im += [(cos, -total.imag), (sin, -diff.real)]
-    return re, im
+    return coef
 
 
 def _mesh_bloch(plan, axes, shape):
     """(d, |d|) of the plan on the open mesh of the momentum `axes`, with d one
-    (3, *shape) array.  `shape` is any leading sweep axes of the plan's
+    (3, *shape) array in the frame of the Chern count: R = CHERN_FRAME times
+    d = (-Im c, Re c, -Im a).  `shape` is any leading sweep axes of the plan's
     angles, then the mesh.  The plan's Fourier coefficients are contracted
-    over the other momentum axes once (`_mesh_rows`); per block of the first
-    axis, each of d = (-Im c, Re c, -Im a) is a sum of real column-by-row
-    products (`_first_axis_pairs`), formed in place in arrays allocated once."""
+    over the other momentum axes once (`_mesh_rows`), into rows per
+    first-axis frequency f.  Component i of R d is Re(u_i c + v_i a), with
+    u_i = R_i1 + i R_i0 and v_i = i R_i2, so its rows W are the entries' rows
+    scaled once, and Re(e^{ifk} W) = cos(fk) Re W - sin(fk) Im W.  Per walk,
+    the first axis is then one real matrix product: the (n_0, 2F) [cos | sin]
+    columns times the (2F, M) rows [Re W; -Im W].  Its shape does not depend
+    on the stack, so neither do its bits.  |d| is formed per block of rows
+    (`_blocks`)."""
     dim = len(axes)
     lead = len(shape) - dim
+    walks, n0, m = shape[:lead], shape[lead], int(np.prod(shape[lead + 1:]))
+    (fa, ra), (fc, rc) = ((freqs[0], _mesh_rows(freqs, coef, axes, walks))
+                          for freqs, coef in plan.fourier())
+    phase = np.multiply.outer(axes[0], np.concatenate([fa, fc]))
+    columns = np.concatenate([np.cos(phase), np.sin(phase)], axis=1)
     d, norm = np.empty((3,) + shape), np.empty(shape)
-    (_, im_a), (re_c, im_c) = (  # d = (-Im c, Re c, -Im a)
-        _first_axis_pairs(freqs[0], _mesh_rows(freqs, coef, axes, shape[:lead]), axes[0], dim)
-        for freqs, coef in plan.fourier())
-    row_points = int(np.prod(shape)) // shape[lead]
-    blocks = _blocks(shape[lead], row_points)
+    for dest, u, v in zip(d, CHERN_FRAME[:, 1] + 1j * CHERN_FRAME[:, 0], 1j * CHERN_FRAME[:, 2]):
+        w = np.concatenate([v * ra, u * rc], axis=lead).reshape(walks + (-1, m))
+        np.matmul(columns, np.concatenate([w.real, -w.imag], axis=lead),
+                  out=dest.reshape(walks + (n0, m)))
+    row_points = int(np.prod(shape)) // n0
+    blocks = _blocks(n0, row_points)
     buffer = np.empty(max(b.stop - b.start for b in blocks) * row_points)
     for rows in blocks:
         at = (slice(None),) * lead + (rows,)
         part = shape[:lead] + (rows.stop - rows.start,) + shape[lead + 1:]
         tmp = buffer[:int(np.prod(part))].reshape(part)
         x, y, z = (d[(i,) + at] for i in range(3))
-        for dest, pairs in zip((x, y, z), (im_c, re_c, im_a)):
-            _sum_pairs(dest, pairs, rows, tmp)
         nrm = norm[at]
         np.multiply(x, x, out=nrm)
         nrm += np.multiply(y, y, out=tmp)
         nrm += np.multiply(z, z, out=tmp)
         np.sqrt(nrm, out=nrm)
     return d, norm
-
-
-def _sum_pairs(dest, pairs, rows, tmp) -> None:
-    """dest = the sum, in order, of column[rows] * row over the (column, row)
-    pairs, or of row alone where column is None; `tmp` is a work array of dest's
-    shape."""
-    (column, row), *rest = pairs
-    if column is None:
-        dest[...] = row
-    else:
-        np.multiply(column[rows], row, out=dest)
-    for column, row in rest:
-        dest += row if column is None else np.multiply(column[rows], row, out=tmp)
 
 
 def _scan(vals, cells):
@@ -593,15 +568,17 @@ def _chern(d, norm):
     `norm`, over its trailing two axes, a periodic mesh: CHERN_ORIENTATION
     times the signed count of the mesh triangles (r, s) (r+1, s) (r+1, s+1)
     and (r, s) (r+1, s+1) (r, s+1) whose geodesic image under n_hat covers
-    the direction p = CHERN_FRAME^T e_z, or NaN where n_hat is exactly
-    antipodal across a mesh edge.
+    the direction p = e_z of d's frame, or NaN where n_hat is exactly
+    antipodal across a mesh edge.  d is given as `_mesh_bloch` gives it,
+    (x', y', z') = CHERN_FRAME times the Bloch d, so p is CHERN_FRAME^T e_z
+    of the Bloch frame; the count is the degree in either frame.
 
-    In the frame (x', y') = CHERN_FRAME[:2] d, every row, column and diagonal
-    edge a -> b has det(a, b, p) = x'_a y'_b - y'_a x'_b, formed once and
-    shared by its two triangles, so their signs agree; an exact 0 counts as
-    positive in that stored direction, and its endpoints are looked at in 3D.
-    A triangle whose three edge signs agree covers p or -p; det(a, b, c) of
-    the same sign says p.  Per block of rows, one reused tile holds (x', y')
+    Every row, column and diagonal edge a -> b has det(a, b, p) =
+    x'_a y'_b - y'_a x'_b, formed once and shared by its two triangles, so
+    their signs agree; an exact 0 counts as positive in that stored
+    direction, and its endpoints are looked at in 3D.  A triangle whose
+    three edge signs agree covers p or -p; det(a, b, c) of the same sign
+    says p.  Per block of rows, one reused tile holds a copy of (x', y')
     on rows of w = N + 1 (the block's rows, the next one, cyclically, and one
     of padding; column N wraps column 0), so the corners (r, s), (r+1, s),
     (r+1, s+1), (r, s+1) are contiguous slices at offsets 0, w, w + 1 and 1."""
@@ -614,13 +591,8 @@ def _chern(d, norm):
     degree, antipodal = np.zeros(count, dtype=np.int64), np.zeros(count, dtype=bool)
     for rows in blocks:
         r, below = rows.stop - rows.start, rows.stop % n
-        for frame, dest in zip(CHERN_FRAME[:2], tile):
-            for at, src in ((slice(0, r), d[:, :, rows]), (r, d[:, :, below])):
-                out = dest[:, at, :n]
-                part = tmp[:out.size].reshape(out.shape)
-                np.multiply(src[0], frame[0], out=out)
-                out += np.multiply(src[1], frame[1], out=part)
-                out += np.multiply(src[2], frame[2], out=part)
+        tile[:, :, :r, :n] = d[:2, :, rows]
+        tile[:, :, r, :n] = d[:2, :, below]
         tile[..., :r + 1, n] = tile[..., :r + 1, 0]
         length = r * w
         formed = (length + 1, length + w, length)  # row, column, diagonal edges

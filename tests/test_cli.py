@@ -1220,6 +1220,34 @@ class TestUnwritableStdout:
         assert lines == ["error: out '-' cannot be written: stdout is closed"]
 
 
+class TestBlasThreads:
+    """The dense mesh contracts its first momentum axis by matrix products
+    (`topology._mesh_bloch`); the artifacts do not depend on how many threads
+    the BLAS library runs them on."""
+
+    @pytest.mark.parametrize("case", ["fig10-128", "fig10-512", "fig2", "3d-weyl"])
+    def test_artifacts_do_not_depend_on_blas_threads(self, tmp_path, case):
+        if case.startswith("fig10"):  # at 512, (512 x K)(K x 512) products a BLAS splits
+            argv = ["invariant", "--config", str(FIXTURE_DIR / "fig10.cfg"),
+                    "--grid", case.split("-")[1]]
+        elif case == "fig2":
+            argv = ["classify-gaps", "--config", str(FIXTURE_DIR / "fig2.cfg")]
+        else:
+            overrides, sweep, _ = CLASSIFY_CASES[case]
+            argv = ["classify-gaps", "--config",
+                    str(small_bands_cfg(tmp_path, sweep=sweep, **overrides))]
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.out"
+            env = dict(child_env(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-m", "topowalk.cli", *argv, "--out", str(out),
+                                   "--workers", "1"], env=env, stderr=subprocess.PIPE, text=True,
+                                  timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+
 class TestOutputOverwrite:
     """An existing output is rewritten in place and cut at the end of the new text."""
 

@@ -876,7 +876,8 @@ TWO_BAND_IDS = [pid for pid in pr.PROTOCOL_IDS if pr.REGISTRY[pid].bands == 2]
 
 def _assert_mesh_matches_step_loop(spec, rng, period):
     """`_mesh_bloch`, for a stack of three walks of `spec` and for one, equals
-    the step loop on the open mesh within 1e-14."""
+    the step loop's d on the open mesh, turned into the Chern count's frame
+    (CHERN_FRAME d), within 1e-14."""
     dim = spec.dimension
     lead = (3,) + (1,) * dim
     stacked = spectrum.two_band_plan(
@@ -891,7 +892,8 @@ def _assert_mesh_matches_step_loop(spec, rng, period):
             d = spectrum.bloch_entries(*plan.entries(mesh))[1]
             want = np.stack([np.broadcast_to(x, shape) for x in d])
             got, norm = tp._mesh_bloch(plan, axes, shape)
-            npt.assert_allclose(got, want, rtol=0, atol=1e-14)
+            npt.assert_allclose(got, np.tensordot(tp.CHERN_FRAME, want, axes=1),
+                                rtol=0, atol=1e-14)
             npt.assert_allclose(norm, np.sqrt((want * want).sum(axis=0)), rtol=0, atol=1e-14)
 
 
@@ -918,26 +920,30 @@ class TestMeshFourier:
         _assert_mesh_matches_step_loop(spec, rng, 2 * PI)
 
     @pytest.mark.parametrize("pid", TWO_BAND_IDS)
-    def test_stacked_walk_equals_walk_alone(self, rng, pid):
-        """A stack mixing a zero-angle walk (every coin the identity) with
-        generic walks gives each walk the bits it has when evaluated alone."""
+    @pytest.mark.parametrize("count", [1, 3, 17])
+    def test_stacked_walk_equals_walk_alone(self, rng, pid, count):
+        """A stack of `count` generic walks, from 3 on with a zero-angle walk
+        (every coin the identity) among them, gives each walk the bits it has
+        when evaluated alone: on an even grid and on the odd grids 13 and 37,
+        whose first-axis products end in partial BLAS tiles."""
         spec = pr.registry_lookup(pid)
         dim = spec.dimension
-        specs = [spec.with_params(T=1, **{s: 0.0 for s in spec.symbols})] + [
-            spec.with_params(T=int(t), **generic_angles(spec, rng)) for t in (2, 5)]
+        specs = [spec.with_params(T=2 + i % 4, **generic_angles(spec, rng)) for i in range(count)]
+        if count > 1:
+            specs[1] = spec.with_params(T=1, **{s: 0.0 for s in spec.symbols})
         lead = (len(specs),) + (1,) * dim
         plan = spectrum.two_band_plan(
             spec, angles={s: np.reshape([w.angles[s] for w in specs], lead)
                           for s in spec.symbols},
             T=np.reshape([w.T for w in specs], lead))
-        grid_n = {1: 40, 2: 12, 3: 6}[dim]
-        axes = symmetry.momentum_axes(dim, grid_n)
-        out, norm = tp._mesh_bloch(plan, axes, (len(specs),) + (grid_n,) * dim)
-        for i, walk in enumerate(specs):
-            alone, alone_norm = tp._mesh_bloch(spectrum.two_band_plan(walk), axes,
-                                               (grid_n,) * dim)
-            assert out[:, i].tobytes() == alone.tobytes()
-            assert norm[i].tobytes() == alone_norm.tobytes()
+        for grid_n in ({1: 40, 2: 12, 3: 6}[dim], 13, 37):
+            axes = symmetry.momentum_axes(dim, grid_n)
+            out, norm = tp._mesh_bloch(plan, axes, (len(specs),) + (grid_n,) * dim)
+            for i, walk in enumerate(specs):
+                alone, alone_norm = tp._mesh_bloch(spectrum.two_band_plan(walk), axes,
+                                                   (grid_n,) * dim)
+                assert out[:, i].tobytes() == alone.tobytes()
+                assert norm[i].tobytes() == alone_norm.tobytes()
 
 
 def _stacked_plan(pid, count, rng):
@@ -1079,28 +1085,31 @@ class TestChernTiles:
         assert np.abs(R[2]).min() >= 0.4  # p = R^T e_z is off every coordinate plane
 
     @staticmethod
-    def _insulator(n, m=1.0):
+    def _insulator(n, m=1.0, frame=tp.CHERN_FRAME):
         """d = (sin kx, sin ky, m + cos kx + cos ky) on the n x n torus, with
-        the sines exactly 0 at k in {0, pi}: there n_hat = +-e_z exactly."""
+        the sines exactly 0 at k in {0, pi}: there n_hat = +-e_z exactly.  d is
+        turned by `frame`, by default into the Chern count's frame, as
+        `_mesh_bloch` gives it."""
         k = -PI + 2 * PI * np.arange(n) / n
         s, c = np.sin(k), np.cos(k)
         s[np.isclose(np.abs(k), PI) | (k == 0)] = 0.0
         kx, ky = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
         d = np.stack([s[kx], s[ky], m + c[kx] + c[ky]])[:, None]
+        if frame is not None:
+            d = np.tensordot(frame, d, axes=1)
         return d, np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
 
     @pytest.mark.parametrize("identity", [False, True])
     @pytest.mark.parametrize("n", [8, 32, 33])
-    def test_points_at_the_poles(self, monkeypatch, n, identity):
-        """identity: p = e_z is exactly the direction of the poles, so every
-        edge at a pole has an exactly zero determinant, which the one fixed
-        move of p must resolve for its triangles alike."""
-        if identity:
-            monkeypatch.setattr(tp, "CHERN_FRAME", np.eye(3))
+    def test_points_at_the_poles(self, n, identity):
+        """identity: d is not turned, so p = e_z is exactly the direction of
+        the poles, and every edge at a pole has an exactly zero determinant,
+        which the one fixed move of p must resolve for its triangles alike."""
         for m in (1.0, -1.0, 0.5, 3.0):
-            d, norm = self._insulator(n, m)
-            poles = (d[0] == 0) & (d[1] == 0)
+            bloch, _ = self._insulator(n, m, frame=None)
+            poles = (bloch[0] == 0) & (bloch[1] == 0)
             assert poles.sum() >= (1 if n % 2 else 4)
+            d, norm = self._insulator(n, m, frame=None if identity else tp.CHERN_FRAME)
             raw, margin = tp._chern(d, norm)
             ref = _rolled_chern(d, norm)[0]
             assert raw[0] == np.round(ref[0]) == (0 if m == 3.0 else 1 if m > 0 else -1)
