@@ -20,10 +20,10 @@ are computed by pure functions and merged in sweep order.  Every sweep
 command computes them per chunk of sweep values, one plan pass per chunk of at
 most a budget of values x points (at least one value): CHUNK_POINTS for
 `bands`, whose pass-2 text pieces set its peak memory, and SWEEP_POINTS for
-`invariant` and `classify-gaps`, which pay their plan compiles, Gauss-Newton
+`invariant` and `classify-gaps`, which pay their one plan compile, Gauss-Newton
 loop and block set-up once per chunk.  A chunk's walks are bound in one way
 for all three commands: `SweepConfig.walk_params` of the array of its values
-gives the angles and T, scalars or arrays along the chunk.  The points are
+gives the angles and T, folded into the angles T theta once.  The points are
 those one value costs: grid^dim for `bands`, and the gap search's scan mesh
 for `invariant` and `classify-gaps` (`_scan_points`).  The same count times
 the sweep count is held to config.MAX_POINTS before any value or grid is

@@ -130,8 +130,8 @@ class SweepConfig(SimpleNamespace):
         linked angles and a swept T then have its shape.  This is how every
         sweep command binds a chunk's walks: an array of its values gives the
         angles and T that the plan, or `topology`'s stack of walks
-        (`protocols.stacked_params`), takes, and the plan's compile checks
-        each value's step number and finite T * theta."""
+        (`protocols.stacked_params`), folds once into the effective angles
+        T * theta, checking each value's step number and that each is finite."""
         angles = dict(self.angles)
         if self.sweep_symbol == "T":
             T = value

@@ -2,11 +2,11 @@
 
 A protocol is an ordered tuple of coin and shift elements stored in
 *application order* (the first element acts on the state first; the matrix
-product multiplies them from the left).  Coins are SU(2) rotations whose
-effective angle scales with the step number T.  Shifts are diagonal
-momentum-space phase matrices diag(exp(i u.k), exp(i d.k)) with integer
-coefficient vectors u, d, so every registered protocol is exactly
-2*pi-periodic in each momentum component.
+product multiplies them from the left).  Coins are SU(2) rotations by the
+effective angle T theta, bound once (`_effective`): with no T in a shift,
+U_T(theta) = U_1(T theta).  Shifts are diagonal momentum-space phase matrices
+diag(exp(i u.k), exp(i d.k)) with integer coefficient vectors u, d, so every
+registered protocol is exactly 2*pi-periodic in each momentum component.
 
 Four-band protocols are built from a two-band base walk by giving the walker
 a flavor index.  Because transposition and complex conjugation of a
@@ -193,12 +193,12 @@ def _kind(values) -> str:
         return "O"
 
 
-def stacked_params(spec: ProtocolSpec, angles: Optional[Mapping] = None, T=None):
-    """The (angles, T) of a stack of walks of the spec: its bound angles
-    updated by `angles` and its step number replaced by `T`, each a scalar or
-    a 1-D array along the stack, broadcast once to one shape (V,), V = 1 if
-    all are scalars: float64 angles and int64 step numbers.  Any other shape,
-    two lengths among the arrays, or a T that is no step number is rejected."""
+def stacked_params(spec: ProtocolSpec, angles: Optional[Mapping] = None, T=None) -> dict:
+    """The effective angles of a stack of walks of the spec (`_effective`):
+    its bound angles updated by `angles` and its step number replaced by `T`,
+    each a scalar or a 1-D array along the stack, broadcast once to one shape
+    (V,), V = 1 if all are scalars, as float64 angles and int64 step numbers.
+    Any other shape, two lengths, or a T that is no step number is rejected."""
     merged = {sym: np.asarray(theta, dtype=float)
               for sym, theta in _merged_angles(spec, angles).items()}
     steps = np.asarray(_step_number(spec.T if T is None else T))
@@ -208,8 +208,17 @@ def stacked_params(spec: ProtocolSpec, angles: Optional[Mapping] = None, T=None)
         raise InvalidInputError(f"the angles and T of a stack of walks must be scalars or 1-D"
                                 f" arrays of one length, got shapes {sorted(shapes)}")
     shape = shapes.pop() if shapes else (1,)
-    return ({sym: np.broadcast_to(theta, shape) for sym, theta in merged.items()},
-            np.broadcast_to(steps, shape).astype(np.int64))
+    return _effective({sym: np.broadcast_to(theta, shape) for sym, theta in merged.items()},
+                      np.broadcast_to(steps, shape).astype(np.int64))
+
+
+def _effective(angles: Mapping, steps) -> dict:
+    """The coins' rotation angles T theta, each angle times the step number
+    `steps`: the one place T enters a walk.  Each must be finite."""
+    out = {sym: steps * np.asarray(theta, dtype=float) for sym, theta in angles.items()}
+    if not all(np.isfinite(theta).all() for theta in out.values()):
+        raise InvalidInputError("rotation angle must be finite")
+    return out
 
 
 def _spec(pid, dim, elements, doubled=None):
@@ -305,17 +314,14 @@ def _as_momenta(spec: ProtocolSpec, k) -> Tuple[np.ndarray, ...]:
     return tuple(k[..., i] for i in range(dim))
 
 
-def _coin_entries(el: Coin, spec: ProtocolSpec, angles, T):
-    """The entries of exp(-i T theta/2 axis.sigma), scalars or arrays like theta and T."""
+def _coin_entries(el: Coin, spec: ProtocolSpec, angles):
+    """The entries of exp(-i theta/2 axis.sigma), theta the coin's effective angle."""
     try:
         theta = angles[el.symbol]
     except KeyError:
         raise InvalidInputError(f"angle {el.symbol!r} missing for protocol {spec.id!r}") from None
     nx, ny, nz = unit_axis(el.axis)
-    eff = T * np.asarray(theta, dtype=float)
-    if not np.isfinite(eff).all():
-        raise InvalidInputError("rotation angle must be finite")
-    half = 0.5 * eff
+    half = 0.5 * theta
     cos, msin = np.cos(half), -1j * np.sin(half)
     return (cos + msin * nz, msin * (nx - 1j * ny), msin * (nx + 1j * ny), cos - msin * nz)
 
@@ -383,6 +389,14 @@ class Plan:
         return tuple((freqs, x[..., dense].reshape(x.shape[:-1] + tuple(map(len, freqs))))
                      for (freqs, dense), x in zip(grids, (a, c)))
 
+    def select(self, walks, ndim: int = 1) -> "Plan":
+        """The walks `walks` of a stack plan (coins of shape (V,)) with ndim - 1
+        axes of 1 after them: its coin entries indexed, each walk's bits kept."""
+        shape = (-1,) + (1,) * (ndim - 1)
+        return replace(self, steps=tuple(
+            (kind, tuple(x[walks].reshape(shape) for x in data)) if kind == "coin"
+            else (kind, data) for kind, data in self.steps))
+
     def entries(self, k):
         """(a, c) with U(k) = [[a, -conj(c)], [c, conj(a)]], updated elementwise
         along the steps: a coin mixes the pair, a shift scales it by its phases.
@@ -449,14 +463,13 @@ def compile_plan(spec: ProtocolSpec, *, angles: Optional[Mapping] = None, T=None
     special-unitary iff, on every axis, the shifts' up + down phases sum to
     0; any other walk is rejected, which lets the Bloch split skip the
     determinant."""
-    ang = _merged_angles(spec, angles)
-    T_eff = _step_number(spec.T if T is None else T)
+    ang = _effective(_merged_angles(spec, angles), _step_number(spec.T if T is None else T))
     layout, det_phase = _layout(spec.elements, spec.dimension)[:2]
     if any(det_phase):
         raise InvalidInputError(f"{spec.id!r} is not special-unitary: its shifts' up + down"
                                 f" phases sum to {list(det_phase)} per axis, not 0")
     return Plan(spec=spec, steps=tuple(
-        ("coin", _coin_entries(step, spec, ang, T_eff)) if isinstance(step, Coin)
+        ("coin", _coin_entries(step, spec, ang)) if isinstance(step, Coin)
         else ("shift", step) for step in layout))
 
 

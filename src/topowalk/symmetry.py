@@ -131,11 +131,11 @@ def chiral_axis_fit(spec: ProtocolSpec):
     return vt[-1], float(s[-1] / s[0])
 
 
-def _turned_e_x(coin: Coin, angles, T) -> np.ndarray:
-    """e_x turned by h = -T theta/2 about the axis n of `coin` (angle theta) per
-    walk of the stack, (V, 3): cos h e_x + sin h (0, n_z, -n_y) + (1 - cos h) n_x n."""
+def _turned_e_x(coin: Coin, angles) -> np.ndarray:
+    """e_x turned by h = -theta/2 about the axis n of `coin` (effective angle theta)
+    per walk of the stack, (V, 3): cos h e_x + sin h (0, n_z, -n_y) + (1 - cos h) n_x n."""
     nx, ny, nz = unit_axis(coin.axis)
-    h = -0.5 * (T * angles[coin.symbol])
+    h = -0.5 * angles[coin.symbol]
     c, s = np.cos(h), np.sin(h)
     return np.stack([c + (1 - c) * nx * nx, s * nz + (1 - c) * nx * ny,
                      (1 - c) * nx * nz - s * ny], axis=-1)
@@ -154,7 +154,7 @@ def _chiral_coin(dimension: int, elements: tuple) -> Optional[Coin]:
         axis, ratio = chiral_axis_fit(spec)
     except DegenerateGridError:  # d = 0 at every momentum
         return None
-    A = _turned_e_x(coin, *stacked_params(spec))[0]
+    A = _turned_e_x(coin, stacked_params(spec))[0]
     return coin if max(ratio, np.linalg.norm(np.cross(axis, A))) <= 1e-9 else None
 
 
@@ -167,12 +167,12 @@ def chiral_axes(spec: ProtocolSpec, *, angles=None, T=None) -> np.ndarray:
     & Obuse, PRB 88, 121406(R), 2013).  A protocol not chiral about it
     (`_chiral_coin`) raises ClassificationError, whatever the angles."""
     base = _base_of(spec)
-    angles, T = stacked_params(base, angles, T)
+    angles = stacked_params(base, angles, T)
     coin = _chiral_coin(base.dimension, base.elements)
     if coin is None:
         raise ClassificationError(f"{spec.id!r} has no constant chiral axis: its d cloud"
                                   f" at generic angles is not planar about one")
-    return _turned_e_x(coin, angles, T)
+    return _turned_e_x(coin, angles)
 
 
 def chiral_axis(spec: ProtocolSpec) -> np.ndarray:
@@ -426,17 +426,11 @@ def classify(spec_or_id) -> SymmetryReport:
             raise ClassificationError(
                 f"{pid}: designated {rel} operator squares to {got}, catalog says {sq}")
         verified[rel] = True
-
-    evidence = None
-    if declared:
-        _, evidence = chiral_axis_fit(spec)
-
-    family = _FAMILY[squares]
     return SymmetryReport(protocol=pid, dimension=spec.dimension,
                           phs=squares[0], trs=squares[1], chs=squares[2],
-                          az_family=family, invariant_group=invariant,
+                          az_family=_FAMILY[squares], invariant_group=invariant,
                           residuals=residuals, operator_verified=verified,
-                          evidence_ratio=evidence)
+                          evidence_ratio=chiral_axis_fit(spec)[1] if declared else None)
 
 
 _GENERIC_ANGLES = {"alpha": 0.83, "beta": 0.41, "gamma": 1.27, "zeta": 0.59}

@@ -4,19 +4,19 @@ Conventions
 -----------
 * Every two-band quantity is the Bloch split (d0, d) of the compiled plan
   (`spectrum.bloch_entries` of its entries, on an open mesh for the gap
-  scan and the Chern grids).  A stack of walks is one protocol with its
-  angles and T as 1-D arrays along the stack (`protocols.stacked_params`);
-  a one-walk call is a stack of one.  One driver, `_closings`, sets up the
-  gap search for a stack in one plan pass on `scan_grid` points per axis,
-  the one grid rule: one scan (`_scan`: local minima of |d|, which the
-  Chern reduction reuses) feeds one batched Gauss-Newton refine of
-  d(k) = 0 with the Jacobian split from the exact dU/dk.
+  scan and the Chern grids).  A stack of walks is one protocol at its
+  effective angles T theta, 1-D arrays along the stack into which the entry
+  points fold T once (`protocols.stacked_params`); a one-walk call is a
+  stack of one.  Its one plan and Fourier terms (`_stack`) feed every pass.
+  One function, `_closings`, scans a stack on `scan_grid` points per axis,
+  the one grid rule, for local minima of |d| (`_scan`; the Chern reduction
+  reuses d), which one batched Gauss-Newton solve refines (`_gauss_newton`).
   `find_gap_closings`, `classify_boundary` (unless given its closings) and
-  `sweep_boundaries` search the full BZ; `_invariants` (behind
-  `sweep_invariants`, `winding_number` and `chern_number`) searches the
-  *minimal* momentum torus (see below) of a 2D walk, from the same d that its
-  Chern reduction then reads.  Flat bands (`_flat_bands`) and 1D windings
-  (see below) need no mesh.
+  `sweep_boundaries` search the full BZ, dropping d before the refine;
+  `_invariants` (behind `sweep_invariants`, `winding_number` and
+  `chern_number`) searches the *minimal* momentum torus (see below) of a 2D
+  walk, from the same d that its Chern reduction then reads.  Flat bands
+  (`_flat_bands`) and 1D windings (see below) need no mesh.
 * The dense mesh (`_mesh_bloch`, called by `_closings` alone) is evaluated
   from the plan's Fourier coefficients (`Plan.fourier`), not by the step
   loop, and in the frame of the Chern count (CHERN_FRAME d, turned once on
@@ -133,14 +133,16 @@ class ChernResult:
     raw: float
 
 
-def _gauss_newton(plan, pts: np.ndarray, cell):
-    """Batched Gauss-Newton on d(k) = 0 from all start points at once: J = dd/dk
-    is the Bloch split of the plan's exact dU/dk (d is linear in U), and the step
-    -pinv(J) d, least-squares also where J is rank-deficient on closing lines, is
-    clipped to one grid cell per axis (`cell`, a scalar or one per axis).  A
-    point stops once its step no longer exceeds 1e-15 (1 + |k|), so each
-    point's iterates do not depend on the others in the batch; all stop after
-    60 steps.  Returns each point's lowest-|d| iterate, d0 and |d|."""
+def _gauss_newton(plan, which, pts: np.ndarray, cell):
+    """Batched Gauss-Newton on d(k) = 0 from all start points at once, each on
+    its walk `which` of the stack plan: J = dd/dk is the Bloch split of the
+    plan's exact dU/dk (d is linear in U), and the step -pinv(J) d,
+    least-squares also where J is rank-deficient on closing lines, is clipped
+    to one grid cell per axis (`cell`, a scalar or one per axis).  A point
+    stops once its step no longer exceeds 1e-15 (1 + |k|), so each point's
+    iterates do not depend on the others in the batch; all stop after 60
+    steps.  Returns `which` and each point's lowest-|d| iterate, d0 and |d|."""
+    plan = plan.select(which)
     best, best_d0, best_norm = pts.copy(), np.empty(len(pts)), np.full(len(pts), np.inf)
     done = np.zeros(len(pts), dtype=bool)
     for _ in range(60):
@@ -157,7 +159,7 @@ def _gauss_newton(plan, pts: np.ndarray, cell):
         if done.all():
             break
         pts = np.where(done[:, None], pts, moved)
-    return best, best_d0, best_norm
+    return which, best, best_d0, best_norm
 
 
 def _blocks(count: int, row_points: int) -> List[slice]:
@@ -168,14 +170,13 @@ def _blocks(count: int, row_points: int) -> List[slice]:
 
 
 def _mesh_rows(freqs, coef, axes, lead_shape):
-    """A plan entry's Fourier coefficients (`Plan.fourier`) contracted over
-    every momentum axis but the first, on the open mesh of `axes`: one complex
-    array lead_shape + (F_0, n_1, ...), a row per first-axis frequency.  Each
-    axis is a sum of elementwise products, so the rows do not depend on the
-    stack of walks."""
+    """A plan entry's Fourier coefficients (`Plan.fourier`, lead_shape + (F_0,
+    ...)) contracted over every momentum axis but the first, on the open mesh
+    of `axes`: one complex array lead_shape + (F_0, n_1, ...), a row per
+    first-axis frequency.  Each axis is a sum of elementwise products, so the
+    rows do not depend on the stack of walks."""
     dim, lead = len(axes), len(lead_shape)
     fshape = coef.shape[coef.ndim - dim:]
-    coef = np.broadcast_to(coef, lead_shape + (1,) * dim + fshape).reshape(lead_shape + fshape)
     for ax in range(dim - 1, 0, -1):
         # per frequency j of axis ax, the coefficients with that axis turned into the mesh's
         terms = [coef[(slice(None),) * (lead + ax) + (j, None)] for j in range(fshape[ax])]
@@ -187,11 +188,11 @@ def _mesh_rows(freqs, coef, axes, lead_shape):
     return coef
 
 
-def _mesh_bloch(plan, axes, shape):
-    """(d, |d|) of the plan on the open mesh of the momentum `axes`, with d one
-    (3, *shape) array in the frame of the Chern count: R = CHERN_FRAME times
-    d = (-Im c, Re c, -Im a).  `shape` is any leading sweep axes of the plan's
-    angles, then the mesh.  The plan's Fourier coefficients are contracted
+def _mesh_bloch(terms, axes, shape):
+    """(d, |d|) of a plan's Fourier `terms` on the open mesh of the momentum
+    `axes`, with d one (3, *shape) array in the frame of the Chern count:
+    R = CHERN_FRAME times d = (-Im c, Re c, -Im a).  `shape` is the plan's
+    walks, (V,) or none, then the mesh.  The coefficients are contracted
     over the other momentum axes once (`_mesh_rows`), into rows per
     first-axis frequency f.  Component i of R d is Re(u_i c + v_i a), with
     u_i = R_i1 + i R_i0 and v_i = i R_i2, so its rows W are the entries' rows
@@ -204,7 +205,7 @@ def _mesh_bloch(plan, axes, shape):
     lead = len(shape) - dim
     walks, n0, m = shape[:lead], shape[lead], int(np.prod(shape[lead + 1:]))
     (fa, ra), (fc, rc) = ((freqs[0], _mesh_rows(freqs, coef, axes, walks))
-                          for freqs, coef in plan.fourier())
+                          for freqs, coef in terms)
     phase = np.multiply.outer(axes[0], np.concatenate([fa, fc]))
     columns = np.concatenate([np.cos(phase), np.sin(phase)], axis=1)
     d, norm = np.empty((3,) + shape), np.empty(shape)
@@ -250,29 +251,27 @@ def _scan(vals, cells):
     return idx[:, :lead], -np.pi + idx[:, lead:] * cells
 
 
-def _plan(spec: ProtocolSpec, angles, T, walks=slice(None), ndim: int = 1):
-    """The compiled plan of the walks `walks` of the stack (`angles`, `T`), one
-    walk per entry of its first axis, with ndim - 1 axes of 1 after it."""
-    shape = (-1,) + (1,) * (ndim - 1)
-    return two_band_plan(spec, angles={sym: a[walks].reshape(shape) for sym, a in angles.items()},
-                         T=T[walks].reshape(shape))
+def _stack(spec: ProtocolSpec, angles):
+    """The one plan of a stack of walks of `spec`, compiled at its effective
+    angles (`stacked_params`, so T=1), and its Fourier terms, expanded once,
+    walks first (a walk with no coin has no angles: it is a stack of one)."""
+    plan = two_band_plan(spec, angles=angles, T=1)
+    return plan, [(f, c.reshape((-1,) + c.shape[c.ndim - len(f):])) for f, c in plan.fourier()]
 
 
-def _closings(spec: ProtocolSpec, angles, T, grid_n: int, periods):
-    """The gap search of the stack of walks (`angles`, `T`) of `spec`: one
-    plan pass of (V, 1, ...) angles and T on the open mesh of the momentum
-    `periods` at scan_grid(grid_n) points per axis (`_mesh_bloch`, the only
-    dense mesh), whose local minima of |d| (`_scan`) one `_gauss_newton`
-    solve refines, each at its own walk's angles and T.  Returns d and |d| on
-    the mesh, the walk of each start, and each start's refined k, d0 and |d|."""
+def _closings(terms, grid_n: int, periods):
+    """The gap search's scan of a stack's Fourier `terms` (`_stack`): one pass
+    on the open mesh of the momentum `periods` at scan_grid(grid_n) points
+    per axis (`_mesh_bloch`, the only dense mesh), and its local minima of
+    |d| (`_scan`).  Returns d and |d| on the mesh, then the walk and momentum
+    of each start and the grid cells for `_gauss_newton`; a caller that does
+    not read d and |d| slices them off, so the refine does not keep them."""
     grid_n = scan_grid(grid_n)
-    dim = spec.dimension
-    d, norm = _mesh_bloch(_plan(spec, angles, T, ndim=1 + dim),
-                          momentum_axes(dim, grid_n, periods), (len(T),) + (grid_n,) * dim)
+    d, norm = _mesh_bloch(terms, momentum_axes(len(periods), grid_n, periods),
+                          (len(terms[0][1]),) + (grid_n,) * len(periods))
     cells = np.divide(periods, grid_n)
     rows, starts = _scan(norm, cells)
-    which = rows[:, 0]
-    return (d, norm, which) + _gauss_newton(_plan(spec, angles, T, which), starts, cells)
+    return d, norm, rows[:, 0], starts, cells
 
 
 def scan_grid(grid_n) -> int:
@@ -327,18 +326,14 @@ def find_gap_closings(spec_or_id, *, angles=None, T=None, grid_n: int = 64,
     if isinstance(refine_tol, bool) or not isinstance(refine_tol, Real) or not refine_tol >= 0:
         raise InvalidInputError(f"refine_tol must be a number >= 0, got {refine_tol!r}")
     spec = registry_lookup(spec_or_id, T=T, angles=angles)
-    found = _closings(spec, *stacked_params(spec), grid_n, [2 * np.pi] * spec.dimension)
-    return _gap_points(*found[2:], 1, refine_tol)[0]
+    plan, terms = _stack(spec, stacked_params(spec))
+    found = _gauss_newton(plan, *_closings(terms, grid_n, [2 * np.pi] * spec.dimension)[2:])
+    return _gap_points(*found, 1, refine_tol)[0]
 
 
 def _is_high_symmetry_set(momenta: Sequence[Tuple[float, ...]], targets) -> bool:
-    for kpt in momenta:
-        ok = any(
-            all(abs(wrap_pi(x - t)) < HIGH_SYMMETRY_TOL for x, t in zip(kpt, tgt))
-            for tgt in targets)
-        if not ok:
-            return False
-    return True
+    return all(any(all(abs(wrap_pi(x - t)) < HIGH_SYMMETRY_TOL for x, t in zip(kpt, tgt))
+                   for tgt in targets) for kpt in momenta)
 
 
 def classify_boundary(spec_or_id, *, angles=None, T=None,
@@ -356,7 +351,8 @@ def classify_boundary(spec_or_id, *, angles=None, T=None,
     if gap_points is None:
         return sweep_boundaries(spec, grid_n)[0][1]
     scan_grid(grid_n)
-    return _classify(spec, *stacked_params(spec), [_given_points(gap_points, spec.dimension)])[0]
+    points = [_given_points(gap_points, spec.dimension)]
+    return _classify(*_stack(spec, stacked_params(spec)), points)[0]
 
 
 def _given_points(gap_points, dim: int) -> List[GapPoint]:
@@ -382,12 +378,12 @@ def sweep_boundaries(spec_or_id, grid_n: int, *, angles=None, T=None
     axis); grid_n is checked first."""
     scan_grid(grid_n)
     spec = registry_lookup(spec_or_id)
-    angles, T = stacked_params(spec, angles, T)
-    if not len(T):
+    plan, terms = _stack(spec, stacked_params(spec, angles, T))
+    if not len(terms[0][1]):
         return []
-    starts = _closings(spec, angles, T, grid_n, [2 * np.pi] * spec.dimension)[2:]
-    points = _gap_points(*starts, len(T), EPS_GAP)
-    return list(zip(points, _classify(spec, angles, T, points)))
+    found = _gauss_newton(plan, *_closings(terms, grid_n, [2 * np.pi] * spec.dimension)[2:])
+    points = _gap_points(*found, len(terms[0][1]), EPS_GAP)
+    return list(zip(points, _classify(plan, terms, points)))
 
 
 @lru_cache(maxsize=64)
@@ -401,32 +397,31 @@ def _mirrored(freqs: tuple):
         np.ix_(*([u.index(x) for x in f] for u, f in zip(union, freqs))), shape).ravel())
 
 
-def _flat_bands(spec: ProtocolSpec, angles, T):
-    """Per walk of the stack (`angles`, `T`) of `spec`, a bound on the + band's
-    energy variation, arccos(max(b_0 - S, -1)) - arccos(min(b_0 + S, 1)), and
-    its energy arccos(b_0), from the Fourier coefficients b_f =
+def _flat_bands(terms):
+    """Per walk of a stack's Fourier `terms`, a bound on the + band's energy
+    variation, arccos(max(b_0 - S, -1)) - arccos(min(b_0 + S, 1)), and its
+    energy arccos(b_0), from the Fourier coefficients b_f =
     (A_f + conj A_-f) / 2 of d0 = Re a (A_f: a's, 0 where a lacks f), within
     S = sum_{f != 0} |b_f| (2 |b_f| per pair +-f, `_mirrored`) of b_0."""
-    (freqs, coef), _ = _plan(spec, angles, T).fourier()
+    (freqs, coef), _ = terms
     half, at = _mirrored(tuple(tuple(f.tolist()) for f in freqs))
-    a = np.zeros((len(T), 2 * half + 1), dtype=complex)
+    a = np.zeros((len(coef), 2 * half + 1), dtype=complex)
     a[:, at] = coef.reshape(-1, at.size)
     b0, spread = a[:, half].real, np.abs(a[:, :half] + a[:, :half:-1].conj()).sum(axis=1)
     bound = np.arccos(np.maximum(b0 - spread, -1.0)) - np.arccos(np.minimum(b0 + spread, 1.0))
     return list(zip(bound.tolist(), np.arccos(np.clip(b0, -1.0, 1.0)).tolist()))
 
 
-def _classify(spec: ProtocolSpec, angles, T, gap_points: List[List[GapPoint]]
+def _classify(plan, terms, gap_points: List[List[GapPoint]]
               ) -> List[List[BoundaryClassification]]:
-    """The taxonomy of `classify_boundary` for each walk of the stack
-    (`angles`, `T`) of `spec`, from its closings: one flat-band pass over the
-    stack (`_flat_bands`), then the gap fits along +-each axis of every
-    closing of every walk that is not flat from one pass of one compiled plan
-    with per-closing angles and T."""
+    """The taxonomy of `classify_boundary` for each walk of a stack (`_stack`),
+    from its closings: one flat-band pass over the stack (`_flat_bands`),
+    then the gap fits along +-each axis of every closing of every walk that
+    is not flat from one pass of the plan's coins per closing (`Plan.select`)."""
     out: List[List[BoundaryClassification]] = [
         [BoundaryClassification(kind="flat_band", evidence={"band_variation": v, "energy": e})]
-        if v <= EPS_FLAT else [] for v, e in _flat_bands(spec, angles, T)]
-    dim = spec.dimension
+        if v <= EPS_FLAT else [] for v, e in _flat_bands(terms)]
+    dim = plan.spec.dimension
     fit = [i for i, pts in enumerate(gap_points) if pts and not out[i]]
     if not fit:
         return out
@@ -434,7 +429,7 @@ def _classify(spec: ProtocolSpec, angles, T, gap_points: List[List[GapPoint]]
     s = np.linspace(FIT_WINDOW / 20, FIT_WINDOW, 20)
     # the fit momenta k0 + sign s e_axis: (closing, axis, sign, s, momentum)
     offsets = np.eye(dim)[:, None, None, :] * (np.array([[1.0], [-1.0]]) * s)[:, :, None]
-    plan = _plan(spec, angles, T, [i for i, _ in closings], 4)
+    plan = plan.select([i for i, _ in closings], 4)
     e_fit = np.arccos(np.clip(plan.entries(np.array([p.k for _, p in closings])[:, None, None, None]
                                            + offsets)[0].real, -1.0, 1.0))
     gaps = np.minimum(e_fit, np.pi - e_fit)
@@ -471,15 +466,9 @@ def momentum_period(spec: ProtocolSpec, axis: int) -> float:
     two integer phases match mod 2; the walk is pi-periodic iff every element
     does and the signs cancel.
     """
-    total = 0
-    for el in spec.elements:
-        if not isinstance(el, Shift):
-            continue
-        u, d = el.up[axis], el.down[axis]
-        if (u - d) % 2 != 0:
-            return 2 * np.pi
-        total += u
-    return np.pi if total % 2 == 0 else 2 * np.pi
+    phases = [(el.up[axis], el.down[axis]) for el in spec.elements if isinstance(el, Shift)]
+    odd = any((u - d) % 2 for u, d in phases) or sum(u for u, _ in phases) % 2
+    return 2 * np.pi if odd else np.pi
 
 
 def _plane_basis(A: np.ndarray):
@@ -491,20 +480,18 @@ def _plane_basis(A: np.ndarray):
     return e1, np.cross(A, e1)
 
 
-def _in_plane_coefficients(plan, A):
+def _in_plane_coefficients(terms, A):
     """The Laurent coefficients z_f, f = -F..F, of z(k) = (e1 + i e2).d(k) of
     a stack of 1D walks about their chiral axes A (V, 3) (frames of
     `_plane_basis`), as (V, 2F + 1): of d = (-Im c, Re c, -Im a) with a and c
-    from `Plan.fourier`, whose x_f e^{ifk} puts x_f / 2 (Re x) or x_f / 2i
-    (Im x) at f and the conjugate at -f.  F, the largest frequency of a or
-    c, is an integer for every special-unitary walk."""
-    ((fa,), ca), ((fc,), cc) = plan.fourier()
-    count = len(A)
-    ca, cc = np.broadcast_to(ca, (count, len(fa))), np.broadcast_to(cc, (count, len(fc)))
+    from the Fourier `terms` of their plan, whose x_f e^{ifk} puts x_f / 2
+    (Re x) or x_f / 2i (Im x) at f and the conjugate at -f.  F, the largest
+    frequency of a or c, is an integer for every special-unitary walk."""
+    ((fa,), ca), ((fc,), cc) = terms
     F = int(max(np.abs(fa).max(), np.abs(fc).max()))
     e1, e2 = _plane_basis(A)
     ux, uy, uz = (e1 + 1j * e2).T[..., None]
-    z = np.zeros((count, 2 * F + 1), dtype=complex)
+    z = np.zeros((len(A), 2 * F + 1), dtype=complex)
     for freqs, coef, up, down in ((fc, cc, (uy + 1j * ux) / 2, (uy - 1j * ux) / 2),
                                   (fa, ca, 0.5j * uz, -0.5j * uz)):
         z[:, (F + freqs).astype(int)] += up * coef
@@ -542,12 +529,12 @@ def _root_count(z):
     return inside, closes
 
 
-def _windings(spec: ProtocolSpec, angles, T) -> list:
+def _windings(spec: ProtocolSpec, terms, A) -> list:
     """The 1D branch of `_invariants` (see the module docstring): per walk of
-    the stack (`angles`, `T`), (n, float(n)) from the roots of its in-plane
-    Laurent polynomial about its chiral axis (`chiral_axes`), or the
+    a stack's Fourier `terms`, (n, float(n)) from the roots of its in-plane
+    Laurent polynomial about its chiral axis A (`chiral_axes`), or the
     BoundaryStateError that says why it has none."""
-    z = _in_plane_coefficients(_plan(spec, angles, T), chiral_axes(spec, angles=angles, T=T))
+    z = _in_plane_coefficients(terms, A)
     inside, closes = _root_count(z)
     halves = 2 if momentum_period(spec, 0) == np.pi else 1
     windings = ((inside - z.shape[1] // 2) // halves).tolist()
@@ -637,22 +624,24 @@ def winding_number(spec_or_id, *, angles=None, T=None, grid_n: int = 256) -> Win
     """Winding of the in-plane Bloch vector around the origin (1D chiral
     walks), counted exactly from the roots of its Fourier polynomial; grid_n
     is checked but does not change it."""
-    return WindingResult(*_one_walk("winding_number", 1, spec_or_id, angles, T, grid_n))
+    return WindingResult(*_one_walk(
+        "winding_number", 1, registry_lookup(spec_or_id, T=T, angles=angles), grid_n))
 
 
 def chern_number(spec_or_id, *, angles=None, T=None, grid_n: int = 64) -> ChernResult:
     """Degree of n_hat over the minimal 2D momentum torus (`_chern`: the
     signed mesh triangles covering one direction), on at least MIN_SCAN_GRID
     points per axis."""
-    return ChernResult(*_one_walk("chern_number", 2, spec_or_id, angles, T, grid_n))
+    return ChernResult(*_one_walk(
+        "chern_number", 2, registry_lookup(spec_or_id, T=T, angles=angles), grid_n))
 
 
-def _one_walk(name: str, dim: int, spec_or_id, angles, T, grid_n) -> Tuple[int, float]:
-    """(n, raw) of the one walk of the `dim`-D call `name`, or its error raised."""
-    spec = registry_lookup(spec_or_id, T=T, angles=angles)
+def _one_walk(name: str, dim: int, spec: ProtocolSpec, grid_n) -> Tuple[int, float]:
+    """(n, raw) of the walk `spec` of the `dim`-D call `name`, or its error raised."""
     if spec.dimension != dim:
         raise InvalidInputError(f"{name} needs a {dim}D protocol")
-    (result,) = _invariants(spec, grid_n)
+    scan_grid(grid_n)
+    (result,) = _invariants(spec, stacked_params(spec), grid_n)
     if isinstance(result, BoundaryStateError):
         raise result
     return result
@@ -664,33 +653,36 @@ def sweep_invariants(spec_or_id, grid_n: int, *, angles=None,
     (`angles`, `T`: scalars or 1-D arrays, `stacked_params`), in one pass:
     (n, raw) per walk, or None where its gap closes or the invariant is
     undefined."""
+    scan_grid(grid_n)
+    spec = registry_lookup(spec_or_id)
     return [None if isinstance(r, BoundaryStateError) else r
-            for r in _invariants(spec_or_id, grid_n, angles, T)]
+            for r in _invariants(spec, stacked_params(spec, angles, T), grid_n)]
 
 
-def _invariants(spec_or_id, grid_n: int, angles=None, T=None) -> list:
-    """The one invariant route: per walk of the stack (`angles`, `T`), (n, raw)
-    or the BoundaryStateError that says why it has none.  1D walks count the roots of their in-plane
-    Fourier polynomial (`_windings`), exactly and with no mesh; grid_n is
-    still checked.  2D walks run the gap search (`_closings`) on the open mesh
+def _invariants(spec: ProtocolSpec, angles, grid_n: int) -> list:
+    """The one invariant route: per walk of the stack of `spec` at the
+    effective `angles` (`stacked_params`), (n, raw) or the BoundaryStateError
+    that says why it has none; its callers check grid_n first.  1D walks count
+    the roots of their in-plane Fourier polynomial (`_windings`), exactly and
+    with no mesh.  2D walks run the gap search (`_closings`) on the open mesh
     of the minimal momentum torus at no fewer than MIN_SCAN_GRID points per
     axis, so a closing between mesh points is refined, not hidden by the
     degree (an integer on any mesh), and no coarser mesh is counted; the walks
     with no candidate refined to |d| <= EPS_GAP reduce the same d (`_chern`)
     to `_quantized`."""
-    scan_grid(grid_n)
-    spec = registry_lookup(spec_or_id)
-    angles, T = stacked_params(spec, angles, T)
     dim = spec.dimension
     if dim not in (1, 2):
         raise InvalidInputError("invariants are computed for 1D (winding) and 2D (Chern) only")
-    if not len(T):
+    plan, terms = _stack(spec, angles)
+    count = len(terms[0][1])
+    if not count:
         return []
     if dim == 1:
-        return _windings(spec, angles, T)
+        return _windings(spec, terms, chiral_axes(spec, angles=angles, T=1))
     periods = [momentum_period(spec, ax) for ax in range(dim)]
-    d, norm, which, pts, _, resid = _closings(spec, angles, T, grid_n, periods)
-    results: list = [None] * len(T)
+    d, norm, *starts = _closings(terms, grid_n, periods)
+    which, pts, _, resid = _gauss_newton(plan, *starts)
+    results: list = [None] * count
     closes = np.flatnonzero(resid <= EPS_GAP)[::-1]
     for i, j in dict(zip(which[closes].tolist(), closes.tolist())).items():  # each walk's first
         results[i] = BoundaryStateError(
@@ -698,7 +690,7 @@ def _invariants(spec_or_id, grid_n: int, angles=None, T=None) -> list:
     todo = [i for i, r in enumerate(results) if r is None]
     if not todo:
         return results
-    if len(todo) < len(T):
+    if len(todo) < count:
         d, norm = d[:, todo], norm[todo]
     raw, margin = _chern(d, norm)
     for i, r, m in zip(todo, raw.tolist(), margin.tolist()):

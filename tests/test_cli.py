@@ -18,7 +18,7 @@ except ImportError:  # not a POSIX system
 from topowalk import cli, config, spectrum, topology
 from topowalk import symmetry as sym
 from topowalk.errors import BoundaryStateError, InvalidInputError
-from topowalk.protocols import PROTOCOL_IDS, registry_lookup, stacked_params
+from topowalk.protocols import PROTOCOL_IDS, Plan, registry_lookup, stacked_params
 
 PI = math.pi
 
@@ -429,7 +429,7 @@ def count_stacks(monkeypatch, name):
     sizes, real = [], getattr(topology, name)
 
     def counting(pid, grid_n, *, angles=None, T=None):
-        sizes.append(len(stacked_params(registry_lookup(pid), angles, T)[1]))
+        sizes.append(len(next(iter(stacked_params(registry_lookup(pid), angles, T).values()))))
         return real(pid, grid_n, angles=angles, T=T)
 
     monkeypatch.setattr(topology, name, counting)
@@ -655,30 +655,34 @@ class TestSweepBudget:
         assert stacks == [count]
 
     def test_fig2_fits_only_the_walks_with_closings(self, tmp_path, monkeypatch):
-        # the gap fits are the one plan compiled with (closing, axis, sign, s) angles
-        plans, real = [], topology.two_band_plan
+        # the gap fits are the one stack plan's coins indexed per closing, with
+        # (closing, axis, sign, s) axes
+        fits, real = [], Plan.select
 
-        def recording(spec, *, angles=None, T=None):
-            plans.append(angles or {})
-            return real(spec, angles=angles, T=T)
+        def recording(plan, walks, ndim=1):
+            if ndim == 4:
+                fits.append(walks)
+            return real(plan, walks, ndim)
 
-        monkeypatch.setattr(topology, "two_band_plan", recording)
+        monkeypatch.setattr(Plan, "select", recording)
+        cfg = FIXTURE_DIR / "fig2.cfg"
         out = tmp_path / "fig2.json"
-        assert run(["classify-gaps", "--config", str(FIXTURE_DIR / "fig2.cfg"),
-                    "--out", str(out)]) == 0
+        assert run(["classify-gaps", "--config", str(cfg), "--out", str(out)]) == 0
         closing = [r["sweep_value"] for r in json.loads(out.read_text())["records"]
                    if r["gap_points"]]
         assert len(closing) == 9
-        fits = [a["alpha"] for a in plans if np.ndim(a.get("alpha")) == 4]
         assert len(fits) == 1
-        assert sorted(set(fits[0].ravel().tolist())) == closing
+        values = config.config_from_dict(json.loads(cfg.read_text())).sweep_values()
+        assert sorted({values[i] for i in fits[0]}) == closing
 
     @pytest.mark.parametrize("case", ["1d-invariant", "2d-invariant", "3d-classify"])
     def test_chunk_memory_is_bounded_by_the_budget(self, case):
         """A full chunk's traced peak is below 12 (1D `invariant`: the
         Fourier coefficients and the root count), 10 (2D `invariant`: d and
-        |d| are 4 floats a point) or 24 (3D `classify-gaps`: d and |d|, plus
-        the Gauss-Newton starts of 256 closings) x SWEEP_POINTS x 8 bytes."""
+        |d| are 4 floats a point) or 16 (3D `classify-gaps`: the mesh pass's
+        d, |d| and their temporaries; d and |d| are dropped after the scan,
+        before the Gauss-Newton refine of 256 closings) x SWEEP_POINTS x 8
+        bytes."""
         if case == "1d-invariant":
             doc = json.loads((FIXTURE_DIR / "fig6.cfg").read_text())
             doc.update(protocol="1d-split", grid=32)
@@ -692,7 +696,7 @@ class TestSweepBudget:
             doc = {"schema": "topowalk/v1", "protocol": "3d-phs", "steps": 1, "grid": 32,
                    "angles": {"alpha": 0.7, "gamma": 0.4},
                    "sweep": {"symbol": "beta", "start": 0.1, "stop": 3.1, "count": 4}}
-            bound, fn = 24, cli._classify_chunk_records
+            bound, fn = 16, cli._classify_chunk_records
         cfg = config.config_from_dict(doc)
         points = cli._scan_points(cfg)
         chunk = cfg.sweep_values()[:cli.SWEEP_POINTS // points]
@@ -1360,19 +1364,21 @@ class TestPerProcessParser:
     @pytest.mark.parametrize("name", [f"fig{i}" for i in range(1, 12)])
     def test_specs_at_binds_as_registry_lookup(self, name):
         """A chunk's stack, `walk_params` of the array of its values, holds
-        the bits of each walk that `registry_lookup` binds at one value."""
+        the bits of the effective angles T theta of each walk that
+        `registry_lookup` binds at one value."""
         cfg = config.config_from_dict(json.loads((FIXTURE_DIR / f"{name}.cfg").read_text()))
         cfg.validate()
         values = cfg.sweep_values()
         spec = registry_lookup(cfg.protocol)
-        angles, T = stacked_params(spec, *cfg.walk_params(np.array(values)))
-        assert T.dtype == np.int64 and all(a.dtype == np.float64 for a in angles.values())
+        angles = stacked_params(spec, *cfg.walk_params(np.array(values)))
+        assert all(a.dtype == np.float64 for a in angles.values())
         for i, value in enumerate(values):
             want = cfg.spec_at(value)
-            assert list(angles) == list(want.angles) and T[i] == want.T
+            assert list(angles) == list(want.angles)
             assert [a[i].tobytes() for a in angles.values()] == [
-                np.float64(a).tobytes() for a in want.angles.values()]
-        assert len(stacked_params(spec, *cfg.walk_params(np.array(values[:0])))[1]) == 0
+                (want.T * np.float64(a)).tobytes() for a in want.angles.values()]
+        empty = stacked_params(spec, *cfg.walk_params(np.array(values[:0])))
+        assert all(len(a) == 0 for a in empty.values())
 
 
 # The fuzzed boundary: config documents drawn from the key table, then

@@ -254,7 +254,7 @@ def test_stacked_angle_must_be_real(bad):
 def test_real_angles_of_every_numeric_type_are_taken():
     for theta in (1, 0.5, np.float32(0.5), np.int64(1), np.array(0.5)):
         assert pr.registry_lookup("1d-phs", angles={"alpha": theta}).angles["alpha"] == float(theta)
-    angles, _ = pr.stacked_params(pr.registry_lookup("1d-phs"), {"alpha": [0.5, 1]})
+    angles = pr.stacked_params(pr.registry_lookup("1d-phs"), {"alpha": [0.5, 1]})
     assert angles["alpha"].tolist() == [0.5, 1.0]
 
 

@@ -8,6 +8,9 @@ not count.  The few names that only the tests read are listed, each with the
 reason it stays.  A name is matched by its identifier alone, so a local
 variable of the same name elsewhere counts as a reach: the check can miss
 dead code, but never flags live code.
+
+No function below the public entry points takes a step number T: they fold
+it into the effective angles once, so it cannot creep back below them.
 """
 import ast
 from pathlib import Path
@@ -85,3 +88,29 @@ def test_only_the_gap_search_builds_a_dense_mesh():
                for name, owner in _references(ast.parse(path.read_text()), strings=False)
                if name == "_mesh_bloch"}
     assert readers == {("topology", "_closings")}
+
+
+# the public entry points that take a step number; every other function of
+# `topology` and `symmetry`, and every `Plan` method, reads the effective
+# angles T theta that `protocols.stacked_params` (or `compile_plan`) bound once
+STEP_NUMBER_ENTRY_POINTS = {
+    ("topology", "find_gap_closings"), ("topology", "classify_boundary"),
+    ("topology", "sweep_boundaries"), ("topology", "winding_number"),
+    ("topology", "chern_number"), ("topology", "sweep_invariants"),
+    ("symmetry", "chiral_axes"),
+}
+
+
+def test_no_step_number_below_the_entry_points():
+    takers = set()
+    for stem in ("topology", "symmetry", "protocols"):
+        tree = ast.parse((SRC / f"{stem}.py").read_text())
+        if stem == "protocols":
+            tree = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Plan")
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+                if any(p.arg == "T" for p in params):
+                    takers.add((stem, getattr(node, "name", "<lambda>")))
+    assert takers == STEP_NUMBER_ENTRY_POINTS

@@ -12,7 +12,7 @@ from topowalk import protocols as pr
 from topowalk import spectrum
 from topowalk import symmetry
 from topowalk import topology as tp
-from topowalk.errors import BoundaryStateError, InvalidInputError
+from topowalk.errors import BoundaryStateError, InvalidInputError, WalkError
 from topowalk.spectrum import EPS_GAP
 
 PI = np.pi
@@ -111,7 +111,8 @@ def test_gap_point_merge_matches_pairwise_reference():
     # copies one period away and copies within MERGE_TOL, which must merge,
     # and copies at the other quasi-energy, which must not
     spec = pr.registry_lookup("3d-simple", angles={"beta": 0.0})
-    *_, pts, d0, resid = tp._closings(spec, *pr.stacked_params(spec), 32, [2 * PI] * 3)
+    plan, terms = tp._stack(spec, pr.stacked_params(spec))
+    _, pts, d0, resid = tp._gauss_newton(plan, *tp._closings(terms, 32, [2 * PI] * 3)[2:])
     assert len(pts) == 2048
     pts, d0, resid = pts[:60], d0[:60], resid[:60]
     pts = np.concatenate([pts, pts + [2 * PI, 0.0, -2 * PI], pts + 0.3 * tp.MERGE_TOL, pts])
@@ -232,9 +233,9 @@ class TestBoundaryTaxonomy:
     def test_default_closings_come_from_one_mesh_pass(self, monkeypatch):
         shapes, real = [], tp._mesh_bloch
 
-        def counting(plan, axes, shape):
+        def counting(terms, axes, shape):
             shapes.append(shape)
-            return real(plan, axes, shape)
+            return real(terms, axes, shape)
 
         monkeypatch.setattr(tp, "_mesh_bloch", counting)
         cls = tp.classify_boundary("1d-phs", angles={"alpha": PI / 2, "beta": PI / 2}, T=6)
@@ -353,7 +354,7 @@ class TestFlatBandBound:
         dim = spec.dimension
         angles = {s: rng.uniform(-PI, PI, 4) for s in spec.symbols}
         T = rng.integers(1, 5, 4)
-        flat = tp._flat_bands(spec, *pr.stacked_params(spec, angles, T))
+        flat = tp._flat_bands(tp._stack(spec, pr.stacked_params(spec, angles, T))[1])
         mesh = np.meshgrid(*symmetry.momentum_axes(dim, {1: 64, 2: 24, 3: 16}[dim]),
                            indexing="ij", sparse=True)
         for (bound, energy), t, i in zip(flat, T.tolist(), range(4)):
@@ -367,18 +368,12 @@ class TestFlatBandBound:
             npt.assert_allclose(bound, np.arccos(max(b0 - spread, -1.0))
                                 - np.arccos(min(b0 + spread, 1.0)), rtol=0, atol=1e-9)
 
-    def test_bound_of_a_synthetic_polynomial(self, monkeypatch, rng):
+    def test_bound_of_a_synthetic_polynomial(self, rng):
         """Complex coefficients at f and -f, and at f whose -f a lacks: the
         bound and energy are those of the FFT of d0 = Re a on a fine mesh."""
         freqs = (np.array([-1.0, 1.0, 2.0]), np.array([0.0, 1.0]))
         coef = 0.05 * (rng.normal(size=(3, 3, 2)) + 1j * rng.normal(size=(3, 3, 2)))
-
-        class Plan:
-            def fourier(self):
-                return (freqs, coef), None
-
-        monkeypatch.setattr(tp, "_plan", lambda *args: Plan())
-        flat = tp._flat_bands(pr.registry_lookup("2d-phs"), {}, np.ones(3))
+        flat = tp._flat_bands(((freqs, coef), None))
         k0, k1 = np.meshgrid(*symmetry.momentum_axes(2, 16), indexing="ij", sparse=True)
         for (bound, energy), c in zip(flat, coef):
             a = sum(c[i, j] * np.exp(1j * (f0 * k0 + f1 * k1))
@@ -450,7 +445,7 @@ def test_gap_fits_equal_the_per_closing_loop(pid, T, angles):
     points = tp.find_gap_closings(spec, grid_n=32)
     assert points
     got = [(c.kind, c.evidence)
-           for c in tp._classify(spec, *pr.stacked_params(spec), [points])[0]]
+           for c in tp._classify(*tp._stack(spec, pr.stacked_params(spec)), [points])[0]]
     assert got == _loop_classify(spec, points)
 
 
@@ -691,15 +686,16 @@ class TestStackInput:
             sweep("2d-phs", 32, angles={"alpha": PI / 3, "beta": PI / 4, **angles}, T=T)
 
     def test_stacked_params_broadcast_to_one_shape(self):
+        """The stack's effective angles: its angles times its step numbers,
+        int64 times float64, broadcast to one shape (V,)."""
         spec = pr.registry_lookup("2d-nosym", T=3, angles={"gamma": 0.25})
-        angles, T = pr.stacked_params(spec, {"alpha": [0.5, -0.5]})
-        assert T.dtype == np.int64 and T.tolist() == [3, 3]
+        angles = pr.stacked_params(spec, {"alpha": [0.5, -0.5]})
         assert {s: a.tolist() for s, a in angles.items()} == {
-            "alpha": [0.5, -0.5], "beta": [0.0, 0.0], "gamma": [0.25, 0.25]}
+            "alpha": [1.5, -1.5], "beta": [0.0, 0.0], "gamma": [0.75, 0.75]}
         assert all(a.dtype == np.float64 for a in angles.values())
-        angles, T = pr.stacked_params(spec, T=np.array([2.0, 4.0]))
-        assert T.dtype == np.int64 and T.tolist() == [2, 4]
-        assert pr.stacked_params(spec)[1].tolist() == [3]  # scalars: a stack of one
+        angles = pr.stacked_params(spec, T=np.array([2.0, 4.0]))
+        assert angles["gamma"].tobytes() == (np.array([2, 4], np.int64) * 0.25).tobytes()
+        assert pr.stacked_params(spec)["gamma"].tolist() == [0.75]  # scalars: a stack of one
         with pytest.raises(InvalidInputError, match="at most 64 bits"):
             pr.stacked_params(spec, T=np.array([2.0 ** 63]))
 
@@ -847,13 +843,12 @@ class TestChernNearBoundary:
         # {0, pi/2, pi/3, 0.7} per angle x T in {1, 2, 3}: the integer and
         # status of the count equal the rounded plaquette solid-angle sum on
         # the same mesh, after the same gap search
-        searches, search = [], tp._closings
-
-        def closings(*args):
-            searches.append(search(*args))
-            return searches[-1]
-
-        monkeypatch.setattr(tp, "_closings", closings)
+        searches = {"_closings": [], "_gauss_newton": []}
+        for name, calls in searches.items():
+            def recording(*args, real=getattr(tp, name), calls=calls):
+                calls.append(real(*args))
+                return calls[-1]
+            monkeypatch.setattr(tp, name, recording)
         symbols = pr.registry_lookup(pid).symbols
         specs = [pr.registry_lookup(pid, T=T, angles=dict(zip(symbols, a)))
                  for T in (1, 2, 3) for a in product((0.0, PI / 2, PI / 3, 0.7),
@@ -861,7 +856,8 @@ class TestChernNearBoundary:
         for grid_n in (32, 64):
             got = [None if r is None else r[0]
                    for r in tp.sweep_invariants(pid, grid_n, **as_stack(specs))]
-            d, norm, which, _, _, resid = searches.pop()
+            d, norm = searches["_closings"].pop()[:2]
+            which, _, _, resid = searches["_gauss_newton"].pop()
             raw, margin = _rolled_chern(d, norm)
             closed = set(which[resid <= EPS_GAP].tolist())
             want = [None if i in closed or m <= EPS_GAP or abs(r - round(r)) > tp.QUANT_TOL
@@ -874,24 +870,118 @@ class TestChernNearBoundary:
 TWO_BAND_IDS = [pid for pid in pr.PROTOCOL_IDS if pr.REGISTRY[pid].bands == 2]
 
 
+def _outcome(fn):
+    """What fn() gives, as bytes to compare: the bytes of its arrays, the
+    repr of anything else, or the type and message of the WalkError raised."""
+    try:
+        out = fn()
+    except WalkError as err:
+        return type(err), str(err)
+    if isinstance(out, tuple):
+        return [x.tobytes() for x in out]
+    return out.tobytes() if isinstance(out, np.ndarray) else repr(out)
+
+
+class TestStepNumberBinding:
+    """A coin rotates by T theta and a shift carries no T, so U_T(theta) =
+    U_1(T theta): the entry points fold T into the effective angles once, and
+    a stack at (theta, T) is the stack at (T theta, 1), bit for bit."""
+
+    @pytest.mark.parametrize("pid", TWO_BAND_IDS)
+    def test_public_sweeps_read_t_theta_alone(self, rng, pid):
+        spec = pr.registry_lookup(pid)
+        count = 5 if spec.dimension < 3 else 2
+        T = rng.integers(1, 9, count)
+        angles = {s: rng.uniform(-PI, PI, count) for s in spec.symbols}
+        k = rng.uniform(-PI, PI, (7, spec.dimension))
+        sides = []
+        for walk in ({"angles": angles, "T": T},
+                     {"angles": {s: T * a for s, a in angles.items()}, "T": 1}):
+            column = {"angles": {s: a[:, None] for s, a in walk["angles"].items()},
+                      "T": np.reshape(walk["T"], (-1, 1))}
+            sides.append([_outcome(lambda: tp.sweep_invariants(pid, 32, **walk)),
+                          _outcome(lambda: tp.sweep_boundaries(pid, 8, **walk)),
+                          _outcome(lambda: spectrum.bands_with_velocity(pid, k, **column)),
+                          _outcome(lambda: symmetry.chiral_axes(spec, **walk))])
+        assert sides[0] == sides[1]
+        chiral = symmetry._chiral_coin(spec.dimension, spec.elements) is not None
+        assert isinstance(sides[0][3], bytes) == chiral  # a non-chiral walk raises alike
+        assert (sides[0][0][0] is InvalidInputError) == (spec.dimension == 3)
+
+
+def test_walk_without_a_coin_is_a_stack_of_one():
+    """A walk with no coin has no angles, so its stack is one walk: a pure
+    shift exp(i k sigma_z) closes its gap at k = 0 and -pi, as Dirac cones."""
+    spec = pr.ProtocolSpec(id="shift-only", dimension=1, elements=(pr.shift_both(1, 0),))
+    assert sorted(p.k for p in tp.find_gap_closings(spec)) == [(-PI,), (0.0,)]
+    assert [c.kind for c in tp.classify_boundary(spec)] == ["dirac_type_one"] * 2
+
+
+class TestOnePlanPerStack:
+    """Each stack route compiles its plan once and expands it in Fourier terms
+    once: the mesh, the flat-band check and the 1D windings read the same
+    terms, and the refine and the gap fits index the plan's walks."""
+
+    WALK = {"angles": {"alpha": PI / 4, "beta": (PI / 4 + PI) / 3}, "T": 6}
+
+    @staticmethod
+    def _counts(monkeypatch, fn):
+        """(compile_plan calls, Plan.fourier calls) of fn()."""
+        calls = [0, 0]
+        compile_plan, fourier = pr.compile_plan, pr.Plan.fourier
+
+        def compiling(*args, **kwargs):
+            calls[0] += 1
+            return compile_plan(*args, **kwargs)
+
+        def expanding(plan):
+            calls[1] += 1
+            return fourier(plan)
+
+        with monkeypatch.context() as patch:
+            for module in (pr, spectrum):
+                patch.setattr(module, "compile_plan", compiling)
+            patch.setattr(pr.Plan, "fourier", expanding)
+            assert fn()
+        return tuple(calls)
+
+    def test_each_route_compiles_and_expands_once(self, monkeypatch):
+        points = tp.find_gap_closings("1d-phs", **self.WALK)
+        symmetry.chiral_axes(pr.registry_lookup("1d-chs"))  # `_chiral_coin`'s cache warm
+        ladder = np.linspace(0.1, 2.0, 5)
+        routes = {
+            "find_gap_closings": lambda: tp.find_gap_closings("1d-phs", **self.WALK),
+            "classify_boundary": lambda: tp.classify_boundary("1d-phs", **self.WALK),
+            "classify_boundary given": lambda: tp.classify_boundary(
+                "1d-phs", gap_points=points, **self.WALK),
+            "sweep_boundaries 3d": lambda: tp.sweep_boundaries(  # 16 closings, then none
+                "3d-split", 8, angles={"alpha": 0.7, "beta": [0.9, 1.3], "gamma": 0.4}, T=1),
+            "sweep_invariants 1d": lambda: tp.sweep_invariants(
+                "1d-chs", 32, angles={"alpha": ladder, "beta": 0.4}, T=3),
+            "sweep_invariants 2d": lambda: tp.sweep_invariants(
+                "2d-phs", 32, angles={"alpha": PI / 3, "beta": ladder}, T=2),
+        }
+        counts = {name: self._counts(monkeypatch, fn) for name, fn in routes.items()}
+        assert counts == {name: (1, 1) for name in routes}
+
+
 def _assert_mesh_matches_step_loop(spec, rng, period):
     """`_mesh_bloch`, for a stack of three walks of `spec` and for one, equals
     the step loop's d on the open mesh, turned into the Chern count's frame
     (CHERN_FRAME d), within 1e-14."""
     dim = spec.dimension
-    lead = (3,) + (1,) * dim
     stacked = spectrum.two_band_plan(
-        spec, angles={s: rng.uniform(-PI, PI, lead) for s in spec.symbols},
-        T=rng.integers(1, 6, lead))
+        spec, angles={s: rng.uniform(-PI, PI, 3) for s in spec.symbols}, T=rng.integers(1, 6, 3))
     single = spectrum.two_band_plan(spec, angles=generic_angles(spec, rng), T=4)
     for grid_n in ({1: 37, 2: 13, 3: 5}[dim], 2):
         axes = symmetry.momentum_axes(dim, grid_n, [period] * dim)
         mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-        for plan, walks in ((stacked, (3,)), (single, ())):
+        for plan, loop, walks in ((stacked, stacked.select(slice(None), 1 + dim), (3,)),
+                                  (single, single, ())):
             shape = walks + (grid_n,) * dim
-            d = spectrum.bloch_entries(*plan.entries(mesh))[1]
+            d = spectrum.bloch_entries(*loop.entries(mesh))[1]
             want = np.stack([np.broadcast_to(x, shape) for x in d])
-            got, norm = tp._mesh_bloch(plan, axes, shape)
+            got, norm = tp._mesh_bloch(plan.fourier(), axes, shape)
             npt.assert_allclose(got, np.tensordot(tp.CHERN_FRAME, want, axes=1),
                                 rtol=0, atol=1e-14)
             npt.assert_allclose(norm, np.sqrt((want * want).sum(axis=0)), rtol=0, atol=1e-14)
@@ -931,28 +1021,25 @@ class TestMeshFourier:
         specs = [spec.with_params(T=2 + i % 4, **generic_angles(spec, rng)) for i in range(count)]
         if count > 1:
             specs[1] = spec.with_params(T=1, **{s: 0.0 for s in spec.symbols})
-        lead = (len(specs),) + (1,) * dim
         plan = spectrum.two_band_plan(
-            spec, angles={s: np.reshape([w.angles[s] for w in specs], lead)
-                          for s in spec.symbols},
-            T=np.reshape([w.T for w in specs], lead))
+            spec, angles={s: np.array([w.angles[s] for w in specs]) for s in spec.symbols},
+            T=np.array([w.T for w in specs]))
         for grid_n in ({1: 40, 2: 12, 3: 6}[dim], 13, 37):
             axes = symmetry.momentum_axes(dim, grid_n)
-            out, norm = tp._mesh_bloch(plan, axes, (len(specs),) + (grid_n,) * dim)
+            out, norm = tp._mesh_bloch(plan.fourier(), axes, (len(specs),) + (grid_n,) * dim)
             for i, walk in enumerate(specs):
-                alone, alone_norm = tp._mesh_bloch(spectrum.two_band_plan(walk), axes,
+                alone, alone_norm = tp._mesh_bloch(spectrum.two_band_plan(walk).fourier(), axes,
                                                    (grid_n,) * dim)
                 assert out[:, i].tobytes() == alone.tobytes()
                 assert norm[i].tobytes() == alone_norm.tobytes()
 
 
 def _stacked_plan(pid, count, rng):
-    """The plan of `count` walks of `pid` at random angles and T = 2, as (V, 1, ...)
-    arrays the way `topology._closings` stacks a chunk of sweep values."""
+    """The plan of `count` walks of `pid` at random angles and T = 2, as (V,)
+    arrays the way `topology._stack` compiles a chunk of sweep values."""
     spec = pr.registry_lookup(pid)
-    lead = (count,) + (1,) * spec.dimension
-    angles = {s: rng.uniform(-PI, PI, count).reshape(lead) for s in spec.symbols}
-    return spectrum.two_band_plan(spec, angles=angles, T=np.full(lead, 2)), spec.dimension
+    angles = {s: rng.uniform(-PI, PI, count) for s in spec.symbols}
+    return spectrum.two_band_plan(spec, angles=angles, T=np.full(count, 2)), spec.dimension
 
 
 def _at_block_sizes(monkeypatch, fn):
@@ -979,7 +1066,7 @@ class TestBlocks:
         axes = symmetry.momentum_axes(dim, grid_n)
         shape = (count,) + (grid_n,) * dim
         one, *blocked = _at_block_sizes(monkeypatch, lambda: _as_bytes(
-            tp._mesh_bloch(plan, axes, shape)))
+            tp._mesh_bloch(plan.fourier(), axes, shape)))
         assert one[0][0] == (3,) + shape and one[1][0] == shape
         assert all(b == one for b in blocked)
 
