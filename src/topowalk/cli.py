@@ -33,9 +33,11 @@ allocated (`_chunks`).  So the chunk boundaries depend on the config alone.
 workers: pass 1 is a few milliseconds of numerics per chunk, less than a
 pool costs to start and to send the floats back.  Pass 1 computes each
 chunk's numbers and no text.  Pass 2 formats every float of the run once per
-distinct magnitude and writes the rows chunk by chunk as they are formed;
-the output is opened only after pass 1 has computed every number.  The
-magnitudes are formatted by a numpy kernel
+distinct magnitude and writes the rows chunk by chunk as they are formed,
+each chunk's in one uint8 buffer into which each cell's text is gathered
+once, by np.take from a contiguous table (a 2-D fancy index is 3-4x
+slower on its narrow rows); the output is opened only after pass 1 has
+computed every number.  The magnitudes are formatted by a numpy kernel
 (`_repr_block`) that writes the bytes of repr, the shortest decimal that
 rounds back; repr itself runs only on the values the kernel cannot prove:
 those outside [1e-4, 1e16), 0, subnormals, inf, NaN and exact ties at the
@@ -223,17 +225,17 @@ def _repr_block(x, text, z) -> np.ndarray:
 
 def _repr_text(mags) -> np.ndarray:
     """The repr of each float of the sorted, non-negative array `mags` as the
-    rows of a uint8 array, padded with NUL bytes: by `_repr_block` in blocks
-    of REPR_BATCH, and by repr for the values it leaves."""
-    text = np.zeros((len(mags), 23), np.uint8)  # no repr is longer than 23 characters
+    rows of a C-contiguous uint8 array of 24 bytes: a NUL slot for a sign,
+    then the text padded with NUL bytes; by `_repr_block` in blocks of
+    REPR_BATCH, and by repr for the values it leaves."""
+    text = np.zeros((len(mags), 24), np.uint8)  # a sign slot; no repr is longer than 23 bytes
     z = np.empty((min(len(mags), REPR_BATCH), 20), np.uint8)
     for i in range(0, len(mags), REPR_BATCH):
         x = mags[i:i + REPR_BATCH]
-        rest = np.flatnonzero(~_repr_block(x, text[i:i + REPR_BATCH], z[:len(x)]))
+        rest = np.flatnonzero(~_repr_block(x, text[i:i + REPR_BATCH, 1:], z[:len(x)]))
         texts = np.array([repr(v) for v in x[rest].tolist()], dtype="S23")
-        text[i + rest] = texts.view(np.uint8).reshape(len(rest), 23)
-    width = next((w for w in range(23, 0, -1) if text[:, w - 1].any()), 0)
-    return text[:, :width]
+        text[i + rest, 1:] = texts.view(np.uint8).reshape(len(rest), 23)
+    return text
 
 
 def _float_cells(arrays):
@@ -242,16 +244,19 @@ def _float_cells(arrays):
     in which NUL bytes are padding.  Each distinct magnitude across all of
     them (np.unique of the bit patterns of |x|) is formatted once, by
     `_repr_text`, and a cell whose sign bit is set, -0.0 too and NaN aside,
-    gets "-" before its magnitude's text: repr(-m) == "-" + repr(m)."""
+    gets "-" before its magnitude's text: repr(-m) == "-" + repr(m).
+
+    A cell's sign slot and text are gathered by one np.take of whole rows
+    of the contiguous table, then cut to the longest text: a 2-D fancy index
+    (table[i]) is 3-4x slower on these narrow rows, and a take from a
+    column slice of the table copies the whole table on every call."""
     mags, inverse = np.unique(np.concatenate([np.abs(a).ravel() for a in arrays]).view(np.int64),
                               return_inverse=True)
-    text = _repr_text(mags.view(np.float64))
-    start = 0
-    for a in arrays:
-        cells = np.empty(a.shape + (1 + text.shape[1],), np.uint8)
-        cells[..., 0] = np.where(np.signbit(a) & ~np.isnan(a), ord("-"), 0)
-        cells[..., 1:] = text[inverse[start:start + a.size]].reshape(cells[..., 1:].shape)
-        start += a.size
+    table = _repr_text(mags.view(np.float64))
+    width = next((w for w in range(23, 0, -1) if table[:, w].any()), 0)
+    for a, ix in zip(arrays, np.split(inverse, np.cumsum([a.size for a in arrays])[:-1])):
+        cells = np.take(table, ix, axis=0)[:, :1 + width].reshape(a.shape + (1 + width,))
+        cells[..., 0] = (np.signbit(a) & ~np.isnan(a)) * np.uint8(ord("-"))
         yield cells
 
 
@@ -259,20 +264,24 @@ def _bands_rows(parts, chunks, k):
     """Pass 2 of `bands`: the CSV text of each chunk's rows in turn, formed as
     it is asked for, from the sweep values `parts`, their pass-1 `chunks` and
     the grid k.  A chunk's rows are laid out as fixed-width fields in one
-    uint8 array; their text is its bytes with the NUL padding left out."""
+    uint8 buffer, each field (sweep, k, cell and comma, status) written once
+    into its slice; their text is its bytes with the NUL padding left out."""
     k_text = _ascii([",".join(map(repr, row)) + "," for row in k.tolist()])
     status = _ascii(["gapped\n", "gapless\n"])
+    tail = status.shape[1]
     floats = _float_cells([cells for cells, _ in chunks])
     for values, cells, (_, gapless) in zip(parts, floats, chunks):
         cells[gapless, 1:] = 0  # a gapless row's velocity cells are empty
-        comma = np.full(cells.shape[:-1] + (1,), ord(","), np.uint8)
         sweep = _ascii([repr(v) + "," for v in values])
-        shape = gapless.shape
-        row = np.concatenate([np.broadcast_to(sweep[:, None], shape + sweep.shape[-1:]),
-                              np.broadcast_to(k_text, shape + k_text.shape[-1:]),
-                              np.concatenate([cells, comma], axis=-1).reshape(shape + (-1,)),
-                              status[gapless.astype(np.intp)]], axis=-1)
-        yield row[row != 0].tobytes().decode("ascii")
+        head = sweep.shape[1] + k_text.shape[1]
+        row = np.empty(gapless.shape + (head + cells[0, 0].size + cells.shape[2] + tail,), np.uint8)
+        row[..., :sweep.shape[1]] = sweep[:, None]
+        row[..., sweep.shape[1]:head] = k_text
+        fields = row[..., head:-tail].reshape(cells.shape[:-1] + (-1,))
+        fields[..., :-1] = cells
+        fields[..., -1] = ord(",")
+        row[..., -tail:] = np.take(status, gapless, axis=0)
+        yield str(row[row != 0], "ascii")
 
 
 def _invariant_chunk_rows(cfg: SweepConfig, values) -> str:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -356,6 +357,62 @@ class TestBandsEmit:
         text = capsys.readouterr().out
         assert text.count("\n") == 1 + (cli.CHUNK_POINTS // 256 + 2) * 256
         assert text.encode() == out.read_bytes()
+
+
+def plain_bands_rows(parts, chunks, k):
+    """The CSV rows of `bands` from pass 1's floats by plain repr and str ops."""
+    k_text = ["".join(repr(x) + "," for x in row) for row in k.tolist()]
+    rows = []
+    for values, (cells, gapless) in zip(parts, chunks):
+        for value, value_cells, value_gapless in zip(values, cells.tolist(), gapless.tolist()):
+            for point, (e_plus, *vel), closed in zip(k_text, value_cells, value_gapless):
+                rows.append(repr(value) + "," + point + repr(e_plus) + ","
+                            + "".join(("" if closed else repr(v)) + "," for v in vel)
+                            + ("gapless" if closed else "gapped") + "\n")
+    return "".join(rows)
+
+
+class TestBandsRows:
+    def test_bytes_do_not_depend_on_the_chunk_split(self, tmp_path, monkeypatch):
+        # fig9: 9 values of 32 x 32 points, split 1 value a chunk, 3 a chunk,
+        # 4 a chunk (4 + 4 + 1) and by the default budget (8 + 1)
+        argv = ["bands", "--config", str(FIXTURE_DIR / "fig9.cfg"), "--out"]
+        calls, outs = [], {}
+        chunk = cli._bands_chunk
+        monkeypatch.setattr(cli, "_bands_chunk", lambda *a, **kw: calls.append(1) or chunk(*a, **kw))
+        for per_chunk, count in ((1, 9), (3, 3), (4, 3), (None, 2)):
+            with pytest.MonkeyPatch.context() as mp:
+                if per_chunk:
+                    mp.setattr(cli, "CHUNK_POINTS", per_chunk * 32 ** 2)
+                calls.clear()
+                out = tmp_path / f"{per_chunk}.csv"
+                assert run(argv + [str(out)]) == 0
+            assert len(calls) == count
+            outs[per_chunk] = out.read_bytes()
+        assert all(o == outs[None] for o in outs.values())
+        # not vacuous: gapless rows, negative cells and exponent-form cells
+        text = outs[None].decode()
+        assert text.count(",gapless\n") == 432
+        cells = [c for line in text.splitlines()[1:] for c in line.split(",")[3:-1]]
+        assert any(c.startswith("-") for c in cells)
+        assert any("e-" in c for c in cells)
+
+    @pytest.mark.parametrize("name, pick, split", [("fig9", slice(None), 8),
+                                                   ("fig1", slice(88, 93), 2)])
+    def test_rows_equal_plain_reference(self, name, pick, split):
+        # fig1's values 88..92 hold the gapless rows of value 90
+        cfg = config.config_from_dict(
+            json.loads((FIXTURE_DIR / f"{name}.cfg").read_text())).validate()
+        k = sym.bz_grid(registry_lookup(cfg.protocol).dimension, cfg.grid)
+        values = cfg.sweep_values()[pick]
+        parts = [values[:split], values[split:]]
+        chunks = [cli._bands_chunk(cfg, part, k) for part in parts]
+        assert all(gapless.any() for _, gapless in chunks[1:])
+        got, want = "".join(cli._bands_rows(parts, chunks, k)), plain_bands_rows(parts, chunks, k)
+        if got != want:  # the first row that differs, not a diff of two megabyte strings
+            pytest.fail(repr(next(pair for pair in zip_longest(got.splitlines(True),
+                                                               want.splitlines(True))
+                                  if pair[0] != pair[1])))
 
 
 class TestInvariant:
