@@ -32,16 +32,17 @@ allocated (`_chunks`).  So the chunk boundaries depend on the config alone.
 `bands` runs in two passes, both in the calling process for any number of
 workers: pass 1 is a few milliseconds of numerics per chunk, less than a
 pool costs to start and to send the floats back.  Pass 1 computes each
-chunk's numbers and no text.  Pass 2 formats every float of the run once per
-distinct magnitude and writes the rows chunk by chunk as they are formed,
-each chunk's in one uint8 buffer into which each cell's text is gathered
-once, by np.take from a contiguous table (a 2-D fancy index is 3-4x
-slower on its narrow rows); the output is opened only after pass 1 has
-computed every number.  The magnitudes are formatted by a numpy kernel
-(`_repr_block`) that writes the bytes of repr, the shortest decimal that
-rounds back; repr itself runs only on the values the kernel cannot prove:
-those outside [1e-4, 1e16), 0, subnormals, inf, NaN and exact ties at the
-final digit count.
+chunk's e_plus and velocities and no text; `bands_with_velocity` makes the
+velocities NaN where the gap is closed, which makes the row gapless.  Pass 2
+formats every float of the run, k included, once per distinct magnitude and
+writes the rows chunk by chunk as they are formed, each chunk's in one uint8
+buffer into which each cell's text is gathered once, by np.take from a
+contiguous table (a 2-D fancy index is 3-4x slower on its narrow rows); the
+output is opened only after pass 1 has computed every number.  The
+magnitudes are formatted by a numpy kernel (`_repr_block`) that writes the
+bytes of repr, the shortest decimal that rounds back; repr itself runs only
+on the values the kernel cannot prove: those outside [1e-4, 1e16), 0,
+subnormals, inf, NaN and exact ties at the final digit count.
 """
 from __future__ import annotations
 
@@ -61,7 +62,7 @@ from .config import (KEYS, LINK_KEYS, SCHEMA, SWEEP_KEYS, SweepConfig, config_fr
 from .errors import (ClassificationError, InvalidInputError, UnknownProtocolError,
                      WalkError)
 from .protocols import PROTOCOL_IDS, registry_lookup
-from .spectrum import EPS_GAP, bands_with_velocity
+from .spectrum import bands_with_velocity
 from . import config, symmetry, topology
 
 # sweep values x grid points per plan pass of `bands`, and per piece of text
@@ -94,14 +95,14 @@ def _entry(text: str, keys=None) -> tuple:
     return sym.strip(), value if keys is None else _split(value, keys)
 
 
-def _bands_chunk(cfg: SweepConfig, values, k) -> tuple:
+def _bands_chunk(cfg: SweepConfig, values, k) -> np.ndarray:
     """Pass 1 of `bands` for a contiguous chunk of sweep values, from one plan
     pass: the swept, linked and step parameters are (V, 1) arrays against the
-    (N,) grid k.  Returns the (V, N, 1 + dim) floats e_plus, v_k1, ... and the
-    (V, N) gapless mask; no text."""
+    (N,) grid k.  Returns the (V, N, 1 + dim) floats e_plus, v_k1, ..., the
+    velocities NaN where the gap is closed (`bands_with_velocity`); no text."""
     angles, T = cfg.walk_params(np.array(values)[:, None])
-    e_plus, norm, vel = bands_with_velocity(cfg.protocol, k, angles=angles, T=T)
-    return np.concatenate([e_plus[..., None], vel], axis=-1), norm <= EPS_GAP
+    e_plus, _, vel = bands_with_velocity(cfg.protocol, k, angles=angles, T=T)
+    return np.concatenate([e_plus[..., None], vel], axis=-1)
 
 
 def _ascii(texts) -> np.ndarray:
@@ -263,22 +264,27 @@ def _float_cells(arrays):
 def _bands_rows(parts, chunks, k):
     """Pass 2 of `bands`: the CSV text of each chunk's rows in turn, formed as
     it is asked for, from the sweep values `parts`, their pass-1 `chunks` and
-    the grid k.  A chunk's rows are laid out as fixed-width fields in one
-    uint8 buffer, each field (sweep, k, cell and comma, status) written once
-    into its slice; their text is its bytes with the NUL padding left out."""
-    k_text = _ascii([",".join(map(repr, row)) + "," for row in k.tolist()])
+    the (N, dim) grid k.  A row is gapless where its velocities are NaN.  A
+    chunk's rows are laid out as fixed-width fields in one uint8 buffer: the
+    sweep text, the 2 dim + 1 cells of k, e_plus and v, each followed by a
+    comma, and the status, each written once into its slice; their text is
+    its bytes with the NUL padding left out."""
     status = _ascii(["gapped\n", "gapless\n"])
     tail = status.shape[1]
-    floats = _float_cells([cells for cells, _ in chunks])
-    for values, cells, (_, gapless) in zip(parts, floats, chunks):
+    dim = k.shape[1]
+    floats = _float_cells([k] + chunks)
+    k_cells = next(floats)
+    for values, chunk, cells in zip(parts, chunks, floats):
+        gapless = np.isnan(chunk[..., 1])
         cells[gapless, 1:] = 0  # a gapless row's velocity cells are empty
         sweep = _ascii([repr(v) + "," for v in values])
-        head = sweep.shape[1] + k_text.shape[1]
-        row = np.empty(gapless.shape + (head + cells[0, 0].size + cells.shape[2] + tail,), np.uint8)
-        row[..., :sweep.shape[1]] = sweep[:, None]
-        row[..., sweep.shape[1]:head] = k_text
-        fields = row[..., head:-tail].reshape(cells.shape[:-1] + (-1,))
-        fields[..., :-1] = cells
+        head = sweep.shape[1]
+        row = np.empty(gapless.shape + (head + (dim + cells.shape[2]) * (cells.shape[3] + 1)
+                                        + tail,), np.uint8)
+        row[..., :head] = sweep[:, None]
+        fields = row[..., head:-tail].reshape(gapless.shape + (dim + cells.shape[2], -1))
+        fields[..., :dim, :-1] = k_cells
+        fields[..., dim:, :-1] = cells
         fields[..., -1] = ord(",")
         row[..., -tail:] = np.take(status, gapless, axis=0)
         yield str(row[row != 0], "ascii")
@@ -432,7 +438,7 @@ def _cmd_bands(args) -> int:
               + [f"v_k{i+1}" for i in range(dim)] + ["status"])
     parts = _chunks(cfg, cfg.grid ** dim, CHUNK_POINTS)
     k = symmetry.bz_grid(dim, cfg.grid)
-    chunks = _map_values(cfg, parts, partial(_bands_chunk, k=k), 1)  # no pool: see the module doc
+    chunks = [_bands_chunk(cfg, values, k) for values in parts]  # no pool: see the module doc
     _write_text(cfg.out, chain([",".join(header) + "\n"], _bands_rows(parts, chunks, k)))
     return 0
 

@@ -105,10 +105,11 @@ class SweepConfig(SimpleNamespace):
                 f"steps {self.steps} conflicts with the sweep over T, which sets the step number")
         if self.workers < 1:
             raise InvalidInputError("workers must be >= 1")
-        cpus = os.cpu_count() or 1
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
         if self.workers > cpus:
             raise InvalidInputError(
-                f"workers {self.workers} exceeds the {cpus} CPUs of this machine")
+                f"workers {self.workers} exceeds the {cpus} CPUs this process may use")
         return self
 
     def sweep_values(self):

@@ -1,8 +1,6 @@
 """Quasi-energy bands, Bloch decomposition, and group velocities.
 
-Two independent routes are provided and cross-validated in the tests:
-
-* the production *plan* route: `bloch` reads d0 = Re a, d = (-Im c, Re c,
+* The production *plan* route: `bloch` reads d0 = Re a, d = (-Im c, Re c,
   -Im a) off the entries (a, c) of the special-unitary compiled plan,
   U = [[a, -conj(c)], [c, conj(a)]] = d0 I - i d.sigma (E = arccos(d0),
   n = d/|d|); `bands_with_velocity` adds dE/dk_i from the plan's exact
@@ -11,9 +9,10 @@ Two independent routes are provided and cross-validated in the tests:
   from the element products (see scripts/verify_closed_forms.py for the exact
   symbolic verification of every formula); they are the checked reference.
 
-The matrix *oracle* `bands_from_unitary(build_unitary(...))` (`oracle_bands`)
-factors the determinant phase out of any 2x2 unitary and splits all four
-entries by its own formula; the tests hold the plan and the closed forms to it.
+`bands_from_unitary` (`bloch_split`) factors the determinant phase out of
+any 2x2 unitary and splits all four entries by its own formula; the tests
+hold the plan route to its split of their matrix-exponential U(k), and the
+closed forms to the plan.
 """
 from __future__ import annotations
 
@@ -60,7 +59,7 @@ class Bands:
 
 
 def bands_from_unitary(U) -> Bands:
-    """Oracle decomposition of 2x2 unitaries into (d0, d, e_plus)."""
+    """Decomposition of any 2x2 unitaries into (d0, d, e_plus) (`bloch_split`)."""
     d0, d, phase = bloch_split(U)
     return Bands(d0=d0, d=d, e_plus=np.arccos(np.clip(d0, -1.0, 1.0)), phase=phase)
 
@@ -75,12 +74,6 @@ def two_band_plan(spec_or_id, *, angles=None, T=None) -> Plan:
     return compile_plan(spec, angles=angles, T=T)
 
 
-def oracle_bands(spec_or_id, k, *, angles=None, T=None) -> Bands:
-    """The matrix oracle: U(k) as 2x2 matrices (the two-band `build_unitary`),
-    decomposed by `bloch_split`; `angles` and `T` as in `two_band_plan`."""
-    return bands_from_unitary(two_band_plan(spec_or_id, angles=angles, T=T).unitary(k))
-
-
 def bloch(spec_or_id, k, *, angles=None, T=None) -> Bands:
     """(d0, d, e_plus) of a two-band walk at momenta k, read from its compiled
     plan; `angles` and `T` as in `two_band_plan`."""
@@ -92,7 +85,8 @@ def bands_with_velocity(spec_or_id, k, *, angles=None, T=None):
     """(e_plus, |d|, v) of a two-band walk from one pass of its compiled plan.
 
     v[..., i] = dE_+/dk_i = -(d d0/dk_i)/|d| with d0 = Re a, read from the
-    exact k-derivative of the entries; NaN where the gap is closed.
+    exact k-derivative of the entries; NaN exactly where the gap is closed,
+    |d| <= EPS_GAP, so a caller reads the gap rule from the NaN.
     `angles` and `T` as in `two_band_plan`.
     """
     entries, grads = two_band_plan(spec_or_id, angles=angles, T=T).entries_and_grad(k)
@@ -470,7 +464,7 @@ def rho_closed_form(pid: str, angles: Mapping, T, k):
 
 
 def d_closed_form(pid: str, angles: Mapping, T, k):
-    """Analytic Bloch vector d (the +-band convention of the oracle route)."""
+    """Analytic Bloch vector d (the +-band convention of `bloch`)."""
     return _closed_form(1, pid, angles, T, k)
 
 

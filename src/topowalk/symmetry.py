@@ -3,17 +3,19 @@
 Relations are checked on the one-step unitary U(k) of `build_unitary`, in
 their Floquet form (Kitagawa, Berg, Rudner & Demler, PRB 82, 235114, 2010):
 
-    phs:  M U*(k') M^dag = U(k)         (antiunitary, k' = -k by default)
-    trs:  M U*(k') M^dag = U(k)^dag     (antiunitary, k' = -k by default)
-    chs:  M^dag U(k') M  = U(k)^dag     (unitary, k' = k)
+    phs:  M U*(-k) M^dag = U(k)         (antiunitary)
+    trs:  M U*(-k) M^dag = U(k)^dag     (antiunitary)
+    chs:  M^dag U(k) M   = U(k)^dag     (unitary)
 
 With U = exp(-i H), each is the exponential of the Hamiltonian relation
-M H*(k') M^dag = -H(k), M H*(k') M^dag = +H(k) and M^dag H(k') M = -H(k), and
+M H*(-k) M^dag = -H(k), M H*(-k) M^dag = +H(k) and M^dag H(k) M = -H(k), and
 is equivalent to it wherever H = i log U is defined.  On U it holds at every
 momentum, band touchings at quasi-energy 0 or pi included, so no momentum is
-masked.  `classify` and `operator_search` evaluate U(k) and, if an operator
-flips momentum, U(-k) once on the open mesh of the BZ grid and reduce every
-relation's residual from them, each with one matrix product.
+masked.  The relation decides how its operator acts: phs and trs (ANTIUNITARY)
+conjugate and compare k with -k, chs does neither, so a `SymmetryOperator` is
+only its matrix and a label.  `classify` and `operator_search` evaluate U(k)
+and, for an antiunitary relation, U(-k) once on the open mesh of the BZ grid
+and reduce every relation's residual from them, each with one matrix product.
 
 The classification table bundles, for every registered protocol, a designated
 operator set realizing its catalog row.  Three rows (2d-split, 3d-split trs
@@ -45,18 +47,22 @@ _BRANCH_MARGIN = 1e-6  # |d| below which `chiral_axis_fit` treats a momentum as 
 CLASSIFY_GRID = {1: 129, 2: 24, 3: 10}  # points per axis of `classify`'s BZ grid
 
 _PAULIS = {"s0": SIGMA_0, "sx": SIGMA_X, "sy": SIGMA_Y, "sz": SIGMA_Z}
+RELATIONS = ("phs", "trs", "chs")
+ANTIUNITARY = {"phs", "trs"}  # operator M K at -k; chs's operator is M at the same k
 
 
 @dataclass(frozen=True)
 class SymmetryOperator:
+    """The matrix M of a symmetry operator; the relation it is checked under
+    decides whether it acts as M K at -k (ANTIUNITARY) or as M at k."""
     matrix: np.ndarray
-    antiunitary: bool
-    momentum_flip: bool
     label: str = ""
 
-    def square(self) -> Optional[int]:
+    def square(self, relation: str) -> Optional[int]:
+        """+1 or -1, the square of the operator as `relation` applies it
+        (M M* if antiunitary, else M M), or None if it is neither."""
         M = np.asarray(self.matrix)
-        S = M @ (M.conj() if self.antiunitary else M)
+        S = M @ (M.conj() if relation in ANTIUNITARY else M)
         n = S.shape[0]
         for s in (1, -1):
             if np.abs(S - s * np.eye(n)).max() <= SQUARE_TOL:
@@ -84,8 +90,8 @@ def _open_mesh(dimension: int, n: int) -> List[np.ndarray]:
 
 
 def _grid_pair(spec: ProtocolSpec, k, flip: bool):
-    """U at the momenta k (a batch or an open mesh), then U at -k if `flip`,
-    else the same array again."""
+    """U at the momenta k (a batch or an open mesh), then U at -k if `flip`
+    (an antiunitary relation is checked), else the same array again."""
     ks = _as_momenta(spec, k)
     U = build_unitary(spec, ks)
     return U, (build_unitary(spec, tuple(-x for x in ks)) if flip else U)
@@ -93,28 +99,30 @@ def _grid_pair(spec: ProtocolSpec, k, flip: bool):
 
 def _residual(op: SymmetryOperator, relation: str, U, Up) -> float:
     """Max over the grid of the relation residual (sup norm), U at k and Up at
-    the momenta op compares k with.  The sandwich L = A X B of every point is
-    one row of the (points, n^2) @ kron(A^T, B) product, row-major."""
+    the momenta the relation compares k with (-k if ANTIUNITARY, else k).  The
+    sandwich L = A X B of every point is one row of the (points, n^2) @
+    kron(A^T, B) product, row-major."""
     if not U.size:
         raise DegenerateGridError("no momenta on the grid")
     M = np.asarray(op.matrix, dtype=complex)
     n = M.shape[0]
-    X = (Up.conj() if op.antiunitary else Up).reshape(-1, n * n)
-    # chs: M^dag X M; phs and trs: M X M^dag
-    K = np.kron(M.conj(), M) if relation == "chs" else np.kron(M.T, M.conj().T)
+    anti = relation in ANTIUNITARY
+    X = (Up.conj() if anti else Up).reshape(-1, n * n)
+    # phs and trs: M X M^dag; chs: M^dag X M
+    K = np.kron(M.T, M.conj().T) if anti else np.kron(M.conj(), M)
     L = (X @ K).reshape(U.shape)
     # exp of the H relation (L_H = -H(k) for phs and chs, +H(k) for trs) gives U^dag or
-    # U; an antiunitary op conjugates U = exp(-iH) to exp(+iH*), which swaps the two
-    target = U if op.antiunitary != (relation == "trs") else np.swapaxes(U, -1, -2).conj()
+    # U; the conjugation of phs and trs turns U = exp(-iH) to exp(+iH*), which swaps the two
+    target = U if relation == "phs" else np.swapaxes(U, -1, -2).conj()
     return float(np.abs(L - target).max())
 
 
 def check_relation(spec: ProtocolSpec, op: SymmetryOperator, relation: str,
                    k_grid: np.ndarray) -> float:
     """Max over the grid of the relation residual on U (sup norm)."""
-    if relation not in ("phs", "trs", "chs"):
+    if relation not in RELATIONS:
         raise InvalidInputError(f"unknown relation {relation!r}")
-    return _residual(op, relation, *_grid_pair(spec, k_grid, op.momentum_flip))
+    return _residual(op, relation, *_grid_pair(spec, k_grid, relation in ANTIUNITARY))
 
 
 def chiral_axis_fit(spec: ProtocolSpec):
@@ -224,34 +232,21 @@ def default_candidates(spec: ProtocolSpec) -> List[Tuple[str, np.ndarray]]:
     return cands
 
 
-_CANONICAL_COMBOS = {  # relation -> (antiunitary, momentum flip)
-    "phs": (True, True),
-    "trs": (True, True),
-    "chs": (False, False),
-}
-
-
 def operator_search(spec: ProtocolSpec, relation: str, n_per_axis: int = 16):
     """The `default_candidates` operators that satisfy the relation within
-    RESIDUAL_TOL on an n_per_axis BZ grid, in their conventional realization:
-    antiunitary comparing k to -k for phs/trs, unitary at the same k for chs.
-    (The *no-flip* antiunitary channel is satisfied kinematically by sigma_y K
-    for every two-band walk, sigma_y U*(k) sigma_y = U(k) for every SU(2)
-    matrix U, so it says nothing about the protocol and is never tried.)
-
-    Only operators with a well-defined square (+-1) are kept.  Returns a list
-    of (SymmetryOperator, residual) sorted by residual; n_per_axis = 0 finds
-    none.
+    RESIDUAL_TOL on an n_per_axis BZ grid, each acting as the relation
+    decides (ANTIUNITARY).  Only operators with a well-defined square (+-1)
+    under the relation are kept.  Returns a list of (SymmetryOperator,
+    residual) sorted by residual; n_per_axis = 0 finds none.
     """
-    if relation not in _CANONICAL_COMBOS:
+    if relation not in RELATIONS:
         raise InvalidInputError(f"unknown relation {relation!r}")
     _integer("n_per_axis", n_per_axis, 0)
-    anti, flip = _CANONICAL_COMBOS[relation]
-    grids = _grid_pair(spec, _open_mesh(spec.dimension, n_per_axis), flip)
+    grids = _grid_pair(spec, _open_mesh(spec.dimension, n_per_axis), relation in ANTIUNITARY)
     found = []
     for name, M in default_candidates(spec):
-        op = SymmetryOperator(matrix=M, antiunitary=anti, momentum_flip=flip, label=name)
-        if op.square() is None:
+        op = SymmetryOperator(M, name)
+        if op.square(relation) is None:
             continue
         try:
             r = _residual(op, relation, *grids)
@@ -319,41 +314,32 @@ def designated_operators(spec: ProtocolSpec) -> Dict[str, SymmetryOperator]:
     ops: Dict[str, SymmetryOperator] = {}
     declared = _DECLARED.get(pid, ())
 
-    def K(matrix, label):
-        return SymmetryOperator(matrix=matrix, antiunitary=True, momentum_flip=True,
-                                label=label)
-
-    def uni(matrix, label):
-        return SymmetryOperator(matrix=matrix, antiunitary=False, momentum_flip=False,
-                                label=label)
-
     if spec.doubled is None:
         if squares[0] and "phs" not in declared:
-            ops["phs"] = K(SIGMA_0, "K")
+            ops["phs"] = SymmetryOperator(SIGMA_0, "K")
         if squares[2] and "chs" not in declared:
-            G = axis_sigma(chiral_axis(spec))
-            ops["chs"] = uni(G, "A.sigma")
+            ops["chs"] = SymmetryOperator(axis_sigma(chiral_axis(spec)), "A.sigma")
         if squares[1] and "trs" not in declared:
             # composition Gamma o P: antiunitary with matrix G (P is plain K)
-            ops["trs"] = K(ops["chs"].matrix, "A.sigma K")
+            ops["trs"] = SymmetryOperator(ops["chs"].matrix, "A.sigma K")
     elif spec.doubled == "transpose_block":
         if squares[1]:
-            ops["trs"] = K(tensor(SIGMA_Y, SIGMA_0), "yxs0 K")
+            ops["trs"] = SymmetryOperator(tensor(SIGMA_Y, SIGMA_0), "yxs0 K")
         if squares[0] == 1:
-            ops["phs"] = K(np.eye(4, dtype=complex), "K")
+            ops["phs"] = SymmetryOperator(np.eye(4, dtype=complex), "K")
         elif squares[0] == -1 and "phs" not in declared:
             G = axis_sigma(chiral_axis(spec))
-            ops["phs"] = K(_offdiag(G, -G.conj()), "offdiag(G,-G*) K")
+            ops["phs"] = SymmetryOperator(_offdiag(G, -G.conj()), "offdiag(G,-G*) K")
         if squares[2] and "chs" not in declared:
             if squares[0] == 1:
-                ops["chs"] = uni(tensor(SIGMA_X, SIGMA_0), "xxs0")
+                ops["chs"] = SymmetryOperator(tensor(SIGMA_X, SIGMA_0), "xxs0")
             else:
                 G = axis_sigma(chiral_axis(spec))
-                ops["chs"] = uni(block_diag2(G, G.conj()), "diag(G,G*)")
+                ops["chs"] = SymmetryOperator(block_diag2(G, G.conj()), "diag(G,G*)")
     elif spec.doubled == "conjugate_block":
-        ops["phs"] = K(tensor(SIGMA_Y, SIGMA_0), "yxs0 K")
+        ops["phs"] = SymmetryOperator(tensor(SIGMA_Y, SIGMA_0), "yxs0 K")
     elif spec.doubled == "trs_sandwich":
-        ops["trs"] = K(tensor(SIGMA_Y, SIGMA_0), "yxs0 K")
+        ops["trs"] = SymmetryOperator(tensor(SIGMA_Y, SIGMA_0), "yxs0 K")
     return ops
 
 
@@ -387,12 +373,12 @@ class SymmetryReport:
 def _designated_residuals(spec: ProtocolSpec, ops: Dict[str, SymmetryOperator]
                           ) -> Dict[str, float]:
     """Each designated operator's residual on the CLASSIFY_GRID BZ grid, all
-    from one evaluation of U(k) and, if an operator flips momentum, U(-k)."""
+    from one evaluation of U(k) and, if a relation is ANTIUNITARY, U(-k)."""
     if not ops:
         return {}
     mesh = _open_mesh(spec.dimension, CLASSIFY_GRID[spec.dimension])
-    U, Um = _grid_pair(spec, mesh, any(op.momentum_flip for op in ops.values()))
-    return {rel: _residual(op, rel, U, Um if op.momentum_flip else U)
+    U, Um = _grid_pair(spec, mesh, not ANTIUNITARY.isdisjoint(ops))
+    return {rel: _residual(op, rel, U, Um if rel in ANTIUNITARY else U)
             for rel, op in ops.items()}
 
 
@@ -410,7 +396,7 @@ def classify(spec_or_id) -> SymmetryReport:
     declared = _DECLARED.get(pid, ())
     residuals: Dict[str, float] = {}
     verified: Dict[str, bool] = {}
-    for rel, sq in zip(("phs", "trs", "chs"), squares):
+    for rel, sq in zip(RELATIONS, squares):
         if sq == 0:
             continue
         if rel in declared:
@@ -421,7 +407,7 @@ def classify(spec_or_id) -> SymmetryReport:
         if r > RESIDUAL_TOL:
             raise ClassificationError(
                 f"{pid}: designated {rel} operator {op.label!r} failed: residual {r:.3e}")
-        got = op.square()
+        got = op.square(rel)
         if got != sq:
             raise ClassificationError(
                 f"{pid}: designated {rel} operator squares to {got}, catalog says {sq}")

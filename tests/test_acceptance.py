@@ -87,9 +87,8 @@ def test_criterion_03_analytic_vs_numeric_velocity():
         k = np.asarray(picks)
         for ax in range(spec.dimension):
             vc = sp.group_velocity_closed(pid, spec.angles, spec.T, k, ax)
-            step = h * np.eye(spec.dimension)[ax]  # a central difference of the oracle
-            vn = (sp.oracle_bands(spec, k + step).e_plus
-                  - sp.oracle_bands(spec, k - step).e_plus) / (2 * h)
+            step = h * np.eye(spec.dimension)[ax]  # a central difference of `bloch`
+            vn = (sp.bloch(spec, k + step).e_plus - sp.bloch(spec, k - step).e_plus) / (2 * h)
             worst = max(worst, float(np.abs(vc - vn).max()))
     _report(3, worst <= 1e-6,
             f"9 protocols x 500 open-gap points, max |V_closed - V_fd| = {worst:.2e}")
@@ -356,7 +355,8 @@ def test_criterion_12_cli_determinism(tmp_path):
     blobs = {}
     for cmd, name in (("bands", "b"), ("invariant", "i"), ("classify-gaps", "g")):
         outs = []
-        # two workers: the most a 2-CPU host accepts (workers <= os.cpu_count())
+        # two workers: the most a 2-CPU host accepts (workers <= the CPUs
+        # this process may use)
         for tag, workers in (("1", "1"), ("2", "1"), ("3", "2")):
             out = tmp_path / f"{name}{tag}.out"
             assert cli.main([cmd, "--config", str(path), "--out", str(out),

@@ -28,6 +28,13 @@ def run(argv):
     return cli.main(argv)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may use, at which `SweepConfig.validate` caps --workers."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def small_bands_cfg(tmp_path, **overrides):
     doc = {
         "schema": "topowalk/v1",
@@ -113,9 +120,9 @@ class TestBands:
             k = np.array([[float(x) for x in r[1:1 + dim]] for r in gapped])
             walk, h = registry_lookup(protocol, T=2, angles={**angles, "beta": 0.7}), 1e-5
             for ax in range(dim):
-                step = h * np.eye(dim)[ax]  # the central difference of the matrix oracle
-                vn = (spectrum.oracle_bands(walk, k + step).e_plus
-                      - spectrum.oracle_bands(walk, k - step).e_plus) / (2 * h)
+                step = h * np.eye(dim)[ax]  # the central difference of `bloch`
+                vn = (spectrum.bloch(walk, k + step).e_plus
+                      - spectrum.bloch(walk, k - step).e_plus) / (2 * h)
                 v = np.array([float(r[2 + dim + ax]) for r in gapped])
                 assert np.abs(v - vn).max() <= 1e-8
 
@@ -173,7 +180,7 @@ class TestBandsChunks:
         path = small_bands_cfg(tmp_path, sweep=sweep, **overrides)
         outs = []
         # more workers than CPUs is a usage error
-        for workers in ["1", "2"] if (os.cpu_count() or 1) >= 2 else ["1"]:
+        for workers in ["1", "2"] if usable_cpus() >= 2 else ["1"]:
             out = tmp_path / f"w{workers}.csv"
             assert run(["bands", "--config", str(path), "--out", str(out),
                         "--workers", workers] + flags) == 0
@@ -244,7 +251,7 @@ def bands_fixture_floats():
             json.loads((FIXTURE_DIR / f"{name}.cfg").read_text())).validate()
         dim = registry_lookup(cfg.protocol).dimension
         k = sym.bz_grid(dim, cfg.grid)
-        floats[name] = [cli._bands_chunk(cfg, values, k)[0]
+        floats[name] = [cli._bands_chunk(cfg, values, k)
                          for values in cli._chunks(cfg, cfg.grid ** dim, cli.CHUNK_POINTS)]
     return floats
 
@@ -344,7 +351,8 @@ class TestBandsEmit:
         def no_pool(*a, **kw):
             raise AssertionError("a worker pool was started")
         monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # --workers 2 is valid on any host
+        # --workers 2 is valid on any host
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert run(["bands", "--config", str(cfg), "--out", str(two), "--workers", "2"]) == 0
         assert two.read_bytes() == one.read_bytes()
 
@@ -359,13 +367,16 @@ class TestBandsEmit:
         assert text.encode() == out.read_bytes()
 
 
-def plain_bands_rows(parts, chunks, k):
-    """The CSV rows of `bands` from pass 1's floats by plain repr and str ops."""
+def plain_bands_rows(cfg, parts, chunks, k):
+    """The CSV rows of `bands` from pass 1's floats by plain repr and str ops;
+    a row is gapless where |d| <= EPS_GAP by `bands_with_velocity`."""
     k_text = ["".join(repr(x) + "," for x in row) for row in k.tolist()]
     rows = []
-    for values, (cells, gapless) in zip(parts, chunks):
-        for value, value_cells, value_gapless in zip(values, cells.tolist(), gapless.tolist()):
-            for point, (e_plus, *vel), closed in zip(k_text, value_cells, value_gapless):
+    for values, cells in zip(parts, chunks):
+        for value, value_cells in zip(values, cells.tolist()):
+            _, norm, _ = spectrum.bands_with_velocity(cfg.spec_at(value), k)
+            gapless = (norm <= spectrum.EPS_GAP).tolist()
+            for point, (e_plus, *vel), closed in zip(k_text, value_cells, gapless):
                 rows.append(repr(value) + "," + point + repr(e_plus) + ","
                             + "".join(("" if closed else repr(v)) + "," for v in vel)
                             + ("gapless" if closed else "gapped") + "\n")
@@ -407,8 +418,9 @@ class TestBandsRows:
         values = cfg.sweep_values()[pick]
         parts = [values[:split], values[split:]]
         chunks = [cli._bands_chunk(cfg, part, k) for part in parts]
-        assert all(gapless.any() for _, gapless in chunks[1:])
-        got, want = "".join(cli._bands_rows(parts, chunks, k)), plain_bands_rows(parts, chunks, k)
+        assert all(np.isnan(chunk).any() for chunk in chunks[1:])  # gapless rows
+        got = "".join(cli._bands_rows(parts, chunks, k))
+        want = plain_bands_rows(cfg, parts, chunks, k)
         if got != want:  # the first row that differs, not a diff of two megabyte strings
             pytest.fail(repr(next(pair for pair in zip_longest(got.splitlines(True),
                                                                want.splitlines(True))
@@ -511,7 +523,7 @@ class TestInvariantChunks:
         stacks = count_stacks(monkeypatch, "sweep_invariants")
         outs = []
         # more workers than CPUs is a usage error; a pool's calls are made in its processes
-        for workers in ["1", "2"] if (os.cpu_count() or 1) >= 2 else ["1"]:
+        for workers in ["1", "2"] if usable_cpus() >= 2 else ["1"]:
             out = tmp_path / f"w{workers}.csv"
             assert run(["invariant", "--config", str(path), "--out", str(out),
                         "--workers", workers]) == 0
@@ -568,7 +580,7 @@ class TestInvariantChunks:
         argv = ["invariant", "--config", str(FIXTURE_DIR / "fig10.cfg"), "--grid", "96"]
         outs = []
         # more workers than CPUs is a usage error
-        for workers in ["1", "2"] if (os.cpu_count() or 1) >= 2 else ["1"]:
+        for workers in ["1", "2"] if usable_cpus() >= 2 else ["1"]:
             out = tmp_path / f"w{workers}.csv"
             assert run(argv + ["--out", str(out), "--workers", workers]) == 0
             outs.append(out.read_bytes())
@@ -631,7 +643,7 @@ class TestClassifyGaps:
         monkeypatch.setattr(cli, "SWEEP_POINTS", 2 * scan_n ** int(overrides["protocol"][0]))
         stacks = count_stacks(monkeypatch, "sweep_boundaries")
         # more workers than CPUs is a usage error; a pool's calls are made in its processes
-        for workers in ["1", "2"] if (os.cpu_count() or 1) >= 2 else ["1"]:
+        for workers in ["1", "2"] if usable_cpus() >= 2 else ["1"]:
             out = tmp_path / f"w{workers}.json"
             assert run(argv + [str(out), "--workers", workers]) == 0
             outs.append(out.read_bytes())
@@ -698,7 +710,7 @@ class TestSweepBudget:
         for budget in (cli.SWEEP_POINTS, 1):  # the default, then one value per chunk
             monkeypatch.setattr(cli, "SWEEP_POINTS", budget)
             # more workers than CPUs is a usage error
-            for workers in ["1", "2"] if (os.cpu_count() or 1) >= 2 else ["1"]:
+            for workers in ["1", "2"] if usable_cpus() >= 2 else ["1"]:
                 out = tmp_path / f"{budget}-w{workers}"
                 assert run(argv + [str(out), "--workers", workers]) == 0
                 outs.append(out.read_bytes())
@@ -1097,7 +1109,7 @@ class TestUsageErrors:
         def no_pool(*a, **kw):
             raise AssertionError("a worker pool was started")
         monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
-        cpus = os.cpu_count() or 1
+        cpus = usable_cpus()
         cfg = small_bands_cfg(tmp_path)
         assert run(["bands", "--config", str(cfg), "--out", "-",
                     "--workers", str(cpus + 1)]) == 2
@@ -1110,6 +1122,23 @@ class TestUsageErrors:
             with pytest.raises(InvalidInputError, match="exceeds the"):
                 config.config_from_dict({**doc, "workers": workers}).validate()
         config.config_from_dict({**doc, "workers": cpus}).validate()
+
+    def test_workers_capped_at_the_affinity_mask(self, tmp_path, capsys, monkeypatch):
+        # a process pinned to one CPU of a larger machine may start one worker;
+        # only the answer of os.sched_getaffinity is replaced, no real mask
+        def no_pool(*a, **kw):
+            raise AssertionError("a worker pool was started")
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        argv = ["invariant", "--protocol", "1d-chs", "--set", "beta=0.5",
+                "--sweep", "alpha:0.1:1.0:4", "--out", "-", "--workers"]
+        assert run(argv + ["2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: workers 2 exceeds the 1 CPUs this process may use"]
+        assert run(argv + ["1"]) == 0
 
     def test_missing_config_file(self, tmp_path, capsys):
         # unreadable config and output paths are usage errors, not exit 1 with a traceback
@@ -1136,6 +1165,7 @@ class TestUsageErrors:
         def reached(*a, **kw):
             raise AssertionError("a sweep value was computed")
         monkeypatch.setattr(cli, "_map_values", reached)
+        monkeypatch.setattr(cli, "_bands_chunk", reached)
         cfg = small_bands_cfg(tmp_path)
         assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()
@@ -1181,7 +1211,7 @@ class TestUsageErrors:
 
         def boom(*a, **kw):
             raise GaplessError("synthetic failure")
-        monkeypatch.setattr(cli, "_map_values", boom)
+        monkeypatch.setattr(cli, "_bands_chunk", boom)
         cfg = small_bands_cfg(tmp_path)
         (tmp_path / "3d").mkdir()
         flat = small_bands_cfg(tmp_path / "3d", protocol="3d-simple", angles={},
@@ -1208,7 +1238,7 @@ class TestUsageErrors:
 
         def boom(*a, **kw):
             raise GaplessError("synthetic failure")
-        monkeypatch.setattr(cli, "_map_values", boom)
+        monkeypatch.setattr(cli, "_bands_chunk", boom)
         cfg = small_bands_cfg(tmp_path)
         assert run(["bands", "--config", str(cfg), "--out", "-"]) == 3
 

@@ -1,17 +1,15 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import generic_angles
+from conftest import generic_angles, reference_unitary
 from topowalk import protocols as pr
 from topowalk.errors import InvalidInputError, UnknownProtocolError
 from topowalk.spectrum import (bands_from_unitary, bands_with_velocity, bloch, bloch_entries,
-                               oracle_bands, two_band_plan)
-from topowalk.su2 import (SIGMA_X, SIGMA_Y, SIGMA_Z, TAU_Y, block_diag2, tensor,
-                          unitarity_defect)
+                               two_band_plan)
+from topowalk.su2 import unitarity_defect
 from topowalk.symmetry import bz_grid, momentum_axes
 
 TWO_BAND_IDS = [pid for pid in pr.PROTOCOL_IDS if pr.REGISTRY[pid].bands == 2]
@@ -75,41 +73,6 @@ def test_1d_phs_matches_explicit_product():
     npt.assert_allclose(pr.build_unitary(spec, k), expected, atol=1e-14)
 
 
-def _reference_base(spec, k, angles, T):
-    """Product of coins exp(-i T theta/2 axis.sigma), by scipy's matrix
-    exponential, and diagonal shift matrices, in application order."""
-    batch = np.broadcast_shapes(k.shape[:-1], np.shape(T),
-                                *(np.shape(v) for v in angles.values()))
-    U = np.broadcast_to(np.eye(2, dtype=complex), batch + (2, 2))
-    for el in spec.elements:
-        if isinstance(el, pr.Coin):
-            gen = np.tensordot(el.axis, [SIGMA_X, SIGMA_Y, SIGMA_Z], axes=1)
-            theta = np.multiply(T, angles[el.symbol])
-            M = scipy.linalg.expm(-0.5j * np.asarray(theta)[..., None, None] * gen)
-        else:
-            M = np.zeros(k.shape[:-1] + (2, 2), dtype=complex)
-            M[..., 0, 0] = np.exp(1j * (k @ np.array(el.up, dtype=float)))
-            M[..., 1, 1] = np.exp(1j * (k @ np.array(el.down, dtype=float)))
-        U = M @ U
-    return U
-
-
-def _reference_unitary(spec, k, angles, T):
-    Uk = _reference_base(spec, k, angles, T)
-    if spec.doubled is None:
-        return Uk
-    Um = _reference_base(spec, -k, angles, T)
-    if spec.doubled == "transpose_block":
-        return block_diag2(Uk, np.swapaxes(Um, -1, -2))
-    if spec.doubled == "conjugate_block":
-        return block_diag2(Uk, Um.conj())
-    assert spec.doubled == "trs_sandwich"
-    eye = np.broadcast_to(np.eye(2, dtype=complex), Uk.shape)
-    wall = (np.cos(np.pi / 4) * np.eye(4)
-            - 1j * np.sin(np.pi / 4) * tensor(TAU_Y, SIGMA_Y))
-    return block_diag2(Uk, eye) @ wall @ block_diag2(eye, np.swapaxes(Um, -1, -2))
-
-
 @pytest.mark.parametrize("pid", pr.PROTOCOL_IDS)
 def test_kernel_matches_matrix_product_reference(pid, rng):
     spec = pr.registry_lookup(pid, T=3)
@@ -121,8 +84,7 @@ def test_kernel_matches_matrix_product_reference(pid, rng):
     cases = [({}, None), (array_angles, None), ({}, array_T), (array_angles, array_T)]
     for angles, T in cases:
         U = pr.build_unitary(spec, k, angles=angles, T=T)
-        ref = _reference_unitary(spec, k, {**spec.angles, **angles},
-                                 spec.T if T is None else T)
+        ref = reference_unitary(spec, k, angles, T)
         assert U.shape == (n, spec.bands, spec.bands)
         npt.assert_allclose(U, ref, rtol=0, atol=1e-14)
 
@@ -260,17 +222,17 @@ def test_real_angles_of_every_numeric_type_are_taken():
 
 def test_refine_norm_matches_oracle_route(rng):
     """|d| as the gap refinement reads it (the Bloch split of its compiled
-    plan's entries) against the matrix oracle."""
+    plan's entries) against the split of the matrix-exponential reference."""
     for pid in pr.PROTOCOL_IDS:
         spec = pr.registry_lookup(pid, T=4)
         if spec.bands != 2:
             continue
         spec = spec.with_params(**generic_angles(spec, rng))
         k = rng.uniform(-np.pi, np.pi, size=(32, spec.dimension))
-        oracle = np.linalg.norm(bands_from_unitary(pr.build_unitary(spec, k)).d, axis=-1)
+        want = np.linalg.norm(bands_from_unitary(reference_unitary(spec, k)).d, axis=-1)
         _, d = bloch_entries(*two_band_plan(spec).entries(k))
         refine = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
-        npt.assert_allclose(refine, oracle, rtol=0, atol=1e-15)
+        npt.assert_allclose(refine, want, rtol=0, atol=1e-15)
 
 
 def test_compile_rejects_walk_that_is_not_special_unitary():
@@ -418,8 +380,7 @@ def test_rejects_unknown_angle():
         pr.build_unitary(pr.registry_lookup("1d-chs"), np.zeros((2, 1)),
                          angles={"betta": 5.0})
     with pytest.raises(InvalidInputError):
-        oracle_bands("1d-chs", np.zeros((2, 1)),
-                     angles={"alpha": 0.3, "gamam": np.array([0.1, 0.2])})
+        bloch("1d-chs", np.zeros((2, 1)), angles={"alpha": 0.3, "gamam": np.array([0.1, 0.2])})
 
 
 def test_rejects_wrong_momentum_dimension():

@@ -19,8 +19,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "topowalk"
 
 TEST_ONLY = {
-    "oracle_bands": "the matrix oracle that the tests hold the plan and the closed forms to",
-    "group_velocity_closed": "a closed form of the paper; criterion 3 holds it to the oracle",
+    "group_velocity_closed": "a closed form of the paper; criterion 3 holds it to a central"
+                             " difference",
     "operator_search": "the search showing that the declared catalog rows have no operator",
 }
 
@@ -88,6 +88,15 @@ def test_only_the_gap_search_builds_a_dense_mesh():
                for name, owner in _references(ast.parse(path.read_text()), strings=False)
                if name == "_mesh_bloch"}
     assert readers == {("topology", "_closings")}
+
+
+def test_only_spectrum_and_topology_read_the_gap_threshold():
+    # one gap rule: `bands_with_velocity` writes NaN velocities exactly where
+    # |d| <= EPS_GAP, and `cli` marks a row gapless from the NaN
+    readers = {path.stem for path in sorted(SRC.glob("*.py"))
+               for name, _ in _references(ast.parse(path.read_text()), strings=False)
+               if name == "EPS_GAP"}
+    assert readers == {"spectrum", "topology"}
 
 
 # the public entry points that take a step number; every other function of

@@ -23,23 +23,21 @@ def _bound(pid, rng=None, T=3):
 class TestCheckRelation:
     def test_phs_via_complex_conjugation_for_real_walk(self):
         spec = _bound("1d-phs")
-        op = sym.SymmetryOperator(np.eye(2, dtype=complex), antiunitary=True,
-                                  momentum_flip=True, label="K")
+        op = sym.SymmetryOperator(np.eye(2, dtype=complex), label="K")
         grid = sym.bz_grid(1, 129)
         assert sym.check_relation(spec, op, "phs", grid) <= 1e-9
 
     def test_chiral_axis_relation_for_1d_chs(self):
         spec = _bound("1d-chs")
         G = sym.axis_sigma(sym.chiral_axis(spec))
-        op = sym.SymmetryOperator(G, antiunitary=False, momentum_flip=False, label="A.sigma")
+        op = sym.SymmetryOperator(G, label="A.sigma")
         grid = sym.bz_grid(1, 129)
         assert sym.check_relation(spec, op, "chs", grid) <= 1e-9
-        assert op.square() == 1
+        assert op.square("chs") == 1
 
     def test_identity_violates_chirality_maximally(self):
         spec = _bound("1d-phs")
-        op = sym.SymmetryOperator(np.eye(2, dtype=complex), antiunitary=False,
-                                  momentum_flip=False, label="1")
+        op = sym.SymmetryOperator(np.eye(2, dtype=complex), label="1")
         grid = sym.bz_grid(1, 65)
         # U - U^dag = -2i d.sigma, whose largest entry is max(|d_z|, |d_x - i d_y|)
         d = bands_from_unitary(pr.build_unitary(spec, grid)).d
@@ -47,16 +45,6 @@ class TestCheckRelation:
         resid = sym.check_relation(spec, op, "chs", grid)
         npt.assert_allclose(resid, expected, atol=1e-12)
         assert resid > 0.5
-
-    def test_literal_no_flip_variant_is_reported_worse_for_phs(self):
-        # the conjugation operator satisfies the relation at reversed momentum;
-        # without the flip the residual is macroscopic
-        spec = _bound("1d-phs")
-        grid = sym.bz_grid(1, 65)
-        op_flip = sym.SymmetryOperator(np.eye(2, dtype=complex), True, True, "K")
-        op_lit = sym.SymmetryOperator(np.eye(2, dtype=complex), True, False, "K")
-        assert sym.check_relation(spec, op_flip, "phs", grid) <= 1e-9
-        assert sym.check_relation(spec, op_lit, "phs", grid) > 1e-2
 
     def test_empty_grid_raises_and_empty_search_finds_nothing(self):
         spec = _bound("3d-diii")
@@ -75,7 +63,7 @@ class TestCheckRelation:
         # the bands touch at k = 0 and -pi, where H = i log U has no branch;
         # the relation on U is defined there
         spec = pr.registry_lookup("1d-phs", T=6, angles={"alpha": np.pi / 2, "beta": np.pi / 2})
-        op = sym.SymmetryOperator(np.eye(2, dtype=complex), True, True, "K")
+        op = sym.SymmetryOperator(np.eye(2, dtype=complex), "K")
         assert sym.check_relation(spec, op, "phs", np.array([[0.0], [-np.pi]])) <= 1e-12
 
 
@@ -83,11 +71,11 @@ class TestOperatorSearch:
     def test_1d_diii_phs_found_with_positive_square(self):
         hits = sym.operator_search(_bound("1d-diii"), "phs", n_per_axis=33)
         assert hits, "particle-hole candidates expected"
-        assert any(op.square() == 1 for op, _ in hits)
+        assert any(op.square("phs") == 1 for op, _ in hits)
 
     def test_1d_cii_phs_found_with_negative_square(self):
         hits = sym.operator_search(_bound("1d-cii"), "phs", n_per_axis=33)
-        assert any(op.square() == -1 for op, _ in hits)
+        assert any(op.square("phs") == -1 for op, _ in hits)
 
     def test_2d_nosym_all_searches_empty(self):
         spec = _bound("2d-nosym")
@@ -103,7 +91,7 @@ class TestOperatorSearch:
         spec = _bound("1d-diii")
         for n in (17, 33):
             hits = sym.operator_search(spec, "trs", n_per_axis=n)
-            squares = sorted({op.square() for op, _ in hits})
+            squares = sorted({op.square("trs") for op, _ in hits})
             assert squares == [-1, 1]  # flavor swap with either square; -1 designated
 
 
@@ -116,12 +104,10 @@ class TestCompositionAndGeometry:
         if not {"phs", "chs"} <= set(ops):
             pytest.skip("row lacks a verified operator pair")
         P, G = ops["phs"], ops["chs"]
-        # Gamma is unitary and P = M_P K, so (Gamma o P) = (Gamma M_P) K;
-        # the momentum flips compose by XOR
+        # Gamma is unitary at k and P = M_P K at -k, so (Gamma o P) = (Gamma M_P) K
+        # at -k, the form of the antiunitary trs
         M = np.asarray(G.matrix) @ np.asarray(P.matrix)
-        composed = sym.SymmetryOperator(M, antiunitary=True,
-                                        momentum_flip=G.momentum_flip ^ P.momentum_flip,
-                                        label="G o P")
+        composed = sym.SymmetryOperator(M, label="G o P")
         grid = sym.bz_grid(spec.dimension, {1: 65, 2: 16, 3: 8}[spec.dimension])
         assert sym.check_relation(spec, composed, "trs", grid) <= 1e-8
 
@@ -194,8 +180,7 @@ class TestStackedChiralAxes:
             assert ratio <= 1e-12
             assert min(np.abs(fitted - axis).max(), np.abs(fitted + axis).max()) <= 1e-12
             G = sym.axis_sigma(axis)
-            op = sym.SymmetryOperator(G if spec.bands == 2 else su2.block_diag2(G, G.conj()),
-                                      antiunitary=False, momentum_flip=False)
+            op = sym.SymmetryOperator(G if spec.bands == 2 else su2.block_diag2(G, G.conj()))
             assert sym.check_relation(spec, op, "chs", grid) <= 1e-12
 
     def test_analytic_axes_are_chiral_axis(self):
@@ -268,8 +253,9 @@ def _h_grid(spec, k):
 
 
 def _h_residual(op, relation, H, ok, Hp, okp):
-    """The relation on H over the momenta usable at k and k':
-    M H*(k') M^dag = -H(k) (phs), +H(k) (trs); M^dag H(k') M = -H(k) (chs)."""
+    """The relation on H over the momenta usable at k and k' (-k for phs and
+    trs, k for chs): M H*(k') M^dag = -H(k) (phs), +H(k) (trs);
+    M^dag H(k') M = -H(k) (chs)."""
     ok = ok & okp
     assert ok.any()
     target = H if relation == "trs" else -H
@@ -277,17 +263,15 @@ def _h_residual(op, relation, H, ok, Hp, okp):
 
 
 def _sandwich(op, relation, X):
-    """M^dag X' M (chs) or M X' M^dag (phs, trs) from two per-point matmuls,
-    X' = X* for an antiunitary op."""
+    """M^dag X M (chs) or M X* M^dag (phs, trs) from two per-point matmuls."""
     M = np.asarray(op.matrix, dtype=complex)
-    X = X.conj() if op.antiunitary else X
-    return M.conj().T @ X @ M if relation == "chs" else M @ X @ M.conj().T
+    return M.conj().T @ X @ M if relation == "chs" else M @ X.conj() @ M.conj().T
 
 
 def _two_matmul_residual(op, relation, U, Up):
     """The relation residual on U from `_sandwich`: the reference for the
-    one-product `_residual`."""
-    target = U if op.antiunitary != (relation == "trs") else np.swapaxes(U, -1, -2).conj()
+    one-product `_residual`.  Its target is U for phs and U^dag for trs and chs."""
+    target = U if relation == "phs" else np.swapaxes(U, -1, -2).conj()
     return float(np.abs(_sandwich(op, relation, Up) - target).max())
 
 
@@ -306,7 +290,7 @@ class TestResidualProduct:
         spec = sym._ensure_generic_angles(pr.registry_lookup(pid))
         U, Um = _classify_grids(spec)
         for rel, op in sym.designated_operators(spec).items():
-            at = Um if op.momentum_flip else U
+            at = U if rel == "chs" else Um
             assert abs(sym._residual(op, rel, U, at)
                        - _two_matmul_residual(op, rel, U, at)) <= 1e-15, (rel, op.label)
 
@@ -314,10 +298,10 @@ class TestResidualProduct:
         spec = sym._ensure_generic_angles(pr.registry_lookup("1d-cii"))
         U, Um = _classify_grids(spec)
         checked = 0
-        for rel, (anti, flip) in sym._CANONICAL_COMBOS.items():
+        for rel in ("phs", "trs", "chs"):
             for name, M in sym.default_candidates(spec):
-                op = sym.SymmetryOperator(M, anti, flip, name)
-                at = Um if flip else U
+                op = sym.SymmetryOperator(M, name)
+                at = U if rel == "chs" else Um
                 assert abs(sym._residual(op, rel, U, at)
                            - _two_matmul_residual(op, rel, U, at)) <= 1e-15, (rel, name)
                 checked += 1
@@ -335,11 +319,11 @@ class TestBlockHamiltonian:
             U, Um = pr.build_unitary(spec, k), pr.build_unitary(spec, -k)
             H, Hm = _h_grid(spec, k), _h_grid(spec, -k)
             ops = list(sym.designated_operators(spec).items())
-            for rel, (anti, flip) in sym._CANONICAL_COMBOS.items():
-                ops += [(rel, sym.SymmetryOperator(M, anti, flip, name))
+            for rel in ("phs", "trs", "chs"):
+                ops += [(rel, sym.SymmetryOperator(M, name))
                         for name, M in sym.default_candidates(spec)]
             for rel, op in ops:
-                at = (Um, Hm) if op.momentum_flip else (U, H)
+                at = (U, H) if rel == "chs" else (Um, Hm)
                 by_u = sym._residual(op, rel, U, at[0])
                 by_h = _h_residual(op, rel, *H, *at[1])
                 assert (by_u <= sym.RESIDUAL_TOL) == (by_h <= sym.RESIDUAL_TOL), \
@@ -400,7 +384,7 @@ class TestClassify:
     def test_inconsistent_designation_raises(self, monkeypatch):
         # sabotage: pretend the 2d-c particle-hole operator is the identity
         def bad_ops(spec):
-            return {"phs": sym.SymmetryOperator(np.eye(4, dtype=complex), True, True, "K")}
+            return {"phs": sym.SymmetryOperator(np.eye(4, dtype=complex), "K")}
         monkeypatch.setattr(sym, "designated_operators", bad_ops)
         with pytest.raises(ClassificationError):
             sym.classify("2d-c")

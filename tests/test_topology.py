@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import as_stack, generic_angles
+from conftest import as_stack, generic_angles, reference_unitary
 from topowalk import cli
 from topowalk import protocols as pr
 from topowalk import spectrum
@@ -81,11 +81,12 @@ class TestGapClosings:
         ("2d-simple", {"beta": 0.0}, 64, 128),
     ])
     def test_refined_closings_agree_with_the_matrix_oracle(self, pid, angles, grid_n, count):
+        # the oracle: the split of the matrix-exponential reference U(k)
         pts = tp.find_gap_closings(pid, angles=angles, T=1, grid_n=grid_n)
         assert len(pts) == count
         k = np.array([p.k for p in pts])
         assert ((k >= -PI) & (k < PI)).all()
-        d = spectrum.oracle_bands(pid, k, angles=angles, T=1).d
+        d = spectrum.bands_from_unitary(reference_unitary(pr.registry_lookup(pid), k, angles, 1)).d
         assert np.linalg.norm(d, axis=-1).max() <= 1e-12
 
 
